@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks of the PACT hot paths: PAC store updates,
-//! reservoir + Freedman-Diaconis recomputation, LLC probes, and engine
-//! throughput.
+//! reservoir + Freedman-Diaconis recomputation, LLC probes, channel
+//! bookings, and engine throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -8,7 +8,8 @@ use std::hint::black_box;
 use pact_core::{AdaptiveBins, PacStore, PactConfig};
 use pact_stats::{freedman_diaconis_width, Reservoir, SplitMix64};
 use pact_tiersim::{
-    Access, FirstTouch, Llc, LlcConfig, Machine, MachineConfig, PageId, SpaceSaving, TraceWorkload,
+    Access, Channel, FirstTouch, Llc, LlcConfig, Machine, MachineConfig, PageId, SpaceSaving,
+    TraceWorkload,
 };
 use pact_workloads::Zipf;
 
@@ -74,6 +75,31 @@ fn bench_llc(c: &mut Criterion) {
     });
 }
 
+fn bench_channel(c: &mut Criterion) {
+    // One clock moving forward, a few bookings per 128-cycle epoch: the
+    // steady state of a streaming thread.
+    c.bench_function("channel_book_monotone", |b| {
+        let mut ch = Channel::new(2.7);
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 37;
+            ch.book(black_box(t), 1)
+        });
+    });
+    // Four thread clocks a few epochs apart, booking round-robin: each
+    // booking lands behind the newest epoch already folded.
+    c.bench_function("channel_book_lagging", |b| {
+        let mut ch = Channel::new(2.7);
+        let mut clocks = [0u64, 300, 650, 1_000];
+        let mut k = 0;
+        b.iter(|| {
+            k = (k + 1) % clocks.len();
+            clocks[k] += 150;
+            ch.book(black_box(clocks[k]), 1)
+        });
+    });
+}
+
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine");
     group.sample_size(10);
@@ -126,6 +152,7 @@ criterion_group!(
     bench_pac_store,
     bench_binning,
     bench_llc,
+    bench_channel,
     bench_engine,
     bench_samplers,
     bench_top_bin

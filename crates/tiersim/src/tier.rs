@@ -9,12 +9,30 @@
 //! so arrival-order noise cannot fabricate contention, while sustained
 //! overload still builds a real queue (loaded-latency inflation, the
 //! effect Figures 2c and 11 rely on).
+//!
+//! The backlog after epoch `j` is the fold
+//! `b[j] = max(0, b[j-1] + lines[j] - cap)` from the carry out of the
+//! expired epochs. Each channel caches `b` for the epochs `base..valid_end`,
+//! so a query folds only the stale tail. A booking at epoch `e` changes
+//! `lines[e]` and so invalidates `b[e..]` (`valid_end = min(valid_end, e)`);
+//! advancing the ring turns `b[base]` into the new carry through the same
+//! expression and keeps the rest. A whole-window gap drain and a snapshot
+//! restore reset the cache to `base`. Every cached entry was computed by
+//! the same f64 operations on the same operands as a full refold from
+//! `base`, so results are bit-identical to one; only host time changes.
+//! Clocks mostly move forward, so a booking typically folds one epoch
+//! instead of 32.
 
 /// Cycles per epoch bucket.
 const EPOCH_CYCLES: u64 = 128;
 
 /// Epochs tracked in the ring (window of `EPOCHS * EPOCH_CYCLES` cycles).
 const EPOCHS: usize = 32;
+
+/// Ring slot of absolute epoch `epoch`.
+fn slot(epoch: u64) -> usize {
+    (epoch % EPOCHS as u64) as usize
+}
 
 /// One memory tier's bandwidth channel.
 #[derive(Debug, Clone)]
@@ -33,6 +51,13 @@ pub struct Channel {
     carry: f64,
     /// Lifetime count of lines booked (for per-window traffic metrics).
     booked: u64,
+    /// Busy-period backlog (lines) after each epoch, ring-indexed like
+    /// `lines`; valid for epochs `base..valid_end`.
+    // snapshot: skip — derived cache of the fold, refolded after restore
+    prefix: [f64; EPOCHS],
+    /// First epoch whose `prefix` entry is stale.
+    // snapshot: skip — decode_state resets it to `base`
+    valid_end: u64,
 }
 
 impl Channel {
@@ -54,6 +79,8 @@ impl Channel {
             base: 0,
             carry: 0.0,
             booked: 0,
+            prefix: [0.0; EPOCHS],
+            valid_end: 0,
         }
     }
 
@@ -68,17 +95,47 @@ impl Channel {
         }
         let shift = epoch + 1 - (self.base + EPOCHS as u64);
         for _ in 0..shift.min(EPOCHS as u64) {
-            let idx = (self.base % EPOCHS as u64) as usize;
+            let idx = slot(self.base);
+            // The fold's own step, so `carry` equals `prefix[idx]` bit
+            // for bit and the later cached entries stay valid.
             self.carry = (self.carry + self.lines[idx] - self.cap).max(0.0);
             self.lines[idx] = 0.0;
             self.base += 1;
+            self.valid_end = self.valid_end.max(self.base);
         }
         if shift > EPOCHS as u64 {
             // The whole window expired: drain the carry across the gap.
             let gap = shift - EPOCHS as u64;
             self.carry = (self.carry - gap as f64 * self.cap).max(0.0);
             self.base += gap;
+            self.valid_end = self.base;
         }
+    }
+
+    /// Busy-period backlog (lines) after epoch `e`, for
+    /// `base <= e < base + EPOCHS`: folds only the stale epochs from
+    /// `valid_end` through `e` and caches each step.
+    fn backlog_through(&mut self, e: u64) -> f64 {
+        let mut backlog = if self.valid_end == self.base {
+            self.carry
+        } else {
+            self.prefix[slot(self.valid_end - 1)]
+        };
+        while self.valid_end <= e {
+            let idx = slot(self.valid_end);
+            backlog = (backlog + self.lines[idx] - self.cap).max(0.0);
+            self.prefix[idx] = backlog;
+            self.valid_end += 1;
+        }
+        self.prefix[slot(e)]
+    }
+
+    /// Advances the ring to cycle `t` and returns the backlog in lines
+    /// there (very old arrivals clamp to `base`).
+    fn backlog_lines(&mut self, t: u64) -> f64 {
+        let epoch = t / EPOCH_CYCLES;
+        self.advance_to(epoch);
+        self.backlog_through(epoch.max(self.base))
     }
 
     /// Books `n` line transfers at cycle `t`; returns the queue delay in
@@ -88,13 +145,9 @@ impl Channel {
         let epoch = t / EPOCH_CYCLES;
         self.advance_to(epoch);
         let e = epoch.max(self.base); // very old arrivals clamp to base
-        let idx = (e % EPOCHS as u64) as usize;
-        self.lines[idx] += n as f64;
-        // Busy-period backlog from the oldest tracked epoch through e.
-        let mut backlog = self.carry;
-        for j in self.base..=e {
-            backlog = (backlog + self.lines[(j % EPOCHS as u64) as usize] - self.cap).max(0.0);
-        }
+        self.lines[slot(e)] += n as f64;
+        self.valid_end = self.valid_end.min(e);
+        let backlog = self.backlog_through(e);
         ((backlog - 1.0).max(0.0)) * self.transfer
     }
 
@@ -103,37 +156,13 @@ impl Channel {
         self.booked
     }
 
-    /// Unserved backlog at cycle `t`, in lines, computed without
-    /// advancing the ring. The invariant checker uses this to bound the
-    /// drained-line total (`lines_booked - backlog`) by channel capacity
-    /// without perturbing subsequent bookings the way
-    /// [`backlog_cycles`](Self::backlog_cycles) would.
+    /// Unserved backlog at cycle `t`, in lines, computed on a copy so
+    /// this channel's ring does not advance. The invariant checker uses
+    /// this to bound the drained-line total (`lines_booked - backlog`)
+    /// by channel capacity without perturbing subsequent bookings the
+    /// way [`backlog_cycles`](Self::backlog_cycles) would.
     pub fn backlog_lines_at(&self, t: u64) -> f64 {
-        let epoch = t / EPOCH_CYCLES;
-        let mut base = self.base;
-        let mut carry = self.carry;
-        let mut lines = self.lines;
-        // Replicates `advance_to` on local copies.
-        if epoch >= base + EPOCHS as u64 {
-            let shift = epoch + 1 - (base + EPOCHS as u64);
-            for _ in 0..shift.min(EPOCHS as u64) {
-                let idx = (base % EPOCHS as u64) as usize;
-                carry = (carry + lines[idx] - self.cap).max(0.0);
-                lines[idx] = 0.0;
-                base += 1;
-            }
-            if shift > EPOCHS as u64 {
-                let gap = shift - EPOCHS as u64;
-                carry = (carry - gap as f64 * self.cap).max(0.0);
-                base += gap;
-            }
-        }
-        let e = epoch.max(base);
-        let mut backlog = carry;
-        for j in base..=e {
-            backlog = (backlog + lines[(j % EPOCHS as u64) as usize] - self.cap).max(0.0);
-        }
-        backlog
+        self.clone().backlog_lines(t)
     }
 
     /// Line capacity of one epoch (`EPOCH_CYCLES / transfer_cycles`).
@@ -148,7 +177,7 @@ impl Channel {
 
     /// Serializes the epoch ring, carry, and lifetime booking counter
     /// (transfer time and capacity come from construction on restore).
-    pub(crate) fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
+    pub fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
         for &l in &self.lines {
             w.put_f64(l);
         }
@@ -159,10 +188,7 @@ impl Channel {
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
     /// into a channel constructed with the same transfer time.
-    pub(crate) fn decode_state(
-        &mut self,
-        r: &mut pact_stats::ByteReader<'_>,
-    ) -> Result<(), String> {
+    pub fn decode_state(&mut self, r: &mut pact_stats::ByteReader<'_>) -> Result<(), String> {
         let e = |e: pact_stats::CodecError| format!("channel state: {e}");
         for l in &mut self.lines {
             *l = r.get_f64().map_err(e)?;
@@ -170,20 +196,14 @@ impl Channel {
         self.base = r.get_u64().map_err(e)?;
         self.carry = r.get_f64().map_err(e)?;
         self.booked = r.get_u64().map_err(e)?;
+        self.valid_end = self.base;
         Ok(())
     }
 
     /// Current backlog at cycle `t`, in cycles of channel time (used by
     /// the prefetcher to yield under load).
     pub fn backlog_cycles(&mut self, t: u64) -> f64 {
-        let epoch = t / EPOCH_CYCLES;
-        self.advance_to(epoch);
-        let e = epoch.max(self.base);
-        let mut backlog = self.carry;
-        for j in self.base..=e {
-            backlog = (backlog + self.lines[(j % EPOCHS as u64) as usize] - self.cap).max(0.0);
-        }
-        backlog * self.transfer
+        self.backlog_lines(t) * self.transfer
     }
 }
 
