@@ -17,7 +17,7 @@
 # Stage names are validated against the roster below — a typo exits 2
 # naming the bad stage instead of silently skipping everything.
 #
-# Stages: fmt lint build test workspace perf machine-perf obs obs-report fault snapshot check fleet fleet-perf
+# Stages: fmt lint build test workspace perf obs obs-report fault snapshot check fleet
 #
 # PACT_JOBS is pinned so sweep-shaped tests exercise the parallel
 # executor deterministically regardless of the runner's core count.
@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE="${CARGO_NET_OFFLINE:-true}"
 export PACT_JOBS="${PACT_JOBS:-4}"
 
-ROSTER="fmt lint build test workspace perf machine-perf obs obs-report fault snapshot check fleet fleet-perf"
+ROSTER="fmt lint build test workspace perf obs obs-report fault snapshot check fleet"
 STAGES="${PACT_CI_STAGES:-$ROSTER}"
 for s in $STAGES; do
     case " $ROSTER " in
@@ -54,7 +54,7 @@ stage_fmt() {
 
 # Static analysis, two layers: pact-lint (the workspace determinism &
 # hygiene linter — token rules in DESIGN.md §11, semantic X-rules in
-# §16) and clippy with warnings denied. The mutation self-test proves
+# §15) and clippy with warnings denied. The mutation self-test proves
 # the semantic analyzer still has teeth (seeded deletions of a codec
 # field write, a tenant counter mirror, and an EventKind match arm must
 # each be caught), then the full scan gates on zero unsuppressed
@@ -113,16 +113,6 @@ stage_perf() {
         --check-against BENCH_sweep.json
 }
 
-# Machine-loop perf-regression gate: one large many-threaded cell run
-# serial (1 shard) and sharded (8 shards) must stay bit-identical, and
-# the sharded sim_cycles_per_sec must stay within 20% of the committed
-# baseline. (Refresh with `cargo run --release -p pact-bench --bin
-# probe_machine` and commit the new BENCH_machine.json.)
-stage_machine_perf() {
-    cargo run --release -p pact-bench --bin probe_machine -- \
-        --check-against BENCH_machine.json
-}
-
 stage_obs() {
     obs_dir="target/ci-obs"
     rm -rf "$obs_dir"
@@ -137,25 +127,25 @@ stage_obs() {
     echo "    chrome traces byte-identical across identically-seeded runs"
 }
 
-# Criticality-attribution gate (DESIGN.md §13): `tierctl report` on a
-# fault-injected cell must emit byte-identical artifacts across
-# event-loop shard counts, and the metrics endpoint must answer
+# Criticality-attribution gate (DESIGN.md §12): `tierctl report` on a
+# fault-injected cell must emit its artifacts byte-identically across
+# identically-seeded runs, and the metrics endpoint must answer
 # /healthz and /metrics. Artifacts stay in target/ci-report for the
 # workflow's upload step.
 stage_obs_report() {
     report_dir="target/ci-report"
     rm -rf "$report_dir"
     fault_spec='drop=0.2,fail=0.6,retries=1,stall=slow:20000:0.5,seed=7'
-    for shards in 1 4; do
-        PACT_FAULTS="$fault_spec" PACT_SHARDS="$shards" \
+    for run in a b; do
+        PACT_FAULTS="$fault_spec" \
             cargo run --release -p pact-bench --bin tierctl -- report \
             --workload gups --policy pact --ratio 1:2 --seed 7 \
-            --out "$report_dir/shards$shards"
+            --out "$report_dir/$run"
     done
     for f in report.md report.json flame.folded; do
-        cmp "$report_dir/shards1/$f" "$report_dir/shards4/$f"
+        cmp "$report_dir/a/$f" "$report_dir/b/$f"
     done
-    echo "    criticality report byte-identical across PACT_SHARDS={1,4}"
+    echo "    criticality report byte-identical across identically-seeded runs"
     if command -v curl > /dev/null 2>&1; then
         # Every accepted connection counts against --max-requests, so
         # readiness is detected from the server's "serving metrics"
@@ -198,10 +188,10 @@ stage_fault() {
     echo "    fault-injected traces byte-identical, nonzero failure totals"
 }
 
-# Crash-recovery gate (DESIGN.md §14): capture a fault-injected cell
-# with the retry/backoff machinery loaded, snapshotting under 1 shard;
-# resume every frame under PACT_SHARDS=4 and 7 and demand the
-# report:/digest: summary lines match the uninterrupted run's exactly.
+# Crash-recovery gate (DESIGN.md §13): capture a fault-injected cell
+# with the retry/backoff machinery loaded; resume every frame and
+# demand the report:/digest: summary lines match the uninterrupted
+# run's exactly.
 # A deliberately corrupted frame must be rejected with exit 2, and the
 # same fault plan must be set on resume — the plan is part of the
 # configuration fingerprint.
@@ -210,26 +200,24 @@ stage_snapshot() {
     rm -rf "$snap_dir"
     mkdir -p "$snap_dir"
     fault_spec='drop=0.2,fail=0.6,retries=2,backoff=2,seed=7'
-    PACT_FAULTS="$fault_spec" PACT_SHARDS=1 \
+    PACT_FAULTS="$fault_spec" \
         cargo run --release -p pact-bench --bin tierctl -- snapshot \
         --workload masim --policy pact --ratio 1:2 --seed 7 --every 8 \
         --out "$snap_dir" | tee "$snap_dir/capture.out"
     grep -E '^(report|digest):' "$snap_dir/capture.out" > "$snap_dir/want.txt"
     frames=0
     for snap in "$snap_dir"/snap_*.pactsnap; do
-        for shards in 4 7; do
-            PACT_FAULTS="$fault_spec" PACT_SHARDS="$shards" \
-                cargo run --release -p pact-bench --bin tierctl -- resume \
-                --from "$snap" | grep -E '^(report|digest):' > "$snap_dir/got.txt"
-            cmp "$snap_dir/want.txt" "$snap_dir/got.txt"
-        done
+        PACT_FAULTS="$fault_spec" \
+            cargo run --release -p pact-bench --bin tierctl -- resume \
+            --from "$snap" | grep -E '^(report|digest):' > "$snap_dir/got.txt"
+        cmp "$snap_dir/want.txt" "$snap_dir/got.txt"
         frames=$((frames + 1))
     done
     [ "$frames" -gt 0 ] || {
         echo "    FAIL: capture run wrote no snapshots"
         exit 1
     }
-    echo "    kill-resume byte-identical across PACT_SHARDS={4,7} for $frames frames"
+    echo "    kill-resume byte-identical for $frames frames"
     first=$(ls "$snap_dir"/snap_*.pactsnap | head -n 1)
     cp "$first" "$snap_dir/corrupt.pactsnap"
     printf '\377' | dd of="$snap_dir/corrupt.pactsnap" bs=1 seek=100 count=1 conv=notrunc 2> /dev/null
@@ -259,10 +247,10 @@ stage_check() {
     cargo run --release -p pact-bench --bin check_sweep
 }
 
-# Fleet gate (DESIGN.md §15): the three-tenant noisy-neighbor cell
+# Fleet gate (DESIGN.md §14): the three-tenant noisy-neighbor cell
 # (PACT app + mlc-hog antagonist + zipf-drift store) under migration
-# admission control must print byte-identical output across event-loop
-# shard counts and job-pool widths, and the admission controller must
+# admission control must print byte-identical output across job-pool
+# widths, and the admission controller must
 # actually reject something — a fleet run with zero rejections is not
 # exercising backpressure. Artifacts stay in target/ci-fleet for the
 # workflow's upload step.
@@ -270,32 +258,17 @@ stage_fleet() {
     fleet_dir="target/ci-fleet"
     rm -rf "$fleet_dir"
     mkdir -p "$fleet_dir"
-    for shards in 1 4; do
-        for jobs in 2 4; do
-            PACT_SHARDS="$shards" PACT_JOBS="$jobs" \
-                cargo run --release -p pact-bench --bin tierctl -- fleet \
-                --seed 7 > "$fleet_dir/s${shards}j${jobs}.txt"
-        done
+    for jobs in 2 4; do
+        PACT_JOBS="$jobs" cargo run --release -p pact-bench --bin tierctl -- fleet \
+            --seed 7 > "$fleet_dir/j${jobs}.txt"
     done
-    for f in s1j4 s4j2 s4j4; do
-        cmp "$fleet_dir/s1j2.txt" "$fleet_dir/$f.txt"
-    done
-    grep -q '^admission: admitted=' "$fleet_dir/s1j2.txt"
-    grep -q 'rejected=0$' "$fleet_dir/s1j2.txt" && {
+    cmp "$fleet_dir/j2.txt" "$fleet_dir/j4.txt"
+    grep -q '^admission: admitted=' "$fleet_dir/j2.txt"
+    grep -q 'rejected=0$' "$fleet_dir/j2.txt" && {
         echo "    FAIL: fleet cell never rejected a migration order"
         exit 1
     }
-    echo "    fleet byte-identical across PACT_SHARDS={1,4} x PACT_JOBS={2,4}, nonzero rejections"
-}
-
-# Fleet perf-regression gate: the probe's serial and sharded runs must
-# stay bit-identical with nonzero rejections, and the sharded
-# sim_cycles_per_sec must stay within 20% of the committed baseline.
-# (Refresh with `cargo run --release -p pact-bench --bin probe_fleet`
-# and commit the new BENCH_fleet.json.)
-stage_fleet_perf() {
-    cargo run --release -p pact-bench --bin probe_fleet -- \
-        --check-against BENCH_fleet.json
+    echo "    fleet byte-identical across PACT_JOBS={2,4}, nonzero rejections"
 }
 
 # --- driver ----------------------------------------------------------
@@ -336,11 +309,16 @@ echo "==> stage wall times"
 cat "$TIMING_FILE"
 # Persist the table for the next run's slowdown warnings and the
 # workflow's artifact upload; stages skipped this run carry forward
-# their previously recorded times.
+# their previously recorded times, and stages no longer on the roster
+# are dropped.
 mkdir -p target
 cp "$TIMING_FILE" "$TIMINGS_PATH.tmp"
 while IFS= read -r line; do
     name=${line%% *}
+    case " $ROSTER " in
+    *" $name "*) ;;
+    *) continue ;;
+    esac
     grep -q "^$name " "$TIMING_FILE" || echo "$line" >> "$TIMINGS_PATH.tmp"
 done < "$PREV_TIMINGS"
 mv "$TIMINGS_PATH.tmp" "$TIMINGS_PATH"

@@ -175,5 +175,5 @@ fn main() {
         out.push_str("expected: stall/miss ~ 418/MLP as MSHRs grow.\n");
     }
     print!("{out}");
-    save_results("ablations.txt", &out);
+    save_results(opts.scale, "ablations.txt", &out);
 }

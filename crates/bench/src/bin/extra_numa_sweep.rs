@@ -52,5 +52,5 @@ fn main() {
          ordering (PACT lowest) is preserved at both latencies.\n",
     );
     print!("{out}");
-    save_results("extra_numa_sweep.txt", &out);
+    save_results(opts.scale, "extra_numa_sweep.txt", &out);
 }

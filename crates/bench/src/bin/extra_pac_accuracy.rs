@@ -84,5 +84,5 @@ fn main() {
          reproduces the skew the promotion policy is designed around (§3).\n",
     );
     print!("{out}");
-    save_results("extra_pac_accuracy.txt", &out);
+    save_results(opts.scale, "extra_pac_accuracy.txt", &out);
 }

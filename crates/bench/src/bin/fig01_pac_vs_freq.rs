@@ -140,5 +140,5 @@ fn main() {
         }
     }
     print!("{out}");
-    save_results("fig01_pac_vs_freq.txt", &out);
+    save_results(opts.scale, "fig01_pac_vs_freq.txt", &out);
 }

@@ -85,5 +85,5 @@ fn main() {
          k tracks the tier's loaded latency.\n",
     );
     print!("{out}");
-    save_results("fig02_stall_model.txt", &out);
+    save_results(opts.scale, "fig02_stall_model.txt", &out);
 }

@@ -82,5 +82,5 @@ fn main() {
          (phases shift at coarse timescales; windows within a phase are stable)\n"
     ));
     print!("{out}");
-    save_results("fig03_tor_mlp.txt", &out);
+    save_results(opts.scale, "fig03_tor_mlp.txt", &out);
 }

@@ -44,5 +44,5 @@ fn main() {
         ratios_n.iter().cloned().fold(0.0f64, f64::max),
     ));
     print!("{out}");
-    save_results("fig04_bckron_4k.txt", &out);
+    save_results(opts.scale, "fig04_bckron_4k.txt", &out);
 }

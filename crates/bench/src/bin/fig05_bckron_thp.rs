@@ -43,5 +43,5 @@ fn main() {
         gaps.iter().cloned().fold(f64::NEG_INFINITY, f64::max) * 100.0,
     ));
     print!("{out}");
-    save_results("fig05_bckron_thp.txt", &out);
+    save_results(opts.scale, "fig05_bckron_thp.txt", &out);
 }

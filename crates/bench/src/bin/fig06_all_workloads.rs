@@ -96,5 +96,5 @@ fn main() {
         max_loss * 100.0
     ));
     print!("{out}");
-    save_results("fig06_all_workloads.txt", &out);
+    save_results(opts.scale, "fig06_all_workloads.txt", &out);
 }

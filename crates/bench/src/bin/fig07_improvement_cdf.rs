@@ -75,5 +75,5 @@ fn main() {
         medians[1] * 100.0
     ));
     print!("{out}");
-    save_results("fig07_improvement_cdf.txt", &out);
+    save_results(opts.scale, "fig07_improvement_cdf.txt", &out);
 }

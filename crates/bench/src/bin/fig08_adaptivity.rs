@@ -95,5 +95,5 @@ fn main() {
         colloid.promotions as f64 / pact.promotions.max(1) as f64
     ));
     print!("{out}");
-    save_results("fig08_adaptivity.txt", &out);
+    save_results(opts.scale, "fig08_adaptivity.txt", &out);
 }

@@ -84,5 +84,5 @@ fn main() {
     }
     out.push_str(&t.render());
     print!("{out}");
-    save_results("fig09_pac_vs_freq_policy.txt", &out);
+    save_results(opts.scale, "fig09_pac_vs_freq_policy.txt", &out);
 }

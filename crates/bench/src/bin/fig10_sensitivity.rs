@@ -102,5 +102,5 @@ fn main() {
         out.push_str(&t.render());
     }
     print!("{out}");
-    save_results("fig10_sensitivity.txt", &out);
+    save_results(opts.scale, "fig10_sensitivity.txt", &out);
 }

@@ -98,5 +98,5 @@ fn main() {
          fewer promotions than Colloid and 2.2x fewer than Memtis (THP).\n",
     );
     print!("{out}");
-    save_results("fig11_bw_contention.txt", &out);
+    save_results(opts.scale, "fig11_bw_contention.txt", &out);
 }

@@ -108,5 +108,5 @@ fn main() {
         count(colloid.4),
     ));
     print!("{out}");
-    save_results("fig12_colocation.txt", &out);
+    save_results(opts.scale, "fig12_colocation.txt", &out);
 }

@@ -108,5 +108,5 @@ fn main() {
         (1.0 - both.mean_lat / base_lat) * 100.0,
     ));
     print!("{out}");
-    save_results("fig13_redis_breakdown.txt", &out);
+    save_results(opts.scale, "fig13_redis_breakdown.txt", &out);
 }

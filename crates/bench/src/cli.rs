@@ -38,8 +38,8 @@ pub fn parse_options() -> Options {
 
 /// Exits with status 2 if any of the parsed `PACT_*` hooks —
 /// `PACT_FAULTS`, `PACT_PROF`, `PACT_METRICS_ADDR`,
-/// `PACT_REPORT_TOPK`, `PACT_JOBS`, `PACT_SHARDS`, `PACT_SNAPSHOT`
-/// — is set but unparseable, so every experiment binary rejects a bad
+/// `PACT_REPORT_TOPK`, `PACT_JOBS`, `PACT_SNAPSHOT` — is set but
+/// unparseable, so every experiment binary rejects a bad
 /// environment before doing any work. Valid values are left for the
 /// harness to apply per run.
 pub fn validate_fault_env() {
@@ -52,7 +52,6 @@ pub fn validate_fault_env() {
         crate::env::metrics_addr().err(),
         crate::env::report_topk().err(),
         crate::env::jobs_override().err(),
-        crate::env::shards_override().err(),
         crate::env::snapshot_every().err(),
     ];
     if let Some(e) = hook_errs.into_iter().flatten().next() {

@@ -8,7 +8,6 @@
 //! | Variable            | Read by              | Meaning                                             |
 //! |---------------------|----------------------|-----------------------------------------------------|
 //! | `PACT_JOBS`         | [`jobs_override`]    | Sweep worker count (positive integer; `1` = serial) |
-//! | `PACT_SHARDS`       | [`shards_override`]  | Event-loop shard count (1..=256; `1` = serial loop) |
 //! | `PACT_TRACE`        | [`trace_config`]     | Trace output path (file for one run, dir for sweeps)|
 //! | `PACT_TRACE_FORMAT` | [`trace_config`]     | `chrome` (default) or `jsonl`                       |
 //! | `PACT_FAULTS`       | [`fault_plan`]       | Fault-injection spec (see `tiersim::fault`)         |
@@ -31,10 +30,6 @@ use pact_tiersim::{FaultPlan, SimError, FAULTS_ENV};
 /// `PACT_JOBS`: worker-count override for sweep executors.
 pub const JOBS_ENV: &str = "PACT_JOBS";
 
-/// `PACT_SHARDS`: event-loop shard count for the simulator's sharded
-/// scheduler (`tiersim::machine`, DESIGN.md §12).
-pub const SHARDS_ENV: &str = "PACT_SHARDS";
-
 /// `PACT_CI_STAGES`: consumed by `ci/run.sh` (never by Rust code);
 /// registered here so the table above stays complete.
 pub const CI_STAGES_ENV: &str = "PACT_CI_STAGES";
@@ -53,7 +48,7 @@ pub const METRICS_ADDR_ENV: &str = "PACT_METRICS_ADDR";
 pub const REPORT_TOPK_ENV: &str = "PACT_REPORT_TOPK";
 
 /// `PACT_SNAPSHOT`: crash-recovery snapshot cadence in completed
-/// windows (`tiersim::snapshot`, DESIGN.md §14). Resolved into
+/// windows (`tiersim::snapshot`, DESIGN.md §13). Resolved into
 /// [`MachineConfig::snapshot_every`](pact_tiersim::MachineConfig) by
 /// the binaries that install a snapshot sink (`tierctl snapshot`).
 pub const SNAPSHOT_ENV: &str = "PACT_SNAPSHOT";
@@ -157,29 +152,6 @@ pub fn jobs_override() -> Result<Option<usize>, String> {
             Ok(n) if n > 0 => Ok(Some(n)),
             _ => Err(format!(
                 "invalid {JOBS_ENV}={v:?}: expected a positive integer worker count"
-            )),
-        },
-    }
-}
-
-/// The `PACT_SHARDS` override: `Ok(Some(n))` for an integer in
-/// `1..=256` (the range `MachineConfig::validate` accepts), `Ok(None)`
-/// when unset. Sharding is a pure scheduling choice — results are
-/// byte-identical for every value (pinned by
-/// `tests/shard_determinism.rs`) — so an operator override can never
-/// change an experiment's outcome, only its speed.
-///
-/// # Errors
-///
-/// A value outside `1..=256` (including `0`) is a configuration error
-/// naming the variable; binaries exit 2.
-pub fn shards_override() -> Result<Option<usize>, String> {
-    match read(SHARDS_ENV) {
-        None => Ok(None),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if (1..=256).contains(&n) => Ok(Some(n)),
-            _ => Err(format!(
-                "invalid {SHARDS_ENV}={v:?}: expected a shard count in 1..=256"
             )),
         },
     }
@@ -308,9 +280,6 @@ mod tests {
     fn unset_variables_resolve_to_none() {
         if std::env::var(JOBS_ENV).is_err() {
             assert_eq!(jobs_override(), Ok(None));
-        }
-        if std::env::var(SHARDS_ENV).is_err() {
-            assert_eq!(shards_override(), Ok(None));
         }
         if std::env::var(SNAPSHOT_ENV).is_err() {
             assert_eq!(snapshot_every(), Ok(None));

@@ -1,13 +1,13 @@
-//! Shared perf-gate plumbing for the `probe_*` binaries.
+//! Perf-gate plumbing for `probe_sweep`.
 //!
-//! Each probe measures a serial and a parallel/sharded configuration of
-//! the same deterministic work, records wall time and
-//! `sim_cycles_per_sec` into a committed `BENCH_*.json` baseline, and —
+//! The probe measures a serial and a parallel configuration of the
+//! same deterministic work, records wall time and
+//! `sim_cycles_per_sec` into the committed `BENCH_sweep.json` baseline, and —
 //! in `--check-against PATH` mode — becomes a CI regression gate that
 //! compares a fresh measurement against that baseline. The JSON
-//! extraction here is deliberately not a parser: the probes' own
+//! extraction here is deliberately not a parser: the probe's own
 //! `JsonWriter` output is flat and known-shape, so anchored substring
-//! scans suffice and the binaries stay dependency-free.
+//! scans suffice and the binary stays dependency-free.
 
 /// Maximum tolerated drop in `sim_cycles_per_sec` vs the committed
 /// baseline before [`check_against`] fails (20%).
@@ -111,7 +111,7 @@ pub fn check_path_from_args(probe: &str) -> Option<String> {
 mod tests {
     use super::*;
 
-    const BASELINE: &str = r#"{"serial":{"jobs":1,"wall_seconds":0.25,"sim_cycles_per_sec":22750166.0},"sharded":{"shards":8,"wall_seconds":0.05,"sim_cycles_per_sec":91000000.0},"bit_identical":true}"#;
+    const BASELINE: &str = r#"{"serial":{"jobs":1,"wall_seconds":0.25,"sim_cycles_per_sec":22750166.0},"parallel":{"jobs":4,"wall_seconds":0.2,"sim_cycles_per_sec":27000000.0},"bit_identical":true}"#;
 
     fn gate(baseline: &str, identical: bool, cps: f64) -> Vec<String> {
         check_against(
@@ -130,8 +130,8 @@ mod tests {
         let s = extract_f64(BASELINE, "\"serial\":", "sim_cycles_per_sec").unwrap();
         assert!((s - 22_750_166.0).abs() < 1.0);
         // The anchor skips past the identically-named serial field.
-        let p = extract_f64(BASELINE, "\"sharded\":", "sim_cycles_per_sec").unwrap();
-        assert!((p - 91_000_000.0).abs() < 1.0);
+        let p = extract_f64(BASELINE, "\"parallel\":", "sim_cycles_per_sec").unwrap();
+        assert!((p - 27_000_000.0).abs() < 1.0);
         assert_eq!(extract_f64(BASELINE, "\"missing\":", "x"), None);
     }
 

@@ -7,6 +7,7 @@
 //! byte-stable JSON.
 
 pub use pact_obs::JsonWriter;
+use pact_workloads::suite::Scale;
 
 /// A simple aligned-column text table.
 #[derive(Debug, Clone, Default)]
@@ -148,10 +149,21 @@ pub fn banner(title: &str) -> String {
 /// Writes `contents` to `results/<name>` (creating the directory),
 /// printing the path; errors are reported but not fatal so a read-only
 /// checkout still prints results to stdout.
-pub fn save_results(name: &str, contents: &str) {
-    let dir = std::path::Path::new("results");
+///
+/// Only paper-scale runs are saved: `results/` holds the committed
+/// paper-scale outputs, and a smoke run must not overwrite them. At
+/// smoke scale the call writes nothing and says so on stderr.
+pub fn save_results(scale: Scale, name: &str, contents: &str) {
+    save_results_in(std::path::Path::new("results"), scale, name, contents);
+}
+
+fn save_results_in(dir: &std::path::Path, scale: Scale, name: &str, contents: &str) {
+    if scale != Scale::Paper {
+        eprintln!("[not saved: {name} is written under results/ only at --scale paper]");
+        return;
+    }
     if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: could not create results/: {e}");
+        eprintln!("warning: could not create {}: {e}", dir.display());
         return;
     }
     let path = dir.join(name);
@@ -164,6 +176,17 @@ pub fn save_results(name: &str, contents: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_paper_scale_results_are_saved() {
+        let dir = std::env::temp_dir().join(format!("pact-save-results-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        save_results_in(&dir, Scale::Smoke, "smoke.txt", "x");
+        assert!(!dir.exists(), "a smoke-scale save must write nothing");
+        save_results_in(&dir, Scale::Paper, "paper.txt", "y");
+        assert_eq!(std::fs::read_to_string(dir.join("paper.txt")).unwrap(), "y");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn table_renders_aligned() {

@@ -2,7 +2,7 @@
 //!
 //! A machine-level [`MachineSnapshot`] frame is self-describing about
 //! *machine* state (format version, configuration fingerprint,
-//! checksum — see `tiersim::snapshot` and DESIGN.md §14) but knows
+//! checksum — see `tiersim::snapshot` and DESIGN.md §13) but knows
 //! nothing about the *cell* that produced it: which workload at which
 //! scale and seed, which policy, how large the fast tier was. A
 //! [`CellSnapshot`] wraps the frame with exactly that metadata so

@@ -15,7 +15,6 @@ fn tierctl(args: &[&str]) -> Command {
     cmd.env_remove("PACT_PROF");
     cmd.env_remove("PACT_METRICS_ADDR");
     cmd.env_remove("PACT_REPORT_TOPK");
-    cmd.env_remove("PACT_SHARDS");
     cmd.env_remove("PACT_SNAPSHOT");
     cmd
 }
@@ -157,37 +156,6 @@ fn report_writes_artifacts_and_exits_0() {
 }
 
 #[test]
-fn report_artifacts_are_identical_across_shard_counts() {
-    let base = fixture_dir("report_shards");
-    let mut bodies = Vec::new();
-    for shards in ["1", "4"] {
-        let dir = base.join(shards);
-        let out = tierctl(&[
-            "report",
-            "--workload",
-            "gups",
-            "--seed",
-            "1",
-            "--out",
-            dir.to_str().expect("utf8 path"),
-        ])
-        .env("PACT_SHARDS", shards)
-        .output()
-        .expect("spawn tierctl");
-        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-        bodies.push([
-            std::fs::read(dir.join("report.md")).expect("report.md"),
-            std::fs::read(dir.join("report.json")).expect("report.json"),
-            std::fs::read(dir.join("flame.folded")).expect("flame.folded"),
-        ]);
-    }
-    assert_eq!(
-        bodies[0], bodies[1],
-        "report artifacts differ across PACT_SHARDS"
-    );
-}
-
-#[test]
 fn malformed_observability_env_exits_2() {
     for (var, value) in [
         ("PACT_REPORT_TOPK", "0"),
@@ -214,9 +182,6 @@ fn malformed_scaling_env_exits_2_naming_the_variable() {
     // Satellite of the snapshot PR: every PACT_* knob is validated at
     // startup with a structured one-line error that names the variable.
     for (var, value) in [
-        ("PACT_SHARDS", "0"),
-        ("PACT_SHARDS", "257"),
-        ("PACT_SHARDS", "lots"),
         ("PACT_JOBS", "0"),
         ("PACT_JOBS", "-3"),
         ("PACT_SNAPSHOT", "0"),

@@ -17,12 +17,11 @@
 //! law: with an identity policy, placing the whole footprint in the
 //! fast tier can never be slower than placing it all in the slow tier;
 //! [`attribution_oracle`] pins the criticality-attribution artifacts
-//! (DESIGN.md §13) as byte-identical across shard counts on a
-//! fault-injected cell and invariant under the host-side profiler; and
-//! [`kill_resume_oracle`] pins crash recovery (DESIGN.md §14): a
-//! fault-injected cell killed at a snapshot boundary and resumed must
-//! finish byte-identically to the uninterrupted run, across shard
-//! counts, while tampered frames are rejected with structured errors.
+//! (DESIGN.md §12) of a fault-injected cell as invariant under the
+//! host-side profiler; and [`kill_resume_oracle`] pins crash recovery
+//! (DESIGN.md §13): a fault-injected cell killed at a snapshot boundary
+//! and resumed must finish byte-identically to the uninterrupted run,
+//! while tampered frames are rejected with structured errors.
 
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
@@ -178,35 +177,35 @@ pub fn check_cell(workload: &str, seed: u64) -> DiffLedger {
     ));
 
     lines.push((
-        "criticality artifacts are shard- and profiler-invariant".to_string(),
+        "criticality artifacts are profiler-invariant".to_string(),
         attribution_oracle(wl.as_ref(), seed),
     ));
 
     lines.push((
-        "kill-resume is byte-identical across shard counts".to_string(),
+        "kill-resume is byte-identical".to_string(),
         kill_resume_oracle(wl.as_ref(), seed),
     ));
 
     lines.push((
-        "fleet tenant lanes conserve and are shard-invariant".to_string(),
+        "fleet tenant lanes conserve".to_string(),
         tenant_conservation_oracle(workload, seed),
     ));
 
     DiffLedger { lines }
 }
 
-/// Fleet conservation oracle (DESIGN.md §15): colocates the cell's
+/// Fleet conservation oracle (DESIGN.md §14): colocates the cell's
 /// workload with the `mlc-hog` bandwidth antagonist and the
 /// `zipf-drift` skew tenant under migration admission control, then
 /// demands that the per-tenant lanes are an *exact partition* of the
 /// global totals — every PMU counter, the migration/admission stats,
 /// and the `[fast, slow]` page-stall lanes each sum to the run's
-/// globals — and that the whole fleet report is byte-identical across
-/// event-loop shard counts.
+/// globals — and that the admission controller both admitted and
+/// rejected orders.
 ///
 /// # Errors
 ///
-/// Returns the first non-conserving quantity or shard divergence.
+/// Returns the first non-conserving quantity or idle admission path.
 pub fn tenant_conservation_oracle(workload: &str, seed: u64) -> Result<(), String> {
     let cell = build(workload, Scale::Smoke, seed);
     let hog = build("mlc-hog", Scale::Smoke, seed);
@@ -231,15 +230,13 @@ pub fn tenant_conservation_oracle(workload: &str, seed: u64) -> Result<(), Strin
         ..AdmissionControl::default()
     });
 
-    let run = |cfg: &MachineConfig| -> Result<RunReport, String> {
-        // Invariant: the preset plus validated-range edits construct.
-        let m = Machine::new(cfg.clone()).expect("fleet config is valid");
-        // Invariant: the default PactConfig passes its own validation.
-        let mut p = PactPolicy::new(PactConfig::default()).expect("default config is valid");
-        m.try_run_colocated(&tenants, &mut p)
-            .map_err(|e| format!("fleet run failed: {e}"))
-    };
-    let base = run(&cfg)?;
+    // Invariant: the preset plus validated-range edits construct.
+    let m = Machine::new(cfg).expect("fleet config is valid");
+    // Invariant: the default PactConfig passes its own validation.
+    let mut p = PactPolicy::new(PactConfig::default()).expect("default config is valid");
+    let base = m
+        .try_run_colocated(&tenants, &mut p)
+        .map_err(|e| format!("fleet run failed: {e}"))?;
     if base.tenants.len() != 3 {
         return Err(format!(
             "expected 3 tenant lanes, report has {}",
@@ -383,27 +380,13 @@ pub fn tenant_conservation_oracle(workload: &str, seed: u64) -> Result<(), Strin
     if rejected == 0 {
         return Err("admission controller never rejected an order".to_string());
     }
-
-    // Shard-invariance of the whole fleet report.
-    let base_json = base.to_json();
-    for shards in [4usize, 7] {
-        let mut sharded = cfg.clone();
-        sharded.shards = shards;
-        let got = run(&sharded)?.to_json();
-        if got != base_json {
-            return Err(format!(
-                "fleet report diverges at {shards} shards: {}",
-                diff_hint(&base_json, &got)
-            ));
-        }
-    }
     Ok(())
 }
 
-/// Kill-resume oracle (DESIGN.md §14): a fault-injected cell run to
+/// Kill-resume oracle (DESIGN.md §13): a fault-injected cell run to
 /// completion must be byte-identical to the same cell killed at a
 /// snapshot boundary and resumed from the frame — for every sampled
-/// snapshot point, under `shards ∈ {1, 4, 7}`. Both the serialized
+/// snapshot point. Both the serialized
 /// run report (windows + metrics) and the criticality-attribution
 /// artifacts derived from the `[fast, slow]` page-stall oracle are
 /// compared. The oracle also demands that a corrupted frame, a
@@ -458,11 +441,10 @@ pub fn kill_resume_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
 
     let mut picks = vec![0, frames.len() / 2, frames.len() - 1];
     picks.dedup();
-    let resume = |frame: &MachineSnapshot, shards: usize| -> Result<RunReport, SimError> {
+    let resume = |frame: &MachineSnapshot| -> Result<RunReport, SimError> {
         let mut rcfg = cfg.clone();
-        rcfg.shards = shards;
         rcfg.snapshot_every = 0;
-        // Invariant: shards ∈ 1..=256 and the base config was valid.
+        // Invariant: the base config was valid and cadence 0 is too.
         let m = Machine::new(rcfg).expect("resume config is valid");
         // Invariant: the default PactConfig passes its own validation.
         let mut p = PactPolicy::new(PactConfig::default()).expect("default config is valid");
@@ -473,21 +455,18 @@ pub fn kill_resume_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
         let window = frames[i]
             .window()
             .map_err(|e| format!("frame {i} has an unreadable header: {e}"))?;
-        for shards in [1usize, 4, 7] {
-            let resumed = resume(&frames[i], shards)
-                .map_err(|e| format!("resume from window {window} at {shards} shards: {e}"))?;
-            let got = artifacts(&resumed)?;
-            for (name, (want, have)) in ["report.json", "flame.folded"]
-                .iter()
-                .zip(base_art.iter().zip(got.iter()))
-            {
-                if want != have {
-                    return Err(format!(
-                        "{name} diverges after resume from window {window} at {shards} \
-                         shards: {}",
-                        diff_hint(want, have)
-                    ));
-                }
+        let resumed =
+            resume(&frames[i]).map_err(|e| format!("resume from window {window}: {e}"))?;
+        let got = artifacts(&resumed)?;
+        for (name, (want, have)) in ["report.json", "flame.folded"]
+            .iter()
+            .zip(base_art.iter().zip(got.iter()))
+        {
+            if want != have {
+                return Err(format!(
+                    "{name} diverges after resume from window {window}: {}",
+                    diff_hint(want, have)
+                ));
             }
         }
     }
@@ -498,14 +477,14 @@ pub fn kill_resume_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
     let mut corrupt = last.as_bytes().to_vec();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0xff;
-    match resume(&MachineSnapshot::from_bytes(corrupt), 1) {
+    match resume(&MachineSnapshot::from_bytes(corrupt)) {
         Err(SimError::Snapshot(_)) => {}
         Err(e) => return Err(format!("corrupt frame rejected with the wrong error: {e}")),
         Ok(_) => return Err("corrupt frame was accepted".to_string()),
     }
     let mut bumped = last.as_bytes().to_vec();
     bumped[8] = 0x7f; // format-version field (see tiersim::snapshot layout)
-    match resume(&MachineSnapshot::from_bytes(bumped), 1) {
+    match resume(&MachineSnapshot::from_bytes(bumped)) {
         Err(SimError::Snapshot(e)) if e.contains("version") => {}
         Err(e) => {
             return Err(format!(
@@ -534,14 +513,12 @@ pub fn kill_resume_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
     }
 }
 
-/// Criticality-attribution oracle (DESIGN.md §13): the page-stall
+/// Criticality-attribution oracle (DESIGN.md §12): the page-stall
 /// oracle and every artifact derived from it — folded flamegraph,
-/// JSON, markdown — are sim-domain data, so they must be
-/// byte-identical across event-loop shard counts even on a
-/// fault-injected cell, and arming the host-side profiler
-/// (`pact_obs::hostprof`, wall clock) must not perturb them. This is
-/// the enforced boundary between the deterministic sim clock and the
-/// nondeterministic host clock.
+/// JSON, markdown — are sim-domain data, so arming the host-side
+/// profiler (`pact_obs::hostprof`, wall clock) must not perturb them,
+/// even on a fault-injected cell. This is the enforced boundary between
+/// the deterministic sim clock and the nondeterministic host clock.
 ///
 /// # Errors
 ///
@@ -553,7 +530,7 @@ pub fn attribution_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
     cfg.track_page_stalls = true;
     // An *active* plan: dropped orders and failed migrations reshape
     // the blame distribution, which is exactly what must still be
-    // shard-invariant.
+    // profiler-invariant.
     cfg.fault_plan = Some(FaultPlan {
         seed: seed ^ 0x9e37_79b9,
         drop_order: 0.05,
@@ -569,19 +546,6 @@ pub fn attribution_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
         Ok([crit.folded(), crit.to_json(), crit.to_markdown()])
     };
     let base = render(&cfg)?;
-    for shards in [4usize, 7] {
-        let mut sharded = cfg.clone();
-        sharded.shards = shards;
-        let got = render(&sharded)?;
-        for (i, name) in ARTIFACTS.iter().enumerate() {
-            if got[i] != base[i] {
-                return Err(format!(
-                    "{name} diverges at {shards} shards: {}",
-                    diff_hint(&base[i], &got[i])
-                ));
-            }
-        }
-    }
     // Host profiler on/off: restore the previous state even on failure
     // so a failing oracle cannot leak profiling into other checks.
     let was = pact_obs::hostprof::enabled();

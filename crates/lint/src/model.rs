@@ -7,7 +7,7 @@
 //!
 //! The model is deliberately *lossy*: it is built by a recursive
 //! descent over the lexer's token stream, not a real Rust parser, and
-//! it only keeps what the rules consume. DESIGN.md §16 spells out the
+//! it only keeps what the rules consume. DESIGN.md §15 spells out the
 //! resulting proof boundary (what the analyzer can and cannot see).
 
 use std::collections::BTreeSet;

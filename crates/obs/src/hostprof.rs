@@ -1,5 +1,5 @@
 //! Host-side hierarchical span profiler for the simulator's own
-//! phases (window loop, shard merge, CHMU replay, policy step).
+//! phases (run, window loop, policy step, snapshot capture/restore).
 //!
 //! # The dual-clock rule
 //!
@@ -28,10 +28,10 @@
 //! pact_obs::hostprof::set_enabled(true);
 //! {
 //!     let _w = pact_obs::hostprof::span("window");
-//!     let _m = pact_obs::hostprof::span("shard_merge");
+//!     let _m = pact_obs::hostprof::span("policy_step");
 //! } // both spans record on drop
 //! let text = pact_obs::hostprof::summary();
-//! assert!(text.contains("window;shard_merge"));
+//! assert!(text.contains("window;policy_step"));
 //! pact_obs::hostprof::set_enabled(false);
 //! pact_obs::hostprof::reset();
 //! ```

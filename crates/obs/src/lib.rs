@@ -20,13 +20,9 @@
 //!   `PACT_TRACE` / `PACT_TRACE_FORMAT` environment variables.
 //! * [`json`] — the dependency-free JSON writer/validator the
 //!   exporters and figure binaries share.
-//! * [`shard`] — deterministic merge of per-shard event runs for the
-//!   sharded event loop: sequence-ordered k-way merge for
-//!   order-dependent consumers, fixed-shard-order drain for
-//!   commutative ones.
 //! * [`attribution`] — collapsed-stack ("folded") flamegraph text and
 //!   deterministic top-K selection, the building blocks of the
-//!   criticality report (DESIGN.md §13).
+//!   criticality report (DESIGN.md §12).
 //! * [`hostprof`] — the host-side span profiler, the one sanctioned
 //!   wall-clock reader in the deterministic crates. Host profiles time
 //!   the simulator itself and never feed sim-domain artifacts.
@@ -45,7 +41,6 @@ pub mod hostprof;
 mod intern;
 pub mod json;
 mod metrics;
-pub mod shard;
 mod tracer;
 
 pub use attribution::{top_k_desc, FoldedStacks};

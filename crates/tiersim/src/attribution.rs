@@ -1,5 +1,5 @@
 //! Criticality attribution: folds the simulator's `page_stalls` oracle
-//! into flamegraphs and top-K tables (DESIGN.md §13).
+//! into flamegraphs and top-K tables (DESIGN.md §12).
 //!
 //! The raw oracle is a per-page map of stall cycles split by serving
 //! tier (`machine.rs`, "`page_stalls` semantics"). This module is the
@@ -21,7 +21,7 @@
 //! BTreeMaps keyed by [`PageId`], floats render with Rust's
 //! shortest-roundtrip formatting, and no wall-clock or host state is
 //! consulted. The `pact-check` differential oracle pins the folded and
-//! JSON bytes across shard counts.
+//! JSON bytes with the host profiler armed and disarmed.
 
 use std::collections::BTreeMap;
 
@@ -76,7 +76,7 @@ impl<'a> CriticalityReport<'a> {
     /// Collapsed-stack flamegraph text, one line per `(tier, page)`
     /// pair with nonzero blame: `tier;huge#H;page#P cycles`. Lines are
     /// ordered page-ascending with the fast lane first — a fixed order,
-    /// so the bytes are identical for every shard/job count.
+    /// so the bytes are identical for every job count.
     pub fn folded(&self) -> String {
         let mut f = FoldedStacks::new();
         let mut huge = String::new();

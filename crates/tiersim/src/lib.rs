@@ -87,7 +87,5 @@ pub use policy::{FirstTouch, MachineInfo, MigrationOrder, PolicyCtx, TieringPoli
 pub use snapshot::{config_fingerprint, MachineSnapshot, FORMAT_VERSION, MAGIC};
 pub use tier::Channel;
 pub use trace::{read_trace, write_trace, write_workload_trace};
-pub use types::{
-    page_shard, Access, AccessKind, PageId, ProcId, Tier, HUGE_PAGE_SPAN, LINE_BYTES, PAGE_BYTES,
-};
+pub use types::{Access, AccessKind, PageId, ProcId, Tier, HUGE_PAGE_SPAN, LINE_BYTES, PAGE_BYTES};
 pub use workload::{AccessStream, Region, TraceWorkload, VecStream, Workload};

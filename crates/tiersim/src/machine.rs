@@ -15,10 +15,8 @@
 //! frequently it was touched (the PACT thesis, Fig. 2). Stores never
 //! accrue stall blame (they retire through the write buffer), and
 //! overlapped miss latency is charged only once, to the miss the core
-//! waited for. The map is additive across windows and byte-identical
-//! for every `shards` setting: the sharded loop buffers attributions
-//! per page-shard and drains them in fixed shard order at window edges.
-//! The criticality report (`tierctl report`, DESIGN.md §13) folds this
+//! waited for. The map is additive across windows.
+//! The criticality report (`tierctl report`, DESIGN.md §12) folds this
 //! oracle into flamegraphs and top-K tables.
 
 use std::cmp::Reverse;
@@ -41,7 +39,7 @@ use crate::policy::{
 };
 use crate::snapshot::{self, MachineSnapshot};
 use crate::tier::Channel;
-use crate::types::{page_shard, AccessKind, PageId, Tier, HUGE_PAGE_SPAN, LINE_BYTES, PAGE_BYTES};
+use crate::types::{AccessKind, PageId, Tier, HUGE_PAGE_SPAN, LINE_BYTES, PAGE_BYTES};
 use crate::workload::{AccessStream, Workload};
 
 /// Per-window record of migration activity, counter deltas, and policy
@@ -399,8 +397,8 @@ impl Machine {
     /// returned report (and every trace/metrics byte) is identical to
     /// the uninterrupted run's. The workloads must be the ones the
     /// snapshot was captured under; the machine configuration must
-    /// match the snapshot's fingerprint, except `shards` and
-    /// `snapshot_every`, which may differ freely.
+    /// match the snapshot's fingerprint, except `snapshot_every`, which
+    /// may differ freely.
     ///
     /// # Errors
     ///
@@ -501,26 +499,6 @@ struct Sim<'a, 'w> {
     /// starts (workers of a process with an init phase).
     gated_by: Vec<Option<u32>>,
     clock_offset: u64,
-    // Sharded event loop (cfg.shards >= 2): one ready-heap of
-    // `Reverse((relative_clock, thread))` per shard; the pick scans the
-    // P shard minima instead of all T threads. Empty on the serial path.
-    // snapshot: skip — rebuilt from the restored thread clocks after decode
-    shard_heaps: Vec<BinaryHeap<Reverse<(u64, u32)>>>,
-    /// Per-page-shard buffered CHMU observations `(seq, page)`, merged
-    /// back into exact global order at every policy read point. Empty
-    /// unless sharded *and* a CHMU is configured.
-    // snapshot: skip — debug-asserted empty at window-edge capture
-    chmu_pending: Vec<Vec<(u64, PageId)>>,
-    // snapshot: skip — scratch merge buffer, cleared after every drain
-    chmu_merge: Vec<(u64, PageId)>,
-    // snapshot: skip — only intra-batch order matters; restarts at zero with empty buffers
-    chmu_seq: u64,
-    /// Per-page-shard buffered stall attributions
-    /// `(page, blamed_tier_index, cycles)`, drained additively in fixed
-    /// shard order at window edges. Empty unless sharded *and*
-    /// `track_page_stalls` is on.
-    // snapshot: skip — debug-asserted empty at window-edge capture
-    stall_pending: Vec<Vec<(PageId, u8, u64)>>,
     /// Reusable due-retry buffer for the window loop.
     // snapshot: skip — scratch, cleared before every use
     retry_buf: Vec<RetryEntry>,
@@ -829,45 +807,12 @@ impl<'a, 'w> Sim<'a, 'w> {
         } else {
             (proc_base, proc_pages)
         };
-        let nshards = cfg.shards.max(1);
-        let shard_heaps = if nshards >= 2 {
-            // Thread ti lives on ready-heap ti % P; gated workers join
-            // their heap when the prologue releases them.
-            let mut heaps: Vec<BinaryHeap<Reverse<(u64, u32)>>> = (0..nshards)
-                .map(|_| BinaryHeap::with_capacity(threads.len() / nshards + 1))
-                .collect();
-            for (ti, gate) in gated.iter().enumerate() {
-                if gate.is_none() {
-                    // pact-lint: allow(counter-truncation) — thread
-                    // indices are far below u32::MAX.
-                    heaps[ti % nshards].push(Reverse((0, ti as u32)));
-                }
-            }
-            heaps
-        } else {
-            Vec::new()
-        };
-        let chmu_pending = if nshards >= 2 && cfg.chmu_counters > 0 {
-            vec![Vec::new(); nshards]
-        } else {
-            Vec::new()
-        };
-        let stall_pending = if nshards >= 2 && cfg.track_page_stalls {
-            vec![Vec::new(); nshards]
-        } else {
-            Vec::new()
-        };
         Ok(Sim {
             policy,
             clock: vec![0; threads.len()],
             done: vec![false; threads.len()],
             gated_by: gated,
             clock_offset: 0,
-            shard_heaps,
-            chmu_pending,
-            chmu_merge: Vec::new(),
-            chmu_seq: 0,
-            stall_pending,
             retry_buf: Vec::new(),
             threads,
             procs,
@@ -958,22 +903,8 @@ impl<'a, 'w> Sim<'a, 'w> {
         }
     }
 
-    /// Re-inserts a live thread into its shard's ready-heap (no-op on
-    /// the serial path). Heap keys are relative clocks, which never
-    /// change while a thread sits in a heap: shootdowns move the shared
-    /// offset, and only the popped thread's own clock advances.
-    #[inline]
-    fn ready_push(&mut self, ti: usize) {
-        let n = self.shard_heaps.len();
-        if n > 0 {
-            // pact-lint: allow(counter-truncation) — thread indices are
-            // far below u32::MAX.
-            self.shard_heaps[ti % n].push(Reverse((self.clock[ti], ti as u32)));
-        }
-    }
-
-    /// Serial event loop (`shards <= 1`): pick the runnable thread with
-    /// the smallest clock by scanning the dense SoA vectors.
+    /// The event loop: pick the runnable thread with the smallest clock
+    /// by scanning the dense SoA vectors.
     fn run_serial(&mut self) -> Result<(), SimError> {
         while self.foreground_threads > 0 {
             // Pick the runnable thread with the smallest clock (global
@@ -1004,43 +935,9 @@ impl<'a, 'w> Sim<'a, 'w> {
         Ok(())
     }
 
-    /// Sharded event loop (`shards >= 2`): each shard keeps a min-heap
-    /// of its runnable threads; the pick scans the P shard minima and
-    /// takes the lexicographic minimum of `(relative_clock, thread)`,
-    /// which is exactly the serial tie-break (lowest index among the
-    /// earliest threads) — so every step, and therefore every output
-    /// byte, matches the serial path for any shard count.
-    fn run_sharded(&mut self) -> Result<(), SimError> {
-        while self.foreground_threads > 0 {
-            let mut best: Option<(u64, u32, usize)> = None;
-            for (si, heap) in self.shard_heaps.iter().enumerate() {
-                if let Some(&Reverse((rel, ti))) = heap.peek() {
-                    if best.is_none_or(|(brel, bti, _)| (rel, ti) < (brel, bti)) {
-                        best = Some((rel, ti, si));
-                    }
-                }
-            }
-            let Some((_, ti, si)) = best else { break };
-            let ti = ti as usize;
-            while self.clock[ti] + self.clock_offset >= self.next_edge {
-                self.fire_window(true)?;
-            }
-            self.shard_heaps[si].pop();
-            self.step_thread(ti)?;
-            if !self.done[ti] {
-                self.ready_push(ti);
-            }
-        }
-        Ok(())
-    }
-
     fn run(mut self) -> Result<RunReport, SimError> {
         let _prof = pact_obs::hostprof::span("run");
-        if self.shard_heaps.is_empty() {
-            self.run_serial()?;
-        } else {
-            self.run_sharded()?;
-        }
+        self.run_serial()?;
         // Stop any background co-runners at the current clock.
         for ti in 0..self.threads.len() {
             if !self.done[ti] {
@@ -1159,7 +1056,6 @@ impl<'a, 'w> Sim<'a, 'w> {
                     // for (and advanced by) every shootdown, so its
                     // absolute time bounds the offset from above.
                     self.clock[w] = self.clock[w].max(finish - self.clock_offset);
-                    self.ready_push(w);
                 }
             }
             return Ok(());
@@ -1269,15 +1165,7 @@ impl<'a, 'w> Sim<'a, 'w> {
                     tc.llc_misses[tidx] += 1;
                 }
                 if tier == Tier::Slow {
-                    if !self.chmu_pending.is_empty() {
-                        // Sharded engine: buffer the observation under
-                        // its page-shard with a global sequence number;
-                        // replayed in exact access order at the next
-                        // policy read point (see `flush_page_events`).
-                        let s = page_shard(page, self.mem.unit_span(), self.chmu_pending.len());
-                        self.chmu_pending[s].push((self.chmu_seq, page));
-                        self.chmu_seq += 1;
-                    } else if let Some(chmu) = &mut self.chmu {
+                    if let Some(chmu) = &mut self.chmu {
                         chmu.observe(page); // device-side, free for the CPU
                     }
                 }
@@ -1441,54 +1329,16 @@ impl<'a, 'w> Sim<'a, 'w> {
     }
 
     /// Attributes `stall` cycles to `page`'s misses, split by the tier
-    /// index `tidx` the blamed miss was served from. On the sharded
-    /// path the hot loop only appends to a reused per-shard buffer; the
-    /// BTreeMap (whose inserts allocate nodes) is updated at window
-    /// edges. Attribution is additive, so any fixed merge order works.
+    /// index `tidx` the blamed miss was served from.
     #[inline]
     fn note_page_stall(&mut self, page: PageId, tidx: u8, stall: u64) {
-        if !self.stall_pending.is_empty() {
-            let s = page_shard(page, self.mem.unit_span(), self.stall_pending.len());
-            self.stall_pending[s].push((page, tidx, stall));
-        } else if let Some(map) = self.page_stalls.as_mut() {
+        if let Some(map) = self.page_stalls.as_mut() {
             map.entry(page).or_insert([0; 2])[tidx as usize] += stall;
-        }
-    }
-
-    /// Applies all buffered per-shard page events. Called before every
-    /// policy read point (sample delivery, window boundary), so merged
-    /// state is always up to date when it can be observed: CHMU
-    /// observations replay in exact global access order via the
-    /// sequence-number merge; stall attributions drain additively in
-    /// fixed shard order. No-op on the serial path (empty buffers).
-    fn flush_page_events(&mut self) {
-        if !self.chmu_pending.is_empty() {
-            {
-                let _prof = pact_obs::hostprof::span("shard_merge");
-                pact_obs::shard::merge_runs(&mut self.chmu_pending, &mut self.chmu_merge);
-            }
-            if let Some(chmu) = self.chmu.as_mut() {
-                let _prof = pact_obs::hostprof::span("chmu_replay");
-                chmu.observe_batch(self.chmu_merge.iter().map(|(_, p)| p));
-            }
-            self.chmu_merge.clear();
-        }
-        if !self.stall_pending.is_empty() {
-            if let Some(map) = self.page_stalls.as_mut() {
-                let _prof = pact_obs::hostprof::span("shard_merge");
-                pact_obs::shard::drain_in_shard_order(
-                    &mut self.stall_pending,
-                    |(page, tidx, stall)| {
-                        map.entry(page).or_insert([0; 2])[tidx as usize] += stall;
-                    },
-                );
-            }
         }
     }
 
     /// Routes a sample event to the policy and applies resulting orders.
     fn deliver_sample(&mut self, ti: usize, ev: SampleEvent) {
-        self.flush_page_events();
         let mut orders = std::mem::take(&mut self.order_buf);
         let mut telemetry = std::mem::take(&mut self.telemetry_buf);
         let totals = self.ctx_totals();
@@ -1549,9 +1399,7 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// rejected, counted, traced, and deferred with doubling backoff
     /// (dropped outright after [`MAX_DEFERRALS`] rejections or when the
     /// deferral queue is full). Returns whether the order may proceed.
-    /// Always true when admission control is not configured — the
-    /// decision point sits in the globally serialized step order, so it
-    /// is shard-invariant by construction.
+    /// Always true when admission control is not configured.
     fn try_admit(&mut self, order: MigrationOrder, cycle: u64, attempt: u32) -> bool {
         let Some(adm) = self.cfg.admission.as_ref() else {
             return true;
@@ -1820,9 +1668,6 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// [`run`](Self::run) passes `false` (nothing is left to resume).
     fn fire_window(&mut self, allow_snapshot: bool) -> Result<(), SimError> {
         let _prof = pact_obs::hostprof::span("window");
-        // Merge the shards' buffered page events before anything — the
-        // policy, CHMU gauges, and oracle below — can observe them.
-        self.flush_page_events();
         let delta = self.counters.delta_since(&self.last_snapshot);
         let mut orders = std::mem::take(&mut self.order_buf);
         let mut telemetry = std::mem::take(&mut self.telemetry_buf);
@@ -2145,14 +1990,10 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// Seals the complete mutable run state into a versioned frame.
     ///
     /// Only called at a window edge (end of [`fire_window`]
-    /// (Self::fire_window)), where the per-shard event buffers and the
-    /// reusable policy sinks are provably empty — which is what makes
-    /// the frame valid to resume under *any* shard count.
+    /// (Self::fire_window)), where the reusable policy sinks are
+    /// provably empty.
     fn capture_snapshot(&self) -> Result<MachineSnapshot, SimError> {
         let _prof = pact_obs::hostprof::span("snapshot_capture");
-        debug_assert!(self.chmu_pending.iter().all(|v| v.is_empty()));
-        debug_assert!(self.chmu_merge.is_empty());
-        debug_assert!(self.stall_pending.iter().all(|v| v.is_empty()));
         debug_assert!(self.order_buf.is_empty());
         debug_assert!(self.telemetry_buf.is_empty());
         debug_assert!(self.window_telemetry.is_empty());
@@ -2563,23 +2404,6 @@ impl<'a, 'w> Sim<'a, 'w> {
                 }
             }
         }
-        // Rebuild the per-shard ready-heaps for *this* run's shard
-        // count: live, ungated threads at their restored clocks. (A
-        // still-gated thread implies a live prologue — the release path
-        // clears the gate the moment the prologue finishes.)
-        let ns = self.shard_heaps.len();
-        for h in &mut self.shard_heaps {
-            h.clear();
-        }
-        if ns > 0 {
-            for ti in 0..n {
-                if !self.done[ti] && self.gated_by[ti].is_none() {
-                    // pact-lint: allow(counter-truncation) — thread
-                    // indices are far below u32::MAX.
-                    self.shard_heaps[ti % ns].push(Reverse((self.clock[ti], ti as u32)));
-                }
-            }
-        }
         self.foreground_threads = (0..n)
             .filter(|&ti| !self.done[ti] && !self.procs[self.threads[ti].proc].background)
             .count();
@@ -2981,10 +2805,9 @@ mod tests {
     }
 
     #[test]
-    fn kill_resume_is_byte_identical_across_shard_counts() {
+    fn kill_resume_is_byte_identical() {
         let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
-        let cfg = snapshotty_cfg();
-        let m = Machine::new(cfg.clone()).unwrap();
+        let m = Machine::new(snapshotty_cfg()).unwrap();
         let mut snaps = Vec::new();
         let mut tracer = Tracer::disabled();
         let reference = m
@@ -2995,22 +2818,17 @@ mod tests {
         assert!(snaps.len() >= 2, "only {} snapshots captured", snaps.len());
         assert!(reference.promotions > 0, "test policy must migrate");
         let ref_dbg = format!("{reference:?}");
-        for shards in [1usize, 4, 7] {
-            let mut rcfg = cfg.clone();
-            rcfg.shards = shards;
-            let rm = Machine::new(rcfg).unwrap();
-            for snap in &snaps {
-                let mut tr = Tracer::disabled();
-                let resumed = rm
-                    .try_resume(&[&wl], &mut HotPromote::default(), &mut tr, snap)
-                    .unwrap();
-                assert_eq!(
-                    format!("{resumed:?}"),
-                    ref_dbg,
-                    "divergence resuming window {:?} under {shards} shards",
-                    snap.window()
-                );
-            }
+        for snap in &snaps {
+            let mut tr = Tracer::disabled();
+            let resumed = m
+                .try_resume(&[&wl], &mut HotPromote::default(), &mut tr, snap)
+                .unwrap();
+            assert_eq!(
+                format!("{resumed:?}"),
+                ref_dbg,
+                "divergence resuming window {:?}",
+                snap.window()
+            );
         }
     }
 

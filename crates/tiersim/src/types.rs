@@ -158,21 +158,6 @@ impl std::fmt::Display for PageId {
     }
 }
 
-/// The shard owning `page` in a `shards`-way partition of the address
-/// space: `(page / unit_span) mod shards`.
-///
-/// The function is a pure arithmetic partition — no hashing — so the
-/// mapping is stable across runs, hosts, and builds, and every page of
-/// one migration unit (`unit_span` base pages) lands in the same
-/// shard. Used by the sharded event loop (DESIGN.md §12) to route
-/// page-keyed events; shard-merge happens in fixed shard order, so the
-/// choice of partition never leaks into output bytes.
-#[inline]
-pub fn page_shard(page: PageId, unit_span: u64, shards: usize) -> usize {
-    debug_assert!(shards > 0 && unit_span > 0);
-    ((page.0 / unit_span) % shards as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,20 +189,6 @@ mod tests {
         assert_eq!(a.work, 7);
         assert!(Access::dependent_load(0).dep);
         assert_eq!(Access::store(8).kind, AccessKind::Store);
-    }
-
-    #[test]
-    fn page_shard_is_a_stable_unit_partition() {
-        // Every base page of one unit maps to its unit's shard.
-        for p in 0..16u64 {
-            assert_eq!(page_shard(PageId(p), 4, 3), ((p / 4) % 3) as usize);
-        }
-        // One shard degenerates to the serial assignment.
-        assert_eq!(page_shard(PageId(12345), 16, 1), 0);
-        // All shards are reachable.
-        let hit: std::collections::BTreeSet<usize> =
-            (0..64u64).map(|p| page_shard(PageId(p), 1, 7)).collect();
-        assert_eq!(hit.len(), 7);
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Fleet accounting integration tests (DESIGN.md §15): per-tenant
+//! Fleet accounting integration tests (DESIGN.md §14): per-tenant
 //! telemetry must be an exact partition of the machine's global
-//! counters — under fault injection, under admission backpressure, and
-//! at every event-loop shard count. A tenant lane that gains or loses
+//! counters — under fault injection and under admission backpressure —
+//! and a fleet run must repeat byte for byte. A tenant lane that gains or loses
 //! an access relative to the globals means attribution is lying to the
 //! operator.
 
@@ -19,10 +19,9 @@ fn fleet_workloads(seed: u64) -> Vec<Box<dyn Workload>> {
         .collect()
 }
 
-fn fleet_cfg(shards: usize, faults: bool) -> MachineConfig {
+fn fleet_cfg(faults: bool) -> MachineConfig {
     let mut cfg = MachineConfig::skylake_cxl(128);
     cfg.seed = 11;
-    cfg.shards = shards;
     cfg.track_page_stalls = true;
     cfg.tenants = vec![
         TenantSpec::new("gups", 4),
@@ -47,10 +46,10 @@ fn fleet_cfg(shards: usize, faults: bool) -> MachineConfig {
     cfg
 }
 
-fn run_fleet(shards: usize, faults: bool) -> RunReport {
+fn run_fleet(faults: bool) -> RunReport {
     let workloads = fleet_workloads(11);
     let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
-    let machine = Machine::new(fleet_cfg(shards, faults)).expect("config is valid");
+    let machine = Machine::new(fleet_cfg(faults)).expect("config is valid");
     let mut policy = PactPolicy::new(PactConfig::default()).expect("default config is valid");
     machine
         .try_run_colocated(&refs, &mut policy)
@@ -141,7 +140,7 @@ fn assert_partition(report: &RunReport, label: &str) {
 
 #[test]
 fn tenant_lanes_partition_globals_without_faults() {
-    let report = run_fleet(1, false);
+    let report = run_fleet(false);
     assert_partition(&report, "clean");
     let rejected = lane(&report, &|t| t.rejected_orders);
     assert!(rejected > 0, "budget 3/window produced no rejections");
@@ -153,7 +152,7 @@ fn tenant_lanes_partition_globals_without_faults() {
 
 #[test]
 fn tenant_lanes_partition_globals_under_fault_injection() {
-    let report = run_fleet(1, true);
+    let report = run_fleet(true);
     assert_partition(&report, "faulted");
     assert!(
         report.failed_promotions > 0,
@@ -162,18 +161,15 @@ fn tenant_lanes_partition_globals_under_fault_injection() {
 }
 
 #[test]
-fn fleet_reports_are_shard_invariant() {
+fn fleet_reports_are_repeatable() {
     for faults in [false, true] {
-        let base = run_fleet(1, faults);
-        let base_json = base.to_json();
-        for shards in [4usize, 7] {
-            let got = run_fleet(shards, faults);
-            assert_partition(&got, &format!("faults={faults} shards={shards}"));
-            assert_eq!(
-                got.to_json(),
-                base_json,
-                "fleet report diverged at {shards} shards (faults={faults})"
-            );
-        }
+        let base = run_fleet(faults);
+        let again = run_fleet(faults);
+        assert_partition(&again, &format!("faults={faults} repeat"));
+        assert_eq!(
+            again.to_json(),
+            base.to_json(),
+            "fleet report diverged on a repeat run (faults={faults})"
+        );
     }
 }
