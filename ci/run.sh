@@ -83,6 +83,13 @@ stage_build() {
 
 stage_test() {
     cargo test -q
+    # Run every example to completion, not just compile it: they are the
+    # documented way into the library, and a run call that fails only
+    # shows up when it runs.
+    for ex in examples/*.rs; do
+        cargo run --release -q --example "$(basename "$ex" .rs)" > /dev/null
+    done
+    echo "    every example ran to completion"
     # Pin the stage-roster validation above: an unknown stage name must
     # fail fast with exit 2 and name the offender — the old behaviour
     # (silently skipping every stage and printing "CI OK") let a typo'd

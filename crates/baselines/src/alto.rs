@@ -100,15 +100,9 @@ impl TieringPolicy for Alto {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{cfg, run};
     use crate::Colloid as Plain;
-    use pact_tiersim::{Access, Machine, MachineConfig, TraceWorkload, LINE_BYTES, PAGE_BYTES};
-
-    fn cfg(fast: u64) -> MachineConfig {
-        let mut c = MachineConfig::skylake_cxl(fast);
-        c.llc.size_bytes = 16 * 1024;
-        c.window_cycles = 100_000;
-        c
-    }
+    use pact_tiersim::{Access, TraceWorkload, LINE_BYTES, PAGE_BYTES};
 
     fn chase_trace(pages: u64, n: u64) -> TraceWorkload {
         let mut trace = Vec::new();
@@ -154,7 +148,6 @@ mod tests {
         // completes fewer promotions than Colloid over the same run.
         let mut c = cfg(512);
         c.prefetch.enabled = false;
-        let m = Machine::new(c).unwrap();
         let tuning = ColloidConfig {
             scan_pages_per_window: 8_192,
             max_promo_per_window: 512,
@@ -164,8 +157,8 @@ mod tests {
             colloid: tuning,
             mlp_knee: 0.5,
         });
-        let r_alto = m.run(&WideStreams, &mut alto);
-        let r_colloid = m.run(&WideStreams, &mut Plain::with_config(tuning));
+        let r_alto = run(&c, &WideStreams, &mut alto);
+        let r_colloid = run(&c, &WideStreams, &mut Plain::with_config(tuning));
         assert!(
             r_alto.promotions < r_colloid.promotions,
             "alto {} vs colloid {}",
@@ -176,8 +169,7 @@ mod tests {
 
     #[test]
     fn alto_promotes_on_low_mlp_chases() {
-        let m = Machine::new(cfg(128)).unwrap();
-        let r = m.run(&chase_trace(512, 150_000), &mut Alto::new());
+        let r = run(&cfg(128), &chase_trace(512, 150_000), &mut Alto::new());
         assert!(r.promotions > 100, "promotions {}", r.promotions);
     }
 }

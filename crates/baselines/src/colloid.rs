@@ -158,7 +158,8 @@ impl TieringPolicy for Colloid {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_tiersim::{Access, Machine, MachineConfig, PmuCounters, TraceWorkload, PAGE_BYTES};
+    use crate::testing::{cfg, run};
+    use pact_tiersim::{Access, PmuCounters, TraceWorkload, PAGE_BYTES};
 
     fn chase_trace(pages: u64, n: u64) -> TraceWorkload {
         let mut trace = Vec::new();
@@ -170,13 +171,6 @@ mod tests {
             ));
         }
         TraceWorkload::new("chase", pages * PAGE_BYTES, trace)
-    }
-
-    fn cfg(fast: u64) -> MachineConfig {
-        let mut c = MachineConfig::skylake_cxl(fast);
-        c.llc.size_bytes = 16 * 1024;
-        c.window_cycles = 100_000;
-        c
     }
 
     #[test]
@@ -217,20 +211,18 @@ mod tests {
 
     #[test]
     fn colloid_migrates_aggressively() {
-        let m = Machine::new(cfg(256)).unwrap();
-        let r = m.run(&chase_trace(1024, 200_000), &mut Colloid::new());
+        let r = run(&cfg(256), &chase_trace(1024, 200_000), &mut Colloid::new());
         assert!(r.promotions > 500, "promotions {}", r.promotions);
     }
 
     #[test]
     fn rate_scale_caps_per_window_promotion_rate() {
-        let m = Machine::new(cfg(256)).unwrap();
         let mut full = Colloid::new();
-        let r_full = m.run(&chase_trace(1024, 200_000), &mut full);
+        let r_full = run(&cfg(256), &chase_trace(1024, 200_000), &mut full);
         let mut scaled = Colloid::new();
         scaled.set_rate_scale(0.01); // budget ~10/window, below arrival rate
                                      // rate_scale is reset-safe: prepare() does not clear it.
-        let r_scaled = m.run(&chase_trace(1024, 200_000), &mut scaled);
+        let r_scaled = run(&cfg(256), &chase_trace(1024, 200_000), &mut scaled);
         let peak =
             |r: &pact_tiersim::RunReport| r.windows.iter().map(|w| w.promotions).max().unwrap_or(0);
         assert!(
@@ -244,8 +236,7 @@ mod tests {
     #[test]
     fn no_promotion_without_slow_pressure() {
         // Everything fits in fast: imbalance <= 0, no promotions.
-        let m = Machine::new(cfg(4096)).unwrap();
-        let r = m.run(&chase_trace(512, 50_000), &mut Colloid::new());
+        let r = run(&cfg(4096), &chase_trace(512, 50_000), &mut Colloid::new());
         assert_eq!(r.promotions, 0);
     }
 }

@@ -32,6 +32,7 @@ mod memtis;
 mod nbt;
 mod nomad;
 mod soar;
+mod testing;
 mod tpp;
 
 pub use alto::{Alto, AltoConfig};

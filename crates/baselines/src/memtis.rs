@@ -165,7 +165,8 @@ impl TieringPolicy for Memtis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_tiersim::{Access, Machine, MachineConfig, TraceWorkload, PAGE_BYTES};
+    use crate::testing::run;
+    use pact_tiersim::{Access, MachineConfig, TraceWorkload, PAGE_BYTES};
 
     fn skewed_trace(pages: u64, n: u64) -> TraceWorkload {
         // 10% of pages get 90% of accesses.
@@ -187,9 +188,7 @@ mod tests {
     }
 
     fn cfg(fast: u64) -> MachineConfig {
-        let mut c = MachineConfig::skylake_cxl(fast);
-        c.llc.size_bytes = 16 * 1024;
-        c.window_cycles = 100_000;
+        let mut c = crate::testing::cfg(fast);
         c.pebs.rate = 20;
         c
     }
@@ -204,8 +203,7 @@ mod tests {
 
     #[test]
     fn memtis_promotes_hot_pages_conservatively() {
-        let m = Machine::new(cfg(128)).unwrap();
-        let r = m.run(&skewed_trace(1024, 150_000), &mut Memtis::new());
+        let r = run(&cfg(128), &skewed_trace(1024, 150_000), &mut Memtis::new());
         assert!(r.promotions > 0, "never promoted");
         // Conservative: far fewer promotions than accesses/100.
         assert!(
@@ -217,9 +215,9 @@ mod tests {
 
     #[test]
     fn memtis_beats_first_touch_on_skew() {
-        let m = Machine::new(cfg(150)).unwrap();
-        let r_m = m.run(&skewed_trace(1024, 200_000), &mut Memtis::new());
-        let r_ft = m.run(
+        let r_m = run(&cfg(150), &skewed_trace(1024, 200_000), &mut Memtis::new());
+        let r_ft = run(
+            &cfg(150),
             &skewed_trace(1024, 200_000),
             &mut pact_tiersim::FirstTouch::new(),
         );

@@ -121,7 +121,8 @@ impl TieringPolicy for Nbt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_tiersim::{Access, Machine, MachineConfig, TraceWorkload, PAGE_BYTES};
+    use crate::testing::{cfg, run};
+    use pact_tiersim::{Access, TraceWorkload, PAGE_BYTES};
 
     fn hot_cold_trace() -> TraceWorkload {
         // Pages 0..64 are touched once; pages 64..96 are hammered.
@@ -138,17 +139,9 @@ mod tests {
         TraceWorkload::new("hotcold", 96 * PAGE_BYTES, trace)
     }
 
-    fn cfg() -> MachineConfig {
-        let mut cfg = MachineConfig::skylake_cxl(64);
-        cfg.llc.size_bytes = 16 * 1024;
-        cfg.window_cycles = 100_000;
-        cfg
-    }
-
     #[test]
     fn nbt_promotes_refaulted_pages() {
-        let m = Machine::new(cfg()).unwrap();
-        let r = m.run(&hot_cold_trace(), &mut Nbt::new());
+        let r = run(&cfg(64), &hot_cold_trace(), &mut Nbt::new());
         assert!(r.counters.hint_faults > 0, "no hint faults taken");
         assert!(r.promotions > 0, "no promotions");
     }
@@ -157,9 +150,12 @@ mod tests {
     fn nbt_improves_over_first_touch_on_inverted_working_set() {
         // First-touch fills fast tier with the cold pages 0..64; NBT
         // should migrate the hot set in.
-        let m = Machine::new(cfg()).unwrap();
-        let r_nbt = m.run(&hot_cold_trace(), &mut Nbt::new());
-        let r_ft = m.run(&hot_cold_trace(), &mut pact_tiersim::FirstTouch::new());
+        let r_nbt = run(&cfg(64), &hot_cold_trace(), &mut Nbt::new());
+        let r_ft = run(
+            &cfg(64),
+            &hot_cold_trace(),
+            &mut pact_tiersim::FirstTouch::new(),
+        );
         assert!(
             r_nbt.total_cycles < r_ft.total_cycles,
             "nbt {} vs notier {}",
@@ -170,13 +166,12 @@ mod tests {
 
     #[test]
     fn promotions_are_rate_limited() {
-        let m = Machine::new(cfg()).unwrap();
         let limited = Nbt::with_config(NbtConfig {
             promo_limit: 1,
             ..NbtConfig::default()
         });
         let mut limited = limited;
-        let r = m.run(&hot_cold_trace(), &mut limited);
+        let r = run(&cfg(64), &hot_cold_trace(), &mut limited);
         for w in &r.windows {
             assert!(w.promotions <= 2, "window promoted {}", w.promotions);
         }

@@ -154,7 +154,8 @@ impl TieringPolicy for Nomad {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_tiersim::{Access, Machine, MachineConfig, TraceWorkload, PAGE_BYTES};
+    use crate::testing::{cfg, run};
+    use pact_tiersim::{Access, TraceWorkload, PAGE_BYTES};
 
     fn chase_trace(pages: u64, n: u64) -> TraceWorkload {
         let mut trace = Vec::new();
@@ -166,27 +167,22 @@ mod tests {
         TraceWorkload::new("chase", pages * PAGE_BYTES, trace)
     }
 
-    fn cfg(fast: u64) -> MachineConfig {
-        let mut c = MachineConfig::skylake_cxl(fast);
-        c.llc.size_bytes = 16 * 1024;
-        c.window_cycles = 100_000;
-        c
-    }
-
     #[test]
     fn nomad_aborts_many_transactions() {
-        let m = Machine::new(cfg(256)).unwrap();
         let mut nomad = Nomad::new();
-        let r = m.run(&chase_trace(1024, 200_000), &mut nomad);
+        let r = run(&cfg(256), &chase_trace(1024, 200_000), &mut nomad);
         assert!(nomad.aborted() > 0, "no aborts recorded");
         assert!(r.promotions > 0);
     }
 
     #[test]
     fn nomad_promotes_less_than_nbt() {
-        let m = Machine::new(cfg(256)).unwrap();
-        let r_nomad = m.run(&chase_trace(1024, 200_000), &mut Nomad::new());
-        let r_nbt = m.run(&chase_trace(1024, 200_000), &mut crate::Nbt::new());
+        let r_nomad = run(&cfg(256), &chase_trace(1024, 200_000), &mut Nomad::new());
+        let r_nbt = run(
+            &cfg(256),
+            &chase_trace(1024, 200_000),
+            &mut crate::Nbt::new(),
+        );
         assert!(
             r_nomad.promotions < r_nbt.promotions,
             "nomad {} vs nbt {}",
@@ -197,8 +193,7 @@ mod tests {
 
     #[test]
     fn shadow_reservation_shrinks_usable_fast_tier() {
-        let m = Machine::new(cfg(512)).unwrap();
-        let r = m.run(&chase_trace(1024, 150_000), &mut Nomad::new());
+        let r = run(&cfg(512), &chase_trace(1024, 150_000), &mut Nomad::new());
         // The watermark demotions triggered by the reservation appear as
         // demotion traffic even though promotions are scarce.
         assert!(r.demotions >= r.promotions);

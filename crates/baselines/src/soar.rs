@@ -44,6 +44,11 @@ pub struct SoarProfile {
 /// `latency / system-MLP` accrues to its region.
 ///
 /// Single-process only (Soar profiles one application at a time).
+///
+/// # Panics
+///
+/// Panics if `workload` cannot run at all (no streams, or an address
+/// beyond its declared footprint).
 pub fn profile(base_cfg: &MachineConfig, workload: &dyn Workload) -> SoarProfile {
     let mut cfg = base_cfg.clone();
     cfg.fast_tier_pages = u64::MAX / PAGE_BYTES; // DRAM-only profiling box
@@ -53,7 +58,10 @@ pub fn profile(base_cfg: &MachineConfig, workload: &dyn Workload) -> SoarProfile
     // values the constructor accepts.
     let machine = Machine::new(cfg).expect("profiling config is valid");
     let mut profiler = Profiler::new(workload.regions());
-    machine.run(workload, &mut profiler);
+    let run = machine.try_run(workload, &mut profiler);
+    // Invariant: a workload that runs at all runs here too; the bench
+    // harness runs its DRAM-only baseline first and reports its error.
+    run.expect("workload runs on the profiling box");
     profiler.finish()
 }
 
@@ -215,6 +223,7 @@ impl TieringPolicy for Soar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::run;
     use pact_tiersim::{Access, AccessStream, FirstTouch, MachineConfig, VecStream};
 
     /// Two-region workload: region A is streamed once (cold); region B
@@ -253,9 +262,7 @@ mod tests {
     }
 
     fn cfg(fast: u64) -> MachineConfig {
-        let mut c = MachineConfig::skylake_cxl(fast);
-        c.llc.size_bytes = 16 * 1024;
-        c.window_cycles = 100_000;
+        let mut c = crate::testing::cfg(fast);
         c.pebs.rate = 20;
         c
     }
@@ -287,9 +294,8 @@ mod tests {
     fn soar_beats_first_touch_on_inverted_layout() {
         let p = profile(&cfg(0), &TwoRegion);
         let mut soar = Soar::from_profile(&p, 128);
-        let m = Machine::new(cfg(128)).unwrap();
-        let r_soar = m.run(&TwoRegion, &mut soar);
-        let r_ft = m.run(&TwoRegion, &mut FirstTouch::new());
+        let r_soar = run(&cfg(128), &TwoRegion, &mut soar);
+        let r_ft = run(&cfg(128), &TwoRegion, &mut FirstTouch::new());
         assert!(
             r_soar.total_cycles < r_ft.total_cycles,
             "soar {} vs first-touch {}",

@@ -83,7 +83,8 @@ impl TieringPolicy for Tpp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_tiersim::{Access, Machine, MachineConfig, TraceWorkload, PAGE_BYTES};
+    use crate::testing::{cfg, run};
+    use pact_tiersim::{Access, TraceWorkload, PAGE_BYTES};
 
     fn wide_random_trace(pages: u64, n: u64) -> TraceWorkload {
         let mut trace = Vec::new();
@@ -95,17 +96,9 @@ mod tests {
         TraceWorkload::new("wide", pages * PAGE_BYTES, trace)
     }
 
-    fn cfg(fast: u64) -> MachineConfig {
-        let mut cfg = MachineConfig::skylake_cxl(fast);
-        cfg.llc.size_bytes = 16 * 1024;
-        cfg.window_cycles = 100_000;
-        cfg
-    }
-
     #[test]
     fn tpp_promotes_on_first_fault() {
-        let m = Machine::new(cfg(256)).unwrap();
-        let r = m.run(&wide_random_trace(512, 100_000), &mut Tpp::new());
+        let r = run(&cfg(256), &wide_random_trace(512, 100_000), &mut Tpp::new());
         assert!(r.promotions > 0);
         // Promotion attempts track faults (1 per fault on slow pages);
         // attempts fail when reclaim finds no cold page to make room.
@@ -124,9 +117,16 @@ mod tests {
         // TPP storms: it attempts a migration on every fault (most fail
         // for lack of reclaimable space) and ends up slower than the
         // two-touch-filtered NBT.
-        let m = Machine::new(cfg(128)).unwrap();
-        let r_tpp = m.run(&wide_random_trace(1024, 150_000), &mut Tpp::new());
-        let r_nbt = m.run(&wide_random_trace(1024, 150_000), &mut crate::Nbt::new());
+        let r_tpp = run(
+            &cfg(128),
+            &wide_random_trace(1024, 150_000),
+            &mut Tpp::new(),
+        );
+        let r_nbt = run(
+            &cfg(128),
+            &wide_random_trace(1024, 150_000),
+            &mut crate::Nbt::new(),
+        );
         let tpp_attempts = r_tpp.promotions + r_tpp.failed_promotions;
         assert!(
             tpp_attempts > r_tpp.counters.hint_faults / 2,
@@ -144,8 +144,7 @@ mod tests {
 
     #[test]
     fn tpp_keeps_headroom() {
-        let m = Machine::new(cfg(256)).unwrap();
-        let r = m.run(&wide_random_trace(512, 100_000), &mut Tpp::new());
+        let r = run(&cfg(256), &wide_random_trace(512, 100_000), &mut Tpp::new());
         assert!(r.demotions > 0, "watermark demotion never ran");
     }
 }

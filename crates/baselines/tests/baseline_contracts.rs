@@ -75,8 +75,8 @@ fn every_baseline_is_deterministic() {
     ] {
         let mut a = mk();
         let mut b = mk();
-        let ra = m.run(&wl, a.as_mut());
-        let rb = m.run(&wl, b.as_mut());
+        let ra = m.try_run(&wl, a.as_mut()).expect("run succeeds");
+        let rb = m.try_run(&wl, b.as_mut()).expect("run succeeds");
         assert_eq!(ra.total_cycles, rb.total_cycles, "{}", ra.policy);
         assert_eq!(ra.promotions, rb.promotions, "{}", ra.policy);
     }
@@ -89,12 +89,15 @@ fn hotness_baselines_converge_when_the_hot_set_fits() {
     // fast tier and at least keep up with first-touch placement.
     let wl = scenario();
     let m = machine(192);
-    let base = m.run(&wl, &mut NoTier::new()).total_cycles;
+    let base = m
+        .try_run(&wl, &mut NoTier::new())
+        .expect("run succeeds")
+        .total_cycles;
     for mut p in [
         Box::new(Nbt::new()) as Box<dyn TieringPolicy>,
         Box::new(Memtis::new()),
     ] {
-        let r = m.run(&wl, p.as_mut());
+        let r = m.try_run(&wl, p.as_mut()).expect("run succeeds");
         assert!(
             (r.total_cycles as f64) < base as f64 * 1.10,
             "{} regressed: {} vs notier {}",
@@ -112,9 +115,9 @@ fn hotness_baselines_churn_when_the_hot_set_does_not_fit() {
     // without reducing misses — NBT ends up *behind* doing nothing.
     let wl = scenario();
     let m = machine(96); // hot set is 128 pages
-    let base = m.run(&wl, &mut NoTier::new());
+    let base = m.try_run(&wl, &mut NoTier::new()).expect("run succeeds");
     let mut nbt = Nbt::new();
-    let r = m.run(&wl, &mut nbt);
+    let r = m.try_run(&wl, &mut nbt).expect("run succeeds");
     assert!(
         r.total_cycles > base.total_cycles,
         "expected churn losses: nbt {} vs notier {}",
@@ -136,7 +139,7 @@ fn fault_driven_baselines_take_faults_and_pebs_ones_do_not() {
         (Box::new(Memtis::new()), false),
         (Box::new(NoTier::new()), false),
     ] {
-        let r = m.run(&wl, p.as_mut());
+        let r = m.try_run(&wl, p.as_mut()).expect("run succeeds");
         assert_eq!(
             r.counters.hint_faults > 0,
             faults_expected,

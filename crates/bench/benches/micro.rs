@@ -114,7 +114,7 @@ fn bench_engine(c: &mut Criterion) {
         }
         let wl = TraceWorkload::new("chase", 4_000 * 4096, trace);
         let machine = Machine::new(MachineConfig::skylake_cxl(1_000)).unwrap();
-        b.iter(|| machine.run(black_box(&wl), &mut FirstTouch::new()));
+        b.iter(|| machine.try_run(black_box(&wl), &mut FirstTouch::new()));
     });
     group.finish();
 }

@@ -12,7 +12,9 @@
 
 use std::sync::Arc;
 
-use pact_bench::{banner, count, parse_options, pct, save_results, Harness, Table, TierRatio};
+use pact_bench::{
+    banner, count, parse_options, pct, save_results, Harness, OrExit, Table, TierRatio,
+};
 use pact_core::{Attribution, PactConfig, PactPolicy, SamplingSource};
 use pact_tiersim::{FirstTouch, Machine, Tier, Workload};
 use pact_workloads::suite::build;
@@ -35,8 +37,8 @@ fn main() {
                 eager_demotion_margin: m,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-            let o = h.run_custom(&mut p, fast);
+            let mut p = PactPolicy::new(cfg).or_exit();
+            let o = h.run_custom(&mut p, fast, None).or_exit();
             t.row(vec![
                 m.to_string(),
                 pct(o.slowdown),
@@ -59,8 +61,8 @@ fn main() {
                 reservoir: size,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-            let o = h.run_custom(&mut p, fast);
+            let mut p = PactPolicy::new(cfg).or_exit();
+            let o = h.run_custom(&mut p, fast, None).or_exit();
             t.row(vec![size.to_string(), pct(o.slowdown), count(o.promotions)]);
         }
         out.push_str(&banner("Ablation: reservoir size (paper default: 100)"));
@@ -77,8 +79,8 @@ fn main() {
                 t_scale: ts,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-            let o = h.run_custom(&mut p, fast);
+            let mut p = PactPolicy::new(cfg).or_exit();
+            let o = h.run_custom(&mut p, fast, None).or_exit();
             t.row(vec![
                 format!("{ts:.0}"),
                 pct(o.slowdown),
@@ -106,9 +108,8 @@ fn main() {
                     attribution,
                     ..PactConfig::default()
                 };
-                let mut p =
-                    PactPolicy::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-                cells.push(pct(h.run_custom(&mut p, fast).slowdown));
+                let mut p = PactPolicy::new(cfg).or_exit();
+                cells.push(pct(h.run_custom(&mut p, fast, None).or_exit().slowdown));
             }
             t.row(cells);
         }
@@ -128,15 +129,14 @@ fn main() {
         ] {
             let mut cfg = pact_bench::experiment_machine(0);
             cfg.chmu_counters = chmu;
-            let h = Harness::from_arc(bc.clone()).with_machine(cfg);
+            let h = Harness::from_arc(bc.clone()).with_machine(cfg).or_exit();
             let fast = ratio.fast_pages(h.workload().footprint_bytes());
             let pcfg = PactConfig {
                 sampling,
                 ..PactConfig::default()
             };
-            let mut p =
-                PactPolicy::new(pcfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-            let o = h.run_custom(&mut p, fast);
+            let mut p = PactPolicy::new(pcfg).or_exit();
+            let o = h.run_custom(&mut p, fast, None).or_exit();
             t.row(vec![
                 label.to_string(),
                 pct(o.slowdown),
@@ -158,8 +158,8 @@ fn main() {
             cfg.mshrs = mshrs;
             cfg.prefetch.enabled = false;
             let wl = pact_workloads::Phased::sweep_variant(0, 8 << 20, 200_000, opts.seed);
-            let machine = Machine::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-            let r = machine.run(&wl, &mut FirstTouch::new());
+            let machine = Machine::new(cfg).or_exit();
+            let r = machine.try_run(&wl, &mut FirstTouch::new()).or_exit();
             let mlp = r.counters.tor_mlp(Tier::Slow);
             let spm = r.counters.llc_stalls[1] as f64 / r.counters.llc_misses[1].max(1) as f64;
             t.row(vec![

@@ -19,7 +19,7 @@
 //! cargo run --release -p pact-bench --bin check_sweep
 //! ```
 
-use pact_bench::{experiment_machine, ratio_sweep_jobs, Harness, SweepResult, TierRatio};
+use pact_bench::{env, experiment_machine, ratio_sweep, Harness, OrExit, SweepResult, TierRatio};
 use pact_tiersim::{FaultPlan, InvariantSet};
 use pact_workloads::suite::{build, Scale};
 
@@ -67,7 +67,10 @@ fn main() {
     );
 
     let h = Harness::new(build(wl_name, Scale::Smoke, seed));
-    let reference = ratio_sweep_jobs(&h, &POLICIES, &ratios, 1);
+    let trace = env::trace_config();
+    let sweep =
+        |h: &Harness, jobs| ratio_sweep(h, &POLICIES, &ratios, jobs, trace.as_ref()).or_exit();
+    let reference = sweep(&h, 1);
 
     let mut failures = 0u32;
     let mut check = |label: &str, sweep: &SweepResult| {
@@ -80,15 +83,18 @@ fn main() {
     };
 
     for jobs in [2usize, 8] {
-        let sweep = ratio_sweep_jobs(&h, &POLICIES, &ratios, jobs);
-        check(&format!("jobs={jobs} matches serial"), &sweep);
+        check(&format!("jobs={jobs} matches serial"), &sweep(&h, jobs));
     }
 
     let mut inv_cfg = experiment_machine(0);
     inv_cfg.invariants = Some(InvariantSet::all());
-    let h_inv = Harness::from_arc(h.workload_arc()).with_machine(inv_cfg);
-    let sweep = ratio_sweep_jobs(&h_inv, &POLICIES, &ratios, 1);
-    check("invariant checking armed matches unchecked", &sweep);
+    let h_inv = Harness::from_arc(h.workload_arc())
+        .with_machine(inv_cfg)
+        .or_exit();
+    check(
+        "invariant checking armed matches unchecked",
+        &sweep(&h_inv, 1),
+    );
 
     let mut fault_cfg = experiment_machine(0);
     fault_cfg.fault_plan = Some(FaultPlan {
@@ -99,9 +105,10 @@ fn main() {
         chmu_overflow: 0.0,
         ..FaultPlan::default()
     });
-    let h_fault = Harness::from_arc(h.workload_arc()).with_machine(fault_cfg);
-    let sweep = ratio_sweep_jobs(&h_fault, &POLICIES, &ratios, 1);
-    check("inert fault plan matches fault-free", &sweep);
+    let h_fault = Harness::from_arc(h.workload_arc())
+        .with_machine(fault_cfg)
+        .or_exit();
+    check("inert fault plan matches fault-free", &sweep(&h_fault, 1));
 
     if failures > 0 {
         eprintln!("[check_sweep] {failures} variant(s) diverged");

@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 
-use pact_bench::{banner, count, parse_options, pct, save_results, Harness, Table, TierRatio};
+use pact_bench::{
+    banner, count, parse_options, pct, save_results, Harness, OrExit, Table, TierRatio,
+};
 use pact_tiersim::{MachineConfig, Workload};
 use pact_workloads::suite::build;
 
@@ -30,10 +32,10 @@ fn main() {
         ("CXL 190ns", MachineConfig::skylake_cxl(0)),
         ("NUMA 140ns", MachineConfig::skylake_numa(0)),
     ] {
-        let h = Harness::from_arc(bc.clone()).with_machine(cfg);
-        let all_slow = h.cxl_slowdown();
+        let h = Harness::from_arc(bc.clone()).with_machine(cfg).or_exit();
+        let all_slow = h.cxl_slowdown().or_exit();
         for policy in ["pact", "memtis", "nbt", "colloid", "notier"] {
-            let o = h.run_policy(policy, ratio);
+            let o = h.run_policy(policy, ratio, None).or_exit();
             t.row(vec![
                 label.to_string(),
                 policy.to_string(),

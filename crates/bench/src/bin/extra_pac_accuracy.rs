@@ -10,7 +10,7 @@
 //! oracle — Spearman rank correlation and top-k overlap — for both
 //! proportional and latency-weighted attribution.
 
-use pact_bench::{banner, parse_options, save_results, Table};
+use pact_bench::{banner, parse_options, save_results, OrExit, Table};
 use pact_core::{Attribution, PactConfig, PactPolicy};
 use pact_stats::{gini, spearman, top_k_overlap};
 use pact_tiersim::Machine;
@@ -39,13 +39,13 @@ fn main() {
             let mut cfg = pact_bench::experiment_machine(0);
             cfg.pebs.rate = 25;
             cfg.track_page_stalls = true;
-            let machine = Machine::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
+            let machine = Machine::new(cfg).or_exit();
             let mut pact = PactPolicy::new(PactConfig {
                 attribution,
                 ..PactConfig::default()
             })
-            .unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-            let report = machine.run(wl.as_ref(), &mut pact);
+            .or_exit();
+            let report = machine.try_run(wl.as_ref(), &mut pact).or_exit();
             // Invariant: track_page_stalls was set above, so the report
             // carries the oracle's per-page stall map.
             let truth = report.page_stalls.as_ref().expect("oracle enabled");

@@ -9,7 +9,7 @@
 //! counts spread ~4x; tc-twitter single-frequency pages spread up to
 //! ~65x.
 
-use pact_bench::{banner, parse_options, save_results, Table};
+use pact_bench::{banner, parse_options, save_results, OrExit, Table};
 use pact_core::{PactConfig, PactPolicy};
 use pact_stats::{Quantiles, Summary};
 use pact_tiersim::{Machine, PAGE_BYTES};
@@ -24,11 +24,9 @@ fn main() {
         // dense PEBS sampling so per-page statistics are well resolved.
         let mut cfg = pact_bench::experiment_machine(0);
         cfg.pebs.rate = 20;
-        let machine =
-            Machine::new(cfg.clone()).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-        let mut pact = PactPolicy::new(PactConfig::default())
-            .unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-        let report = machine.run(wl.as_ref(), &mut pact);
+        let machine = Machine::new(cfg.clone()).or_exit();
+        let mut pact = PactPolicy::new(PactConfig::default()).or_exit();
+        let report = machine.try_run(wl.as_ref(), &mut pact).or_exit();
 
         // Per-page (frequency, PAC-per-access) from the PAC store.
         let mut pages: Vec<(u64, f64)> = pact

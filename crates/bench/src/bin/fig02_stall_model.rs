@@ -9,7 +9,7 @@
 //! `k`. The paper's result: r > 0.98 for the MLP model vs 0.82–0.89 for
 //! raw misses.
 
-use pact_bench::{banner, parse_options, save_results, Table};
+use pact_bench::{banner, parse_options, save_results, OrExit, Table};
 use pact_stats::{linear_fit, pearson};
 use pact_tiersim::{FirstTouch, Machine, MachineConfig, Tier, TierConfig, PAGE_BYTES};
 use pact_workloads::suite::Scale;
@@ -47,8 +47,8 @@ fn main() {
                 Tier::Slow => MachineConfig::skylake_cxl(0),
             };
             cfg.tiers[tier.index()] = tier_cfg;
-            let machine = Machine::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-            let r = machine.run(&wl, &mut FirstTouch::new());
+            let machine = Machine::new(cfg).or_exit();
+            let r = machine.try_run(&wl, &mut FirstTouch::new()).or_exit();
             let c = &r.counters;
             let m = c.llc_misses[tier.index()] as f64;
             let mlp = c.tor_mlp(tier);

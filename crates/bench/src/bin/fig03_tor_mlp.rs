@@ -9,7 +9,7 @@
 //! Checks: TOR-MLP tracks the system metric; MLP is stable within
 //! phases and shifts across them.
 
-use pact_bench::{banner, parse_options, save_results, sparkline, Table};
+use pact_bench::{banner, parse_options, save_results, sparkline, OrExit, Table};
 use pact_stats::pearson;
 use pact_tiersim::{FirstTouch, Machine, MachineConfig, Tier};
 use pact_workloads::suite::Scale;
@@ -23,8 +23,8 @@ fn main() {
     };
     let wl = Phased::mlp_phases(buffer, loads, pairs, opts.seed);
     let cfg = MachineConfig::skylake_cxl(0); // everything on the slow tier
-    let machine = Machine::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-    let report = machine.run(&wl, &mut FirstTouch::new());
+    let machine = Machine::new(cfg).or_exit();
+    let report = machine.try_run(&wl, &mut FirstTouch::new()).or_exit();
 
     let mut tor = Vec::new();
     let mut system = Vec::new();

@@ -7,7 +7,10 @@
 //! systems degrade with slow-tier pressure; TPP catastrophic; PACT
 //! promotes up to ~10x fewer pages than Colloid (Table 2).
 
-use pact_bench::{banner, parse_options, ratio_sweep, save_results, Harness, TierRatio};
+use pact_bench::{
+    banner, env, jobs_from_env, parse_options, ratio_sweep, save_results, Harness, OrExit,
+    TierRatio,
+};
 use pact_workloads::suite::build;
 
 fn main() {
@@ -16,7 +19,8 @@ fn main() {
     let policies = [
         "pact", "colloid", "nbt", "alto", "nomad", "tpp", "memtis", "soar", "notier",
     ];
-    let sweep = ratio_sweep(&h, &policies, &TierRatio::PAPER_SWEEP);
+    let (jobs, trace) = (jobs_from_env(), env::trace_config());
+    let sweep = ratio_sweep(&h, &policies, &TierRatio::PAPER_SWEEP, jobs, trace.as_ref()).or_exit();
 
     let mut out = String::new();
     out.push_str(&banner("Figure 4: bc-kron slowdown vs DRAM (4KB pages)"));

@@ -9,7 +9,8 @@
 //! baseline.
 
 use pact_bench::{
-    banner, experiment_machine, parse_options, ratio_sweep, save_results, Harness, TierRatio,
+    banner, env, experiment_machine, jobs_from_env, parse_options, ratio_sweep, save_results,
+    Harness, OrExit, TierRatio,
 };
 use pact_workloads::suite::build;
 
@@ -17,11 +18,14 @@ fn main() {
     let opts = parse_options();
     let mut cfg = experiment_machine(0);
     cfg.thp = true;
-    let h = Harness::new(build("bc-kron", opts.scale, opts.seed)).with_machine(cfg);
+    let h = Harness::new(build("bc-kron", opts.scale, opts.seed))
+        .with_machine(cfg)
+        .or_exit();
     let policies = [
         "pact", "colloid", "nbt", "alto", "nomad", "tpp", "memtis", "soar", "notier",
     ];
-    let sweep = ratio_sweep(&h, &policies, &TierRatio::PAPER_SWEEP);
+    let (jobs, trace) = (jobs_from_env(), env::trace_config());
+    let sweep = ratio_sweep(&h, &policies, &TierRatio::PAPER_SWEEP, jobs, trace.as_ref()).or_exit();
 
     let mut out = String::new();
     out.push_str(&banner("Figure 5: bc-kron slowdown vs DRAM (THP)"));

@@ -6,7 +6,7 @@
 //! baseline and the cases where a baseline wins (the paper reports a
 //! 4.1% average / 11.8% max gap in those).
 
-use pact_bench::{banner, exec, parse_options, save_results, Harness, Table, TierRatio};
+use pact_bench::{banner, exec, parse_options, save_results, Harness, OrExit, Table, TierRatio};
 use pact_workloads::suite::{build, SUITE};
 
 fn main() {
@@ -27,10 +27,13 @@ fn main() {
         // Build the workload once; the harness shares it (and the
         // cached DRAM baseline / Soar profile) across worker threads.
         let h = Harness::new(build(name, opts.scale, opts.seed));
-        let cxl = h.cxl_slowdown();
+        let cxl = h.cxl_slowdown().or_exit();
         // The Soar profile is a OnceLock: the first worker to need it
         // computes it, the rest block briefly and then share it.
-        let outs = exec::run_indexed(policies.len(), jobs, |i| h.run_policy(policies[i], ratio));
+        let outs = exec::try_run_indexed(policies.len(), jobs, |i| {
+            h.run_policy(policies[i], ratio, None)
+        })
+        .or_exit();
         let mut srow = vec![name.to_string(), pact_bench::pct(cxl)];
         let mut prow = vec![name.to_string(), "-".to_string()];
         let mut slows = Vec::new();

@@ -6,7 +6,9 @@
 //! paper reports averages of 9.95% (1:2) and 10.66% (2:1) with peaks of
 //! 57% and 61%.
 
-use pact_bench::{banner, cdf_lines, parse_options, save_results, Harness, Table, TierRatio};
+use pact_bench::{
+    banner, cdf_lines, parse_options, save_results, Harness, OrExit, Table, TierRatio,
+};
 use pact_workloads::suite::{build, SUITE};
 
 fn main() {
@@ -22,10 +24,14 @@ fn main() {
         for name in SUITE {
             eprintln!("[fig07] {name} @ {ratio}");
             let h = Harness::new(build(name, opts.scale, opts.seed));
-            let pact_cycles = h.run_policy("pact", ratio).report.total_cycles as f64;
+            let cycles = |policy: &str| {
+                let out = h.run_policy(policy, ratio, None);
+                out.or_exit().report.total_cycles as f64
+            };
+            let pact_cycles = cycles("pact");
             let mut cells = vec![name.to_string()];
             for (bi, b) in baselines.iter().enumerate() {
-                let base_cycles = h.run_policy(b, ratio).report.total_cycles as f64;
+                let base_cycles = cycles(b);
                 let improvement = (base_cycles - pact_cycles) / base_cycles;
                 per_baseline[bi].push(improvement);
                 cells.push(format!("{:+.1}%", improvement * 100.0));

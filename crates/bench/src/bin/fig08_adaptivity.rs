@@ -7,7 +7,9 @@
 //! order of magnitude fewer migrations than Colloid at lower slowdown
 //! (paper: 180K vs 8M, 18% vs 25%).
 
-use pact_bench::{banner, parse_options, save_results, sparkline, Harness, Table, TierRatio};
+use pact_bench::{
+    banner, parse_options, save_results, sparkline, Harness, OrExit, Table, TierRatio,
+};
 use pact_workloads::suite::build;
 
 fn main() {
@@ -15,8 +17,9 @@ fn main() {
     let h = Harness::new(build("sssp-kron", opts.scale, opts.seed));
     let ratio = TierRatio::new(1, 1);
 
-    let pact = h.run_policy("pact", ratio);
-    let colloid = h.run_policy("colloid", ratio);
+    let run = |policy| h.run_policy(policy, ratio, None).or_exit();
+    let pact = run("pact");
+    let colloid = run("colloid");
 
     let promos: Vec<f64> = pact
         .report

@@ -8,18 +8,22 @@
 //! others, with PAC front-loading its promotions while the frequency
 //! policy oscillates.
 
-use pact_bench::{banner, exec, parse_options, save_results, sparkline, Harness, Table, TierRatio};
+use pact_bench::{
+    banner, exec, parse_options, save_results, sparkline, Harness, OrExit, Table, TierRatio,
+};
 use pact_workloads::suite::build;
 
 /// Runs the PAC-ranked and frequency-ranked variants over one shared
 /// workload, fanning the two independent runs across workers.
 fn pac_vs_freq(h: &Harness, ratio: TierRatio) -> (pact_bench::Outcome, pact_bench::Outcome) {
-    h.dram_cycles(); // warm the shared baseline before fanning out
-    let mut outs = exec::run_indexed(2, exec::jobs_from_env(), |i| {
-        h.run_policy(["pact", "pact-freq"][i], ratio)
+    // Warm the shared baseline before fanning out.
+    h.dram_cycles().or_exit();
+    let mut outs = exec::try_run_indexed(2, exec::jobs_from_env(), |i| {
+        h.run_policy(["pact", "pact-freq"][i], ratio, None)
     })
+    .or_exit()
     .into_iter();
-    // Invariant: run_indexed(2, ..) always yields exactly two results.
+    // Invariant: try_run_indexed(2, ..) yields exactly two results.
     (outs.next().unwrap(), outs.next().unwrap())
 }
 

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use pact_bench::{banner, parse_options, save_results, Harness, Table, TierRatio};
+use pact_bench::{banner, parse_options, save_results, Harness, OrExit, Table, TierRatio};
 use pact_core::{Cooling, PactConfig, PactPolicy};
 use pact_tiersim::Workload;
 use pact_workloads::suite::build;
@@ -31,8 +31,8 @@ fn main() {
         for rate in [25u64, 50, 100, 200, 400] {
             let mut cfg = pact_bench::experiment_machine(0);
             cfg.pebs.rate = rate;
-            h = h.with_machine(cfg);
-            let o = h.run_policy("pact", ratio);
+            h = h.with_machine(cfg).or_exit();
+            let o = h.run_policy("pact", ratio, None).or_exit();
             t.row(vec![
                 rate.to_string(),
                 pact_bench::pct(o.slowdown),
@@ -55,10 +55,9 @@ fn main() {
                 period_windows: period,
                 ..PactConfig::default()
             };
-            let mut policy =
-                PactPolicy::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
+            let mut policy = PactPolicy::new(cfg).or_exit();
             let fast = ratio.fast_pages(h.workload().footprint_bytes());
-            let o = h.run_custom(&mut policy, fast);
+            let o = h.run_custom(&mut policy, fast, None).or_exit();
             t.row(vec![
                 period.to_string(),
                 pact_bench::pct(o.slowdown),
@@ -88,10 +87,9 @@ fn main() {
                     cooling,
                     ..PactConfig::default()
                 };
-                let mut policy =
-                    PactPolicy::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
+                let mut policy = PactPolicy::new(cfg).or_exit();
                 let fast = ratio.fast_pages(h.workload().footprint_bytes());
-                let o = h.run_custom(&mut policy, fast);
+                let o = h.run_custom(&mut policy, fast, None).or_exit();
                 cells.push(pact_bench::pct(o.slowdown));
             }
             t.row(cells);

@@ -7,8 +7,8 @@
 //! performance comparable to or better than Colloid (4 KB) and Memtis
 //! (THP) while promoting several times fewer pages.
 
-use pact_bench::{banner, count, make_policy, parse_options, pct, save_results, Table};
-use pact_tiersim::{Machine, Workload, PAGE_BYTES};
+use pact_bench::{banner, count, make_policy, parse_options, pct, save_results, OrExit, Table};
+use pact_tiersim::{FirstTouch, Machine, RunSpec, Workload, PAGE_BYTES};
 use pact_workloads::suite::{build, Scale};
 use pact_workloads::Mlc;
 
@@ -34,8 +34,10 @@ fn run_level(
     // DRAM-only reference under identical contention.
     let mut dram_cfg = pact_bench::experiment_machine(u64::MAX / PAGE_BYTES);
     dram_cfg.thp = thp;
-    let dram = Machine::new(dram_cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-    let base = dram.run_colocated(&[bc.as_ref(), &mlc], &mut pact_tiersim::FirstTouch::new());
+    let dram = Machine::new(dram_cfg).or_exit();
+    let base = dram
+        .run(RunSpec::new(&[bc.as_ref(), &mlc], &mut FirstTouch::new()))
+        .or_exit();
     // Invariant: the colocated run reports one entry per workload, and
     // bc-kron was passed in above.
     let base_cycles = base
@@ -47,10 +49,12 @@ fn run_level(
 
     let mut cfg = pact_bench::experiment_machine(fast);
     cfg.thp = thp;
-    let machine = Machine::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
+    let machine = Machine::new(cfg).or_exit();
     // Invariant: fig11 only sweeps names from ALL_POLICIES.
     let mut policy = make_policy(policy_name).expect("fig11 sweeps known policies");
-    let r = machine.run_colocated(&[bc.as_ref(), &mlc], policy.as_mut());
+    let r = machine
+        .run(RunSpec::new(&[bc.as_ref(), &mlc], policy.as_mut()))
+        .or_exit();
     let cycles = r
         .per_process
         .iter()

@@ -8,8 +8,8 @@
 //! over Colloid by 112% (sequential), 28% (random), and 61% aggregate,
 //! with 300K promotions vs Colloid's 12M.
 
-use pact_bench::{banner, count, make_policy, parse_options, save_results, Table};
-use pact_tiersim::{Machine, RunReport, Workload, PAGE_BYTES};
+use pact_bench::{banner, count, make_policy, parse_options, save_results, OrExit, Table};
+use pact_tiersim::{FirstTouch, Machine, RunReport, RunSpec, Workload, PAGE_BYTES};
 use pact_workloads::suite::Scale;
 use pact_workloads::{Masim, MasimPattern};
 
@@ -38,7 +38,7 @@ fn build_pair(opts: &pact_bench::Options) -> (Masim, Masim) {
 
 fn proc_cycles(r: &RunReport, name: &str) -> u64 {
     // Invariant: every caller passes the name of a colocated workload,
-    // and run_colocated reports one entry per workload.
+    // and a colocated run reports one entry per workload.
     r.per_process
         .iter()
         .find(|p| p.name == name)
@@ -53,9 +53,10 @@ fn main() {
     let fast = total_pages / 2; // fast tier holds half the footprint
 
     // Solo DRAM baselines for per-process normalization.
-    let dram = Machine::new(pact_bench::experiment_machine(u64::MAX / PAGE_BYTES))
-        .unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-    let base = dram.run_colocated(&[&seq, &rnd], &mut pact_tiersim::FirstTouch::new());
+    let dram = Machine::new(pact_bench::experiment_machine(u64::MAX / PAGE_BYTES)).or_exit();
+    let base = dram
+        .run(RunSpec::new(&[&seq, &rnd], &mut FirstTouch::new()))
+        .or_exit();
     let base_seq = proc_cycles(&base, "masim-seq");
     let base_rnd = proc_cycles(&base, "masim-rnd");
 
@@ -72,11 +73,12 @@ fn main() {
     ]);
     let mut rows: Vec<(String, f64, f64, f64, u64)> = Vec::new();
     for name in ["pact", "colloid", "notier"] {
-        let machine = Machine::new(pact_bench::experiment_machine(fast))
-            .unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
+        let machine = Machine::new(pact_bench::experiment_machine(fast)).or_exit();
         // Invariant: fig12 only sweeps names from ALL_POLICIES.
         let mut policy = make_policy(name).expect("fig12 sweeps known policies");
-        let r = machine.run_colocated(&[&seq, &rnd], policy.as_mut());
+        let r = machine
+            .run(RunSpec::new(&[&seq, &rnd], policy.as_mut()))
+            .or_exit();
         let s_seq = proc_cycles(&r, "masim-seq") as f64 / base_seq as f64 - 1.0;
         let s_rnd = proc_cycles(&r, "masim-rnd") as f64 / base_rnd as f64 - 1.0;
         let agg = (proc_cycles(&r, "masim-seq") + proc_cycles(&r, "masim-rnd")) as f64

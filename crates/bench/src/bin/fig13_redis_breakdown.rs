@@ -8,7 +8,7 @@
 //! beating Colloid by up to 40% in latency and throughput with lower
 //! tail latency.
 
-use pact_bench::{banner, count, parse_options, save_results, Harness, Table, TierRatio};
+use pact_bench::{banner, count, parse_options, save_results, Harness, OrExit, Table, TierRatio};
 use pact_core::{BinningMode, PactConfig, PactPolicy};
 use pact_workloads::suite::build;
 
@@ -57,7 +57,8 @@ fn main() {
     let fast = ratio.fast_pages(h.workload().footprint_bytes());
 
     let mut rows = Vec::new();
-    rows.push(metrics("colloid", &h.run_policy("colloid", ratio)));
+    let colloid = h.run_policy("colloid", ratio, None).or_exit();
+    rows.push(metrics("colloid", &colloid));
     for (name, mode) in [
         ("pact+static", BinningMode::Static),
         ("pact+adaptive", BinningMode::Adaptive),
@@ -68,9 +69,9 @@ fn main() {
             binning: mode,
             ..PactConfig::default()
         };
-        let mut policy =
-            PactPolicy::new(cfg).unwrap_or_else(|e| pact_bench::exit_invalid_config(e));
-        rows.push(metrics(name, &h.run_custom(&mut policy, fast)));
+        let mut policy = PactPolicy::new(cfg).or_exit();
+        let out = h.run_custom(&mut policy, fast, None).or_exit();
+        rows.push(metrics(name, &out));
     }
 
     let base = rows[0].throughput;

@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use pact_bench::{Harness, TierRatio};
+use pact_bench::{Harness, OrExit, TierRatio};
 use pact_workloads::suite::{build, Scale};
 
 fn main() {
@@ -22,7 +22,9 @@ fn main() {
     let h = Harness::new(wl);
     // DRAM-only reference with full counters.
     {
-        let out = h.run_policy_with_fast_pages("notier", u64::MAX / 4096);
+        let out = h
+            .run_custom(&mut pact_baselines::NoTier::new(), u64::MAX / 4096, None)
+            .or_exit();
         let c = &out.report.counters;
         let cyc = out.report.total_cycles;
         eprintln!(
@@ -39,7 +41,7 @@ fn main() {
         "notier", "pact", "colloid", "nbt", "tpp", "memtis", "alto", "nomad", "soar",
     ] {
         let t = Instant::now();
-        let out = h.run_policy(policy, TierRatio::new(1, 1));
+        let out = h.run_policy(policy, TierRatio::new(1, 1), None).or_exit();
         let c = &out.report.counters;
         let cyc = out.report.total_cycles as f64;
         let gbps = |b: u64| b as f64 / (cyc / 2.2e9) / 1e9;
@@ -64,6 +66,7 @@ fn main() {
             c.avg_demand_latency(pact_tiersim::Tier::Fast), c.avg_demand_latency(pact_tiersim::Tier::Slow),
         );
     }
-    eprintln!("cxl-only slowdown: {:.1}%", h.cxl_slowdown() * 100.0);
+    let cxl = h.cxl_slowdown().or_exit();
+    eprintln!("cxl-only slowdown: {:.1}%", cxl * 100.0);
     eprintln!("total: {:?}", t0.elapsed());
 }

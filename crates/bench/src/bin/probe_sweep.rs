@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use pact_bench::{gate, ratio_sweep_jobs, Harness, JsonWriter, SweepResult, TierRatio};
+use pact_bench::{env, gate, ratio_sweep, Harness, JsonWriter, OrExit, SweepResult, TierRatio};
 use pact_workloads::suite::{build, Scale};
 
 const POLICIES: [&str; 5] = ["pact", "colloid", "memtis", "tpp", "notier"];
@@ -63,14 +63,16 @@ fn main() {
         ratios.len()
     );
     let h = Harness::new(build("bc-kron", Scale::Smoke, 42));
-    let dram = h.dram_cycles(); // warm the shared baseline outside both timings
+    let dram = h.dram_cycles().or_exit(); // warm the shared baseline outside both timings
 
     let t = Instant::now();
-    let serial = ratio_sweep_jobs(&h, &POLICIES, &ratios, 1);
+    let trace = env::trace_config();
+    let sweep = |jobs| ratio_sweep(&h, &POLICIES, &ratios, jobs, trace.as_ref()).or_exit();
+    let serial = sweep(1);
     let serial_secs = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let parallel = ratio_sweep_jobs(&h, &POLICIES, &ratios, jobs);
+    let parallel = sweep(jobs);
     let parallel_secs = t.elapsed().as_secs_f64();
 
     let identical = serial == parallel

@@ -76,12 +76,13 @@
 
 use pact_bench::snapfile::CellSnapshot;
 use pact_bench::{
-    count, experiment_machine, make_policy, pct, serve, Harness, TierRatio, ALL_POLICIES,
+    count, experiment_machine, make_policy, pct, serve, Harness, OrExit, RunError, TierRatio,
+    ALL_POLICIES,
 };
 use pact_obs::{validate, DEFAULT_RING_CAPACITY};
 use pact_tiersim::{
-    export_trace, CriticalityReport, Machine, MachineConfig, RunReport, Tier, TraceFormat, Tracer,
-    DEFAULT_REPORT_TOPK,
+    export_trace, CriticalityReport, Machine, MachineConfig, RunReport, RunSpec, Tier, TraceFormat,
+    Tracer, DEFAULT_REPORT_TOPK,
 };
 use pact_workloads::suite::{build, Scale, SUITE};
 
@@ -383,18 +384,10 @@ fn run_check(args: &CheckArgs) {
 /// The `trace` subcommand: one traced run, exported (and optionally
 /// validated) to `--out`.
 fn run_trace(args: &Args) {
-    let mut cfg = experiment_machine(0);
-    cfg.thp = args.thp;
-    cfg.seed = args.seed;
-    let h = Harness::new(build(&args.workload, args.scale, args.seed)).with_machine(cfg);
-    let fast_pages = args.ratio.fast_pages(h.workload().footprint_bytes());
     let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-    let out = h
-        .try_run_policy_with_fast_pages_traced(&args.policy, fast_pages, &mut tracer)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}; known policies: {}", ALL_POLICIES.join(", "));
-            std::process::exit(2);
-        });
+    let out = cell_harness(args, false)
+        .run_policy(&args.policy, args.ratio, Some(&mut tracer))
+        .unwrap_or_else(|e| exit_run_error(e));
     let label = format!("{}/{}/{}", args.workload, args.policy, args.ratio);
     let body = export_trace(&out.report, &tracer, &label, args.format);
     if args.validate {
@@ -448,22 +441,39 @@ fn run_trace(args: &Args) {
     );
 }
 
+/// The harness for one `--workload`/`--seed`/`--thp` cell; the
+/// one-shot summary, `trace`, `report` and `serve-metrics` all start
+/// here so the same flags simulate the same machine. `track_stalls`
+/// arms the criticality oracle (the `report` path).
+fn cell_harness(args: &Args, track_stalls: bool) -> Harness {
+    let cfg = cell_machine_config(0, args.thp, args.seed, track_stalls, 0);
+    Harness::new(build(&args.workload, args.scale, args.seed))
+        .with_machine(cfg)
+        .or_exit()
+}
+
+/// Reports `e` as a one-line `error:` and exits 2.
+fn exit_error(e: impl std::fmt::Display) -> ! {
+    eprintln!("error: {e}");
+    std::process::exit(2);
+}
+
+/// Exits 2 on a failed cell run; a bad policy name also lists the
+/// known ones.
+fn exit_run_error(e: RunError) -> ! {
+    if let RunError::Sim(e) = e {
+        pact_bench::exit_invalid_config(e);
+    }
+    eprintln!("{e}; known policies: {}", ALL_POLICIES.join(", "));
+    std::process::exit(2);
+}
+
 /// Runs one cell for a subcommand that inspects a finished run,
-/// exiting 2 on an unknown policy. `track_stalls` arms the criticality
-/// oracle (the `report` path).
+/// exiting 2 on an unknown policy.
 fn run_cell(args: &Args, track_stalls: bool) -> (pact_bench::Outcome, String) {
-    let mut cfg = experiment_machine(0);
-    cfg.thp = args.thp;
-    cfg.seed = args.seed;
-    cfg.track_page_stalls = track_stalls;
-    let h = Harness::new(build(&args.workload, args.scale, args.seed)).with_machine(cfg);
-    let fast_pages = args.ratio.fast_pages(h.workload().footprint_bytes());
-    let out = h
-        .try_run_policy_with_fast_pages(&args.policy, fast_pages)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}; known policies: {}", ALL_POLICIES.join(", "));
-            std::process::exit(2);
-        });
+    let out = cell_harness(args, track_stalls)
+        .run_policy(&args.policy, args.ratio, None)
+        .unwrap_or_else(|e| exit_run_error(e));
     let label = format!("{}/{}/{}", args.workload, args.policy, args.ratio);
     (out, label)
 }
@@ -565,6 +575,12 @@ fn report_digest(report: &RunReport) -> u64 {
 /// uninterrupted run and every resumed replay.
 fn print_run_summary(label: &str, report: &RunReport) {
     println!("cell {label}");
+    print_report_digest(report);
+}
+
+/// The `report:`/`digest:` lines of [`print_run_summary`], which
+/// `fleet` prints after its tenant rows.
+fn print_report_digest(report: &RunReport) {
     println!(
         "report: windows={} cycles={} promotions={} demotions={} failed={} dropped={}",
         report.windows.len(),
@@ -577,10 +593,10 @@ fn print_run_summary(label: &str, report: &RunReport) {
     println!("digest: {:#018x}", report_digest(report));
 }
 
-/// Machine configuration for a snapshot/resume cell. Applies the
+/// Machine configuration for every single-workload cell. Applies the
 /// already-validated `PACT_FAULTS` hook the same way the `Harness`
-/// does, so a snapshot cell matches the equivalent
-/// `tierctl` run cell exactly.
+/// does, so a snapshot cell matches the equivalent `tierctl` run cell
+/// exactly.
 fn cell_machine_config(
     fast_pages: u64,
     thp: bool,
@@ -600,10 +616,7 @@ fn cell_machine_config(
 }
 
 fn cell_policy(name: &str) -> Box<dyn pact_tiersim::TieringPolicy> {
-    make_policy(name).unwrap_or_else(|e| {
-        eprintln!("{e}; known policies: {}", ALL_POLICIES.join(", "));
-        std::process::exit(2);
-    })
+    make_policy(name).unwrap_or_else(|e| exit_run_error(e))
 }
 
 /// The `snapshot` subcommand: one cell run to completion with the
@@ -617,10 +630,7 @@ fn run_snapshot(args: &Args) {
     let wl = build(&args.workload, args.scale, args.seed);
     let fast_pages = args.ratio.fast_pages(wl.footprint_bytes());
     let cfg = cell_machine_config(fast_pages, args.thp, args.seed, true, every);
-    let machine = Machine::new(cfg).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let machine = Machine::new(cfg).unwrap_or_else(|e| exit_error(e));
     let mut policy = cell_policy(&args.policy);
     let dir = std::path::PathBuf::from(args.out.as_deref().unwrap_or("snapshots"));
     std::fs::create_dir_all(&dir).unwrap_or_else(|e| {
@@ -633,7 +643,6 @@ fn run_snapshot(args: &Args) {
     };
     let mut written = 0usize;
     let mut write_err: Option<String> = None;
-    let mut tracer = Tracer::disabled();
     let report = {
         let mut sink = |frame: pact_tiersim::MachineSnapshot| {
             let window = frame.window().unwrap_or(0);
@@ -655,12 +664,12 @@ fn run_snapshot(args: &Args) {
                 }
             }
         };
-        machine.try_run_snapshotting(&[wl.as_ref()], policy.as_mut(), &mut tracer, &mut sink)
+        machine.run(RunSpec {
+            snapshot_sink: Some(&mut sink),
+            ..RunSpec::new(&[wl.as_ref()], policy.as_mut())
+        })
     }
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    .unwrap_or_else(|e| exit_error(e));
     if let Some(e) = write_err {
         eprintln!("{e}");
         std::process::exit(1);
@@ -685,28 +694,21 @@ fn run_resume(args: &Args) {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let cell = CellSnapshot::from_bytes(&bytes).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let cell = CellSnapshot::from_bytes(&bytes).unwrap_or_else(|e| exit_error(e));
     let scale = match cell.scale.as_str() {
         "smoke" => Scale::Smoke,
         _ => Scale::Paper,
     };
     let wl = build(&cell.workload, scale, cell.seed);
     let cfg = cell_machine_config(cell.fast_pages, cell.thp, cell.seed, cell.track_stalls, 0);
-    let machine = Machine::new(cfg).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let machine = Machine::new(cfg).unwrap_or_else(|e| exit_error(e));
     let mut policy = cell_policy(&cell.policy);
-    let mut tracer = Tracer::disabled();
     let report = machine
-        .try_resume(&[wl.as_ref()], policy.as_mut(), &mut tracer, &cell.frame)
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
+        .run(RunSpec {
+            resume_from: Some(&cell.frame),
+            ..RunSpec::new(&[wl.as_ref()], policy.as_mut())
+        })
+        .unwrap_or_else(|e| exit_error(e));
     let window = cell.frame.window().unwrap_or(0);
     let label = format!(
         "{}/{} (resumed from window {window})",
@@ -746,9 +748,7 @@ fn run_fleet(args: &Args) {
     let refs: Vec<&dyn pact_tiersim::Workload> = workloads.iter().map(|w| w.as_ref()).collect();
     let total_footprint: u64 = refs.iter().map(|w| w.footprint_bytes()).sum();
     let fast_pages = args.ratio.fast_pages(total_footprint);
-    let mut cfg = experiment_machine(fast_pages);
-    cfg.seed = args.seed;
-    cfg.track_page_stalls = true;
+    let mut cfg = cell_machine_config(fast_pages, false, args.seed, true, 0);
     cfg.tenants = tenants
         .iter()
         .map(|t| pact_tiersim::TenantSpec::new(t.name.clone(), t.qos_weight))
@@ -757,20 +757,11 @@ fn run_fleet(args: &Args) {
         budget_per_window: args.budget.unwrap_or(4),
         ..pact_tiersim::AdmissionControl::default()
     });
-    if cfg.fault_plan.is_none() {
-        cfg.fault_plan = pact_bench::env::fault_plan().ok().flatten();
-    }
-    let machine = Machine::new(cfg).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let machine = Machine::new(cfg).unwrap_or_else(|e| exit_error(e));
     let mut policy = cell_policy(&args.policy);
     let report = machine
-        .try_run_colocated(&refs, policy.as_mut())
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
+        .run(RunSpec::new(&refs, policy.as_mut()))
+        .unwrap_or_else(|e| exit_error(e));
 
     let label = format!(
         "fleet[{}]/{}/{}",
@@ -803,16 +794,7 @@ fn run_fleet(args: &Args) {
     let rejected: u64 = report.tenants.iter().map(|t| t.rejected_orders).sum();
     // Greppable one-liner the CI fleet stage asserts on.
     println!("admission: admitted={admitted} rejected={rejected}");
-    println!(
-        "report: windows={} cycles={} promotions={} demotions={} failed={} dropped={}",
-        report.windows.len(),
-        report.total_cycles,
-        report.promotions,
-        report.demotions,
-        report.failed_promotions,
-        report.dropped_orders
-    );
-    println!("digest: {:#018x}", report_digest(&report));
+    print_report_digest(&report);
 }
 
 struct LintArgs {
@@ -1085,15 +1067,11 @@ fn main() {
         println!("wrote {n} accesses of '{}' to {path}", args.workload);
         return;
     }
-    let mut cfg = experiment_machine(0);
-    cfg.thp = args.thp;
-    let h = Harness::new(build(&args.workload, args.scale, args.seed)).with_machine(cfg);
+    let h = cell_harness(&args, false);
     let out = h
-        .try_run_policy(&args.policy, args.ratio)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}; known policies: {}", ALL_POLICIES.join(", "));
-            std::process::exit(2);
-        });
+        .run_policy(&args.policy, args.ratio, None)
+        .unwrap_or_else(|e| exit_run_error(e));
+    let cxl = h.cxl_slowdown().or_exit();
     let r = &out.report;
     let c = &r.counters;
 
@@ -1105,7 +1083,7 @@ fn main() {
         if args.thp { " (THP)" } else { "" }
     );
     println!("  slowdown vs DRAM:   {}", pct(out.slowdown));
-    println!("  cxl-only reference: {}", pct(h.cxl_slowdown()));
+    println!("  cxl-only reference: {}", pct(cxl));
     println!("  total cycles:       {}", r.total_cycles);
     println!("  accesses:           {}", count(c.accesses));
     println!(

@@ -82,13 +82,26 @@ pub fn emit_hostprof_summary() {
 
 /// Reports a configuration error and exits with status 2.
 ///
-/// Figure binaries construct machines and policies from hard-coded
-/// experiment configs; when construction does fail (e.g. a bad edit to
-/// an experiment constant), this turns the failure into a one-line
+/// Figure binaries build and run machines and policies from hard-coded
+/// experiment configs; when that does fail (e.g. a bad edit to an
+/// experiment constant), this turns the failure into a one-line
 /// structured message instead of a panic backtrace.
 pub fn exit_invalid_config(e: impl std::fmt::Display) -> ! {
     eprintln!("error: invalid configuration: {e}");
     std::process::exit(2);
+}
+
+/// `unwrap` for binaries: the `Ok` value, or the error reported through
+/// [`exit_invalid_config`] (exit 2) instead of a panic.
+pub trait OrExit<T> {
+    /// Returns the `Ok` value or exits with status 2.
+    fn or_exit(self) -> T;
+}
+
+impl<T, E: std::fmt::Display> OrExit<T> for Result<T, E> {
+    fn or_exit(self) -> T {
+        self.unwrap_or_else(|e| exit_invalid_config(e))
+    }
 }
 
 fn parse_from(args: impl Iterator<Item = String>) -> Result<Options, String> {

@@ -30,11 +30,11 @@ pub mod snapfile;
 
 pub use cli::{
     arm_hostprof_from_env, emit_hostprof_summary, exit_invalid_config, parse_options,
-    validate_fault_env, Options,
+    validate_fault_env, Options, OrExit,
 };
 pub use exec::{jobs_from_env, run_indexed, try_run_indexed};
 pub use report::{banner, cdf_lines, count, pct, save_results, sparkline, JsonWriter, Table};
 pub use runner::{
-    experiment_machine, is_runnable_policy, make_policy, ratio_sweep, ratio_sweep_jobs,
-    ratio_sweep_traced, Harness, Outcome, PolicyError, SweepResult, TierRatio, ALL_POLICIES,
+    experiment_machine, is_runnable_policy, make_policy, ratio_sweep, Harness, Outcome, RunError,
+    SweepResult, TierRatio, ALL_POLICIES,
 };

@@ -8,8 +8,8 @@ use pact_baselines::{soar_profile, Alto, Colloid, Memtis, Nbt, NoTier, Nomad, So
 use pact_core::{PactConfig, PactPolicy, RankBy};
 use pact_obs::DEFAULT_RING_CAPACITY;
 use pact_tiersim::{
-    export_trace, ConfigError, FaultPlan, Machine, MachineConfig, RunReport, TieringPolicy,
-    TraceConfig, Tracer, Workload, FAULTS_ENV, PAGE_BYTES,
+    export_trace, ConfigError, FaultPlan, Machine, MachineConfig, RunReport, RunSpec, SimError,
+    TieringPolicy, TraceConfig, Tracer, Workload, FAULTS_ENV, PAGE_BYTES,
 };
 
 /// A fast:slow tier-capacity ratio relative to the workload footprint
@@ -98,36 +98,45 @@ pub struct Outcome {
     pub report: RunReport,
 }
 
-/// Why a policy name could not be instantiated.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PolicyError {
-    /// The name is not in [`ALL_POLICIES`] (or a known variant).
-    Unknown(String),
+/// Why a harness run failed.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RunError {
+    /// The policy name is not in [`ALL_POLICIES`] (or a known variant).
+    UnknownPolicy(String),
     /// `soar` needs a profiling pass first; use
     /// [`Harness::run_policy`], which performs it.
     NeedsProfile,
+    /// The simulation itself failed.
+    Sim(SimError),
 }
 
-impl std::fmt::Display for PolicyError {
+impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PolicyError::Unknown(name) => write!(f, "unknown policy '{name}'"),
-            PolicyError::NeedsProfile => {
+            RunError::UnknownPolicy(name) => write!(f, "unknown policy '{name}'"),
+            RunError::NeedsProfile => {
                 write!(f, "soar requires profiling; use Harness::run_policy")
             }
+            RunError::Sim(e) => e.fmt(f),
         }
     }
 }
 
-impl std::error::Error for PolicyError {}
+impl std::error::Error for RunError {}
+
+impl From<SimError> for RunError {
+    fn from(e: SimError) -> Self {
+        RunError::Sim(e)
+    }
+}
 
 /// Builds a policy instance by name.
 ///
-/// Returns [`PolicyError::NeedsProfile`] for `"soar"` (its profiling
+/// Returns [`RunError::NeedsProfile`] for `"soar"` (its profiling
 /// pass is driven by [`Harness::run_policy`]) and
-/// [`PolicyError::Unknown`] for names outside [`ALL_POLICIES`], so
+/// [`RunError::UnknownPolicy`] for names outside [`ALL_POLICIES`], so
 /// sweep drivers can skip bad names instead of aborting mid-sweep.
-pub fn make_policy(name: &str) -> Result<Box<dyn TieringPolicy>, PolicyError> {
+pub fn make_policy(name: &str) -> Result<Box<dyn TieringPolicy>, RunError> {
     Ok(match name {
         // Invariant: PactConfig::default() passes its own validate()
         // (pinned by a pact-core test), so construction cannot fail.
@@ -148,8 +157,8 @@ pub fn make_policy(name: &str) -> Result<Box<dyn TieringPolicy>, PolicyError> {
         "tpp" => Box::new(Tpp::new()),
         "memtis" => Box::new(Memtis::new()),
         "notier" => Box::new(NoTier::new()),
-        "soar" => return Err(PolicyError::NeedsProfile),
-        other => return Err(PolicyError::Unknown(other.to_string())),
+        "soar" => return Err(RunError::NeedsProfile),
+        other => return Err(RunError::UnknownPolicy(other.to_string())),
     })
 }
 
@@ -192,20 +201,10 @@ impl Harness {
     }
 
     /// Overrides the base machine configuration (tier capacity is still
-    /// set per run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` fails [`MachineConfig::validate`]; use
-    /// [`Harness::try_with_machine`] to surface the error instead.
-    pub fn with_machine(self, cfg: MachineConfig) -> Self {
-        self.try_with_machine(cfg).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Overrides the base machine configuration after validating it,
-    /// reporting an invalid configuration as a structured error instead
-    /// of panicking deep inside the first run.
-    pub fn try_with_machine(mut self, cfg: MachineConfig) -> Result<Self, ConfigError> {
+    /// set per run) after validating it, so an invalid configuration is
+    /// a structured error here instead of a failure deep inside the
+    /// first run.
+    pub fn with_machine(mut self, cfg: MachineConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         self.base_cfg = cfg;
         Ok(self)
@@ -222,12 +221,7 @@ impl Harness {
         Arc::clone(&self.workload)
     }
 
-    /// Footprint of the wrapped workload in base pages.
-    pub fn footprint_pages(&self) -> u64 {
-        self.workload.footprint_bytes().div_ceil(PAGE_BYTES)
-    }
-
-    fn machine(&self, fast_pages: u64) -> Machine {
+    fn machine(&self, fast_pages: u64) -> Result<Machine, SimError> {
         let mut cfg = self.base_cfg.clone();
         cfg.fast_tier_pages = fast_pages;
         // An explicit plan on the config wins; otherwise every run in
@@ -236,133 +230,77 @@ impl Harness {
         if cfg.fault_plan.is_none() {
             cfg.fault_plan = env_fault_plan().cloned();
         }
-        // Invariant: base_cfg was validated by try_with_machine (or is a
-        // preset), and fast_tier_pages/fault_plan stay within validated
-        // ranges, so construction cannot fail.
-        Machine::new(cfg).expect("experiment config is valid")
+        Machine::new(cfg).map_err(SimError::Config)
     }
 
     /// Cycles of the ideal DRAM-only run (computed once, cached).
-    pub fn dram_cycles(&self) -> u64 {
-        *self.dram_cycles.get_or_init(|| {
-            let machine = self.machine(u64::MAX / PAGE_BYTES);
-            let report = machine.run(self.workload.as_ref(), &mut NoTier::new());
-            report.total_cycles
-        })
+    pub fn dram_cycles(&self) -> Result<u64, SimError> {
+        if let Some(&cycles) = self.dram_cycles.get() {
+            return Ok(cycles);
+        }
+        let machine = self.machine(u64::MAX / PAGE_BYTES)?;
+        let report = machine.try_run(self.workload.as_ref(), &mut NoTier::new())?;
+        Ok(*self.dram_cycles.get_or_init(|| report.total_cycles))
     }
 
     /// Slowdown of running entirely on the slow tier (the "CXL" line).
-    pub fn cxl_slowdown(&self) -> f64 {
-        let machine = self.machine(0);
-        let report = machine.run(self.workload.as_ref(), &mut NoTier::new());
-        report.total_cycles as f64 / self.dram_cycles() as f64 - 1.0
+    pub fn cxl_slowdown(&self) -> Result<f64, SimError> {
+        let report = self
+            .machine(0)?
+            .try_run(self.workload.as_ref(), &mut NoTier::new())?;
+        Ok(report.total_cycles as f64 / self.dram_cycles()? as f64 - 1.0)
     }
 
-    /// The Soar object-placement profile (computed once, cached).
-    fn soar(&self) -> &pact_baselines::SoarProfile {
-        self.soar_profile
-            .get_or_init(|| soar_profile(&self.base_cfg, self.workload.as_ref()))
+    /// The Soar object-placement profile (computed once, cached). The
+    /// DRAM baseline runs first, so a workload that cannot run is
+    /// reported as its error rather than a panic in the profiling pass.
+    fn soar(&self) -> Result<&pact_baselines::SoarProfile, SimError> {
+        self.dram_cycles()?;
+        Ok(self
+            .soar_profile
+            .get_or_init(|| soar_profile(&self.base_cfg, self.workload.as_ref())))
     }
 
-    /// Runs `policy_name` at `ratio` and returns the normalized outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown policy name; use [`Harness::try_run_policy`]
-    /// to degrade gracefully.
-    pub fn run_policy(&self, policy_name: &str, ratio: TierRatio) -> Outcome {
-        let fast_pages = ratio.fast_pages(self.workload.footprint_bytes());
-        self.run_policy_with_fast_pages(policy_name, fast_pages)
-    }
-
-    /// Runs `policy_name` at `ratio`, reporting unknown names as an
-    /// error instead of panicking.
-    pub fn try_run_policy(
+    /// Runs the evaluated system `policy_name` (any of [`ALL_POLICIES`],
+    /// Soar's profiling pass included) at `ratio`, normalized against
+    /// the DRAM baseline. `tracer`, when given, records the run's event
+    /// trace without perturbing it.
+    pub fn run_policy(
         &self,
         policy_name: &str,
         ratio: TierRatio,
-    ) -> Result<Outcome, PolicyError> {
+        tracer: Option<&mut Tracer>,
+    ) -> Result<Outcome, RunError> {
         let fast_pages = ratio.fast_pages(self.workload.footprint_bytes());
-        self.try_run_policy_with_fast_pages(policy_name, fast_pages)
-    }
-
-    /// Runs `policy_name` with an explicit fast-tier size in pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown policy name.
-    pub fn run_policy_with_fast_pages(&self, policy_name: &str, fast_pages: u64) -> Outcome {
-        self.try_run_policy_with_fast_pages(policy_name, fast_pages)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Runs `policy_name` with an explicit fast-tier size, reporting
-    /// unknown names as an error instead of panicking.
-    pub fn try_run_policy_with_fast_pages(
-        &self,
-        policy_name: &str,
-        fast_pages: u64,
-    ) -> Result<Outcome, PolicyError> {
-        let mut tracer = Tracer::disabled();
-        self.try_run_policy_with_fast_pages_traced(policy_name, fast_pages, &mut tracer)
-    }
-
-    /// [`try_run_policy_with_fast_pages`](Self::try_run_policy_with_fast_pages)
-    /// with a structured event trace recorded into `tracer`. Tracing
-    /// does not perturb the run: the outcome is identical either way.
-    pub fn try_run_policy_with_fast_pages_traced(
-        &self,
-        policy_name: &str,
-        fast_pages: u64,
-        tracer: &mut Tracer,
-    ) -> Result<Outcome, PolicyError> {
-        let machine = self.machine(fast_pages);
-        let report = if policy_name == "soar" {
-            let mut soar = Soar::from_profile(self.soar(), fast_pages);
-            machine.run_traced(self.workload.as_ref(), &mut soar, tracer)
-        } else {
-            let mut policy = make_policy(policy_name)?;
-            machine.run_traced(self.workload.as_ref(), policy.as_mut(), tracer)
-        };
-        Ok(self.outcome(report))
-    }
-
-    /// [`run_policy`](Self::run_policy) with event tracing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown policy name.
-    pub fn run_policy_traced(
-        &self,
-        policy_name: &str,
-        ratio: TierRatio,
-        tracer: &mut Tracer,
-    ) -> Outcome {
-        let fast_pages = ratio.fast_pages(self.workload.footprint_bytes());
-        self.try_run_policy_with_fast_pages_traced(policy_name, fast_pages, tracer)
-            .unwrap_or_else(|e| panic!("{e}"))
+        if policy_name == "soar" {
+            let mut soar = Soar::from_profile(self.soar()?, fast_pages);
+            return self.run_custom(&mut soar, fast_pages, tracer);
+        }
+        self.run_custom(make_policy(policy_name)?.as_mut(), fast_pages, tracer)
     }
 
     /// Runs a caller-constructed policy (for custom configurations,
-    /// e.g. PACT ablations) with an explicit fast-tier size.
-    pub fn run_custom(&self, policy: &mut dyn TieringPolicy, fast_pages: u64) -> Outcome {
-        let machine = self.machine(fast_pages);
-        let report = machine.run(self.workload.as_ref(), policy);
-        self.outcome(report)
-    }
-
-    fn outcome(&self, report: RunReport) -> Outcome {
-        let dram = self.dram_cycles();
-        Outcome {
+    /// e.g. PACT ablations) with an explicit fast-tier size in pages.
+    pub fn run_custom(
+        &self,
+        policy: &mut dyn TieringPolicy,
+        fast_pages: u64,
+        tracer: Option<&mut Tracer>,
+    ) -> Result<Outcome, RunError> {
+        let report = self.machine(fast_pages)?.run(RunSpec {
+            tracer,
+            ..RunSpec::new(&[self.workload.as_ref()], policy)
+        })?;
+        let dram = self.dram_cycles()?;
+        Ok(Outcome {
             policy: report.policy.clone(),
             slowdown: report.total_cycles as f64 / dram as f64 - 1.0,
             promotions: report.promotions,
             demotions: report.demotions,
             report,
-        }
+        })
     }
 }
-
 /// Result of a policies × ratios sweep over one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
@@ -376,33 +314,6 @@ pub struct SweepResult {
     pub promotions: Vec<Vec<u64>>,
     /// Slowdown of the all-slow-tier run (the paper's gray "CXL" line).
     pub cxl: f64,
-}
-
-/// Runs every `(policy, ratio)` combination for the harness's
-/// workload, fanning the independent cells over
-/// [`jobs_from_env`](crate::exec::jobs_from_env) worker threads.
-///
-/// The result is bit-identical to the serial sweep (`PACT_JOBS=1`) for
-/// any worker count: cells share only immutable state and are merged
-/// in `(policy, ratio)` index order. Unknown policy names are skipped
-/// with a warning instead of aborting the sweep.
-///
-/// When `PACT_TRACE` names a directory, each cell additionally writes
-/// a trace file there (see [`ratio_sweep_traced`]).
-pub fn ratio_sweep(h: &Harness, policies: &[&str], ratios: &[TierRatio]) -> SweepResult {
-    ratio_sweep_jobs(h, policies, ratios, crate::exec::jobs_from_env())
-}
-
-/// [`ratio_sweep`] with an explicit worker count (`jobs = 1` is the
-/// serial path).
-pub fn ratio_sweep_jobs(
-    h: &Harness,
-    policies: &[&str],
-    ratios: &[TierRatio],
-    jobs: usize,
-) -> SweepResult {
-    let trace = crate::env::trace_config();
-    ratio_sweep_traced(h, policies, ratios, jobs, trace.as_ref())
 }
 
 /// Replaces path-hostile characters in a workload/policy name so it can
@@ -419,20 +330,31 @@ fn file_stem(s: &str) -> String {
         .collect()
 }
 
-/// [`ratio_sweep_jobs`] with an explicit trace destination. When
-/// `trace` is set, its path is treated as a directory and every cell
-/// writes one trace file named `<workload>_<policy>_<F>-<S>.<ext>`.
+/// Runs every `(policy, ratio)` combination for the harness's
+/// workload, fanning the independent cells over `jobs` worker threads
+/// (`jobs = 1` is the serial path; binaries pass
+/// [`jobs_from_env`](crate::exec::jobs_from_env)).
 ///
+/// The result is bit-identical to the serial sweep for any worker
+/// count: cells share only immutable state and are merged in
+/// `(policy, ratio)` index order. Unknown policy names are skipped
+/// with a warning instead of aborting the sweep; a failed run is
+/// returned as the error of the first failing cell in that order.
+///
+/// When `trace` is set (binaries pass
+/// [`env::trace_config`](crate::env::trace_config), i.e.
+/// `PACT_TRACE`), its path is treated as a directory and every cell
+/// writes one trace file named `<workload>_<policy>_<F>-<S>.<ext>`.
 /// File names and contents derive only from the cell's identity —
 /// never from worker scheduling — so the files are byte-identical for
 /// any `jobs` count; the CI observability gate pins this.
-pub fn ratio_sweep_traced(
+pub fn ratio_sweep(
     h: &Harness,
     policies: &[&str],
     ratios: &[TierRatio],
     jobs: usize,
     trace: Option<&TraceConfig>,
-) -> SweepResult {
+) -> Result<SweepResult, RunError> {
     let kept: Vec<&str> = policies
         .iter()
         .copied()
@@ -448,9 +370,9 @@ pub fn ratio_sweep_traced(
     // the DRAM baseline (via cxl_slowdown) and, if swept, the Soar
     // profile. OnceLock would serialize a race anyway; warming avoids
     // even that.
-    let cxl = h.cxl_slowdown();
+    let cxl = h.cxl_slowdown()?;
     if kept.contains(&"soar") {
-        h.soar();
+        h.soar()?;
     }
     if let Some(cfg) = trace {
         if let Err(e) = std::fs::create_dir_all(&cfg.path) {
@@ -462,14 +384,14 @@ pub fn ratio_sweep_traced(
     }
     let wl_stem = file_stem(&h.workload().name());
     let cells = kept.len() * ratios.len();
-    let outcomes = crate::exec::run_indexed(cells, jobs, |i| {
+    let outcomes = crate::exec::try_run_indexed(cells, jobs, |i| {
         let p = kept[i / ratios.len()];
         let r = ratios[i % ratios.len()];
         let Some(cfg) = trace else {
-            return h.run_policy(p, r);
+            return h.run_policy(p, r, None);
         };
         let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-        let out = h.run_policy_traced(p, r, &mut tracer);
+        let out = h.run_policy(p, r, Some(&mut tracer))?;
         let label = format!("{}/{}/{}", h.workload().name(), p, r);
         let body = export_trace(&out.report, &tracer, &label, cfg.format);
         let file = cfg.path.join(format!(
@@ -482,21 +404,21 @@ pub fn ratio_sweep_traced(
         if let Err(e) = std::fs::write(&file, body) {
             eprintln!("warning: cannot write trace {}: {e}", file.display());
         }
-        out
-    });
+        Ok(out)
+    })?;
     let mut slowdown = Vec::with_capacity(kept.len());
     let mut promotions = Vec::with_capacity(kept.len());
     for row in outcomes.chunks(ratios.len()) {
         slowdown.push(row.iter().map(|o| o.slowdown).collect());
         promotions.push(row.iter().map(|o| o.promotions).collect());
     }
-    SweepResult {
+    Ok(SweepResult {
         ratios: ratios.to_vec(),
         policies: kept.iter().map(|s| s.to_string()).collect(),
         slowdown,
         promotions,
         cxl,
-    }
+    })
 }
 
 impl SweepResult {
@@ -561,13 +483,13 @@ mod tests {
     fn unknown_policy_is_an_error_not_a_panic() {
         assert_eq!(
             make_policy("bogus").err(),
-            Some(PolicyError::Unknown("bogus".into()))
+            Some(RunError::UnknownPolicy("bogus".into()))
         );
-        assert_eq!(make_policy("soar").err(), Some(PolicyError::NeedsProfile));
+        assert_eq!(make_policy("soar").err(), Some(RunError::NeedsProfile));
         assert!(is_runnable_policy("soar"));
         assert!(is_runnable_policy("pact"));
         assert!(!is_runnable_policy("bogus"));
-        let msg = PolicyError::Unknown("bogus".into()).to_string();
+        let msg = RunError::UnknownPolicy("bogus".into()).to_string();
         assert!(msg.contains("unknown policy"), "{msg}");
     }
 
@@ -576,7 +498,7 @@ mod tests {
         let h = Harness::new(build("gups", Scale::Smoke, 9));
         let mut bad = experiment_machine(0);
         bad.window_cycles = 0;
-        let err = h.try_with_machine(bad).err().unwrap();
+        let err = h.with_machine(bad).err().unwrap();
         assert!(err.to_string().contains("window_cycles"), "{err}");
         // An invalid fault plan is caught the same way.
         let h = Harness::new(build("gups", Scale::Smoke, 9));
@@ -585,22 +507,44 @@ mod tests {
             drop_order: 2.0,
             ..FaultPlan::default()
         });
-        assert!(h.try_with_machine(bad).is_err());
+        assert!(h.with_machine(bad).is_err());
     }
 
     #[test]
-    fn try_run_policy_reports_unknown_names() {
+    fn run_policy_reports_unknown_names() {
         let h = Harness::new(build("gups", Scale::Smoke, 9));
-        let err = h.try_run_policy("bogus", TierRatio::new(1, 1)).unwrap_err();
-        assert_eq!(err, PolicyError::Unknown("bogus".into()));
+        let err = h
+            .run_policy("bogus", TierRatio::new(1, 1), None)
+            .unwrap_err();
+        assert_eq!(err, RunError::UnknownPolicy("bogus".into()));
+    }
+
+    #[test]
+    fn sim_errors_are_returned_not_panicked() {
+        let wl = pact_tiersim::TraceWorkload::new(
+            "bad",
+            PAGE_BYTES,
+            vec![pact_tiersim::Access::load(2 * PAGE_BYTES)],
+        );
+        let h = Harness::new(Box::new(wl));
+        let err = h.dram_cycles().unwrap_err();
+        assert!(matches!(err, SimError::AddressOutOfRange { .. }), "{err}");
+        for policy in ["notier", "soar"] {
+            let err = h
+                .run_policy(policy, TierRatio::new(1, 1), None)
+                .unwrap_err();
+            assert!(matches!(err, RunError::Sim(_)), "{policy}: {err}");
+        }
+        let err = ratio_sweep(&h, &["pact"], &[TierRatio::new(1, 1)], 1, None).unwrap_err();
+        assert!(err.to_string().contains("beyond footprint"), "{err}");
     }
 
     #[test]
     fn harness_normalizes_against_dram() {
         let h = Harness::new(build("silo", Scale::Smoke, 1));
-        let out = h.run_policy("notier", TierRatio::new(1, 1));
+        let out = h.run_policy("notier", TierRatio::new(1, 1), None).unwrap();
         assert!(out.slowdown > -0.01, "slowdown {}", out.slowdown);
-        let cxl = h.cxl_slowdown();
+        let cxl = h.cxl_slowdown().unwrap();
         assert!(
             cxl >= out.slowdown - 0.05,
             "cxl {} vs 1:1 {}",
@@ -612,7 +556,7 @@ mod tests {
     #[test]
     fn harness_runs_soar_via_profile() {
         let h = Harness::new(build("silo", Scale::Smoke, 1));
-        let out = h.run_policy("soar", TierRatio::new(1, 1));
+        let out = h.run_policy("soar", TierRatio::new(1, 1), None).unwrap();
         assert_eq!(out.policy, "soar");
         assert_eq!(out.promotions, 0);
     }
@@ -620,7 +564,7 @@ mod tests {
     #[test]
     fn harness_runs_pact() {
         let h = Harness::new(build("silo", Scale::Smoke, 1));
-        let out = h.run_policy("pact", TierRatio::new(1, 2));
+        let out = h.run_policy("pact", TierRatio::new(1, 2), None).unwrap();
         assert_eq!(out.policy, "pact");
         assert!(out.slowdown.is_finite());
     }
@@ -629,7 +573,7 @@ mod tests {
     fn sweep_renders_consistent_tables() {
         let h = Harness::new(build("gups", Scale::Smoke, 2));
         let ratios = [TierRatio::new(2, 1), TierRatio::new(1, 2)];
-        let sweep = ratio_sweep_jobs(&h, &["pact", "notier"], &ratios, 1);
+        let sweep = ratio_sweep(&h, &["pact", "notier"], &ratios, 1, None).unwrap();
         assert_eq!(sweep.policies, vec!["pact", "notier"]);
         assert_eq!(sweep.slowdown.len(), 2);
         assert_eq!(sweep.slowdown[0].len(), 2);
@@ -646,7 +590,7 @@ mod tests {
     fn sweep_skips_unknown_policies() {
         let h = Harness::new(build("gups", Scale::Smoke, 2));
         let ratios = [TierRatio::new(1, 1)];
-        let sweep = ratio_sweep_jobs(&h, &["notier", "made-up"], &ratios, 1);
+        let sweep = ratio_sweep(&h, &["notier", "made-up"], &ratios, 1, None).unwrap();
         assert_eq!(sweep.policies, vec!["notier"]);
         assert_eq!(sweep.slowdown.len(), 1);
     }
@@ -654,8 +598,8 @@ mod tests {
     #[test]
     fn dram_cycles_is_cached_and_stable() {
         let h = Harness::new(build("gups", Scale::Smoke, 3));
-        let a = h.dram_cycles();
-        let b = h.dram_cycles();
+        let a = h.dram_cycles().unwrap();
+        let b = h.dram_cycles().unwrap();
         assert_eq!(a, b);
         assert!(a > 0);
     }
@@ -665,8 +609,8 @@ mod tests {
         let h1 = Harness::new(build("gups", Scale::Smoke, 4));
         let h2 = Harness::from_arc(h1.workload_arc());
         assert_eq!(h1.dram_cycles(), h2.dram_cycles());
-        let a = h1.run_policy("pact", TierRatio::new(1, 2));
-        let b = h2.run_policy("pact", TierRatio::new(1, 2));
+        let a = h1.run_policy("pact", TierRatio::new(1, 2), None).unwrap();
+        let b = h2.run_policy("pact", TierRatio::new(1, 2), None).unwrap();
         assert_eq!(a.report.total_cycles, b.report.total_cycles);
     }
 }

@@ -318,7 +318,8 @@ mod tests {
         let mut cfg = MachineConfig::skylake_cxl(64);
         cfg.window_cycles = 20_000;
         let m = Machine::new(cfg).unwrap();
-        m.run(&wl, &mut FirstTouch::new())
+        m.try_run(&wl, &mut FirstTouch::new())
+            .expect("run succeeds")
     }
 
     #[test]

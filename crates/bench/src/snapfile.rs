@@ -121,7 +121,7 @@ impl CellSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_tiersim::{FirstTouch, Machine, MachineConfig, Tracer};
+    use pact_tiersim::{FirstTouch, Machine, MachineConfig, RunSpec};
     use pact_workloads::suite::{build, Scale};
 
     fn sample_frame() -> MachineSnapshot {
@@ -130,13 +130,10 @@ mod tests {
         cfg.snapshot_every = 2;
         let m = Machine::new(cfg).unwrap();
         let mut frames = Vec::new();
-        let mut tracer = Tracer::disabled();
-        m.try_run_snapshotting(
-            &[wl.as_ref()],
-            &mut FirstTouch::new(),
-            &mut tracer,
-            &mut |s| frames.push(s),
-        )
+        m.run(RunSpec {
+            snapshot_sink: Some(&mut |s| frames.push(s)),
+            ..RunSpec::new(&[wl.as_ref()], &mut FirstTouch::new())
+        })
         .unwrap();
         frames.remove(0)
     }

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use pact_bench::{ratio_sweep_jobs, Harness, TierRatio};
+use pact_bench::{ratio_sweep, Harness, TierRatio};
 use pact_tiersim::Workload;
 use pact_workloads::suite::{build, Scale};
 
@@ -22,8 +22,8 @@ const RATIOS: [TierRatio; 3] = [
 fn parallel_sweep_is_bit_identical_to_serial() {
     let policies = ["pact", "colloid", "memtis", "notier"];
     let h = Harness::new(build("gups", Scale::Smoke, 21));
-    let serial = ratio_sweep_jobs(&h, &policies, &RATIOS, 1);
-    let parallel = ratio_sweep_jobs(&h, &policies, &RATIOS, 4);
+    let serial = ratio_sweep(&h, &policies, &RATIOS, 1, None).expect("sweep runs");
+    let parallel = ratio_sweep(&h, &policies, &RATIOS, 4, None).expect("sweep runs");
 
     assert_eq!(serial.policies, parallel.policies);
     assert_eq!(serial.ratios, parallel.ratios);
@@ -45,9 +45,9 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 fn worker_count_never_changes_results() {
     let policies = ["pact", "notier"];
     let h = Harness::new(build("silo", Scale::Smoke, 5));
-    let reference = ratio_sweep_jobs(&h, &policies, &RATIOS[..2], 1);
+    let reference = ratio_sweep(&h, &policies, &RATIOS[..2], 1, None).expect("sweep runs");
     for jobs in [2, 3, 16] {
-        let sweep = ratio_sweep_jobs(&h, &policies, &RATIOS[..2], jobs);
+        let sweep = ratio_sweep(&h, &policies, &RATIOS[..2], jobs, None).expect("sweep runs");
         assert_eq!(sweep, reference, "jobs={jobs} diverged");
     }
 }
@@ -64,9 +64,8 @@ fn arc_shared_workload_matches_fresh_build() {
 
     assert_eq!(h_shared_a.dram_cycles(), h_fresh.dram_cycles());
     for (policy, ratio) in [("pact", RATIOS[1]), ("colloid", RATIOS[2])] {
-        let a = h_shared_a.run_policy(policy, ratio);
-        let b = h_shared_b.run_policy(policy, ratio);
-        let f = h_fresh.run_policy(policy, ratio);
+        let run = |h: &Harness| h.run_policy(policy, ratio, None).expect("run succeeds");
+        let (a, b, f) = (run(&h_shared_a), run(&h_shared_b), run(&h_fresh));
         assert_eq!(
             a.report.total_cycles, f.report.total_cycles,
             "{policy}@{ratio}"
@@ -89,12 +88,12 @@ fn arc_shared_workload_matches_fresh_build() {
 fn concurrent_runs_on_one_harness_are_deterministic() {
     let policies = ["pact", "soar", "tpp", "soar", "pact", "tpp"];
     let h = Harness::new(build("gups", Scale::Smoke, 8));
-    let serial: Vec<u64> = (0..policies.len())
-        .map(|i| h.run_policy(policies[i], RATIOS[1]).report.total_cycles)
-        .collect();
+    let cycles = |h: &Harness, i: usize| {
+        let out = h.run_policy(policies[i], RATIOS[1], None);
+        out.expect("run succeeds").report.total_cycles
+    };
+    let serial: Vec<u64> = (0..policies.len()).map(|i| cycles(&h, i)).collect();
     let h2 = Harness::new(build("gups", Scale::Smoke, 8));
-    let parallel: Vec<u64> = pact_bench::run_indexed(policies.len(), 4, |i| {
-        h2.run_policy(policies[i], RATIOS[1]).report.total_cycles
-    });
+    let parallel: Vec<u64> = pact_bench::run_indexed(policies.len(), 4, |i| cycles(&h2, i));
     assert_eq!(serial, parallel);
 }

@@ -110,6 +110,47 @@ fn check_replays_a_single_case() {
 }
 
 #[test]
+fn one_shot_summary_and_trace_agree_for_the_same_seed() {
+    // Both start from the same `--seed`, so they simulate the same
+    // machine and must report the same cycle count.
+    let flags = [
+        "--workload",
+        "gups",
+        "--policy",
+        "pact",
+        "--seed",
+        "7",
+        "--scale",
+        "smoke",
+    ];
+    let out = run(&flags);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let summary = String::from_utf8_lossy(&out.stdout).into_owned();
+    let total = summary
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("total cycles:"))
+        .expect("summary prints total cycles")
+        .trim()
+        .to_string();
+    let path = fixture_dir("seeded_trace.json");
+    let out = run(&[
+        &["trace"],
+        &flags[..],
+        &["--out", path.to_str().expect("utf8")],
+    ]
+    .concat());
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let traced = String::from_utf8_lossy(&out.stdout).into_owned();
+    let want = format!(", {total} cycles");
+    assert!(
+        traced
+            .lines()
+            .any(|l| l.starts_with("traced ") && l.ends_with(&want)),
+        "one-shot printed {total} cycles, trace printed:\n{traced}"
+    );
+}
+
+#[test]
 fn list_exits_0() {
     let out = run(&["--list"]);
     assert_eq!(out.status.code(), Some(0));

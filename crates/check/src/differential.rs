@@ -6,7 +6,7 @@
 //!
 //! * **repeat** — the identical run twice (catches hidden global
 //!   state and iteration-order nondeterminism);
-//! * **trace** — event tracing on vs off (`run` vs `run_traced`);
+//! * **trace** — event tracing on vs off (`RunSpec::tracer` unset vs set);
 //! * **invariants** — the runtime invariant checker armed vs not;
 //! * **inert faults** — a fault plan whose every probability is zero.
 //!   Fault-injection state registers its own `fault/*` metrics, so the
@@ -26,7 +26,8 @@
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
     AdmissionControl, CriticalityReport, FaultPlan, FirstTouch, InvariantSet, Machine,
-    MachineConfig, MachineSnapshot, RunReport, SimError, TenantSpec, Tracer, Workload, PAGE_BYTES,
+    MachineConfig, MachineSnapshot, RunReport, RunSpec, SimError, TenantSpec, Tracer, Workload,
+    PAGE_BYTES,
 };
 use pact_workloads::suite::{build, Scale};
 
@@ -73,19 +74,26 @@ fn fingerprint(report: &RunReport) -> String {
     r.to_json()
 }
 
+/// PACT at its default configuration.
+fn default_pact() -> PactPolicy {
+    // Invariant: the default PactConfig passes its own validation
+    // (pinned by pact-core tests).
+    PactPolicy::new(PactConfig::default()).expect("default config is valid")
+}
+
 fn run_with(cfg: &MachineConfig, wl: &dyn Workload, traced: bool) -> Result<RunReport, SimError> {
     // Invariant: the caller's config came from a validated preset with
     // only validated-range edits, so Machine::new cannot fail.
     let machine = Machine::new(cfg.clone()).expect("differential config is valid");
-    // Invariant: the default PactConfig passes its own validation
-    // (pinned by pact-core tests).
-    let mut policy = PactPolicy::new(PactConfig::default()).expect("default config is valid");
-    if traced {
-        let mut tracer = Tracer::ring(1 << 16);
-        machine.try_run_traced(wl, &mut policy, &mut tracer)
+    let mut tracer = if traced {
+        Tracer::ring(1 << 16)
     } else {
-        machine.try_run(wl, &mut policy)
-    }
+        Tracer::disabled()
+    };
+    machine.run(RunSpec {
+        tracer: Some(&mut tracer),
+        ..RunSpec::new(&[wl], &mut default_pact())
+    })
 }
 
 /// A fault plan that can never fire: every probability is zero and no
@@ -232,10 +240,8 @@ pub fn tenant_conservation_oracle(workload: &str, seed: u64) -> Result<(), Strin
 
     // Invariant: the preset plus validated-range edits construct.
     let m = Machine::new(cfg).expect("fleet config is valid");
-    // Invariant: the default PactConfig passes its own validation.
-    let mut p = PactPolicy::new(PactConfig::default()).expect("default config is valid");
     let base = m
-        .try_run_colocated(&tenants, &mut p)
+        .run(RunSpec::new(&tenants, &mut default_pact()))
         .map_err(|e| format!("fleet run failed: {e}"))?;
     if base.tenants.len() != 3 {
         return Err(format!(
@@ -427,12 +433,12 @@ pub fn kill_resume_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
     // Invariant: skylake_cxl presets with validated-range edits always
     // construct.
     let machine = Machine::new(cfg.clone()).expect("kill-resume config is valid");
-    // Invariant: the default PactConfig passes its own validation.
-    let mut policy = PactPolicy::new(PactConfig::default()).expect("default config is valid");
     let mut frames: Vec<MachineSnapshot> = Vec::new();
-    let mut tracer = Tracer::disabled();
     let base = machine
-        .try_run_snapshotting(&[wl], &mut policy, &mut tracer, &mut |s| frames.push(s))
+        .run(RunSpec {
+            snapshot_sink: Some(&mut |s| frames.push(s)),
+            ..RunSpec::new(&[wl], &mut default_pact())
+        })
         .map_err(|e| format!("capture run failed: {e}"))?;
     let base_art = artifacts(&base)?;
     if frames.is_empty() {
@@ -441,16 +447,18 @@ pub fn kill_resume_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
 
     let mut picks = vec![0, frames.len() / 2, frames.len() - 1];
     picks.dedup();
-    let resume = |frame: &MachineSnapshot| -> Result<RunReport, SimError> {
-        let mut rcfg = cfg.clone();
+    // Resumes `frame` on `rcfg` with capture off.
+    let resume_on = |mut rcfg: MachineConfig, frame: &MachineSnapshot| {
         rcfg.snapshot_every = 0;
-        // Invariant: the base config was valid and cadence 0 is too.
+        // Invariant: the base config was valid, and cadence 0 or a fast
+        // tier one page larger keep it valid.
         let m = Machine::new(rcfg).expect("resume config is valid");
-        // Invariant: the default PactConfig passes its own validation.
-        let mut p = PactPolicy::new(PactConfig::default()).expect("default config is valid");
-        let mut t = Tracer::disabled();
-        m.try_resume(&[wl], &mut p, &mut t, frame)
+        m.run(RunSpec {
+            resume_from: Some(frame),
+            ..RunSpec::new(&[wl], &mut default_pact())
+        })
     };
+    let resume = |frame: &MachineSnapshot| resume_on(cfg.clone(), frame);
     for &i in &picks {
         let window = frames[i]
             .window()
@@ -493,18 +501,9 @@ pub fn kill_resume_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
         }
         Ok(_) => return Err("version-bumped frame was accepted".to_string()),
     }
-    let mismatched = {
-        let mut mcfg = cfg.clone();
-        mcfg.fast_tier_pages += 1;
-        mcfg.snapshot_every = 0;
-        // Invariant: growing the fast tier by one page stays valid.
-        let m = Machine::new(mcfg).expect("mismatch config is valid");
-        // Invariant: the default PactConfig passes its own validation.
-        let mut p = PactPolicy::new(PactConfig::default()).expect("default config is valid");
-        let mut t = Tracer::disabled();
-        m.try_resume(&[wl], &mut p, &mut t, last)
-    };
-    match mismatched {
+    let mut mcfg = cfg.clone();
+    mcfg.fast_tier_pages += 1;
+    match resume_on(mcfg, last) {
         Err(SimError::Snapshot(_)) => Ok(()),
         Err(e) => Err(format!(
             "configuration-mismatched frame rejected with the wrong error: {e}"

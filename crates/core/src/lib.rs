@@ -32,7 +32,7 @@
 //! let wl = TraceWorkload::new("chase", 256 * 4096, trace);
 //! let machine = Machine::new(MachineConfig::skylake_cxl(64)).unwrap();
 //! let mut pact = PactPolicy::new(PactConfig::default())?;
-//! let report = machine.run(&wl, &mut pact);
+//! let report = machine.try_run(&wl, &mut pact).unwrap();
 //! assert_eq!(report.policy, "pact");
 //! # Ok(())
 //! # }

@@ -37,7 +37,7 @@ use crate::store::PacStore;
 /// let wl = TraceWorkload::new("chase", 512 * 4096, trace);
 /// let machine = Machine::new(MachineConfig::skylake_cxl(128)).unwrap();
 /// let mut pact = PactPolicy::new(PactConfig::default()).unwrap();
-/// let report = machine.run(&wl, &mut pact);
+/// let report = machine.try_run(&wl, &mut pact).unwrap();
 /// assert_eq!(report.policy, "pact");
 /// ```
 #[derive(Debug, Clone)]
@@ -485,7 +485,9 @@ impl TieringPolicy for PactPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_tiersim::{Access, Machine, MachineConfig, PebsScope, TraceWorkload, PAGE_BYTES};
+    use pact_tiersim::{
+        Access, Machine, MachineConfig, PebsScope, RunSpec, TraceWorkload, PAGE_BYTES,
+    };
 
     fn mixed_workload() -> TraceWorkload {
         // Half the pages are pointer-chased (critical), half streamed.
@@ -523,7 +525,7 @@ mod tests {
         let wl = mixed_workload();
         let m = Machine::new(small_cfg(128)).unwrap();
         let mut p = PactPolicy::new(PactConfig::default()).unwrap();
-        let r = m.run(&wl, &mut p);
+        let r = m.try_run(&wl, &mut p).expect("run succeeds");
         assert!(r.promotions > 0, "PACT never promoted");
         assert_eq!(r.policy, "pact");
     }
@@ -533,8 +535,10 @@ mod tests {
         let wl = mixed_workload();
         let m = Machine::new(small_cfg(192)).unwrap();
         let mut pact = PactPolicy::new(PactConfig::default()).unwrap();
-        let r_pact = m.run(&wl, &mut pact);
-        let r_ft = m.run(&wl, &mut pact_tiersim::FirstTouch::new());
+        let r_pact = m.try_run(&wl, &mut pact).expect("run succeeds");
+        let r_ft = m
+            .try_run(&wl, &mut pact_tiersim::FirstTouch::new())
+            .expect("run succeeds");
         assert!(
             r_pact.total_cycles < r_ft.total_cycles,
             "pact {} vs first-touch {}",
@@ -551,7 +555,7 @@ mod tests {
         let wl = mixed_workload();
         let m = Machine::new(small_cfg(0)).unwrap();
         let mut p = PactPolicy::new(PactConfig::default()).unwrap();
-        let r = m.run(&wl, &mut p);
+        let r = m.try_run(&wl, &mut p).expect("run succeeds");
         // Inspect the PAC store: chased pages should carry higher PAC.
         let mut chase_pac = 0.0;
         let mut stream_pac = 0.0;
@@ -593,7 +597,7 @@ mod tests {
         let wl = mixed_workload();
         let m = Machine::new(small_cfg(128)).unwrap();
         let mut p = PactPolicy::new(PactConfig::default()).unwrap();
-        let r = m.run(&wl, &mut p);
+        let r = m.try_run(&wl, &mut p).expect("run succeeds");
         let has_width = r
             .windows
             .iter()
@@ -610,7 +614,7 @@ mod tests {
             ..PactConfig::default()
         };
         let mut p = PactPolicy::new(cfg).unwrap();
-        let r = m.run(&wl, &mut p);
+        let r = m.try_run(&wl, &mut p).expect("run succeeds");
         // Telemetry only lands on period boundaries: at most 1/4 of
         // windows carry it.
         let with_telem = r.windows.iter().filter(|w| !w.telemetry.is_empty()).count();
@@ -628,7 +632,7 @@ mod tests {
             ..PactConfig::default()
         };
         let mut p = PactPolicy::new(pact_cfg).unwrap();
-        let r = m.run(&wl, &mut p);
+        let r = m.try_run(&wl, &mut p).expect("run succeeds");
         assert!(r.promotions > 0, "CHMU-driven PACT never promoted");
         // Device-side counting sees every slow miss, so tracking volume
         // exceeds what 1-in-N PEBS sampling would deliver.
@@ -641,7 +645,7 @@ mod tests {
         let m = Machine::new(small_cfg(128)).unwrap();
         let mut p = PactPolicy::new(PactConfig::default()).unwrap();
         p.audit().unwrap(); // fresh policy is consistent
-        m.run(&wl, &mut p);
+        m.try_run(&wl, &mut p).expect("run succeeds");
         p.audit().unwrap();
     }
 
@@ -653,22 +657,23 @@ mod tests {
         mcfg.track_page_stalls = true;
         let m = Machine::new(mcfg).unwrap();
         let mut snaps = Vec::new();
-        let mut tracer = pact_tiersim::Tracer::disabled();
         let reference = m
-            .try_run_snapshotting(
-                &[&wl],
-                &mut PactPolicy::new(PactConfig::default()).unwrap(),
-                &mut tracer,
-                &mut |s| snaps.push(s),
-            )
+            .run(RunSpec {
+                snapshot_sink: Some(&mut |s| snaps.push(s)),
+                ..RunSpec::new(&[&wl], &mut PactPolicy::new(PactConfig::default()).unwrap())
+            })
             .unwrap();
         assert!(!snaps.is_empty());
         assert!(reference.promotions > 0);
         let ref_dbg = format!("{reference:?}");
         for snap in &snaps {
             let mut p = PactPolicy::new(PactConfig::default()).unwrap();
-            let mut tr = pact_tiersim::Tracer::disabled();
-            let resumed = m.try_resume(&[&wl], &mut p, &mut tr, snap).unwrap();
+            let resumed = m
+                .run(RunSpec {
+                    resume_from: Some(snap),
+                    ..RunSpec::new(&[&wl], &mut p)
+                })
+                .unwrap();
             assert_eq!(
                 format!("{resumed:?}"),
                 ref_dbg,
@@ -683,9 +688,11 @@ mod tests {
             ..PactConfig::default()
         };
         let mut p = PactPolicy::new(other).unwrap();
-        let mut tr = pact_tiersim::Tracer::disabled();
         let err = m
-            .try_resume(&[&wl], &mut p, &mut tr, &snaps[0])
+            .run(RunSpec {
+                resume_from: Some(&snaps[0]),
+                ..RunSpec::new(&[&wl], &mut p)
+            })
             .unwrap_err();
         assert!(err.to_string().contains("configuration"), "{err}");
     }
@@ -695,8 +702,8 @@ mod tests {
         let wl = mixed_workload();
         let m = Machine::new(small_cfg(128)).unwrap();
         let mut p = PactPolicy::new(PactConfig::default()).unwrap();
-        let r1 = m.run(&wl, &mut p);
-        let r2 = m.run(&wl, &mut p); // prepare() resets state
+        let r1 = m.try_run(&wl, &mut p).expect("run succeeds");
+        let r2 = m.try_run(&wl, &mut p).expect("run succeeds"); // prepare() resets state
         assert_eq!(r1.total_cycles, r2.total_cycles);
         assert_eq!(r1.promotions, r2.promotions);
     }

@@ -86,7 +86,7 @@ proptest! {
         mcfg.chmu_counters = if cfg.sampling == SamplingSource::Chmu { 512 } else { 0 };
         let machine = Machine::new(mcfg).unwrap();
         let mut policy = PactPolicy::new(cfg).unwrap();
-        let r = machine.run(&wl, &mut policy);
+        let r = machine.try_run(&wl, &mut policy).expect("run succeeds");
         prop_assert!(r.total_cycles > 0);
         prop_assert!(r.promotions <= r.demotions + fast);
         prop_assert!(r.counters.total_stalls() <= r.total_cycles);
@@ -103,7 +103,7 @@ proptest! {
         let machine = Machine::new(mcfg).unwrap();
         let run = || {
             let mut p = PactPolicy::new(cfg.clone()).unwrap();
-            let r = machine.run(&wl, &mut p);
+            let r = machine.try_run(&wl, &mut p).expect("run succeeds");
             (r.total_cycles, r.promotions, r.demotions)
         };
         prop_assert_eq!(run(), run());
@@ -120,7 +120,7 @@ proptest! {
         let machine = Machine::new(mcfg).unwrap();
         let total_pac = |alpha: f64| {
             let mut p = PactPolicy::new(PactConfig { alpha, ..PactConfig::default() }).unwrap();
-            machine.run(&wl, &mut p);
+            machine.try_run(&wl, &mut p).expect("run succeeds");
             p.store().iter().map(|(_, e)| e.pac).sum::<f64>()
         };
         let decayed = total_pac(alpha);

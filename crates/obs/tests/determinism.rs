@@ -8,7 +8,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use pact_bench::{ratio_sweep_traced, Harness, TierRatio};
+use pact_bench::{ratio_sweep, Harness, TierRatio};
 use pact_obs::{validate, TraceConfig, TraceFormat, Tracer, DEFAULT_RING_CAPACITY};
 use pact_tiersim::export_trace;
 use pact_workloads::suite::{build, Scale};
@@ -25,9 +25,11 @@ fn harness() -> Harness {
 fn traced_run_report_matches_untraced() {
     let h = harness();
     let ratio = TierRatio::new(1, 1);
-    let untraced = h.run_policy("pact", ratio);
+    let untraced = h.run_policy("pact", ratio, None).expect("run succeeds");
     let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-    let traced = h.run_policy_traced("pact", ratio, &mut tracer);
+    let traced = h
+        .run_policy("pact", ratio, Some(&mut tracer))
+        .expect("run succeeds");
     assert!(!tracer.is_empty(), "traced run recorded no events");
     assert_eq!(
         untraced.report.to_json(),
@@ -43,7 +45,9 @@ fn repeated_seeded_runs_export_identical_traces() {
     let run = || {
         let h = harness();
         let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-        let out = h.run_policy_traced("pact", TierRatio::new(1, 1), &mut tracer);
+        let out = h
+            .run_policy("pact", TierRatio::new(1, 1), Some(&mut tracer))
+            .expect("run succeeds");
         let chrome = export_trace(
             &out.report,
             &tracer,
@@ -108,8 +112,8 @@ fn sweep_trace_files_identical_across_jobs() {
         format: TraceFormat::Jsonl,
     };
 
-    let serial = ratio_sweep_traced(&h, &policies, &ratios, 1, Some(&cfg1));
-    let parallel = ratio_sweep_traced(&h, &policies, &ratios, 4, Some(&cfg4));
+    let serial = ratio_sweep(&h, &policies, &ratios, 1, Some(&cfg1)).expect("sweep runs");
+    let parallel = ratio_sweep(&h, &policies, &ratios, 4, Some(&cfg4)).expect("sweep runs");
     assert_eq!(serial, parallel, "sweep results diverged across jobs");
 
     let files1 = dir_contents(&dir1);
@@ -146,8 +150,8 @@ fn sweep_chrome_traces_identical_across_jobs() {
         path: p.clone(),
         format: TraceFormat::Chrome,
     };
-    ratio_sweep_traced(&h, &policies, &ratios, 1, Some(&cfg(&dir1)));
-    ratio_sweep_traced(&h, &policies, &ratios, 4, Some(&cfg(&dir4)));
+    ratio_sweep(&h, &policies, &ratios, 1, Some(&cfg(&dir1))).expect("sweep runs");
+    ratio_sweep(&h, &policies, &ratios, 4, Some(&cfg(&dir4))).expect("sweep runs");
 
     let files1 = dir_contents(&dir1);
     let files4 = dir_contents(&dir4);

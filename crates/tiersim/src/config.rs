@@ -118,8 +118,8 @@ pub struct MigrationConfig {
 
 /// One tenant in a multi-tenant fleet cell.
 ///
-/// Tenants map 1:1 onto the colocated workloads passed to
-/// [`crate::Machine::run_colocated`]: tenant `i` owns workload `i`'s
+/// Tenants map 1:1 onto the colocated workloads of a
+/// [`RunSpec`](crate::RunSpec): tenant `i` owns workload `i`'s
 /// threads and its page-ownership partition (the disjoint base-page
 /// range the colocation layout already assigns to each process). The
 /// spec adds a display name and a QoS weight; the weight divides the

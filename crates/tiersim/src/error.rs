@@ -1,11 +1,10 @@
 //! Typed simulator errors.
 //!
 //! Invalid configurations, malformed fault specifications, and degenerate
-//! workload sets surface as [`SimError`] values from the `try_*` run APIs
-//! instead of process aborts. The legacy panicking entry points
-//! ([`Machine::run`](crate::Machine::run) and friends) are thin wrappers
-//! that panic with the same `Display` text, so existing callers and
-//! `should_panic` tests keep their messages.
+//! workload sets surface as [`SimError`] values from
+//! [`Machine::run`](crate::Machine::run) and
+//! [`Machine::try_run`](crate::Machine::try_run) instead of process
+//! aborts; no run entry point panics.
 
 use crate::config::ConfigError;
 use crate::invariant::InvariantViolation;

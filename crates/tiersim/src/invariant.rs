@@ -620,10 +620,12 @@ mod tests {
         plain_cfg.invariants = None;
         let plain = Machine::new(plain_cfg)
             .unwrap()
-            .run(&wl, &mut FirstTouch::new());
+            .try_run(&wl, &mut FirstTouch::new())
+            .expect("run succeeds");
         let checked = Machine::new(checked_cfg(100))
             .unwrap()
-            .run(&wl, &mut FirstTouch::new());
+            .try_run(&wl, &mut FirstTouch::new())
+            .expect("run succeeds");
         assert_eq!(plain.total_cycles, checked.total_cycles);
         assert_eq!(plain.counters, checked.counters);
         assert_eq!(plain.windows.len(), checked.windows.len());

@@ -38,7 +38,7 @@
 //!
 //! // Fast tier holds only 64 of the 256 pages.
 //! let machine = Machine::new(MachineConfig::skylake_cxl(64)).unwrap();
-//! let report = machine.run(&wl, &mut FirstTouch::new());
+//! let report = machine.try_run(&wl, &mut FirstTouch::new()).unwrap();
 //! assert!(report.counters.total_misses() > 0);
 //! ```
 
@@ -76,7 +76,9 @@ pub use config::{
 pub use error::SimError;
 pub use fault::{FaultPlan, StallFault, FAULTS_ENV};
 pub use invariant::{InvariantSet, InvariantViolation};
-pub use machine::{Machine, ProcessReport, RunReport, TenantReport, WindowRecord, MAX_DEFERRALS};
+pub use machine::{
+    Machine, ProcessReport, RunReport, RunSpec, TenantReport, WindowRecord, MAX_DEFERRALS,
+};
 pub use mem::Memory;
 pub use observe::export_trace;
 pub use pact_obs::{

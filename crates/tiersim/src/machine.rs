@@ -164,27 +164,10 @@ pub struct RunReport {
     pub tenants: Vec<TenantReport>,
 }
 
-impl RunReport {
-    /// Slowdown relative to a reference run: `cycles / base.cycles - 1`.
-    ///
-    /// The paper reports slowdown against the ideal DRAM-only execution;
-    /// 0.0 means "as fast as DRAM", 1.0 means "twice the runtime".
-    pub fn slowdown_vs(&self, baseline: &RunReport) -> f64 {
-        assert!(baseline.total_cycles > 0, "baseline has zero cycles");
-        self.total_cycles as f64 / baseline.total_cycles as f64 - 1.0
-    }
-
-    /// Migration-unit promotions (base-page count divided by the unit
-    /// span used in the run) are not tracked separately; this returns the
-    /// base-page count, which is what Table 2 compares.
-    pub fn promoted_pages(&self) -> u64 {
-        self.promotions
-    }
-}
-
 /// A deterministic tiered-memory machine.
 ///
-/// Construct once from a [`MachineConfig`]; each [`run`](Self::run) is an
+/// Construct once from a [`MachineConfig`]; each [`run`](Self::run) (or
+/// its one-workload shorthand [`try_run`](Self::try_run)) is an
 /// independent simulation with fresh state.
 ///
 /// # Example
@@ -195,7 +178,7 @@ impl RunReport {
 /// let trace: Vec<Access> = (0..20_000).map(|i| Access::load((i * 64) % 65_536)).collect();
 /// let wl = TraceWorkload::new("stream", 65_536, trace);
 /// let machine = Machine::new(MachineConfig::skylake_cxl(4)).unwrap();
-/// let report = machine.run(&wl, &mut FirstTouch::new());
+/// let report = machine.try_run(&wl, &mut FirstTouch::new()).unwrap();
 /// assert!(report.total_cycles > 0);
 /// ```
 #[derive(Debug, Clone)]
@@ -241,184 +224,102 @@ impl Machine {
         }
     }
 
-    /// Runs a single workload under `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate workload set or an out-of-range address;
-    /// see [`try_run`](Self::try_run) for the fallible form.
-    pub fn run(&self, workload: &dyn Workload, policy: &mut dyn TieringPolicy) -> RunReport {
-        self.run_colocated(&[workload], policy)
-    }
-
-    /// Fallible [`run`](Self::run): degenerate workload sets and
-    /// out-of-range addresses surface as [`SimError`]s.
+    /// Runs one simulation as described by `spec`: each call is an
+    /// independent run with fresh state (or the state restored from
+    /// [`RunSpec::resume_from`]).
     ///
     /// # Errors
     ///
-    /// See [`try_run_colocated`](Self::try_run_colocated).
+    /// [`SimError::NoWorkloads`] / [`SimError::NoStreams`] /
+    /// [`SimError::NoForeground`] for degenerate workload sets,
+    /// [`SimError::AddressOutOfRange`] when a stream emits an address
+    /// beyond its declared footprint, and [`SimError::Snapshot`] for a
+    /// corrupt, truncated, version- or configuration-mismatched resume
+    /// frame or when capture is armed under a policy that does not
+    /// implement [`TieringPolicy::save_state`].
+    pub fn run(&self, spec: RunSpec<'_>) -> Result<RunReport, SimError> {
+        if spec.workloads.is_empty() {
+            return Err(SimError::NoWorkloads);
+        }
+        let mut disabled = Tracer::disabled();
+        let tracer = spec.tracer.unwrap_or(&mut disabled);
+        let mut sim = Sim::new(&self.cfg, spec.workloads, spec.policy, tracer)?;
+        if let Some(sink) = spec.snapshot_sink {
+            sim.snap_sink = Some(sink);
+        }
+        if let Some(snap) = spec.resume_from {
+            sim.restore(snap)?;
+        }
+        sim.run()
+    }
+
+    /// Shorthand for the common case: one workload under `policy`,
+    /// untraced, no snapshots.
+    ///
+    /// # Errors
+    ///
+    /// See [`run`](Self::run).
     pub fn try_run(
         &self,
         workload: &dyn Workload,
         policy: &mut dyn TieringPolicy,
     ) -> Result<RunReport, SimError> {
-        self.try_run_colocated(&[workload], policy)
+        self.run(RunSpec::new(&[workload], policy))
     }
+}
 
-    /// [`run`](Self::run) with a structured event trace recorded into
-    /// `tracer` (see [`pact_obs::Tracer`]). The trace does not perturb
-    /// the simulation: the report is identical to an untraced run.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`run`](Self::run) does.
-    pub fn run_traced(
-        &self,
-        workload: &dyn Workload,
-        policy: &mut dyn TieringPolicy,
-        tracer: &mut Tracer,
-    ) -> RunReport {
-        self.run_colocated_traced(&[workload], policy, tracer)
-    }
+/// Everything one [`Machine::run`] needs besides the machine itself.
+///
+/// Build it with [`RunSpec::new`] and set the optional parts with
+/// struct-update syntax:
+///
+/// ```
+/// # use pact_tiersim::{Access, FirstTouch, Machine, MachineConfig, RunSpec, TraceWorkload, Tracer};
+/// # let wl = TraceWorkload::new("s", 4096, vec![Access::load(0)]);
+/// # let machine = Machine::new(MachineConfig::skylake_cxl(4)).unwrap();
+/// let mut tracer = Tracer::ring(1024);
+/// let report = machine
+///     .run(RunSpec {
+///         tracer: Some(&mut tracer),
+///         ..RunSpec::new(&[&wl], &mut FirstTouch::new())
+///     })
+///     .unwrap();
+/// assert_eq!(report.per_process.len(), 1);
+/// ```
+pub struct RunSpec<'a> {
+    /// The workloads to run: one for a plain run, several for a
+    /// colocated one (separate address spaces sharing the LLC,
+    /// channels and fast tier).
+    pub workloads: &'a [&'a dyn Workload],
+    /// The tiering policy governing the run.
+    pub policy: &'a mut dyn TieringPolicy,
+    /// Records a structured event trace (see [`pact_obs::Tracer`]).
+    /// Tracing does not perturb the run: the report is identical to an
+    /// untraced one.
+    pub tracer: Option<&'a mut Tracer>,
+    /// Receives a sealed [`MachineSnapshot`] after every
+    /// [`MachineConfig::snapshot_every`] completed windows (nothing
+    /// when that is 0). Capture does not perturb the run.
+    pub snapshot_sink: Option<&'a mut dyn FnMut(MachineSnapshot)>,
+    /// Continues a run from this frame instead of starting fresh; the
+    /// report (and every trace, metrics and captured-frame byte) is
+    /// identical to the uninterrupted run's. The workloads and policy
+    /// must be the ones the frame was captured under, and the machine
+    /// configuration must match its fingerprint except
+    /// `snapshot_every`, which may differ freely.
+    pub resume_from: Option<&'a MachineSnapshot>,
+}
 
-    /// Fallible [`run_traced`](Self::run_traced).
-    ///
-    /// # Errors
-    ///
-    /// See [`try_run_colocated`](Self::try_run_colocated).
-    pub fn try_run_traced(
-        &self,
-        workload: &dyn Workload,
-        policy: &mut dyn TieringPolicy,
-        tracer: &mut Tracer,
-    ) -> Result<RunReport, SimError> {
-        self.try_run_colocated_traced(&[workload], policy, tracer)
-    }
-
-    /// Runs several colocated workloads (separate address spaces, shared
-    /// LLC, channels, and fast tier) under one `policy`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workloads` is empty or a stream emits an out-of-range
-    /// address ([`try_run_colocated`](Self::try_run_colocated) returns
-    /// these as errors instead).
-    pub fn run_colocated(
-        &self,
-        workloads: &[&dyn Workload],
-        policy: &mut dyn TieringPolicy,
-    ) -> RunReport {
-        let mut tracer = Tracer::disabled();
-        self.run_colocated_traced(workloads, policy, &mut tracer)
-    }
-
-    /// Fallible [`run_colocated`](Self::run_colocated).
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::NoWorkloads`] / [`SimError::NoStreams`] /
-    /// [`SimError::NoForeground`] for degenerate workload sets, and
-    /// [`SimError::AddressOutOfRange`] when a stream emits an address
-    /// beyond its declared footprint.
-    pub fn try_run_colocated(
-        &self,
-        workloads: &[&dyn Workload],
-        policy: &mut dyn TieringPolicy,
-    ) -> Result<RunReport, SimError> {
-        let mut tracer = Tracer::disabled();
-        self.try_run_colocated_traced(workloads, policy, &mut tracer)
-    }
-
-    /// [`run_colocated`](Self::run_colocated) with event tracing.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`run_colocated`](Self::run_colocated) does.
-    pub fn run_colocated_traced(
-        &self,
-        workloads: &[&dyn Workload],
-        policy: &mut dyn TieringPolicy,
-        tracer: &mut Tracer,
-    ) -> RunReport {
-        // Legacy panicking wrapper: the panic text is the error's
-        // Display form, which existing `should_panic` tests pin.
-        self.try_run_colocated_traced(workloads, policy, tracer)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`run_colocated_traced`](Self::run_colocated_traced):
-    /// the primary entry point every other run method funnels into.
-    ///
-    /// # Errors
-    ///
-    /// See [`try_run_colocated`](Self::try_run_colocated).
-    pub fn try_run_colocated_traced(
-        &self,
-        workloads: &[&dyn Workload],
-        policy: &mut dyn TieringPolicy,
-        tracer: &mut Tracer,
-    ) -> Result<RunReport, SimError> {
-        if workloads.is_empty() {
-            return Err(SimError::NoWorkloads);
+impl<'a> RunSpec<'a> {
+    /// A fresh, untraced run of `workloads` under `policy`.
+    pub fn new(workloads: &'a [&'a dyn Workload], policy: &'a mut dyn TieringPolicy) -> Self {
+        Self {
+            workloads,
+            policy,
+            tracer: None,
+            snapshot_sink: None,
+            resume_from: None,
         }
-        Sim::new(&self.cfg, workloads, policy, tracer)?.run()
-    }
-
-    /// [`try_run_colocated_traced`](Self::try_run_colocated_traced)
-    /// with crash-recovery snapshot capture: after every
-    /// [`MachineConfig::snapshot_every`] completed windows, the
-    /// complete machine state is sealed into a [`MachineSnapshot`] and
-    /// handed to `sink`. With `snapshot_every == 0` this is exactly a
-    /// plain run. The capture does not perturb the simulation: the
-    /// report is byte-identical to an uncaptured run.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`try_run_colocated`](Self::try_run_colocated)
-    /// returns, plus [`SimError::Snapshot`] when the active policy does
-    /// not implement
-    /// [`TieringPolicy::save_state`](crate::TieringPolicy::save_state).
-    pub fn try_run_snapshotting(
-        &self,
-        workloads: &[&dyn Workload],
-        policy: &mut dyn TieringPolicy,
-        tracer: &mut Tracer,
-        sink: &mut dyn FnMut(MachineSnapshot),
-    ) -> Result<RunReport, SimError> {
-        if workloads.is_empty() {
-            return Err(SimError::NoWorkloads);
-        }
-        let mut sim = Sim::new(&self.cfg, workloads, policy, tracer)?;
-        sim.snap_sink = Some(sink);
-        sim.run()
-    }
-
-    /// Resumes a run from `snapshot` and drives it to completion: the
-    /// returned report (and every trace/metrics byte) is identical to
-    /// the uninterrupted run's. The workloads must be the ones the
-    /// snapshot was captured under; the machine configuration must
-    /// match the snapshot's fingerprint, except `snapshot_every`, which
-    /// may differ freely.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Snapshot`] for corrupt, truncated, version- or
-    /// configuration-mismatched frames (never undefined behaviour),
-    /// plus everything [`try_run_colocated`](Self::try_run_colocated)
-    /// returns.
-    pub fn try_resume(
-        &self,
-        workloads: &[&dyn Workload],
-        policy: &mut dyn TieringPolicy,
-        tracer: &mut Tracer,
-        snapshot: &MachineSnapshot,
-    ) -> Result<RunReport, SimError> {
-        if workloads.is_empty() {
-            return Err(SimError::NoWorkloads);
-        }
-        let mut sim = Sim::new(&self.cfg, workloads, policy, tracer)?;
-        sim.restore(snapshot)?;
-        sim.run()
     }
 }
 
@@ -935,6 +836,10 @@ impl<'a, 'w> Sim<'a, 'w> {
         Ok(())
     }
 
+    // Kept out of line so the event loop's machine code does not
+    // depend on how its one caller, `Machine::run`, is built: inlined
+    // there, it measured ~5% slower on gpt2-notier.
+    #[inline(never)]
     fn run(mut self) -> Result<RunReport, SimError> {
         let _prof = pact_obs::hostprof::span("run");
         self.run_serial()?;
@@ -2515,12 +2420,16 @@ mod tests {
         cfg
     }
 
+    fn first_touch(m: &Machine, wl: &dyn Workload) -> RunReport {
+        m.try_run(wl, &mut FirstTouch::new()).expect("run succeeds")
+    }
+
     #[test]
     fn run_is_deterministic() {
         let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(1000, 20_000));
         let m = Machine::new(small_cfg(100)).unwrap();
-        let r1 = m.run(&wl, &mut FirstTouch::new());
-        let r2 = m.run(&wl, &mut FirstTouch::new());
+        let r1 = first_touch(&m, &wl);
+        let r2 = first_touch(&m, &wl);
         assert_eq!(r1.total_cycles, r2.total_cycles);
         assert_eq!(r1.counters, r2.counters);
     }
@@ -2529,7 +2438,7 @@ mod tests {
     fn pointer_chase_has_mlp_near_one() {
         let wl = TraceWorkload::new("chase", 1 << 24, chasing_trace(4000, 30_000));
         let m = Machine::new(small_cfg(0)).unwrap(); // all slow
-        let r = m.run(&wl, &mut FirstTouch::new());
+        let r = first_touch(&m, &wl);
         let mlp = r.counters.tor_mlp(Tier::Slow);
         assert!(mlp < 1.6, "chase MLP should be ~1, got {mlp}");
     }
@@ -2549,7 +2458,7 @@ mod tests {
         let mut cfg = small_cfg(0);
         cfg.prefetch.enabled = false;
         let m = Machine::new(cfg).unwrap();
-        let r = m.run(&wl, &mut FirstTouch::new());
+        let r = first_touch(&m, &wl);
         let mlp = r.counters.tor_mlp(Tier::Slow);
         assert!(mlp > 5.0, "independent-miss MLP should be high, got {mlp}");
         assert!(mlp <= 10.5, "MLP cannot exceed MSHRs, got {mlp}");
@@ -2559,9 +2468,9 @@ mod tests {
     fn chase_stalls_much_more_than_stream_per_miss() {
         let chase = TraceWorkload::new("chase", 1 << 24, chasing_trace(4000, 30_000));
         let m = Machine::new(small_cfg(0)).unwrap();
-        let rc = m.run(&chase, &mut FirstTouch::new());
+        let rc = first_touch(&m, &chase);
         let stream = TraceWorkload::new("stream", 1 << 24, streaming_trace(40_000, 2));
-        let rs = m.run(&stream, &mut FirstTouch::new());
+        let rs = first_touch(&m, &stream);
         let per_miss_chase =
             rc.counters.llc_stalls[1] as f64 / rc.counters.llc_misses[1].max(1) as f64;
         let per_miss_stream =
@@ -2577,9 +2486,9 @@ mod tests {
         let wl = TraceWorkload::new("chase", 1 << 24, chasing_trace(4000, 30_000));
         let fast = Machine::new(small_cfg(u64::MAX / PAGE_BYTES)).unwrap();
         let slow = Machine::new(small_cfg(0)).unwrap();
-        let rf = fast.run(&wl, &mut FirstTouch::new());
-        let rs = slow.run(&wl, &mut FirstTouch::new());
-        let slowdown = rs.slowdown_vs(&rf);
+        let rf = first_touch(&fast, &wl);
+        let rs = first_touch(&slow, &wl);
+        let slowdown = rs.total_cycles as f64 / rf.total_cycles as f64 - 1.0;
         // Latency ratio is 418/198 ~ 2.1x, so a chase-bound run should slow
         // by roughly that factor (not exactly: issue cycles dilute it).
         assert!(slowdown > 0.5, "slowdown {slowdown}");
@@ -2593,8 +2502,8 @@ mod tests {
         on.prefetch.coverage = 0.9;
         let mut off = small_cfg(0);
         off.prefetch.enabled = false;
-        let r_on = Machine::new(on).unwrap().run(&wl, &mut FirstTouch::new());
-        let r_off = Machine::new(off).unwrap().run(&wl, &mut FirstTouch::new());
+        let r_on = first_touch(&Machine::new(on).unwrap(), &wl);
+        let r_off = first_touch(&Machine::new(off).unwrap(), &wl);
         assert!(
             r_on.counters.llc_misses[1] < r_off.counters.llc_misses[1] / 2,
             "prefetch on: {} misses, off: {}",
@@ -2608,7 +2517,7 @@ mod tests {
     fn windows_are_recorded_with_monotone_edges() {
         let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(500, 20_000));
         let m = Machine::new(small_cfg(100)).unwrap();
-        let r = m.run(&wl, &mut FirstTouch::new());
+        let r = first_touch(&m, &wl);
         assert!(r.windows.len() > 2);
         for w in r.windows.windows(2) {
             assert!(w[1].end_cycles > w[0].end_cycles);
@@ -2622,7 +2531,7 @@ mod tests {
         let mut cfg = small_cfg(0);
         cfg.pebs.rate = 100;
         let m = Machine::new(cfg).unwrap();
-        let r = m.run(&wl, &mut FirstTouch::new());
+        let r = first_touch(&m, &wl);
         let expected = r.counters.llc_misses[1] / 100;
         let got = r.counters.pebs_samples;
         assert!(
@@ -2650,7 +2559,7 @@ mod tests {
             }
         }
         let m = Machine::new(small_cfg(200)).unwrap();
-        let r = m.run(&TwoThreads, &mut FirstTouch::new());
+        let r = first_touch(&m, &TwoThreads);
         assert_eq!(r.counters.accesses, 20_000);
         assert_eq!(r.per_process[0].accesses, 20_000);
         assert!(r.total_cycles > 0);
@@ -2661,7 +2570,9 @@ mod tests {
         let a = TraceWorkload::new("a", 1 << 20, streaming_trace(5_000, 1));
         let b = TraceWorkload::new("b", 1 << 20, streaming_trace(5_000, 1));
         let m = Machine::new(small_cfg(64)).unwrap();
-        let r = m.run_colocated(&[&a, &b], &mut FirstTouch::new());
+        let r = m
+            .run(RunSpec::new(&[&a, &b], &mut FirstTouch::new()))
+            .expect("run succeeds");
         assert_eq!(r.per_process.len(), 2);
         assert_eq!(r.per_process[0].accesses, 5_000);
         assert_eq!(r.per_process[1].accesses, 5_000);
@@ -2670,11 +2581,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "beyond footprint")]
-    fn out_of_range_vaddr_panics() {
+    fn out_of_range_vaddr_is_an_error() {
         let wl = TraceWorkload::new("bad", 4096, vec![Access::load(8192)]);
         let m = Machine::new(small_cfg(10)).unwrap();
-        m.run(&wl, &mut FirstTouch::new());
+        let err = m.try_run(&wl, &mut FirstTouch::new()).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::AddressOutOfRange {
+                workload: "bad".into(),
+                vaddr: 8192,
+                footprint: 4096,
+            }
+        );
+        assert!(err.to_string().contains("beyond footprint"), "{err}");
     }
 
     #[test]
@@ -2709,8 +2628,8 @@ mod tests {
         // cycle; 16 threads exceed the slow channel's 1/4.4 rate and
         // queue, inflating loaded latency toward the equilibrium where
         // issue rate matches channel rate.
-        let r1 = m.run(&ManyStreams(1), &mut FirstTouch::new());
-        let r16 = m.run(&ManyStreams(16), &mut FirstTouch::new());
+        let r1 = first_touch(&m, &ManyStreams(1));
+        let r16 = first_touch(&m, &ManyStreams(16));
         assert!(
             r16.counters.avg_demand_latency(Tier::Slow)
                 > 1.3 * r1.counters.avg_demand_latency(Tier::Slow),
@@ -2788,47 +2707,66 @@ mod tests {
         cfg
     }
 
+    /// Runs `wl` under a fresh [`HotPromote`] with capture armed and
+    /// returns the report plus every captured frame.
+    fn capture(m: &Machine, wl: &dyn Workload) -> (RunReport, Vec<MachineSnapshot>) {
+        let mut snaps = Vec::new();
+        let report = m
+            .run(RunSpec {
+                snapshot_sink: Some(&mut |s| snaps.push(s)),
+                ..RunSpec::new(&[wl], &mut HotPromote::default())
+            })
+            .expect("run succeeds");
+        (report, snaps)
+    }
+
+    fn resume(
+        m: &Machine,
+        wl: &dyn Workload,
+        policy: &mut dyn TieringPolicy,
+        snap: &MachineSnapshot,
+    ) -> Result<RunReport, SimError> {
+        m.run(RunSpec {
+            resume_from: Some(snap),
+            ..RunSpec::new(&[wl], policy)
+        })
+    }
+
     #[test]
     fn snapshot_capture_does_not_perturb_the_run() {
         let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
         let m = Machine::new(snapshotty_cfg()).unwrap();
-        let plain = m.run(&wl, &mut HotPromote::default());
-        let mut snaps = Vec::new();
-        let mut tracer = Tracer::disabled();
-        let snapped = m
-            .try_run_snapshotting(&[&wl], &mut HotPromote::default(), &mut tracer, &mut |s| {
-                snaps.push(s)
-            })
-            .unwrap();
+        let plain = m
+            .try_run(&wl, &mut HotPromote::default())
+            .expect("run succeeds");
+        let (snapped, snaps) = capture(&m, &wl);
         assert!(!snaps.is_empty());
         assert_eq!(format!("{plain:?}"), format!("{snapped:?}"));
     }
 
     #[test]
     fn kill_resume_is_byte_identical() {
+        // Resume from every frame k with capture still armed: the report
+        // and every frame the resumed run seals must be byte-identical to
+        // the uninterrupted run's (its frames after k).
         let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
         let m = Machine::new(snapshotty_cfg()).unwrap();
-        let mut snaps = Vec::new();
-        let mut tracer = Tracer::disabled();
-        let reference = m
-            .try_run_snapshotting(&[&wl], &mut HotPromote::default(), &mut tracer, &mut |s| {
-                snaps.push(s)
-            })
-            .unwrap();
-        assert!(snaps.len() >= 2, "only {} snapshots captured", snaps.len());
+        let (reference, snaps) = capture(&m, &wl);
+        assert!(snaps.len() >= 3, "only {} snapshots captured", snaps.len());
         assert!(reference.promotions > 0, "test policy must migrate");
-        let ref_dbg = format!("{reference:?}");
-        for snap in &snaps {
-            let mut tr = Tracer::disabled();
+        for k in 0..snaps.len() {
+            let mut again = Vec::new();
             let resumed = m
-                .try_resume(&[&wl], &mut HotPromote::default(), &mut tr, snap)
+                .run(RunSpec {
+                    snapshot_sink: Some(&mut |s| again.push(s)),
+                    resume_from: Some(&snaps[k]),
+                    ..RunSpec::new(&[&wl], &mut HotPromote::default())
+                })
                 .unwrap();
-            assert_eq!(
-                format!("{resumed:?}"),
-                ref_dbg,
-                "divergence resuming window {:?}",
-                snap.window()
-            );
+            assert_eq!(format!("{resumed:?}"), format!("{reference:?}"));
+            let later: Vec<&[u8]> = snaps[k + 1..].iter().map(|s| s.as_bytes()).collect();
+            let got: Vec<&[u8]> = again.iter().map(|s| s.as_bytes()).collect();
+            assert_eq!(got, later, "frames diverge resuming frame {k}");
         }
     }
 
@@ -2852,13 +2790,7 @@ mod tests {
             ..crate::FaultPlan::default()
         });
         let m = Machine::new(cfg.clone()).unwrap();
-        let mut snaps = Vec::new();
-        let mut tracer = Tracer::disabled();
-        let reference = m
-            .try_run_snapshotting(&[&wl], &mut HotPromote::default(), &mut tracer, &mut |s| {
-                snaps.push(s)
-            })
-            .unwrap();
+        let (reference, snaps) = capture(&m, &wl);
         assert!(
             reference.failed_promotions > 0 && reference.dropped_orders > 0,
             "fault plan must make the skipped accumulators nonzero mid-window \
@@ -2867,10 +2799,7 @@ mod tests {
             reference.dropped_orders
         );
         let last = snaps.last().expect("snapshot_every=1 captures frames");
-        let mut tr = Tracer::disabled();
-        let resumed = m
-            .try_resume(&[&wl], &mut HotPromote::default(), &mut tr, last)
-            .unwrap();
+        let resumed = resume(&m, &wl, &mut HotPromote::default(), last).unwrap();
         assert_eq!(format!("{resumed:?}"), format!("{reference:?}"));
     }
 
@@ -2879,40 +2808,30 @@ mod tests {
         let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
         let cfg = snapshotty_cfg();
         let m = Machine::new(cfg.clone()).unwrap();
-        let mut snaps = Vec::new();
-        let mut tracer = Tracer::disabled();
-        m.try_run_snapshotting(&[&wl], &mut HotPromote::default(), &mut tracer, &mut |s| {
-            snaps.push(s)
-        })
-        .unwrap();
-        let good = snaps.remove(0);
-        let resume = |mm: &Machine, snap: &MachineSnapshot| {
-            let mut tr = Tracer::disabled();
-            mm.try_resume(&[&wl], &mut HotPromote::default(), &mut tr, snap)
+        let good = capture(&m, &wl).1.remove(0);
+        let hot = |mm: &Machine, snap: &MachineSnapshot| {
+            resume(mm, &wl, &mut HotPromote::default(), snap)
         };
         // Pristine frame resumes.
-        assert!(resume(&m, &good).is_ok());
+        assert!(hot(&m, &good).is_ok());
         // A flipped payload byte is caught by the checksum.
         let mut corrupt = good.as_bytes().to_vec();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x10;
-        let err = resume(&m, &MachineSnapshot::from_bytes(corrupt)).unwrap_err();
+        let err = hot(&m, &MachineSnapshot::from_bytes(corrupt)).unwrap_err();
         assert!(matches!(err, SimError::Snapshot(_)), "{err}");
         // A truncated frame is rejected, not UB.
         let cut = good.as_bytes()[..good.as_bytes().len() / 2].to_vec();
-        let err = resume(&m, &MachineSnapshot::from_bytes(cut)).unwrap_err();
+        let err = hot(&m, &MachineSnapshot::from_bytes(cut)).unwrap_err();
         assert!(matches!(err, SimError::Snapshot(_)), "{err}");
         // A different machine configuration is rejected by fingerprint.
         let mut other = cfg.clone();
         other.fast_tier_pages += 1;
         let om = Machine::new(other).unwrap();
-        let err = resume(&om, &good).unwrap_err();
+        let err = hot(&om, &good).unwrap_err();
         assert!(err.to_string().contains("fingerprint"), "{err}");
         // A different policy is rejected by name.
-        let mut tr = Tracer::disabled();
-        let err = m
-            .try_resume(&[&wl], &mut FirstTouch::new(), &mut tr, &good)
-            .unwrap_err();
+        let err = resume(&m, &wl, &mut FirstTouch::new(), &good).unwrap_err();
         assert!(err.to_string().contains("hotprom"), "{err}");
     }
 
@@ -2926,9 +2845,11 @@ mod tests {
         }
         let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
         let m = Machine::new(snapshotty_cfg()).unwrap();
-        let mut tracer = Tracer::disabled();
         let err = m
-            .try_run_snapshotting(&[&wl], &mut NoSnap, &mut tracer, &mut |_| {})
+            .run(RunSpec {
+                snapshot_sink: Some(&mut |_| {}),
+                ..RunSpec::new(&[&wl], &mut NoSnap)
+            })
             .unwrap_err();
         assert!(
             err.to_string().contains("does not support snapshot"),

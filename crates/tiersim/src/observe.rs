@@ -180,7 +180,7 @@ pub fn export_trace(
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
-    use crate::machine::Machine;
+    use crate::machine::{Machine, RunSpec};
     use crate::policy::FirstTouch;
     use crate::types::{Access, LINE_BYTES};
     use crate::workload::TraceWorkload;
@@ -196,7 +196,12 @@ mod tests {
         cfg.window_cycles = 20_000;
         let m = Machine::new(cfg).unwrap();
         let mut tracer = Tracer::ring(1 << 16);
-        let r = m.run_traced(&wl, &mut FirstTouch::new(), &mut tracer);
+        let r = m
+            .run(RunSpec {
+                tracer: Some(&mut tracer),
+                ..RunSpec::new(&[&wl], &mut FirstTouch::new())
+            })
+            .expect("run succeeds");
         (r, tracer)
     }
 

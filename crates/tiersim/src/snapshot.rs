@@ -53,9 +53,8 @@ const CHECKSUM_BYTES: usize = 8;
 
 /// An opaque machine snapshot frame.
 ///
-/// Produced by
-/// [`Machine::try_run_snapshotting`](crate::Machine::try_run_snapshotting),
-/// consumed by [`Machine::try_resume`](crate::Machine::try_resume).
+/// Produced through [`RunSpec::snapshot_sink`](crate::RunSpec::snapshot_sink),
+/// consumed through [`RunSpec::resume_from`](crate::RunSpec::resume_from).
 /// The byte representation is stable for a given
 /// [`FORMAT_VERSION`] and safe to persist; integrity and
 /// configuration compatibility are verified on restore.

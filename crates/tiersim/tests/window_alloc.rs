@@ -95,7 +95,7 @@ fn run_with_window(window_cycles: u64) -> (u64, usize) {
     let machine = Machine::new(cfg).expect("config is valid");
     let mut policy = FirstTouch::new();
     let before = allocations();
-    let report = machine.run(&wl, &mut policy);
+    let report = machine.try_run(&wl, &mut policy).expect("run succeeds");
     (allocations() - before, report.windows.len())
 }
 

@@ -29,7 +29,7 @@
 //! let wl = build("silo", Scale::Smoke, 42);
 //! let fast_pages = wl.footprint_bytes() / 4096 / 2; // 1:1 tier ratio
 //! let machine = Machine::new(MachineConfig::skylake_cxl(fast_pages)).unwrap();
-//! let report = machine.run(wl.as_ref(), &mut FirstTouch::new());
+//! let report = machine.try_run(wl.as_ref(), &mut FirstTouch::new()).unwrap();
 //! assert!(report.counters.total_misses() > 0);
 //! ```
 

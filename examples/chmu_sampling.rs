@@ -27,7 +27,10 @@ fn main() {
     let pages = workload.footprint_bytes().div_ceil(PAGE_BYTES);
 
     let dram = Machine::new(MachineConfig::dram_only()).unwrap();
-    let base = dram.run(&workload, &mut FirstTouch::new()).total_cycles;
+    let base = dram
+        .try_run(&workload, &mut FirstTouch::new())
+        .unwrap()
+        .total_cycles;
 
     println!(
         "{:12} {:>10} {:>10} {:>14} {:>12}",
@@ -45,7 +48,7 @@ fn main() {
             ..PactConfig::default()
         })
         .unwrap();
-        let r = machine.run(&workload, &mut pact);
+        let r = machine.try_run(&workload, &mut pact).unwrap();
         println!(
             "{:12} {:>9.1}% {:>10} {:>14} {:>11}cy",
             label,

@@ -13,7 +13,9 @@
 
 use pact_baselines::{Colloid, NoTier};
 use pact_core::{PactConfig, PactPolicy};
-use pact_tiersim::{Machine, MachineConfig, RunReport, TieringPolicy, Workload, PAGE_BYTES};
+use pact_tiersim::{
+    Machine, MachineConfig, RunReport, RunSpec, TieringPolicy, Workload, PAGE_BYTES,
+};
 use pact_workloads::{Masim, MasimPattern};
 
 fn cycles_of(report: &RunReport, name: &str) -> u64 {
@@ -32,7 +34,9 @@ fn main() {
     let total_pages = (seq.footprint_bytes() + rnd.footprint_bytes()).div_ceil(PAGE_BYTES);
 
     let dram = Machine::new(MachineConfig::dram_only()).unwrap();
-    let base = dram.run_colocated(&[&seq, &rnd], &mut NoTier::new());
+    let base = dram
+        .run(RunSpec::new(&[&seq, &rnd], &mut NoTier::new()))
+        .unwrap();
 
     let machine = Machine::new(MachineConfig::skylake_cxl(total_pages / 2)).unwrap();
     let mut policies: Vec<Box<dyn TieringPolicy>> = vec![
@@ -45,7 +49,9 @@ fn main() {
         "policy", "streamer slow%", "chaser slow%", "promoted"
     );
     for policy in policies.iter_mut() {
-        let r = machine.run_colocated(&[&seq, &rnd], policy.as_mut());
+        let r = machine
+            .run(RunSpec::new(&[&seq, &rnd], policy.as_mut()))
+            .unwrap();
         let s = |name| (cycles_of(&r, name) as f64 / cycles_of(&base, name) as f64 - 1.0) * 100.0;
         println!(
             "{:10} {:>13.1}% {:>13.1}% {:>10}",

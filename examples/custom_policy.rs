@@ -62,7 +62,10 @@ fn main() {
     let pages = workload.footprint_bytes().div_ceil(PAGE_BYTES);
 
     let dram = Machine::new(MachineConfig::dram_only()).unwrap();
-    let base = dram.run(&workload, &mut FirstTouch::new()).total_cycles;
+    let base = dram
+        .try_run(&workload, &mut FirstTouch::new())
+        .unwrap()
+        .total_cycles;
     let machine = Machine::new(MachineConfig::skylake_cxl(pages / 2)).unwrap();
 
     let mut mine = SampledHotness {
@@ -73,9 +76,15 @@ fn main() {
 
     println!("{:16} {:>10} {:>10}", "policy", "slowdown", "promoted");
     for (r, name) in [
-        (machine.run(&workload, &mut FirstTouch::new()), "notier"),
-        (machine.run(&workload, &mut mine), "sampled-hotness"),
-        (machine.run(&workload, &mut pact), "pact"),
+        (
+            machine.try_run(&workload, &mut FirstTouch::new()).unwrap(),
+            "notier",
+        ),
+        (
+            machine.try_run(&workload, &mut mine).unwrap(),
+            "sampled-hotness",
+        ),
+        (machine.try_run(&workload, &mut pact).unwrap(), "pact"),
     ] {
         println!(
             "{:16} {:>9.1}% {:>10}",

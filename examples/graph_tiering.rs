@@ -37,7 +37,10 @@ fn main() {
     println!("footprint: {} MiB\n", workload.footprint_bytes() >> 20);
 
     let dram = Machine::new(MachineConfig::dram_only()).unwrap();
-    let base = dram.run(&workload, &mut NoTier::new()).total_cycles;
+    let base = dram
+        .try_run(&workload, &mut NoTier::new())
+        .unwrap()
+        .total_cycles;
 
     // Fast tier = half the footprint (1:1).
     let machine = Machine::new(MachineConfig::skylake_cxl(pages / 2)).unwrap();
@@ -52,7 +55,7 @@ fn main() {
         "policy", "slowdown", "promoted", "hint faults", "slow misses"
     );
     for policy in policies.iter_mut() {
-        let r = machine.run(&workload, policy.as_mut());
+        let r = machine.try_run(&workload, policy.as_mut()).unwrap();
         println!(
             "{:10} {:>11.1}% {:>10} {:>12} {:>12}",
             r.policy,

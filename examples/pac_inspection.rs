@@ -21,7 +21,7 @@ fn main() {
     cfg.pebs.rate = 25;
     let machine = Machine::new(cfg).unwrap();
     let mut pact = PactPolicy::new(PactConfig::default()).unwrap();
-    let report = machine.run(&workload, &mut pact);
+    let report = machine.try_run(&workload, &mut pact).unwrap();
 
     println!(
         "run: {} accesses, {} slow-tier misses, measured slow-tier MLP {:.1}",

@@ -39,11 +39,11 @@ fn main() {
 
     // DRAM-only reference for slowdown normalization.
     let dram = Machine::new(MachineConfig::dram_only()).unwrap();
-    let base = dram.run(&workload, &mut FirstTouch::new());
+    let base = dram.try_run(&workload, &mut FirstTouch::new()).unwrap();
 
-    let no_tier = machine.run(&workload, &mut FirstTouch::new());
+    let no_tier = machine.try_run(&workload, &mut FirstTouch::new()).unwrap();
     let mut pact = PactPolicy::new(PactConfig::default()).unwrap();
-    let with_pact = machine.run(&workload, &mut pact);
+    let with_pact = machine.try_run(&workload, &mut pact).unwrap();
 
     let slowdown = |cycles: u64| (cycles as f64 / base.total_cycles as f64 - 1.0) * 100.0;
     println!("DRAM-only:  {:>12} cycles (baseline)", base.total_cycles);

@@ -35,7 +35,7 @@ fn main() -> std::io::Result<()> {
     ))
     .unwrap();
     let mut pact = PactPolicy::new(PactConfig::default()).unwrap();
-    let r = machine.run(&replay, &mut pact);
+    let r = machine.try_run(&replay, &mut pact).unwrap();
     println!(
         "replayed '{}': {} accesses, {} cycles, {} promotions",
         replay.name(),

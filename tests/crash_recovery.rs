@@ -13,7 +13,7 @@
 
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
-    FaultPlan, Machine, MachineConfig, MachineSnapshot, RunReport, SimError, Tracer,
+    FaultPlan, Machine, MachineConfig, MachineSnapshot, RunReport, RunSpec, SimError, Workload,
 };
 use pact_workloads::suite::{build, Scale};
 
@@ -45,28 +45,33 @@ fn fresh_policy() -> PactPolicy {
     PactPolicy::new(PactConfig::default()).expect("default config is valid")
 }
 
+/// Runs `names` (one workload, or one per tenant) under a fresh PACT
+/// on `cfg`, resuming from `frame` when given, and returns the report
+/// plus every frame captured on the way.
+fn run_cell(
+    cfg: MachineConfig,
+    names: &[&str],
+    frame: Option<&MachineSnapshot>,
+) -> Result<(RunReport, Vec<MachineSnapshot>), SimError> {
+    let workloads: Vec<_> = names.iter().map(|n| build(n, Scale::Smoke, 7)).collect();
+    let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
+    let mut frames = Vec::new();
+    let report = Machine::new(cfg).expect("config is valid").run(RunSpec {
+        snapshot_sink: Some(&mut |s| frames.push(s)),
+        resume_from: frame,
+        ..RunSpec::new(&refs, &mut fresh_policy())
+    })?;
+    Ok((report, frames))
+}
+
 /// Runs the fault-injected cell to completion, collecting a snapshot
 /// at every `snapshot_every`-window boundary.
 fn capture(snapshot_every: u64) -> (RunReport, Vec<MachineSnapshot>) {
-    let wl = build("masim", Scale::Smoke, 7);
-    let machine = Machine::new(snap_cfg(snapshot_every)).expect("config is valid");
-    let mut policy = fresh_policy();
-    let mut frames = Vec::new();
-    let mut tracer = Tracer::disabled();
-    let report = machine
-        .try_run_snapshotting(&[wl.as_ref()], &mut policy, &mut tracer, &mut |s| {
-            frames.push(s)
-        })
-        .expect("capture run succeeds");
-    (report, frames)
+    run_cell(snap_cfg(snapshot_every), &["masim"], None).expect("capture run succeeds")
 }
 
 fn resume(frame: &MachineSnapshot) -> Result<RunReport, SimError> {
-    let wl = build("masim", Scale::Smoke, 7);
-    let machine = Machine::new(snap_cfg(0)).expect("config is valid");
-    let mut policy = fresh_policy();
-    let mut tracer = Tracer::disabled();
-    machine.try_resume(&[wl.as_ref()], &mut policy, &mut tracer, frame)
+    run_cell(snap_cfg(0), &["masim"], Some(frame)).map(|(report, _)| report)
 }
 
 #[test]
@@ -106,13 +111,9 @@ fn tampered_frames_fail_closed_under_faults() {
     }
     // Dropping the fault plan changes the configuration fingerprint:
     // resuming a faulted capture on a fault-free machine is refused.
-    let wl = build("masim", Scale::Smoke, 7);
     let mut clean_cfg = snap_cfg(0);
     clean_cfg.fault_plan = None;
-    let machine = Machine::new(clean_cfg).expect("config is valid");
-    let mut policy = fresh_policy();
-    let mut tracer = Tracer::disabled();
-    match machine.try_resume(&[wl.as_ref()], &mut policy, &mut tracer, frame) {
+    match run_cell(clean_cfg, &["masim"], Some(frame)).map(|(report, _)| report) {
         Err(SimError::Snapshot(e)) => assert!(e.contains("fingerprint"), "{e}"),
         other => panic!("fingerprint mismatch must be rejected, got {other:?}"),
     }
@@ -138,33 +139,14 @@ fn fleet_snap_cfg(snapshot_every: u64) -> MachineConfig {
     cfg
 }
 
-fn fleet_workloads() -> Vec<Box<dyn pact_tiersim::Workload>> {
-    ["gups", "mlc-hog", "zipf-drift"]
-        .iter()
-        .map(|name| build(name, Scale::Smoke, 7))
-        .collect()
-}
+const FLEET: [&str; 3] = ["gups", "mlc-hog", "zipf-drift"];
 
 fn fleet_capture(snapshot_every: u64) -> (RunReport, Vec<MachineSnapshot>) {
-    let workloads = fleet_workloads();
-    let refs: Vec<&dyn pact_tiersim::Workload> = workloads.iter().map(|w| w.as_ref()).collect();
-    let machine = Machine::new(fleet_snap_cfg(snapshot_every)).expect("config is valid");
-    let mut policy = fresh_policy();
-    let mut frames = Vec::new();
-    let mut tracer = Tracer::disabled();
-    let report = machine
-        .try_run_snapshotting(&refs, &mut policy, &mut tracer, &mut |s| frames.push(s))
-        .expect("fleet capture run succeeds");
-    (report, frames)
+    run_cell(fleet_snap_cfg(snapshot_every), &FLEET, None).expect("fleet capture run succeeds")
 }
 
 fn fleet_resume(frame: &MachineSnapshot) -> Result<RunReport, SimError> {
-    let workloads = fleet_workloads();
-    let refs: Vec<&dyn pact_tiersim::Workload> = workloads.iter().map(|w| w.as_ref()).collect();
-    let machine = Machine::new(fleet_snap_cfg(0)).expect("config is valid");
-    let mut policy = fresh_policy();
-    let mut tracer = Tracer::disabled();
-    machine.try_resume(&refs, &mut policy, &mut tracer, frame)
+    run_cell(fleet_snap_cfg(0), &FLEET, Some(frame)).map(|(report, _)| report)
 }
 
 #[test]
@@ -200,11 +182,7 @@ fn fleet_frames_refuse_a_tenantless_machine() {
     let mut cfg = fleet_snap_cfg(0);
     cfg.tenants = Vec::new();
     cfg.admission = None;
-    let machine = Machine::new(cfg).expect("config is valid");
-    let mut policy = fresh_policy();
-    let mut tracer = Tracer::disabled();
-    let wl = build("masim", Scale::Smoke, 7);
-    match machine.try_resume(&[wl.as_ref()], &mut policy, &mut tracer, frame) {
+    match run_cell(cfg, &["masim"], Some(frame)).map(|(report, _)| report) {
         Err(SimError::Snapshot(e)) => assert!(e.contains("fingerprint"), "{e}"),
         other => panic!("tenantless resume must be rejected, got {other:?}"),
     }

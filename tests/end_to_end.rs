@@ -2,7 +2,7 @@
 //! the simulator under every policy.
 
 use pact_bench::{make_policy, Harness, TierRatio, ALL_POLICIES};
-use pact_tiersim::{Machine, MachineConfig, PAGE_BYTES};
+use pact_tiersim::{Machine, MachineConfig, RunSpec, PAGE_BYTES};
 use pact_workloads::suite::{build, Scale, SUITE};
 
 /// Every suite workload completes under PACT and NoTier at smoke scale,
@@ -12,7 +12,9 @@ fn suite_runs_under_pact_and_notier() {
     for name in SUITE {
         let h = Harness::new(build(name, Scale::Smoke, 7));
         for policy in ["pact", "notier"] {
-            let out = h.run_policy(policy, TierRatio::new(1, 1));
+            let out = h
+                .run_policy(policy, TierRatio::new(1, 1), None)
+                .expect("run succeeds");
             let r = &out.report;
             assert!(r.total_cycles > 0, "{name}/{policy}: empty run");
             assert!(r.counters.accesses > 0, "{name}/{policy}: no accesses");
@@ -35,7 +37,9 @@ fn suite_runs_under_pact_and_notier() {
 fn all_policies_run_on_silo() {
     let h = Harness::new(build("silo", Scale::Smoke, 3));
     for policy in ALL_POLICIES {
-        let out = h.run_policy(policy, TierRatio::new(1, 2));
+        let out = h
+            .run_policy(policy, TierRatio::new(1, 2), None)
+            .expect("run succeeds");
         let r = &out.report;
         assert!(r.total_cycles > 0, "{policy}: empty run");
         // Promotions need matching demotions once the fast tier fills
@@ -62,7 +66,9 @@ fn runs_are_deterministic_end_to_end() {
             ))
             .unwrap();
             let mut p = make_policy(policy).expect("known policy");
-            let r = machine.run(wl.as_ref(), p.as_mut());
+            let r = machine
+                .try_run(wl.as_ref(), p.as_mut())
+                .expect("run succeeds");
             (r.total_cycles, r.promotions, r.counters)
         };
         assert_eq!(run(), run(), "{policy} is nondeterministic");
@@ -77,7 +83,7 @@ fn dram_is_a_lower_bound() {
         let h = Harness::new(build(name, Scale::Smoke, 5));
         for ratio in [TierRatio::new(4, 1), TierRatio::new(1, 4)] {
             for policy in ["pact", "colloid", "notier"] {
-                let out = h.run_policy(policy, ratio);
+                let out = h.run_policy(policy, ratio, None).expect("run succeeds");
                 assert!(
                     out.slowdown > -0.1,
                     "{name}/{policy}@{ratio}: beats DRAM by {:.1}%",
@@ -98,7 +104,9 @@ fn thp_migrates_whole_units() {
     let span = cfg.thp_unit_pages;
     let machine = Machine::new(cfg).unwrap();
     let mut pact = make_policy("pact").expect("known policy");
-    let r = machine.run(wl.as_ref(), pact.as_mut());
+    let r = machine
+        .try_run(wl.as_ref(), pact.as_mut())
+        .expect("run succeeds");
     assert_eq!(
         r.promotions % span,
         0,
@@ -115,7 +123,9 @@ fn colocation_accounting_is_per_process() {
     let b = build("silo", Scale::Smoke, 2);
     let machine = Machine::new(MachineConfig::skylake_cxl(2048)).unwrap();
     let mut pact = make_policy("pact").expect("known policy");
-    let r = machine.run_colocated(&[a.as_ref(), b.as_ref()], pact.as_mut());
+    let r = machine
+        .run(RunSpec::new(&[a.as_ref(), b.as_ref()], pact.as_mut()))
+        .expect("run succeeds");
     assert_eq!(r.per_process.len(), 2);
     let total: u64 = r.per_process.iter().map(|p| p.accesses).sum();
     assert_eq!(total, r.counters.accesses);

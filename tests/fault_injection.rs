@@ -9,8 +9,8 @@
 use pact_bench::{exec, Harness, TierRatio};
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
-    export_trace, FaultPlan, Machine, MachineConfig, RunReport, SimError, StallFault, Tier,
-    TraceFormat, Tracer,
+    export_trace, FaultPlan, Machine, MachineConfig, RunReport, RunSpec, SimError, StallFault,
+    Tier, TraceFormat, Tracer,
 };
 use pact_workloads::suite::{build, Scale};
 
@@ -38,12 +38,11 @@ fn traced_run(plan: Option<FaultPlan>, seed: u64) -> (RunReport, String) {
     cfg.seed = seed;
     cfg.fault_plan = plan;
     let h = Harness::new(build("gups", Scale::Smoke, seed))
-        .try_with_machine(cfg)
+        .with_machine(cfg)
         .expect("stress plan is valid");
-    let fast = TierRatio::new(1, 2).fast_pages(h.workload().footprint_bytes());
     let mut tracer = Tracer::ring(4096);
     let out = h
-        .try_run_policy_with_fast_pages_traced("pact", fast, &mut tracer)
+        .run_policy("pact", TierRatio::new(1, 2), Some(&mut tracer))
         .expect("pact is a known policy");
     let body = export_trace(&out.report, &tracer, "fault-test", TraceFormat::Jsonl);
     (out.report, body)
@@ -94,11 +93,10 @@ fn different_fault_seeds_diverge() {
     cfg.seed = 7;
     cfg.fault_plan = Some(other);
     let h = Harness::new(build("gups", Scale::Smoke, 7))
-        .try_with_machine(cfg)
+        .with_machine(cfg)
         .expect("valid");
-    let fast = TierRatio::new(1, 2).fast_pages(h.workload().footprint_bytes());
     let out = h
-        .try_run_policy_with_fast_pages("pact", fast)
+        .run_policy("pact", TierRatio::new(1, 2), None)
         .expect("known policy");
     // Same machine seed, different fault seed: the injected schedule —
     // and so the run — must differ.
@@ -111,14 +109,14 @@ fn parallel_and_serial_fault_sweeps_agree() {
     cfg.seed = 7;
     cfg.fault_plan = Some(stress_plan());
     let h = Harness::new(build("gups", Scale::Smoke, 7))
-        .try_with_machine(cfg)
+        .with_machine(cfg)
         .expect("valid");
-    let fast = TierRatio::new(1, 2).fast_pages(h.workload().footprint_bytes());
-    h.dram_cycles(); // warm the shared baseline before fanning out
+    // Warm the shared baseline before fanning out.
+    h.dram_cycles().expect("dram baseline runs");
     let run = |jobs: usize| {
         exec::run_indexed(4, jobs, |i| {
             let out = h
-                .try_run_policy_with_fast_pages(["pact", "memtis"][i % 2], fast)
+                .run_policy(["pact", "memtis"][i % 2], TierRatio::new(1, 2), None)
                 .expect("known policy");
             (out.report.total_cycles, out.report.dropped_orders)
         })
@@ -161,7 +159,7 @@ fn degenerate_workload_sets_are_errors() {
     let machine = Machine::new(MachineConfig::skylake_cxl(64)).expect("valid");
     let mut policy = PactPolicy::new(PactConfig::default()).expect("default is valid");
     let err = machine
-        .try_run_colocated(&[], &mut policy)
+        .run(RunSpec::new(&[], &mut policy))
         .expect_err("empty workload set");
     assert_eq!(err, SimError::NoWorkloads);
 }

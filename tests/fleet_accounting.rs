@@ -7,8 +7,8 @@
 
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
-    AdmissionControl, FaultPlan, Machine, MachineConfig, RunReport, TenantReport, TenantSpec,
-    Workload,
+    AdmissionControl, FaultPlan, Machine, MachineConfig, RunReport, RunSpec, TenantReport,
+    TenantSpec, Workload,
 };
 use pact_workloads::suite::{build, Scale};
 
@@ -52,7 +52,7 @@ fn run_fleet(faults: bool) -> RunReport {
     let machine = Machine::new(fleet_cfg(faults)).expect("config is valid");
     let mut policy = PactPolicy::new(PactConfig::default()).expect("default config is valid");
     machine
-        .try_run_colocated(&refs, &mut policy)
+        .run(RunSpec::new(&refs, &mut policy))
         .expect("fleet cell runs")
 }
 

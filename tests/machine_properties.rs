@@ -46,7 +46,7 @@ proptest! {
         cfg.window_cycles = 20_000;
         let machine = Machine::new(cfg).unwrap();
         let mut pact = PactPolicy::new(PactConfig::default()).unwrap();
-        let r = machine.run(&wl, &mut pact);
+        let r = machine.try_run(&wl, &mut pact).expect("run succeeds");
         let c = &r.counters;
         prop_assert_eq!(c.accesses, trace.len() as u64);
         prop_assert_eq!(c.loads + c.stores, c.accesses);
@@ -70,8 +70,8 @@ proptest! {
         cfg.seed = seed;
         cfg.llc.size_bytes = 16 * 1024;
         let machine = Machine::new(cfg).unwrap();
-        let a = machine.run(&wl, &mut FirstTouch::new());
-        let b = machine.run(&wl, &mut FirstTouch::new());
+        let a = machine.try_run(&wl, &mut FirstTouch::new()).expect("run succeeds");
+        let b = machine.try_run(&wl, &mut FirstTouch::new()).expect("run succeeds");
         prop_assert_eq!(a.total_cycles, b.total_cycles);
         prop_assert_eq!(a.counters, b.counters);
     }
@@ -84,7 +84,8 @@ proptest! {
         let mk = |fast: u64| {
             let mut cfg = MachineConfig::skylake_cxl(fast);
             cfg.llc.size_bytes = 16 * 1024;
-            Machine::new(cfg).unwrap().run(&wl, &mut FirstTouch::new()).total_cycles
+            let r = Machine::new(cfg).unwrap().try_run(&wl, &mut FirstTouch::new());
+            r.expect("run succeeds").total_cycles
         };
         let all_slow = mk(0);
         let all_fast = mk(1 << 20);
@@ -101,7 +102,7 @@ proptest! {
         cfg.llc.size_bytes = 16 * 1024;
         cfg.prefetch.enabled = false;
         let machine = Machine::new(cfg.clone()).unwrap();
-        let r = machine.run(&wl, &mut FirstTouch::new());
+        let r = machine.try_run(&wl, &mut FirstTouch::new()).expect("run succeeds");
         let mlp = r.counters.tor_mlp(pact_tiersim::Tier::Slow);
         prop_assert!(mlp >= 1.0);
         prop_assert!(mlp <= cfg.mshrs as f64 + 0.5, "mlp {mlp}");

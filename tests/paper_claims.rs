@@ -37,7 +37,9 @@ fn equation_one_beats_raw_misses() {
     for variant in (0..96).step_by(4) {
         let wl = Phased::sweep_variant(variant, 1 << 21, 40_000, 1);
         let machine = Machine::new(MachineConfig::skylake_cxl(0)).unwrap();
-        let r = machine.run(&wl, &mut FirstTouch::new());
+        let r = machine
+            .try_run(&wl, &mut FirstTouch::new())
+            .expect("run succeeds");
         let m = r.counters.llc_misses[1] as f64;
         misses.push(m);
         predictor.push(m / r.counters.tor_mlp(Tier::Slow));
@@ -68,10 +70,12 @@ fn pact_beats_notier_and_colloid_on_bc_kron() {
     let pages = wl.footprint_bytes().div_ceil(PAGE_BYTES);
     let machine = Machine::new(MachineConfig::skylake_cxl(pages / 3)).unwrap();
     let mut pact = PactPolicy::new(PactConfig::default()).unwrap();
-    let r_pact = machine.run(&wl, &mut pact);
-    let r_notier = machine.run(&wl, &mut FirstTouch::new());
+    let r_pact = machine.try_run(&wl, &mut pact).expect("run succeeds");
+    let r_notier = machine
+        .try_run(&wl, &mut FirstTouch::new())
+        .expect("run succeeds");
     let mut colloid = pact_baselines::Colloid::new();
-    let r_colloid = machine.run(&wl, &mut colloid);
+    let r_colloid = machine.try_run(&wl, &mut colloid).expect("run succeeds");
     assert!(
         r_pact.total_cycles < r_notier.total_cycles,
         "pact {} vs notier {}",
@@ -100,8 +104,10 @@ fn tpp_is_the_pathological_baseline() {
     let pages = wl.footprint_bytes().div_ceil(PAGE_BYTES);
     let machine = Machine::new(MachineConfig::skylake_cxl(pages / 2)).unwrap();
     let mut tpp = pact_baselines::Tpp::new();
-    let r_tpp = machine.run(&wl, &mut tpp);
-    let r_notier = machine.run(&wl, &mut FirstTouch::new());
+    let r_tpp = machine.try_run(&wl, &mut tpp).expect("run succeeds");
+    let r_notier = machine
+        .try_run(&wl, &mut FirstTouch::new())
+        .expect("run succeeds");
     assert!(
         r_tpp.total_cycles > r_notier.total_cycles,
         "tpp {} should lose to notier {}",
@@ -115,8 +121,12 @@ fn tpp_is_the_pathological_baseline() {
 #[test]
 fn pac_ranking_at_least_matches_frequency_ranking() {
     let h = Harness::new(build("bc-kron", Scale::Smoke, 13));
-    let pac = h.run_policy("pact", TierRatio::new(1, 2));
-    let freq = h.run_policy("pact-freq", TierRatio::new(1, 2));
+    let pac = h
+        .run_policy("pact", TierRatio::new(1, 2), None)
+        .expect("run succeeds");
+    let freq = h
+        .run_policy("pact-freq", TierRatio::new(1, 2), None)
+        .expect("run succeeds");
     assert!(
         pac.report.total_cycles as f64 <= freq.report.total_cycles as f64 * 1.05,
         "pac {} vs freq {}",
@@ -130,9 +140,11 @@ fn pac_ranking_at_least_matches_frequency_ranking() {
 #[test]
 fn cxl_only_is_the_ceiling() {
     let h = Harness::new(build("bc-kron", Scale::Smoke, 17));
-    let cxl = h.cxl_slowdown();
+    let cxl = h.cxl_slowdown().expect("run succeeds");
     for policy in ["pact", "notier", "memtis"] {
-        let out = h.run_policy(policy, TierRatio::new(1, 1));
+        let out = h
+            .run_policy(policy, TierRatio::new(1, 1), None)
+            .expect("run succeeds");
         assert!(
             out.slowdown <= cxl + 0.05,
             "{policy} ({:.2}) should not exceed cxl-only ({cxl:.2})",
@@ -159,7 +171,7 @@ fn proportional_attribution_ranks_like_ground_truth() {
     cfg.track_page_stalls = true;
     let machine = Machine::new(cfg).unwrap();
     let mut pact = PactPolicy::new(PactConfig::default()).unwrap();
-    let report = machine.run(&wl, &mut pact);
+    let report = machine.try_run(&wl, &mut pact).expect("run succeeds");
     let truth = report.page_stalls.expect("oracle enabled");
     let mut est = Vec::new();
     let mut tru = Vec::new();
