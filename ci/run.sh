@@ -77,12 +77,17 @@ stage_lint() {
     cargo clippy --workspace --all-targets -- -D warnings
 }
 
+# perfbench/ is a workspace of its own (the benchmark's harness), so the
+# workspace build does not reach it; build it here so an API change it
+# depends on fails CI instead of the next benchmark run.
 stage_build() {
     cargo build --release
+    cargo build --release --manifest-path perfbench/Cargo.toml
 }
 
 stage_test() {
     cargo test -q
+    cargo test --release -q --manifest-path perfbench/Cargo.toml
     # Run every example to completion, not just compile it: they are the
     # documented way into the library, and a run call that fails only
     # shows up when it runs.

@@ -30,10 +30,6 @@ use pact_tiersim::{FaultPlan, SimError, FAULTS_ENV};
 /// `PACT_JOBS`: worker-count override for sweep executors.
 pub const JOBS_ENV: &str = "PACT_JOBS";
 
-/// `PACT_CI_STAGES`: consumed by `ci/run.sh` (never by Rust code);
-/// registered here so the table above stays complete.
-pub const CI_STAGES_ENV: &str = "PACT_CI_STAGES";
-
 /// `PACT_PROF`: arms the host-side self-profiler
 /// (`pact_obs::hostprof`). Host profiles are wall-clock measurements of
 /// the simulator itself and never feed a deterministic artifact.

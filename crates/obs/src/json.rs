@@ -123,12 +123,6 @@ impl JsonWriter {
         self.buf.push_str(&v.to_string());
     }
 
-    /// Writes a signed integer value.
-    pub fn value_i64(&mut self, v: i64) {
-        self.before_value();
-        self.buf.push_str(&v.to_string());
-    }
-
     /// Writes a float value (`null` for NaN/Inf, which JSON lacks).
     pub fn value_f64(&mut self, v: f64) {
         self.before_value();

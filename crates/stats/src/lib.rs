@@ -4,8 +4,7 @@
 //! The PACT design (ASPLOS '26) leans on a handful of classic statistical
 //! tools: Pearson correlation to validate the per-tier stall model (Fig. 2),
 //! reservoir sampling and the Freedman–Diaconis rule for adaptive promotion
-//! binning (Algorithm 3), quantiles for skew analysis (Fig. 1), EWMA-style
-//! cooling (§4.3.4), and empirical CDFs for the evaluation (Fig. 7). This
+//! binning (Algorithm 3), and quantiles for skew analysis (Fig. 1). This
 //! crate provides exactly those tools with small, well-tested
 //! implementations.
 //!
@@ -27,8 +26,6 @@
 
 pub mod codec;
 
-mod cdf;
-mod ewma;
 mod histogram;
 mod linfit;
 mod loghist;
@@ -39,9 +36,7 @@ mod reservoir;
 mod rng;
 mod summary;
 
-pub use cdf::Ecdf;
 pub use codec::{ByteReader, ByteWriter, CodecError};
-pub use ewma::Ewma;
 pub use histogram::{freedman_diaconis_width, Histogram};
 pub use linfit::{linear_fit, LinearFit};
 pub use loghist::LogHistogram;

@@ -33,17 +33,6 @@ impl Quantiles {
         Self { sorted }
     }
 
-    /// Builds from a vector that the caller guarantees is already sorted
-    /// ascending and NaN-free.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if the input is not sorted.
-    pub fn from_sorted(sorted: Vec<f64>) -> Self {
-        debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-        Self { sorted }
-    }
-
     /// Number of retained (non-NaN) samples.
     pub fn len(&self) -> usize {
         self.sorted.len()

@@ -1,7 +1,7 @@
 //! Property-based tests for the statistics primitives.
 
 use pact_stats::SplitMix64;
-use pact_stats::{freedman_diaconis_width, pearson, Ecdf, Histogram, Quantiles, Reservoir};
+use pact_stats::{freedman_diaconis_width, pearson, Histogram, Quantiles, Reservoir};
 use proptest::prelude::*;
 
 proptest! {
@@ -83,18 +83,5 @@ proptest! {
             let w2 = freedman_diaconis_width(&scaled).unwrap();
             prop_assert!((w2 - w * scale).abs() < 1e-6 * w2.max(1.0));
         }
-    }
-
-    /// ECDF is monotone nondecreasing and ends at 1.
-    #[test]
-    fn ecdf_monotone(vals in prop::collection::vec(-1e3f64..1e3, 1..100)) {
-        let c = Ecdf::new(&vals);
-        let steps = c.steps();
-        let mut prev = 0.0;
-        for &(_, f) in &steps {
-            prop_assert!(f >= prev);
-            prev = f;
-        }
-        prop_assert!((steps.last().unwrap().1 - 1.0).abs() < 1e-12);
     }
 }

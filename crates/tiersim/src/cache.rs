@@ -88,6 +88,18 @@ impl Llc {
         }
     }
 
+    /// Inserts `line`, which the caller knows is absent, at MRU position
+    /// without counting a demand access: [`fill`](Self::fill) minus its
+    /// presence scan, for a caller that has just probed with
+    /// [`contains`](Self::contains).
+    pub(crate) fn insert_absent(&mut self, line: u64) {
+        let range = self.set_range(line);
+        let set = &mut self.tags[range];
+        debug_assert!(!set.contains(&line), "line {line} is already cached");
+        set.rotate_right(1);
+        set[0] = line;
+    }
+
     /// Demand hits observed so far.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -179,8 +191,10 @@ impl StrideDetector {
             return 0..0;
         }
         self.clock += 1;
-        // Extend an existing stream?
-        for e in &mut self.streams {
+        // Extend an existing stream? The scan also finds the least
+        // recently used entry, first on ties, for a new stream.
+        let (mut victim, mut victim_use) = (0, u64::MAX);
+        for (i, e) in self.streams.iter_mut().enumerate() {
             if line == e.last_line.wrapping_add(1) {
                 e.last_line = line;
                 e.streak += 1;
@@ -194,13 +208,12 @@ impl StrideDetector {
                 e.last_use = self.clock;
                 return 0..0; // same-line re-access: keep stream state
             }
+            if e.last_use < victim_use {
+                (victim, victim_use) = (i, e.last_use);
+            }
         }
         // New stream: replace the least recently used entry.
-        let victim = self
-            .streams
-            .iter_mut()
-            .min_by_key(|e| e.last_use)
-            .expect("table is non-empty"); // Invariant: streams has fixed non-zero capacity
+        let victim = &mut self.streams[victim];
         victim.last_line = line;
         victim.streak = 0;
         victim.last_use = self.clock;
@@ -296,6 +309,91 @@ mod tests {
         let mut llc = small_llc();
         llc.access(8);
         assert!(llc.fill(8));
+    }
+
+    #[test]
+    fn insert_absent_matches_fill_on_absent_lines() {
+        let mut fast = small_llc();
+        let mut reference = small_llc();
+        let mut rng = pact_stats::SplitMix64::seed_from_u64(3);
+        for _ in 0..10_000 {
+            let line = rng.next_u64() % 16;
+            if rng.next_u64().is_multiple_of(2) {
+                assert_eq!(fast.access(line), reference.access(line));
+            } else if !fast.contains(line) {
+                fast.insert_absent(line);
+                assert!(!reference.fill(line));
+            }
+        }
+        let (mut a, mut b) = (ByteWriter::new(), ByteWriter::new());
+        fast.encode_state(&mut a);
+        reference.encode_state(&mut b);
+        assert_eq!(a.into_bytes(), b.into_bytes());
+    }
+
+    /// The two-pass `observe` the single-pass scan replaced: match
+    /// scan, then `min_by_key` for the victim.
+    fn observe_reference(d: &mut StrideDetector, line: u64) -> std::ops::Range<u64> {
+        if !d.enabled {
+            return 0..0;
+        }
+        d.clock += 1;
+        for e in &mut d.streams {
+            if line == e.last_line.wrapping_add(1) {
+                e.last_line = line;
+                e.streak += 1;
+                e.last_use = d.clock;
+                if e.streak >= d.trigger {
+                    return line + 1..line + 1 + d.degree as u64;
+                }
+                return 0..0;
+            }
+            if line == e.last_line {
+                e.last_use = d.clock;
+                return 0..0;
+            }
+        }
+        let victim = d.streams.iter_mut().min_by_key(|e| e.last_use).unwrap();
+        victim.last_line = line;
+        victim.streak = 0;
+        victim.last_use = d.clock;
+        0..0
+    }
+
+    #[test]
+    fn single_pass_observe_matches_min_by_key_reference() {
+        let cfg = PrefetchConfig {
+            enabled: true,
+            trigger: 2,
+            degree: 4,
+            coverage: 1.0,
+        };
+        let mut rng = pact_stats::SplitMix64::seed_from_u64(11);
+        let mut fast = StrideDetector::new(&cfg);
+        let mut reference = fast.clone();
+        // A mix of interleaved sequential streams, re-accesses and
+        // jumps; the fresh table's all-zero `last_use` covers ties.
+        let mut heads = [0u64, 1_000, 50_000, 7];
+        for step in 0..50_000 {
+            let k = (rng.next_u64() % heads.len() as u64) as usize;
+            let line = match rng.next_u64() % 8 {
+                0 => rng.next_u64() % 100_000,
+                1 => heads[k],
+                _ => {
+                    heads[k] += 1;
+                    heads[k]
+                }
+            };
+            assert_eq!(
+                fast.observe(line),
+                observe_reference(&mut reference, line),
+                "step {step}"
+            );
+        }
+        let (mut a, mut b) = (ByteWriter::new(), ByteWriter::new());
+        fast.encode_state(&mut a);
+        reference.encode_state(&mut b);
+        assert_eq!(a.into_bytes(), b.into_bytes());
     }
 
     #[test]

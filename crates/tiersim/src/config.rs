@@ -78,6 +78,18 @@ pub struct PrefetchConfig {
     pub coverage: f64,
 }
 
+impl PrefetchConfig {
+    /// The coverage dice as an integer threshold: a prefetch survives
+    /// when the 53-bit draw `x = next_u64() >> 11` is below
+    /// `ceil(coverage * 2^53)`. For integer `x < 2^53` and `coverage` in
+    /// `[0, 1]`, `x * 2^-53 >= coverage` exactly when
+    /// `x >= ceil(coverage * 2^53)`: both products scale by a power of
+    /// two and are exact, so this is the f64 draw's event bit for bit.
+    pub(crate) fn coverage_threshold(&self) -> u64 {
+        (self.coverage * (1u64 << 53) as f64).ceil() as u64
+    }
+}
+
 /// Which LLC misses the PEBS sampler observes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PebsScope {
@@ -337,6 +349,9 @@ impl MachineConfig {
         if self.llc.ways == 0 || self.llc.size_bytes < self.llc.ways as u64 * LINE_BYTES {
             return Err(ConfigError("LLC must have at least one set"));
         }
+        if !self.llc.sets().is_power_of_two() {
+            return Err(ConfigError("LLC set count must be a power of two"));
+        }
         if self.window_cycles == 0 {
             return Err(ConfigError("window_cycles must be positive"));
         }
@@ -485,6 +500,47 @@ mod tests {
             ..AdmissionControl::default()
         });
         assert!(cfg.validate().is_err(), "zero defer_windows");
+    }
+
+    #[test]
+    fn non_power_of_two_llc_sets_fail_closed() {
+        let mut cfg = MachineConfig::default();
+        // 192 KiB / (16 ways * 64 B) = 192 sets.
+        cfg.llc = LlcConfig {
+            size_bytes: 192 << 10,
+            ways: 16,
+        };
+        assert!(cfg.validate().is_err());
+        assert!(crate::Machine::new(cfg).is_err());
+    }
+
+    #[test]
+    fn coverage_threshold_matches_the_f64_draw() {
+        // The f64 draw's event: `x * 2^-53 >= coverage` rejects.
+        let scale = 1.0 / (1u64 << 53) as f64;
+        let mut coverages = Vec::new();
+        for c in [0.0f64, 1.0, 0.75] {
+            coverages.extend([c.next_down(), c, c.next_up()]);
+        }
+        let mut rng = pact_stats::SplitMix64::seed_from_u64(5);
+        for coverage in coverages {
+            let pf = PrefetchConfig {
+                enabled: true,
+                trigger: 1,
+                degree: 1,
+                coverage,
+            };
+            let t = pf.coverage_threshold();
+            let edges = [0, 1, t.saturating_sub(1), t, t + 1, (1 << 53) - 1];
+            let draws = (0..10_000).map(|_| rng.next_u64() >> 11);
+            for x in edges.into_iter().filter(|&x| x < 1 << 53).chain(draws) {
+                assert_eq!(
+                    x >= t,
+                    x as f64 * scale >= coverage,
+                    "coverage {coverage:e}, threshold {t}, draw {x}"
+                );
+            }
+        }
     }
 
     #[test]

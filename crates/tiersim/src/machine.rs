@@ -409,6 +409,9 @@ struct Sim<'a, 'w> {
     chmu: Option<Chmu>,
     pebs: PebsSampler,
     rng: SplitMix64,
+    /// Coverage dice threshold on the draw's 53-bit integer.
+    // snapshot: skip — derived from the prefetch configuration
+    prefetch_threshold: u64,
     counters: PmuCounters,
     latency: [u64; 2], // snapshot: skip — fixed tier latencies from the configuration
     channels: [Channel; 2],
@@ -722,6 +725,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             chmu: (cfg.chmu_counters > 0).then(|| Chmu::new(cfg.chmu_counters)),
             pebs: PebsSampler::new(pebs_cfg),
             rng: SplitMix64::seed_from_u64(cfg.seed),
+            prefetch_threshold: cfg.prefetch.coverage_threshold(),
             counters: PmuCounters::default(),
             latency: [
                 cfg.latency_cycles(Tier::Fast),
@@ -995,7 +999,7 @@ impl<'a, 'w> Sim<'a, 'w> {
 
         let page = PageId(base_page + a.vaddr / PAGE_BYTES);
         let prefer = self.policy.place(page);
-        let (tier, _first) = self.mem.ensure_mapped_with(page, prefer);
+        let (mut tier, _first) = self.mem.ensure_mapped_with(page, prefer);
         self.mem.touch(page, self.window_idx);
 
         // NUMA hint fault on a scan-poisoned unit.
@@ -1007,11 +1011,11 @@ impl<'a, 'w> Sim<'a, 'w> {
                 tc.hint_faults += 1;
             }
             self.deliver_sample(ti, SampleEvent::HintFault { page, tier });
+            // The fault may have migrated the page synchronously.
+            // Invariant: migration moves a page between tiers but never
+            // unmaps it, so the page looked up above is still mapped.
+            tier = self.mem.tier_of(page).expect("page was mapped above");
         }
-        // The fault may have migrated the page synchronously.
-        // Invariant: migration moves a page between tiers but never
-        // unmaps it, so the page looked up above is still mapped.
-        let tier = self.mem.tier_of(page).expect("page was mapped above");
 
         let gline = line_of(base_page * PAGE_BYTES + a.vaddr);
         let hit = self.llc.access(gline);
@@ -1020,8 +1024,9 @@ impl<'a, 'w> Sim<'a, 'w> {
         if a.kind == AccessKind::Load {
             let now = self.now_abs(ti);
             let pf = self.threads[ti].detector.observe(gline);
+            let demand = (page, tier);
             for pline in pf {
-                self.issue_prefetch(pline, base_page, fp_bytes, now);
+                self.issue_prefetch(pline, base_page, fp_bytes, now, demand);
             }
         }
 
@@ -1195,9 +1200,27 @@ impl<'a, 'w> Sim<'a, 'w> {
         (completion - issue) as u32
     }
 
-    /// Issues one prefetch fill for global line `pline` if it maps to a
-    /// resident page and the coverage dice allow it.
-    fn issue_prefetch(&mut self, pline: u64, base_page: u64, fp_bytes: u64, now: u64) {
+    /// Issues one prefetch fill for global line `pline` if it is not
+    /// cached, maps to a resident page, and the coverage dice and the
+    /// channel allow it. `demand` is the page and tier of the access
+    /// that triggered the prefetch.
+    ///
+    /// The rejection predicates that consume nothing (LLC presence,
+    /// footprint bounds, residency) run cheapest first; the coverage
+    /// draw and the ring advance happen only after all of them pass, so
+    /// every RNG draw and channel booking is the same as checking them
+    /// in any other order.
+    fn issue_prefetch(
+        &mut self,
+        pline: u64,
+        base_page: u64,
+        fp_bytes: u64,
+        now: u64,
+        demand: (PageId, Tier),
+    ) {
+        if self.llc.contains(pline) {
+            return;
+        }
         let byte = pline * LINE_BYTES;
         let local = byte.checked_sub(base_page * PAGE_BYTES);
         let Some(local) = local else { return };
@@ -1205,20 +1228,27 @@ impl<'a, 'w> Sim<'a, 'w> {
             return;
         }
         let page = PageId(base_page + local / PAGE_BYTES);
-        let Some(tier) = self.mem.tier_of(page) else {
-            return; // never prefetch into unmapped pages
+        let tier = if page == demand.0 {
+            demand.1
+        } else {
+            let Some(tier) = self.mem.tier_of(page) else {
+                return; // never prefetch into unmapped pages
+            };
+            tier
         };
-        if self.llc.contains(pline) {
-            return;
-        }
-        if self.rng.random::<f64>() >= self.cfg.prefetch.coverage {
+        // `next_u64() >> 11` is the 53-bit integer behind an f64 draw
+        // in [0, 1); see `PrefetchConfig::coverage_threshold`.
+        if self.rng.next_u64() >> 11 >= self.prefetch_threshold {
             return; // late/useless prefetch
         }
         let tidx = tier.index();
-        if self.channels[tidx].backlog_cycles(now) > PREFETCH_BACKLOG_LIMIT {
-            return; // channel backlogged: prefetcher yields to demand
+        // Prefetch traffic occupies the channel like any other transfer,
+        // unless the channel is backlogged: the prefetcher yields to
+        // demand.
+        if !self.channels[tidx].book_line_unless_backlogged(now, PREFETCH_BACKLOG_LIMIT) {
+            return;
         }
-        self.llc.fill(pline);
+        self.llc.insert_absent(pline);
         self.counters.prefetches[tidx] += 1;
         self.counters.bytes[tidx] += LINE_BYTES;
         // Prefetchers only fetch within the issuing thread's footprint,
@@ -1229,8 +1259,6 @@ impl<'a, 'w> Sim<'a, 'w> {
             tc.prefetches[tidx] += 1;
             tc.bytes[tidx] += LINE_BYTES;
         }
-        // Prefetch traffic occupies the channel like any other transfer.
-        self.channels[tidx].book(now, 1);
     }
 
     /// Attributes `stall` cycles to `page`'s misses, split by the tier

@@ -285,11 +285,6 @@ impl<'a> PolicyCtx<'a> {
         self.metrics
     }
 
-    /// Whether the machine has a CXL Hotness Monitoring Unit.
-    pub fn has_chmu(&self) -> bool {
-        self.chmu.is_some()
-    }
-
     /// Reads and resets the CHMU: the hot list `(page, exact-ish count)`
     /// of slow-tier accesses since the last read, hottest first,
     /// truncated to `n`. Returns `None` when the machine has no CHMU.

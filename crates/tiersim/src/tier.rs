@@ -151,6 +151,33 @@ impl Channel {
         ((backlog - 1.0).max(0.0)) * self.transfer
     }
 
+    /// Books one line transfer at cycle `t` unless the backlog there
+    /// already exceeds `limit_cycles` of channel time; returns whether it
+    /// booked. Bit for bit the same as
+    /// `backlog_cycles(t) > limit_cycles` followed, when it is not, by
+    /// `book(t, 1)`, but folds epoch `e` once: the backlog before `e`
+    /// serves both the check and the booked line's refold.
+    pub(crate) fn book_line_unless_backlogged(&mut self, t: u64, limit_cycles: f64) -> bool {
+        let epoch = t / EPOCH_CYCLES;
+        self.advance_to(epoch);
+        let e = epoch.max(self.base); // very old arrivals clamp to base
+        let before = if e == self.base {
+            self.carry
+        } else {
+            self.backlog_through(e - 1)
+        };
+        let idx = slot(e);
+        let backlog = (before + self.lines[idx] - self.cap).max(0.0);
+        if backlog * self.transfer > limit_cycles {
+            return false;
+        }
+        self.booked += 1;
+        self.lines[idx] += 1.0;
+        self.prefix[idx] = (before + self.lines[idx] - self.cap).max(0.0);
+        self.valid_end = e + 1;
+        true
+    }
+
     /// Lifetime count of line transfers booked on this channel.
     pub fn lines_booked(&self) -> u64 {
         self.booked
@@ -312,6 +339,47 @@ mod tests {
                 (pure * 4.0 - cycles).abs() < 1e-9,
                 "t={t}: {pure} lines vs {cycles} cycles"
             );
+        }
+    }
+
+    /// The fused prefetch booking against the two calls it replaces:
+    /// same verdicts, and every later demand booking sees the same
+    /// delay bit for bit.
+    #[test]
+    fn fused_prefetch_booking_matches_backlog_then_book() {
+        let window = EPOCHS as u64 * EPOCH_CYCLES;
+        for seed in 0..8 {
+            let mut rng = pact_stats::SplitMix64::seed_from_u64(seed);
+            let mut fused = Channel::new(if seed.is_multiple_of(2) { 4.0 } else { 2.7 });
+            let mut reference = fused.clone();
+            let mut t = 0u64;
+            for step in 0..20_000 {
+                // Mostly forward, sometimes out of order, sometimes a
+                // gap that expires part or all of the ring.
+                t = match rng.next_u64() % 16 {
+                    0 => t.saturating_sub(rng.next_u64() % window),
+                    1 => t + window / 2 + rng.next_u64() % (3 * window),
+                    _ => t + rng.next_u64() % 40,
+                };
+                if rng.next_u64().is_multiple_of(3) {
+                    let n = 1 + rng.next_u64() % 8;
+                    let (a, b) = (fused.book(t, n), reference.book(t, n));
+                    assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} step {step}");
+                } else {
+                    let limit = [0.0, 40.0, 150.0, 1e9][(rng.next_u64() % 4) as usize];
+                    let want = reference.backlog_cycles(t) <= limit;
+                    if want {
+                        reference.book(t, 1);
+                    }
+                    let got = fused.book_line_unless_backlogged(t, limit);
+                    assert_eq!(got, want, "seed {seed} step {step}");
+                }
+            }
+            assert_eq!(fused.lines_booked(), reference.lines_booked());
+            for dt in [0, EPOCH_CYCLES, window, 2 * window] {
+                let (a, b) = (fused.book(t + dt, 1), reference.book(t + dt, 1));
+                assert_eq!(a.to_bits(), b.to_bits(), "seed {seed} tail +{dt}");
+            }
         }
     }
 

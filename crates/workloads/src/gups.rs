@@ -58,14 +58,6 @@ impl Gups {
         }
     }
 
-    /// Sets the sequential/random phase mix (fraction of phases that are
-    /// random; the paper uses 0.5).
-    pub fn with_random_fraction(mut self, f: f64) -> Self {
-        assert!((0.0..=1.0).contains(&f));
-        self.random_fraction = f;
-        self
-    }
-
     /// Sets updates per phase.
     pub fn with_phase_len(mut self, len: u64) -> Self {
         assert!(len > 0);
