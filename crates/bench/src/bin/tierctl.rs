@@ -803,13 +803,11 @@ struct LintArgs {
     rules: Vec<String>,
     list_rules: bool,
     changed_files: Option<Vec<String>>,
-    timings: bool,
-    self_test: bool,
 }
 
 /// Expands one `--rule` argument against the catalogue: an exact id
-/// (`det-rng`), an exact code (`X001`), or a trailing-`*` glob over
-/// either (`X*`, `det-*`).
+/// (`det-rng`), an exact code (`D003`), or a trailing-`*` glob over
+/// either (`D*`, `det-*`).
 fn expand_rule_pattern(pat: &str) -> Result<Vec<String>, String> {
     let matches: Vec<String> = pact_lint::RULES
         .iter()
@@ -863,8 +861,6 @@ fn parse_lint_args(mut it: impl Iterator<Item = String>) -> Result<LintArgs, Str
         rules: Vec::new(),
         list_rules: false,
         changed_files: None,
-        timings: false,
-        self_test: false,
     };
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -880,13 +876,11 @@ fn parse_lint_args(mut it: impl Iterator<Item = String>) -> Result<LintArgs, Str
                     .ok_or("--changed-files needs a list or '-' for stdin")?;
                 args.changed_files = Some(parse_changed_files(&value)?);
             }
-            "--timings" => args.timings = true,
-            "--self-test" => args.self_test = true,
             "--list-rules" => args.list_rules = true,
             "--help" | "-h" => {
                 return Err(
                     "usage: tierctl lint [--root DIR] [--json] [--rule ID|CODE|GLOB*]... \
-                     [--changed-files LIST|-] [--timings] [--self-test] [--list-rules]"
+                     [--changed-files LIST|-] [--list-rules]"
                         .into(),
                 )
             }
@@ -905,23 +899,6 @@ fn run_lint(args: &LintArgs) {
     if args.list_rules {
         print!("{}", pact_lint::LintReport::catalogue());
         return;
-    }
-    if args.self_test {
-        match pact_lint::mutation_self_test() {
-            Ok(checks) => {
-                for c in &checks {
-                    println!("self-test ok: {c}");
-                }
-                println!("pact-lint self-test: {} checks passed", checks.len());
-                return;
-            }
-            Err(failures) => {
-                for f in &failures {
-                    eprintln!("self-test FAILED: {f}");
-                }
-                std::process::exit(1);
-            }
-        }
     }
     let root = match &args.root {
         Some(r) => std::path::PathBuf::from(r),
@@ -949,47 +926,20 @@ fn run_lint(args: &LintArgs) {
     }
     let files = pact_lint::workspace_files(&root).unwrap_or_else(|e| fail(&e));
     let jobs = pact_bench::jobs_from_env();
-    let t0 = std::time::Instant::now();
     // Fan the per-file scans out; the merge re-sorts by file/line/col,
     // so the report is byte-identical at any PACT_JOBS.
     let scans = pact_bench::try_run_indexed(files.len(), jobs, |i| {
         let path = root.join(&files[i]);
         std::fs::read_to_string(&path)
-            .map(|src| pact_lint::scan_file(&files[i], &src, &cfg))
+            .map(|src| pact_lint::lint_source(&files[i], &src, &cfg))
             .map_err(|e| format!("cannot read {}: {e}", path.display()))
     })
     .unwrap_or_else(|e: String| fail(&e));
-    let (report, timings) = pact_lint::finish_scans(scans, &cfg, args.changed_files.as_deref());
-    let wall = t0.elapsed();
+    let report = pact_lint::finish_scans(scans, args.changed_files.as_deref());
     if args.json {
         print!("{}", report.render_json());
     } else {
         print!("{}", report.render_text());
-    }
-    if args.timings {
-        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
-        println!("pact-lint timings (files {}, jobs {jobs}):", files.len());
-        println!(
-            "  lex+token-rules      {:>8.2} ms (cpu, fused D/H/S pass)",
-            ms(timings.token_pass)
-        );
-        println!(
-            "  parse                {:>8.2} ms (cpu)",
-            ms(timings.parse_pass)
-        );
-        println!(
-            "  snapshot-coverage    {:>8.2} ms",
-            ms(timings.snapshot_coverage)
-        );
-        println!(
-            "  counter-mirror       {:>8.2} ms",
-            ms(timings.counter_mirror)
-        );
-        println!(
-            "  event-exhaustiveness {:>8.2} ms",
-            ms(timings.event_exhaustiveness)
-        );
-        println!("  total wall           {:>8.2} ms", ms(wall));
     }
     if !report.is_clean() {
         std::process::exit(1);

@@ -205,11 +205,10 @@ pub fn check_cell(workload: &str, seed: u64) -> DiffLedger {
 /// Fleet conservation oracle (DESIGN.md §14): colocates the cell's
 /// workload with the `mlc-hog` bandwidth antagonist and the
 /// `zipf-drift` skew tenant under migration admission control, then
-/// demands that the per-tenant lanes are an *exact partition* of the
-/// global totals — every PMU counter, the migration/admission stats,
-/// and the `[fast, slow]` page-stall lanes each sum to the run's
-/// globals — and that the admission controller both admitted and
-/// rejected orders.
+/// demands that the per-tenant `[fast, slow]` stall lanes sum to the
+/// page-stall oracle's totals and that the admission controller both
+/// admitted and rejected orders. (The PMU counters and migration
+/// ledger need no check: the machine's globals are the lanes' sum.)
 ///
 /// # Errors
 ///
@@ -250,111 +249,14 @@ pub fn tenant_conservation_oracle(workload: &str, seed: u64) -> Result<(), Strin
         ));
     }
 
-    // Exact partition of the PMU counters.
+    // The PMU counters and the migration ledger partition the globals
+    // by construction: the machine stores them only in per-tenant
+    // lanes and reports the globals as the lanes' sum. The stall lanes
+    // are checked against the page-stall oracle, which is independent
+    // data.
     let lane = |f: &dyn Fn(&pact_tiersim::TenantReport) -> u64| -> u64 {
         base.tenants.iter().map(f).sum()
     };
-    let scalar_checks: [(&str, u64, u64); 6] = [
-        (
-            "accesses",
-            base.counters.accesses,
-            lane(&|t| t.counters.accesses),
-        ),
-        ("loads", base.counters.loads, lane(&|t| t.counters.loads)),
-        ("stores", base.counters.stores, lane(&|t| t.counters.stores)),
-        (
-            "llc_hits",
-            base.counters.llc_hits,
-            lane(&|t| t.counters.llc_hits),
-        ),
-        (
-            "hint_faults",
-            base.counters.hint_faults,
-            lane(&|t| t.counters.hint_faults),
-        ),
-        (
-            "pebs_samples",
-            base.counters.pebs_samples,
-            lane(&|t| t.counters.pebs_samples),
-        ),
-    ];
-    for (name, global, sum) in scalar_checks {
-        if global != sum {
-            return Err(format!(
-                "tenant {name} lanes sum to {sum}, global is {global}"
-            ));
-        }
-    }
-    for lane_idx in 0..2usize {
-        let pair_checks: [(&str, u64, u64); 7] = [
-            (
-                "llc_misses",
-                base.counters.llc_misses[lane_idx],
-                lane(&|t| t.counters.llc_misses[lane_idx]),
-            ),
-            (
-                "tor_occupancy",
-                base.counters.tor_occupancy[lane_idx],
-                lane(&|t| t.counters.tor_occupancy[lane_idx]),
-            ),
-            (
-                "llc_stalls",
-                base.counters.llc_stalls[lane_idx],
-                lane(&|t| t.counters.llc_stalls[lane_idx]),
-            ),
-            (
-                "tor_busy",
-                base.counters.tor_busy[lane_idx],
-                lane(&|t| t.counters.tor_busy[lane_idx]),
-            ),
-            (
-                "demand_latency_sum",
-                base.counters.demand_latency_sum[lane_idx],
-                lane(&|t| t.counters.demand_latency_sum[lane_idx]),
-            ),
-            (
-                "bytes",
-                base.counters.bytes[lane_idx],
-                lane(&|t| t.counters.bytes[lane_idx]),
-            ),
-            (
-                "prefetches",
-                base.counters.prefetches[lane_idx],
-                lane(&|t| t.counters.prefetches[lane_idx]),
-            ),
-        ];
-        for (name, global, sum) in pair_checks {
-            if global != sum {
-                return Err(format!(
-                    "tenant {name}[{lane_idx}] lanes sum to {sum}, global is {global}"
-                ));
-            }
-        }
-    }
-
-    // Exact partition of the migration ledger.
-    let stats_checks: [(&str, u64, u64); 4] = [
-        ("promotions", base.promotions, lane(&|t| t.promotions)),
-        ("demotions", base.demotions, lane(&|t| t.demotions)),
-        (
-            "failed_promotions",
-            base.failed_promotions,
-            lane(&|t| t.failed_promotions),
-        ),
-        (
-            "dropped_orders",
-            base.dropped_orders,
-            lane(&|t| t.dropped_orders),
-        ),
-    ];
-    for (name, global, sum) in stats_checks {
-        if global != sum {
-            return Err(format!(
-                "tenant {name} lanes sum to {sum}, global is {global}"
-            ));
-        }
-    }
-
     // Exact partition of the page-stall oracle.
     let mut oracle_totals = [0u64; 2];
     for lanes in base

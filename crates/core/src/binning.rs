@@ -21,7 +21,7 @@ use crate::config::{BinningMode, PactConfig};
 /// The adaptive binning engine.
 #[derive(Debug, Clone)]
 pub struct AdaptiveBins {
-    mode: BinningMode, // snapshot: skip — decode targets an engine built from the same configuration
+    mode: BinningMode,
     reservoir: Reservoir,
     rng: SplitMix64,
     width: f64,
@@ -29,8 +29,8 @@ pub struct AdaptiveBins {
     scale: f64,
     /// Static mode: width frozen after the first estimate.
     frozen: bool,
-    static_bins: usize, // snapshot: skip — fixed by the configuration on restore
-    t_scale: f64,       // snapshot: skip — fixed by the configuration on restore
+    static_bins: usize,
+    t_scale: f64,
 }
 
 impl AdaptiveBins {
@@ -131,19 +131,27 @@ impl AdaptiveBins {
 
     /// Serializes the engine's run state (reservoir contents, RNG
     /// cursor, width/scale/freeze) for a crash-recovery snapshot.
-    /// Configuration-derived fields (`mode`, `static_bins`, `t_scale`)
-    /// are rebuilt from the policy configuration on restore.
     pub(crate) fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        let samples = self.reservoir.as_slice();
+        let Self {
+            mode: _,        // fixed by the configuration on restore
+            static_bins: _, // fixed by the configuration on restore
+            t_scale: _,     // fixed by the configuration on restore
+            reservoir,
+            rng,
+            width,
+            scale,
+            frozen,
+        } = self;
+        let samples = reservoir.as_slice();
         w.put_u64(samples.len() as u64);
         for &v in samples {
             w.put_f64(v);
         }
-        w.put_u64(self.reservoir.seen());
-        w.put_u64(self.rng.state());
-        w.put_f64(self.width);
-        w.put_f64(self.scale);
-        w.put_bool(self.frozen);
+        w.put_u64(reservoir.seen());
+        w.put_u64(rng.state());
+        w.put_f64(*width);
+        w.put_f64(*scale);
+        w.put_bool(*frozen);
     }
 
     /// Restores the run state written by [`AdaptiveBins::encode_state`]
@@ -152,12 +160,22 @@ impl AdaptiveBins {
         &mut self,
         r: &mut pact_stats::ByteReader<'_>,
     ) -> Result<(), String> {
+        let Self {
+            mode: _,        // fixed by the configuration on restore
+            static_bins: _, // fixed by the configuration on restore
+            t_scale: _,     // fixed by the configuration on restore
+            reservoir,
+            rng,
+            width,
+            scale,
+            frozen,
+        } = self;
         let e = |e: pact_stats::CodecError| e.to_string();
         let n = r.get_u64().map_err(e)? as usize;
-        if n > self.reservoir.capacity() {
+        if n > reservoir.capacity() {
             return Err(format!(
                 "snapshot reservoir holds {n} samples but the configured capacity is {}",
-                self.reservoir.capacity()
+                reservoir.capacity()
             ));
         }
         let mut samples = Vec::with_capacity(n);
@@ -168,16 +186,16 @@ impl AdaptiveBins {
         if (seen as usize) < n {
             return Err(format!("reservoir saw {seen} values but holds {n}"));
         }
-        self.reservoir.restore_state(&samples, seen);
-        self.rng = SplitMix64::new(r.get_u64().map_err(e)?);
-        self.width = r.get_f64().map_err(e)?;
-        self.scale = r.get_f64().map_err(e)?;
-        self.frozen = r.get_bool().map_err(e)?;
-        if !self.width.is_finite() || self.width < 0.0 {
-            return Err(format!("restored bin width is invalid: {}", self.width));
+        reservoir.restore_state(&samples, seen);
+        *rng = SplitMix64::new(r.get_u64().map_err(e)?);
+        *width = r.get_f64().map_err(e)?;
+        *scale = r.get_f64().map_err(e)?;
+        *frozen = r.get_bool().map_err(e)?;
+        if !width.is_finite() || *width < 0.0 {
+            return Err(format!("restored bin width is invalid: {width}"));
         }
-        if !self.scale.is_finite() || self.scale <= 0.0 {
-            return Err(format!("restored bin scale is invalid: {}", self.scale));
+        if !scale.is_finite() || *scale <= 0.0 {
+            return Err(format!("restored bin scale is invalid: {scale}"));
         }
         Ok(())
     }

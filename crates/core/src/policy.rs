@@ -337,59 +337,6 @@ impl PactPolicy {
         w.put_u64(cfg.seed);
     }
 
-    fn encode_pmu(c: &PmuCounters, w: &mut ByteWriter) {
-        for v in [
-            c.accesses,
-            c.loads,
-            c.stores,
-            c.llc_hits,
-            c.hint_faults,
-            c.pebs_samples,
-        ] {
-            w.put_u64(v);
-        }
-        for pair in [
-            c.llc_misses,
-            c.llc_stalls,
-            c.tor_occupancy,
-            c.tor_busy,
-            c.demand_latency_sum,
-            c.bytes,
-            c.prefetches,
-        ] {
-            w.put_u64(pair[0]);
-            w.put_u64(pair[1]);
-        }
-    }
-
-    fn decode_pmu(r: &mut ByteReader<'_>) -> Result<PmuCounters, String> {
-        let e = |e: CodecError| e.to_string();
-        let mut c = PmuCounters::default();
-        for v in [
-            &mut c.accesses,
-            &mut c.loads,
-            &mut c.stores,
-            &mut c.llc_hits,
-            &mut c.hint_faults,
-            &mut c.pebs_samples,
-        ] {
-            *v = r.get_u64().map_err(e)?;
-        }
-        for pair in [
-            &mut c.llc_misses,
-            &mut c.llc_stalls,
-            &mut c.tor_occupancy,
-            &mut c.tor_busy,
-            &mut c.demand_latency_sum,
-            &mut c.bytes,
-            &mut c.prefetches,
-        ] {
-            pair[0] = r.get_u64().map_err(e)?;
-            pair[1] = r.get_u64().map_err(e)?;
-        }
-        Ok(c)
-    }
-
     fn store_decay_unit(&mut self, head: PageId, span: u64) {
         for off in 0..span {
             let page = PageId(head.0 + off);
@@ -447,37 +394,57 @@ impl TieringPolicy for PactPolicy {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) -> bool {
+        let Self {
+            cfg,
+            store,
+            bins,
+            k,
+            windows_seen,
+            last_period_snapshot,
+            failures_seen,
+            rejections_seen,
+        } = self;
         let mut w = ByteWriter::new();
         let mut cfg_bytes = ByteWriter::new();
-        Self::encode_config(&self.cfg, &mut cfg_bytes);
+        Self::encode_config(cfg, &mut cfg_bytes);
         w.put_bytes(&cfg_bytes.into_bytes());
-        w.put_f64(self.k);
-        w.put_u32(self.windows_seen);
-        w.put_u64(self.failures_seen);
-        w.put_u64(self.rejections_seen);
-        Self::encode_pmu(&self.last_period_snapshot, &mut w);
-        self.store.encode_state(&mut w);
-        self.bins.encode_state(&mut w);
+        w.put_f64(*k);
+        w.put_u32(*windows_seen);
+        w.put_u64(*failures_seen);
+        w.put_u64(*rejections_seen);
+        last_period_snapshot.encode_state(&mut w);
+        store.encode_state(&mut w);
+        bins.encode_state(&mut w);
         out.extend_from_slice(&w.into_bytes());
         true
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
+        let Self {
+            cfg,
+            store,
+            bins,
+            k,
+            windows_seen,
+            last_period_snapshot,
+            failures_seen,
+            rejections_seen,
+        } = self;
         let e = |e: CodecError| e.to_string();
         let mut r = ByteReader::new(state);
         let snap_cfg = r.get_bytes().map_err(e)?;
         let mut own_cfg = ByteWriter::new();
-        Self::encode_config(&self.cfg, &mut own_cfg);
+        Self::encode_config(cfg, &mut own_cfg);
         if snap_cfg != own_cfg.into_bytes().as_slice() {
             return Err("snapshot was captured under a different PACT configuration".into());
         }
-        self.k = r.get_f64().map_err(e)?;
-        self.windows_seen = r.get_u32().map_err(e)?;
-        self.failures_seen = r.get_u64().map_err(e)?;
-        self.rejections_seen = r.get_u64().map_err(e)?;
-        self.last_period_snapshot = Self::decode_pmu(&mut r)?;
-        self.store.decode_state(&mut r)?;
-        self.bins.decode_state(&mut r)?;
+        *k = r.get_f64().map_err(e)?;
+        *windows_seen = r.get_u32().map_err(e)?;
+        *failures_seen = r.get_u64().map_err(e)?;
+        *rejections_seen = r.get_u64().map_err(e)?;
+        *last_period_snapshot = PmuCounters::decode_state(&mut r)?;
+        store.decode_state(&mut r)?;
+        bins.decode_state(&mut r)?;
         r.finish().map_err(e)
     }
 }

@@ -35,7 +35,6 @@ pub struct PacStore {
     /// default entries and are skipped via `tracked`.
     entries: Vec<PageEntry>,
     /// Whether the page at each index is tracked.
-    // snapshot: skip — rebuilt from the decoded id list
     tracked: Vec<bool>,
     /// Tracked pages in first-touch order (deterministic iteration).
     ids: Vec<PageId>,
@@ -212,22 +211,36 @@ impl PacStore {
     /// entries are written (first-touch order); the dense table is
     /// rebuilt on restore.
     pub(crate) fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        w.put_u64(self.ids.len() as u64);
-        for page in &self.ids {
-            let e = &self.entries[page.0 as usize];
+        let Self {
+            entries,
+            tracked: _, // rebuilt from the decoded id list
+            ids,
+            active,
+            period_total,
+            global_samples,
+        } = self;
+        w.put_u64(ids.len() as u64);
+        for page in ids {
+            let PageEntry {
+                pac,
+                period_samples,
+                period_latency_sum,
+                total_samples,
+                last_capture,
+            } = entries[page.0 as usize];
             w.put_u64(page.0);
-            w.put_f64(e.pac);
-            w.put_u32(e.period_samples);
-            w.put_u64(e.period_latency_sum);
-            w.put_u64(e.total_samples);
-            w.put_u64(e.last_capture);
+            w.put_f64(pac);
+            w.put_u32(period_samples);
+            w.put_u64(period_latency_sum);
+            w.put_u64(total_samples);
+            w.put_u64(last_capture);
         }
-        w.put_u64(self.active.len() as u64);
-        for page in &self.active {
+        w.put_u64(active.len() as u64);
+        for page in active {
             w.put_u64(page.0);
         }
-        w.put_u64(self.period_total);
-        w.put_u64(self.global_samples);
+        w.put_u64(*period_total);
+        w.put_u64(*global_samples);
     }
 
     /// Restores the store from [`PacStore::encode_state`] bytes,
@@ -239,32 +252,41 @@ impl PacStore {
     ) -> Result<(), String> {
         let e = |e: pact_stats::CodecError| e.to_string();
         *self = PacStore::default();
-        let tracked = r.get_u64().map_err(e)?;
-        for _ in 0..tracked {
+        let Self {
+            entries,
+            tracked,
+            ids,
+            active,
+            period_total,
+            global_samples,
+        } = self;
+        let n = r.get_u64().map_err(e)?;
+        for _ in 0..n {
             let page = PageId(r.get_u64().map_err(e)?);
             let idx = page.0 as usize;
-            if idx >= self.entries.len() {
-                self.entries.resize(idx + 1, PageEntry::default());
-                self.tracked.resize(idx + 1, false);
+            if idx >= entries.len() {
+                entries.resize(idx + 1, PageEntry::default());
+                tracked.resize(idx + 1, false);
             }
-            if self.tracked[idx] {
+            if tracked[idx] {
                 return Err(format!("pac store lists page {} twice", page.0));
             }
-            self.tracked[idx] = true;
-            self.ids.push(page);
-            let slot = &mut self.entries[idx];
-            slot.pac = r.get_f64().map_err(e)?;
-            slot.period_samples = r.get_u32().map_err(e)?;
-            slot.period_latency_sum = r.get_u64().map_err(e)?;
-            slot.total_samples = r.get_u64().map_err(e)?;
-            slot.last_capture = r.get_u64().map_err(e)?;
+            tracked[idx] = true;
+            ids.push(page);
+            entries[idx] = PageEntry {
+                pac: r.get_f64().map_err(e)?,
+                period_samples: r.get_u32().map_err(e)?,
+                period_latency_sum: r.get_u64().map_err(e)?,
+                total_samples: r.get_u64().map_err(e)?,
+                last_capture: r.get_u64().map_err(e)?,
+            };
         }
-        let active = r.get_u64().map_err(e)?;
-        for _ in 0..active {
-            self.active.push(PageId(r.get_u64().map_err(e)?));
+        let n = r.get_u64().map_err(e)?;
+        for _ in 0..n {
+            active.push(PageId(r.get_u64().map_err(e)?));
         }
-        self.period_total = r.get_u64().map_err(e)?;
-        self.global_samples = r.get_u64().map_err(e)?;
+        *period_total = r.get_u64().map_err(e)?;
+        *global_samples = r.get_u64().map_err(e)?;
         self.debug_validate()
             .map_err(|err| format!("restored pac store is inconsistent: {err}"))
     }

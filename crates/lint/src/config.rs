@@ -47,41 +47,6 @@ pub struct LintConfig {
     pub wall_clock_files: Vec<String>,
     /// Enabled rule ids; empty means every rule in the catalogue.
     pub enabled_rules: Vec<String>,
-    /// Method names that count as the encode side of a snapshot codec
-    /// pair (X001). A struct is codec-paired when an impl in its own
-    /// file defines one fn from each list.
-    pub codec_encode_fns: Vec<String>,
-    /// Method names that count as the decode side (X001).
-    pub codec_decode_fns: Vec<String>,
-    /// Workspace-relative files subject to the `counter-mirror` rule
-    /// (X002): the fleet-gated machine hot path.
-    pub mirror_files: Vec<String>,
-    /// The global→per-tenant counter pairs X002 enforces.
-    pub mirror_specs: Vec<MirrorSpec>,
-    /// The enum whose dispatch sites X003 audits.
-    pub event_enum: String,
-    /// Workspace-relative files whose `match`es over [`Self::event_enum`]
-    /// must be exhaustive (X003): tracer emit + trace exporters.
-    pub event_match_files: Vec<String>,
-}
-
-/// One X002 mirroring contract: every `+=` on a field of
-/// `mirror_struct` reached through the global path must be matched,
-/// in the same fn, by a `+=` on the same field reached through the
-/// per-tenant lane.
-#[derive(Debug, Clone)]
-pub struct MirrorSpec {
-    /// Self type whose methods the contract covers (e.g. `Sim`).
-    pub owner: String,
-    /// Field of `self` holding the global struct (`counters`), or
-    /// `None` when the counters live directly on `self` (migration
-    /// stats).
-    pub global_field: Option<String>,
-    /// Field of `self` holding the per-tenant `Vec` mirror.
-    pub tenant_field: String,
-    /// Struct whose field names define the mirrored counter set,
-    /// resolved through the cross-file symbol table.
-    pub mirror_struct: String,
 }
 
 impl Default for LintConfig {
@@ -103,29 +68,6 @@ impl Default for LintConfig {
             truncation_files: s(&["crates/tiersim/src/pmu.rs", "crates/tiersim/src/chmu.rs"]),
             wall_clock_files: s(&["crates/obs/src/hostprof.rs"]),
             enabled_rules: Vec::new(),
-            // The workspace codec naming conventions: `encode_state`/
-            // `decode_state` on component types, `save_state`/
-            // `restore_state` on policies, and the Sim master codec
-            // pair `capture_snapshot`/`decode_payload`.
-            codec_encode_fns: s(&["encode_state", "save_state", "capture_snapshot"]),
-            codec_decode_fns: s(&["decode_state", "restore_state", "decode_payload"]),
-            mirror_files: s(&["crates/tiersim/src/machine.rs"]),
-            mirror_specs: vec![
-                MirrorSpec {
-                    owner: "Sim".to_string(),
-                    global_field: Some("counters".to_string()),
-                    tenant_field: "tenant_counters".to_string(),
-                    mirror_struct: "PmuCounters".to_string(),
-                },
-                MirrorSpec {
-                    owner: "Sim".to_string(),
-                    global_field: None,
-                    tenant_field: "tenant_stats".to_string(),
-                    mirror_struct: "TenantStats".to_string(),
-                },
-            ],
-            event_enum: "EventKind".to_string(),
-            event_match_files: s(&["crates/obs/src/tracer.rs", "crates/obs/src/export.rs"]),
         }
     }
 }

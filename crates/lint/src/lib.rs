@@ -31,19 +31,13 @@
 
 mod config;
 mod lexer;
-mod model;
-mod parse;
 mod rules;
-mod selftest;
-mod semantic;
 
-pub use config::{FileClass, LintConfig, MirrorSpec};
+pub use config::{FileClass, LintConfig};
 pub use lexer::{lex, Tok, TokKind};
 pub use rules::{lint_source, rule_by_id, Diagnostic, Rule, RULES};
-pub use selftest::mutation_self_test;
 
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 /// Everything one lint run produced.
 #[derive(Debug)]
@@ -54,88 +48,14 @@ pub struct LintReport {
     pub files_scanned: usize,
 }
 
-/// One file's scan result: token-pass diagnostics plus the parsed
-/// model the semantic pass consumes. Produced by [`scan_file`] —
-/// independently per file, so callers may fan scans out across a
-/// worker pool — and merged by [`finish_scans`].
-#[derive(Debug)]
-pub struct FileScan {
-    diagnostics: Vec<Diagnostic>,
-    model_: model::FileModel,
-    token_pass: Duration,
-    parse_pass: Duration,
-}
-
-/// Wall-clock spent per analysis phase, for `tierctl lint --timings`.
-/// The token rules run as one fused pass; the X rules are timed
-/// individually.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LintTimings {
-    /// Lexing plus the fused D/H/S token-pattern pass.
-    pub token_pass: Duration,
-    /// Model construction (parse layer), summed across files.
-    pub parse_pass: Duration,
-    /// X001 snapshot-coverage.
-    pub snapshot_coverage: Duration,
-    /// X002 counter-mirror.
-    pub counter_mirror: Duration,
-    /// X003 event-exhaustiveness.
-    pub event_exhaustiveness: Duration,
-}
-
-/// Lexes, token-lints, and parses one file. `rel_path` is the
-/// workspace-relative forward-slash path used for scoping.
-pub fn scan_file(rel_path: &str, src: &str, cfg: &LintConfig) -> FileScan {
-    let t0 = Instant::now();
-    let toks = lex(src);
-    let diagnostics = rules::lint_tokens(rel_path, &toks, cfg);
-    let t1 = Instant::now();
-    let model_ = parse::parse_file(rel_path, &toks);
-    FileScan {
-        diagnostics,
-        model_,
-        token_pass: t1 - t0,
-        parse_pass: t1.elapsed(),
-    }
-}
-
-/// Merges per-file scans into the final report: builds the workspace
-/// model, runs the semantic rules, applies suppressions, optionally
-/// restricts findings to `changed` (workspace-relative paths), and
-/// sorts by file/line/col for a deterministic report regardless of
-/// scan order.
-pub fn finish_scans(
-    scans: Vec<FileScan>,
-    cfg: &LintConfig,
-    changed: Option<&[String]>,
-) -> (LintReport, LintTimings) {
-    let mut timings = LintTimings::default();
+/// Merges per-file findings (one [`lint_source`] result per scanned
+/// file, in any order — callers may fan the scans out across a worker
+/// pool) into the final report: optionally restricts findings to
+/// `changed` (workspace-relative paths) and sorts by file/line/col, so
+/// the report is deterministic regardless of scan order.
+pub fn finish_scans(scans: Vec<Vec<Diagnostic>>, changed: Option<&[String]>) -> LintReport {
     let files_scanned = scans.len();
-    let mut diagnostics = Vec::new();
-    let mut ws = model::WorkspaceModel::default();
-    for s in scans {
-        timings.token_pass += s.token_pass;
-        timings.parse_pass += s.parse_pass;
-        diagnostics.extend(s.diagnostics);
-        ws.files.push(s.model_);
-    }
-    let timed = |d: &mut Duration, f: &dyn Fn() -> Vec<Diagnostic>| {
-        let t = Instant::now();
-        let out = f();
-        *d = t.elapsed();
-        out
-    };
-    let mut sem = Vec::new();
-    sem.extend(timed(&mut timings.snapshot_coverage, &|| {
-        semantic::snapshot_coverage(&ws, cfg)
-    }));
-    sem.extend(timed(&mut timings.counter_mirror, &|| {
-        semantic::counter_mirror(&ws, cfg)
-    }));
-    sem.extend(timed(&mut timings.event_exhaustiveness, &|| {
-        semantic::event_exhaustiveness(&ws, cfg)
-    }));
-    diagnostics.extend(semantic::apply_suppressions(&ws, sem));
+    let mut diagnostics: Vec<Diagnostic> = scans.into_iter().flatten().collect();
     if let Some(changed) = changed {
         diagnostics.retain(|d| changed.contains(&d.file));
     }
@@ -147,13 +67,10 @@ pub fn finish_scans(
             b.rule.code,
         ))
     });
-    (
-        LintReport {
-            diagnostics,
-            files_scanned,
-        },
-        timings,
-    )
+    LintReport {
+        diagnostics,
+        files_scanned,
+    }
 }
 
 /// Checks that `root` carries a workspace manifest.
@@ -256,40 +173,6 @@ fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<String>) -> Result<(), Lint
         }
     }
     Ok(())
-}
-
-/// Lints every in-scope file under the workspace at `root`.
-///
-/// # Errors
-///
-/// [`LintError::NotAWorkspace`] when `root` has no workspace manifest,
-/// [`LintError::Io`] when a source file cannot be read.
-pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Result<LintReport, LintError> {
-    lint_workspace_changed(root, cfg, None).map(|(r, _)| r)
-}
-
-/// [`lint_workspace`], with the full machinery exposed: an optional
-/// changed-files filter (workspace-relative paths; the whole tree is
-/// still scanned so cross-file rules see the full model, only the
-/// *report* is filtered) and per-phase timings.
-///
-/// # Errors
-///
-/// As [`lint_workspace`].
-pub fn lint_workspace_changed(
-    root: &Path,
-    cfg: &LintConfig,
-    changed: Option<&[String]>,
-) -> Result<(LintReport, LintTimings), LintError> {
-    ensure_workspace_root(root)?;
-    let files = workspace_files(root)?;
-    let mut scans = Vec::with_capacity(files.len());
-    for rel in &files {
-        let path = root.join(rel);
-        let src = std::fs::read_to_string(&path).map_err(|e| LintError::Io(path.clone(), e))?;
-        scans.push(scan_file(rel, &src, cfg));
-    }
-    Ok(finish_scans(scans, cfg, changed))
 }
 
 impl LintReport {

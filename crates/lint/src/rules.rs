@@ -22,7 +22,7 @@ pub struct Rule {
 }
 
 /// The rule catalogue. Order is report order.
-pub const RULES: [Rule; 11] = [
+pub const RULES: [Rule; 8] = [
     Rule {
         id: "det-hash-collections",
         code: "D001",
@@ -71,24 +71,6 @@ pub const RULES: [Rule; 11] = [
         summary: "malformed or unknown pact-lint suppression comment",
         help: "write `// pact-lint: allow(<rule-id>) — <reason>` with a known rule and a non-empty reason",
     },
-    Rule {
-        id: "snapshot-coverage",
-        code: "X001",
-        summary: "every field of a snapshot-coded struct must round-trip through encode AND decode",
-        help: "write the field in the encode path and read it back in decode, or annotate it with `// snapshot: skip — <reason>`",
-    },
-    Rule {
-        id: "counter-mirror",
-        code: "X002",
-        summary: "every global PMU/migration counter bump must have a per-tenant mirror in the same fn",
-        help: "bump the matching tenant_counters/tenant_stats field alongside the global, or justify with `// pact-lint: allow(counter-mirror) — <reason>`",
-    },
-    Rule {
-        id: "event-exhaustiveness",
-        code: "X003",
-        summary: "EventKind dispatch sites must name every variant; wildcard arms defeat the check",
-        help: "add the missing variant arms so a new EventKind fails the lint instead of vanishing from a trace path",
-    },
 ];
 
 /// Looks a rule up by its kebab-case id.
@@ -117,32 +99,32 @@ pub struct Diagnostic {
 }
 
 /// A suppression comment, parsed.
-pub(crate) struct Suppression {
-    pub(crate) rule_id: String,
+struct Suppression {
+    rule_id: String,
     /// Line the suppression applies to (its own line, or the next
     /// code line when the comment stands alone).
-    pub(crate) target_line: u32,
+    target_line: u32,
     /// Where the comment itself is, for S001 diagnostics.
-    pub(crate) line: u32,
-    pub(crate) col: u32,
-    pub(crate) problem: Option<String>,
+    line: u32,
+    col: u32,
+    problem: Option<String>,
 }
 
-/// Comment-derived facts shared by the token pass and the parse
-/// layer: lines fully covered by comments (for annotation and
+/// Comment-derived facts for the token pass: lines fully covered by
+/// comments (for annotation and
 /// suppression reach-through), lines carrying an `Invariant:`
 /// annotation, and all parsed suppressions with their target lines
 /// resolved.
-pub(crate) struct CommentFacts {
-    pub(crate) comment_lines: std::collections::BTreeSet<u32>,
-    pub(crate) code_lines: std::collections::BTreeSet<u32>,
-    pub(crate) invariant_lines: std::collections::BTreeSet<u32>,
-    pub(crate) suppressions: Vec<Suppression>,
+struct CommentFacts {
+    comment_lines: std::collections::BTreeSet<u32>,
+    code_lines: std::collections::BTreeSet<u32>,
+    invariant_lines: std::collections::BTreeSet<u32>,
+    suppressions: Vec<Suppression>,
 }
 
 impl CommentFacts {
     /// Whether `line` holds comments and nothing else.
-    pub(crate) fn comment_only(&self, line: u32) -> bool {
+    fn comment_only(&self, line: u32) -> bool {
         self.comment_lines.contains(&line) && !self.code_lines.contains(&line)
     }
 
@@ -150,7 +132,7 @@ impl CommentFacts {
     /// applies to: the next line holding code (stacked annotation
     /// comments skip over each other). A trailing comment targets its
     /// own line.
-    pub(crate) fn annotation_target(&self, line: u32) -> u32 {
+    fn annotation_target(&self, line: u32) -> u32 {
         if !self.comment_only(line) {
             return line;
         }
@@ -163,7 +145,7 @@ impl CommentFacts {
 }
 
 /// Collects [`CommentFacts`] from a full token stream.
-pub(crate) fn comment_facts(toks: &[Tok<'_>]) -> CommentFacts {
+fn comment_facts(toks: &[Tok<'_>]) -> CommentFacts {
     let mut facts = CommentFacts {
         comment_lines: std::collections::BTreeSet::new(),
         code_lines: std::collections::BTreeSet::new(),
@@ -207,14 +189,8 @@ pub(crate) fn comment_facts(toks: &[Tok<'_>]) -> CommentFacts {
 /// decisions and diagnostics.
 pub fn lint_source(rel_path: &str, src: &str, cfg: &LintConfig) -> Vec<Diagnostic> {
     let toks = lex(src);
-    lint_tokens(rel_path, &toks, cfg)
-}
-
-/// Token-pass body of [`lint_source`], reusable by callers that
-/// already hold the token stream (the combined scan lexes once).
-pub(crate) fn lint_tokens(rel_path: &str, toks: &[Tok<'_>], cfg: &LintConfig) -> Vec<Diagnostic> {
     let class = cfg.classify(rel_path);
-    let facts = comment_facts(toks);
+    let facts = comment_facts(&toks);
     let suppressions = &facts.suppressions;
     // An unwrap at line L is annotated when L itself, or the block of
     // comment-only lines immediately above it, mentions `Invariant:`.
@@ -408,7 +384,7 @@ pub(crate) fn lint_tokens(rel_path: &str, toks: &[Tok<'_>], cfg: &LintConfig) ->
 
 /// Parses a `pact-lint: allow(<rule>) — <reason>` comment. Returns
 /// `None` for comments that do not mention `pact-lint` at all.
-pub(crate) fn parse_suppression(t: &Tok<'_>) -> Option<Suppression> {
+fn parse_suppression(t: &Tok<'_>) -> Option<Suppression> {
     // Suppressions are plain `//` line comments; doc comments only
     // ever *describe* the grammar (this crate's own docs included).
     if !t.text.starts_with("//") || t.text.starts_with("///") || t.text.starts_with("//!") {
@@ -463,7 +439,7 @@ pub(crate) fn parse_suppression(t: &Tok<'_>) -> Option<Suppression> {
 /// Finds spans (inclusive code-token index ranges) of test-only code:
 /// items annotated `#[test]` / `#[cfg(test)]` (and `cfg` attributes
 /// naming `test` positively — `not(test)` is production code).
-pub(crate) fn test_regions(code: &[&Tok<'_>]) -> Vec<(usize, usize)> {
+fn test_regions(code: &[&Tok<'_>]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let punct_is = |i: usize, ch: &str| {
         code.get(i)
@@ -550,7 +526,7 @@ pub(crate) fn test_regions(code: &[&Tok<'_>]) -> Vec<(usize, usize)> {
 }
 
 /// Index of the token closing the delimiter opened at `open`.
-pub(crate) fn matching(code: &[&Tok<'_>], open: usize, op: &str, cl: &str) -> Option<usize> {
+fn matching(code: &[&Tok<'_>], open: usize, op: &str, cl: &str) -> Option<usize> {
     let mut depth = 0i32;
     for (j, t) in code.iter().enumerate().skip(open) {
         if t.kind != TokKind::Punct {

@@ -18,6 +18,12 @@
 //! variables (named by [`TRACE_ENV`] / [`TRACE_FORMAT_ENV`]) are
 //! resolved into a [`TraceConfig`] by `pact-bench`'s `env` registry
 //! module — this crate never reads the environment itself.
+//!
+//! Every `match` here names each [`EventKind`] variant: the denied
+//! clippy lint below rejects wildcard arms, so a new variant without an
+//! exporter arm fails to compile instead of vanishing from a trace.
+
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use crate::json::JsonWriter;
 use crate::tracer::{tier_name, EventKind, TraceEvent};

@@ -85,7 +85,6 @@ pub struct MetricsRegistry {
     /// Total snapshot entries across all metrics (histograms count 5),
     /// so the per-window snapshot `Vec` is sized exactly — one
     /// allocation, pinned by the window-allocation test.
-    // snapshot: skip — re-accumulated as decode re-registers each metric
     snapshot_width: usize,
 }
 
@@ -265,10 +264,14 @@ impl MetricsRegistry {
     /// sums — into `out`, in registration order. The inverse is
     /// [`decode_state`](Self::decode_state).
     pub fn encode_state(&self, out: &mut ByteWriter) {
-        out.put_usize(self.metrics.len());
-        for m in &self.metrics {
-            out.put_str(m.name);
-            match &m.value {
+        let Self {
+            metrics,
+            snapshot_width: _, // re-accumulated as decode re-registers each metric
+        } = self;
+        out.put_usize(metrics.len());
+        for Metric { name, value } in metrics {
+            out.put_str(name);
+            match value {
                 Value::Counter {
                     total,
                     last_snapshot,
@@ -287,11 +290,18 @@ impl MetricsRegistry {
                     sum,
                     n,
                 } => {
+                    let HistogramNames {
+                        mean: _, // the metric's own name, written above
+                        p50,
+                        p90,
+                        p99,
+                        p999,
+                    } = *names;
                     out.put_u8(2);
-                    out.put_str(names.p50);
-                    out.put_str(names.p90);
-                    out.put_str(names.p99);
-                    out.put_str(names.p999);
+                    out.put_str(p50);
+                    out.put_str(p90);
+                    out.put_str(p99);
+                    out.put_str(p999);
                     let (counts, total, max) = hist.to_parts();
                     // Sparse: most of the ~1000 buckets are empty.
                     let nonzero = counts.iter().filter(|&&c| c != 0).count();
@@ -324,17 +334,21 @@ impl MetricsRegistry {
     /// registry's registration order is identical to the uninterrupted
     /// run's, so snapshots and reports stay byte-identical.
     pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
+        let Self {
+            metrics,
+            snapshot_width,
+        } = self;
         let count = r.get_usize().map_err(|e| e.to_string())?;
-        if count < self.metrics.len() {
+        if count < metrics.len() {
             return Err(format!(
                 "metrics registry snapshot has {count} entries but {} are already registered",
-                self.metrics.len()
+                metrics.len()
             ));
         }
         for i in 0..count {
             let name = r.get_str().map_err(|e| e.to_string())?;
             let tag = r.get_u8().map_err(|e| e.to_string())?;
-            if let Some(m) = self.metrics.get(i) {
+            if let Some(m) = metrics.get(i) {
                 if m.name != name {
                     return Err(format!(
                         "metrics registry mismatch at slot {i}: registered {:?}, snapshot has {name:?}",
@@ -342,7 +356,7 @@ impl MetricsRegistry {
                     ));
                 }
             }
-            match tag {
+            let (value, width) = match tag {
                 0 => {
                     let total = r.get_u64().map_err(|e| e.to_string())?;
                     let last_snapshot = r.get_u64().map_err(|e| e.to_string())?;
@@ -350,12 +364,9 @@ impl MetricsRegistry {
                         total,
                         last_snapshot,
                     };
-                    self.restore_slot(i, name, value, 1)?;
+                    (value, 1)
                 }
-                1 => {
-                    let g = r.get_f64().map_err(|e| e.to_string())?;
-                    self.restore_slot(i, name, Value::Gauge(g), 1)?;
-                }
+                1 => (Value::Gauge(r.get_f64().map_err(|e| e.to_string())?), 1),
                 2 => {
                     let p50 = r.get_str().map_err(|e| e.to_string())?;
                     let p90 = r.get_str().map_err(|e| e.to_string())?;
@@ -390,48 +401,37 @@ impl MetricsRegistry {
                         sum,
                         n,
                     };
-                    self.restore_slot(i, name, value, HIST_ENTRIES)?;
+                    (value, HIST_ENTRIES)
                 }
                 other => return Err(format!("unknown metric kind tag {other}")),
+            };
+            // Slots already registered take the captured value; the
+            // rest (metrics a policy registered mid-run) are appended.
+            match metrics.get_mut(i) {
+                Some(m) => {
+                    let same_kind = matches!(
+                        (&m.value, &value),
+                        (Value::Counter { .. }, Value::Counter { .. })
+                            | (Value::Gauge(_), Value::Gauge(_))
+                            | (Value::Histogram { .. }, Value::Histogram { .. })
+                    );
+                    if !same_kind {
+                        return Err(format!(
+                            "metric {name:?}: snapshot kind differs from registered kind"
+                        ));
+                    }
+                    m.value = value;
+                }
+                None => {
+                    metrics.push(Metric {
+                        name: intern(name),
+                        value,
+                    });
+                    *snapshot_width += width;
+                }
             }
         }
         Ok(())
-    }
-
-    /// Overwrites slot `i`'s value (kind must match) or appends a new
-    /// metric when `i` is one past the end.
-    fn restore_slot(
-        &mut self,
-        i: usize,
-        name: &str,
-        value: Value,
-        width: usize,
-    ) -> Result<(), String> {
-        match self.metrics.get_mut(i) {
-            Some(m) => {
-                let same_kind = matches!(
-                    (&m.value, &value),
-                    (Value::Counter { .. }, Value::Counter { .. })
-                        | (Value::Gauge(_), Value::Gauge(_))
-                        | (Value::Histogram { .. }, Value::Histogram { .. })
-                );
-                if !same_kind {
-                    return Err(format!(
-                        "metric {name:?}: snapshot kind differs from registered kind"
-                    ));
-                }
-                m.value = value;
-                Ok(())
-            }
-            None => {
-                self.metrics.push(Metric {
-                    name: intern(name),
-                    value,
-                });
-                self.snapshot_width += width;
-                Ok(())
-            }
-        }
     }
 
     /// Closes the current window: returns one entry per counter/gauge

@@ -14,6 +14,13 @@
 //! When the ring fills, the oldest events are overwritten (and
 //! counted), which bounds memory for arbitrarily long runs while
 //! keeping the most recent — usually most interesting — history.
+//!
+//! Matches over [`EventKind`] name every variant: wildcard arms are a
+//! denied clippy lint here, so a new variant without an encode arm is
+//! a compile error. The one check rustc cannot make, that the decoder's
+//! tag match covers every variant, is the round-trip test below.
+
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use pact_stats::codec::{ByteReader, ByteWriter, CodecError};
 
@@ -303,7 +310,7 @@ impl EventKind {
                 page: r.get_u64().map_err(e)?,
                 to: r.get_u8().map_err(e)?,
             },
-            // pact-lint: allow(event-exhaustiveness) — unknown tags from newer frames must error, not silently map to a variant
+            // Unknown tags (a newer frame) are an error, never a variant.
             other => return Err(format!("unknown trace event tag {other}")),
         })
     }
@@ -410,14 +417,21 @@ impl Tracer {
     /// Serializes the sink's configuration and full ring contents into
     /// `out`; the inverse is [`decode_state`](Self::decode_state).
     pub fn encode_state(&self, out: &mut ByteWriter) {
-        out.put_bool(self.enabled);
-        out.put_usize(self.cap);
-        out.put_usize(self.head);
-        out.put_u64(self.overwritten);
-        out.put_usize(self.events.len());
-        for ev in &self.events {
-            out.put_u64(ev.cycle);
-            ev.kind.encode(out);
+        let Self {
+            enabled,
+            cap,
+            events,
+            head,
+            overwritten,
+        } = self;
+        out.put_bool(*enabled);
+        out.put_usize(*cap);
+        out.put_usize(*head);
+        out.put_u64(*overwritten);
+        out.put_usize(events.len());
+        for TraceEvent { cycle, kind } in events {
+            out.put_u64(*cycle);
+            kind.encode(out);
         }
     }
 
@@ -429,34 +443,41 @@ impl Tracer {
     /// tracer from the same settings); a mismatch is an error rather
     /// than a silent trace divergence.
     pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
+        let Self {
+            enabled,
+            cap,
+            events,
+            head,
+            overwritten,
+        } = self;
         let e = |e: CodecError| e.to_string();
-        let enabled = r.get_bool().map_err(e)?;
-        let cap = r.get_usize().map_err(e)?;
-        if enabled != self.enabled || cap != self.cap {
+        let enabled_in = r.get_bool().map_err(e)?;
+        let cap_in = r.get_usize().map_err(e)?;
+        if enabled_in != *enabled || cap_in != *cap {
             return Err(format!(
-                "tracer snapshot was enabled={enabled} cap={cap}, this run has enabled={} cap={}",
-                self.enabled, self.cap
+                "tracer snapshot was enabled={enabled_in} cap={cap_in}, this run has enabled={enabled} cap={cap}"
             ));
         }
-        let head = r.get_usize().map_err(e)?;
-        let overwritten = r.get_u64().map_err(e)?;
+        let head_in = r.get_usize().map_err(e)?;
+        let overwritten_in = r.get_u64().map_err(e)?;
         let len = r.get_usize().map_err(e)?;
         // The head is meaningful only once the ring has wrapped
         // (len == cap); before that it must still be 0.
-        if len > cap || (head != 0 && (len < cap || head >= cap)) {
+        if len > *cap || (head_in != 0 && (len < *cap || head_in >= *cap)) {
             return Err(format!(
-                "tracer snapshot ring shape is invalid: len={len} head={head} cap={cap}"
+                "tracer snapshot ring shape is invalid: len={len} head={head_in} cap={cap}"
             ));
         }
-        let mut events = Vec::with_capacity(self.cap.max(len));
+        let mut events_in = Vec::with_capacity((*cap).max(len));
         for _ in 0..len {
-            let cycle = r.get_u64().map_err(e)?;
-            let kind = EventKind::decode(r)?;
-            events.push(TraceEvent { cycle, kind });
+            events_in.push(TraceEvent {
+                cycle: r.get_u64().map_err(e)?,
+                kind: EventKind::decode(r)?,
+            });
         }
-        self.events = events;
-        self.head = head;
-        self.overwritten = overwritten;
+        *events = events_in;
+        *head = head_in;
+        *overwritten = overwritten_in;
         Ok(())
     }
 
@@ -626,5 +647,82 @@ mod tests {
         let mut fresh = Tracer::ring(4);
         fresh.decode_state(&mut ByteReader::new(&bytes)).unwrap();
         assert_eq!(fresh.events_in_order(), t.events_in_order());
+    }
+
+    /// One value of every [`EventKind`] variant, in tag order. A new
+    /// variant belongs here too.
+    fn one_of_each() -> Vec<EventKind> {
+        vec![
+            EventKind::WindowBoundary {
+                index: 1,
+                promotions: 2,
+                demotions: 3,
+                failed_promotions: 4,
+                dropped_orders: 5,
+            },
+            EventKind::OrderIssued {
+                page: 6,
+                to: 1,
+                sync: true,
+            },
+            EventKind::OrderCompleted {
+                page: 7,
+                to: 0,
+                moved: 512,
+            },
+            EventKind::OrderDropped { page: 8, to: 1 },
+            EventKind::PromotionRejected { page: 9 },
+            EventKind::ChannelSaturated {
+                tier: 1,
+                backlog_cycles: 1_000,
+            },
+            EventKind::ChannelRecovered {
+                tier: 0,
+                episode_cycles: 77,
+            },
+            EventKind::SampleBatch {
+                pebs: 10,
+                hint_faults: 11,
+            },
+            EventKind::PolicyTelemetry {
+                key: "bin_width",
+                value: -0.5,
+            },
+            EventKind::FaultInjected {
+                kind: "pebs_loss",
+                arg: 12,
+            },
+            EventKind::OrderRetried {
+                page: 13,
+                to: 0,
+                attempt: 3,
+            },
+            EventKind::AdmissionRejected {
+                tenant: 2,
+                page: 14,
+                to: 1,
+            },
+        ]
+    }
+
+    /// The decoder's tag match is over `u8`, so rustc cannot check that
+    /// it covers every variant; this does. Each variant encodes to its
+    /// position as the tag and decodes back to itself, and the first tag
+    /// past the last variant is rejected as unknown.
+    #[test]
+    fn every_variant_round_trips_and_the_next_tag_is_rejected() {
+        let all = one_of_each();
+        for (tag, kind) in all.iter().enumerate() {
+            let mut w = ByteWriter::new();
+            kind.encode(&mut w);
+            let bytes = w.into_bytes();
+            assert_eq!(usize::from(bytes[0]), tag, "{kind:?} has the wrong tag");
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(EventKind::decode(&mut r).as_ref(), Ok(kind));
+            r.finish().expect("decode consumes every encoded byte");
+        }
+        let past = u8::try_from(all.len()).expect("fewer than 256 variants");
+        let err = EventKind::decode(&mut ByteReader::new(&[past])).unwrap_err();
+        assert_eq!(err, format!("unknown trace event tag {past}"));
     }
 }

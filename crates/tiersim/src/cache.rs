@@ -15,8 +15,8 @@ const INVALID: u64 = u64::MAX;
 #[derive(Debug, Clone)]
 pub struct Llc {
     tags: Vec<u64>,
-    ways: usize,   // snapshot: skip — geometry from the configuration on restore
-    set_mask: u64, // snapshot: skip — geometry from the configuration on restore
+    ways: usize,
+    set_mask: u64,
     hits: u64,
     misses: u64,
 }
@@ -110,33 +110,46 @@ impl Llc {
         self.misses
     }
 
-    /// Serializes the tag array and hit/miss counters (geometry comes
-    /// from the configuration on restore).
+    /// Serializes the tag array and hit/miss counters.
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_usize(self.tags.len());
-        for &t in &self.tags {
+        let Self {
+            ways: _,     // geometry from the configuration on restore
+            set_mask: _, // geometry from the configuration on restore
+            tags,
+            hits,
+            misses,
+        } = self;
+        w.put_usize(tags.len());
+        for &t in tags {
             w.put_u64(t);
         }
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
+        w.put_u64(*hits);
+        w.put_u64(*misses);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
     /// into a cache built with the same geometry.
     pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
+        let Self {
+            ways: _,     // geometry from the configuration on restore
+            set_mask: _, // geometry from the configuration on restore
+            tags,
+            hits,
+            misses,
+        } = self;
         let e = |e: CodecError| format!("llc state: {e}");
         let n = r.get_usize().map_err(e)?;
-        if n != self.tags.len() {
+        if n != tags.len() {
             return Err(format!(
                 "llc state: snapshot has {n} tag slots, machine has {}",
-                self.tags.len()
+                tags.len()
             ));
         }
-        for t in &mut self.tags {
+        for t in tags {
             *t = r.get_u64().map_err(e)?;
         }
-        self.hits = r.get_u64().map_err(e)?;
-        self.misses = r.get_u64().map_err(e)?;
+        *hits = r.get_u64().map_err(e)?;
+        *misses = r.get_u64().map_err(e)?;
         Ok(())
     }
 }
@@ -154,9 +167,9 @@ impl Llc {
 pub struct StrideDetector {
     streams: [StreamEntry; STREAM_TABLE],
     clock: u64,
-    trigger: u32,  // snapshot: skip — fixed by the prefetch configuration on restore
-    degree: u32,   // snapshot: skip — fixed by the prefetch configuration on restore
-    enabled: bool, // snapshot: skip — fixed by the prefetch configuration on restore
+    trigger: u32,
+    degree: u32,
+    enabled: bool,
 }
 
 const STREAM_TABLE: usize = 8;
@@ -220,26 +233,46 @@ impl StrideDetector {
         0..0
     }
 
-    /// Serializes the stream table and detector clock (trigger/degree/
-    /// enablement come from the configuration on restore).
+    /// Serializes the stream table and detector clock.
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        for e in &self.streams {
-            w.put_u64(e.last_line);
-            w.put_u32(e.streak);
-            w.put_u64(e.last_use);
+        let Self {
+            trigger: _, // fixed by the prefetch configuration on restore
+            degree: _,  // fixed by the prefetch configuration on restore
+            enabled: _, // fixed by the prefetch configuration on restore
+            streams,
+            clock,
+        } = self;
+        for &StreamEntry {
+            last_line,
+            streak,
+            last_use,
+        } in streams
+        {
+            w.put_u64(last_line);
+            w.put_u32(streak);
+            w.put_u64(last_use);
         }
-        w.put_u64(self.clock);
+        w.put_u64(*clock);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state).
     pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
+        let Self {
+            trigger: _, // fixed by the prefetch configuration on restore
+            degree: _,  // fixed by the prefetch configuration on restore
+            enabled: _, // fixed by the prefetch configuration on restore
+            streams,
+            clock,
+        } = self;
         let e = |e: CodecError| format!("stride detector state: {e}");
-        for entry in &mut self.streams {
-            entry.last_line = r.get_u64().map_err(e)?;
-            entry.streak = r.get_u32().map_err(e)?;
-            entry.last_use = r.get_u64().map_err(e)?;
+        for entry in streams {
+            *entry = StreamEntry {
+                last_line: r.get_u64().map_err(e)?,
+                streak: r.get_u32().map_err(e)?,
+                last_use: r.get_u64().map_err(e)?,
+            };
         }
-        self.clock = r.get_u64().map_err(e)?;
+        *clock = r.get_u64().map_err(e)?;
         Ok(())
     }
 }

@@ -39,7 +39,6 @@ pub struct SpaceSaving {
     capacity: usize,
     heap: Vec<Slot>,
     /// page id -> heap index + 1; 0 means untracked. Grown on demand.
-    // snapshot: skip — dense index rebuilt from the restored heap order
     pos: Vec<u32>,
     total: u64,
 }
@@ -176,46 +175,58 @@ impl SpaceSaving {
         self.total = 0;
     }
 
-    /// Serializes the counter table (heap order and totals; the dense
-    /// position index is rebuilt on restore).
+    /// Serializes the counter table (heap order and totals).
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_usize(self.capacity);
-        w.put_usize(self.heap.len());
-        for s in &self.heap {
-            w.put_u64(s.page.0);
-            w.put_u64(s.count);
-            w.put_u64(s.err);
+        let Self {
+            capacity,
+            heap,
+            pos: _, // dense index rebuilt from the restored heap order
+            total,
+        } = self;
+        w.put_usize(*capacity);
+        w.put_usize(heap.len());
+        for &Slot { page, count, err } in heap {
+            w.put_u64(page.0);
+            w.put_u64(count);
+            w.put_u64(err);
         }
-        w.put_u64(self.total);
+        w.put_u64(*total);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
     /// into a table constructed with the same capacity.
     pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
+        let Self {
+            capacity,
+            heap,
+            pos,
+            total,
+        } = self;
         let e = |e: CodecError| format!("chmu state: {e}");
-        let capacity = r.get_usize().map_err(e)?;
-        if capacity != self.capacity {
+        let capacity_in = r.get_usize().map_err(e)?;
+        if capacity_in != *capacity {
             return Err(format!(
-                "chmu state: snapshot capacity {capacity} differs from configured {}",
-                self.capacity
+                "chmu state: snapshot capacity {capacity_in} differs from configured {capacity}"
             ));
         }
         let len = r.get_usize().map_err(e)?;
-        if len > capacity {
+        if len > *capacity {
             return Err("chmu state: more slots than capacity".to_string());
         }
-        let mut heap = Vec::with_capacity(capacity);
+        let mut heap_in = Vec::with_capacity(*capacity);
         for _ in 0..len {
-            let page = PageId(r.get_u64().map_err(e)?);
-            let count = r.get_u64().map_err(e)?;
-            let err = r.get_u64().map_err(e)?;
-            heap.push(Slot { page, count, err });
+            heap_in.push(Slot {
+                page: PageId(r.get_u64().map_err(e)?),
+                count: r.get_u64().map_err(e)?,
+                err: r.get_u64().map_err(e)?,
+            });
         }
-        let total = r.get_u64().map_err(e)?;
+        *total = r.get_u64().map_err(e)?;
         // Rebuild the dense position index from the restored heap order.
-        self.reset();
-        self.heap = heap;
-        self.total = total;
+        for slot in heap.iter() {
+            pos[slot.page.0 as usize] = 0;
+        }
+        *heap = heap_in;
         for i in 0..self.heap.len() {
             let page = self.heap[i].page;
             if self.pos.get(page.0 as usize).copied().unwrap_or(0) != 0 {
@@ -277,12 +288,14 @@ impl Chmu {
 
     /// Serializes the device counter table for the snapshot.
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        self.table.encode_state(w);
+        let Self { table } = self;
+        table.encode_state(w);
     }
 
     /// Restores the device counter table from a snapshot.
     pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
-        self.table.decode_state(r)
+        let Self { table } = self;
+        table.decode_state(r)
     }
 }
 

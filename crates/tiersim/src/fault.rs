@@ -270,15 +270,15 @@ pub(crate) struct RetryEntry {
 /// byte-identical metric sets).
 #[derive(Debug)]
 pub(crate) struct FaultState {
-    plan: FaultPlan, // snapshot: skip — comes from the configuration on restore
+    plan: FaultPlan,
     rng: SplitMix64,
     retries: VecDeque<RetryEntry>,
     /// `fault/injected`: total faults injected, all classes.
-    pub m_injected: MetricId, // snapshot: skip — handle re-registered at construction
+    pub m_injected: MetricId,
     /// `fault/retries`: retry attempts scheduled.
-    pub m_retries: MetricId, // snapshot: skip — handle re-registered at construction
+    pub m_retries: MetricId,
     /// `fault/pebs_lost`: PEBS samples lost to injection.
-    pub m_pebs_lost: MetricId, // snapshot: skip — handle re-registered at construction
+    pub m_pebs_lost: MetricId,
 }
 
 impl FaultState {
@@ -402,28 +402,47 @@ impl FaultState {
         self.retries.len()
     }
 
-    /// Serializes the fault RNG cursor and the retry/backoff queue (the
-    /// plan itself comes from the configuration on restore; the metric
-    /// handles are re-registered).
+    /// Serializes the fault RNG cursor and the retry/backoff queue.
     pub fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        w.put_u64(self.rng.state());
-        w.put_usize(self.retries.len());
-        for e in &self.retries {
-            w.put_u64(e.order.page.0);
-            w.put_u8(e.order.to.index() as u8);
-            w.put_bool(e.order.sync);
-            w.put_u64(e.due_window);
-            w.put_u32(e.attempt);
+        let Self {
+            plan: _,        // comes from the configuration on restore
+            m_injected: _,  // handle re-registered at construction
+            m_retries: _,   // handle re-registered at construction
+            m_pebs_lost: _, // handle re-registered at construction
+            rng,
+            retries,
+        } = self;
+        w.put_u64(rng.state());
+        w.put_usize(retries.len());
+        for &RetryEntry {
+            order: MigrationOrder { page, to, sync },
+            due_window,
+            attempt,
+        } in retries
+        {
+            w.put_u64(page.0);
+            w.put_u8(to.index() as u8);
+            w.put_bool(sync);
+            w.put_u64(due_window);
+            w.put_u32(attempt);
         }
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
     /// into a fault state built from the same plan.
     pub fn decode_state(&mut self, r: &mut pact_stats::ByteReader<'_>) -> Result<(), String> {
+        let Self {
+            plan,
+            m_injected: _,  // handle re-registered at construction
+            m_retries: _,   // handle re-registered at construction
+            m_pebs_lost: _, // handle re-registered at construction
+            rng,
+            retries,
+        } = self;
         let e = |e: pact_stats::CodecError| format!("fault state: {e}");
-        self.rng = SplitMix64::new(r.get_u64().map_err(e)?);
+        *rng = SplitMix64::new(r.get_u64().map_err(e)?);
         let n = r.get_usize().map_err(e)?;
-        let mut retries = VecDeque::with_capacity(n);
+        let mut retries_in = VecDeque::with_capacity(n);
         for _ in 0..n {
             let page = crate::types::PageId(r.get_u64().map_err(e)?);
             let to = match r.get_u8().map_err(e)? {
@@ -434,19 +453,19 @@ impl FaultState {
             let sync = r.get_bool().map_err(e)?;
             let due_window = r.get_u64().map_err(e)?;
             let attempt = r.get_u32().map_err(e)?;
-            if attempt == 0 || attempt > self.plan.max_retries {
+            if attempt == 0 || attempt > plan.max_retries {
                 return Err(format!(
                     "fault state: retry attempt {attempt} outside 1..={}",
-                    self.plan.max_retries
+                    plan.max_retries
                 ));
             }
-            retries.push_back(RetryEntry {
+            retries_in.push_back(RetryEntry {
                 order: MigrationOrder { page, to, sync },
                 due_window,
                 attempt,
             });
         }
-        self.retries = retries;
+        *retries = retries_in;
         Ok(())
     }
 }

@@ -148,7 +148,7 @@ const CAP_EPS: f64 = 1.0 + 1e-6;
 /// `note_*` hooks, plus cross-window monotonicity state.
 #[derive(Debug, Clone)]
 pub(crate) struct InvariantChecker {
-    set: InvariantSet, // snapshot: skip — armed set comes from the configuration on restore
+    set: InvariantSet,
     // Order ledger (in orders).
     issued: u64,
     executed: u64,
@@ -463,53 +463,88 @@ impl InvariantChecker {
         Ok(())
     }
 
-    /// Serializes the ledgers and monotonicity state (the armed set
-    /// comes from the configuration on restore).
+    /// Serializes the ledgers and monotonicity state.
     pub fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
+        let Self {
+            set: _, // armed set comes from the configuration on restore
+            issued,
+            executed,
+            noops,
+            shed,
+            abandoned,
+            pages_moved,
+            stall_lines,
+            last_mapped,
+            next_window,
+            last_edge,
+            sum_promotions,
+            sum_demotions,
+            sum_failed,
+            sum_dropped,
+            sum_accesses,
+        } = *self;
         for v in [
-            self.issued,
-            self.executed,
-            self.noops,
-            self.shed,
-            self.abandoned,
-            self.pages_moved,
-            self.stall_lines[0],
-            self.stall_lines[1],
-            self.last_mapped,
-            self.next_window,
-            self.sum_promotions,
-            self.sum_demotions,
-            self.sum_failed,
-            self.sum_dropped,
-            self.sum_accesses,
+            issued,
+            executed,
+            noops,
+            shed,
+            abandoned,
+            pages_moved,
+            stall_lines[0],
+            stall_lines[1],
+            last_mapped,
+            next_window,
+            sum_promotions,
+            sum_demotions,
+            sum_failed,
+            sum_dropped,
+            sum_accesses,
         ] {
             w.put_u64(v);
         }
-        w.put_bool(self.last_edge.is_some());
-        w.put_u64(self.last_edge.unwrap_or(0));
+        w.put_bool(last_edge.is_some());
+        w.put_u64(last_edge.unwrap_or(0));
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state).
     pub fn decode_state(&mut self, r: &mut pact_stats::ByteReader<'_>) -> Result<(), String> {
+        let Self {
+            set: _, // armed set comes from the configuration on restore
+            issued,
+            executed,
+            noops,
+            shed,
+            abandoned,
+            pages_moved,
+            stall_lines,
+            last_mapped,
+            next_window,
+            last_edge,
+            sum_promotions,
+            sum_demotions,
+            sum_failed,
+            sum_dropped,
+            sum_accesses,
+        } = self;
         let e = |e: pact_stats::CodecError| format!("invariant checker state: {e}");
         let mut get = || r.get_u64().map_err(e);
-        self.issued = get()?;
-        self.executed = get()?;
-        self.noops = get()?;
-        self.shed = get()?;
-        self.abandoned = get()?;
-        self.pages_moved = get()?;
-        self.stall_lines = [get()?, get()?];
-        self.last_mapped = get()?;
-        self.next_window = get()?;
-        self.sum_promotions = get()?;
-        self.sum_demotions = get()?;
-        self.sum_failed = get()?;
-        self.sum_dropped = get()?;
-        self.sum_accesses = get()?;
+        *issued = get()?;
+        *executed = get()?;
+        *noops = get()?;
+        *shed = get()?;
+        *abandoned = get()?;
+        *pages_moved = get()?;
+        *stall_lines = [get()?, get()?];
+        *last_mapped = get()?;
+        *next_window = get()?;
+        *sum_promotions = get()?;
+        *sum_demotions = get()?;
+        *sum_failed = get()?;
+        *sum_dropped = get()?;
+        *sum_accesses = get()?;
         let has_edge = r.get_bool().map_err(e)?;
         let edge = r.get_u64().map_err(e)?;
-        self.last_edge = has_edge.then_some(edge);
+        *last_edge = has_edge.then_some(edge);
         Ok(())
     }
 

@@ -80,11 +80,11 @@ pub struct WindowRecord {
 /// [`crate::TenantSpec`]; empty for legacy single-tenant runs).
 ///
 /// Every per-tenant quantity is an exact partition of the run's global
-/// totals: PMU counters mirror the owning thread's (or owning page's,
-/// for migration traffic) updates, and stall lanes partition the
-/// page-stalls oracle by the tenant's disjoint base-page range. The
-/// tenant-conservation differential oracle in `pact-check` pins
-/// `Σ tenants == globals` field by field.
+/// totals by construction: the machine keeps its counters only in
+/// per-tenant lanes (bumped by the owning thread, or the owning page
+/// for migration traffic) and derives the globals by summing them,
+/// and stall lanes partition the page-stalls oracle by the tenant's
+/// disjoint base-page range.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantReport {
     /// Tenant display name from the spec.
@@ -330,6 +330,9 @@ impl<'a> RunSpec<'a> {
 struct ThreadState<'w> {
     stream: Box<dyn AccessStream + 'w>,
     proc: usize,
+    /// Counter lane this thread's accesses land in (its tenant's, or
+    /// the single lane of an untenanted run).
+    lane: usize,
     base_page: u64,
     footprint_bytes: u64,
     /// Accesses consumed from `stream` so far. Snapshot restore
@@ -363,15 +366,79 @@ struct ProcState {
     background: bool,
 }
 
-/// Per-tenant migration and admission accounting (fleet mode).
+/// One counter lane: the PMU counters plus the migration and admission
+/// ledger of one tenant, or of the whole run when it is untenanted.
+/// Lanes are the machine's only counter storage; run totals are sums
+/// over lanes, taken where they are read, so per-tenant accounting
+/// partitions the totals by arithmetic.
 #[derive(Debug, Default, Clone, Copy)]
-struct TenantStats {
+struct Lane {
+    pmu: PmuCounters,
     promotions: u64,
     demotions: u64,
     failed_promotions: u64,
     dropped_orders: u64,
     admitted_orders: u64,
     rejected_orders: u64,
+}
+
+impl Lane {
+    /// Adds every counter of `other` into `self`.
+    fn add(&mut self, other: &Lane) {
+        let Lane {
+            pmu,
+            promotions,
+            demotions,
+            failed_promotions,
+            dropped_orders,
+            admitted_orders,
+            rejected_orders,
+        } = other;
+        self.pmu.add(pmu);
+        self.promotions += promotions;
+        self.demotions += demotions;
+        self.failed_promotions += failed_promotions;
+        self.dropped_orders += dropped_orders;
+        self.admitted_orders += admitted_orders;
+        self.rejected_orders += rejected_orders;
+    }
+
+    fn encode_state(&self, w: &mut ByteWriter) {
+        let Lane {
+            pmu,
+            promotions,
+            demotions,
+            failed_promotions,
+            dropped_orders,
+            admitted_orders,
+            rejected_orders,
+        } = self;
+        pmu.encode_state(w);
+        for &v in [
+            promotions,
+            demotions,
+            failed_promotions,
+            dropped_orders,
+            admitted_orders,
+            rejected_orders,
+        ] {
+            w.put_u64(v);
+        }
+    }
+
+    fn decode_state(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        let pmu = PmuCounters::decode_state(r)?;
+        let mut get = || r.get_u64().map_err(|e| format!("counter lane: {e}"));
+        Ok(Lane {
+            pmu,
+            promotions: get()?,
+            demotions: get()?,
+            failed_promotions: get()?,
+            dropped_orders: get()?,
+            admitted_orders: get()?,
+            rejected_orders: get()?,
+        })
+    }
 }
 
 /// Dense metric handles for one tenant's registry rows (names are
@@ -401,7 +468,6 @@ struct Sim<'a, 'w> {
     gated_by: Vec<Option<u32>>,
     clock_offset: u64,
     /// Reusable due-retry buffer for the window loop.
-    // snapshot: skip — scratch, cleared before every use
     retry_buf: Vec<RetryEntry>,
     procs: Vec<ProcState>,
     mem: Memory,
@@ -410,10 +476,11 @@ struct Sim<'a, 'w> {
     pebs: PebsSampler,
     rng: SplitMix64,
     /// Coverage dice threshold on the draw's 53-bit integer.
-    // snapshot: skip — derived from the prefetch configuration
     prefetch_threshold: u64,
-    counters: PmuCounters,
-    latency: [u64; 2], // snapshot: skip — fixed tier latencies from the configuration
+    /// Counter lanes, one per tenant (one for an untenanted run): the
+    /// only counter storage. Run totals are sums over lanes.
+    lanes: Vec<Lane>,
+    latency: [u64; 2],
     channels: [Channel; 2],
     tor_covered: [u64; 2],
     // Window state.
@@ -421,26 +488,20 @@ struct Sim<'a, 'w> {
     next_edge: u64,
     last_snapshot: PmuCounters,
     windows: Vec<WindowRecord>,
-    window_promos: u64, // snapshot: skip — per-window accumulator, reset before the edge capture
-    window_demos: u64,  // snapshot: skip — per-window accumulator, reset before the edge capture
-    // snapshot: skip — debug-asserted empty at window-edge capture
+    window_promos: u64,
+    window_demos: u64,
     window_telemetry: Vec<(&'static str, f64)>,
     // Reusable policy-callback sinks: cleared and lent to PolicyCtx on
     // every sample/window so the hot path never allocates.
-    order_buf: Vec<MigrationOrder>, // snapshot: skip — debug-asserted empty at window-edge capture
-    telemetry_buf: Vec<(&'static str, f64)>, // snapshot: skip — debug-asserted empty at window-edge capture
+    order_buf: Vec<MigrationOrder>,
+    telemetry_buf: Vec<(&'static str, f64)>,
     // Migration state. Queue entries carry the enqueue cycle so the
     // daemon can observe queue latency into `mig/latency_cycles` when
     // it services an order.
     order_queue: VecDeque<(u64, MigrationOrder)>,
-    promotions: u64,
-    demotions: u64,
-    failed_promotions: u64,
-    dropped_orders: u64,
-    window_failed: u64, // snapshot: skip — per-window accumulator, reset before the edge capture
-    window_dropped: u64, // snapshot: skip — per-window accumulator, reset before the edge capture
+    window_failed: u64,
+    window_dropped: u64,
     hint_scan_per_window: u64,
-    // snapshot: skip — recomputed from the restored thread liveness after decode
     foreground_threads: usize,
     page_stalls: Option<std::collections::BTreeMap<PageId, [u64; 2]>>,
     // Observability: structured event sink, metrics registry, and the
@@ -449,15 +510,15 @@ struct Sim<'a, 'w> {
     registry: MetricsRegistry,
     // All `m_*` handles below: dense metric ids assigned by the fixed
     // registration order at construction, identical on any resume.
-    m_daemon_pages: MetricId, // snapshot: skip — handle re-registered at construction
-    m_queue_len: MetricId,    // snapshot: skip — handle re-registered at construction
-    m_fast_used: MetricId,    // snapshot: skip — handle re-registered at construction
-    m_chan_backlog: [MetricId; 2], // snapshot: skip — handle re-registered at construction
-    m_chan_lines: [MetricId; 2], // snapshot: skip — handle re-registered at construction
-    m_chmu: Option<(MetricId, MetricId)>, // snapshot: skip — handle re-registered at construction
-    m_pebs_latency: MetricId, // snapshot: skip — handle re-registered at construction
-    m_mig_latency: MetricId,  // snapshot: skip — handle re-registered at construction
-    m_chan_occupancy: [MetricId; 2], // snapshot: skip — handle re-registered at construction
+    m_daemon_pages: MetricId,
+    m_queue_len: MetricId,
+    m_fast_used: MetricId,
+    m_chan_backlog: [MetricId; 2],
+    m_chan_lines: [MetricId; 2],
+    m_chmu: Option<(MetricId, MetricId)>,
+    m_pebs_latency: MetricId,
+    m_mig_latency: MetricId,
+    m_chan_occupancy: [MetricId; 2],
     /// Tracer ring-overwrite total as of the last window edge; the
     /// per-window delta becomes `WindowRecord::trace_dropped_events`.
     overwritten_seen: u64,
@@ -476,29 +537,21 @@ struct Sim<'a, 'w> {
     /// Crash-recovery snapshot sink; when set and
     /// `cfg.snapshot_every > 0`, sealed frames are handed to it every
     /// `snapshot_every` completed windows.
-    // snapshot: skip — host-side sink, re-attached by the driver on resume
     snap_sink: Option<&'a mut dyn FnMut(MachineSnapshot)>,
-    // Fleet mode (cfg.tenants non-empty). All vectors are empty on
-    // legacy single-tenant runs, which keeps the hot path free of
-    // per-tenant work and the output byte-identical to a pre-fleet
-    // build. Tenant i owns colocated workload i's threads and pages.
-    /// Per-tenant mirrors of `counters`: every PMU increment also lands
-    /// in the owning tenant's copy, so per-tenant sums equal globals
-    /// exactly (the tenant-conservation oracle).
-    tenant_counters: Vec<PmuCounters>,
-    tenant_stats: Vec<TenantStats>,
+    // Fleet mode (cfg.tenants non-empty). All vectors below are empty
+    // on untenanted runs, which keep one counter lane and no
+    // per-tenant metrics. Tenant i owns colocated workload i's threads
+    // and pages, and counter lane i.
     /// First base page per tenant (ascending; index 0 holds 0). Page
     /// ownership is `partition_point` over this vector.
-    // snapshot: skip — derived from the tenant configuration at construction
     tenant_base: Vec<u64>,
     /// Partition size per tenant in base pages.
-    // snapshot: skip — derived from the tenant configuration at construction
     tenant_pages: Vec<u64>,
     /// Remaining admission tokens this window / per-window refill,
     /// both empty unless admission control is configured.
     tenant_tokens: Vec<u64>,
-    tenant_budget: Vec<u64>, // snapshot: skip — per-window refill from the admission configuration
-    tenant_metrics: Vec<TenantMetrics>, // snapshot: skip — handles re-registered at construction
+    tenant_budget: Vec<u64>,
+    tenant_metrics: Vec<TenantMetrics>,
     /// Admission-rejected orders awaiting retry:
     /// `(due_window, attempt, order)`, bounded by [`ORDER_QUEUE_CAP`].
     admission_deferred: VecDeque<(u64, u32, MigrationOrder)>,
@@ -578,6 +631,8 @@ impl<'a, 'w> Sim<'a, 'w> {
         let mut proc_pages = Vec::new();
         let mut next_base_page = 0u64;
         for (pi, wl) in workloads.iter().enumerate() {
+            // Tenant i owns lane i; an untenanted run has one lane.
+            let lane = if cfg.tenants.is_empty() { 0 } else { pi };
             let fp_bytes = wl.footprint_bytes();
             let fp_pages = fp_bytes.div_ceil(PAGE_BYTES);
             let fp_pages = fp_pages.div_ceil(HUGE_PAGE_SPAN) * HUGE_PAGE_SPAN;
@@ -588,6 +643,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             let mk = |stream| ThreadState {
                 stream,
                 proc: pi,
+                lane,
                 base_page,
                 footprint_bytes: fp_bytes,
                 consumed: 0,
@@ -726,7 +782,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             pebs: PebsSampler::new(pebs_cfg),
             rng: SplitMix64::seed_from_u64(cfg.seed),
             prefetch_threshold: cfg.prefetch.coverage_threshold(),
-            counters: PmuCounters::default(),
+            lanes: vec![Lane::default(); cfg.tenants.len().max(1)],
             latency: [
                 cfg.latency_cycles(Tier::Fast),
                 cfg.latency_cycles(Tier::Slow),
@@ -746,10 +802,6 @@ impl<'a, 'w> Sim<'a, 'w> {
             order_buf: Vec::new(),
             telemetry_buf: Vec::new(),
             order_queue: VecDeque::new(),
-            promotions: 0,
-            demotions: 0,
-            failed_promotions: 0,
-            dropped_orders: 0,
             window_failed: 0,
             window_dropped: 0,
             hint_scan_per_window: 0,
@@ -774,8 +826,6 @@ impl<'a, 'w> Sim<'a, 'w> {
                 .invariants
                 .map(|set| Box::new(InvariantChecker::new(set))),
             snap_sink: None,
-            tenant_counters: vec![PmuCounters::default(); cfg.tenants.len()],
-            tenant_stats: vec![TenantStats::default(); cfg.tenants.len()],
             tenant_base,
             tenant_pages,
             tenant_tokens,
@@ -787,14 +837,26 @@ impl<'a, 'w> Sim<'a, 'w> {
         })
     }
 
-    /// Tenant that owns `page` (fleet mode only): the colocation layout
-    /// gives tenants disjoint ascending base-page ranges, so ownership
-    /// is a partition point over the range starts.
+    /// Counter lane of the tenant that owns `page`: the colocation
+    /// layout gives tenants disjoint ascending base-page ranges, so
+    /// ownership is a partition point over the range starts. An
+    /// untenanted run has no range starts and its one lane, 0.
     #[inline]
-    fn tenant_of_page(&self, page: PageId) -> usize {
-        debug_assert!(!self.tenant_base.is_empty());
-        // Invariant: tenant_base[0] == 0, so at least one start <= page.
-        self.tenant_base.partition_point(|&b| b <= page.0) - 1
+    fn lane_of_page(&self, page: PageId) -> usize {
+        // `tenant_base[0] == 0` when tenanted, so at least one start is
+        // <= page and the subtraction never saturates there.
+        self.tenant_base
+            .partition_point(|&b| b <= page.0)
+            .saturating_sub(1)
+    }
+
+    /// Run totals: the sum over all counter lanes.
+    fn totals(&self) -> Lane {
+        let mut total = Lane::default();
+        for lane in &self.lanes {
+            total.add(lane);
+        }
+        total
     }
 
     /// Absolute machine time of thread `ti`: live threads carry the
@@ -862,13 +924,14 @@ impl<'a, 'w> Sim<'a, 'w> {
         // a run with no live foreground threads, which resume could
         // never continue (and whose outputs are already final).
         self.fire_window(false)?;
+        let totals = self.totals();
         if let Some(c) = self.checker.as_ref() {
             c.check_final(
-                self.promotions,
-                self.demotions,
-                self.failed_promotions,
-                self.dropped_orders,
-                &self.counters,
+                totals.promotions,
+                totals.demotions,
+                totals.failed_promotions,
+                totals.dropped_orders,
+                &totals.pmu,
             )?;
         }
         let total_cycles = self
@@ -897,19 +960,19 @@ impl<'a, 'w> Sim<'a, 'w> {
                         stall_cycles[1] += slow;
                     }
                 }
-                let st = self.tenant_stats[i];
+                let lane = &self.lanes[i];
                 TenantReport {
                     name: spec.name.clone(),
                     qos_weight: spec.qos_weight,
                     base_page: lo,
                     pages: self.tenant_pages[i],
-                    counters: self.tenant_counters[i],
-                    promotions: st.promotions,
-                    demotions: st.demotions,
-                    failed_promotions: st.failed_promotions,
-                    dropped_orders: st.dropped_orders,
-                    admitted_orders: st.admitted_orders,
-                    rejected_orders: st.rejected_orders,
+                    counters: lane.pmu,
+                    promotions: lane.promotions,
+                    demotions: lane.demotions,
+                    failed_promotions: lane.failed_promotions,
+                    dropped_orders: lane.dropped_orders,
+                    admitted_orders: lane.admitted_orders,
+                    rejected_orders: lane.rejected_orders,
                     stall_cycles,
                 }
             })
@@ -926,11 +989,11 @@ impl<'a, 'w> Sim<'a, 'w> {
                     accesses: p.accesses,
                 })
                 .collect(),
-            counters: self.counters,
-            promotions: self.promotions,
-            demotions: self.demotions,
-            failed_promotions: self.failed_promotions,
-            dropped_orders: self.dropped_orders,
+            counters: totals.pmu,
+            promotions: totals.promotions,
+            demotions: totals.demotions,
+            failed_promotions: totals.failed_promotions,
+            dropped_orders: totals.dropped_orders,
             windows: self.windows,
             page_stalls: self.page_stalls,
             tenants,
@@ -970,9 +1033,9 @@ impl<'a, 'w> Sim<'a, 'w> {
             return Ok(());
         };
         self.threads[ti].consumed += 1;
-        let (proc, base_page, fp_bytes) = {
+        let (proc, lane, base_page, fp_bytes) = {
             let t = &self.threads[ti];
-            (t.proc, t.base_page, t.footprint_bytes)
+            (t.proc, t.lane, t.base_page, t.footprint_bytes)
         };
         if a.vaddr >= fp_bytes {
             return Err(SimError::AddressOutOfRange {
@@ -982,17 +1045,11 @@ impl<'a, 'w> Sim<'a, 'w> {
             });
         }
         self.procs[proc].accesses += 1;
-        self.counters.accesses += 1;
+        let counters = &mut self.lanes[lane].pmu;
+        counters.accesses += 1;
         match a.kind {
-            AccessKind::Load => self.counters.loads += 1,
-            AccessKind::Store => self.counters.stores += 1,
-        }
-        if let Some(tc) = self.tenant_counters.get_mut(proc) {
-            tc.accesses += 1;
-            match a.kind {
-                AccessKind::Load => tc.loads += 1,
-                AccessKind::Store => tc.stores += 1,
-            }
+            AccessKind::Load => counters.loads += 1,
+            AccessKind::Store => counters.stores += 1,
         }
 
         self.clock[ti] += (self.cfg.issue_cycles + a.work as u32) as u64;
@@ -1006,10 +1063,7 @@ impl<'a, 'w> Sim<'a, 'w> {
         if self.mem.is_poisoned(self.mem.unit_head(page)) {
             self.mem.unpoison(self.mem.unit_head(page));
             self.clock[ti] += self.cfg.migration.hint_fault_cycles;
-            self.counters.hint_faults += 1;
-            if let Some(tc) = self.tenant_counters.get_mut(proc) {
-                tc.hint_faults += 1;
-            }
+            self.lanes[lane].pmu.hint_faults += 1;
             self.deliver_sample(ti, SampleEvent::HintFault { page, tier });
             // The fault may have migrated the page synchronously.
             // Invariant: migration moves a page between tiers but never
@@ -1026,15 +1080,12 @@ impl<'a, 'w> Sim<'a, 'w> {
             let pf = self.threads[ti].detector.observe(gline);
             let demand = (page, tier);
             for pline in pf {
-                self.issue_prefetch(pline, base_page, fp_bytes, now, demand);
+                self.issue_prefetch(pline, lane, base_page, fp_bytes, now, demand);
             }
         }
 
         if hit {
-            self.counters.llc_hits += 1;
-            if let Some(tc) = self.tenant_counters.get_mut(proc) {
-                tc.llc_hits += 1;
-            }
+            self.lanes[lane].pmu.llc_hits += 1;
             self.clock[ti] += self.cfg.hit_cycles as u64;
             return Ok(());
         }
@@ -1064,16 +1115,10 @@ impl<'a, 'w> Sim<'a, 'w> {
                 // `now >= clock_offset`: write-buffer handoffs were
                 // booked at earlier absolute times of this live thread.
                 self.clock[ti] = now - self.clock_offset;
-                self.counters.bytes[tidx] += LINE_BYTES;
-                if let Some(tc) = self.tenant_counters.get_mut(proc) {
-                    tc.bytes[tidx] += LINE_BYTES;
-                }
+                self.lanes[lane].pmu.bytes[tidx] += LINE_BYTES;
             }
             AccessKind::Load => {
-                self.counters.llc_misses[tidx] += 1;
-                if let Some(tc) = self.tenant_counters.get_mut(proc) {
-                    tc.llc_misses[tidx] += 1;
-                }
+                self.lanes[lane].pmu.llc_misses[tidx] += 1;
                 if tier == Tier::Slow {
                     if let Some(chmu) = &mut self.chmu {
                         chmu.observe(page); // device-side, free for the CPU
@@ -1101,10 +1146,7 @@ impl<'a, 'w> Sim<'a, 'w> {
                         }
                     }
                     if !lost {
-                        self.counters.pebs_samples += 1;
-                        if let Some(tc) = self.tenant_counters.get_mut(proc) {
-                            tc.pebs_samples += 1;
-                        }
+                        self.lanes[lane].pmu.pebs_samples += 1;
                         self.registry.observe(self.m_pebs_latency, latency as f64);
                         self.clock[ti] += self.pebs.overhead_cycles() as u64;
                         self.deliver_sample(
@@ -1130,16 +1172,14 @@ impl<'a, 'w> Sim<'a, 'w> {
         let tidx = tier.index();
         let mut now = self.clock[ti] + self.clock_offset;
         let t = &mut self.threads[ti];
-        let proc = t.proc;
+        let lane = t.lane;
+        let counters = &mut self.lanes[lane].pmu;
 
         // A dependent load cannot issue until its producer miss returns.
         let mut blamed: Option<(u64, u8, u64)> = None; // (page, tier, stall)
         if dep && t.last_miss_completion > now {
             let wait = t.last_miss_completion - now;
-            self.counters.llc_stalls[t.last_miss_tier as usize] += wait;
-            if let Some(tc) = self.tenant_counters.get_mut(proc) {
-                tc.llc_stalls[t.last_miss_tier as usize] += wait;
-            }
+            counters.llc_stalls[t.last_miss_tier as usize] += wait;
             blamed = Some((t.last_miss_page, t.last_miss_tier, wait));
             now = t.last_miss_completion;
         }
@@ -1149,10 +1189,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             if c <= now {
                 t.inflight.pop();
             } else if t.inflight.len() >= self.cfg.mshrs {
-                self.counters.llc_stalls[ct as usize] += c - now;
-                if let Some(tc) = self.tenant_counters.get_mut(proc) {
-                    tc.llc_stalls[ct as usize] += c - now;
-                }
+                counters.llc_stalls[ct as usize] += c - now;
                 blamed = Some((cp, ct, c - now));
                 now = c;
                 t.inflight.pop();
@@ -1177,24 +1214,17 @@ impl<'a, 'w> Sim<'a, 'w> {
             self.note_page_stall(PageId(bp), bt, stall);
         }
 
-        self.counters.demand_latency_sum[tidx] += completion - issue;
-        self.counters.tor_occupancy[tidx] += completion - issue;
-        self.counters.bytes[tidx] += LINE_BYTES;
-        if let Some(tc) = self.tenant_counters.get_mut(proc) {
-            tc.demand_latency_sum[tidx] += completion - issue;
-            tc.tor_occupancy[tidx] += completion - issue;
-            tc.bytes[tidx] += LINE_BYTES;
-        }
-        // TOR busy cycles: union of [issue, completion) intervals.
+        let counters = &mut self.lanes[lane].pmu;
+        counters.demand_latency_sum[tidx] += completion - issue;
+        counters.tor_occupancy[tidx] += completion - issue;
+        counters.bytes[tidx] += LINE_BYTES;
+        // TOR busy cycles: union of [issue, completion) intervals. The
+        // uncovered delta is attributed to the miss that extended the
+        // union, so lane busy-time sums to the union exactly (overlap
+        // is never double-counted).
         let busy_start = issue.max(self.tor_covered[tidx]);
         if completion > busy_start {
-            self.counters.tor_busy[tidx] += completion - busy_start;
-            // The uncovered delta is attributed to the miss that
-            // extended the union, so tenant busy-time sums to the
-            // global union exactly (overlap is never double-counted).
-            if let Some(tc) = self.tenant_counters.get_mut(proc) {
-                tc.tor_busy[tidx] += completion - busy_start;
-            }
+            counters.tor_busy[tidx] += completion - busy_start;
             self.tor_covered[tidx] = completion;
         }
         (completion - issue) as u32
@@ -1203,7 +1233,9 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// Issues one prefetch fill for global line `pline` if it is not
     /// cached, maps to a resident page, and the coverage dice and the
     /// channel allow it. `demand` is the page and tier of the access
-    /// that triggered the prefetch.
+    /// that triggered the prefetch. Prefetchers only fetch within the
+    /// issuing thread's footprint, so the fill counts in that thread's
+    /// `lane`.
     ///
     /// The rejection predicates that consume nothing (LLC presence,
     /// footprint bounds, residency) run cheapest first; the coverage
@@ -1213,6 +1245,7 @@ impl<'a, 'w> Sim<'a, 'w> {
     fn issue_prefetch(
         &mut self,
         pline: u64,
+        lane: usize,
         base_page: u64,
         fp_bytes: u64,
         now: u64,
@@ -1249,16 +1282,9 @@ impl<'a, 'w> Sim<'a, 'w> {
             return;
         }
         self.llc.insert_absent(pline);
-        self.counters.prefetches[tidx] += 1;
-        self.counters.bytes[tidx] += LINE_BYTES;
-        // Prefetchers only fetch within the issuing thread's footprint,
-        // so the page owner is the issuing tenant.
-        if !self.tenant_counters.is_empty() {
-            let owner = self.tenant_of_page(page);
-            let tc = &mut self.tenant_counters[owner];
-            tc.prefetches[tidx] += 1;
-            tc.bytes[tidx] += LINE_BYTES;
-        }
+        let counters = &mut self.lanes[lane].pmu;
+        counters.prefetches[tidx] += 1;
+        counters.bytes[tidx] += LINE_BYTES;
     }
 
     /// Attributes `stall` cycles to `page`'s misses, split by the tier
@@ -1314,15 +1340,16 @@ impl<'a, 'w> Sim<'a, 'w> {
 
     /// Cumulative totals snapshot lent to each [`PolicyCtx`].
     fn ctx_totals(&self) -> CtxTotals {
+        let totals = self.totals();
         CtxTotals {
-            promotions: self.promotions,
-            demotions: self.demotions,
-            failed_promotions: self.failed_promotions,
-            dropped_orders: self.dropped_orders,
+            promotions: totals.promotions,
+            demotions: totals.demotions,
+            failed_promotions: totals.failed_promotions,
+            dropped_orders: totals.dropped_orders,
             window: self.window_idx,
             faults_active: self.faults.is_some(),
             tenants: self.cfg.tenants.len(),
-            admission_rejected: self.tenant_stats.iter().map(|t| t.rejected_orders).sum(),
+            admission_rejected: totals.rejected_orders,
         }
     }
 
@@ -1338,13 +1365,13 @@ impl<'a, 'w> Sim<'a, 'w> {
             return true;
         };
         let defer_windows = adm.defer_windows;
-        let tenant = self.tenant_of_page(order.page);
+        let tenant = self.lane_of_page(order.page);
         if !self.backpressured && self.tenant_tokens[tenant] > 0 {
             self.tenant_tokens[tenant] -= 1;
-            self.tenant_stats[tenant].admitted_orders += 1;
+            self.lanes[tenant].admitted_orders += 1;
             return true;
         }
-        self.tenant_stats[tenant].rejected_orders += 1;
+        self.lanes[tenant].rejected_orders += 1;
         self.registry.inc(self.tenant_metrics[tenant].m_rejected, 1);
         self.tracer.emit(
             cycle,
@@ -1361,9 +1388,8 @@ impl<'a, 'w> Sim<'a, 'w> {
             // Deferrals exhausted (or the deferral queue overflowed):
             // settle the order as a drop so the migration ledger and
             // reports account for it.
-            self.dropped_orders += 1;
+            self.lanes[tenant].dropped_orders += 1;
             self.window_dropped += 1;
-            self.tenant_stats[tenant].dropped_orders += 1;
             if let Some(c) = self.checker.as_mut() {
                 c.note_shed();
             }
@@ -1392,12 +1418,9 @@ impl<'a, 'w> Sim<'a, 'w> {
         if let Some(f) = self.faults.as_mut() {
             if f.drop_order(self.window_idx) {
                 let mi = f.m_injected;
-                self.dropped_orders += 1;
+                let lane = self.lane_of_page(order.page);
+                self.lanes[lane].dropped_orders += 1;
                 self.window_dropped += 1;
-                if !self.tenant_stats.is_empty() {
-                    let tenant = self.tenant_of_page(order.page);
-                    self.tenant_stats[tenant].dropped_orders += 1;
-                }
                 if let Some(c) = self.checker.as_mut() {
                     c.note_shed();
                 }
@@ -1420,12 +1443,9 @@ impl<'a, 'w> Sim<'a, 'w> {
             }
         }
         if self.order_queue.len() >= ORDER_QUEUE_CAP {
-            self.dropped_orders += 1;
+            let lane = self.lane_of_page(order.page);
+            self.lanes[lane].dropped_orders += 1;
             self.window_dropped += 1;
-            if !self.tenant_stats.is_empty() {
-                let tenant = self.tenant_of_page(order.page);
-                self.tenant_stats[tenant].dropped_orders += 1;
-            }
             if let Some(c) = self.checker.as_mut() {
                 c.note_shed();
             }
@@ -1452,6 +1472,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             Some(ti) => self.now_abs(ti),
             None => self.next_edge.saturating_sub(self.cfg.window_cycles),
         };
+        let lane = self.lane_of_page(order.page);
         // Injected transient failure (a lost `move_pages` race): retry
         // later with doubling backoff, through the async daemon path
         // even for sync orders — the faulting thread does not spin.
@@ -1482,12 +1503,8 @@ impl<'a, 'w> Sim<'a, 'w> {
                     // Retries exhausted: account it like the equivalent
                     // capacity failure so policies and reports see it.
                     None if order.to == Tier::Fast => {
-                        self.failed_promotions += 1;
+                        self.lanes[lane].failed_promotions += 1;
                         self.window_failed += 1;
-                        if !self.tenant_stats.is_empty() {
-                            let tenant = self.tenant_of_page(order.page);
-                            self.tenant_stats[tenant].failed_promotions += 1;
-                        }
                         if let Some(c) = self.checker.as_mut() {
                             c.note_abandoned();
                         }
@@ -1495,12 +1512,8 @@ impl<'a, 'w> Sim<'a, 'w> {
                             .emit(anchor, EventKind::PromotionRejected { page: order.page.0 });
                     }
                     None => {
-                        self.dropped_orders += 1;
+                        self.lanes[lane].dropped_orders += 1;
                         self.window_dropped += 1;
-                        if !self.tenant_stats.is_empty() {
-                            let tenant = self.tenant_of_page(order.page);
-                            self.tenant_stats[tenant].dropped_orders += 1;
-                        }
                         if let Some(c) = self.checker.as_mut() {
                             c.note_abandoned();
                         }
@@ -1522,12 +1535,8 @@ impl<'a, 'w> Sim<'a, 'w> {
                     c.note_noop();
                 }
                 if order.to == Tier::Fast {
-                    self.failed_promotions += 1;
+                    self.lanes[lane].failed_promotions += 1;
                     self.window_failed += 1;
-                    if !self.tenant_stats.is_empty() {
-                        let tenant = self.tenant_of_page(order.page);
-                        self.tenant_stats[tenant].failed_promotions += 1;
-                    }
                     self.tracer
                         .emit(anchor, EventKind::PromotionRejected { page: order.page.0 });
                 }
@@ -1548,18 +1557,11 @@ impl<'a, 'w> Sim<'a, 'w> {
                         moved,
                     },
                 );
+                // Migration traffic counts in the moved page's owner's
+                // lane.
                 for tidx in 0..2 {
                     self.channels[tidx].book(anchor, lines);
-                    self.counters.bytes[tidx] += moved * PAGE_BYTES;
-                }
-                // Migration traffic is attributed to the moved page's
-                // owner so per-tenant byte totals sum to the globals.
-                if !self.tenant_counters.is_empty() {
-                    let owner = self.tenant_of_page(order.page);
-                    let tc = &mut self.tenant_counters[owner];
-                    for tidx in 0..2 {
-                        tc.bytes[tidx] += moved * PAGE_BYTES;
-                    }
+                    self.lanes[lane].pmu.bytes[tidx] += moved * PAGE_BYTES;
                 }
                 // TLB shootdown hits every live thread equally: advance
                 // the shared offset once — O(1) instead of a full-fleet
@@ -1573,19 +1575,12 @@ impl<'a, 'w> Sim<'a, 'w> {
                 }
                 match order.to {
                     Tier::Fast => {
-                        self.promotions += moved;
+                        self.lanes[lane].promotions += moved;
                         self.window_promos += moved;
                     }
                     Tier::Slow => {
-                        self.demotions += moved;
+                        self.lanes[lane].demotions += moved;
                         self.window_demos += moved;
-                    }
-                }
-                if !self.tenant_stats.is_empty() {
-                    let tenant = self.tenant_of_page(order.page);
-                    match order.to {
-                        Tier::Fast => self.tenant_stats[tenant].promotions += moved,
-                        Tier::Slow => self.tenant_stats[tenant].demotions += moved,
                     }
                 }
             }
@@ -1601,7 +1596,8 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// [`run`](Self::run) passes `false` (nothing is left to resume).
     fn fire_window(&mut self, allow_snapshot: bool) -> Result<(), SimError> {
         let _prof = pact_obs::hostprof::span("window");
-        let delta = self.counters.delta_since(&self.last_snapshot);
+        let cumulative = self.totals().pmu;
+        let delta = cumulative.delta_since(&self.last_snapshot);
         let mut orders = std::mem::take(&mut self.order_buf);
         let mut telemetry = std::mem::take(&mut self.telemetry_buf);
         let totals = self.ctx_totals();
@@ -1618,7 +1614,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             index: self.window_idx,
             end_cycles: self.next_edge,
             delta,
-            cumulative: &self.counters,
+            cumulative: &cumulative,
         };
         {
             let _prof = pact_obs::hostprof::span("policy_step");
@@ -1797,10 +1793,9 @@ impl<'a, 'w> Sim<'a, 'w> {
         }
         for i in 0..self.tenant_metrics.len() {
             let tm = self.tenant_metrics[i];
-            self.registry
-                .set(tm.m_accesses, self.tenant_counters[i].accesses as f64);
-            self.registry
-                .set(tm.m_promoted, self.tenant_stats[i].promotions as f64);
+            let lane = &self.lanes[i];
+            self.registry.set(tm.m_accesses, lane.pmu.accesses as f64);
+            self.registry.set(tm.m_promoted, lane.promotions as f64);
             if let Some(&tok) = self.tenant_tokens.get(i) {
                 self.registry.set(tm.m_tokens, tok as f64);
             }
@@ -1867,11 +1862,12 @@ impl<'a, 'w> Sim<'a, 'w> {
                 max_inflight = max_inflight.max(t.inflight.len());
                 max_write_buffer = max_write_buffer.max(t.write_buffer.len());
             }
+            let totals = self.totals();
             let result = c.check_window(WindowCheck {
                 window: self.window_idx,
                 edge,
                 mem: &self.mem,
-                counters: &self.counters,
+                counters: &totals.pmu,
                 prev_snapshot: &self.last_snapshot,
                 channels: &self.channels,
                 record: self.windows.last().expect("record pushed above"), // Invariant: pushed this window
@@ -1885,10 +1881,10 @@ impl<'a, 'w> Sim<'a, 'w> {
                 // side of the migration ledger.
                 queue_len: self.order_queue.len() + self.admission_deferred.len(),
                 pending_retries: self.faults.as_ref().map_or(0, |f| f.pending_retries()),
-                promotions: self.promotions,
-                demotions: self.demotions,
-                failed_promotions: self.failed_promotions,
-                dropped_orders: self.dropped_orders,
+                promotions: totals.promotions,
+                demotions: totals.demotions,
+                failed_promotions: totals.failed_promotions,
+                dropped_orders: totals.dropped_orders,
                 max_thread_now,
                 max_inflight,
                 max_write_buffer,
@@ -1902,7 +1898,7 @@ impl<'a, 'w> Sim<'a, 'w> {
         self.window_demos = 0;
         self.window_failed = 0;
         self.window_dropped = 0;
-        self.last_snapshot = self.counters;
+        self.last_snapshot = self.totals().pmu;
         self.window_idx += 1;
         self.next_edge += self.cfg.window_cycles;
         // Token buckets refill at the edge for the window just opened.
@@ -1926,32 +1922,115 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// (Self::fire_window)), where the reusable policy sinks are
     /// provably empty.
     fn capture_snapshot(&self) -> Result<MachineSnapshot, SimError> {
+        let Sim {
+            cfg,
+            policy,
+            threads,
+            clock,
+            done,
+            gated_by,
+            clock_offset,
+            retry_buf: _, // scratch, cleared before every use
+            procs,
+            mem,
+            llc,
+            chmu,
+            pebs,
+            rng,
+            prefetch_threshold: _, // derived from the prefetch configuration
+            lanes,
+            latency: _, // fixed tier latencies from the configuration
+            channels,
+            tor_covered,
+            window_idx,
+            next_edge,
+            last_snapshot,
+            windows,
+            // Per-window accumulators and policy sinks: folded into the
+            // sealed WindowRecord and emptied before every edge capture
+            // (asserted below).
+            window_promos,
+            window_demos,
+            window_failed,
+            window_dropped,
+            window_telemetry,
+            order_buf,
+            telemetry_buf,
+            order_queue,
+            hint_scan_per_window,
+            foreground_threads: _, // recomputed from thread liveness on restore
+            page_stalls,
+            tracer,
+            registry,
+            // Dense metric handles: re-registered in the same order at
+            // construction, identical on any resume.
+            m_daemon_pages: _,
+            m_queue_len: _,
+            m_fast_used: _,
+            m_chan_backlog: _,
+            m_chan_lines: _,
+            m_chmu: _,
+            m_pebs_latency: _,
+            m_mig_latency: _,
+            m_chan_occupancy: _,
+            tenant_metrics: _,
+            overwritten_seen,
+            chan_lines_seen,
+            saturated_since,
+            faults,
+            checker,
+            snap_sink: _,     // host-side sink, re-attached by the driver on resume
+            tenant_base: _,   // derived from the tenant configuration
+            tenant_pages: _,  // derived from the tenant configuration
+            tenant_budget: _, // per-window refill from the admission configuration
+            tenant_tokens,
+            admission_deferred,
+            backpressured,
+        } = self;
         let _prof = pact_obs::hostprof::span("snapshot_capture");
-        debug_assert!(self.order_buf.is_empty());
-        debug_assert!(self.telemetry_buf.is_empty());
-        debug_assert!(self.window_telemetry.is_empty());
-        // The per-window accumulators were folded into the sealed
-        // WindowRecord and reset before this call; a nonzero value here
-        // means a snapshot mid-window, which no frame can represent.
-        debug_assert_eq!(self.window_promos, 0);
-        debug_assert_eq!(self.window_demos, 0);
-        debug_assert_eq!(self.window_failed, 0);
-        debug_assert_eq!(self.window_dropped, 0);
+        debug_assert!(order_buf.is_empty());
+        debug_assert!(telemetry_buf.is_empty());
+        debug_assert!(window_telemetry.is_empty());
+        // A nonzero accumulator here means a snapshot mid-window, which
+        // no frame can represent.
+        debug_assert_eq!(
+            [
+                *window_promos,
+                *window_demos,
+                *window_failed,
+                *window_dropped
+            ],
+            [0; 4]
+        );
         let mut blob = Vec::new();
-        if !self.policy.save_state(&mut blob) {
+        if !policy.save_state(&mut blob) {
             return Err(SimError::Snapshot(format!(
                 "policy '{}' does not support snapshot capture",
-                self.policy.name()
+                policy.name()
             )));
         }
         let mut w = ByteWriter::new();
         // Threads. Heap contents are written sorted so the frame bytes
         // do not depend on heap-internal layout; pop order of *values*
         // is layout-independent either way (ties are identical tuples).
-        w.put_usize(self.threads.len());
-        for t in &self.threads {
-            w.put_u64(t.consumed);
-            let mut inflight: Vec<(u64, u8, u64)> = t.inflight.iter().map(|r| r.0).collect();
+        w.put_usize(threads.len());
+        for ThreadState {
+            stream: _,          // re-read from the workload and fast-forwarded on restore
+            proc: _,            // fixed by the workload set
+            lane: _,            // fixed by the workload set and tenant configuration
+            base_page: _,       // fixed by the workload set
+            footprint_bytes: _, // fixed by the workload set
+            consumed,
+            inflight,
+            write_buffer,
+            last_miss_completion,
+            last_miss_tier,
+            last_miss_page,
+            detector,
+        } in threads
+        {
+            w.put_u64(*consumed);
+            let mut inflight: Vec<(u64, u8, u64)> = inflight.iter().map(|r| r.0).collect();
             inflight.sort_unstable();
             w.put_usize(inflight.len());
             for (c, tier, page) in inflight {
@@ -1959,110 +2038,93 @@ impl<'a, 'w> Sim<'a, 'w> {
                 w.put_u8(tier);
                 w.put_u64(page);
             }
-            let mut wb: Vec<u64> = t.write_buffer.iter().map(|r| r.0).collect();
+            let mut wb: Vec<u64> = write_buffer.iter().map(|r| r.0).collect();
             wb.sort_unstable();
             w.put_usize(wb.len());
             for h in wb {
                 w.put_u64(h);
             }
-            w.put_u64(t.last_miss_completion);
-            w.put_u8(t.last_miss_tier);
-            w.put_u64(t.last_miss_page);
-            t.detector.encode_state(&mut w);
+            w.put_u64(*last_miss_completion);
+            w.put_u8(*last_miss_tier);
+            w.put_u64(*last_miss_page);
+            detector.encode_state(&mut w);
         }
         // Scheduler state (struct-of-arrays).
-        for &c in &self.clock {
+        for &c in clock {
             w.put_u64(c);
         }
-        for &d in &self.done {
+        for &d in done {
             w.put_bool(d);
         }
-        for g in &self.gated_by {
+        for g in gated_by {
             w.put_bool(g.is_some());
             w.put_u32(g.unwrap_or(0));
         }
-        w.put_u64(self.clock_offset);
-        // Processes (names and background flags are rebuilt from the
-        // workloads on resume).
-        w.put_usize(self.procs.len());
-        for p in &self.procs {
-            w.put_u64(p.accesses);
-            w.put_u64(p.finish);
+        w.put_u64(*clock_offset);
+        w.put_usize(procs.len());
+        for ProcState {
+            name: _,       // rebuilt from the workloads on resume
+            background: _, // rebuilt from the workloads on resume
+            accesses,
+            finish,
+        } in procs
+        {
+            w.put_u64(*accesses);
+            w.put_u64(*finish);
         }
+        // Counter lanes; run totals are their sum.
+        w.put_usize(lanes.len());
+        for lane in lanes {
+            lane.encode_state(&mut w);
+        }
+        last_snapshot.encode_state(&mut w);
         // Substrate.
-        self.counters.encode_state(&mut w);
-        self.last_snapshot.encode_state(&mut w);
-        self.mem.encode_state(&mut w);
-        self.llc.encode_state(&mut w);
-        for ch in &self.channels {
+        mem.encode_state(&mut w);
+        llc.encode_state(&mut w);
+        for ch in channels {
             ch.encode_state(&mut w);
         }
-        for &v in &self.tor_covered {
+        for &v in tor_covered.iter().chain(chan_lines_seen) {
             w.put_u64(v);
         }
-        for &v in &self.chan_lines_seen {
-            w.put_u64(v);
-        }
-        for s in &self.saturated_since {
+        for s in saturated_since {
             w.put_bool(s.is_some());
             w.put_u64(s.unwrap_or(0));
         }
-        w.put_u64(self.pebs.countdown());
-        w.put_u64(self.rng.state());
-        if let Some(chmu) = &self.chmu {
+        w.put_u64(pebs.countdown());
+        w.put_u64(rng.state());
+        if let Some(chmu) = chmu {
             chmu.encode_state(&mut w);
         }
         // Window bookkeeping and the full per-window history.
-        w.put_u64(self.window_idx);
-        w.put_u64(self.next_edge);
-        w.put_usize(self.windows.len());
-        for rec in &self.windows {
+        w.put_u64(*window_idx);
+        w.put_u64(*next_edge);
+        w.put_usize(windows.len());
+        for rec in windows {
             encode_window_record(rec, &mut w);
         }
-        w.put_u64(self.promotions);
-        w.put_u64(self.demotions);
-        w.put_u64(self.failed_promotions);
-        w.put_u64(self.dropped_orders);
-        w.put_u64(self.hint_scan_per_window);
+        w.put_u64(*hint_scan_per_window);
         // Migration order queue with enqueue timestamps.
-        w.put_usize(self.order_queue.len());
-        for (cycle, o) in &self.order_queue {
-            w.put_u64(*cycle);
-            w.put_u64(o.page.0);
-            w.put_u8(o.to.index() as u8);
-            w.put_bool(o.sync);
+        w.put_usize(order_queue.len());
+        for &(cycle, order) in order_queue {
+            w.put_u64(cycle);
+            encode_order(order, &mut w);
         }
-        // Fleet section (presence follows the config): per-tenant PMU
-        // mirrors, migration stats, admission token state, and the
-        // deferred-order retry queue. Format version 2.
-        if !self.cfg.tenants.is_empty() {
-            for tc in &self.tenant_counters {
-                tc.encode_state(&mut w);
-            }
-            for st in &self.tenant_stats {
-                w.put_u64(st.promotions);
-                w.put_u64(st.demotions);
-                w.put_u64(st.failed_promotions);
-                w.put_u64(st.dropped_orders);
-                w.put_u64(st.admitted_orders);
-                w.put_u64(st.rejected_orders);
-            }
-            w.put_usize(self.tenant_tokens.len());
-            for &t in &self.tenant_tokens {
-                w.put_u64(t);
-            }
-            w.put_bool(self.backpressured);
-            w.put_usize(self.admission_deferred.len());
-            for (due, attempt, o) in &self.admission_deferred {
-                w.put_u64(*due);
-                w.put_u32(*attempt);
-                w.put_u64(o.page.0);
-                w.put_u8(o.to.index() as u8);
-                w.put_bool(o.sync);
-            }
+        // Admission state (empty buckets and queue when admission
+        // control is off).
+        w.put_usize(tenant_tokens.len());
+        for &t in tenant_tokens {
+            w.put_u64(t);
+        }
+        w.put_bool(*backpressured);
+        w.put_usize(admission_deferred.len());
+        for &(due, attempt, order) in admission_deferred {
+            w.put_u64(due);
+            w.put_u32(attempt);
+            encode_order(order, &mut w);
         }
         // The ground-truth stall oracle (presence follows the config).
-        if let Some(map) = &self.page_stalls {
+        if let Some(map) = page_stalls {
             w.put_usize(map.len());
             for (p, [f, s]) in map {
                 w.put_u64(p.0);
@@ -2070,20 +2132,20 @@ impl<'a, 'w> Sim<'a, 'w> {
                 w.put_u64(*s);
             }
         }
-        if let Some(f) = &self.faults {
+        if let Some(f) = faults {
             f.encode_state(&mut w);
         }
-        if let Some(c) = &self.checker {
+        if let Some(c) = checker {
             c.encode_state(&mut w);
         }
-        self.registry.encode_state(&mut w);
-        w.put_u64(self.overwritten_seen);
-        self.tracer.encode_state(&mut w);
-        w.put_str(self.policy.name());
+        registry.encode_state(&mut w);
+        w.put_u64(*overwritten_seen);
+        tracer.encode_state(&mut w);
+        w.put_str(policy.name());
         w.put_bytes(&blob);
         Ok(MachineSnapshot::from_bytes(snapshot::seal_frame(
-            self.window_idx,
-            snapshot::config_fingerprint(self.cfg),
+            *window_idx,
+            snapshot::config_fingerprint(cfg),
             &w.into_bytes(),
         )))
     }
@@ -2106,39 +2168,109 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// [`capture_snapshot`](Self::capture_snapshot) field for field and
     /// validates every cross-component consistency constraint.
     fn decode_payload(&mut self, r: &mut ByteReader<'_>, window: u64) -> Result<(), String> {
+        let Sim {
+            cfg,
+            policy,
+            threads,
+            clock,
+            done,
+            gated_by,
+            clock_offset,
+            retry_buf: _, // scratch, cleared before every use
+            procs,
+            mem,
+            llc,
+            chmu,
+            pebs,
+            rng,
+            prefetch_threshold: _, // derived from the prefetch configuration
+            lanes,
+            latency: _, // fixed tier latencies from the configuration
+            channels,
+            tor_covered,
+            window_idx,
+            next_edge,
+            last_snapshot,
+            windows,
+            // Per-window accumulators and policy sinks: empty at every
+            // capture, and still empty in the fresh machine.
+            window_promos: _,
+            window_demos: _,
+            window_failed: _,
+            window_dropped: _,
+            window_telemetry: _,
+            order_buf: _,
+            telemetry_buf: _,
+            order_queue,
+            hint_scan_per_window,
+            foreground_threads,
+            page_stalls,
+            tracer,
+            registry,
+            // Dense metric handles: re-registered in the same order at
+            // construction, identical on any resume.
+            m_daemon_pages: _,
+            m_queue_len: _,
+            m_fast_used: _,
+            m_chan_backlog: _,
+            m_chan_lines: _,
+            m_chmu: _,
+            m_pebs_latency: _,
+            m_mig_latency: _,
+            m_chan_occupancy: _,
+            tenant_metrics: _,
+            overwritten_seen,
+            chan_lines_seen,
+            saturated_since,
+            faults,
+            checker,
+            snap_sink: _,     // host-side sink, re-attached by the driver on resume
+            tenant_base: _,   // derived from the tenant configuration
+            tenant_pages: _,  // derived from the tenant configuration
+            tenant_budget: _, // per-window refill from the admission configuration
+            tenant_tokens,
+            admission_deferred,
+            backpressured,
+        } = self;
         let e = |e: CodecError| format!("machine state: {e}");
-        let tier_of = |t: u8| -> Result<Tier, String> {
-            match t {
-                0 => Ok(Tier::Fast),
-                1 => Ok(Tier::Slow),
-                t => Err(format!("machine state: invalid tier index {t}")),
-            }
-        };
         // Threads.
         let n = r.get_usize().map_err(e)?;
-        if n != self.threads.len() {
+        if n != threads.len() {
             return Err(format!(
                 "snapshot has {n} threads, this workload set has {}",
-                self.threads.len()
+                threads.len()
             ));
         }
-        for ti in 0..n {
-            let t = &mut self.threads[ti];
-            t.consumed = r.get_u64().map_err(e)?;
+        for (ti, t) in threads.iter_mut().enumerate() {
+            let ThreadState {
+                stream: _,          // fast-forwarded below
+                proc: _,            // fixed by the workload set
+                lane: _,            // fixed by the workload set and tenant configuration
+                base_page: _,       // fixed by the workload set
+                footprint_bytes: _, // fixed by the workload set
+                consumed,
+                inflight,
+                write_buffer,
+                last_miss_completion,
+                last_miss_tier,
+                last_miss_page,
+                detector,
+            } = t;
+            *consumed = r.get_u64().map_err(e)?;
             let m = r.get_usize().map_err(e)?;
-            if m > self.cfg.mshrs {
+            if m > cfg.mshrs {
                 return Err(format!(
                     "thread {ti} has {m} in-flight misses, machine has {} MSHRs",
-                    self.cfg.mshrs
+                    cfg.mshrs
                 ));
             }
-            t.inflight.clear();
+            inflight.clear();
             for _ in 0..m {
                 let c = r.get_u64().map_err(e)?;
                 let tier = r.get_u8().map_err(e)?;
-                tier_of(tier)?;
+                decode_tier(tier)?;
                 let page = r.get_u64().map_err(e)?;
-                t.inflight.push(Reverse((c, tier, page)));
+                inflight.push(Reverse((c, tier, page)));
             }
             let m = r.get_usize().map_err(e)?;
             if m > WRITE_BUFFER {
@@ -2146,148 +2278,128 @@ impl<'a, 'w> Sim<'a, 'w> {
                     "thread {ti} has {m} buffered stores, write buffer holds {WRITE_BUFFER}"
                 ));
             }
-            t.write_buffer.clear();
+            write_buffer.clear();
             for _ in 0..m {
-                t.write_buffer.push(Reverse(r.get_u64().map_err(e)?));
+                write_buffer.push(Reverse(r.get_u64().map_err(e)?));
             }
-            t.last_miss_completion = r.get_u64().map_err(e)?;
-            t.last_miss_tier = r.get_u8().map_err(e)?;
-            tier_of(t.last_miss_tier)?;
-            t.last_miss_page = r.get_u64().map_err(e)?;
-            t.detector.decode_state(r)?;
+            *last_miss_completion = r.get_u64().map_err(e)?;
+            *last_miss_tier = r.get_u8().map_err(e)?;
+            decode_tier(*last_miss_tier)?;
+            *last_miss_page = r.get_u64().map_err(e)?;
+            detector.decode_state(r)?;
         }
         // Scheduler state.
-        for c in &mut self.clock {
+        for c in clock.iter_mut() {
             *c = r.get_u64().map_err(e)?;
         }
-        for d in &mut self.done {
+        for d in done.iter_mut() {
             *d = r.get_bool().map_err(e)?;
         }
-        for ti in 0..n {
+        for (ti, g) in gated_by.iter_mut().enumerate() {
             let has = r.get_bool().map_err(e)?;
             let v = r.get_u32().map_err(e)?;
             if has && v as usize >= n {
                 return Err(format!("thread {ti} gated by out-of-range thread {v}"));
             }
-            self.gated_by[ti] = has.then_some(v);
+            *g = has.then_some(v);
         }
-        self.clock_offset = r.get_u64().map_err(e)?;
-        // Processes.
+        *clock_offset = r.get_u64().map_err(e)?;
         let np = r.get_usize().map_err(e)?;
-        if np != self.procs.len() {
+        if np != procs.len() {
             return Err(format!(
                 "snapshot has {np} processes, this workload set has {}",
-                self.procs.len()
+                procs.len()
             ));
         }
-        for p in &mut self.procs {
-            p.accesses = r.get_u64().map_err(e)?;
-            p.finish = r.get_u64().map_err(e)?;
+        for ProcState {
+            name: _,       // rebuilt from the workloads
+            background: _, // rebuilt from the workloads
+            accesses,
+            finish,
+        } in procs.iter_mut()
+        {
+            *accesses = r.get_u64().map_err(e)?;
+            *finish = r.get_u64().map_err(e)?;
         }
+        let nl = r.get_usize().map_err(e)?;
+        if nl != lanes.len() {
+            return Err(format!(
+                "snapshot has {nl} counter lanes, this configuration has {}",
+                lanes.len()
+            ));
+        }
+        for lane in lanes.iter_mut() {
+            *lane = Lane::decode_state(r)?;
+        }
+        *last_snapshot = PmuCounters::decode_state(r)?;
         // Substrate.
-        self.counters = PmuCounters::decode_state(r)?;
-        self.last_snapshot = PmuCounters::decode_state(r)?;
-        self.mem.decode_state(r)?;
-        self.llc.decode_state(r)?;
-        for ch in &mut self.channels {
+        mem.decode_state(r)?;
+        llc.decode_state(r)?;
+        for ch in channels.iter_mut() {
             ch.decode_state(r)?;
         }
-        for v in &mut self.tor_covered {
+        for v in tor_covered.iter_mut().chain(chan_lines_seen.iter_mut()) {
             *v = r.get_u64().map_err(e)?;
         }
-        for v in &mut self.chan_lines_seen {
-            *v = r.get_u64().map_err(e)?;
-        }
-        for s in &mut self.saturated_since {
+        for s in saturated_since.iter_mut() {
             let has = r.get_bool().map_err(e)?;
             let v = r.get_u64().map_err(e)?;
             *s = has.then_some(v);
         }
-        self.pebs.set_countdown(r.get_u64().map_err(e)?)?;
-        self.rng = SplitMix64::new(r.get_u64().map_err(e)?);
-        if let Some(chmu) = self.chmu.as_mut() {
+        pebs.set_countdown(r.get_u64().map_err(e)?)?;
+        *rng = SplitMix64::new(r.get_u64().map_err(e)?);
+        if let Some(chmu) = chmu {
             chmu.decode_state(r)?;
         }
         // Window bookkeeping and history.
-        self.window_idx = r.get_u64().map_err(e)?;
-        if self.window_idx != window {
+        *window_idx = r.get_u64().map_err(e)?;
+        if *window_idx != window {
             return Err(format!(
-                "frame header says {window} completed windows, payload says {}",
-                self.window_idx
+                "frame header says {window} completed windows, payload says {window_idx}"
             ));
         }
-        self.next_edge = r.get_u64().map_err(e)?;
+        *next_edge = r.get_u64().map_err(e)?;
         let nw = r.get_usize().map_err(e)?;
-        self.windows.clear();
+        windows.clear();
         for _ in 0..nw {
-            self.windows.push(decode_window_record(r)?);
+            windows.push(decode_window_record(r)?);
         }
-        self.promotions = r.get_u64().map_err(e)?;
-        self.demotions = r.get_u64().map_err(e)?;
-        self.failed_promotions = r.get_u64().map_err(e)?;
-        self.dropped_orders = r.get_u64().map_err(e)?;
-        self.hint_scan_per_window = r.get_u64().map_err(e)?;
+        *hint_scan_per_window = r.get_u64().map_err(e)?;
         let nq = r.get_usize().map_err(e)?;
         if nq > ORDER_QUEUE_CAP {
             return Err(format!(
                 "snapshot order queue holds {nq} entries, cap is {ORDER_QUEUE_CAP}"
             ));
         }
-        self.order_queue.clear();
+        order_queue.clear();
         for _ in 0..nq {
             let cycle = r.get_u64().map_err(e)?;
-            let page = PageId(r.get_u64().map_err(e)?);
-            let to = tier_of(r.get_u8().map_err(e)?)?;
-            let sync = r.get_bool().map_err(e)?;
-            self.order_queue
-                .push_back((cycle, MigrationOrder { page, to, sync }));
+            order_queue.push_back((cycle, decode_order(r)?));
         }
-        // Fleet section (mirrors capture; presence follows the config,
-        // which the frame fingerprint already pinned).
-        if !self.cfg.tenants.is_empty() {
-            for tc in self.tenant_counters.iter_mut() {
-                *tc = PmuCounters::decode_state(r)?;
-            }
-            for st in self.tenant_stats.iter_mut() {
-                st.promotions = r.get_u64().map_err(e)?;
-                st.demotions = r.get_u64().map_err(e)?;
-                st.failed_promotions = r.get_u64().map_err(e)?;
-                st.dropped_orders = r.get_u64().map_err(e)?;
-                st.admitted_orders = r.get_u64().map_err(e)?;
-                st.rejected_orders = r.get_u64().map_err(e)?;
-            }
-            let nt = r.get_usize().map_err(e)?;
-            if nt != self.tenant_tokens.len() {
-                return Err(format!(
-                    "snapshot carries {nt} tenant token buckets, config has {}",
-                    self.tenant_tokens.len()
-                ));
-            }
-            for t in self.tenant_tokens.iter_mut() {
-                *t = r.get_u64().map_err(e)?;
-            }
-            self.backpressured = r.get_bool().map_err(e)?;
-            let nd = r.get_usize().map_err(e)?;
-            if nd > ORDER_QUEUE_CAP {
-                return Err(format!(
-                    "snapshot deferral queue holds {nd} entries, cap is {ORDER_QUEUE_CAP}"
-                ));
-            }
-            self.admission_deferred.clear();
-            for _ in 0..nd {
-                let due = r.get_u64().map_err(e)?;
-                let attempt = r.get_u32().map_err(e)?;
-                let page = PageId(r.get_u64().map_err(e)?);
-                let to = tier_of(r.get_u8().map_err(e)?)?;
-                let sync = r.get_bool().map_err(e)?;
-                self.admission_deferred.push_back((
-                    due,
-                    attempt,
-                    MigrationOrder { page, to, sync },
-                ));
-            }
+        let nt = r.get_usize().map_err(e)?;
+        if nt != tenant_tokens.len() {
+            return Err(format!(
+                "snapshot carries {nt} tenant token buckets, config has {}",
+                tenant_tokens.len()
+            ));
         }
-        if let Some(map) = self.page_stalls.as_mut() {
+        for t in tenant_tokens.iter_mut() {
+            *t = r.get_u64().map_err(e)?;
+        }
+        *backpressured = r.get_bool().map_err(e)?;
+        let nd = r.get_usize().map_err(e)?;
+        if nd > ORDER_QUEUE_CAP {
+            return Err(format!(
+                "snapshot deferral queue holds {nd} entries, cap is {ORDER_QUEUE_CAP}"
+            ));
+        }
+        admission_deferred.clear();
+        for _ in 0..nd {
+            let due = r.get_u64().map_err(e)?;
+            let attempt = r.get_u32().map_err(e)?;
+            admission_deferred.push_back((due, attempt, decode_order(r)?));
+        }
+        if let Some(map) = page_stalls {
             map.clear();
             let nm = r.get_usize().map_err(e)?;
             for _ in 0..nm {
@@ -2297,36 +2409,35 @@ impl<'a, 'w> Sim<'a, 'w> {
                 map.insert(p, [fast, slow]);
             }
         }
-        if let Some(f) = self.faults.as_mut() {
+        if let Some(f) = faults {
             f.decode_state(r)?;
         }
-        if let Some(c) = self.checker.as_mut() {
+        if let Some(c) = checker {
             c.decode_state(r)?;
         }
-        self.registry.decode_state(r)?;
-        self.overwritten_seen = r.get_u64().map_err(e)?;
-        self.tracer.decode_state(r)?;
+        registry.decode_state(r)?;
+        *overwritten_seen = r.get_u64().map_err(e)?;
+        tracer.decode_state(r)?;
         let name = r.get_str().map_err(e)?;
-        if name != self.policy.name() {
+        if name != policy.name() {
             return Err(format!(
                 "snapshot was captured under policy '{name}', resuming with '{}'",
-                self.policy.name()
+                policy.name()
             ));
         }
         let blob = r.get_bytes().map_err(e)?;
         r.finish().map_err(e)?;
         // `prepare` already ran in `Sim::new`; the restore overwrites
         // whatever it reset.
-        self.policy
+        policy
             .restore_state(blob)
             .map_err(|err| format!("policy '{name}': {err}"))?;
         // Live threads re-read their (contractually repeatable) streams
         // from the start; fast-forward past the consumed prefix.
-        for ti in 0..n {
-            if self.done[ti] {
+        for (ti, t) in threads.iter_mut().enumerate() {
+            if done[ti] {
                 continue;
             }
-            let t = &mut self.threads[ti];
             for k in 0..t.consumed {
                 if t.stream.next_access().is_none() {
                     return Err(format!(
@@ -2337,35 +2448,75 @@ impl<'a, 'w> Sim<'a, 'w> {
                 }
             }
         }
-        self.foreground_threads = (0..n)
-            .filter(|&ti| !self.done[ti] && !self.procs[self.threads[ti].proc].background)
+        *foreground_threads = (0..n)
+            .filter(|&ti| !done[ti] && !procs[threads[ti].proc].background)
             .count();
-        if self.foreground_threads == 0 {
+        if *foreground_threads == 0 {
             return Err("snapshot has no live foreground threads to resume".into());
         }
         Ok(())
     }
 }
 
+/// Serializes one migration order (page, destination tier, sync flag).
+fn encode_order(order: MigrationOrder, w: &mut ByteWriter) {
+    let MigrationOrder { page, to, sync } = order;
+    w.put_u64(page.0);
+    w.put_u8(to.index() as u8);
+    w.put_bool(sync);
+}
+
+/// Mirror of [`encode_order`].
+fn decode_order(r: &mut ByteReader<'_>) -> Result<MigrationOrder, String> {
+    let e = |e: CodecError| format!("migration order: {e}");
+    Ok(MigrationOrder {
+        page: PageId(r.get_u64().map_err(e)?),
+        to: decode_tier(r.get_u8().map_err(e)?)?,
+        sync: r.get_bool().map_err(e)?,
+    })
+}
+
+/// The tier a frame's tier index names.
+fn decode_tier(t: u8) -> Result<Tier, String> {
+    match t {
+        0 => Ok(Tier::Fast),
+        1 => Ok(Tier::Slow),
+        t => Err(format!("machine state: invalid tier index {t}")),
+    }
+}
+
 /// Serializes one [`WindowRecord`] for the crash-recovery snapshot.
 fn encode_window_record(rec: &WindowRecord, w: &mut ByteWriter) {
-    w.put_u64(rec.index);
-    w.put_u64(rec.end_cycles);
-    w.put_u64(rec.promotions);
-    w.put_u64(rec.demotions);
-    w.put_u64(rec.failed_promotions);
-    w.put_u64(rec.dropped_orders);
-    w.put_u64(rec.trace_dropped_events);
-    rec.delta.encode_state(w);
-    w.put_usize(rec.telemetry.len());
-    for (k, v) in &rec.telemetry {
-        w.put_str(k);
-        w.put_f64(*v);
+    let WindowRecord {
+        index,
+        end_cycles,
+        promotions,
+        demotions,
+        failed_promotions,
+        dropped_orders,
+        trace_dropped_events,
+        delta,
+        telemetry,
+        metrics,
+    } = rec;
+    for &v in [
+        index,
+        end_cycles,
+        promotions,
+        demotions,
+        failed_promotions,
+        dropped_orders,
+        trace_dropped_events,
+    ] {
+        w.put_u64(v);
     }
-    w.put_usize(rec.metrics.len());
-    for (k, v) in &rec.metrics {
-        w.put_str(k);
-        w.put_f64(*v);
+    delta.encode_state(w);
+    for series in [telemetry, metrics] {
+        w.put_usize(series.len());
+        for &(k, v) in series {
+            w.put_str(k);
+            w.put_f64(v);
+        }
     }
 }
 
@@ -2800,15 +2951,14 @@ mod tests {
 
     #[test]
     fn window_accumulators_reset_before_every_edge_capture() {
-        // Snapshot-coverage (X001) audit regression: the per-window
-        // accumulators (`window_promos`/`window_demos`/`window_failed`/
-        // `window_dropped`) are snapshot-skipped on the grounds that
-        // `fire_window` folds them into the sealed WindowRecord and
-        // resets them *before* the edge capture. Run a fault-heavy
-        // config where failed and dropped orders occur in most windows;
-        // the capture-side debug_asserts abort this (debug-built) test
-        // if that ordering ever drifts, and the resume must still be
-        // byte-identical.
+        // The per-window accumulators (`window_promos`/`window_demos`/
+        // `window_failed`/`window_dropped`) are left out of the frame
+        // on the grounds that `fire_window` folds them into the sealed
+        // WindowRecord and resets them *before* the edge capture. Run a
+        // fault-heavy config where failed and dropped orders occur in
+        // most windows; the capture-side debug_asserts abort this
+        // (debug-built) test if that ordering ever drifts, and the
+        // resume must still be byte-identical.
         let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
         let mut cfg = snapshotty_cfg();
         cfg.snapshot_every = 1;

@@ -36,9 +36,9 @@ pub struct Memory {
     flags: Vec<u8>,
     /// Saturating window stamp of the last touch, unit-head only.
     last_window: Vec<u32>,
-    fast_capacity: u64, // snapshot: skip — fixed by the configuration on restore
+    fast_capacity: u64,
     fast_used: u64,
-    unit_span: u64, // snapshot: skip — fixed by the configuration on restore
+    unit_span: u64,
     /// CLOCK list of fast-resident unit heads (approximate LRU).
     fast_clock: VecDeque<PageId>,
     /// Scan list of slow-resident unit heads (for hint-fault poisoning
@@ -342,81 +342,103 @@ impl Memory {
     /// stamps, residency bookkeeping, CLOCK list, and slow-scan list —
     /// for the crash-recovery snapshot.
     pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        w.put_bytes(&self.tier);
-        w.put_bytes(&self.flags);
-        w.put_usize(self.last_window.len());
-        for &lw in &self.last_window {
+        let Self {
+            fast_capacity: _, // fixed by the configuration on restore
+            unit_span: _,     // fixed by the configuration on restore
+            tier,
+            flags,
+            last_window,
+            fast_used,
+            fast_clock,
+            slow_scan,
+            slow_cursor,
+        } = self;
+        w.put_bytes(tier);
+        w.put_bytes(flags);
+        w.put_usize(last_window.len());
+        for &lw in last_window {
             w.put_u32(lw);
         }
-        w.put_u64(self.fast_used);
-        w.put_usize(self.fast_clock.len());
-        for &p in &self.fast_clock {
+        w.put_u64(*fast_used);
+        w.put_usize(fast_clock.len());
+        for &p in fast_clock {
             w.put_u64(p.0);
         }
-        w.put_usize(self.slow_scan.len());
-        for &p in &self.slow_scan {
+        w.put_usize(slow_scan.len());
+        for &p in slow_scan {
             w.put_u64(p.0);
         }
-        w.put_usize(self.slow_cursor);
+        w.put_usize(*slow_cursor);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
     /// into a memory freshly constructed from the same configuration.
     pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
+        let Self {
+            fast_capacity,
+            unit_span: _, // fixed by the configuration on restore
+            tier,
+            flags,
+            last_window,
+            fast_used,
+            fast_clock,
+            slow_scan,
+            slow_cursor,
+        } = self;
         let e = |e: CodecError| format!("memory state: {e}");
-        let tier = r.get_bytes().map_err(e)?;
-        if tier.len() != self.tier.len() {
+        let tier_in = r.get_bytes().map_err(e)?;
+        if tier_in.len() != tier.len() {
             return Err(format!(
                 "memory state: snapshot has {} pages, machine has {}",
-                tier.len(),
-                self.tier.len()
+                tier_in.len(),
+                tier.len()
             ));
         }
-        if let Some(bad) = tier.iter().find(|&&t| t > NOT_PRESENT) {
+        if let Some(bad) = tier_in.iter().find(|&&t| t > NOT_PRESENT) {
             return Err(format!("memory state: invalid residency code {bad}"));
         }
-        let flags = r.get_bytes().map_err(e)?;
-        if flags.len() != self.flags.len() {
+        let flags_in = r.get_bytes().map_err(e)?;
+        if flags_in.len() != flags.len() {
             return Err("memory state: flags length mismatch".to_string());
         }
         let n_windows = r.get_usize().map_err(e)?;
-        if n_windows != self.last_window.len() {
+        if n_windows != last_window.len() {
             return Err("memory state: recency-stamp length mismatch".to_string());
         }
-        let mut last_window = Vec::with_capacity(n_windows);
+        let mut last_window_in = Vec::with_capacity(n_windows);
         for _ in 0..n_windows {
-            last_window.push(r.get_u32().map_err(e)?);
+            last_window_in.push(r.get_u32().map_err(e)?);
         }
-        let fast_used = r.get_u64().map_err(e)?;
-        if fast_used > self.fast_capacity {
+        let fast_used_in = r.get_u64().map_err(e)?;
+        if fast_used_in > *fast_capacity {
             return Err("memory state: fast_used exceeds capacity".to_string());
         }
         let n_clock = r.get_usize().map_err(e)?;
-        let mut fast_clock = VecDeque::with_capacity(n_clock);
+        let mut fast_clock_in = VecDeque::with_capacity(n_clock);
         for _ in 0..n_clock {
-            fast_clock.push_back(PageId(r.get_u64().map_err(e)?));
+            fast_clock_in.push_back(PageId(r.get_u64().map_err(e)?));
         }
         let n_scan = r.get_usize().map_err(e)?;
-        let mut slow_scan = Vec::with_capacity(n_scan);
+        let mut slow_scan_in = Vec::with_capacity(n_scan);
         for _ in 0..n_scan {
-            slow_scan.push(PageId(r.get_u64().map_err(e)?));
+            slow_scan_in.push(PageId(r.get_u64().map_err(e)?));
         }
-        let slow_cursor = r.get_usize().map_err(e)?;
-        let total = self.tier.len() as u64;
-        if fast_clock
+        let slow_cursor_in = r.get_usize().map_err(e)?;
+        let total = tier.len() as u64;
+        if fast_clock_in
             .iter()
-            .chain(slow_scan.iter())
+            .chain(slow_scan_in.iter())
             .any(|p| p.0 >= total)
         {
             return Err("memory state: list entry beyond page table".to_string());
         }
-        self.tier.copy_from_slice(tier);
-        self.flags.copy_from_slice(flags);
-        self.last_window = last_window;
-        self.fast_used = fast_used;
-        self.fast_clock = fast_clock;
-        self.slow_scan = slow_scan;
-        self.slow_cursor = slow_cursor;
+        tier.copy_from_slice(tier_in);
+        flags.copy_from_slice(flags_in);
+        *last_window = last_window_in;
+        *fast_used = fast_used_in;
+        *fast_clock = fast_clock_in;
+        *slow_scan = slow_scan_in;
+        *slow_cursor = slow_cursor_in;
         Ok(())
     }
 }

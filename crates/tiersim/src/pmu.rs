@@ -80,6 +80,43 @@ impl PmuCounters {
         }
     }
 
+    /// Adds every counter of `other` into `self`: run totals are sums of
+    /// per-tenant counter lanes.
+    pub(crate) fn add(&mut self, other: &PmuCounters) {
+        fn a2(a: &mut [u64; 2], b: [u64; 2]) {
+            a[0] += b[0];
+            a[1] += b[1];
+        }
+        let PmuCounters {
+            accesses,
+            loads,
+            stores,
+            llc_hits,
+            llc_misses,
+            llc_stalls,
+            tor_occupancy,
+            tor_busy,
+            demand_latency_sum,
+            bytes,
+            prefetches,
+            hint_faults,
+            pebs_samples,
+        } = *other;
+        self.accesses += accesses;
+        self.loads += loads;
+        self.stores += stores;
+        self.llc_hits += llc_hits;
+        a2(&mut self.llc_misses, llc_misses);
+        a2(&mut self.llc_stalls, llc_stalls);
+        a2(&mut self.tor_occupancy, tor_occupancy);
+        a2(&mut self.tor_busy, tor_busy);
+        a2(&mut self.demand_latency_sum, demand_latency_sum);
+        a2(&mut self.bytes, bytes);
+        a2(&mut self.prefetches, prefetches);
+        self.hint_faults += hint_faults;
+        self.pebs_samples += pebs_samples;
+    }
+
     /// Per-tier memory-level parallelism measured the paper's way:
     /// `MLP = T1 / T2` (average in-flight requests per busy cycle).
     ///
@@ -127,36 +164,50 @@ impl PmuCounters {
         self.llc_stalls[0] + self.llc_stalls[1]
     }
 
-    /// Serializes every counter field, in declaration order.
-    pub(crate) fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        for v in [
-            self.accesses,
-            self.loads,
-            self.stores,
-            self.llc_hits,
-            self.llc_misses[0],
-            self.llc_misses[1],
-            self.llc_stalls[0],
-            self.llc_stalls[1],
-            self.tor_occupancy[0],
-            self.tor_occupancy[1],
-            self.tor_busy[0],
-            self.tor_busy[1],
-            self.demand_latency_sum[0],
-            self.demand_latency_sum[1],
-            self.bytes[0],
-            self.bytes[1],
-            self.prefetches[0],
-            self.prefetches[1],
-            self.hint_faults,
-            self.pebs_samples,
-        ] {
+    /// Serializes every counter field, in declaration order. This is
+    /// the one codec for the counters: the machine frame, the window
+    /// records and policy blobs all write them through it.
+    pub fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
+        let PmuCounters {
+            accesses,
+            loads,
+            stores,
+            llc_hits,
+            llc_misses,
+            llc_stalls,
+            tor_occupancy,
+            tor_busy,
+            demand_latency_sum,
+            bytes,
+            prefetches,
+            hint_faults,
+            pebs_samples,
+        } = *self;
+        for v in [accesses, loads, stores, llc_hits] {
             w.put_u64(v);
         }
+        for pair in [
+            llc_misses,
+            llc_stalls,
+            tor_occupancy,
+            tor_busy,
+            demand_latency_sum,
+            bytes,
+            prefetches,
+        ] {
+            w.put_u64(pair[0]);
+            w.put_u64(pair[1]);
+        }
+        w.put_u64(hint_faults);
+        w.put_u64(pebs_samples);
     }
 
     /// Restores counters captured by [`encode_state`](Self::encode_state).
-    pub(crate) fn decode_state(r: &mut pact_stats::ByteReader<'_>) -> Result<Self, String> {
+    ///
+    /// # Errors
+    ///
+    /// A description of the truncation when `r` runs out of bytes.
+    pub fn decode_state(r: &mut pact_stats::ByteReader<'_>) -> Result<Self, String> {
         let mut get = || r.get_u64().map_err(|e| format!("pmu counters: {e}"));
         Ok(PmuCounters {
             accesses: get()?,

@@ -42,7 +42,12 @@ pub const MAGIC: [u8; 8] = *b"PACTSNAP";
 /// payload layout change; old frames are rejected, not reinterpreted.
 /// Version 2 added the fleet section (per-tenant PMU mirrors, token
 /// buckets, and the admission deferral queue) for multi-tenant cells.
-pub const FORMAT_VERSION: u32 = 2;
+/// Version 3 stores the counters as per-tenant lanes only (the run
+/// totals are their sum), writes the admission state unconditionally,
+/// and has PACT's policy blob write its counters through the one
+/// `PmuCounters` codec, whose field order differs from the policy's
+/// old private copy.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Frame header bytes before the payload (magic + version + fingerprint
 /// + window + payload length).

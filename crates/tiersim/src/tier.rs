@@ -38,10 +38,8 @@ fn slot(epoch: u64) -> usize {
 #[derive(Debug, Clone)]
 pub struct Channel {
     /// Cycles one 64-byte line occupies the channel.
-    // snapshot: skip — fixed by channel construction on restore
     transfer: f64,
     /// Line capacity of one epoch.
-    // snapshot: skip — fixed by channel construction on restore
     cap: f64,
     /// Lines booked per epoch, ring-indexed by `epoch % EPOCHS`.
     lines: [f64; EPOCHS],
@@ -53,10 +51,8 @@ pub struct Channel {
     booked: u64,
     /// Busy-period backlog (lines) after each epoch, ring-indexed like
     /// `lines`; valid for epochs `base..valid_end`.
-    // snapshot: skip — derived cache of the fold, refolded after restore
     prefix: [f64; EPOCHS],
     /// First epoch whose `prefix` entry is stale.
-    // snapshot: skip — decode_state resets it to `base`
     valid_end: u64,
 }
 
@@ -202,28 +198,47 @@ impl Channel {
         t / EPOCH_CYCLES
     }
 
-    /// Serializes the epoch ring, carry, and lifetime booking counter
-    /// (transfer time and capacity come from construction on restore).
+    /// Serializes the epoch ring, carry, and lifetime booking counter.
     pub fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        for &l in &self.lines {
+        let Self {
+            transfer: _,  // fixed by channel construction on restore
+            cap: _,       // fixed by channel construction on restore
+            prefix: _,    // derived cache of the fold, refolded after restore
+            valid_end: _, // decode resets it to `base`
+            lines,
+            base,
+            carry,
+            booked,
+        } = self;
+        for &l in lines {
             w.put_f64(l);
         }
-        w.put_u64(self.base);
-        w.put_f64(self.carry);
-        w.put_u64(self.booked);
+        w.put_u64(*base);
+        w.put_f64(*carry);
+        w.put_u64(*booked);
     }
 
     /// Restores state captured by [`encode_state`](Self::encode_state)
     /// into a channel constructed with the same transfer time.
     pub fn decode_state(&mut self, r: &mut pact_stats::ByteReader<'_>) -> Result<(), String> {
+        let Self {
+            transfer: _, // fixed by channel construction on restore
+            cap: _,      // fixed by channel construction on restore
+            prefix: _,   // derived cache of the fold, invalidated below
+            valid_end,
+            lines,
+            base,
+            carry,
+            booked,
+        } = self;
         let e = |e: pact_stats::CodecError| format!("channel state: {e}");
-        for l in &mut self.lines {
+        for l in lines {
             *l = r.get_f64().map_err(e)?;
         }
-        self.base = r.get_u64().map_err(e)?;
-        self.carry = r.get_f64().map_err(e)?;
-        self.booked = r.get_u64().map_err(e)?;
-        self.valid_end = self.base;
+        *base = r.get_u64().map_err(e)?;
+        *carry = r.get_f64().map_err(e)?;
+        *booked = r.get_u64().map_err(e)?;
+        *valid_end = *base;
         Ok(())
     }
 
