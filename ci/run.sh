@@ -249,12 +249,23 @@ stage_snapshot() {
 }
 
 # Invariant & differential-oracle smoke: the config fuzzer with the
-# runtime checker armed, per-cell differential oracles, and the
-# sweep-level bit-identity oracle.
+# runtime checker armed, per-cell differential oracles, the
+# sweep-level bit-identity oracle, and the whole smoke-scale
+# reproduction, which must print the same bytes whether its figures
+# run serially or in parallel.
 stage_check() {
     cargo run --release -p pact-bench --bin tierctl -- check \
         --fuzz 60 --seed 1 --oracle
     cargo run --release -p pact-bench --bin check_sweep
+    repro_dir="target/ci-repro"
+    rm -rf "$repro_dir"
+    mkdir -p "$repro_dir"
+    for jobs in 1 4; do
+        PACT_JOBS="$jobs" cargo run --release -p pact-bench --bin tierctl -- repro \
+            --scale smoke > "$repro_dir/j${jobs}.txt"
+    done
+    cmp "$repro_dir/j1.txt" "$repro_dir/j4.txt"
+    echo "    tierctl repro --scale smoke byte-identical across PACT_JOBS={1,4}"
 }
 
 # Fleet gate (DESIGN.md §14): the three-tenant noisy-neighbor cell

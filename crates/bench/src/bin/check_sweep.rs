@@ -11,7 +11,12 @@
 //!   zero-cost-when-off *and* correct-when-on contract across a whole
 //!   sweep, not just one cell;
 //! * an inert fault plan (every probability zero) on every machine —
-//!   arming the fault layer without firing it must not move a number.
+//!   arming the fault layer without firing it must not move a number;
+//! * the sweep run through a fresh [`Lab`](pact_bench::Lab), the cache
+//!   behind `tierctl repro` — a cached cell must equal a simulated one.
+//!
+//! Every variant runs on its own harness (or fresh lab), so each one
+//! simulates every cell it is compared on.
 //!
 //! Exit status: 0 all variants agree, 1 a variant diverged.
 //!
@@ -19,7 +24,9 @@
 //! cargo run --release -p pact-bench --bin check_sweep
 //! ```
 
-use pact_bench::{env, experiment_machine, ratio_sweep, Harness, OrExit, SweepResult, TierRatio};
+use pact_bench::{
+    env, experiment_machine, ratio_sweep, Harness, Lab, OrExit, SweepResult, TierRatio,
+};
 use pact_tiersim::{FaultPlan, InvariantSet};
 use pact_workloads::suite::{build, Scale};
 
@@ -109,6 +116,13 @@ fn main() {
         .with_machine(fault_cfg)
         .or_exit();
     check("inert fault plan matches fault-free", &sweep(&h_fault, 1));
+
+    let lab = Lab::new(Scale::Smoke, seed);
+    let h_lab = lab.harness(wl_name).or_exit();
+    check(
+        "lab-cached sweep matches the bare harness",
+        &ratio_sweep(&h_lab, &POLICIES, &ratios, 2, trace.as_ref()).or_exit(),
+    );
 
     if failures > 0 {
         eprintln!("[check_sweep] {failures} variant(s) diverged");

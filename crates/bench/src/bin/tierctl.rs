@@ -61,6 +61,18 @@
 //! tierctl check --case 0xdeadbeef        # replay one failing fuzz case
 //! ```
 //!
+//! The `repro` subcommand reproduces the paper's evaluation: every
+//! figure, Table 2, the ablations and the extra experiments, or the
+//! `--fig` selection, printed in report order and saved under
+//! `results/` at paper scale. A workload several figures use is built
+//! once and a cell several figures request runs once; figures run in
+//! parallel on `PACT_JOBS` workers without changing a byte of output:
+//!
+//! ```text
+//! tierctl repro                          # everything, paper scale
+//! tierctl repro --fig fig04,fig06 --scale smoke --seed 7
+//! ```
+//!
 //! The `lint` subcommand runs the pact-lint static-analysis pass over
 //! the workspace sources (determinism & hygiene rules, DESIGN.md §11):
 //!
@@ -74,10 +86,11 @@
 //! Exit status: 0 all checks passed, 1 a check failed (or lint
 //! findings exist), 2 invalid usage or I/O error.
 
+use pact_bench::figures::{self, Figure, FIGURES};
 use pact_bench::snapfile::CellSnapshot;
 use pact_bench::{
-    count, experiment_machine, make_policy, pct, serve, Harness, OrExit, RunError, TierRatio,
-    ALL_POLICIES,
+    count, experiment_machine, make_policy, pct, save_results, serve, Harness, Lab, OrExit,
+    RunError, TierRatio, ALL_POLICIES,
 };
 use pact_obs::{validate, DEFAULT_RING_CAPACITY};
 use pact_tiersim::{
@@ -277,7 +290,8 @@ fn parse_args() -> Result<Args, String> {
                      [--ratio F:S] [--scale smoke|paper] [--seed N] [--budget N]\n       \
                      tierctl check [--fuzz N] [--seed S] [--case 0xHEX] [--oracle] \
                      [--workload W]...\n       \
-                     tierctl lint [--root DIR] [--json] [--rule ID]... [--list-rules]"
+                     tierctl lint [--root DIR] [--json] [--rule ID]... [--list-rules]\n       \
+                     tierctl repro [--fig NAME[,NAME...]] [--scale smoke|paper] [--seed N]"
                     .into())
             }
             other => return Err(format!("unknown flag '{other}'")),
@@ -562,12 +576,7 @@ fn run_serve_metrics(args: &Args) {
 /// uninterrupted run and a kill-resume replay are what the CI
 /// `snapshot` stage compares.
 fn report_digest(report: &RunReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{report:?}").bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    pact_tiersim::fnv1a(format!("{report:?}").as_bytes())
 }
 
 /// The deterministic summary shared by `snapshot` and `resume`: the
@@ -946,6 +955,88 @@ fn run_lint(args: &LintArgs) {
     }
 }
 
+struct ReproArgs {
+    figures: Vec<&'static Figure>,
+    scale: Scale,
+    seed: u64,
+}
+
+fn parse_repro_args(mut it: impl Iterator<Item = String>) -> Result<ReproArgs, String> {
+    let mut args = ReproArgs {
+        figures: FIGURES.iter().collect(),
+        scale: Scale::Paper,
+        seed: 42,
+    };
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--fig" => {
+                let v = it.next().ok_or("--fig needs NAME[,NAME...]")?;
+                let names: Vec<&str> = v.split(',').collect();
+                if let Some(bad) = names.iter().find(|&&n| figures::find(n).is_none()) {
+                    let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+                    return Err(format!(
+                        "unknown figure '{bad}' (valid: {})",
+                        valid.join(", ")
+                    ));
+                }
+                args.figures = FIGURES.iter().filter(|f| names.contains(&f.name)).collect();
+            }
+            "--scale" => {
+                args.scale = match it.next().as_deref() {
+                    Some("smoke") => Scale::Smoke,
+                    Some("paper") => Scale::Paper,
+                    other => return Err(format!("unknown scale {other:?}")),
+                }
+            }
+            "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).ok_or("bad seed")?,
+            "--help" | "-h" => {
+                return Err(
+                    "usage: tierctl repro [--fig NAME[,NAME...]] [--scale smoke|paper] [--seed N]"
+                        .into(),
+                )
+            }
+            other => return Err(format!("unknown flag '{other}'")),
+        }
+    }
+    Ok(args)
+}
+
+/// Renders the selected figures, prints them in report order, saves
+/// them at paper scale, and reports wall time and the lab's totals on
+/// stderr (stdout is byte-compared). A failed figure exits 2 after the
+/// others are printed.
+fn run_repro(args: &ReproArgs) {
+    let lab = Lab::new(args.scale, args.seed).with_trace(pact_bench::env::trace_config());
+    let start = std::time::Instant::now();
+    let reports = figures::render_all(&lab, &args.figures, pact_bench::jobs_from_env());
+    let mut failed = false;
+    for (fig, report) in args.figures.iter().zip(reports) {
+        match report {
+            Ok(text) => {
+                print!("{text}");
+                save_results(args.scale, fig.file, &text);
+            }
+            Err(e) => {
+                eprintln!("error: {}: {e}", fig.name);
+                failed = true;
+            }
+        }
+    }
+    let s = lab.stats();
+    eprintln!(
+        "[repro] {} figures in {:.1}s; cells: {} requested, {} run; {} workload builds, {} harnesses",
+        args.figures.len(),
+        start.elapsed().as_secs_f64(),
+        s.cells_requested,
+        s.cells_run,
+        s.workload_builds,
+        s.harnesses
+    );
+    if failed {
+        std::process::exit(2);
+    }
+}
+
 fn main() {
     // Reject malformed PACT_* hooks before any work happens, then arm
     // the host self-profiler if PACT_PROF asks for it.
@@ -968,6 +1059,16 @@ fn main() {
             std::process::exit(2);
         });
         run_check(&check_args);
+        return;
+    }
+    if raw.peek().map(String::as_str) == Some("repro") {
+        raw.next();
+        let repro_args = parse_repro_args(raw).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        });
+        run_repro(&repro_args);
+        pact_bench::emit_hostprof_summary();
         return;
     }
     let args = parse_args().unwrap_or_else(|msg| {

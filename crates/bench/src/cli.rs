@@ -1,45 +1,9 @@
-//! Minimal command-line parsing shared by the figure binaries.
-
-use pact_workloads::suite::Scale;
-
-/// Common options of every experiment binary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Options {
-    /// Workload scale (`--scale smoke|paper`).
-    pub scale: Scale,
-    /// Base RNG seed (`--seed N`).
-    pub seed: u64,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Self {
-            scale: Scale::Paper,
-            seed: 42,
-        }
-    }
-}
-
-/// Parses `std::env::args`, exiting with usage help on error.
-///
-/// Also validates the `PACT_FAULTS` fault-injection spec so a typo in
-/// the environment is a hard startup error rather than a warning lost
-/// in sweep output.
-///
-/// Recognized flags: `--scale smoke|paper`, `--seed <u64>`, `--help`.
-pub fn parse_options() -> Options {
-    validate_fault_env();
-    parse_from(std::env::args().skip(1)).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        eprintln!("usage: <bin> [--scale smoke|paper] [--seed N]");
-        std::process::exit(2);
-    })
-}
+//! Startup checks and exit conventions shared by the binaries.
 
 /// Exits with status 2 if any of the parsed `PACT_*` hooks —
 /// `PACT_FAULTS`, `PACT_PROF`, `PACT_METRICS_ADDR`,
 /// `PACT_REPORT_TOPK`, `PACT_JOBS`, `PACT_SNAPSHOT` — is set but
-/// unparseable, so every experiment binary rejects a bad
+/// unparseable, so every binary rejects a bad
 /// environment before doing any work. Valid values are left for the
 /// harness to apply per run.
 pub fn validate_fault_env() {
@@ -82,10 +46,10 @@ pub fn emit_hostprof_summary() {
 
 /// Reports a configuration error and exits with status 2.
 ///
-/// Figure binaries build and run machines and policies from hard-coded
-/// experiment configs; when that does fail (e.g. a bad edit to an
-/// experiment constant), this turns the failure into a one-line
-/// structured message instead of a panic backtrace.
+/// The probe and check binaries build and run machines and policies
+/// from hard-coded experiment configs; when that does fail (e.g. a bad
+/// edit to an experiment constant), this turns the failure into a
+/// one-line structured message instead of a panic backtrace.
 pub fn exit_invalid_config(e: impl std::fmt::Display) -> ! {
     eprintln!("error: invalid configuration: {e}");
     std::process::exit(2);
@@ -101,62 +65,5 @@ pub trait OrExit<T> {
 impl<T, E: std::fmt::Display> OrExit<T> for Result<T, E> {
     fn or_exit(self) -> T {
         self.unwrap_or_else(|e| exit_invalid_config(e))
-    }
-}
-
-fn parse_from(args: impl Iterator<Item = String>) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let v = args.next().ok_or("--scale needs a value")?;
-                opts.scale = match v.as_str() {
-                    "smoke" => Scale::Smoke,
-                    "paper" => Scale::Paper,
-                    other => return Err(format!("unknown scale '{other}'")),
-                };
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
-            }
-            "--help" | "-h" => {
-                return Err("PACT reproduction experiment binary".to_string());
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(opts)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn parse(args: &[&str]) -> Result<Options, String> {
-        parse_from(args.iter().map(|s| s.to_string()))
-    }
-
-    #[test]
-    fn defaults() {
-        let o = parse(&[]).unwrap();
-        assert_eq!(o.scale, Scale::Paper);
-        assert_eq!(o.seed, 42);
-    }
-
-    #[test]
-    fn parses_flags() {
-        let o = parse(&["--scale", "smoke", "--seed", "7"]).unwrap();
-        assert_eq!(o.scale, Scale::Smoke);
-        assert_eq!(o.seed, 7);
-    }
-
-    #[test]
-    fn rejects_bad_input() {
-        assert!(parse(&["--scale", "big"]).is_err());
-        assert!(parse(&["--seed", "x"]).is_err());
-        assert!(parse(&["--bogus"]).is_err());
-        assert!(parse(&["--seed"]).is_err());
     }
 }

@@ -10,35 +10,28 @@
 //! * MSHR count: validates that Equation 1's MLP amortization is an
 //!   emergent property of the substrate, not a tuned constant.
 
-use std::sync::Arc;
-
-use pact_bench::{
-    banner, count, parse_options, pct, save_results, Harness, OrExit, Table, TierRatio,
-};
 use pact_core::{Attribution, PactConfig, PactPolicy, SamplingSource};
-use pact_tiersim::{FirstTouch, Machine, Tier, Workload};
-use pact_workloads::suite::build;
+use pact_tiersim::{FirstTouch, Machine, Tier};
 
-fn main() {
-    let opts = parse_options();
+use super::Rendered;
+use crate::{banner, count, experiment_machine, pct, Lab, Table, TierRatio};
+
+pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 2);
     let mut out = String::new();
-    // Every ablation block reuses bc-kron: generate the graph once and
-    // share it across harnesses instead of rebuilding it per block.
-    let bc: Arc<dyn Workload> = Arc::from(build("bc-kron", opts.scale, opts.seed));
+    let bc = lab.harness("bc-kron")?;
+    let fast = ratio.fast_pages(bc.workload().footprint_bytes());
 
     // --- m sweep -------------------------------------------------------
     {
-        let h = Harness::from_arc(bc.clone());
-        let fast = ratio.fast_pages(h.workload().footprint_bytes());
         let mut t = Table::new(vec!["m (units)", "slowdown", "promotions", "demotions"]);
         for m in [0u64, 8, 32, 128] {
             let cfg = PactConfig {
                 eager_demotion_margin: m,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(cfg).or_exit();
-            let o = h.run_custom(&mut p, fast, None).or_exit();
+            let mut p = PactPolicy::new(cfg)?;
+            let o = bc.run_custom(&mut p, fast)?;
             t.row(vec![
                 m.to_string(),
                 pct(o.slowdown),
@@ -53,16 +46,14 @@ fn main() {
 
     // --- reservoir size -------------------------------------------------
     {
-        let h = Harness::from_arc(bc.clone());
-        let fast = ratio.fast_pages(h.workload().footprint_bytes());
         let mut t = Table::new(vec!["reservoir", "slowdown", "promotions"]);
         for size in [25usize, 50, 100, 400, 1600] {
             let cfg = PactConfig {
                 reservoir: size,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(cfg).or_exit();
-            let o = h.run_custom(&mut p, fast, None).or_exit();
+            let mut p = PactPolicy::new(cfg)?;
+            let o = bc.run_custom(&mut p, fast)?;
             t.row(vec![size.to_string(), pct(o.slowdown), count(o.promotions)]);
         }
         out.push_str(&banner("Ablation: reservoir size (paper default: 100)"));
@@ -71,16 +62,14 @@ fn main() {
 
     // --- T_scale ---------------------------------------------------------
     {
-        let h = Harness::from_arc(bc.clone());
-        let fast = ratio.fast_pages(h.workload().footprint_bytes());
         let mut t = Table::new(vec!["t_scale", "slowdown", "promotions"]);
         for ts in [25.0f64, 50.0, 100.0, 400.0] {
             let cfg = PactConfig {
                 t_scale: ts,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(cfg).or_exit();
-            let o = h.run_custom(&mut p, fast, None).or_exit();
+            let mut p = PactPolicy::new(cfg)?;
+            let o = bc.run_custom(&mut p, fast)?;
             t.row(vec![
                 format!("{ts:.0}"),
                 pct(o.slowdown),
@@ -96,11 +85,7 @@ fn main() {
         let mut t = Table::new(vec!["workload", "proportional", "latency-weighted"]);
         for name in ["bc-kron", "silo", "redis"] {
             eprintln!("[ablations] attribution on {name}");
-            let h = if name == "bc-kron" {
-                Harness::from_arc(bc.clone())
-            } else {
-                Harness::new(build(name, opts.scale, opts.seed))
-            };
+            let h = lab.harness(name)?;
             let fast = ratio.fast_pages(h.workload().footprint_bytes());
             let mut cells = vec![name.to_string()];
             for attribution in [Attribution::Proportional, Attribution::LatencyWeighted] {
@@ -108,8 +93,8 @@ fn main() {
                     attribution,
                     ..PactConfig::default()
                 };
-                let mut p = PactPolicy::new(cfg).or_exit();
-                cells.push(pct(h.run_custom(&mut p, fast, None).or_exit().slowdown));
+                let mut p = PactPolicy::new(cfg)?;
+                cells.push(pct(h.run_custom(&mut p, fast)?.slowdown));
             }
             t.row(cells);
         }
@@ -127,16 +112,15 @@ fn main() {
             ("chmu-512", SamplingSource::Chmu, 512),
             ("chmu-4096", SamplingSource::Chmu, 4_096),
         ] {
-            let mut cfg = pact_bench::experiment_machine(0);
+            let mut cfg = experiment_machine(0);
             cfg.chmu_counters = chmu;
-            let h = Harness::from_arc(bc.clone()).with_machine(cfg).or_exit();
-            let fast = ratio.fast_pages(h.workload().footprint_bytes());
+            let h = lab.harness_with("bc-kron", cfg)?;
             let pcfg = PactConfig {
                 sampling,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(pcfg).or_exit();
-            let o = h.run_custom(&mut p, fast, None).or_exit();
+            let mut p = PactPolicy::new(pcfg)?;
+            let o = h.run_custom(&mut p, fast)?;
             t.row(vec![
                 label.to_string(),
                 pct(o.slowdown),
@@ -154,12 +138,12 @@ fn main() {
     {
         let mut t = Table::new(vec!["MSHRs", "measured slow MLP", "stall/miss (cycles)"]);
         for mshrs in [1usize, 2, 4, 10, 16] {
-            let mut cfg = pact_bench::experiment_machine(0);
+            let mut cfg = experiment_machine(0);
             cfg.mshrs = mshrs;
             cfg.prefetch.enabled = false;
-            let wl = pact_workloads::Phased::sweep_variant(0, 8 << 20, 200_000, opts.seed);
-            let machine = Machine::new(cfg).or_exit();
-            let r = machine.try_run(&wl, &mut FirstTouch::new()).or_exit();
+            let wl = pact_workloads::Phased::sweep_variant(0, 8 << 20, 200_000, lab.seed());
+            let machine = Machine::new(cfg)?;
+            let r = machine.try_run(&wl, &mut FirstTouch::new())?;
             let mlp = r.counters.tor_mlp(Tier::Slow);
             let spm = r.counters.llc_stalls[1] as f64 / r.counters.llc_misses[1].max(1) as f64;
             t.row(vec![
@@ -174,6 +158,5 @@ fn main() {
         out.push_str(&t.render());
         out.push_str("expected: stall/miss ~ 418/MLP as MSHRs grow.\n");
     }
-    print!("{out}");
-    save_results(opts.scale, "ablations.txt", &out);
+    Ok(out)
 }

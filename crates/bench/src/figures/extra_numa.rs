@@ -7,19 +7,13 @@
 //! the gap to hotness systems should shrink with the latency gap but
 //! the ordering should hold.
 
-use std::sync::Arc;
+use pact_tiersim::MachineConfig;
 
-use pact_bench::{
-    banner, count, parse_options, pct, save_results, Harness, OrExit, Table, TierRatio,
-};
-use pact_tiersim::{MachineConfig, Workload};
-use pact_workloads::suite::build;
+use super::Rendered;
+use crate::{banner, count, pct, Lab, Table, TierRatio};
 
-fn main() {
-    let opts = parse_options();
+pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 1);
-    // One graph shared across both latency configurations.
-    let bc: Arc<dyn Workload> = Arc::from(build("bc-kron", opts.scale, opts.seed));
     let mut out = String::new();
     let mut t = Table::new(vec![
         "slow tier",
@@ -32,10 +26,10 @@ fn main() {
         ("CXL 190ns", MachineConfig::skylake_cxl(0)),
         ("NUMA 140ns", MachineConfig::skylake_numa(0)),
     ] {
-        let h = Harness::from_arc(bc.clone()).with_machine(cfg).or_exit();
-        let all_slow = h.cxl_slowdown().or_exit();
+        let h = lab.harness_with("bc-kron", cfg)?;
+        let all_slow = h.cxl_slowdown()?;
         for policy in ["pact", "memtis", "nbt", "colloid", "notier"] {
-            let o = h.run_policy(policy, ratio, None).or_exit();
+            let o = h.run_policy(policy, ratio)?;
             t.row(vec![
                 label.to_string(),
                 policy.to_string(),
@@ -53,6 +47,5 @@ fn main() {
         "\nexpected: every slowdown shrinks with the 140ns tier; the policy\n\
          ordering (PACT lowest) is preserved at both latencies.\n",
     );
-    print!("{out}");
-    save_results(opts.scale, "extra_numa_sweep.txt", &out);
+    Ok(out)
 }

@@ -10,14 +10,14 @@
 //! oracle — Spearman rank correlation and top-k overlap — for both
 //! proportional and latency-weighted attribution.
 
-use pact_bench::{banner, parse_options, save_results, OrExit, Table};
 use pact_core::{Attribution, PactConfig, PactPolicy};
 use pact_stats::{gini, spearman, top_k_overlap};
 use pact_tiersim::Machine;
-use pact_workloads::suite::build;
 
-fn main() {
-    let opts = parse_options();
+use super::Rendered;
+use crate::{banner, experiment_machine, Lab, Table};
+
+pub(super) fn render(lab: &Lab) -> Rendered {
     let mut out = String::new();
     out.push_str(&banner(
         "Extra: PAC estimates vs ground-truth per-page stalls (simulator oracle)",
@@ -33,19 +33,18 @@ fn main() {
     ]);
     for name in ["bc-kron", "gups", "silo", "redis"] {
         for attribution in [Attribution::Proportional, Attribution::LatencyWeighted] {
-            let wl = build(name, opts.scale, opts.seed);
+            let wl = lab.workload(name);
             // Profile on the slow tier only (the motivation setup) with
             // the oracle enabled.
-            let mut cfg = pact_bench::experiment_machine(0);
+            let mut cfg = experiment_machine(0);
             cfg.pebs.rate = 25;
             cfg.track_page_stalls = true;
-            let machine = Machine::new(cfg).or_exit();
+            let machine = Machine::new(cfg)?;
             let mut pact = PactPolicy::new(PactConfig {
                 attribution,
                 ..PactConfig::default()
-            })
-            .or_exit();
-            let report = machine.try_run(wl.as_ref(), &mut pact).or_exit();
+            })?;
+            let report = machine.try_run(wl.as_ref(), &mut pact)?;
             // Invariant: track_page_stalls was set above, so the report
             // carries the oracle's per-page stall map.
             let truth = report.page_stalls.as_ref().expect("oracle enabled");
@@ -83,6 +82,5 @@ fn main() {
          nearly as the unobservable ground truth does; matching Gini shows PAC\n\
          reproduces the skew the promotion policy is designed around (§3).\n",
     );
-    print!("{out}");
-    save_results(opts.scale, "extra_pac_accuracy.txt", &out);
+    Ok(out)
 }

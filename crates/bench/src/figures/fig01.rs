@@ -9,24 +9,24 @@
 //! counts spread ~4x; tc-twitter single-frequency pages spread up to
 //! ~65x.
 
-use pact_bench::{banner, parse_options, save_results, OrExit, Table};
 use pact_core::{PactConfig, PactPolicy};
 use pact_stats::{Quantiles, Summary};
 use pact_tiersim::{Machine, PAGE_BYTES};
-use pact_workloads::suite::build;
 
-fn main() {
-    let opts = parse_options();
+use super::Rendered;
+use crate::{banner, experiment_machine, Lab, Table};
+
+pub(super) fn render(lab: &Lab) -> Rendered {
     let mut out = String::new();
     for name in ["masim", "gups", "tc-twitter"] {
-        let wl = build(name, opts.scale, opts.seed);
+        let wl = lab.workload(name);
         // Motivation setup: run entirely on the emulated CXL tier with
         // dense PEBS sampling so per-page statistics are well resolved.
-        let mut cfg = pact_bench::experiment_machine(0);
+        let mut cfg = experiment_machine(0);
         cfg.pebs.rate = 20;
-        let machine = Machine::new(cfg.clone()).or_exit();
-        let mut pact = PactPolicy::new(PactConfig::default()).or_exit();
-        let report = machine.try_run(wl.as_ref(), &mut pact).or_exit();
+        let machine = Machine::new(cfg.clone())?;
+        let mut pact = PactPolicy::new(PactConfig::default())?;
+        let report = machine.try_run(wl.as_ref(), &mut pact)?;
 
         // Per-page (frequency, PAC-per-access) from the PAC store.
         let mut pages: Vec<(u64, f64)> = pact
@@ -137,6 +137,5 @@ fn main() {
             }
         }
     }
-    print!("{out}");
-    save_results(opts.scale, "fig01_pac_vs_freq.txt", &out);
+    Ok(out)
 }

@@ -9,15 +9,16 @@
 //! `k`. The paper's result: r > 0.98 for the MLP model vs 0.82–0.89 for
 //! raw misses.
 
-use pact_bench::{banner, parse_options, save_results, OrExit, Table};
 use pact_stats::{linear_fit, pearson};
 use pact_tiersim::{FirstTouch, Machine, MachineConfig, Tier, TierConfig, PAGE_BYTES};
 use pact_workloads::suite::Scale;
 use pact_workloads::Phased;
 
-fn main() {
-    let opts = parse_options();
-    let (buffer, loads) = match opts.scale {
+use super::Rendered;
+use crate::{banner, Lab, Table};
+
+pub(super) fn render(lab: &Lab) -> Rendered {
+    let (buffer, loads) = match lab.scale() {
         Scale::Smoke => (1 << 21, 30_000),
         Scale::Paper => (16 << 20, 400_000),
     };
@@ -39,7 +40,7 @@ fn main() {
         let mut predictor = Vec::new();
         let mut stalls = Vec::new();
         for variant in 0..96 {
-            let wl = Phased::sweep_variant(variant, buffer, loads, opts.seed);
+            let wl = Phased::sweep_variant(variant, buffer, loads, lab.seed());
             let mut cfg = match tier {
                 // DRAM study: everything in the fast tier.
                 Tier::Fast => MachineConfig::skylake_cxl(u64::MAX / PAGE_BYTES),
@@ -47,8 +48,8 @@ fn main() {
                 Tier::Slow => MachineConfig::skylake_cxl(0),
             };
             cfg.tiers[tier.index()] = tier_cfg;
-            let machine = Machine::new(cfg).or_exit();
-            let r = machine.try_run(&wl, &mut FirstTouch::new()).or_exit();
+            let machine = Machine::new(cfg)?;
+            let r = machine.try_run(&wl, &mut FirstTouch::new())?;
             let c = &r.counters;
             let m = c.llc_misses[tier.index()] as f64;
             let mlp = c.tor_mlp(tier);
@@ -84,6 +85,5 @@ fn main() {
         "\npaper: model r = 0.98 on all three configs; raw misses r = 0.82-0.89;\n\
          k tracks the tier's loaded latency.\n",
     );
-    print!("{out}");
-    save_results(opts.scale, "fig02_stall_model.txt", &out);
+    Ok(out)
 }

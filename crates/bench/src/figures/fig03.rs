@@ -9,22 +9,23 @@
 //! Checks: TOR-MLP tracks the system metric; MLP is stable within
 //! phases and shifts across them.
 
-use pact_bench::{banner, parse_options, save_results, sparkline, OrExit, Table};
 use pact_stats::pearson;
 use pact_tiersim::{FirstTouch, Machine, MachineConfig, Tier};
 use pact_workloads::suite::Scale;
 use pact_workloads::Phased;
 
-fn main() {
-    let opts = parse_options();
-    let (buffer, loads, pairs) = match opts.scale {
+use super::Rendered;
+use crate::{banner, sparkline, Lab, Table};
+
+pub(super) fn render(lab: &Lab) -> Rendered {
+    let (buffer, loads, pairs) = match lab.scale() {
         Scale::Smoke => (1 << 21, 40_000, 4),
         Scale::Paper => (16 << 20, 400_000, 10),
     };
-    let wl = Phased::mlp_phases(buffer, loads, pairs, opts.seed);
+    let wl = Phased::mlp_phases(buffer, loads, pairs, lab.seed());
     let cfg = MachineConfig::skylake_cxl(0); // everything on the slow tier
-    let machine = Machine::new(cfg).or_exit();
-    let report = machine.try_run(&wl, &mut FirstTouch::new()).or_exit();
+    let machine = Machine::new(cfg)?;
+    let report = machine.try_run(&wl, &mut FirstTouch::new())?;
 
     let mut tor = Vec::new();
     let mut system = Vec::new();
@@ -81,6 +82,5 @@ fn main() {
         "cross-phase MLP swing: {global_min:.1} .. {global_max:.1} \
          (phases shift at coarse timescales; windows within a phase are stable)\n"
     ));
-    print!("{out}");
-    save_results(opts.scale, "fig03_tor_mlp.txt", &out);
+    Ok(out)
 }

@@ -7,20 +7,18 @@
 //! systems degrade with slow-tier pressure; TPP catastrophic; PACT
 //! promotes up to ~10x fewer pages than Colloid (Table 2).
 
-use pact_bench::{
-    banner, env, jobs_from_env, parse_options, ratio_sweep, save_results, Harness, OrExit,
-    TierRatio,
-};
-use pact_workloads::suite::build;
+use super::Rendered;
+use crate::{banner, jobs_from_env, ratio_sweep, Lab, TierRatio, ALL_POLICIES};
 
-fn main() {
-    let opts = parse_options();
-    let h = Harness::new(build("bc-kron", opts.scale, opts.seed));
-    let policies = [
-        "pact", "colloid", "nbt", "alto", "nomad", "tpp", "memtis", "soar", "notier",
-    ];
-    let (jobs, trace) = (jobs_from_env(), env::trace_config());
-    let sweep = ratio_sweep(&h, &policies, &TierRatio::PAPER_SWEEP, jobs, trace.as_ref()).or_exit();
+pub(super) fn render(lab: &Lab) -> Rendered {
+    let h = lab.harness("bc-kron")?;
+    let sweep = ratio_sweep(
+        &h,
+        &ALL_POLICIES,
+        &TierRatio::PAPER_SWEEP,
+        jobs_from_env(),
+        lab.trace("fig04").as_ref(),
+    )?;
 
     let mut out = String::new();
     out.push_str(&banner("Figure 4: bc-kron slowdown vs DRAM (4KB pages)"));
@@ -47,6 +45,5 @@ fn main() {
         ratios_n.iter().cloned().fold(f64::INFINITY, f64::min),
         ratios_n.iter().cloned().fold(0.0f64, f64::max),
     ));
-    print!("{out}");
-    save_results(opts.scale, "fig04_bckron_4k.txt", &out);
+    Ok(out)
 }

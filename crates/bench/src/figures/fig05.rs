@@ -8,24 +8,20 @@
 //! shape: PACT still lowest; Memtis (THP-aware) becomes the strongest
 //! baseline.
 
-use pact_bench::{
-    banner, env, experiment_machine, jobs_from_env, parse_options, ratio_sweep, save_results,
-    Harness, OrExit, TierRatio,
-};
-use pact_workloads::suite::build;
+use super::Rendered;
+use crate::{banner, experiment_machine, jobs_from_env, ratio_sweep, Lab, TierRatio, ALL_POLICIES};
 
-fn main() {
-    let opts = parse_options();
+pub(super) fn render(lab: &Lab) -> Rendered {
     let mut cfg = experiment_machine(0);
     cfg.thp = true;
-    let h = Harness::new(build("bc-kron", opts.scale, opts.seed))
-        .with_machine(cfg)
-        .or_exit();
-    let policies = [
-        "pact", "colloid", "nbt", "alto", "nomad", "tpp", "memtis", "soar", "notier",
-    ];
-    let (jobs, trace) = (jobs_from_env(), env::trace_config());
-    let sweep = ratio_sweep(&h, &policies, &TierRatio::PAPER_SWEEP, jobs, trace.as_ref()).or_exit();
+    let h = lab.harness_with("bc-kron", cfg)?;
+    let sweep = ratio_sweep(
+        &h,
+        &ALL_POLICIES,
+        &TierRatio::PAPER_SWEEP,
+        jobs_from_env(),
+        lab.trace("fig05").as_ref(),
+    )?;
 
     let mut out = String::new();
     out.push_str(&banner("Figure 5: bc-kron slowdown vs DRAM (THP)"));
@@ -46,6 +42,5 @@ fn main() {
         gaps.iter().cloned().fold(f64::INFINITY, f64::min) * 100.0,
         gaps.iter().cloned().fold(f64::NEG_INFINITY, f64::max) * 100.0,
     ));
-    print!("{out}");
-    save_results(opts.scale, "fig05_bckron_thp.txt", &out);
+    Ok(out)
 }

@@ -6,14 +6,13 @@
 //! baseline and the cases where a baseline wins (the paper reports a
 //! 4.1% average / 11.8% max gap in those).
 
-use pact_bench::{banner, exec, parse_options, save_results, Harness, OrExit, Table, TierRatio};
-use pact_workloads::suite::{build, SUITE};
+use pact_workloads::suite::SUITE;
 
-fn main() {
-    let opts = parse_options();
-    let policies = [
-        "pact", "colloid", "nbt", "alto", "nomad", "tpp", "memtis", "soar", "notier",
-    ];
+use super::Rendered;
+use crate::{banner, exec, Lab, Table, TierRatio, ALL_POLICIES};
+
+pub(super) fn render(lab: &Lab) -> Rendered {
+    let policies = ALL_POLICIES;
     let ratio = TierRatio::new(1, 1);
     let mut header = vec!["workload".to_string(), "(cxl)".to_string()];
     header.extend(policies.iter().map(|p| p.to_string()));
@@ -24,22 +23,20 @@ fn main() {
     let jobs = exec::jobs_from_env();
     for name in SUITE {
         eprintln!("[fig06] {name}");
-        // Build the workload once; the harness shares it (and the
-        // cached DRAM baseline / Soar profile) across worker threads.
-        let h = Harness::new(build(name, opts.scale, opts.seed));
-        let cxl = h.cxl_slowdown().or_exit();
+        // The lab's harness shares the workload (and the cached DRAM
+        // baseline / Soar profile) across worker threads.
+        let h = lab.harness(name)?;
+        let cxl = h.cxl_slowdown()?;
         // The Soar profile is a OnceLock: the first worker to need it
         // computes it, the rest block briefly and then share it.
-        let outs = exec::try_run_indexed(policies.len(), jobs, |i| {
-            h.run_policy(policies[i], ratio, None)
-        })
-        .or_exit();
-        let mut srow = vec![name.to_string(), pact_bench::pct(cxl)];
+        let outs =
+            exec::try_run_indexed(policies.len(), jobs, |i| h.run_policy(policies[i], ratio))?;
+        let mut srow = vec![name.to_string(), crate::pct(cxl)];
         let mut prow = vec![name.to_string(), "-".to_string()];
         let mut slows = Vec::new();
         for out in outs {
-            srow.push(pact_bench::pct(out.slowdown));
-            prow.push(pact_bench::count(out.promotions));
+            srow.push(crate::pct(out.slowdown));
+            prow.push(crate::count(out.promotions));
             slows.push(out.slowdown);
         }
         slow_table.row(srow);
@@ -72,8 +69,8 @@ fn main() {
             wins += 1;
             out.push_str(&format!(
                 "{name:14} PACT best online ({} vs next {})\n",
-                pact_bench::pct(pact),
-                pact_bench::pct(best_other)
+                crate::pct(pact),
+                crate::pct(best_other)
             ));
         } else {
             losses.push(pact - best_other);
@@ -98,6 +95,5 @@ fn main() {
         avg_loss * 100.0,
         max_loss * 100.0
     ));
-    print!("{out}");
-    save_results(opts.scale, "fig06_all_workloads.txt", &out);
+    Ok(out)
 }

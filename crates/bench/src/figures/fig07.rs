@@ -6,13 +6,12 @@
 //! paper reports averages of 9.95% (1:2) and 10.66% (2:1) with peaks of
 //! 57% and 61%.
 
-use pact_bench::{
-    banner, cdf_lines, parse_options, save_results, Harness, OrExit, Table, TierRatio,
-};
-use pact_workloads::suite::{build, SUITE};
+use pact_workloads::suite::SUITE;
 
-fn main() {
-    let opts = parse_options();
+use super::Rendered;
+use crate::{banner, cdf_lines, Lab, Table, TierRatio};
+
+pub(super) fn render(lab: &Lab) -> Rendered {
     let baselines = ["colloid", "nbt", "memtis"];
     let ratios = [TierRatio::new(1, 2), TierRatio::new(2, 1)];
     let mut out = String::new();
@@ -23,15 +22,14 @@ fn main() {
         let mut t = Table::new(vec!["workload", "vs colloid", "vs nbt", "vs memtis"]);
         for name in SUITE {
             eprintln!("[fig07] {name} @ {ratio}");
-            let h = Harness::new(build(name, opts.scale, opts.seed));
-            let cycles = |policy: &str| {
-                let out = h.run_policy(policy, ratio, None);
-                out.or_exit().report.total_cycles as f64
+            let h = lab.harness(name)?;
+            let cycles = |policy: &str| -> Result<f64, crate::RunError> {
+                Ok(h.run_policy(policy, ratio)?.report.total_cycles as f64)
             };
-            let pact_cycles = cycles("pact");
+            let pact_cycles = cycles("pact")?;
             let mut cells = vec![name.to_string()];
             for (bi, b) in baselines.iter().enumerate() {
-                let base_cycles = cycles(b);
+                let base_cycles = cycles(b)?;
                 let improvement = (base_cycles - pact_cycles) / base_cycles;
                 per_baseline[bi].push(improvement);
                 cells.push(format!("{:+.1}%", improvement * 100.0));
@@ -60,7 +58,8 @@ fn main() {
         out.push_str(&format!(
             "pooled: avg {:+.1}%  max {:+.1}%  (paper: ~10% avg, 57-61% peak)\n",
             avg * 100.0,
-            // Invariant: pooled holds one entry per swept ratio.
+            // Invariant: pooled holds one entry per (workload,
+            // baseline) pair, and SUITE and baselines are non-empty.
             pooled.last().unwrap() * 100.0
         ));
         out.push_str(&format!(
@@ -80,6 +79,5 @@ fn main() {
         medians[0] * 100.0,
         medians[1] * 100.0
     ));
-    print!("{out}");
-    save_results(opts.scale, "fig07_improvement_cdf.txt", &out);
+    Ok(out)
 }

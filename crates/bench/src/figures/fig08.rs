@@ -7,19 +7,15 @@
 //! order of magnitude fewer migrations than Colloid at lower slowdown
 //! (paper: 180K vs 8M, 18% vs 25%).
 
-use pact_bench::{
-    banner, parse_options, save_results, sparkline, Harness, OrExit, Table, TierRatio,
-};
-use pact_workloads::suite::build;
+use super::Rendered;
+use crate::{banner, sparkline, Lab, Table, TierRatio};
 
-fn main() {
-    let opts = parse_options();
-    let h = Harness::new(build("sssp-kron", opts.scale, opts.seed));
+pub(super) fn render(lab: &Lab) -> Rendered {
+    let h = lab.harness("sssp-kron")?;
     let ratio = TierRatio::new(1, 1);
 
-    let run = |policy| h.run_policy(policy, ratio, None).or_exit();
-    let pact = run("pact");
-    let colloid = run("colloid");
+    let pact = h.run_policy("pact", ratio)?;
+    let colloid = h.run_policy("colloid", ratio)?;
 
     let promos: Vec<f64> = pact
         .report
@@ -68,8 +64,8 @@ fn main() {
     out.push_str(&format!("failed/window  {}\n", sparkline(&failed, 72)));
     out.push_str(&format!(
         "queue pressure: {} failed promotions, {} dropped orders across the run\n",
-        pact_bench::count(failed.iter().sum::<f64>() as u64),
-        pact_bench::count(dropped.iter().sum::<f64>() as u64),
+        crate::count(failed.iter().sum::<f64>() as u64),
+        crate::count(dropped.iter().sum::<f64>() as u64),
     ));
 
     out.push_str(&banner("Figure 8b: adaptive bin width over time"));
@@ -91,12 +87,11 @@ fn main() {
         "PACT:    slowdown {}  promotions {}\n\
          Colloid: slowdown {}  promotions {}\n\
          migration ratio: {:.1}x fewer (paper: 180K vs 8M at 18% vs 25%)\n",
-        pact_bench::pct(pact.slowdown),
-        pact_bench::count(pact.promotions),
-        pact_bench::pct(colloid.slowdown),
-        pact_bench::count(colloid.promotions),
+        crate::pct(pact.slowdown),
+        crate::count(pact.promotions),
+        crate::pct(colloid.slowdown),
+        crate::count(colloid.promotions),
         colloid.promotions as f64 / pact.promotions.max(1) as f64
     ));
-    print!("{out}");
-    save_results(opts.scale, "fig08_adaptivity.txt", &out);
+    Ok(out)
 }

@@ -8,35 +8,33 @@
 //! others, with PAC front-loading its promotions while the frequency
 //! policy oscillates.
 
-use pact_bench::{
-    banner, exec, parse_options, save_results, sparkline, Harness, OrExit, Table, TierRatio,
-};
-use pact_workloads::suite::build;
+use std::sync::Arc;
+
+use super::Rendered;
+use crate::{banner, exec, sparkline, Lab, LabHarness, Outcome, RunError, Table, TierRatio};
 
 /// Runs the PAC-ranked and frequency-ranked variants over one shared
 /// workload, fanning the two independent runs across workers.
-fn pac_vs_freq(h: &Harness, ratio: TierRatio) -> (pact_bench::Outcome, pact_bench::Outcome) {
+fn pac_vs_freq(h: &LabHarness, ratio: TierRatio) -> Result<(Arc<Outcome>, Arc<Outcome>), RunError> {
     // Warm the shared baseline before fanning out.
-    h.dram_cycles().or_exit();
+    h.dram_cycles()?;
     let mut outs = exec::try_run_indexed(2, exec::jobs_from_env(), |i| {
-        h.run_policy(["pact", "pact-freq"][i], ratio, None)
-    })
-    .or_exit()
+        h.run_policy(["pact", "pact-freq"][i], ratio)
+    })?
     .into_iter();
     // Invariant: try_run_indexed(2, ..) yields exactly two results.
-    (outs.next().unwrap(), outs.next().unwrap())
+    Ok((outs.next().unwrap(), outs.next().unwrap()))
 }
 
-fn main() {
-    let opts = parse_options();
+pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 1);
     let mut out = String::new();
 
     // Featured workload: timeline comparison.
     {
-        let h = Harness::new(build("bc-kron", opts.scale, opts.seed));
-        let (pac, freq) = pac_vs_freq(&h, ratio);
-        let series = |o: &pact_bench::Outcome| -> Vec<f64> {
+        let h = lab.harness("bc-kron")?;
+        let (pac, freq) = pac_vs_freq(&h, ratio)?;
+        let series = |o: &Outcome| -> Vec<f64> {
             o.report
                 .windows
                 .iter()
@@ -48,10 +46,10 @@ fn main() {
         out.push_str(&format!("freq  {}\n", sparkline(&series(&freq), 72)));
         out.push_str(&format!(
             "PAC:  slowdown {} promotions {}\nfreq: slowdown {} promotions {}\n",
-            pact_bench::pct(pac.slowdown),
-            pact_bench::count(pac.promotions),
-            pact_bench::pct(freq.slowdown),
-            pact_bench::count(freq.promotions),
+            crate::pct(pac.slowdown),
+            crate::count(pac.promotions),
+            crate::pct(freq.slowdown),
+            crate::count(freq.promotions),
         ));
         let dram = 1.0;
         let improvement = (freq.slowdown + dram - (pac.slowdown + dram)) / (freq.slowdown + dram);
@@ -73,20 +71,19 @@ fn main() {
     ]);
     for name in ["bc-urand", "sssp-kron", "silo"] {
         eprintln!("[fig09] {name}");
-        let h = Harness::new(build(name, opts.scale, opts.seed));
-        let (pac, freq) = pac_vs_freq(&h, ratio);
+        let h = lab.harness(name)?;
+        let (pac, freq) = pac_vs_freq(&h, ratio)?;
         let improvement = (freq.report.total_cycles as f64 - pac.report.total_cycles as f64)
             / freq.report.total_cycles as f64;
         t.row(vec![
             name.to_string(),
-            pact_bench::pct(pac.slowdown),
-            pact_bench::pct(freq.slowdown),
-            pact_bench::count(pac.promotions),
-            pact_bench::count(freq.promotions),
+            crate::pct(pac.slowdown),
+            crate::pct(freq.slowdown),
+            crate::count(pac.promotions),
+            crate::count(freq.promotions),
             format!("{:+.1}%", improvement * 100.0),
         ]);
     }
     out.push_str(&t.render());
-    print!("{out}");
-    save_results(opts.scale, "fig09_pac_vs_freq_policy.txt", &out);
+    Ok(out)
 }

@@ -7,36 +7,30 @@
 //! longer PAC periods increase both promotions and slowdown; cooling
 //! rarely helps over pure accumulation (α = 1).
 
-use std::sync::Arc;
-
-use pact_bench::{banner, parse_options, save_results, Harness, OrExit, Table, TierRatio};
 use pact_core::{Cooling, PactConfig, PactPolicy};
-use pact_tiersim::Workload;
-use pact_workloads::suite::build;
 
-fn main() {
-    let opts = parse_options();
+use super::Rendered;
+use crate::{banner, experiment_machine, Lab, Table, TierRatio};
+
+pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 1);
     let mut out = String::new();
-    // bc-kron features in all three sweeps: generate it once and share
-    // the immutable graph across every harness.
-    let bc: Arc<dyn Workload> = Arc::from(build("bc-kron", opts.scale, opts.seed));
 
     // (a) PEBS sampling rate. The paper sweeps 800..4000 around a
     // default of 400 on billion-miss runs; scaled to our miss volume
     // the default is 50, swept proportionally.
     {
-        let mut h = Harness::from_arc(bc.clone());
         let mut t = Table::new(vec!["pebs rate (1-in-N)", "slowdown", "promotions"]);
         for rate in [25u64, 50, 100, 200, 400] {
-            let mut cfg = pact_bench::experiment_machine(0);
+            let mut cfg = experiment_machine(0);
             cfg.pebs.rate = rate;
-            h = h.with_machine(cfg).or_exit();
-            let o = h.run_policy("pact", ratio, None).or_exit();
+            let o = lab
+                .harness_with("bc-kron", cfg)?
+                .run_policy("pact", ratio)?;
             t.row(vec![
                 rate.to_string(),
-                pact_bench::pct(o.slowdown),
-                pact_bench::count(o.promotions),
+                crate::pct(o.slowdown),
+                crate::count(o.promotions),
             ]);
         }
         out.push_str(&banner(
@@ -48,20 +42,20 @@ fn main() {
     // (b) PAC sampling period, in machine windows (the paper's default
     // 20 ms corresponds to one window; it sweeps 10 ms .. 1000 ms).
     {
-        let h = Harness::from_arc(bc.clone());
+        let h = lab.harness("bc-kron")?;
         let mut t = Table::new(vec!["period (windows)", "slowdown", "promotions"]);
         for period in [1u32, 2, 4, 8, 16, 32] {
             let cfg = PactConfig {
                 period_windows: period,
                 ..PactConfig::default()
             };
-            let mut policy = PactPolicy::new(cfg).or_exit();
+            let mut policy = PactPolicy::new(cfg)?;
             let fast = ratio.fast_pages(h.workload().footprint_bytes());
-            let o = h.run_custom(&mut policy, fast, None).or_exit();
+            let o = h.run_custom(&mut policy, fast)?;
             t.row(vec![
                 period.to_string(),
-                pact_bench::pct(o.slowdown),
-                pact_bench::count(o.promotions),
+                crate::pct(o.slowdown),
+                crate::count(o.promotions),
             ]);
         }
         out.push_str(&banner(
@@ -76,21 +70,17 @@ fn main() {
         let mut t = Table::new(vec!["workload", "no cooling", "halve", "reset"]);
         for name in ["bc-kron", "sssp-kron", "redis"] {
             eprintln!("[fig10c] {name}");
-            let h = if name == "bc-kron" {
-                Harness::from_arc(bc.clone())
-            } else {
-                Harness::new(build(name, opts.scale, opts.seed))
-            };
+            let h = lab.harness(name)?;
             let mut cells = vec![name.to_string()];
             for cooling in [Cooling::None, Cooling::Halve, Cooling::Reset] {
                 let cfg = PactConfig {
                     cooling,
                     ..PactConfig::default()
                 };
-                let mut policy = PactPolicy::new(cfg).or_exit();
+                let mut policy = PactPolicy::new(cfg)?;
                 let fast = ratio.fast_pages(h.workload().footprint_bytes());
-                let o = h.run_custom(&mut policy, fast, None).or_exit();
-                cells.push(pact_bench::pct(o.slowdown));
+                let o = h.run_custom(&mut policy, fast)?;
+                cells.push(crate::pct(o.slowdown));
             }
             t.row(cells);
         }
@@ -99,6 +89,5 @@ fn main() {
         ));
         out.push_str(&t.render());
     }
-    print!("{out}");
-    save_results(opts.scale, "fig10_sensitivity.txt", &out);
+    Ok(out)
 }

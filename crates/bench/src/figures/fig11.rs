@@ -7,20 +7,24 @@
 //! performance comparable to or better than Colloid (4 KB) and Memtis
 //! (THP) while promoting several times fewer pages.
 
-use pact_bench::{banner, count, make_policy, parse_options, pct, save_results, OrExit, Table};
 use pact_tiersim::{FirstTouch, Machine, RunSpec, Workload, PAGE_BYTES};
-use pact_workloads::suite::{build, Scale};
+use pact_workloads::suite::Scale;
 use pact_workloads::Mlc;
 
+use super::Rendered;
+use crate::{banner, count, experiment_machine, make_policy, pct, Lab, Table};
+
+type Level = Result<(f64, u64), Box<dyn std::error::Error + Send + Sync>>;
+
 fn run_level(
-    opts: &pact_bench::Options,
+    lab: &Lab,
     mlc_threads: usize,
     thp: bool,
     policy_name: &str,
     fast_ratio_of_bc: (u64, u64),
-) -> (f64, u64) {
-    let bc = build("bc-kron", opts.scale, opts.seed);
-    let loads = match opts.scale {
+) -> Level {
+    let bc = lab.workload("bc-kron");
+    let loads = match lab.scale() {
         Scale::Smoke => 300_000,
         Scale::Paper => 16_000_000,
     };
@@ -32,12 +36,10 @@ fn run_level(
         bc_pages * fast_ratio_of_bc.0 / (fast_ratio_of_bc.0 + fast_ratio_of_bc.1) + mlc_pages + 512;
 
     // DRAM-only reference under identical contention.
-    let mut dram_cfg = pact_bench::experiment_machine(u64::MAX / PAGE_BYTES);
+    let mut dram_cfg = experiment_machine(u64::MAX / PAGE_BYTES);
     dram_cfg.thp = thp;
-    let dram = Machine::new(dram_cfg).or_exit();
-    let base = dram
-        .run(RunSpec::new(&[bc.as_ref(), &mlc], &mut FirstTouch::new()))
-        .or_exit();
+    let dram = Machine::new(dram_cfg)?;
+    let base = dram.run(RunSpec::new(&[bc.as_ref(), &mlc], &mut FirstTouch::new()))?;
     // Invariant: the colocated run reports one entry per workload, and
     // bc-kron was passed in above.
     let base_cycles = base
@@ -47,25 +49,21 @@ fn run_level(
         .unwrap() // Invariant: bc-kron was passed to the run above
         .cycles;
 
-    let mut cfg = pact_bench::experiment_machine(fast);
+    let mut cfg = experiment_machine(fast);
     cfg.thp = thp;
-    let machine = Machine::new(cfg).or_exit();
-    // Invariant: fig11 only sweeps names from ALL_POLICIES.
-    let mut policy = make_policy(policy_name).expect("fig11 sweeps known policies");
-    let r = machine
-        .run(RunSpec::new(&[bc.as_ref(), &mlc], policy.as_mut()))
-        .or_exit();
+    let machine = Machine::new(cfg)?;
+    let mut policy = make_policy(policy_name)?;
+    let r = machine.run(RunSpec::new(&[bc.as_ref(), &mlc], policy.as_mut()))?;
     let cycles = r
         .per_process
         .iter()
         .find(|p| p.name == "bc-kron")
         .unwrap() // Invariant: bc-kron was passed to the run above
         .cycles;
-    (cycles as f64 / base_cycles as f64 - 1.0, r.promotions)
+    Ok((cycles as f64 / base_cycles as f64 - 1.0, r.promotions))
 }
 
-fn main() {
-    let opts = parse_options();
+pub(super) fn render(lab: &Lab) -> Rendered {
     let levels = [1usize, 2, 4, 8];
     let mut out = String::new();
 
@@ -84,8 +82,8 @@ fn main() {
         ]);
         for &n in &levels {
             eprintln!("[fig11 {label}] {n} MLC threads");
-            let (s0, p0) = run_level(&opts, n, thp, policies[0], (1, 1));
-            let (s1, p1) = run_level(&opts, n, thp, policies[1], (1, 1));
+            let (s0, p0) = run_level(lab, n, thp, policies[0], (1, 1))?;
+            let (s1, p1) = run_level(lab, n, thp, policies[1], (1, 1))?;
             t.row(vec![
                 n.to_string(),
                 pct(s0),
@@ -101,6 +99,5 @@ fn main() {
         "\npaper: PACT comparable or better under all contention levels with 3.5-4.7x \
          fewer promotions than Colloid and 2.2x fewer than Memtis (THP).\n",
     );
-    print!("{out}");
-    save_results(opts.scale, "fig11_bw_contention.txt", &out);
+    Ok(out)
 }

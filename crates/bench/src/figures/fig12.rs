@@ -8,13 +8,15 @@
 //! over Colloid by 112% (sequential), 28% (random), and 61% aggregate,
 //! with 300K promotions vs Colloid's 12M.
 
-use pact_bench::{banner, count, make_policy, parse_options, save_results, OrExit, Table};
 use pact_tiersim::{FirstTouch, Machine, RunReport, RunSpec, Workload, PAGE_BYTES};
 use pact_workloads::suite::Scale;
 use pact_workloads::{Masim, MasimPattern};
 
-fn build_pair(opts: &pact_bench::Options) -> (Masim, Masim) {
-    let (buf, seq_loads, rnd_loads) = match opts.scale {
+use super::Rendered;
+use crate::{banner, count, experiment_machine, make_policy, Lab, Table};
+
+fn build_pair(lab: &Lab) -> (Masim, Masim) {
+    let (buf, seq_loads, rnd_loads) = match lab.scale() {
         Scale::Smoke => (1 << 20, 200_000, 30_000),
         Scale::Paper => (8 << 20, 20_000_000, 600_000),
     };
@@ -24,14 +26,14 @@ fn build_pair(opts: &pact_bench::Options) -> (Masim, Masim) {
             MasimPattern::Sequential,
             buf,
             seq_loads,
-            opts.seed,
+            lab.seed(),
         ),
         Masim::single(
             "masim-rnd",
             MasimPattern::RandomChase,
             buf,
             rnd_loads,
-            opts.seed + 1,
+            lab.seed() + 1,
         ),
     )
 }
@@ -46,17 +48,14 @@ fn proc_cycles(r: &RunReport, name: &str) -> u64 {
         .cycles
 }
 
-fn main() {
-    let opts = parse_options();
-    let (seq, rnd) = build_pair(&opts);
+pub(super) fn render(lab: &Lab) -> Rendered {
+    let (seq, rnd) = build_pair(lab);
     let total_pages = (seq.footprint_bytes() + rnd.footprint_bytes()).div_ceil(PAGE_BYTES);
     let fast = total_pages / 2; // fast tier holds half the footprint
 
     // Solo DRAM baselines for per-process normalization.
-    let dram = Machine::new(pact_bench::experiment_machine(u64::MAX / PAGE_BYTES)).or_exit();
-    let base = dram
-        .run(RunSpec::new(&[&seq, &rnd], &mut FirstTouch::new()))
-        .or_exit();
+    let dram = Machine::new(experiment_machine(u64::MAX / PAGE_BYTES))?;
+    let base = dram.run(RunSpec::new(&[&seq, &rnd], &mut FirstTouch::new()))?;
     let base_seq = proc_cycles(&base, "masim-seq");
     let base_rnd = proc_cycles(&base, "masim-rnd");
 
@@ -73,12 +72,9 @@ fn main() {
     ]);
     let mut rows: Vec<(String, f64, f64, f64, u64)> = Vec::new();
     for name in ["pact", "colloid", "notier"] {
-        let machine = Machine::new(pact_bench::experiment_machine(fast)).or_exit();
-        // Invariant: fig12 only sweeps names from ALL_POLICIES.
-        let mut policy = make_policy(name).expect("fig12 sweeps known policies");
-        let r = machine
-            .run(RunSpec::new(&[&seq, &rnd], policy.as_mut()))
-            .or_exit();
+        let machine = Machine::new(experiment_machine(fast))?;
+        let mut policy = make_policy(name)?;
+        let r = machine.run(RunSpec::new(&[&seq, &rnd], policy.as_mut()))?;
         let s_seq = proc_cycles(&r, "masim-seq") as f64 / base_seq as f64 - 1.0;
         let s_rnd = proc_cycles(&r, "masim-rnd") as f64 / base_rnd as f64 - 1.0;
         let agg = (proc_cycles(&r, "masim-seq") + proc_cycles(&r, "masim-rnd")) as f64
@@ -86,9 +82,9 @@ fn main() {
             - 1.0;
         t.row(vec![
             name.to_string(),
-            pact_bench::pct(s_seq),
-            pact_bench::pct(s_rnd),
-            pact_bench::pct(agg),
+            crate::pct(s_seq),
+            crate::pct(s_rnd),
+            crate::pct(agg),
             count(r.promotions),
         ]);
         rows.push((name.to_string(), s_seq, s_rnd, agg, r.promotions));
@@ -109,6 +105,5 @@ fn main() {
         count(pact.4),
         count(colloid.4),
     ));
-    print!("{out}");
-    save_results(opts.scale, "fig12_colocation.txt", &out);
+    Ok(out)
 }

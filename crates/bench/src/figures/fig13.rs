@@ -8,9 +8,10 @@
 //! beating Colloid by up to 40% in latency and throughput with lower
 //! tail latency.
 
-use pact_bench::{banner, count, parse_options, save_results, Harness, OrExit, Table, TierRatio};
 use pact_core::{BinningMode, PactConfig, PactPolicy};
-use pact_workloads::suite::build;
+
+use super::Rendered;
+use crate::{banner, count, experiment_machine, Lab, Outcome, Table, TierRatio};
 
 struct Row {
     name: &'static str,
@@ -20,8 +21,9 @@ struct Row {
     promotions: u64,
 }
 
-fn metrics(name: &'static str, out: &pact_bench::Outcome) -> Row {
+fn metrics(name: &'static str, out: &Outcome) -> Row {
     let r = &out.report;
+    let span = experiment_machine(0).window_cycles as f64;
     let throughput = r.counters.accesses as f64 / r.total_cycles as f64;
     let mean_lat = r.total_cycles as f64 / r.counters.accesses.max(1) as f64;
     // Tail proxy: per-window cycles-per-access, 99th percentile.
@@ -29,10 +31,7 @@ fn metrics(name: &'static str, out: &pact_bench::Outcome) -> Row {
         .windows
         .iter()
         .filter(|w| w.delta.accesses > 500)
-        .map(|w| {
-            let span = 250_000.0; // window_cycles of the experiment machine
-            span / w.delta.accesses as f64
-        })
+        .map(|w| span / w.delta.accesses as f64)
         .collect();
     // Invariant: each entry is span / accesses with accesses > 500,
     // never NaN, so the total order exists.
@@ -50,14 +49,13 @@ fn metrics(name: &'static str, out: &pact_bench::Outcome) -> Row {
     }
 }
 
-fn main() {
-    let opts = parse_options();
+pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 1);
-    let h = Harness::new(build("redis", opts.scale, opts.seed));
+    let h = lab.harness("redis")?;
     let fast = ratio.fast_pages(h.workload().footprint_bytes());
 
     let mut rows = Vec::new();
-    let colloid = h.run_policy("colloid", ratio, None).or_exit();
+    let colloid = h.run_policy("colloid", ratio)?;
     rows.push(metrics("colloid", &colloid));
     for (name, mode) in [
         ("pact+static", BinningMode::Static),
@@ -69,8 +67,8 @@ fn main() {
             binning: mode,
             ..PactConfig::default()
         };
-        let mut policy = PactPolicy::new(cfg).or_exit();
-        let out = h.run_custom(&mut policy, fast, None).or_exit();
+        let mut policy = PactPolicy::new(cfg)?;
+        let out = h.run_custom(&mut policy, fast)?;
         rows.push(metrics(name, &out));
     }
 
@@ -108,6 +106,5 @@ fn main() {
         (both.throughput / base - 1.0) * 100.0,
         (1.0 - both.mean_lat / base_lat) * 100.0,
     ));
-    print!("{out}");
-    save_results(opts.scale, "fig13_redis_breakdown.txt", &out);
+    Ok(out)
 }

@@ -1,5 +1,5 @@
 //! Plain-text reporting: aligned tables, percentage formatting, CDF
-//! series, and sparkline-style time series for the figure harnesses.
+//! series, and sparkline-style time series for the figures.
 //!
 //! Machine-readable output goes through the shared deterministic
 //! [`JsonWriter`] (re-exported from `pact-obs`) instead of hand-rolled
@@ -141,7 +141,7 @@ pub fn cdf_lines(sorted_values: &[f64], points: usize) -> String {
     out
 }
 
-/// Section banner used by the figure binaries.
+/// Section banner used by the figures.
 pub fn banner(title: &str) -> String {
     format!("\n=== {title} ===\n")
 }

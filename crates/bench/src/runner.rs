@@ -70,7 +70,7 @@ pub fn experiment_machine(fast_pages: u64) -> MachineConfig {
 /// front guarantees every cell sees the same plan even if the
 /// environment is mutated mid-run. An invalid spec warns once and is
 /// ignored here — binaries validate it eagerly at startup (see
-/// [`crate::parse_options`]) so interactive users get a hard error.
+/// [`crate::validate_fault_env`]) so interactive users get a hard error.
 fn env_fault_plan() -> Option<&'static FaultPlan> {
     static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
     PLAN.get_or_init(|| match crate::env::fault_plan() {
@@ -81,6 +81,17 @@ fn env_fault_plan() -> Option<&'static FaultPlan> {
         }
     })
     .as_ref()
+}
+
+/// The configuration a [`Harness`] actually runs `cfg` under: an
+/// explicit plan on the config wins; otherwise every run in the
+/// process picks up the `PACT_FAULTS` plan (parsed once — workers must
+/// all see the same plan).
+pub(crate) fn effective_config(mut cfg: MachineConfig) -> MachineConfig {
+    if cfg.fault_plan.is_none() {
+        cfg.fault_plan = env_fault_plan().cloned();
+    }
+    cfg
 }
 
 /// Outcome of one policy run, normalized against the DRAM baseline.
@@ -179,7 +190,7 @@ pub fn is_runnable_policy(name: &str) -> bool {
 pub struct Harness {
     workload: Arc<dyn Workload>,
     base_cfg: MachineConfig,
-    dram_cycles: OnceLock<u64>,
+    dram_cycles: OnceLock<Result<u64, SimError>>,
     soar_profile: OnceLock<pact_baselines::SoarProfile>,
 }
 
@@ -203,10 +214,13 @@ impl Harness {
     /// Overrides the base machine configuration (tier capacity is still
     /// set per run) after validating it, so an invalid configuration is
     /// a structured error here instead of a failure deep inside the
-    /// first run.
+    /// first run. The cached DRAM baseline and Soar profile belong to
+    /// the old configuration and are dropped.
     pub fn with_machine(mut self, cfg: MachineConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         self.base_cfg = cfg;
+        self.dram_cycles = OnceLock::new();
+        self.soar_profile = OnceLock::new();
         Ok(self)
     }
 
@@ -222,25 +236,21 @@ impl Harness {
     }
 
     fn machine(&self, fast_pages: u64) -> Result<Machine, SimError> {
-        let mut cfg = self.base_cfg.clone();
+        let mut cfg = effective_config(self.base_cfg.clone());
         cfg.fast_tier_pages = fast_pages;
-        // An explicit plan on the config wins; otherwise every run in
-        // the process picks up the PACT_FAULTS environment plan (parsed
-        // once — workers must all see the same plan).
-        if cfg.fault_plan.is_none() {
-            cfg.fault_plan = env_fault_plan().cloned();
-        }
         Machine::new(cfg).map_err(SimError::Config)
     }
 
-    /// Cycles of the ideal DRAM-only run (computed once, cached).
+    /// Cycles of the ideal DRAM-only run, computed once: concurrent
+    /// callers block until the first one finishes.
     pub fn dram_cycles(&self) -> Result<u64, SimError> {
-        if let Some(&cycles) = self.dram_cycles.get() {
-            return Ok(cycles);
-        }
-        let machine = self.machine(u64::MAX / PAGE_BYTES)?;
-        let report = machine.try_run(self.workload.as_ref(), &mut NoTier::new())?;
-        Ok(*self.dram_cycles.get_or_init(|| report.total_cycles))
+        self.dram_cycles
+            .get_or_init(|| {
+                let machine = self.machine(u64::MAX / PAGE_BYTES)?;
+                let report = machine.try_run(self.workload.as_ref(), &mut NoTier::new())?;
+                Ok(report.total_cycles)
+            })
+            .clone()
     }
 
     /// Slowdown of running entirely on the slow tier (the "CXL" line).
@@ -330,8 +340,34 @@ fn file_stem(s: &str) -> String {
         .collect()
 }
 
-/// Runs every `(policy, ratio)` combination for the harness's
-/// workload, fanning the independent cells over `jobs` worker threads
+/// What a [`ratio_sweep`] runs its cells on: a bare [`Harness`], where
+/// every cell simulates, or a [`LabHarness`](crate::LabHarness), whose
+/// untraced cells are shared through its lab's cache.
+pub trait Cells: Sync {
+    /// The harness the cells run on (traced cells always run here).
+    fn harness(&self) -> &Harness;
+    /// The untraced outcome of `policy` at `ratio`.
+    fn outcome(&self, policy: &str, ratio: TierRatio) -> Result<Arc<Outcome>, RunError>;
+    /// Slowdown of the all-slow-tier run (the "CXL" line).
+    fn cxl(&self) -> Result<f64, RunError>;
+}
+
+impl Cells for Harness {
+    fn harness(&self) -> &Harness {
+        self
+    }
+
+    fn outcome(&self, policy: &str, ratio: TierRatio) -> Result<Arc<Outcome>, RunError> {
+        self.run_policy(policy, ratio, None).map(Arc::new)
+    }
+
+    fn cxl(&self) -> Result<f64, RunError> {
+        Ok(self.cxl_slowdown()?)
+    }
+}
+
+/// Runs every `(policy, ratio)` combination for the cells' workload,
+/// fanning the independent cells over `jobs` worker threads
 /// (`jobs = 1` is the serial path; binaries pass
 /// [`jobs_from_env`](crate::exec::jobs_from_env)).
 ///
@@ -341,20 +377,21 @@ fn file_stem(s: &str) -> String {
 /// with a warning instead of aborting the sweep; a failed run is
 /// returned as the error of the first failing cell in that order.
 ///
-/// When `trace` is set (binaries pass
-/// [`env::trace_config`](crate::env::trace_config), i.e.
-/// `PACT_TRACE`), its path is treated as a directory and every cell
-/// writes one trace file named `<workload>_<policy>_<F>-<S>.<ext>`.
-/// File names and contents derive only from the cell's identity —
-/// never from worker scheduling — so the files are byte-identical for
-/// any `jobs` count; the CI observability gate pins this.
+/// When `trace` is set (figures pass `Lab::trace`, i.e.
+/// `PACT_TRACE/<figure>`), its path is treated as a directory and every
+/// cell runs traced, bypassing any cache, and writes one trace file named
+/// `<workload>_<policy>_<F>-<S>.<ext>`. File names and contents derive
+/// only from the cell's identity — never from worker scheduling — so
+/// the files are byte-identical for any `jobs` count; the CI
+/// observability gate pins this.
 pub fn ratio_sweep(
-    h: &Harness,
+    cells: &impl Cells,
     policies: &[&str],
     ratios: &[TierRatio],
     jobs: usize,
     trace: Option<&TraceConfig>,
 ) -> Result<SweepResult, RunError> {
+    let h = cells.harness();
     let kept: Vec<&str> = policies
         .iter()
         .copied()
@@ -367,10 +404,10 @@ pub fn ratio_sweep(
         })
         .collect();
     // Warm every shared artifact serially so worker threads only read:
-    // the DRAM baseline (via cxl_slowdown) and, if swept, the Soar
+    // the DRAM baseline (via the CXL reference) and, if swept, the Soar
     // profile. OnceLock would serialize a race anyway; warming avoids
     // even that.
-    let cxl = h.cxl_slowdown()?;
+    let cxl = cells.cxl()?;
     if kept.contains(&"soar") {
         h.soar()?;
     }
@@ -383,12 +420,12 @@ pub fn ratio_sweep(
         }
     }
     let wl_stem = file_stem(&h.workload().name());
-    let cells = kept.len() * ratios.len();
-    let outcomes = crate::exec::try_run_indexed(cells, jobs, |i| {
+    let n = kept.len() * ratios.len();
+    let outcomes = crate::exec::try_run_indexed(n, jobs, |i| {
         let p = kept[i / ratios.len()];
         let r = ratios[i % ratios.len()];
         let Some(cfg) = trace else {
-            return h.run_policy(p, r, None);
+            return cells.outcome(p, r);
         };
         let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
         let out = h.run_policy(p, r, Some(&mut tracer))?;
@@ -404,7 +441,7 @@ pub fn ratio_sweep(
         if let Err(e) = std::fs::write(&file, body) {
             eprintln!("warning: cannot write trace {}: {e}", file.display());
         }
-        Ok(out)
+        Ok(Arc::new(out))
     })?;
     let mut slowdown = Vec::with_capacity(kept.len());
     let mut promotions = Vec::with_capacity(kept.len());
@@ -602,6 +639,15 @@ mod tests {
         let b = h.dram_cycles().unwrap();
         assert_eq!(a, b);
         assert!(a > 0);
+        // A new machine config drops the cached baseline.
+        let mut cfg = experiment_machine(0);
+        cfg.mshrs = 1;
+        let h = h.with_machine(cfg.clone()).unwrap();
+        let fresh = Harness::new(build("gups", Scale::Smoke, 3))
+            .with_machine(cfg)
+            .unwrap();
+        assert_eq!(h.dram_cycles(), fresh.dram_cycles());
+        assert_ne!(h.dram_cycles(), Ok(a));
     }
 
     #[test]

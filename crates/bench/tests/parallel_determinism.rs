@@ -34,7 +34,7 @@ fn parallel_sweep_is_bit_identical_to_serial() {
             assert_eq!(s.to_bits(), p.to_bits(), "slowdown diverged: {s} vs {p}");
         }
     }
-    // The rendered tables (what the figure binaries print) match too.
+    // The rendered tables (what the figures print) match too.
     assert_eq!(serial.render_slowdowns(), parallel.render_slowdowns());
     assert_eq!(serial.render_promotions(), parallel.render_promotions());
 }

@@ -151,6 +151,22 @@ fn one_shot_summary_and_trace_agree_for_the_same_seed() {
 }
 
 #[test]
+fn repro_rejects_an_unknown_figure_with_2_and_lists_the_names() {
+    let out = run(&["repro", "--fig", "fig04,bogus"]);
+    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains("unknown figure 'bogus'"), "{err}");
+    for figure in &pact_bench::figures::FIGURES {
+        assert!(
+            err.contains(figure.name),
+            "{} not listed: {err}",
+            figure.name
+        );
+    }
+    assert!(out.stdout.is_empty(), "nothing may run on bad usage");
+}
+
+#[test]
 fn list_exits_0() {
     let out = run(&["--list"]);
     assert_eq!(out.status.code(), Some(0));

@@ -1,6 +1,6 @@
 //! Dependency-free JSON writing and validation.
 //!
-//! The figure binaries and exporters all need to emit machine-readable
+//! The bench harness and exporters all need to emit machine-readable
 //! output without pulling `serde` into the hermetic build, and the CI
 //! smoke step needs to *check* that emitted traces parse. This module
 //! provides both halves: a push-style [`JsonWriter`] with escaping and

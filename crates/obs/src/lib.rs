@@ -19,7 +19,7 @@
 //!   Perfetto) and JSONL exporters, selected at runtime via the
 //!   `PACT_TRACE` / `PACT_TRACE_FORMAT` environment variables.
 //! * [`json`] — the dependency-free JSON writer/validator the
-//!   exporters and figure binaries share.
+//!   exporters and the bench harness share.
 //! * [`attribution`] — collapsed-stack ("folded") flamegraph text and
 //!   deterministic top-K selection, the building blocks of the
 //!   criticality report (DESIGN.md §12).

@@ -86,7 +86,7 @@ pub use pact_obs::{
 };
 pub use pmu::{PebsSampler, PmuCounters, SampleEvent};
 pub use policy::{FirstTouch, MachineInfo, MigrationOrder, PolicyCtx, TieringPolicy, WindowStats};
-pub use snapshot::{config_fingerprint, MachineSnapshot, FORMAT_VERSION, MAGIC};
+pub use snapshot::{config_fingerprint, fnv1a, MachineSnapshot, FORMAT_VERSION, MAGIC};
 pub use tier::Channel;
 pub use trace::{read_trace, write_trace, write_workload_trace};
 pub use types::{Access, AccessKind, PageId, ProcId, Tier, HUGE_PAGE_SPAN, LINE_BYTES, PAGE_BYTES};

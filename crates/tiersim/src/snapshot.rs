@@ -32,7 +32,12 @@
 
 use pact_stats::codec::ByteWriter;
 
-use crate::config::MachineConfig;
+use crate::config::{
+    AdmissionControl, LlcConfig, MachineConfig, MigrationConfig, PebsConfig, PebsScope,
+    PrefetchConfig, TenantSpec, TierConfig,
+};
+use crate::fault::{FaultPlan, StallFault};
+use crate::invariant::InvariantSet;
 use crate::types::Tier;
 
 /// Frame magic: the first eight bytes of every snapshot.
@@ -99,9 +104,10 @@ impl MachineSnapshot {
     }
 }
 
-/// FNV-1a over `bytes` (the frame checksum and the configuration
-/// fingerprint accumulator).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over `bytes`: the frame checksum, the configuration
+/// fingerprint accumulator, and the digest the report and figure
+/// golden tests pin.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;
@@ -190,81 +196,154 @@ pub(crate) fn open_frame(bytes: &[u8], expect_fingerprint: u64) -> Result<(u64, 
 /// Deterministic fingerprint of every behaviour-relevant
 /// [`MachineConfig`] field.
 ///
-/// `snapshot_every` is *excluded*: capture cadence only decides when
-/// frames are emitted, so a frame may be resumed under any cadence.
+/// Every config struct is opened with an exhaustive destructuring, so
+/// a new field fails to compile here until it is hashed or bound `_`
+/// with its reason. `snapshot_every` is the one field left out.
 pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
+    let MachineConfig {
+        freq_ghz,
+        mshrs,
+        hit_cycles,
+        issue_cycles,
+        llc,
+        prefetch,
+        tiers,
+        fast_tier_pages,
+        thp,
+        thp_unit_pages,
+        window_cycles,
+        pebs,
+        migration,
+        chmu_counters,
+        track_page_stalls,
+        seed,
+        // Capture cadence only decides when frames are emitted, so a
+        // frame may be resumed under any cadence.
+        snapshot_every: _,
+        fault_plan,
+        invariants,
+        tenants,
+        admission,
+    } = cfg;
+    let LlcConfig { size_bytes, ways } = llc;
+    let PrefetchConfig {
+        enabled,
+        trigger,
+        degree,
+        coverage,
+    } = prefetch;
+    let PebsConfig {
+        rate,
+        scope,
+        sample_overhead_cycles,
+    } = pebs;
+    let MigrationConfig {
+        per_page_cycles,
+        daemon_pages_per_window,
+        hint_fault_cycles,
+        shootdown_cycles_per_page,
+    } = migration;
     let mut w = ByteWriter::new();
-    w.put_f64(cfg.freq_ghz);
-    w.put_usize(cfg.mshrs);
-    w.put_u32(cfg.hit_cycles);
-    w.put_u32(cfg.issue_cycles);
-    w.put_u64(cfg.llc.size_bytes);
-    w.put_usize(cfg.llc.ways);
-    w.put_bool(cfg.prefetch.enabled);
-    w.put_u32(cfg.prefetch.trigger);
-    w.put_u32(cfg.prefetch.degree);
-    w.put_f64(cfg.prefetch.coverage);
-    for t in &cfg.tiers {
-        w.put_f64(t.latency_ns);
-        w.put_f64(t.bandwidth_gbps);
+    w.put_f64(*freq_ghz);
+    w.put_usize(*mshrs);
+    w.put_u32(*hit_cycles);
+    w.put_u32(*issue_cycles);
+    w.put_u64(*size_bytes);
+    w.put_usize(*ways);
+    w.put_bool(*enabled);
+    w.put_u32(*trigger);
+    w.put_u32(*degree);
+    w.put_f64(*coverage);
+    for TierConfig {
+        latency_ns,
+        bandwidth_gbps,
+    } in tiers
+    {
+        w.put_f64(*latency_ns);
+        w.put_f64(*bandwidth_gbps);
     }
-    w.put_u64(cfg.fast_tier_pages);
-    w.put_bool(cfg.thp);
-    w.put_u64(cfg.thp_unit_pages);
-    w.put_u64(cfg.window_cycles);
-    w.put_u64(cfg.pebs.rate);
-    w.put_u8(match cfg.pebs.scope {
-        crate::config::PebsScope::SlowOnly => 0,
-        crate::config::PebsScope::BothTiers => 1,
+    w.put_u64(*fast_tier_pages);
+    w.put_bool(*thp);
+    w.put_u64(*thp_unit_pages);
+    w.put_u64(*window_cycles);
+    w.put_u64(*rate);
+    w.put_u8(match scope {
+        PebsScope::SlowOnly => 0,
+        PebsScope::BothTiers => 1,
     });
-    w.put_u32(cfg.pebs.sample_overhead_cycles);
-    w.put_u64(cfg.migration.per_page_cycles);
-    w.put_u64(cfg.migration.daemon_pages_per_window);
-    w.put_u64(cfg.migration.hint_fault_cycles);
-    w.put_u64(cfg.migration.shootdown_cycles_per_page);
-    w.put_usize(cfg.chmu_counters);
-    w.put_bool(cfg.track_page_stalls);
-    w.put_u64(cfg.seed);
-    w.put_bool(cfg.fault_plan.is_some());
-    if let Some(p) = &cfg.fault_plan {
-        w.put_u64(p.seed);
-        w.put_u64(p.window_start);
-        w.put_u64(p.window_end);
-        w.put_f64(p.drop_order);
-        w.put_f64(p.fail_migration);
-        w.put_u32(p.max_retries);
-        w.put_u64(p.backoff_windows);
-        w.put_bool(p.stall.is_some());
-        if let Some(s) = &p.stall {
-            w.put_u8(match s.tier {
+    w.put_u32(*sample_overhead_cycles);
+    w.put_u64(*per_page_cycles);
+    w.put_u64(*daemon_pages_per_window);
+    w.put_u64(*hint_fault_cycles);
+    w.put_u64(*shootdown_cycles_per_page);
+    w.put_usize(*chmu_counters);
+    w.put_bool(*track_page_stalls);
+    w.put_u64(*seed);
+    w.put_bool(fault_plan.is_some());
+    if let Some(FaultPlan {
+        seed,
+        window_start,
+        window_end,
+        drop_order,
+        fail_migration,
+        max_retries,
+        backoff_windows,
+        stall,
+        pebs_loss,
+        chmu_overflow,
+    }) = fault_plan
+    {
+        w.put_u64(*seed);
+        w.put_u64(*window_start);
+        w.put_u64(*window_end);
+        w.put_f64(*drop_order);
+        w.put_f64(*fail_migration);
+        w.put_u32(*max_retries);
+        w.put_u64(*backoff_windows);
+        w.put_bool(stall.is_some());
+        if let Some(StallFault { tier, lines, prob }) = stall {
+            w.put_u8(match tier {
                 Tier::Fast => 0,
                 Tier::Slow => 1,
             });
-            w.put_u64(s.lines);
-            w.put_f64(s.prob);
+            w.put_u64(*lines);
+            w.put_f64(*prob);
         }
-        w.put_f64(p.pebs_loss);
-        w.put_f64(p.chmu_overflow);
+        w.put_f64(*pebs_loss);
+        w.put_f64(*chmu_overflow);
     }
-    w.put_bool(cfg.invariants.is_some());
-    if let Some(set) = &cfg.invariants {
-        w.put_bool(set.pages);
-        w.put_bool(set.migration);
-        w.put_bool(set.bandwidth);
-        w.put_bool(set.mshr);
-        w.put_bool(set.counters);
-        w.put_bool(set.windows);
+    w.put_bool(invariants.is_some());
+    if let Some(InvariantSet {
+        pages,
+        migration,
+        bandwidth,
+        mshr,
+        counters,
+        windows,
+    }) = invariants
+    {
+        w.put_bool(*pages);
+        w.put_bool(*migration);
+        w.put_bool(*bandwidth);
+        w.put_bool(*mshr);
+        w.put_bool(*counters);
+        w.put_bool(*windows);
     }
-    w.put_usize(cfg.tenants.len());
-    for t in &cfg.tenants {
-        w.put_str(&t.name);
-        w.put_u32(t.qos_weight);
+    w.put_usize(tenants.len());
+    for TenantSpec { name, qos_weight } in tenants {
+        w.put_str(name);
+        w.put_u32(*qos_weight);
     }
-    w.put_bool(cfg.admission.is_some());
-    if let Some(adm) = &cfg.admission {
-        w.put_u64(adm.budget_per_window);
-        w.put_f64(adm.saturation_backlog_cycles);
-        w.put_u64(adm.defer_windows);
+    w.put_bool(admission.is_some());
+    if let Some(AdmissionControl {
+        budget_per_window,
+        saturation_backlog_cycles,
+        defer_windows,
+    }) = admission
+    {
+        w.put_u64(*budget_per_window);
+        w.put_f64(*saturation_backlog_cycles);
+        w.put_u64(*defer_windows);
     }
     fnv1a(&w.into_bytes())
 }
@@ -324,6 +403,17 @@ mod tests {
         let frame = seal_frame(0, 1, &[]);
         let err = open_frame(&frame, 2).unwrap_err();
         assert!(err.contains("fingerprint"), "{err}");
+    }
+
+    /// Frames written by earlier builds must keep resuming: the
+    /// fingerprint of the experiment machine (`skylake_cxl(0)`, the
+    /// bench crate's `experiment_machine(0)`) is pinned.
+    #[test]
+    fn experiment_machine_fingerprint_is_stable() {
+        assert_eq!(
+            config_fingerprint(&MachineConfig::skylake_cxl(0)),
+            0x67f8_7041_1fc5_7d8f
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::graph::{kronecker, power_law, uniform, Csr, GraphWorkload, Kernel};
 use crate::{Bwaves, Deepsjeng, Gpt2, Gups, KvStore, Masim, Mlc, Silo, Xz, ZipfDrift};
 
 /// Size class of a suite workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Scale {
     /// Tiny instances for unit/integration tests (sub-second full suite).
     Smoke,

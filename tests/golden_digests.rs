@@ -1,18 +1,20 @@
 //! Golden report digests: the simulated behaviour of three canonical
-//! cells and one fleet cell, pinned bit for bit.
+//! cells, one fleet cell and the cheap figures, pinned bit for bit.
 //!
 //! Each entry is the FNV-1a hash of `RunReport::to_json` for one suite
 //! workload under one policy at `Scale::Smoke`, seed 42, tier ratio 1:1
 //! on the experiment machine (the cells `perfbench` times, at smoke
 //! scale). The fleet cell is `tierctl fleet`'s default three-tenant
 //! admission cell at the same scale, seed and ratio; its report carries
-//! the per-tenant lanes the single-workload cells leave empty. A
-//! host-side optimisation must leave every digest unchanged.
+//! the per-tenant lanes the single-workload cells leave empty. The
+//! figure digests hash the report `tierctl repro --fig NAME --scale
+//! smoke` prints at seed 42. A host-side optimisation must leave every
+//! digest unchanged.
 //! A deliberate change to simulated behaviour updates the values here
 //! in the same change, and says why in CHANGES.md.
 
-use pact_bench::{experiment_machine, make_policy, TierRatio};
-use pact_tiersim::{AdmissionControl, Machine, RunSpec, TenantSpec, Workload};
+use pact_bench::{experiment_machine, figures, make_policy, Lab, TierRatio};
+use pact_tiersim::{fnv1a, AdmissionControl, Machine, RunSpec, TenantSpec, Workload};
 use pact_workloads::suite::{build, Scale};
 
 /// `(suite workload, policy, digest)`.
@@ -22,16 +24,20 @@ const GOLDEN: [(&str, &str, u64); 3] = [
     ("redis", "tpp", 0xcd17_5dcd_e4b1_b1f3),
 ];
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// FNV-1a of `tierctl fleet`'s default cell: tenants
 /// `app:gups:4,hog:mlc-hog:1,store:zipf-drift:2` under PACT, page-stall
 /// tracking on, an admission budget of 4 orders per window.
 const GOLDEN_FLEET: u64 = 0xd5b6_6439_2085_aa13;
+
+/// `(figure, digest)` for the figures that render in well under a
+/// second at smoke scale.
+const GOLDEN_FIGURES: [(&str, u64); 5] = [
+    ("fig01", 0x2d5c_3167_631f_4dc6),
+    ("fig03", 0xbc60_1dee_0990_c510),
+    ("fig08", 0xf956_1612_4f42_34a3),
+    ("fig12", 0x3711_eaca_bcba_2674),
+    ("fig13", 0xc4b7_a783_cb72_00be),
+];
 
 fn digest(workload: &str, policy: &str) -> u64 {
     let wl = build(workload, Scale::Smoke, 42);
@@ -41,7 +47,7 @@ fn digest(workload: &str, policy: &str) -> u64 {
     let report = machine
         .try_run(wl.as_ref(), policy.as_mut())
         .expect("run succeeds");
-    fnv1a64(report.to_json().as_bytes())
+    fnv1a(report.to_json().as_bytes())
 }
 
 #[test]
@@ -83,9 +89,26 @@ fn fleet_cell_matches_golden_digest() {
         .run(RunSpec::new(&refs, policy.as_mut()))
         .expect("fleet cell runs");
     assert_eq!(report.tenants.len(), 3, "one lane per tenant");
-    let got = fnv1a64(report.to_json().as_bytes());
+    let got = fnv1a(report.to_json().as_bytes());
     assert_eq!(
         got, GOLDEN_FLEET,
         "fleet digest {got:#018x} differs from the golden value"
+    );
+}
+
+#[test]
+fn cheap_figures_match_golden_digests() {
+    let lab = Lab::new(Scale::Smoke, 42);
+    let got: Vec<(&str, u64)> = GOLDEN_FIGURES
+        .iter()
+        .map(|&(name, _)| {
+            let figure = figures::find(name).expect("known figure");
+            let report = (figure.render)(&lab).expect("figure renders");
+            (name, fnv1a(report.as_bytes()))
+        })
+        .collect();
+    assert_eq!(
+        got, GOLDEN_FIGURES,
+        "figure digests (left) differ from the golden values"
     );
 }
