@@ -29,6 +29,24 @@ const GOLDEN: [(&str, &str, u64); 3] = [
 /// tracking on, an admission budget of 4 orders per window.
 const GOLDEN_FLEET: u64 = 0xd5b6_6439_2085_aa13;
 
+/// What the fleet cell simulates, pinned apart from how the report lays
+/// it out, so a changed [`GOLDEN_FLEET`] with these intact can only
+/// mean a changed layout: `(total_cycles, promotions, demotions,
+/// failed_promotions)`.
+const FLEET_TOTALS: [u64; 4] = [8_168_593, 28, 35, 2];
+
+/// Per process, in colocation order: `(accesses, promoted, demoted,
+/// [fast, slow] stall cycles)`.
+const FLEET_PROCESSES: [(u64, u64, u64, [u64; 2]); 3] = [
+    (116_384, 2, 19, [143_791, 123_202]),
+    (60_000, 0, 13, [130_014, 179_137]),
+    (60_000, 26, 3, [2_180_280, 5_660_624]),
+];
+
+/// `(admitted, rejected, dropped)` orders over the cell, where dropped
+/// counts the machine's drops plus admission control's.
+const FLEET_ADMISSION: [u64; 3] = [65, 116, 22];
+
 /// `(figure, digest)` for the figures that render in well under a
 /// second at smoke scale.
 const GOLDEN_FIGURES: [(&str, u64); 5] = [
@@ -89,6 +107,33 @@ fn fleet_cell_matches_golden_digest() {
         .run(RunSpec::new(&refs, policy.as_mut()))
         .expect("fleet cell runs");
     assert_eq!(report.tenants.len(), 3, "one lane per tenant");
+    let totals = [
+        report.total_cycles,
+        report.promotions,
+        report.demotions,
+        report.failed_promotions,
+    ];
+    assert_eq!(totals, FLEET_TOTALS, "fleet totals");
+    let processes: Vec<(u64, u64, u64, [u64; 2])> = report
+        .tenants
+        .iter()
+        .map(|t| {
+            (
+                t.counters.accesses,
+                t.promotions,
+                t.demotions,
+                t.stall_cycles,
+            )
+        })
+        .collect();
+    assert_eq!(processes, FLEET_PROCESSES, "fleet per-process lanes");
+    let sum = |f: fn(&pact_tiersim::TenantReport) -> u64| report.tenants.iter().map(f).sum();
+    let admission = [
+        sum(|t| t.admitted_orders),
+        sum(|t| t.rejected_orders),
+        report.dropped_orders,
+    ];
+    assert_eq!(admission, FLEET_ADMISSION, "fleet admission counts");
     let got = fnv1a(report.to_json().as_bytes());
     assert_eq!(
         got, GOLDEN_FLEET,
