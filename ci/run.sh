@@ -17,7 +17,7 @@
 # Stage names are validated against the roster below — a typo exits 2
 # naming the bad stage instead of silently skipping everything.
 #
-# Stages: fmt lint build test workspace perf obs obs-report fault snapshot check fleet
+# Stages: fmt lint build test workspace perf obs obs-report fault snapshot check
 #
 # PACT_JOBS is pinned so sweep-shaped tests exercise the parallel
 # executor deterministically regardless of the runner's core count.
@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE="${CARGO_NET_OFFLINE:-true}"
 export PACT_JOBS="${PACT_JOBS:-4}"
 
-ROSTER="fmt lint build test workspace perf obs obs-report fault snapshot check fleet"
+ROSTER="fmt lint build test workspace perf obs obs-report fault snapshot check"
 STAGES="${PACT_CI_STAGES:-$ROSTER}"
 for s in $STAGES; do
     case " $ROSTER " in
@@ -266,30 +266,6 @@ stage_check() {
     done
     cmp "$repro_dir/j1.txt" "$repro_dir/j4.txt"
     echo "    tierctl repro --scale smoke byte-identical across PACT_JOBS={1,4}"
-}
-
-# Fleet gate (DESIGN.md §14): the three-tenant noisy-neighbor cell
-# (PACT app + mlc-hog antagonist + zipf-drift store) under migration
-# admission control must print byte-identical output across job-pool
-# widths, and the admission controller must
-# actually reject something — a fleet run with zero rejections is not
-# exercising backpressure. Artifacts stay in target/ci-fleet for the
-# workflow's upload step.
-stage_fleet() {
-    fleet_dir="target/ci-fleet"
-    rm -rf "$fleet_dir"
-    mkdir -p "$fleet_dir"
-    for jobs in 2 4; do
-        PACT_JOBS="$jobs" cargo run --release -p pact-bench --bin tierctl -- fleet \
-            --seed 7 > "$fleet_dir/j${jobs}.txt"
-    done
-    cmp "$fleet_dir/j2.txt" "$fleet_dir/j4.txt"
-    grep -q '^admission: admitted=' "$fleet_dir/j2.txt"
-    grep -q 'rejected=0$' "$fleet_dir/j2.txt" && {
-        echo "    FAIL: fleet cell never rejected a migration order"
-        exit 1
-    }
-    echo "    fleet byte-identical across PACT_JOBS={2,4}, nonzero rejections"
 }
 
 # --- driver ----------------------------------------------------------

@@ -35,11 +35,10 @@
 //! ```
 //!
 //! The `fleet` subcommand runs a multi-tenant cell (DESIGN.md §14):
-//! N colocated workloads with per-tenant QoS weights share one
-//! machine's tiers under migration admission control, and the summary
-//! prints one accounting row per tenant plus a greppable
-//! `admission:` line and a deterministic digest (byte-identical
-//! across `PACT_JOBS`; the CI `fleet` stage pins it):
+//! N colocated workloads share one machine's tiers under a policy
+//! wrapped in migration admission control with per-tenant QoS
+//! weights, and the summary prints one accounting row per tenant plus
+//! a greppable `admission:` line and a deterministic digest:
 //!
 //! ```text
 //! tierctl fleet --tenants app:gups:4,hog:mlc-hog:1,zd:zipf-drift:2
@@ -94,8 +93,8 @@ use pact_bench::{
 };
 use pact_obs::{validate, DEFAULT_RING_CAPACITY};
 use pact_tiersim::{
-    export_trace, CriticalityReport, Machine, MachineConfig, RunReport, RunSpec, Tier, TraceFormat,
-    Tracer, DEFAULT_REPORT_TOPK,
+    export_trace, Admission, AdmissionControl, AdmissionLane, CriticalityReport, Machine,
+    MachineConfig, RunReport, RunSpec, Tier, TraceFormat, Tracer, DEFAULT_REPORT_TOPK,
 };
 use pact_workloads::suite::{build, Scale, SUITE};
 
@@ -498,10 +497,7 @@ fn run_cell(args: &Args, track_stalls: bool) -> (pact_bench::Outcome, String) {
 /// `obs-report` stage pins this with `cmp`.
 fn run_report(args: &Args) {
     let (out, label) = run_cell(args, true);
-    let topk = args
-        .topk
-        .or_else(|| pact_bench::env::report_topk().unwrap_or(None))
-        .unwrap_or(DEFAULT_REPORT_TOPK);
+    let topk = args.topk.unwrap_or(DEFAULT_REPORT_TOPK);
     // Borrow the oracle out of the report — the map can hold an entry
     // per touched page, and the report path must not duplicate it.
     let crit = CriticalityReport::new(&out.report, topk).unwrap_or_else(|| {
@@ -551,13 +547,10 @@ fn run_serve_metrics(args: &Args) {
         println!("serve-metrics self-check ok ({label})");
         return;
     }
-    let addr = args
-        .addr
-        .or_else(|| pact_bench::env::metrics_addr().unwrap_or(None))
-        .unwrap_or_else(|| {
-            // Invariant: a literal loopback address always parses.
-            "127.0.0.1:9464".parse().expect("valid literal")
-        });
+    let addr = args.addr.unwrap_or_else(|| {
+        // Invariant: a literal loopback address always parses.
+        "127.0.0.1:9464".parse().expect("valid literal")
+    });
     let server = serve::MetricsServer::bind(addr, body).unwrap_or_else(|e| {
         eprintln!("cannot bind {addr}: {e}");
         std::process::exit(1);
@@ -630,12 +623,9 @@ fn cell_policy(name: &str) -> Box<dyn pact_tiersim::TieringPolicy> {
 
 /// The `snapshot` subcommand: one cell run to completion with the
 /// page-stall oracle armed, writing a versioned cell snapshot every
-/// `--every` windows (default from `PACT_SNAPSHOT`, else 16).
+/// `--every` windows (default 16).
 fn run_snapshot(args: &Args) {
-    let every = args
-        .every
-        .or_else(|| pact_bench::env::snapshot_every().unwrap_or(None))
-        .unwrap_or(16);
+    let every = args.every.unwrap_or(16);
     let wl = build(&args.workload, args.scale, args.seed);
     let fast_pages = args.ratio.fast_pages(wl.footprint_bytes());
     let cfg = cell_machine_config(fast_pages, args.thp, args.seed, true, every);
@@ -726,30 +716,21 @@ fn run_resume(args: &Args) {
     print_run_summary(&label, &report);
 }
 
-/// The `fleet` subcommand: a multi-tenant cell under migration
-/// admission control (DESIGN.md §14). Prints one accounting row per
-/// tenant, a greppable `admission:` line, and the same deterministic
-/// digest `snapshot`/`resume` print — byte-identical across
-/// `PACT_JOBS`, which the CI `fleet` stage pins with `cmp`.
+/// The `fleet` subcommand: a colocated cell whose policy runs inside
+/// migration admission control (DESIGN.md §14). Prints one accounting
+/// row per tenant, a greppable `admission:` line, and the same
+/// deterministic digest `snapshot`/`resume` print.
 fn run_fleet(args: &Args) {
-    let tenants = match &args.tenants {
-        Some(spec) => pact_bench::env::parse_tenants(spec).unwrap_or_else(|e| {
-            eprintln!("invalid --tenants: {e}");
-            std::process::exit(2);
-        }),
-        None => pact_bench::env::tenants_spec()
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            })
-            .unwrap_or_else(|| {
-                // The default noisy-neighbor cell from EXPERIMENTS.md:
-                // a latency-sensitive app, a bandwidth hog, and a
-                // skew-drift store.
-                pact_bench::env::parse_tenants("app:gups:4,hog:mlc-hog:1,store:zipf-drift:2")
-                    .expect("default tenant list is valid") // Invariant: literal parses
-            }),
-    };
+    // The default noisy-neighbor cell from EXPERIMENTS.md: a
+    // latency-sensitive app, a bandwidth hog, and a skew-drift store.
+    let spec = args
+        .tenants
+        .as_deref()
+        .unwrap_or("app:gups:4,hog:mlc-hog:1,store:zipf-drift:2");
+    let tenants = pact_bench::parse_tenants(spec).unwrap_or_else(|e| {
+        eprintln!("invalid --tenants: {e}");
+        std::process::exit(2);
+    });
     let workloads: Vec<Box<dyn pact_tiersim::Workload>> = tenants
         .iter()
         .map(|t| build(&t.workload, args.scale, args.seed))
@@ -757,19 +738,17 @@ fn run_fleet(args: &Args) {
     let refs: Vec<&dyn pact_tiersim::Workload> = workloads.iter().map(|w| w.as_ref()).collect();
     let total_footprint: u64 = refs.iter().map(|w| w.footprint_bytes()).sum();
     let fast_pages = args.ratio.fast_pages(total_footprint);
-    let mut cfg = cell_machine_config(fast_pages, false, args.seed, true, 0);
-    cfg.tenants = tenants
-        .iter()
-        .map(|t| pact_tiersim::TenantSpec::new(t.name.clone(), t.qos_weight))
-        .collect();
-    cfg.admission = Some(pact_tiersim::AdmissionControl {
-        budget_per_window: args.budget.unwrap_or(4),
-        ..pact_tiersim::AdmissionControl::default()
-    });
+    let cfg = cell_machine_config(fast_pages, false, args.seed, true, 0);
     let machine = Machine::new(cfg).unwrap_or_else(|e| exit_error(e));
-    let mut policy = cell_policy(&args.policy);
+    let admission = AdmissionControl {
+        budget_per_window: args.budget.unwrap_or(4),
+        ..AdmissionControl::default()
+    };
+    let weights = tenants.iter().map(|t| t.qos_weight).collect();
+    let mut policy = Admission::new(cell_policy(&args.policy), admission, weights)
+        .unwrap_or_else(|e| exit_error(e));
     let report = machine
-        .run(RunSpec::new(&refs, policy.as_mut()))
+        .run(RunSpec::new(&refs, &mut policy))
         .unwrap_or_else(|e| exit_error(e));
 
     let label = format!(
@@ -786,23 +765,26 @@ fn run_fleet(args: &Args) {
     println!(
         "tenant            weight    accesses  promoted  demoted  admitted  rejected     stalls"
     );
-    for t in &report.tenants {
+    for ((t, p), a) in tenants.iter().zip(&report.per_process).zip(policy.lanes()) {
         println!(
             "{:<16} {:>7} {:>11} {:>9} {:>8} {:>9} {:>9} {:>10}",
             t.name,
             t.qos_weight,
-            t.counters.accesses,
-            t.promotions,
-            t.demotions,
-            t.admitted_orders,
-            t.rejected_orders,
-            t.stall_cycles[0] + t.stall_cycles[1],
+            p.accesses,
+            p.promotions,
+            p.demotions,
+            a.admitted,
+            a.rejected,
+            p.stall_cycles[0] + p.stall_cycles[1],
         );
     }
-    let admitted: u64 = report.tenants.iter().map(|t| t.admitted_orders).sum();
-    let rejected: u64 = report.tenants.iter().map(|t| t.rejected_orders).sum();
-    // Greppable one-liner the CI fleet stage asserts on.
-    println!("admission: admitted={admitted} rejected={rejected}");
+    let sum = |f: fn(&AdmissionLane) -> u64| -> u64 { policy.lanes().iter().map(f).sum() };
+    println!(
+        "admission: admitted={} rejected={} dropped={}",
+        sum(|a| a.admitted),
+        sum(|a| a.rejected),
+        sum(|a| a.dropped)
+    );
     print_report_digest(&report);
 }
 

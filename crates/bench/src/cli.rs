@@ -1,11 +1,10 @@
-//! Startup checks and exit conventions shared by the binaries.
+//! Startup checks, exit conventions and flag parsers shared by the
+//! binaries.
 
 /// Exits with status 2 if any of the parsed `PACT_*` hooks —
-/// `PACT_FAULTS`, `PACT_PROF`, `PACT_METRICS_ADDR`,
-/// `PACT_REPORT_TOPK`, `PACT_JOBS`, `PACT_SNAPSHOT` — is set but
-/// unparseable, so every binary rejects a bad
-/// environment before doing any work. Valid values are left for the
-/// harness to apply per run.
+/// `PACT_FAULTS`, `PACT_PROF`, `PACT_JOBS` — is set but unparseable,
+/// so every binary rejects a bad environment before doing any work.
+/// Valid values are left for the harness to apply per run.
 pub fn validate_fault_env() {
     if let Err(e) = crate::env::fault_plan() {
         eprintln!("error: {e}");
@@ -13,10 +12,7 @@ pub fn validate_fault_env() {
     }
     let hook_errs = [
         crate::env::prof_enabled().err(),
-        crate::env::metrics_addr().err(),
-        crate::env::report_topk().err(),
         crate::env::jobs_override().err(),
-        crate::env::snapshot_every().err(),
     ];
     if let Some(e) = hook_errs.into_iter().flatten().next() {
         eprintln!("error: {e}");
@@ -65,5 +61,84 @@ pub trait OrExit<T> {
 impl<T, E: std::fmt::Display> OrExit<T> for Result<T, E> {
     fn or_exit(self) -> T {
         self.unwrap_or_else(|e| exit_invalid_config(e))
+    }
+}
+
+/// One fleet tenant parsed from a `name:workload:weight` triple.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TenantArg {
+    /// Tenant name as it appears in the fleet report.
+    pub name: String,
+    /// Suite workload name (see [`pact_workloads::suite::build`]).
+    pub workload: String,
+    /// QoS weight (≥ 1) for the admission-control budget split.
+    pub qos_weight: u32,
+}
+
+/// Parses a fleet tenant list: comma-separated `name:workload:weight`
+/// triples, e.g. `a:gups:4,hog:mlc-hog:1,zd:zipf-drift:2` (the
+/// `tierctl fleet --tenants` flag).
+///
+/// # Errors
+///
+/// Returns a message naming the offending fragment for an empty list,
+/// a malformed triple, an empty field, a zero/invalid weight, or a
+/// duplicate tenant name.
+pub fn parse_tenants(spec: &str) -> Result<Vec<TenantArg>, String> {
+    let mut out: Vec<TenantArg> = Vec::new();
+    for frag in spec.split(',') {
+        let frag = frag.trim();
+        if frag.is_empty() {
+            return Err(format!("empty tenant entry in {spec:?}"));
+        }
+        let parts: Vec<&str> = frag.split(':').collect();
+        if parts.len() != 3 {
+            return Err(format!(
+                "invalid tenant {frag:?}: expected name:workload:weight"
+            ));
+        }
+        let (name, workload) = (parts[0].trim(), parts[1].trim());
+        if name.is_empty() || workload.is_empty() {
+            return Err(format!("invalid tenant {frag:?}: empty name or workload"));
+        }
+        let qos_weight = match parts[2].trim().parse::<u32>() {
+            Ok(w) if w >= 1 => w,
+            _ => {
+                return Err(format!(
+                    "invalid tenant {frag:?}: weight must be a positive integer"
+                ))
+            }
+        };
+        if out.iter().any(|t| t.name == name) {
+            return Err(format!("duplicate tenant name {name:?} in {spec:?}"));
+        }
+        out.push(TenantArg {
+            name: name.to_string(),
+            workload: workload.to_string(),
+            qos_weight,
+        });
+    }
+    if out.is_empty() {
+        return Err("tenant list is empty".to_string());
+    }
+    Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tenant_list_parses_and_validates() {
+        let ts = parse_tenants("a:gups:4, hog:mlc-hog:1 ,zd:zipf-drift:2").unwrap();
+        assert_eq!(ts.len(), 3);
+        assert_eq!(ts[0].name, "a");
+        assert_eq!(ts[1].workload, "mlc-hog");
+        assert_eq!(ts[2].qos_weight, 2);
+        assert!(parse_tenants("").is_err());
+        assert!(parse_tenants("a:gups").is_err());
+        assert!(parse_tenants("a:gups:0").is_err());
+        assert!(parse_tenants(":gups:1").is_err());
+        assert!(parse_tenants("a:gups:1,a:silo:2").is_err());
     }
 }

@@ -33,7 +33,8 @@ pub mod serve;
 pub mod snapfile;
 
 pub use cli::{
-    arm_hostprof_from_env, emit_hostprof_summary, exit_invalid_config, validate_fault_env, OrExit,
+    arm_hostprof_from_env, emit_hostprof_summary, exit_invalid_config, parse_tenants,
+    validate_fault_env, OrExit, TenantArg,
 };
 pub use exec::{jobs_from_env, run_indexed, try_run_indexed};
 pub use lab::{Lab, LabHarness, LabStats};

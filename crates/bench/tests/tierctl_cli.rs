@@ -13,9 +13,6 @@ fn tierctl(args: &[&str]) -> Command {
     cmd.env_remove("PACT_JOBS");
     cmd.env_remove("PACT_TRACE");
     cmd.env_remove("PACT_PROF");
-    cmd.env_remove("PACT_METRICS_ADDR");
-    cmd.env_remove("PACT_REPORT_TOPK");
-    cmd.env_remove("PACT_SNAPSHOT");
     cmd
 }
 
@@ -215,10 +212,9 @@ fn report_writes_artifacts_and_exits_0() {
 #[test]
 fn malformed_observability_env_exits_2() {
     for (var, value) in [
-        ("PACT_REPORT_TOPK", "0"),
-        ("PACT_REPORT_TOPK", "many"),
         ("PACT_PROF", "maybe"),
-        ("PACT_METRICS_ADDR", "not-an-addr"),
+        ("PACT_PROF", "2"),
+        ("PACT_PROF", "yes"),
     ] {
         let out = tierctl(&["--list"])
             .env(var, value)
@@ -236,14 +232,12 @@ fn malformed_observability_env_exits_2() {
 
 #[test]
 fn malformed_scaling_env_exits_2_naming_the_variable() {
-    // Satellite of the snapshot PR: every PACT_* knob is validated at
-    // startup with a structured one-line error that names the variable.
+    // Every PACT_* knob is validated at startup with a structured
+    // one-line error that names the variable.
     for (var, value) in [
         ("PACT_JOBS", "0"),
         ("PACT_JOBS", "-3"),
-        ("PACT_SNAPSHOT", "0"),
-        ("PACT_SNAPSHOT", "abc"),
-        ("PACT_SNAPSHOT", "-1"),
+        ("PACT_JOBS", "abc"),
     ] {
         let out = tierctl(&["--list"])
             .env(var, value)
@@ -259,6 +253,65 @@ fn malformed_scaling_env_exits_2_naming_the_variable() {
         assert!(err.contains(var), "{err}");
         assert!(err.contains(value), "{err}");
         assert_eq!(err.lines().count(), 1, "one-line error expected: {err}");
+    }
+}
+
+#[test]
+fn malformed_subcommand_flags_exit_2() {
+    for args in [
+        &["report", "--topk", "0"][..],
+        &["snapshot", "--every", "0"],
+        &["serve-metrics", "--addr", "not-an-addr"],
+    ] {
+        let out = run(args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "args {args:?}: {}",
+            stderr_of(&out)
+        );
+        assert!(out.stdout.is_empty(), "nothing may run on bad usage");
+    }
+}
+
+// --- tierctl fleet ---------------------------------------------------
+
+#[test]
+fn fleet_prints_tenant_rows_and_rejects_orders() {
+    let out = run(&["fleet", "--seed", "7"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    let rows = stdout
+        .lines()
+        .filter(|l| ["app ", "hog ", "store "].iter().any(|t| l.starts_with(t)))
+        .count();
+    assert_eq!(rows, 3, "{stdout}");
+    let rejected: u64 = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("admission: "))
+        .and_then(|l| l.split(' ').find_map(|kv| kv.strip_prefix("rejected=")))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no admission line with rejected=N:\n{stdout}"));
+    assert!(
+        rejected > 0,
+        "the fleet cell never rejected an order:\n{stdout}"
+    );
+}
+
+#[test]
+fn fleet_rejects_bad_tenants_and_budget_with_2() {
+    for args in [
+        &["fleet", "--tenants", "a:gups"][..],
+        &["fleet", "--budget", "0"],
+    ] {
+        let out = run(args);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "args {args:?}: {}",
+            stderr_of(&out)
+        );
+        assert!(out.stdout.is_empty(), "nothing may run on bad usage");
     }
 }
 

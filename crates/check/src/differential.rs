@@ -25,9 +25,8 @@
 
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
-    AdmissionControl, CriticalityReport, FaultPlan, FirstTouch, InvariantSet, Machine,
-    MachineConfig, MachineSnapshot, RunReport, RunSpec, SimError, TenantSpec, Tracer, Workload,
-    PAGE_BYTES,
+    Admission, AdmissionControl, CriticalityReport, FaultPlan, FirstTouch, InvariantSet, Machine,
+    MachineConfig, MachineSnapshot, RunReport, RunSpec, SimError, Tracer, Workload, PAGE_BYTES,
 };
 use pact_workloads::suite::{build, Scale};
 
@@ -204,9 +203,9 @@ pub fn check_cell(workload: &str, seed: u64) -> DiffLedger {
 
 /// Fleet conservation oracle (DESIGN.md §14): colocates the cell's
 /// workload with the `mlc-hog` bandwidth antagonist and the
-/// `zipf-drift` skew tenant under migration admission control, then
-/// demands that the per-tenant `[fast, slow]` stall lanes sum to the
-/// page-stall oracle's totals and that the admission controller both
+/// `zipf-drift` skew tenant under PACT wrapped in admission control,
+/// then demands that the per-process `[fast, slow]` stall lanes sum to
+/// the page-stall oracle's totals and that admission control both
 /// admitted and rejected orders. (The PMU counters and migration
 /// ledger need no check: the machine's globals are the lanes' sum.)
 ///
@@ -225,37 +224,35 @@ pub fn tenant_conservation_oracle(workload: &str, seed: u64) -> Result<(), Strin
     let mut cfg = MachineConfig::skylake_cxl((total_pages / 2).max(1));
     cfg.seed = seed;
     cfg.track_page_stalls = true;
-    cfg.tenants = vec![
-        TenantSpec::new(cell.name(), 4),
-        TenantSpec::new("mlc-hog", 1),
-        TenantSpec::new("zipf-drift", 2),
-    ];
     // A deliberately tight budget so the admission path (tokens,
     // deferrals, backpressure) actually runs on a smoke-scale cell.
-    cfg.admission = Some(AdmissionControl {
+    let admission = AdmissionControl {
         budget_per_window: 4,
         ..AdmissionControl::default()
-    });
+    };
+    let mut policy = Admission::new(Box::new(default_pact()), admission, vec![4, 1, 2])
+        // Invariant: a positive budget and positive weights are valid.
+        .expect("admission config is valid");
 
     // Invariant: the preset plus validated-range edits construct.
     let m = Machine::new(cfg).expect("fleet config is valid");
     let base = m
-        .run(RunSpec::new(&tenants, &mut default_pact()))
+        .run(RunSpec::new(&tenants, &mut policy))
         .map_err(|e| format!("fleet run failed: {e}"))?;
-    if base.tenants.len() != 3 {
+    if base.per_process.len() != 3 {
         return Err(format!(
-            "expected 3 tenant lanes, report has {}",
-            base.tenants.len()
+            "expected 3 process lanes, report has {}",
+            base.per_process.len()
         ));
     }
 
     // The PMU counters and the migration ledger partition the globals
-    // by construction: the machine stores them only in per-tenant
+    // by construction: the machine stores them only in per-process
     // lanes and reports the globals as the lanes' sum. The stall lanes
     // are checked against the page-stall oracle, which is independent
     // data.
-    let lane = |f: &dyn Fn(&pact_tiersim::TenantReport) -> u64| -> u64 {
-        base.tenants.iter().map(f).sum()
+    let lane = |f: &dyn Fn(&pact_tiersim::ProcessReport) -> u64| -> u64 {
+        base.per_process.iter().map(f).sum()
     };
     // Exact partition of the page-stall oracle.
     let mut oracle_totals = [0u64; 2];
@@ -273,15 +270,15 @@ pub fn tenant_conservation_oracle(workload: &str, seed: u64) -> Result<(), Strin
         let sum = lane(&|t| t.stall_cycles[i]);
         if total != sum {
             return Err(format!(
-                "tenant stall lane {i} sums to {sum}, oracle total is {total}"
+                "process stall lane {i} sums to {sum}, oracle total is {total}"
             ));
         }
     }
 
-    // The admission controller must have engaged on this cell: three
-    // tenants against a 4-orders/window budget cannot all be admitted.
-    let rejected = lane(&|t| t.rejected_orders);
-    let admitted = lane(&|t| t.admitted_orders);
+    // Admission control must have engaged on this cell: three
+    // processes against a 4-orders/window budget cannot all be admitted.
+    let rejected: u64 = policy.lanes().iter().map(|l| l.rejected).sum();
+    let admitted: u64 = policy.lanes().iter().map(|l| l.admitted).sum();
     if admitted == 0 {
         return Err("admission controller admitted no orders".to_string());
     }

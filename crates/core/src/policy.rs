@@ -51,9 +51,8 @@ pub struct PactPolicy {
     /// Cumulative failed/dropped migration orders observed through
     /// `PolicyCtx` as of the last period (graceful-degradation state).
     failures_seen: u64,
-    /// Cumulative fleet admission-control rejections observed as of the
-    /// last period. Stays 0 outside fleet mode (`tenant_count() == 0`),
-    /// so legacy runs are bit-identical to builds without this field.
+    /// Cumulative admission-control rejections observed as of the last
+    /// period. Stays 0 unless PACT runs inside an admission wrapper.
     rejections_seen: u64,
 }
 
@@ -204,22 +203,19 @@ impl PactPolicy {
         let mut per_period_cap =
             (fast_units as usize / 8).clamp(4, self.cfg.max_promotions_per_period);
 
-        // Fleet-mode backoff: when the machine's admission controller
-        // rejected orders since the last period (token exhaustion or
-        // channel backpressure on a multi-tenant cell), halve this
-        // period's promotion burst instead of hammering a saturated
-        // migration path — deferred orders are already queued for retry
-        // and fresh orders would only displace them. Gated on
-        // tenant_count() so legacy single-workload runs are
-        // bit-identical to builds without fleet mode.
-        if ctx.tenant_count() > 0 {
-            let rejections = ctx.admission_rejections();
-            let new_rejections = rejections.saturating_sub(self.rejections_seen);
-            self.rejections_seen = rejections;
-            if new_rejections > 0 {
-                ctx.telemetry("admission_rejections", new_rejections as f64);
-                per_period_cap = (per_period_cap / 2).max(1);
-            }
+        // Admission backoff: when admission control rejected orders
+        // since the last period (token exhaustion or channel
+        // backpressure), halve this period's promotion burst instead of
+        // hammering a saturated migration path — deferred orders are
+        // already queued for retry and fresh orders would only displace
+        // them. Without an admission wrapper there are no rejections,
+        // so this changes nothing.
+        let rejections = ctx.admission_rejections();
+        let new_rejections = rejections.saturating_sub(self.rejections_seen);
+        self.rejections_seen = rejections;
+        if new_rejections > 0 {
+            ctx.telemetry("admission_rejections", new_rejections as f64);
+            per_period_cap = (per_period_cap / 2).max(1);
         }
         candidates.truncate(per_period_cap);
 

@@ -282,17 +282,6 @@ pub fn chrome_trace(label: &str, events: &[TraceEvent], windows: &[WindowRow<'_>
                 j.end_object();
                 j.end_object();
             }
-            EventKind::AdmissionRejected { tenant, page, to } => {
-                event_header(&mut j, "admission-rejected", "I", ev.cycle, TID_MIGRATION);
-                j.field_str("s", "t");
-                j.key("args");
-                j.begin_object();
-                j.field_u64("tenant", tenant as u64);
-                j.field_u64("page", page);
-                j.field_str("to", tier_name(to));
-                j.end_object();
-                j.end_object();
-            }
         }
     }
 
@@ -397,11 +386,6 @@ pub fn jsonl(label: &str, events: &[TraceEvent], windows: &[WindowRow<'_>]) -> S
                 j.field_u64("page", page);
                 j.field_str("to", tier_name(to));
                 j.field_u64("attempt", attempt as u64);
-            }
-            EventKind::AdmissionRejected { tenant, page, to } => {
-                j.field_u64("tenant", tenant as u64);
-                j.field_u64("page", page);
-                j.field_str("to", tier_name(to));
             }
         }
         j.end_object();

@@ -141,12 +141,6 @@ impl JsonWriter {
         self.buf.push_str(if v { "true" } else { "false" });
     }
 
-    /// Writes a `null` value.
-    pub fn value_null(&mut self) {
-        self.before_value();
-        self.buf.push_str("null");
-    }
-
     /// Key + string value.
     pub fn field_str(&mut self, k: &str, v: &str) {
         self.key(k);
@@ -431,13 +425,11 @@ mod tests {
             j.end_object();
         }
         j.end_array();
-        j.key("nothing");
-        j.value_null();
         j.end_object();
         let s = j.finish();
         assert_eq!(
             s,
-            r#"{"policy":"pact","cycles":12345,"slowdown":0.26,"thp":false,"windows":[{"index":0},{"index":1}],"nothing":null}"#
+            r#"{"policy":"pact","cycles":12345,"slowdown":0.26,"thp":false,"windows":[{"index":0},{"index":1}]}"#
         );
         validate(&s).unwrap();
     }

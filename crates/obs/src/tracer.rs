@@ -134,16 +134,6 @@ pub enum EventKind {
         /// 1-based retry attempt.
         attempt: u32,
     },
-    /// Admission control rejected a migration order at issue (token
-    /// bucket empty or channel backpressure) and deferred it.
-    AdmissionRejected {
-        /// Index of the tenant whose order was rejected.
-        tenant: u32,
-        /// Global page number of the rejected unit.
-        page: u64,
-        /// Destination tier index.
-        to: TierIdx,
-    },
 }
 
 impl EventKind {
@@ -161,7 +151,6 @@ impl EventKind {
             EventKind::PolicyTelemetry { .. } => "policy_telemetry",
             EventKind::FaultInjected { .. } => "fault_injected",
             EventKind::OrderRetried { .. } => "order_retried",
-            EventKind::AdmissionRejected { .. } => "admission_rejected",
         }
     }
 }
@@ -242,12 +231,6 @@ impl EventKind {
                 w.put_u8(to);
                 w.put_u32(attempt);
             }
-            EventKind::AdmissionRejected { tenant, page, to } => {
-                w.put_u8(11);
-                w.put_u32(tenant);
-                w.put_u64(page);
-                w.put_u8(to);
-            }
         }
     }
 
@@ -304,11 +287,6 @@ impl EventKind {
                 page: r.get_u64().map_err(e)?,
                 to: r.get_u8().map_err(e)?,
                 attempt: r.get_u32().map_err(e)?,
-            },
-            11 => EventKind::AdmissionRejected {
-                tenant: r.get_u32().map_err(e)?,
-                page: r.get_u64().map_err(e)?,
-                to: r.get_u8().map_err(e)?,
             },
             // Unknown tags (a newer frame) are an error, never a variant.
             other => return Err(format!("unknown trace event tag {other}")),
@@ -367,12 +345,6 @@ impl Tracer {
             head: 0,
             overwritten: 0,
         }
-    }
-
-    /// Whether this sink records events.
-    #[inline(always)]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Records one event (no-op on a disabled sink).
@@ -500,7 +472,6 @@ mod tests {
         for i in 0..10_000 {
             t.emit(i, EventKind::PromotionRejected { page: i });
         }
-        assert!(!t.is_enabled());
         assert!(t.is_empty());
         assert_eq!(t.capacity(), 0);
         // The backing vector must not have grown: zero capacity means
@@ -631,24 +602,6 @@ mod tests {
         assert_eq!(tier_name(1), "slow");
     }
 
-    #[test]
-    fn admission_rejection_round_trips() {
-        let mut t = Tracer::ring(4);
-        let kind = EventKind::AdmissionRejected {
-            tenant: 2,
-            page: 4096,
-            to: 0,
-        };
-        assert_eq!(kind.name(), "admission_rejected");
-        t.emit(17, kind);
-        let mut w = ByteWriter::new();
-        t.encode_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = Tracer::ring(4);
-        fresh.decode_state(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(fresh.events_in_order(), t.events_in_order());
-    }
-
     /// One value of every [`EventKind`] variant, in tag order. A new
     /// variant belongs here too.
     fn one_of_each() -> Vec<EventKind> {
@@ -696,11 +649,6 @@ mod tests {
                 page: 13,
                 to: 0,
                 attempt: 3,
-            },
-            EventKind::AdmissionRejected {
-                tenant: 2,
-                page: 14,
-                to: 1,
             },
         ]
     }

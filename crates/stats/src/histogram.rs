@@ -130,11 +130,6 @@ impl Histogram {
         self.origin + self.width * i as f64
     }
 
-    /// Index of the highest non-empty bin, if any observation was recorded.
-    pub fn highest_nonempty(&self) -> Option<usize> {
-        self.counts.iter().rposition(|&c| c > 0)
-    }
-
     /// Clears all counts, keeping the geometry.
     pub fn reset(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);
@@ -179,7 +174,6 @@ mod tests {
         h.add(1e9); // above -> last bin
         assert_eq!(h.counts(), &[3, 0, 1, 1]);
         assert_eq!(h.total(), 5);
-        assert_eq!(h.highest_nonempty(), Some(3));
     }
 
     #[test]

@@ -83,14 +83,6 @@ impl SplitMix64 {
     pub fn random_range<R: UniformRange>(&mut self, range: R) -> R::Output {
         range.sample(self)
     }
-
-    /// Fills `dest` with pseudo-random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.step().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 /// Types [`SplitMix64::random`] can draw uniformly.
@@ -214,14 +206,6 @@ mod tests {
         assert_eq!(z, 5);
         let f = r.random_range(-2.0f64..3.0);
         assert!((-2.0..3.0).contains(&f));
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = SplitMix64::new(9);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

@@ -98,19 +98,6 @@ impl<'a> CriticalityReport<'a> {
         f.finish()
     }
 
-    /// Per-tenant stall lanes `(name, [fast, slow])` in tenant order.
-    /// Empty for legacy single-workload runs. The lanes are an exact
-    /// partition of [`tier_totals`](Self::tier_totals): tenants own
-    /// disjoint base-page ranges, so the machine derives each lane by
-    /// slicing the same oracle this report renders.
-    pub fn tenant_lanes(&self) -> Vec<(&'a str, [u64; 2])> {
-        self.report
-            .tenants
-            .iter()
-            .map(|t| (t.name.as_str(), t.stall_cycles))
-            .collect()
-    }
-
     /// The `topk` pages with the highest total blame (both lanes
     /// summed), most-critical first.
     pub fn top_pages(&self) -> Vec<(PageId, u64)> {
@@ -147,23 +134,6 @@ impl<'a> CriticalityReport<'a> {
         j.value_u64(totals[1]);
         j.end_array();
         j.field_u64("topk", self.topk as u64);
-        // Fleet lanes: present only for fleet runs so legacy report
-        // bytes (pinned by pact-check) are unchanged.
-        if !self.report.tenants.is_empty() {
-            j.key("tenants");
-            j.begin_array();
-            for (name, lanes) in self.tenant_lanes() {
-                j.begin_object();
-                j.field_str("name", name);
-                j.key("stall_cycles");
-                j.begin_array();
-                j.value_u64(lanes[0]);
-                j.value_u64(lanes[1]);
-                j.end_array();
-                j.end_object();
-            }
-            j.end_array();
-        }
         j.key("top_pages");
         j.begin_array();
         for (p, cycles) in self.top_pages() {
@@ -208,22 +178,6 @@ impl<'a> CriticalityReport<'a> {
             totals[1],
         )
         .unwrap(); // Invariant: see above
-        if !self.report.tenants.is_empty() {
-            out.push_str("\n## Per-tenant stall lanes\n\n");
-            out.push_str("| tenant | fast stalls | slow stalls | share |\n");
-            out.push_str("|--------|------------:|------------:|------:|\n");
-            for (name, lanes) in self.tenant_lanes() {
-                writeln!(
-                    out,
-                    "| {} | {} | {} | {:.1}% |",
-                    name,
-                    lanes[0],
-                    lanes[1],
-                    (lanes[0] + lanes[1]) as f64 * 100.0 / total as f64,
-                )
-                .unwrap(); // Invariant: writing to a String cannot fail.
-            }
-        }
         out.push_str("\n## Most critical pages\n\n");
         out.push_str("| rank | page | region | stall cycles | share |\n");
         out.push_str("|-----:|-----:|-------:|-------------:|------:|\n");
@@ -283,7 +237,6 @@ mod tests {
             dropped_orders: 0,
             windows: Vec::new(),
             page_stalls: stalls,
-            tenants: Vec::new(),
         }
     }
 

@@ -128,64 +128,6 @@ pub struct MigrationConfig {
     pub shootdown_cycles_per_page: u64,
 }
 
-/// One tenant in a multi-tenant fleet cell.
-///
-/// Tenants map 1:1 onto the colocated workloads of a
-/// [`RunSpec`](crate::RunSpec): tenant `i` owns workload `i`'s
-/// threads and its page-ownership partition (the disjoint base-page
-/// range the colocation layout already assigns to each process). The
-/// spec adds a display name and a QoS weight; the weight divides the
-/// fleet-wide migration budget when admission control is enabled.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TenantSpec {
-    /// Display name used for per-tenant metric rows and reports.
-    pub name: String,
-    /// QoS weight (≥ 1). Migration budgets are split proportionally.
-    pub qos_weight: u32,
-}
-
-impl TenantSpec {
-    /// Convenience constructor.
-    pub fn new(name: impl Into<String>, qos_weight: u32) -> Self {
-        Self {
-            name: name.into(),
-            qos_weight,
-        }
-    }
-}
-
-/// TierBPF-style migration admission control for fleet cells.
-///
-/// Each tenant gets a token bucket refilled every sampling window with
-/// `max(1, budget_per_window * weight / Σweights)` tokens; issuing a
-/// promotion or demotion order consumes one token. Orders issued with
-/// an empty bucket — or while a memory channel's end-of-window backlog
-/// exceeds `saturation_backlog_cycles` (backpressure) — are rejected
-/// and deferred onto a bounded retry queue with doubling backoff.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionControl {
-    /// Fleet-wide migration-order budget per sampling window, divided
-    /// across tenants by QoS weight.
-    pub budget_per_window: u64,
-    /// Channel backlog (cycles beyond the window edge) at which the
-    /// cell is considered saturated and all migrations are deferred.
-    pub saturation_backlog_cycles: f64,
-    /// Windows a rejected order waits before its first retry; doubles
-    /// on each further rejection (max [`crate::machine::MAX_DEFERRALS`]
-    /// attempts, then the order is dropped).
-    pub defer_windows: u64,
-}
-
-impl Default for AdmissionControl {
-    fn default() -> Self {
-        Self {
-            budget_per_window: 512,
-            saturation_backlog_cycles: 20_000.0,
-            defer_windows: 1,
-        }
-    }
-}
-
 /// Full machine configuration.
 ///
 /// Construct with [`MachineConfig::skylake_cxl`] (the paper's testbed) or
@@ -240,8 +182,7 @@ pub struct MachineConfig {
     /// a snapshot sink is installed (`0` disables capture, the zero-cost
     /// default). The field is *excluded* from the snapshot
     /// configuration fingerprint, so a run may be resumed under a
-    /// different capture cadence. Binaries resolve `PACT_SNAPSHOT` into
-    /// this field at the edge.
+    /// different capture cadence.
     pub snapshot_every: u64,
     /// Deterministic fault-injection plan ([`crate::fault`]); `None`
     /// disables injection entirely (the zero-cost default).
@@ -250,15 +191,6 @@ pub struct MachineConfig {
     /// disables it entirely — the zero-cost default, leaving run output
     /// byte-identical to a build without the checking layer.
     pub invariants: Option<InvariantSet>,
-    /// Fleet mode: one [`TenantSpec`] per colocated workload. Empty
-    /// (the default) keeps the legacy single-tenant machine with
-    /// byte-identical output; non-empty must match the colocated
-    /// workload count and enables per-tenant accounting. Binaries
-    /// resolve `PACT_TENANTS` into this field at the edge.
-    pub tenants: Vec<TenantSpec>,
-    /// Migration admission control; requires a non-empty tenant list.
-    /// `None` (the default) issues every order unconditionally.
-    pub admission: Option<AdmissionControl>,
 }
 
 impl MachineConfig {
@@ -311,8 +243,6 @@ impl MachineConfig {
             snapshot_every: 0,
             fault_plan: None,
             invariants: None,
-            tenants: Vec::new(),
-            admission: None,
         }
     }
 
@@ -374,30 +304,6 @@ impl MachineConfig {
         if let Some(plan) = &self.fault_plan {
             plan.validate().map_err(ConfigError)?;
         }
-        for t in &self.tenants {
-            if t.name.is_empty() {
-                return Err(ConfigError("tenant names must be non-empty"));
-            }
-            if t.qos_weight == 0 {
-                return Err(ConfigError("tenant qos_weight must be at least 1"));
-            }
-        }
-        if let Some(adm) = &self.admission {
-            if self.tenants.is_empty() {
-                return Err(ConfigError("admission control requires a tenant list"));
-            }
-            if adm.budget_per_window == 0 {
-                return Err(ConfigError("admission.budget_per_window must be positive"));
-            }
-            if !(adm.saturation_backlog_cycles > 0.0) {
-                return Err(ConfigError(
-                    "admission.saturation_backlog_cycles must be positive",
-                ));
-            }
-            if adm.defer_windows == 0 {
-                return Err(ConfigError("admission.defer_windows must be positive"));
-            }
-        }
         Ok(())
     }
 }
@@ -410,7 +316,7 @@ impl Default for MachineConfig {
 
 /// Error returned by [`MachineConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConfigError(&'static str);
+pub struct ConfigError(pub(crate) &'static str);
 
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -476,30 +382,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.fault_plan = Some(FaultPlan::default());
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn tenant_and_admission_validation_is_wired() {
-        let mut cfg = MachineConfig::default();
-        cfg.admission = Some(AdmissionControl::default());
-        assert!(cfg.validate().is_err(), "admission without tenants");
-        cfg.tenants = vec![TenantSpec::new("a", 1), TenantSpec::new("b", 3)];
-        assert!(cfg.validate().is_ok());
-        cfg.tenants[1].qos_weight = 0;
-        assert!(cfg.validate().is_err(), "zero qos weight");
-        cfg.tenants[1] = TenantSpec::new("", 1);
-        assert!(cfg.validate().is_err(), "empty tenant name");
-        cfg.tenants[1] = TenantSpec::new("b", 1);
-        cfg.admission = Some(AdmissionControl {
-            budget_per_window: 0,
-            ..AdmissionControl::default()
-        });
-        assert!(cfg.validate().is_err(), "zero budget");
-        cfg.admission = Some(AdmissionControl {
-            defer_windows: 0,
-            ..AdmissionControl::default()
-        });
-        assert!(cfg.validate().is_err(), "zero defer_windows");
     }
 
     #[test]

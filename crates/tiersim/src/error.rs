@@ -38,11 +38,11 @@ pub enum SimError {
     /// (corrupt frame, version/configuration mismatch, or a policy
     /// without snapshot support).
     Snapshot(String),
-    /// Fleet mode: the configured tenant list does not match the
-    /// colocated workload count (tenants map 1:1 onto workloads).
-    TenantMismatch {
-        /// Tenants in [`MachineConfig::tenants`](crate::MachineConfig::tenants).
-        tenants: usize,
+    /// An [`Admission`](crate::Admission) policy carries a different
+    /// number of QoS weights than the run has colocated workloads.
+    WeightMismatch {
+        /// QoS weights the policy was built with.
+        weights: usize,
         /// Colocated workloads passed to the run.
         workloads: usize,
     },
@@ -72,9 +72,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::Invariant(v) => write!(f, "{v}"),
             SimError::Snapshot(reason) => write!(f, "snapshot error: {reason}"),
-            SimError::TenantMismatch { tenants, workloads } => write!(
+            SimError::WeightMismatch { weights, workloads } => write!(
                 f,
-                "fleet config lists {tenants} tenants but {workloads} workloads are colocated"
+                "admission control has {weights} qos weights but {workloads} workloads are colocated"
             ),
             SimError::AddressOutOfRange {
                 workload,

@@ -48,6 +48,7 @@
 #![allow(clippy::neg_cmp_op_on_partial_ord)]
 #![allow(clippy::field_reassign_with_default)]
 
+mod admission;
 mod attribution;
 mod cache;
 mod chmu;
@@ -66,19 +67,18 @@ mod trace;
 mod types;
 mod workload;
 
+pub use admission::{Admission, AdmissionControl, AdmissionLane, MAX_DEFERRALS};
 pub use attribution::{CriticalityReport, DEFAULT_REPORT_TOPK};
 pub use cache::{line_of, Llc, StrideDetector};
 pub use chmu::{Chmu, SpaceSaving};
 pub use config::{
-    AdmissionControl, ConfigError, LlcConfig, MachineConfig, MigrationConfig, PebsConfig,
-    PebsScope, PrefetchConfig, TenantSpec, TierConfig,
+    ConfigError, LlcConfig, MachineConfig, MigrationConfig, PebsConfig, PebsScope, PrefetchConfig,
+    TierConfig,
 };
 pub use error::SimError;
 pub use fault::{FaultPlan, StallFault, FAULTS_ENV};
 pub use invariant::{InvariantSet, InvariantViolation};
-pub use machine::{
-    Machine, ProcessReport, RunReport, RunSpec, TenantReport, WindowRecord, MAX_DEFERRALS,
-};
+pub use machine::{Machine, ProcessReport, RunReport, RunSpec, WindowRecord};
 pub use mem::Memory;
 pub use observe::export_trace;
 pub use pact_obs::{

@@ -76,49 +76,13 @@ pub struct WindowRecord {
     pub metrics: Vec<(&'static str, f64)>,
 }
 
-/// Per-tenant completion summary of a fleet run (one entry per
-/// [`crate::TenantSpec`]; empty for legacy single-tenant runs).
+/// Completion summary of one simulated process, with its counter lane.
 ///
-/// Every per-tenant quantity is an exact partition of the run's global
-/// totals by construction: the machine keeps its counters only in
-/// per-tenant lanes (bumped by the owning thread, or the owning page
-/// for migration traffic) and derives the globals by summing them,
-/// and stall lanes partition the page-stalls oracle by the tenant's
-/// disjoint base-page range.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantReport {
-    /// Tenant display name from the spec.
-    pub name: String,
-    /// QoS weight from the spec.
-    pub qos_weight: u32,
-    /// First base page of the tenant's address-space partition.
-    pub base_page: u64,
-    /// Size of the partition in base pages.
-    pub pages: u64,
-    /// Hardware counters attributed to this tenant.
-    pub counters: PmuCounters,
-    /// Base pages promoted on this tenant's behalf.
-    pub promotions: u64,
-    /// Base pages demoted on this tenant's behalf.
-    pub demotions: u64,
-    /// Promotion orders for this tenant's pages rejected for lack of
-    /// fast-tier space (or abandoned after retry exhaustion).
-    pub failed_promotions: u64,
-    /// Migration orders for this tenant's pages dropped (queue
-    /// overflow, injected drops, or deferral exhaustion).
-    pub dropped_orders: u64,
-    /// Orders that passed admission control (all orders when admission
-    /// control is off).
-    pub admitted_orders: u64,
-    /// Orders rejected by admission control (token bucket empty or
-    /// channel backpressure) and deferred.
-    pub rejected_orders: u64,
-    /// Stall cycles blamed on this tenant's pages, `[fast, slow]`
-    /// (all zero unless `track_page_stalls` was configured).
-    pub stall_cycles: [u64; 2],
-}
-
-/// Completion summary of one simulated process.
+/// The machine keeps its counters only in per-process lanes (bumped by
+/// the owning thread, or for migration traffic by the owning page) and
+/// derives the run totals by summing them, so the lanes partition the
+/// totals exactly. The stall lanes partition the page-stalls oracle by
+/// the process's disjoint base-page range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProcessReport {
     /// Workload name.
@@ -127,6 +91,21 @@ pub struct ProcessReport {
     pub cycles: u64,
     /// Accesses the process performed.
     pub accesses: u64,
+    /// Hardware counters attributed to this process.
+    pub counters: PmuCounters,
+    /// Base pages of this process promoted.
+    pub promotions: u64,
+    /// Base pages of this process demoted.
+    pub demotions: u64,
+    /// Promotion orders for this process's pages rejected for lack of
+    /// fast-tier space (or abandoned after retry exhaustion).
+    pub failed_promotions: u64,
+    /// Migration orders for this process's pages dropped (queue
+    /// overflow or injected drops).
+    pub dropped_orders: u64,
+    /// Stall cycles blamed on this process's pages, `[fast, slow]`
+    /// (all zero unless `track_page_stalls` was configured).
+    pub stall_cycles: [u64; 2],
 }
 
 /// Result of one machine run.
@@ -159,9 +138,6 @@ pub struct RunReport {
     /// iterate the oracle (reports, diffs) see a deterministic
     /// sequence (det-hash-collections).
     pub page_stalls: Option<std::collections::BTreeMap<PageId, [u64; 2]>>,
-    /// Per-tenant summaries (fleet mode only; empty for legacy runs,
-    /// keeping single-tenant report JSON byte-identical).
-    pub tenants: Vec<TenantReport>,
 }
 
 /// A deterministic tiered-memory machine.
@@ -200,28 +176,6 @@ impl Machine {
     /// The configuration in force.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// Static machine facts for policy preparation.
-    pub fn info(&self, total_pages: u64) -> MachineInfo {
-        MachineInfo {
-            fast_tier_pages: self.cfg.fast_tier_pages,
-            total_pages,
-            thp: self.cfg.thp,
-            unit_span: if self.cfg.thp {
-                self.cfg.thp_unit_pages
-            } else {
-                1
-            },
-            window_cycles: self.cfg.window_cycles,
-            latency_cycles: [
-                self.cfg.latency_cycles(Tier::Fast),
-                self.cfg.latency_cycles(Tier::Slow),
-            ],
-            pebs_rate: self.cfg.pebs.rate,
-            freq_ghz: self.cfg.freq_ghz,
-            mshrs: self.cfg.mshrs,
-        }
     }
 
     /// Runs one simulation as described by `spec`: each call is an
@@ -330,9 +284,6 @@ impl<'a> RunSpec<'a> {
 struct ThreadState<'w> {
     stream: Box<dyn AccessStream + 'w>,
     proc: usize,
-    /// Counter lane this thread's accesses land in (its tenant's, or
-    /// the single lane of an untenanted run).
-    lane: usize,
     base_page: u64,
     footprint_bytes: u64,
     /// Accesses consumed from `stream` so far. Snapshot restore
@@ -361,16 +312,14 @@ const PREFETCH_BACKLOG_LIMIT: f64 = 150.0;
 
 struct ProcState {
     name: String,
-    accesses: u64,
     finish: u64,
     background: bool,
 }
 
-/// One counter lane: the PMU counters plus the migration and admission
-/// ledger of one tenant, or of the whole run when it is untenanted.
-/// Lanes are the machine's only counter storage; run totals are sums
-/// over lanes, taken where they are read, so per-tenant accounting
-/// partitions the totals by arithmetic.
+/// One counter lane: the PMU counters plus the migration ledger of one
+/// colocated process. Lanes are the machine's only counter storage; run
+/// totals are sums over lanes, taken where they are read, so
+/// per-process accounting partitions the totals by arithmetic.
 #[derive(Debug, Default, Clone, Copy)]
 struct Lane {
     pmu: PmuCounters,
@@ -378,8 +327,6 @@ struct Lane {
     demotions: u64,
     failed_promotions: u64,
     dropped_orders: u64,
-    admitted_orders: u64,
-    rejected_orders: u64,
 }
 
 impl Lane {
@@ -391,16 +338,12 @@ impl Lane {
             demotions,
             failed_promotions,
             dropped_orders,
-            admitted_orders,
-            rejected_orders,
         } = other;
         self.pmu.add(pmu);
         self.promotions += promotions;
         self.demotions += demotions;
         self.failed_promotions += failed_promotions;
         self.dropped_orders += dropped_orders;
-        self.admitted_orders += admitted_orders;
-        self.rejected_orders += rejected_orders;
     }
 
     fn encode_state(&self, w: &mut ByteWriter) {
@@ -410,18 +353,9 @@ impl Lane {
             demotions,
             failed_promotions,
             dropped_orders,
-            admitted_orders,
-            rejected_orders,
         } = self;
         pmu.encode_state(w);
-        for &v in [
-            promotions,
-            demotions,
-            failed_promotions,
-            dropped_orders,
-            admitted_orders,
-            rejected_orders,
-        ] {
+        for &v in [promotions, demotions, failed_promotions, dropped_orders] {
             w.put_u64(v);
         }
     }
@@ -435,20 +369,8 @@ impl Lane {
             demotions: get()?,
             failed_promotions: get()?,
             dropped_orders: get()?,
-            admitted_orders: get()?,
-            rejected_orders: get()?,
         })
     }
-}
-
-/// Dense metric handles for one tenant's registry rows (names are
-/// interned `tenant/<name>/...` strings built once in `Sim::new`).
-#[derive(Debug, Clone, Copy)]
-struct TenantMetrics {
-    m_accesses: MetricId,
-    m_promoted: MetricId,
-    m_rejected: MetricId,
-    m_tokens: MetricId,
 }
 
 struct Sim<'a, 'w> {
@@ -470,6 +392,10 @@ struct Sim<'a, 'w> {
     /// Reusable due-retry buffer for the window loop.
     retry_buf: Vec<RetryEntry>,
     procs: Vec<ProcState>,
+    /// First base page of each process (ascending; index 0 holds 0):
+    /// processes own disjoint page ranges, and lane `i` is process
+    /// `i`'s.
+    process_base: Vec<u64>,
     mem: Memory,
     llc: Llc,
     chmu: Option<Chmu>,
@@ -477,8 +403,8 @@ struct Sim<'a, 'w> {
     rng: SplitMix64,
     /// Coverage dice threshold on the draw's 53-bit integer.
     prefetch_threshold: u64,
-    /// Counter lanes, one per tenant (one for an untenanted run): the
-    /// only counter storage. Run totals are sums over lanes.
+    /// Counter lanes, one per process: the only counter storage. Run
+    /// totals are sums over lanes.
     lanes: Vec<Lane>,
     latency: [u64; 2],
     channels: [Channel; 2],
@@ -523,6 +449,9 @@ struct Sim<'a, 'w> {
     /// per-window delta becomes `WindowRecord::trace_dropped_events`.
     overwritten_seen: u64,
     chan_lines_seen: [u64; 2],
+    /// Channel backlog per tier at the last window edge, lent to the
+    /// policy.
+    edge_backlog: [f64; 2],
     /// Start cycle of an ongoing channel-saturation episode, per tier.
     saturated_since: [Option<u64>; 2],
     /// Fault injection, present only when the configuration carries an
@@ -538,35 +467,10 @@ struct Sim<'a, 'w> {
     /// `cfg.snapshot_every > 0`, sealed frames are handed to it every
     /// `snapshot_every` completed windows.
     snap_sink: Option<&'a mut dyn FnMut(MachineSnapshot)>,
-    // Fleet mode (cfg.tenants non-empty). All vectors below are empty
-    // on untenanted runs, which keep one counter lane and no
-    // per-tenant metrics. Tenant i owns colocated workload i's threads
-    // and pages, and counter lane i.
-    /// First base page per tenant (ascending; index 0 holds 0). Page
-    /// ownership is `partition_point` over this vector.
-    tenant_base: Vec<u64>,
-    /// Partition size per tenant in base pages.
-    tenant_pages: Vec<u64>,
-    /// Remaining admission tokens this window / per-window refill,
-    /// both empty unless admission control is configured.
-    tenant_tokens: Vec<u64>,
-    tenant_budget: Vec<u64>,
-    tenant_metrics: Vec<TenantMetrics>,
-    /// Admission-rejected orders awaiting retry:
-    /// `(due_window, attempt, order)`, bounded by [`ORDER_QUEUE_CAP`].
-    admission_deferred: VecDeque<(u64, u32, MigrationOrder)>,
-    /// Channel-saturation backpressure flag, recomputed at every window
-    /// edge from end-of-window channel backlog; while set, admission
-    /// control defers every order.
-    backpressured: bool,
 }
 
 /// Maximum pending async migration orders before new ones are dropped.
 const ORDER_QUEUE_CAP: usize = 1 << 16;
-
-/// Maximum admission-control deferrals of one order before it is
-/// dropped (each deferral doubles the wait, like fault retries).
-pub const MAX_DEFERRALS: u32 = 3;
 
 /// Channel backlog (in cycles of channel time, sampled at window
 /// boundaries) beyond which the channel counts as saturated for
@@ -618,32 +522,21 @@ impl<'a, 'w> Sim<'a, 'w> {
         policy: &'a mut dyn TieringPolicy,
         tracer: &'a mut Tracer,
     ) -> Result<Self, SimError> {
-        if !cfg.tenants.is_empty() && cfg.tenants.len() != workloads.len() {
-            return Err(SimError::TenantMismatch {
-                tenants: cfg.tenants.len(),
-                workloads: workloads.len(),
-            });
-        }
         let mut threads = Vec::new();
         let mut gated: Vec<Option<u32>> = Vec::new();
         let mut procs = Vec::new();
-        let mut proc_base = Vec::new();
-        let mut proc_pages = Vec::new();
+        let mut process_base = Vec::new();
         let mut next_base_page = 0u64;
         for (pi, wl) in workloads.iter().enumerate() {
-            // Tenant i owns lane i; an untenanted run has one lane.
-            let lane = if cfg.tenants.is_empty() { 0 } else { pi };
             let fp_bytes = wl.footprint_bytes();
             let fp_pages = fp_bytes.div_ceil(PAGE_BYTES);
             let fp_pages = fp_pages.div_ceil(HUGE_PAGE_SPAN) * HUGE_PAGE_SPAN;
             let base_page = next_base_page;
             next_base_page += fp_pages;
-            proc_base.push(base_page);
-            proc_pages.push(fp_pages);
+            process_base.push(base_page);
             let mk = |stream| ThreadState {
                 stream,
                 proc: pi,
-                lane,
                 base_page,
                 footprint_bytes: fp_bytes,
                 consumed: 0,
@@ -668,7 +561,6 @@ impl<'a, 'w> Sim<'a, 'w> {
             }
             procs.push(ProcState {
                 name: wl.name(),
-                accesses: 0,
                 finish: 0,
                 background: wl.is_background(),
             });
@@ -685,7 +577,7 @@ impl<'a, 'w> Sim<'a, 'w> {
         }
         let unit_span = if cfg.thp { cfg.thp_unit_pages } else { 1 };
         let mem = Memory::new(next_base_page, cfg.fast_tier_pages, unit_span);
-        policy.prepare(&MachineInfo {
+        let info = MachineInfo {
             fast_tier_pages: cfg.fast_tier_pages,
             total_pages: next_base_page,
             thp: cfg.thp,
@@ -698,7 +590,10 @@ impl<'a, 'w> Sim<'a, 'w> {
             pebs_rate: cfg.pebs.rate,
             freq_ghz: cfg.freq_ghz,
             mshrs: cfg.mshrs,
-        });
+            processes: workloads.len(),
+        };
+        policy.check(&info)?;
+        policy.prepare(&info);
         let mut pebs_cfg = cfg.pebs;
         if let Some(scope) = policy.pebs_scope() {
             pebs_cfg.scope = scope;
@@ -733,40 +628,6 @@ impl<'a, 'w> Sim<'a, 'w> {
             .as_ref()
             .filter(|p| p.is_active())
             .map(|p| FaultState::new(p.clone(), &mut registry));
-        // Fleet mode: per-tenant metric rows (interned names in tenant
-        // order, so registration — and every per-window snapshot — is
-        // deterministic) and QoS-weighted admission budgets.
-        let tenant_metrics: Vec<TenantMetrics> = cfg
-            .tenants
-            .iter()
-            .map(|t| {
-                let name = |suffix: &str| pact_obs::intern(&format!("tenant/{}/{suffix}", t.name));
-                TenantMetrics {
-                    m_accesses: registry.gauge(name("accesses")),
-                    m_promoted: registry.gauge(name("promoted_pages")),
-                    m_rejected: registry.counter(name("admission_rejected")),
-                    m_tokens: registry.gauge(name("tokens")),
-                }
-            })
-            .collect();
-        let tenant_budget: Vec<u64> = match &cfg.admission {
-            Some(adm) => {
-                // Validation guarantees non-empty tenants and weights
-                // >= 1, so the weight sum is positive.
-                let sum: u64 = cfg.tenants.iter().map(|t| t.qos_weight as u64).sum();
-                cfg.tenants
-                    .iter()
-                    .map(|t| (adm.budget_per_window * t.qos_weight as u64 / sum).max(1))
-                    .collect()
-            }
-            None => Vec::new(),
-        };
-        let tenant_tokens = tenant_budget.clone();
-        let (tenant_base, tenant_pages) = if cfg.tenants.is_empty() {
-            (Vec::new(), Vec::new())
-        } else {
-            (proc_base, proc_pages)
-        };
         Ok(Sim {
             policy,
             clock: vec![0; threads.len()],
@@ -776,13 +637,14 @@ impl<'a, 'w> Sim<'a, 'w> {
             retry_buf: Vec::new(),
             threads,
             procs,
+            process_base,
             mem,
             llc: Llc::new(cfg.llc),
             chmu: (cfg.chmu_counters > 0).then(|| Chmu::new(cfg.chmu_counters)),
             pebs: PebsSampler::new(pebs_cfg),
             rng: SplitMix64::seed_from_u64(cfg.seed),
             prefetch_threshold: cfg.prefetch.coverage_threshold(),
-            lanes: vec![Lane::default(); cfg.tenants.len().max(1)],
+            lanes: vec![Lane::default(); workloads.len()],
             latency: [
                 cfg.latency_cycles(Tier::Fast),
                 cfg.latency_cycles(Tier::Slow),
@@ -820,34 +682,21 @@ impl<'a, 'w> Sim<'a, 'w> {
             m_chan_occupancy,
             overwritten_seen: 0,
             chan_lines_seen: [0; 2],
+            edge_backlog: [0.0; 2],
             saturated_since: [None; 2],
             faults,
             checker: cfg
                 .invariants
                 .map(|set| Box::new(InvariantChecker::new(set))),
             snap_sink: None,
-            tenant_base,
-            tenant_pages,
-            tenant_tokens,
-            tenant_budget,
-            tenant_metrics,
-            admission_deferred: VecDeque::new(),
-            backpressured: false,
             cfg,
         })
     }
 
-    /// Counter lane of the tenant that owns `page`: the colocation
-    /// layout gives tenants disjoint ascending base-page ranges, so
-    /// ownership is a partition point over the range starts. An
-    /// untenanted run has no range starts and its one lane, 0.
+    /// Counter lane of the process that owns `page`.
     #[inline]
     fn lane_of_page(&self, page: PageId) -> usize {
-        // `tenant_base[0] == 0` when tenanted, so at least one start is
-        // <= page and the subtraction never saturates there.
-        self.tenant_base
-            .partition_point(|&b| b <= page.0)
-            .saturating_sub(1)
+        crate::policy::owner_of(&self.process_base, page)
     }
 
     /// Run totals: the sum over all counter lanes.
@@ -941,54 +790,10 @@ impl<'a, 'w> Sim<'a, 'w> {
             .map(|p| p.finish)
             .max()
             .unwrap_or(0);
-        // Fleet mode: per-tenant lanes. Stall lanes are derived from
-        // the page-stalls oracle by partitioning it over the tenants'
-        // disjoint base-page ranges — an exact partition of the global
-        // totals by construction.
-        let tenants: Vec<TenantReport> = self
-            .cfg
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| {
-                let lo = self.tenant_base[i];
-                let hi = lo + self.tenant_pages[i];
-                let mut stall_cycles = [0u64; 2];
-                if let Some(map) = &self.page_stalls {
-                    for (_, [fast, slow]) in map.range(PageId(lo)..PageId(hi)) {
-                        stall_cycles[0] += fast;
-                        stall_cycles[1] += slow;
-                    }
-                }
-                let lane = &self.lanes[i];
-                TenantReport {
-                    name: spec.name.clone(),
-                    qos_weight: spec.qos_weight,
-                    base_page: lo,
-                    pages: self.tenant_pages[i],
-                    counters: lane.pmu,
-                    promotions: lane.promotions,
-                    demotions: lane.demotions,
-                    failed_promotions: lane.failed_promotions,
-                    dropped_orders: lane.dropped_orders,
-                    admitted_orders: lane.admitted_orders,
-                    rejected_orders: lane.rejected_orders,
-                    stall_cycles,
-                }
-            })
-            .collect();
         Ok(RunReport {
             policy: self.policy.name().to_string(),
             total_cycles,
-            per_process: self
-                .procs
-                .iter()
-                .map(|p| ProcessReport {
-                    name: p.name.clone(),
-                    cycles: p.finish,
-                    accesses: p.accesses,
-                })
-                .collect(),
+            per_process: self.process_reports(),
             counters: totals.pmu,
             promotions: totals.promotions,
             demotions: totals.demotions,
@@ -996,8 +801,41 @@ impl<'a, 'w> Sim<'a, 'w> {
             dropped_orders: totals.dropped_orders,
             windows: self.windows,
             page_stalls: self.page_stalls,
-            tenants,
         })
+    }
+
+    /// One report per process with its counter lane. Stall lanes slice
+    /// the page-stalls oracle by the process's base-page range.
+    fn process_reports(&self) -> Vec<ProcessReport> {
+        let ends = self.process_base[1..]
+            .iter()
+            .copied()
+            .chain([self.mem.total_pages()]);
+        self.procs
+            .iter()
+            .zip(&self.lanes)
+            .zip(self.process_base.iter().zip(ends))
+            .map(|((p, lane), (&lo, hi))| {
+                let mut stall_cycles = [0u64; 2];
+                if let Some(map) = &self.page_stalls {
+                    for (_, [fast, slow]) in map.range(PageId(lo)..PageId(hi)) {
+                        stall_cycles[0] += fast;
+                        stall_cycles[1] += slow;
+                    }
+                }
+                ProcessReport {
+                    name: p.name.clone(),
+                    cycles: p.finish,
+                    accesses: lane.pmu.accesses,
+                    counters: lane.pmu,
+                    promotions: lane.promotions,
+                    demotions: lane.demotions,
+                    failed_promotions: lane.failed_promotions,
+                    dropped_orders: lane.dropped_orders,
+                    stall_cycles,
+                }
+            })
+            .collect()
     }
 
     /// Executes one access of thread `ti`.
@@ -1033,18 +871,17 @@ impl<'a, 'w> Sim<'a, 'w> {
             return Ok(());
         };
         self.threads[ti].consumed += 1;
-        let (proc, lane, base_page, fp_bytes) = {
+        let (lane, base_page, fp_bytes) = {
             let t = &self.threads[ti];
-            (t.proc, t.lane, t.base_page, t.footprint_bytes)
+            (t.proc, t.base_page, t.footprint_bytes)
         };
         if a.vaddr >= fp_bytes {
             return Err(SimError::AddressOutOfRange {
-                workload: self.procs[proc].name.clone(),
+                workload: self.procs[lane].name.clone(),
                 vaddr: a.vaddr,
                 footprint: fp_bytes,
             });
         }
-        self.procs[proc].accesses += 1;
         let counters = &mut self.lanes[lane].pmu;
         counters.accesses += 1;
         match a.kind {
@@ -1172,7 +1009,7 @@ impl<'a, 'w> Sim<'a, 'w> {
         let tidx = tier.index();
         let mut now = self.clock[ti] + self.clock_offset;
         let t = &mut self.threads[ti];
-        let lane = t.lane;
+        let lane = t.proc;
         let counters = &mut self.lanes[lane].pmu;
 
         // A dependent load cannot issue until its producer miss returns.
@@ -1308,6 +1145,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             &mut telemetry,
             &mut self.hint_scan_per_window,
             &mut self.registry,
+            &self.process_base,
             totals,
         );
         self.policy.on_sample(&ev, &mut ctx);
@@ -1325,13 +1163,10 @@ impl<'a, 'w> Sim<'a, 'w> {
             if let Some(c) = self.checker.as_mut() {
                 c.note_issued();
             }
-            if !self.try_admit(order, now, 0) {
-                continue;
-            }
             if order.sync {
                 self.execute_order(order, Some(ti), 0);
             } else {
-                self.enqueue_admitted(order, now);
+                self.enqueue_order(order, now);
             }
         }
         self.order_buf = orders;
@@ -1348,73 +1183,15 @@ impl<'a, 'w> Sim<'a, 'w> {
             dropped_orders: totals.dropped_orders,
             window: self.window_idx,
             faults_active: self.faults.is_some(),
-            tenants: self.cfg.tenants.len(),
-            admission_rejected: totals.rejected_orders,
+            channel_backlog: self.edge_backlog,
+            admission_rejected: 0,
         }
     }
 
-    /// Admission control at order issue (TierBPF-style): spends one of
-    /// the owning tenant's window tokens, unless the cell is
-    /// backpressured or the bucket is empty, in which case the order is
-    /// rejected, counted, traced, and deferred with doubling backoff
-    /// (dropped outright after [`MAX_DEFERRALS`] rejections or when the
-    /// deferral queue is full). Returns whether the order may proceed.
-    /// Always true when admission control is not configured.
-    fn try_admit(&mut self, order: MigrationOrder, cycle: u64, attempt: u32) -> bool {
-        let Some(adm) = self.cfg.admission.as_ref() else {
-            return true;
-        };
-        let defer_windows = adm.defer_windows;
-        let tenant = self.lane_of_page(order.page);
-        if !self.backpressured && self.tenant_tokens[tenant] > 0 {
-            self.tenant_tokens[tenant] -= 1;
-            self.lanes[tenant].admitted_orders += 1;
-            return true;
-        }
-        self.lanes[tenant].rejected_orders += 1;
-        self.registry.inc(self.tenant_metrics[tenant].m_rejected, 1);
-        self.tracer.emit(
-            cycle,
-            EventKind::AdmissionRejected {
-                tenant: tenant as u32,
-                page: order.page.0,
-                to: order.to.index() as u8,
-            },
-        );
-        if attempt < MAX_DEFERRALS && self.admission_deferred.len() < ORDER_QUEUE_CAP {
-            let due = self.window_idx + (defer_windows << attempt);
-            self.admission_deferred.push_back((due, attempt + 1, order));
-        } else {
-            // Deferrals exhausted (or the deferral queue overflowed):
-            // settle the order as a drop so the migration ledger and
-            // reports account for it.
-            self.lanes[tenant].dropped_orders += 1;
-            self.window_dropped += 1;
-            if let Some(c) = self.checker.as_mut() {
-                c.note_shed();
-            }
-            self.tracer.emit(
-                cycle,
-                EventKind::OrderDropped {
-                    page: order.page.0,
-                    to: order.to.index() as u8,
-                },
-            );
-        }
-        false
-    }
-
+    /// Queues an async order for the daemon, or drops it.
     fn enqueue_order(&mut self, order: MigrationOrder, cycle: u64) {
-        if !self.try_admit(order, cycle, 0) {
-            return;
-        }
-        self.enqueue_admitted(order, cycle);
-    }
-
-    /// Queues an order that already passed admission control.
-    fn enqueue_admitted(&mut self, order: MigrationOrder, cycle: u64) {
-        // Injected admission-control drop: the order is shed before it
-        // reaches the daemon queue, exactly like a capacity drop.
+        // Injected drop: the order is shed before it reaches the daemon
+        // queue, exactly like a capacity drop.
         if let Some(f) = self.faults.as_mut() {
             if f.drop_order(self.window_idx) {
                 let mi = f.m_injected;
@@ -1608,6 +1385,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             &mut telemetry,
             &mut self.hint_scan_per_window,
             &mut self.registry,
+            &self.process_base,
             totals,
         );
         let win = WindowStats {
@@ -1676,29 +1454,6 @@ impl<'a, 'w> Sim<'a, 'w> {
             }
         }
 
-        // Admission-deferred orders whose backoff expired re-attempt
-        // admission at this edge (against the tokens refilled at the
-        // previous edge); re-rejected orders defer again or drop inside
-        // `try_admit`. Runs before the daemon so freshly admitted
-        // orders can be serviced this window.
-        if !self.admission_deferred.is_empty() {
-            let mut pending = std::mem::take(&mut self.admission_deferred);
-            for (due, attempt, order) in pending.drain(..) {
-                if due > self.window_idx {
-                    self.admission_deferred.push_back((due, attempt, order));
-                } else if self.try_admit(order, edge, attempt) {
-                    if order.sync {
-                        // The issuing thread has long moved on; a
-                        // deferred sync order completes on the daemon
-                        // path like a retried one.
-                        self.execute_order(order, None, 0);
-                    } else {
-                        self.enqueue_admitted(order, edge);
-                    }
-                }
-            }
-        }
-
         // Background daemon: migrate within its per-window page budget.
         // Due retries of transiently failed orders run first (they are
         // the oldest work); leftovers beyond the budget slip one window.
@@ -1750,6 +1505,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             .set(self.m_fast_used, self.mem.fast_used() as f64);
         for tidx in 0..2 {
             let backlog = self.channels[tidx].backlog_cycles(edge);
+            self.edge_backlog[tidx] = backlog;
             self.registry.set(self.m_chan_backlog[tidx], backlog);
             let booked = self.channels[tidx].lines_booked();
             self.registry
@@ -1782,23 +1538,6 @@ impl<'a, 'w> Sim<'a, 'w> {
         if let (Some((m_tracked, m_total)), Some(chmu)) = (self.m_chmu, self.chmu.as_ref()) {
             self.registry.set(m_tracked, chmu.tracked() as f64);
             self.registry.set(m_total, chmu.total() as f64);
-        }
-        // Fleet mode: recompute the backpressure flag from end-of-window
-        // channel backlog, and refresh the per-tenant registry rows
-        // (cumulative accesses / promoted pages, remaining tokens).
-        if let Some(adm) = self.cfg.admission.as_ref() {
-            let threshold = adm.saturation_backlog_cycles;
-            self.backpressured =
-                (0..2).any(|tidx| self.channels[tidx].backlog_cycles(edge) >= threshold);
-        }
-        for i in 0..self.tenant_metrics.len() {
-            let tm = self.tenant_metrics[i];
-            let lane = &self.lanes[i];
-            self.registry.set(tm.m_accesses, lane.pmu.accesses as f64);
-            self.registry.set(tm.m_promoted, lane.promotions as f64);
-            if let Some(&tok) = self.tenant_tokens.get(i) {
-                self.registry.set(tm.m_tokens, tok as f64);
-            }
         }
         if delta.pebs_samples > 0 || delta.hint_faults > 0 {
             self.tracer.emit(
@@ -1876,10 +1615,7 @@ impl<'a, 'w> Sim<'a, 'w> {
                     self.registry.counter_total(self.m_chan_lines[0]),
                     self.registry.counter_total(self.m_chan_lines[1]),
                 ],
-                // Admission-deferred orders are issued-but-unsettled,
-                // exactly like queued ones; fold them into the live
-                // side of the migration ledger.
-                queue_len: self.order_queue.len() + self.admission_deferred.len(),
+                queue_len: self.order_queue.len(),
                 pending_retries: self.faults.as_ref().map_or(0, |f| f.pending_retries()),
                 promotions: totals.promotions,
                 demotions: totals.demotions,
@@ -1901,8 +1637,6 @@ impl<'a, 'w> Sim<'a, 'w> {
         self.last_snapshot = self.totals().pmu;
         self.window_idx += 1;
         self.next_edge += self.cfg.window_cycles;
-        // Token buckets refill at the edge for the window just opened.
-        self.tenant_tokens.copy_from_slice(&self.tenant_budget);
         if allow_snapshot
             && self.cfg.snapshot_every > 0
             && self.snap_sink.is_some()
@@ -1932,6 +1666,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             clock_offset,
             retry_buf: _, // scratch, cleared before every use
             procs,
+            process_base: _, // fixed by the workload set
             mem,
             llc,
             chmu,
@@ -1973,19 +1708,13 @@ impl<'a, 'w> Sim<'a, 'w> {
             m_pebs_latency: _,
             m_mig_latency: _,
             m_chan_occupancy: _,
-            tenant_metrics: _,
             overwritten_seen,
             chan_lines_seen,
+            edge_backlog,
             saturated_since,
             faults,
             checker,
-            snap_sink: _,     // host-side sink, re-attached by the driver on resume
-            tenant_base: _,   // derived from the tenant configuration
-            tenant_pages: _,  // derived from the tenant configuration
-            tenant_budget: _, // per-window refill from the admission configuration
-            tenant_tokens,
-            admission_deferred,
-            backpressured,
+            snap_sink: _, // host-side sink, re-attached by the driver on resume
         } = self;
         let _prof = pact_obs::hostprof::span("snapshot_capture");
         debug_assert!(order_buf.is_empty());
@@ -2017,7 +1746,6 @@ impl<'a, 'w> Sim<'a, 'w> {
         for ThreadState {
             stream: _,          // re-read from the workload and fast-forwarded on restore
             proc: _,            // fixed by the workload set
-            lane: _,            // fixed by the workload set and tenant configuration
             base_page: _,       // fixed by the workload set
             footprint_bytes: _, // fixed by the workload set
             consumed,
@@ -2065,11 +1793,9 @@ impl<'a, 'w> Sim<'a, 'w> {
         for ProcState {
             name: _,       // rebuilt from the workloads on resume
             background: _, // rebuilt from the workloads on resume
-            accesses,
             finish,
         } in procs
         {
-            w.put_u64(*accesses);
             w.put_u64(*finish);
         }
         // Counter lanes; run totals are their sum.
@@ -2086,6 +1812,9 @@ impl<'a, 'w> Sim<'a, 'w> {
         }
         for &v in tor_covered.iter().chain(chan_lines_seen) {
             w.put_u64(v);
+        }
+        for &b in edge_backlog {
+            w.put_f64(b);
         }
         for s in saturated_since {
             w.put_bool(s.is_some());
@@ -2108,19 +1837,6 @@ impl<'a, 'w> Sim<'a, 'w> {
         w.put_usize(order_queue.len());
         for &(cycle, order) in order_queue {
             w.put_u64(cycle);
-            encode_order(order, &mut w);
-        }
-        // Admission state (empty buckets and queue when admission
-        // control is off).
-        w.put_usize(tenant_tokens.len());
-        for &t in tenant_tokens {
-            w.put_u64(t);
-        }
-        w.put_bool(*backpressured);
-        w.put_usize(admission_deferred.len());
-        for &(due, attempt, order) in admission_deferred {
-            w.put_u64(due);
-            w.put_u32(attempt);
             encode_order(order, &mut w);
         }
         // The ground-truth stall oracle (presence follows the config).
@@ -2178,6 +1894,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             clock_offset,
             retry_buf: _, // scratch, cleared before every use
             procs,
+            process_base: _, // fixed by the workload set
             mem,
             llc,
             chmu,
@@ -2218,19 +1935,13 @@ impl<'a, 'w> Sim<'a, 'w> {
             m_pebs_latency: _,
             m_mig_latency: _,
             m_chan_occupancy: _,
-            tenant_metrics: _,
             overwritten_seen,
             chan_lines_seen,
+            edge_backlog,
             saturated_since,
             faults,
             checker,
-            snap_sink: _,     // host-side sink, re-attached by the driver on resume
-            tenant_base: _,   // derived from the tenant configuration
-            tenant_pages: _,  // derived from the tenant configuration
-            tenant_budget: _, // per-window refill from the admission configuration
-            tenant_tokens,
-            admission_deferred,
-            backpressured,
+            snap_sink: _, // host-side sink, re-attached by the driver on resume
         } = self;
         let e = |e: CodecError| format!("machine state: {e}");
         // Threads.
@@ -2245,7 +1956,6 @@ impl<'a, 'w> Sim<'a, 'w> {
             let ThreadState {
                 stream: _,          // fast-forwarded below
                 proc: _,            // fixed by the workload set
-                lane: _,            // fixed by the workload set and tenant configuration
                 base_page: _,       // fixed by the workload set
                 footprint_bytes: _, // fixed by the workload set
                 consumed,
@@ -2314,17 +2024,15 @@ impl<'a, 'w> Sim<'a, 'w> {
         for ProcState {
             name: _,       // rebuilt from the workloads
             background: _, // rebuilt from the workloads
-            accesses,
             finish,
         } in procs.iter_mut()
         {
-            *accesses = r.get_u64().map_err(e)?;
             *finish = r.get_u64().map_err(e)?;
         }
         let nl = r.get_usize().map_err(e)?;
         if nl != lanes.len() {
             return Err(format!(
-                "snapshot has {nl} counter lanes, this configuration has {}",
+                "snapshot has {nl} counter lanes, this workload set has {}",
                 lanes.len()
             ));
         }
@@ -2340,6 +2048,9 @@ impl<'a, 'w> Sim<'a, 'w> {
         }
         for v in tor_covered.iter_mut().chain(chan_lines_seen.iter_mut()) {
             *v = r.get_u64().map_err(e)?;
+        }
+        for b in edge_backlog.iter_mut() {
+            *b = r.get_f64().map_err(e)?;
         }
         for s in saturated_since.iter_mut() {
             let has = r.get_bool().map_err(e)?;
@@ -2375,29 +2086,6 @@ impl<'a, 'w> Sim<'a, 'w> {
         for _ in 0..nq {
             let cycle = r.get_u64().map_err(e)?;
             order_queue.push_back((cycle, decode_order(r)?));
-        }
-        let nt = r.get_usize().map_err(e)?;
-        if nt != tenant_tokens.len() {
-            return Err(format!(
-                "snapshot carries {nt} tenant token buckets, config has {}",
-                tenant_tokens.len()
-            ));
-        }
-        for t in tenant_tokens.iter_mut() {
-            *t = r.get_u64().map_err(e)?;
-        }
-        *backpressured = r.get_bool().map_err(e)?;
-        let nd = r.get_usize().map_err(e)?;
-        if nd > ORDER_QUEUE_CAP {
-            return Err(format!(
-                "snapshot deferral queue holds {nd} entries, cap is {ORDER_QUEUE_CAP}"
-            ));
-        }
-        admission_deferred.clear();
-        for _ in 0..nd {
-            let due = r.get_u64().map_err(e)?;
-            let attempt = r.get_u32().map_err(e)?;
-            admission_deferred.push_back((due, attempt, decode_order(r)?));
         }
         if let Some(map) = page_stalls {
             map.clear();
@@ -2459,7 +2147,7 @@ impl<'a, 'w> Sim<'a, 'w> {
 }
 
 /// Serializes one migration order (page, destination tier, sync flag).
-fn encode_order(order: MigrationOrder, w: &mut ByteWriter) {
+pub(crate) fn encode_order(order: MigrationOrder, w: &mut ByteWriter) {
     let MigrationOrder { page, to, sync } = order;
     w.put_u64(page.0);
     w.put_u8(to.index() as u8);
@@ -2467,7 +2155,7 @@ fn encode_order(order: MigrationOrder, w: &mut ByteWriter) {
 }
 
 /// Mirror of [`encode_order`].
-fn decode_order(r: &mut ByteReader<'_>) -> Result<MigrationOrder, String> {
+pub(crate) fn decode_order(r: &mut ByteReader<'_>) -> Result<MigrationOrder, String> {
     let e = |e: CodecError| format!("migration order: {e}");
     Ok(MigrationOrder {
         page: PageId(r.get_u64().map_err(e)?),

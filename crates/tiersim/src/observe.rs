@@ -93,6 +93,8 @@ impl WindowRecord {
 impl RunReport {
     /// Compact JSON rendering of the whole report: totals, cumulative
     /// counters, per-process summaries, and every per-window record.
+    /// A colocated run's processes also carry their counter lanes; a
+    /// single process's lane would repeat the totals.
     pub fn to_json(&self) -> String {
         let mut j = JsonWriter::new();
         j.begin_object();
@@ -106,38 +108,24 @@ impl RunReport {
         counters_json(&mut j, &self.counters);
         j.key("processes");
         j.begin_array();
+        let colocated = self.per_process.len() > 1;
         for p in &self.per_process {
             j.begin_object();
             j.field_str("name", &p.name);
             j.field_u64("cycles", p.cycles);
             j.field_u64("accesses", p.accesses);
+            if colocated {
+                j.field_u64("promotions", p.promotions);
+                j.field_u64("demotions", p.demotions);
+                j.field_u64("failed_promotions", p.failed_promotions);
+                j.field_u64("dropped_orders", p.dropped_orders);
+                u64_pair(&mut j, "stall_cycles", p.stall_cycles);
+                j.key("counters");
+                counters_json(&mut j, &p.counters);
+            }
             j.end_object();
         }
         j.end_array();
-        // Fleet lanes: emitted only for fleet runs so legacy reports
-        // stay byte-identical to builds without multi-tenancy.
-        if !self.tenants.is_empty() {
-            j.key("tenants");
-            j.begin_array();
-            for t in &self.tenants {
-                j.begin_object();
-                j.field_str("name", &t.name);
-                j.field_u64("qos_weight", u64::from(t.qos_weight));
-                j.field_u64("base_page", t.base_page);
-                j.field_u64("pages", t.pages);
-                j.field_u64("promotions", t.promotions);
-                j.field_u64("demotions", t.demotions);
-                j.field_u64("failed_promotions", t.failed_promotions);
-                j.field_u64("dropped_orders", t.dropped_orders);
-                j.field_u64("admitted_orders", t.admitted_orders);
-                j.field_u64("rejected_orders", t.rejected_orders);
-                u64_pair(&mut j, "stall_cycles", t.stall_cycles);
-                j.key("counters");
-                counters_json(&mut j, &t.counters);
-                j.end_object();
-            }
-            j.end_array();
-        }
         j.key("windows");
         j.begin_array();
         for w in &self.windows {

@@ -81,7 +81,7 @@ impl PmuCounters {
     }
 
     /// Adds every counter of `other` into `self`: run totals are sums of
-    /// per-tenant counter lanes.
+    /// per-process counter lanes.
     pub(crate) fn add(&mut self, other: &PmuCounters) {
         fn a2(a: &mut [u64; 2], b: [u64; 2]) {
             a[0] += b[0];

@@ -12,6 +12,7 @@
 use pact_obs::MetricsRegistry;
 
 use crate::chmu::Chmu;
+use crate::error::SimError;
 use crate::mem::Memory;
 use crate::pmu::{PmuCounters, SampleEvent};
 use crate::types::{PageId, Tier};
@@ -38,6 +39,8 @@ pub struct MachineInfo {
     pub freq_ghz: f64,
     /// MSHRs per hardware thread (upper bound on per-thread MLP).
     pub mshrs: usize,
+    /// Colocated processes in the run (1 unless colocated).
+    pub processes: usize,
 }
 
 /// A queued page-migration request.
@@ -56,7 +59,7 @@ pub struct MigrationOrder {
 /// Cumulative run totals snapshotted into each [`PolicyCtx`]: how many
 /// base pages moved so far and — for graceful degradation under fault
 /// injection or queue pressure — how many orders failed or were shed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct CtxTotals {
     /// Base pages promoted so far.
     pub promotions: u64,
@@ -72,10 +75,21 @@ pub(crate) struct CtxTotals {
     /// their degradation paths on this so fault-free runs stay
     /// bit-identical to builds without the fault layer.
     pub faults_active: bool,
-    /// Number of colocated tenants (0 for legacy single-workload runs).
-    pub tenants: usize,
-    /// Cumulative migration orders rejected by fleet admission control.
+    /// Channel backlog per tier at the last window edge, in cycles.
+    pub channel_backlog: [f64; 2],
+    /// Cumulative migration orders rejected by admission control; set
+    /// by [`Admission`](crate::Admission) for the policy it wraps.
     pub admission_rejected: u64,
+}
+
+/// Index of the process owning `page`, given each process's first base
+/// page in ascending order: processes own disjoint page ranges.
+#[inline]
+pub(crate) fn owner_of(process_base: &[u64], page: PageId) -> usize {
+    // Process 0 starts at page 0, so one start is always <= page.
+    process_base
+        .partition_point(|&b| b <= page.0)
+        .saturating_sub(1)
 }
 
 /// Per-window counter view handed to [`TieringPolicy::on_window`].
@@ -105,6 +119,8 @@ pub struct PolicyCtx<'a> {
     telemetry: &'a mut Vec<(&'static str, f64)>,
     hint_scan_per_window: &'a mut u64,
     metrics: &'a mut MetricsRegistry,
+    /// First base page of each colocated process, ascending.
+    process_base: &'a [u64],
     totals: CtxTotals,
 }
 
@@ -117,6 +133,7 @@ impl<'a> PolicyCtx<'a> {
         telemetry: &'a mut Vec<(&'static str, f64)>,
         hint_scan_per_window: &'a mut u64,
         metrics: &'a mut MetricsRegistry,
+        process_base: &'a [u64],
         totals: CtxTotals,
     ) -> Self {
         Self {
@@ -126,8 +143,19 @@ impl<'a> PolicyCtx<'a> {
             telemetry,
             hint_scan_per_window,
             metrics,
+            process_base,
             totals,
         }
+    }
+
+    /// The orders pushed so far in this callback.
+    pub(crate) fn orders_mut(&mut self) -> &mut Vec<MigrationOrder> {
+        self.orders
+    }
+
+    /// The totals this callback reports.
+    pub(crate) fn totals_mut(&mut self) -> &mut CtxTotals {
+        &mut self.totals
     }
 
     /// Queues a background promotion of the unit containing `page`.
@@ -257,16 +285,21 @@ impl<'a> PolicyCtx<'a> {
         self.totals.faults_active
     }
 
-    /// Number of colocated tenants in this run (0 for legacy
-    /// single-workload runs — policies must treat 0 as "fleet mode
-    /// off" and change nothing, so legacy runs stay bit-identical).
-    pub fn tenant_count(&self) -> usize {
-        self.totals.tenants
+    /// Index of the colocated process whose address space holds
+    /// `page` (0 in a run of one process).
+    pub fn owner_of(&self, page: PageId) -> usize {
+        owner_of(self.process_base, page)
     }
 
-    /// Cumulative migration orders rejected by the fleet admission
-    /// controller (token exhaustion or channel backpressure). Always 0
-    /// when [`tenant_count`](Self::tenant_count) is 0.
+    /// Backlog of each tier's channel at the last window edge, in
+    /// cycles, indexed by [`Tier::index`] (0 before the first edge).
+    pub fn channel_backlog_cycles(&self) -> [f64; 2] {
+        self.totals.channel_backlog
+    }
+
+    /// Cumulative migration orders rejected by admission control
+    /// (token exhaustion or channel backpressure). Always 0 unless the
+    /// policy runs inside an [`Admission`](crate::Admission).
     pub fn admission_rejections(&self) -> u64 {
         self.totals.admission_rejected
     }
@@ -312,6 +345,16 @@ pub trait TieringPolicy {
     /// `None` keeps the machine configuration.
     fn pebs_scope(&self) -> Option<crate::config::PebsScope> {
         None
+    }
+
+    /// Refuses a run this policy cannot govern, before the first access.
+    /// The default accepts every run.
+    ///
+    /// # Errors
+    ///
+    /// The reason the run is refused.
+    fn check(&self, _info: &MachineInfo) -> Result<(), SimError> {
+        Ok(())
     }
 
     /// Called once before the run starts with machine parameters.
@@ -408,6 +451,7 @@ mod tests {
             &mut telem,
             &mut scan,
             &mut reg,
+            &[0, 8],
             CtxTotals {
                 promotions: 3,
                 demotions: 5,
@@ -415,7 +459,7 @@ mod tests {
                 dropped_orders: 1,
                 window: 7,
                 faults_active: true,
-                tenants: 3,
+                channel_backlog: [1.5, 2.5],
                 admission_rejected: 4,
             },
         );
@@ -425,8 +469,11 @@ mod tests {
         assert_eq!(ctx.dropped_orders(), 1);
         assert_eq!(ctx.window_index(), 7);
         assert!(ctx.fault_injection_active());
-        assert_eq!(ctx.tenant_count(), 3);
+        assert_eq!(ctx.channel_backlog_cycles(), [1.5, 2.5]);
         assert_eq!(ctx.admission_rejections(), 4);
+        assert_eq!(ctx.owner_of(PageId(7)), 0);
+        assert_eq!(ctx.owner_of(PageId(8)), 1);
+        assert_eq!(ctx.owner_of(PageId(15)), 1);
         ctx.promote(PageId(1));
         ctx.promote_sync(PageId(2));
         ctx.demote(PageId(0));
@@ -465,6 +512,7 @@ mod tests {
             &mut telem,
             &mut scan,
             &mut reg,
+            &[0],
             CtxTotals::default(),
         );
         assert_eq!(ctx.fast_capacity(), 4);
@@ -491,6 +539,7 @@ mod tests {
             &mut telem,
             &mut scan,
             &mut reg,
+            &[0],
             CtxTotals::default(),
         );
         let win = WindowStats {

@@ -33,8 +33,7 @@
 use pact_stats::codec::ByteWriter;
 
 use crate::config::{
-    AdmissionControl, LlcConfig, MachineConfig, MigrationConfig, PebsConfig, PebsScope,
-    PrefetchConfig, TenantSpec, TierConfig,
+    LlcConfig, MachineConfig, MigrationConfig, PebsConfig, PebsScope, PrefetchConfig, TierConfig,
 };
 use crate::fault::{FaultPlan, StallFault};
 use crate::invariant::InvariantSet;
@@ -52,7 +51,12 @@ pub const MAGIC: [u8; 8] = *b"PACTSNAP";
 /// and has PACT's policy blob write its counters through the one
 /// `PmuCounters` codec, whose field order differs from the policy's
 /// old private copy.
-pub const FORMAT_VERSION: u32 = 3;
+/// Version 4 drops the machine's admission section (admission control
+/// is a policy wrapper now, whose state travels in the policy blob),
+/// keeps one counter lane per colocated process in every run, stores
+/// per-process access counts only in those lanes, and records the
+/// channel backlog at the last window edge.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Frame header bytes before the payload (magic + version + fingerprint
 /// + window + payload length).
@@ -222,8 +226,6 @@ pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
         snapshot_every: _,
         fault_plan,
         invariants,
-        tenants,
-        admission,
     } = cfg;
     let LlcConfig { size_bytes, ways } = llc;
     let PrefetchConfig {
@@ -329,22 +331,6 @@ pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
         w.put_bool(*counters);
         w.put_bool(*windows);
     }
-    w.put_usize(tenants.len());
-    for TenantSpec { name, qos_weight } in tenants {
-        w.put_str(name);
-        w.put_u32(*qos_weight);
-    }
-    w.put_bool(admission.is_some());
-    if let Some(AdmissionControl {
-        budget_per_window,
-        saturation_backlog_cycles,
-        defer_windows,
-    }) = admission
-    {
-        w.put_u64(*budget_per_window);
-        w.put_f64(*saturation_backlog_cycles);
-        w.put_u64(*defer_windows);
-    }
     fnv1a(&w.into_bytes())
 }
 
@@ -405,14 +391,14 @@ mod tests {
         assert!(err.contains("fingerprint"), "{err}");
     }
 
-    /// Frames written by earlier builds must keep resuming: the
-    /// fingerprint of the experiment machine (`skylake_cxl(0)`, the
-    /// bench crate's `experiment_machine(0)`) is pinned.
+    /// The fingerprint of the experiment machine (`skylake_cxl(0)`, the
+    /// bench crate's `experiment_machine(0)`) is pinned, so a change to
+    /// it, which refuses every frame written before it, is deliberate.
     #[test]
     fn experiment_machine_fingerprint_is_stable() {
         assert_eq!(
             config_fingerprint(&MachineConfig::skylake_cxl(0)),
-            0x67f8_7041_1fc5_7d8f
+            0xfb96_6b96_4555_3a15
         );
     }
 
@@ -429,16 +415,8 @@ mod tests {
         let mut diff = base.clone();
         diff.fault_plan = Some(crate::FaultPlan::default());
         assert_ne!(config_fingerprint(&diff), h);
-        let mut diff = base.clone();
+        let mut diff = base;
         diff.fast_tier_pages += 1;
         assert_ne!(config_fingerprint(&diff), h);
-        let mut diff = base.clone();
-        diff.tenants = vec![crate::TenantSpec::new("t0", 1)];
-        assert_ne!(config_fingerprint(&diff), h);
-        let mut fleet = base;
-        fleet.tenants = vec![crate::TenantSpec::new("t0", 1)];
-        let fh = config_fingerprint(&fleet);
-        fleet.admission = Some(crate::AdmissionControl::default());
-        assert_ne!(config_fingerprint(&fleet), fh);
     }
 }

@@ -101,11 +101,6 @@ impl Zipf {
         rank.min(self.n - 1)
     }
 
-    /// Universe size.
-    pub fn universe(&self) -> u64 {
-        self.n
-    }
-
     /// Skew parameter θ.
     pub fn theta(&self) -> f64 {
         self.theta

@@ -57,13 +57,6 @@ impl Gups {
             seed,
         }
     }
-
-    /// Sets updates per phase.
-    pub fn with_phase_len(mut self, len: u64) -> Self {
-        assert!(len > 0);
-        self.phase_len = len;
-        self
-    }
 }
 
 impl Workload for Gups {
@@ -182,7 +175,9 @@ mod tests {
 
     #[test]
     fn phases_alternate_patterns() {
-        let w = Gups::new(1 << 22, 40_000, 1, 3).with_phase_len(1_000);
+        // Ten default-length phases, each sequential or random by a
+        // fair coin.
+        let w = Gups::new(1 << 22, 300_000, 1, 3);
         let t = drain_one(&w);
         // Detect at least one sequential run and one random phase by
         // looking at address deltas between consecutive loads.

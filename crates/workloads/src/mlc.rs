@@ -59,7 +59,7 @@ impl Mlc {
     /// The fleet-cell antagonist: the same streaming pattern as the
     /// Figure 11 hog, but run as a *foreground* tenant named
     /// `mlc-hog`, so its bounded access stream counts toward the run
-    /// and its bandwidth is attributed to its own tenant lane in
+    /// and its bandwidth is attributed to its own process lane in
     /// multi-tenant cells.
     pub fn hog(threads: usize, buffer_bytes: u64, loads_per_thread: u64) -> Self {
         let mut m = Self::new(threads, buffer_bytes, loads_per_thread, 0);

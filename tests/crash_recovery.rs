@@ -13,7 +13,8 @@
 
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
-    FaultPlan, Machine, MachineConfig, MachineSnapshot, RunReport, RunSpec, SimError, Workload,
+    Admission, AdmissionControl, FaultPlan, Machine, MachineConfig, MachineSnapshot, RunReport,
+    RunSpec, SimError, TieringPolicy, Workload,
 };
 use pact_workloads::suite::{build, Scale};
 
@@ -45,12 +46,13 @@ fn fresh_policy() -> PactPolicy {
     PactPolicy::new(PactConfig::default()).expect("default config is valid")
 }
 
-/// Runs `names` (one workload, or one per tenant) under a fresh PACT
-/// on `cfg`, resuming from `frame` when given, and returns the report
+/// Runs `names` (one workload, or one per tenant) under `policy` on
+/// `cfg`, resuming from `frame` when given, and returns the report
 /// plus every frame captured on the way.
 fn run_cell(
     cfg: MachineConfig,
     names: &[&str],
+    policy: &mut dyn TieringPolicy,
     frame: Option<&MachineSnapshot>,
 ) -> Result<(RunReport, Vec<MachineSnapshot>), SimError> {
     let workloads: Vec<_> = names.iter().map(|n| build(n, Scale::Smoke, 7)).collect();
@@ -59,7 +61,7 @@ fn run_cell(
     let report = Machine::new(cfg).expect("config is valid").run(RunSpec {
         snapshot_sink: Some(&mut |s| frames.push(s)),
         resume_from: frame,
-        ..RunSpec::new(&refs, &mut fresh_policy())
+        ..RunSpec::new(&refs, policy)
     })?;
     Ok((report, frames))
 }
@@ -67,11 +69,17 @@ fn run_cell(
 /// Runs the fault-injected cell to completion, collecting a snapshot
 /// at every `snapshot_every`-window boundary.
 fn capture(snapshot_every: u64) -> (RunReport, Vec<MachineSnapshot>) {
-    run_cell(snap_cfg(snapshot_every), &["masim"], None).expect("capture run succeeds")
+    run_cell(
+        snap_cfg(snapshot_every),
+        &["masim"],
+        &mut fresh_policy(),
+        None,
+    )
+    .expect("capture run succeeds")
 }
 
 fn resume(frame: &MachineSnapshot) -> Result<RunReport, SimError> {
-    run_cell(snap_cfg(0), &["masim"], Some(frame)).map(|(report, _)| report)
+    run_cell(snap_cfg(0), &["masim"], &mut fresh_policy(), Some(frame)).map(|(report, _)| report)
 }
 
 #[test]
@@ -113,7 +121,7 @@ fn tampered_frames_fail_closed_under_faults() {
     // resuming a faulted capture on a fault-free machine is refused.
     let mut clean_cfg = snap_cfg(0);
     clean_cfg.fault_plan = None;
-    match run_cell(clean_cfg, &["masim"], Some(frame)).map(|(report, _)| report) {
+    match run_cell(clean_cfg, &["masim"], &mut fresh_policy(), Some(frame)).map(|(r, _)| r) {
         Err(SimError::Snapshot(e)) => assert!(e.contains("fingerprint"), "{e}"),
         other => panic!("fingerprint mismatch must be rejected, got {other:?}"),
     }
@@ -121,41 +129,36 @@ fn tampered_frames_fail_closed_under_faults() {
 
 // --- fleet mode (DESIGN.md §14) --------------------------------------
 
-/// A three-tenant fleet cell with a migration budget tight enough that
-/// the admission controller is rejecting and deferring orders at most
-/// window boundaries — so snapshot frames carry live token buckets,
-/// the backpressure flag, and a non-empty deferral queue.
-fn fleet_snap_cfg(snapshot_every: u64) -> MachineConfig {
-    let mut cfg = snap_cfg(snapshot_every);
-    cfg.tenants = vec![
-        pact_tiersim::TenantSpec::new("gups", 4),
-        pact_tiersim::TenantSpec::new("mlc-hog", 1),
-        pact_tiersim::TenantSpec::new("zipf-drift", 2),
-    ];
-    cfg.admission = Some(pact_tiersim::AdmissionControl {
+/// PACT inside admission control for a three-tenant fleet cell, with a
+/// migration budget tight enough that orders are rejected and
+/// deferred at most window boundaries — so snapshot frames carry live
+/// token buckets and a non-empty deferral queue, and the cell runs
+/// under backpressure.
+fn fleet_policy() -> Admission {
+    let admission = AdmissionControl {
         budget_per_window: 3,
-        ..pact_tiersim::AdmissionControl::default()
-    });
-    cfg
+        ..AdmissionControl::default()
+    };
+    Admission::new(Box::new(fresh_policy()), admission, vec![4, 1, 2])
+        .expect("admission config is valid")
 }
 
 const FLEET: [&str; 3] = ["gups", "mlc-hog", "zipf-drift"];
 
-fn fleet_capture(snapshot_every: u64) -> (RunReport, Vec<MachineSnapshot>) {
-    run_cell(fleet_snap_cfg(snapshot_every), &FLEET, None).expect("fleet capture run succeeds")
-}
-
-fn fleet_resume(frame: &MachineSnapshot) -> Result<RunReport, SimError> {
-    run_cell(fleet_snap_cfg(0), &FLEET, Some(frame)).map(|(report, _)| report)
+fn fleet_capture(snapshot_every: u64) -> (RunReport, Vec<MachineSnapshot>, Admission) {
+    let mut policy = fleet_policy();
+    let (report, frames) = run_cell(snap_cfg(snapshot_every), &FLEET, &mut policy, None)
+        .expect("fleet capture run succeeds");
+    (report, frames, policy)
 }
 
 #[test]
 fn fleet_snapshots_mid_backpressure_resume_byte_identically() {
-    let (base, frames) = fleet_capture(4);
+    let (base, frames, policy) = fleet_capture(4);
     // The cell must actually be under admission pressure, or the
     // frames carry no token/deferral state worth testing.
-    let rejected: u64 = base.tenants.iter().map(|t| t.rejected_orders).sum();
-    let admitted: u64 = base.tenants.iter().map(|t| t.admitted_orders).sum();
+    let rejected: u64 = policy.lanes().iter().map(|l| l.rejected).sum();
+    let admitted: u64 = policy.lanes().iter().map(|l| l.admitted).sum();
     assert!(
         rejected > 0,
         "budget 3/window over three tenants produced no rejections — the test lost its subject"
@@ -165,25 +168,36 @@ fn fleet_snapshots_mid_backpressure_resume_byte_identically() {
     let want = base.to_json();
     for frame in &frames {
         let window = frame.window().expect("frame header is readable");
-        let got = fleet_resume(frame)
+        let mut resumed = fleet_policy();
+        let got = run_cell(snap_cfg(0), &FLEET, &mut resumed, Some(frame))
             .unwrap_or_else(|e| panic!("fleet resume from window {window}: {e}"))
+            .0
             .to_json();
         assert_eq!(got, want, "fleet resume from window {window} diverged");
+        assert_eq!(
+            resumed.lanes(),
+            policy.lanes(),
+            "admission ledger diverged resuming window {window}"
+        );
     }
 }
 
 #[test]
 fn fleet_frames_refuse_a_tenantless_machine() {
-    // Dropping the tenant list changes the configuration fingerprint:
-    // resuming a fleet capture on a single-tenant machine is refused,
-    // not silently degraded.
-    let (_, frames) = fleet_capture(8);
+    // A frame captured under admission control carries the wrapper's
+    // name and state: resuming it under bare PACT is refused, not
+    // silently degraded, and so is the reverse.
+    let (_, frames, _) = fleet_capture(8);
     let frame = frames.last().expect("at least one fleet snapshot");
-    let mut cfg = fleet_snap_cfg(0);
-    cfg.tenants = Vec::new();
-    cfg.admission = None;
-    match run_cell(cfg, &["masim"], Some(frame)).map(|(report, _)| report) {
-        Err(SimError::Snapshot(e)) => assert!(e.contains("fingerprint"), "{e}"),
-        other => panic!("tenantless resume must be rejected, got {other:?}"),
+    match run_cell(snap_cfg(0), &FLEET, &mut fresh_policy(), Some(frame)).map(|(r, _)| r) {
+        Err(SimError::Snapshot(e)) => assert!(e.contains("admission(pact)"), "{e}"),
+        other => panic!("bare-PACT resume of a fleet frame must be rejected, got {other:?}"),
+    }
+    let (_, bare) = run_cell(snap_cfg(8), &FLEET, &mut fresh_policy(), None)
+        .expect("bare colocated capture succeeds");
+    let frame = bare.last().expect("at least one colocated snapshot");
+    match run_cell(snap_cfg(0), &FLEET, &mut fleet_policy(), Some(frame)).map(|(r, _)| r) {
+        Err(SimError::Snapshot(e)) => assert!(e.contains("admission(pact)"), "{e}"),
+        other => panic!("fleet resume of a bare-PACT frame must be rejected, got {other:?}"),
     }
 }

@@ -7,8 +7,8 @@
 
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
-    AdmissionControl, FaultPlan, Machine, MachineConfig, RunReport, RunSpec, TenantReport,
-    TenantSpec, Workload,
+    Admission, AdmissionControl, FaultPlan, Machine, MachineConfig, ProcessReport, RunReport,
+    RunSpec, Workload,
 };
 use pact_workloads::suite::{build, Scale};
 
@@ -23,15 +23,6 @@ fn fleet_cfg(faults: bool) -> MachineConfig {
     let mut cfg = MachineConfig::skylake_cxl(128);
     cfg.seed = 11;
     cfg.track_page_stalls = true;
-    cfg.tenants = vec![
-        TenantSpec::new("gups", 4),
-        TenantSpec::new("mlc-hog", 1),
-        TenantSpec::new("zipf-drift", 2),
-    ];
-    cfg.admission = Some(AdmissionControl {
-        budget_per_window: 3,
-        ..AdmissionControl::default()
-    });
     if faults {
         cfg.fault_plan = Some(FaultPlan {
             seed: 11,
@@ -46,26 +37,39 @@ fn fleet_cfg(faults: bool) -> MachineConfig {
     cfg
 }
 
-fn run_fleet(faults: bool) -> RunReport {
+/// Runs the fleet cell under PACT inside admission control with a
+/// budget of 3 orders per window, weights 4:1:2.
+fn run_fleet(faults: bool) -> (RunReport, Admission) {
     let workloads = fleet_workloads(11);
     let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
     let machine = Machine::new(fleet_cfg(faults)).expect("config is valid");
-    let mut policy = PactPolicy::new(PactConfig::default()).expect("default config is valid");
-    machine
+    let pact = PactPolicy::new(PactConfig::default()).expect("default config is valid");
+    let admission = AdmissionControl {
+        budget_per_window: 3,
+        ..AdmissionControl::default()
+    };
+    let mut policy = Admission::new(Box::new(pact), admission, vec![4, 1, 2])
+        .expect("admission config is valid");
+    let report = machine
         .run(RunSpec::new(&refs, &mut policy))
-        .expect("fleet cell runs")
+        .expect("fleet cell runs");
+    (report, policy)
 }
 
 /// One named conservation check: (counter name, global total, lane getter).
-type Check<'a> = (&'a str, u64, &'a dyn Fn(&TenantReport) -> u64);
+type Check<'a> = (&'a str, u64, &'a dyn Fn(&ProcessReport) -> u64);
 
-/// Sums one per-tenant scalar over every lane.
-fn lane(report: &RunReport, f: &dyn Fn(&TenantReport) -> u64) -> u64 {
-    report.tenants.iter().map(f).sum()
+/// Sums one per-process scalar over every lane.
+fn lane(report: &RunReport, f: &dyn Fn(&ProcessReport) -> u64) -> u64 {
+    report.per_process.iter().map(f).sum()
 }
 
 fn assert_partition(report: &RunReport, label: &str) {
-    assert_eq!(report.tenants.len(), 3, "{label}: expected 3 tenant lanes");
+    assert_eq!(
+        report.per_process.len(),
+        3,
+        "{label}: expected 3 tenant lanes"
+    );
 
     // Scalar PMU counters: tenant lanes must sum exactly to globals.
     let global = &report.counters;
@@ -102,7 +106,7 @@ fn assert_partition(report: &RunReport, label: &str) {
         }
     }
 
-    // Migration stats: the machine-level totals are the tenant sums.
+    // Migration stats: the machine-level totals are the lane sums.
     assert_eq!(
         lane(report, &|t| t.promotions),
         report.promotions,
@@ -140,19 +144,19 @@ fn assert_partition(report: &RunReport, label: &str) {
 
 #[test]
 fn tenant_lanes_partition_globals_without_faults() {
-    let report = run_fleet(false);
+    let (report, policy) = run_fleet(false);
     assert_partition(&report, "clean");
-    let rejected = lane(&report, &|t| t.rejected_orders);
+    let rejected: u64 = policy.lanes().iter().map(|l| l.rejected).sum();
     assert!(rejected > 0, "budget 3/window produced no rejections");
     assert!(
-        lane(&report, &|t| t.admitted_orders) > 0,
+        policy.lanes().iter().any(|l| l.admitted > 0),
         "the cell admitted nothing"
     );
 }
 
 #[test]
 fn tenant_lanes_partition_globals_under_fault_injection() {
-    let report = run_fleet(true);
+    let (report, _) = run_fleet(true);
     assert_partition(&report, "faulted");
     assert!(
         report.failed_promotions > 0,
@@ -163,13 +167,18 @@ fn tenant_lanes_partition_globals_under_fault_injection() {
 #[test]
 fn fleet_reports_are_repeatable() {
     for faults in [false, true] {
-        let base = run_fleet(faults);
-        let again = run_fleet(faults);
+        let (base, base_policy) = run_fleet(faults);
+        let (again, again_policy) = run_fleet(faults);
         assert_partition(&again, &format!("faults={faults} repeat"));
         assert_eq!(
             again.to_json(),
             base.to_json(),
             "fleet report diverged on a repeat run (faults={faults})"
+        );
+        assert_eq!(
+            again_policy.lanes(),
+            base_policy.lanes(),
+            "admission ledger diverged on a repeat run (faults={faults})"
         );
     }
 }

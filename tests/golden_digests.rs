@@ -6,7 +6,7 @@
 //! on the experiment machine (the cells `perfbench` times, at smoke
 //! scale). The fleet cell is `tierctl fleet`'s default three-tenant
 //! admission cell at the same scale, seed and ratio; its report carries
-//! the per-tenant lanes the single-workload cells leave empty. The
+//! the per-process lanes a single-workload report leaves out. The
 //! figure digests hash the report `tierctl repro --fig NAME --scale
 //! smoke` prints at seed 42. A host-side optimisation must leave every
 //! digest unchanged.
@@ -14,7 +14,7 @@
 //! in the same change, and says why in CHANGES.md.
 
 use pact_bench::{experiment_machine, figures, make_policy, Lab, TierRatio};
-use pact_tiersim::{fnv1a, AdmissionControl, Machine, RunSpec, TenantSpec, Workload};
+use pact_tiersim::{fnv1a, Admission, AdmissionControl, AdmissionLane, Machine, RunSpec, Workload};
 use pact_workloads::suite::{build, Scale};
 
 /// `(suite workload, policy, digest)`.
@@ -25,9 +25,10 @@ const GOLDEN: [(&str, &str, u64); 3] = [
 ];
 
 /// FNV-1a of `tierctl fleet`'s default cell: tenants
-/// `app:gups:4,hog:mlc-hog:1,store:zipf-drift:2` under PACT, page-stall
-/// tracking on, an admission budget of 4 orders per window.
-const GOLDEN_FLEET: u64 = 0xd5b6_6439_2085_aa13;
+/// `app:gups:4,hog:mlc-hog:1,store:zipf-drift:2` under PACT inside
+/// admission control with a budget of 4 orders per window, page-stall
+/// tracking on.
+const GOLDEN_FLEET: u64 = 0x28c5_5730_57eb_f1d9;
 
 /// What the fleet cell simulates, pinned apart from how the report lays
 /// it out, so a changed [`GOLDEN_FLEET`] with these intact can only
@@ -93,20 +94,22 @@ fn fleet_cell_matches_golden_digest() {
     let mut cfg = experiment_machine(TierRatio::new(1, 1).fast_pages(footprint));
     cfg.seed = 42;
     cfg.track_page_stalls = true;
-    cfg.tenants = tenants
-        .iter()
-        .map(|&(name, _, weight)| TenantSpec::new(name, weight))
-        .collect();
-    cfg.admission = Some(AdmissionControl {
+    let machine = Machine::new(cfg).expect("fleet machine is valid");
+    let admission = AdmissionControl {
         budget_per_window: 4,
         ..AdmissionControl::default()
-    });
-    let machine = Machine::new(cfg).expect("fleet machine is valid");
-    let mut policy = make_policy("pact").expect("known policy");
+    };
+    let weights = tenants.iter().map(|&(_, _, weight)| weight).collect();
+    let mut policy = Admission::new(
+        make_policy("pact").expect("known policy"),
+        admission,
+        weights,
+    )
+    .expect("admission config is valid");
     let report = machine
-        .run(RunSpec::new(&refs, policy.as_mut()))
+        .run(RunSpec::new(&refs, &mut policy))
         .expect("fleet cell runs");
-    assert_eq!(report.tenants.len(), 3, "one lane per tenant");
+    assert_eq!(report.per_process.len(), 3, "one lane per tenant");
     let totals = [
         report.total_cycles,
         report.promotions,
@@ -115,23 +118,16 @@ fn fleet_cell_matches_golden_digest() {
     ];
     assert_eq!(totals, FLEET_TOTALS, "fleet totals");
     let processes: Vec<(u64, u64, u64, [u64; 2])> = report
-        .tenants
+        .per_process
         .iter()
-        .map(|t| {
-            (
-                t.counters.accesses,
-                t.promotions,
-                t.demotions,
-                t.stall_cycles,
-            )
-        })
+        .map(|p| (p.accesses, p.promotions, p.demotions, p.stall_cycles))
         .collect();
     assert_eq!(processes, FLEET_PROCESSES, "fleet per-process lanes");
-    let sum = |f: fn(&pact_tiersim::TenantReport) -> u64| report.tenants.iter().map(f).sum();
+    let sum = |f: fn(&AdmissionLane) -> u64| -> u64 { policy.lanes().iter().map(f).sum() };
     let admission = [
-        sum(|t| t.admitted_orders),
-        sum(|t| t.rejected_orders),
-        report.dropped_orders,
+        sum(|a| a.admitted),
+        sum(|a| a.rejected),
+        report.dropped_orders + sum(|a| a.dropped),
     ];
     assert_eq!(admission, FLEET_ADMISSION, "fleet admission counts");
     let got = fnv1a(report.to_json().as_bytes());
