@@ -100,6 +100,8 @@ impl Csr {
 
 #[cfg(test)]
 mod tests {
+    use pact_stats::SplitMix64;
+
     use super::super::gen::{kronecker, EdgeList};
     use super::*;
 
@@ -164,6 +166,72 @@ mod tests {
         let mut d = s.clone();
         d.dedup();
         assert_eq!(d.len(), 4);
+    }
+
+    /// The builder's contract spelled out the slow way: drop self-loops,
+    /// add the reverse of every edge when symmetric, sort and dedup the
+    /// pairs, and group them by source.
+    fn reference(el: &EdgeList, symmetric: bool) -> Vec<Vec<u32>> {
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        for &(s, d) in el.edges.iter().filter(|(s, d)| s != d) {
+            pairs.push((s, d));
+            if symmetric {
+                pairs.push((d, s));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut adj = vec![Vec::new(); el.n as usize];
+        for (s, d) in pairs {
+            adj[s as usize].push(d);
+        }
+        adj
+    }
+
+    /// A random edge list over `0..n` whose endpoints stay below a random
+    /// bound (the vertices above it are isolated), with self-loops and
+    /// repeats of earlier edges mixed in.
+    fn random_edges(rng: &mut SplitMix64, n: u32) -> EdgeList {
+        let hi = rng.random_range(0..n) + 1;
+        let m = rng.random_range(0..4 * n as usize + 2);
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
+        for _ in 0..m {
+            let s = rng.random_range(0..hi);
+            let edge = match rng.random_range(0..8u32) {
+                0 => (s, s),
+                1 | 2 if !edges.is_empty() => edges[rng.random_range(0..edges.len())],
+                _ => (s, rng.random_range(0..hi)),
+            };
+            edges.push(edge);
+        }
+        EdgeList { n, edges }
+    }
+
+    #[test]
+    fn builder_matches_a_sort_and_dedup_reference() {
+        let mut rng = SplitMix64::seed_from_u64(0x00C5_2B11);
+        for case in 0..300 {
+            let n = if case % 10 == 0 {
+                1
+            } else {
+                rng.random_range(1..80u32)
+            };
+            let el = random_edges(&mut rng, n);
+            for symmetric in [false, true] {
+                let g = Csr::from_edges(&el, symmetric);
+                let want = reference(&el, symmetric);
+                assert_eq!(g.num_vertices(), n);
+                let total: usize = want.iter().map(Vec::len).sum();
+                assert_eq!(g.num_edges(), total as u64, "case {case}");
+                for v in 0..n {
+                    assert_eq!(
+                        g.neighbors(v),
+                        want[v as usize].as_slice(),
+                        "case {case}, vertex {v}, symmetric {symmetric}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,13 +8,17 @@
 //! admission cell at the same scale, seed and ratio; its report carries
 //! the per-process lanes a single-workload report leaves out. The
 //! figure digests hash the report `tierctl repro --fig NAME --scale
-//! smoke` prints at seed 42. A host-side optimisation must leave every
-//! digest unchanged.
+//! smoke` prints at seed 42. The CSR digests hash the graphs the GAPBS
+//! workloads run on, array for array. A host-side optimisation must
+//! leave every digest unchanged.
 //! A deliberate change to simulated behaviour updates the values here
 //! in the same change, and says why in CHANGES.md.
 
 use pact_bench::{experiment_machine, figures, make_policy, Lab, TierRatio};
 use pact_tiersim::{fnv1a, Admission, AdmissionControl, AdmissionLane, Machine, RunSpec, Workload};
+use pact_workloads::graph::{
+    count_triangles, kronecker, power_law, uniform, Csr, GraphWorkload, Kernel,
+};
 use pact_workloads::suite::{build, Scale};
 
 /// `(suite workload, policy, digest)`.
@@ -57,6 +61,33 @@ const GOLDEN_FIGURES: [(&str, u64); 5] = [
     ("fig12", 0x3711_eaca_bcba_2674),
     ("fig13", 0xc4b7_a783_cb72_00be),
 ];
+
+/// `(graph, digest)`: FNV-1a of a CSR's `offsets` (little-endian `u64`)
+/// followed by its `neighbors` (little-endian `u32`), seed 42.
+const GOLDEN_CSRS: [(&str, u64); 5] = [
+    ("kron-14-8-sym", 0xc220_0af8_80c0_97df),
+    ("urand-16k-131k-sym", 0xbf88_b1d4_fb29_5dae),
+    ("plaw-16k-131k-sym", 0xf357_46ec_6feb_bc8d),
+    ("kron-14-8-dir", 0x1155_69c2_4437_1032),
+    ("plaw-16k-131k-tc", 0x0c4f_25f9_9c91_7cad),
+];
+
+/// Triangles in the symmetric `plaw-16k-131k` graph.
+const GOLDEN_TRIANGLES: u64 = 39_086;
+
+fn csr_digest(g: &Csr) -> u64 {
+    let mut bytes = Vec::new();
+    for v in 0..g.num_vertices() {
+        bytes.extend_from_slice(&g.offset(v).to_le_bytes());
+    }
+    bytes.extend_from_slice(&g.num_edges().to_le_bytes());
+    for v in 0..g.num_vertices() {
+        for &u in g.neighbors(v) {
+            bytes.extend_from_slice(&u.to_le_bytes());
+        }
+    }
+    fnv1a(&bytes)
+}
 
 fn digest(workload: &str, policy: &str) -> u64 {
     let wl = build(workload, Scale::Smoke, 42);
@@ -152,4 +183,35 @@ fn cheap_figures_match_golden_digests() {
         got, GOLDEN_FIGURES,
         "figure digests (left) differ from the golden values"
     );
+}
+
+#[test]
+fn graph_csrs_match_golden_digests() {
+    let plaw = || Csr::from_edges(&power_law(16_384, 131_072, 0.9, 42), true);
+    let tc = GraphWorkload::new(
+        "tc",
+        plaw(),
+        Kernel::TriangleCount {
+            threads: 4,
+            budget: 1,
+        },
+        42,
+    );
+    let graphs = [
+        Csr::from_edges(&kronecker(14, 8, 42), true),
+        Csr::from_edges(&uniform(16_384, 131_072, 42), true),
+        plaw(),
+        Csr::from_edges(&kronecker(14, 8, 42), false),
+        tc.csr().clone(),
+    ];
+    let got: Vec<(&str, u64)> = GOLDEN_CSRS
+        .iter()
+        .zip(&graphs)
+        .map(|(&(name, _), g)| (name, csr_digest(g)))
+        .collect();
+    assert_eq!(
+        got, GOLDEN_CSRS,
+        "CSR digests (left) differ from the golden values"
+    );
+    assert_eq!(count_triangles(&plaw()), GOLDEN_TRIANGLES, "triangles");
 }
