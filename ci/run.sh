@@ -118,9 +118,33 @@ stage_workspace() {
 # keep serial sim_cycles_per_sec within 20% of the committed baseline.
 # (Refresh the baseline with `cargo run --release -p pact-bench --bin
 # probe_sweep` and commit the new BENCH_sweep.json.)
+# Then a memory bound on the headline cell: one short perfbench run of
+# bckron-pact must check out (`correct`) and peak at no more than
+# 28 MiB resident. The two-pass graph build (DESIGN.md §7, "Graph
+# set-up") peaks near 22.5 MiB; a build that holds an edge list peaks
+# near 40.5 MiB. RSS moves by well under 1 MiB between runs, so the
+# bound tolerates host noise.
 stage_perf() {
     cargo run --release -p pact-bench --bin probe_sweep -- \
         --check-against BENCH_sweep.json
+    perf_dir="target/ci-perf"
+    rm -rf "$perf_dir"
+    mkdir -p "$perf_dir"
+    rc=0
+    cargo run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload bckron-pact --seed 42 --seconds 1 --trace 0 \
+        > "$perf_dir/bckron-pact.out" || rc=$?
+    grep '^metric ' "$perf_dir/bckron-pact.out" || true
+    tail -n 1 "$perf_dir/bckron-pact.out" | grep -q '"correct": true' || {
+        echo "    FAIL: perfbench bckron-pact is not correct (exit $rc)"
+        exit 1
+    }
+    rss=$(sed -n 's/^metric peak_rss_mib=\([0-9.]*\) MiB$/\1/p' "$perf_dir/bckron-pact.out")
+    [ -n "$rss" ] && awk -v r="$rss" 'BEGIN { exit !(r <= 28) }' || {
+        echo "    FAIL: bckron-pact peak_rss_mib '$rss', want <= 28"
+        exit 1
+    }
+    echo "    bckron-pact correct, peak RSS $rss MiB <= 28"
 }
 
 stage_obs() {

@@ -983,10 +983,25 @@ fn parse_repro_args(mut it: impl Iterator<Item = String>) -> Result<ReproArgs, S
     Ok(args)
 }
 
+/// This process's peak resident set (`VmHWM`) in MiB, or `n/a` where
+/// `/proc/self/status` cannot be read.
+fn peak_rss() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.split_whitespace().next())
+        .and_then(|v| v.parse::<u64>().ok());
+    match kib {
+        Some(kib) => format!("{:.1} MiB", kib as f64 / 1024.0),
+        None => "n/a".into(),
+    }
+}
+
 /// Renders the selected figures, prints them in report order, saves
-/// them at paper scale, and reports wall time and the lab's totals on
-/// stderr (stdout is byte-compared). A failed figure exits 2 after the
-/// others are printed.
+/// them at paper scale, and reports wall time, the lab's totals and the
+/// peak RSS on stderr (stdout is byte-compared). A failed figure exits
+/// 2 after the others are printed.
 fn run_repro(args: &ReproArgs) {
     let lab = Lab::new(args.scale, args.seed).with_trace(pact_bench::env::trace_config());
     let start = std::time::Instant::now();
@@ -1006,13 +1021,14 @@ fn run_repro(args: &ReproArgs) {
     }
     let s = lab.stats();
     eprintln!(
-        "[repro] {} figures in {:.1}s; cells: {} requested, {} run; {} workload builds, {} harnesses",
+        "[repro] {} figures in {:.1}s; cells: {} requested, {} run; {} workload builds, {} harnesses; peak RSS {}",
         args.figures.len(),
         start.elapsed().as_secs_f64(),
         s.cells_requested,
         s.cells_run,
         s.workload_builds,
-        s.harnesses
+        s.harnesses,
+        peak_rss()
     );
     if failed {
         std::process::exit(2);

@@ -164,6 +164,28 @@ fn repro_rejects_an_unknown_figure_with_2_and_lists_the_names() {
 }
 
 #[test]
+fn repro_summary_reports_peak_rss_on_stderr_only() {
+    let out = run(&["repro", "--fig", "fig01", "--scale", "smoke"]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let err = stderr_of(&out);
+    let summary = err
+        .lines()
+        .find(|l| l.starts_with("[repro] 1 figures in "))
+        .unwrap_or_else(|| panic!("no [repro] summary: {err}"));
+    let rss = summary
+        .split("; peak RSS ")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no peak RSS field: {summary}"));
+    let mib = rss.strip_suffix(" MiB").and_then(|v| v.parse::<f64>().ok());
+    assert!(
+        rss == "n/a" || mib.is_some_and(|m| m > 0.0),
+        "peak RSS reads '{rss}'"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("peak RSS"), "stdout is the figure only");
+}
+
+#[test]
 fn list_exits_0() {
     let out = run(&["--list"]);
     assert_eq!(out.status.code(), Some(0));

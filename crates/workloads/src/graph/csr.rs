@@ -1,12 +1,13 @@
 //! Compressed-sparse-row graph representation.
 
-use super::gen::EdgeList;
+use super::gen::Edges;
 
 /// A CSR graph: `offsets[v]..offsets[v+1]` indexes `neighbors`.
 ///
-/// Built from an [`EdgeList`] with optional symmetrization; self-loops
-/// and duplicate edges are removed and adjacency lists are sorted (which
-/// the triangle-counting kernel requires).
+/// Built from an [`Edges`] source with optional symmetrization;
+/// self-loops and duplicate edges are removed and adjacency lists are
+/// sorted (which the triangle-counting kernel requires). Both arrays are
+/// allocated at their exact final size.
 #[derive(Debug, Clone)]
 pub struct Csr {
     n: u32,
@@ -18,30 +19,90 @@ impl Csr {
     /// Builds a CSR from `edges`. When `symmetric` is true every edge is
     /// inserted in both directions (GAPBS kernels run on symmetrized
     /// graphs).
-    pub fn from_edges(el: &EdgeList, symmetric: bool) -> Self {
-        let n = el.n as usize;
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(el.edges.len() * 2);
-        for &(s, d) in &el.edges {
-            if s == d {
-                continue;
-            }
-            pairs.push((s, d));
-            if symmetric {
-                pairs.push((d, s));
-            }
-        }
-        pairs.sort_unstable();
-        pairs.dedup();
-        let mut offsets = vec![0u64; n + 1];
-        for &(s, _) in &pairs {
+    ///
+    /// The build streams the source twice, as GAPBS does, and never
+    /// holds an edge list:
+    /// 1. a clone of `edges` counts each vertex's degree, and a prefix
+    ///    sum turns the counts into `offsets`;
+    /// 2. `edges` itself is scattered into a neighbor array of exactly
+    ///    that size;
+    /// 3. each adjacency list is sorted and deduplicated in place, the
+    ///    lists are compacted to the front, and the array is truncated.
+    ///
+    /// The peak is the raw neighbor array (duplicates included) plus
+    /// `offsets`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint lies outside `0..n`, or if the clone and
+    /// the source yield different edge counts, which breaks the replay
+    /// contract of [`Edges`].
+    pub fn from_edges<I>(edges: Edges<I>, symmetric: bool) -> Self
+    where
+        I: Iterator<Item = (u32, u32)> + Clone,
+    {
+        let n = edges.num_vertices();
+        let nv = n as usize;
+        // Pass 1: degree counts one slot up, so the prefix sum leaves
+        // each vertex's start in offsets[v].
+        let mut offsets = vec![0u64; nv + 1];
+        let mut counted = 0u64;
+        for (s, d) in edges.clone().filter(|(s, d)| s != d) {
             offsets[s as usize + 1] += 1;
+            if symmetric {
+                offsets[d as usize + 1] += 1;
+            }
+            counted += 1;
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+        for v in 0..nv {
+            offsets[v + 1] += offsets[v];
         }
-        let neighbors = pairs.into_iter().map(|(_, d)| d).collect();
+        // Pass 2: scatter, with offsets[v] as v's write cursor. Each
+        // cursor ends at its vertex's end, the next vertex's start.
+        let mut neighbors = vec![0u32; offsets[nv] as usize];
+        let mut place = |s: u32, d: u32| {
+            let slot = &mut offsets[s as usize];
+            neighbors[*slot as usize] = d;
+            *slot += 1;
+        };
+        let mut scattered = 0u64;
+        for (s, d) in edges.filter(|(s, d)| s != d) {
+            place(s, d);
+            if symmetric {
+                place(d, s);
+            }
+            scattered += 1;
+        }
+        assert_eq!(
+            counted, scattered,
+            "edge source replayed {scattered} edges after counting {counted}"
+        );
+        offsets.copy_within(0..nv, 1);
+        offsets[0] = 0;
+        // Pass 3: sort and dedup each list, compacting it down to
+        // `write`. offsets[v + 1] still holds v's old end here; it is
+        // rewritten with the next vertex's compacted start.
+        let mut write = 0usize;
+        let mut start = 0usize;
+        for v in 0..nv {
+            let end = offsets[v + 1] as usize;
+            neighbors[start..end].sort_unstable();
+            let first = write;
+            offsets[v] = first as u64;
+            for i in start..end {
+                let u = neighbors[i];
+                if write == first || neighbors[write - 1] != u {
+                    neighbors[write] = u;
+                    write += 1;
+                }
+            }
+            start = end;
+        }
+        offsets[nv] = write as u64;
+        neighbors.truncate(write);
+        neighbors.shrink_to_fit();
         Self {
-            n: el.n,
+            n,
             offsets,
             neighbors,
         }
@@ -102,19 +163,21 @@ impl Csr {
 mod tests {
     use pact_stats::SplitMix64;
 
-    use super::super::gen::{kronecker, EdgeList};
+    use super::super::gen::kronecker;
     use super::*;
 
-    fn tiny() -> EdgeList {
-        EdgeList {
-            n: 4,
-            edges: vec![(0, 1), (0, 2), (1, 2), (2, 3), (0, 1), (3, 3)],
-        }
+    /// A small edge list as a replayable source.
+    fn edges(n: u32, list: Vec<(u32, u32)>) -> Edges<std::vec::IntoIter<(u32, u32)>> {
+        Edges::new(n, list.into_iter())
+    }
+
+    fn tiny() -> Edges<std::vec::IntoIter<(u32, u32)>> {
+        edges(4, vec![(0, 1), (0, 2), (1, 2), (2, 3), (0, 1), (3, 3)])
     }
 
     #[test]
     fn builds_directed_csr() {
-        let g = Csr::from_edges(&tiny(), false);
+        let g = Csr::from_edges(tiny(), false);
         assert_eq!(g.num_vertices(), 4);
         // (0,1),(0,2),(1,2),(2,3); dup and self-loop dropped.
         assert_eq!(g.num_edges(), 4);
@@ -126,7 +189,7 @@ mod tests {
 
     #[test]
     fn symmetrization_doubles_edges() {
-        let g = Csr::from_edges(&tiny(), true);
+        let g = Csr::from_edges(tiny(), true);
         assert_eq!(g.num_edges(), 8);
         assert_eq!(g.neighbors(3), &[2]);
         assert_eq!(g.neighbors(2), &[0, 1, 3]);
@@ -134,7 +197,7 @@ mod tests {
 
     #[test]
     fn adjacency_lists_are_sorted() {
-        let g = Csr::from_edges(&kronecker(10, 8, 5), true);
+        let g = Csr::from_edges(kronecker(10, 8, 5), true);
         for v in 0..g.num_vertices() {
             let ns = g.neighbors(v);
             assert!(ns.windows(2).all(|w| w[0] < w[1]));
@@ -143,7 +206,7 @@ mod tests {
 
     #[test]
     fn offsets_are_consistent() {
-        let g = Csr::from_edges(&kronecker(8, 4, 1), false);
+        let g = Csr::from_edges(kronecker(8, 4, 1), false);
         let mut total = 0;
         for v in 0..g.num_vertices() {
             assert_eq!(
@@ -157,7 +220,7 @@ mod tests {
 
     #[test]
     fn sources_are_distinct_and_valid() {
-        let g = Csr::from_edges(&kronecker(10, 8, 2), true);
+        let g = Csr::from_edges(kronecker(10, 8, 2), true);
         let s = g.pick_sources(4);
         assert_eq!(s.len(), 4);
         for &v in &s {
@@ -171,9 +234,9 @@ mod tests {
     /// The builder's contract spelled out the slow way: drop self-loops,
     /// add the reverse of every edge when symmetric, sort and dedup the
     /// pairs, and group them by source.
-    fn reference(el: &EdgeList, symmetric: bool) -> Vec<Vec<u32>> {
+    fn reference(n: u32, list: &[(u32, u32)], symmetric: bool) -> Vec<Vec<u32>> {
         let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for &(s, d) in el.edges.iter().filter(|(s, d)| s != d) {
+        for &(s, d) in list.iter().filter(|(s, d)| s != d) {
             pairs.push((s, d));
             if symmetric {
                 pairs.push((d, s));
@@ -181,7 +244,7 @@ mod tests {
         }
         pairs.sort_unstable();
         pairs.dedup();
-        let mut adj = vec![Vec::new(); el.n as usize];
+        let mut adj = vec![Vec::new(); n as usize];
         for (s, d) in pairs {
             adj[s as usize].push(d);
         }
@@ -191,7 +254,7 @@ mod tests {
     /// A random edge list over `0..n` whose endpoints stay below a random
     /// bound (the vertices above it are isolated), with self-loops and
     /// repeats of earlier edges mixed in.
-    fn random_edges(rng: &mut SplitMix64, n: u32) -> EdgeList {
+    fn random_edges(rng: &mut SplitMix64, n: u32) -> Vec<(u32, u32)> {
         let hi = rng.random_range(0..n) + 1;
         let m = rng.random_range(0..4 * n as usize + 2);
         let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
@@ -204,7 +267,7 @@ mod tests {
             };
             edges.push(edge);
         }
-        EdgeList { n, edges }
+        edges
     }
 
     #[test]
@@ -216,10 +279,10 @@ mod tests {
             } else {
                 rng.random_range(1..80u32)
             };
-            let el = random_edges(&mut rng, n);
+            let list = random_edges(&mut rng, n);
             for symmetric in [false, true] {
-                let g = Csr::from_edges(&el, symmetric);
-                let want = reference(&el, symmetric);
+                let g = Csr::from_edges(edges(n, list.clone()), symmetric);
+                let want = reference(n, &list, symmetric);
                 assert_eq!(g.num_vertices(), n);
                 let total: usize = want.iter().map(Vec::len).sum();
                 assert_eq!(g.num_edges(), total as u64, "case {case}");
@@ -236,7 +299,7 @@ mod tests {
 
     #[test]
     fn max_degree_vertex_is_max() {
-        let g = Csr::from_edges(&tiny(), true);
+        let g = Csr::from_edges(tiny(), true);
         let m = g.max_degree_vertex();
         for v in 0..4 {
             assert!(g.degree(v) <= g.degree(m));

@@ -20,6 +20,7 @@ use super::csr::Csr;
 use super::emit::{
     load_elem4, load_elem8, scan_lines4, starts_line, store_elem4, store_elem8, IDS_PER_LINE,
 };
+use super::gen::Edges;
 use crate::common::{BufferedStream, Generator, InitPhase, LayoutBuilder};
 
 /// Which kernel a [`GraphWorkload`] runs.
@@ -608,7 +609,8 @@ impl Generator for PrGen<'_> {
 // --- Triangle counting ---------------------------------------------------
 
 /// Relabels a graph so vertex IDs decrease with degree; the GAPBS TC
-/// preprocessing that bounds intersection work.
+/// preprocessing that bounds intersection work. The old graph's edges,
+/// mapped through the rank table, stream straight into the builder.
 fn relabel_by_degree(csr: &Csr) -> Csr {
     let n = csr.num_vertices();
     let mut order: Vec<u32> = (0..n).collect();
@@ -617,16 +619,14 @@ fn relabel_by_degree(csr: &Csr) -> Csr {
     for (r, &v) in order.iter().enumerate() {
         rank[v as usize] = r as u32;
     }
-    let mut edges = Vec::with_capacity(csr.num_edges() as usize);
-    for v in 0..n {
-        for &u in csr.neighbors(v) {
-            edges.push((rank[v as usize], rank[u as usize]));
-        }
-    }
-    Csr::from_edges(
-        &super::gen::EdgeList { n, edges },
-        false, // already has both directions if the input did
-    )
+    let rank = &rank;
+    let edges = (0..n).flat_map(move |v| {
+        csr.neighbors(v)
+            .iter()
+            .map(move |&u| (rank[v as usize], rank[u as usize]))
+    });
+    // Already has both directions if the input did.
+    Csr::from_edges(Edges::new(n, edges), false)
 }
 
 struct TcGen<'w> {
@@ -706,7 +706,7 @@ mod tests {
     use super::*;
 
     fn small_graph() -> Csr {
-        Csr::from_edges(&kronecker(10, 8, 1), true)
+        Csr::from_edges(kronecker(10, 8, 1), true)
     }
 
     fn drain_all(wl: &GraphWorkload) -> Vec<Vec<Access>> {
@@ -844,7 +844,7 @@ mod tests {
     fn sssp_relaxes_and_terminates() {
         let wl = GraphWorkload::new(
             "sssp",
-            Csr::from_edges(&uniform(2048, 16_384, 3), true),
+            Csr::from_edges(uniform(2048, 16_384, 3), true),
             Kernel::Sssp {
                 sources: 2,
                 threads: 2,
@@ -891,7 +891,7 @@ mod tests {
 
     #[test]
     fn tc_respects_budget_and_counts_triangles() {
-        let g = Csr::from_edges(&power_law(2048, 32_768, 0.8, 2), true);
+        let g = Csr::from_edges(power_law(2048, 32_768, 0.8, 2), true);
         let wl = GraphWorkload::new(
             "tc",
             g,
@@ -928,7 +928,7 @@ mod tests {
 
     #[test]
     fn relabel_preserves_edge_count_and_orders_by_degree() {
-        let g = Csr::from_edges(&power_law(512, 8_192, 0.9, 5), true);
+        let g = Csr::from_edges(power_law(512, 8_192, 0.9, 5), true);
         let r = relabel_by_degree(&g);
         assert_eq!(r.num_edges(), g.num_edges());
         // Vertex 0 in the relabelled graph has the max degree.
@@ -955,7 +955,7 @@ mod tests {
 
     #[test]
     fn triangle_count_matches_brute_force() {
-        let g = Csr::from_edges(&power_law(128, 1_500, 0.8, 3), true);
+        let g = Csr::from_edges(power_law(128, 1_500, 0.8, 3), true);
         // Brute force: ordered vertex triples with all three edges.
         let mut brute = 0u64;
         let n = g.num_vertices();
@@ -977,7 +977,7 @@ mod tests {
 
     #[test]
     fn host_sssp_distances_match_dijkstra() {
-        let g = Csr::from_edges(&uniform(256, 2_000, 9), true);
+        let g = Csr::from_edges(uniform(256, 2_000, 9), true);
         let root = g.max_degree_vertex();
         let host = HostSssp::run(&g, root);
         // Reference Dijkstra with the same deterministic edge weights.
@@ -1004,7 +1004,7 @@ mod tests {
 
     #[test]
     fn host_sssp_rounds_shrink_distances() {
-        let g = Csr::from_edges(&uniform(512, 4_096, 1), true);
+        let g = Csr::from_edges(uniform(512, 4_096, 1), true);
         let root = g.max_degree_vertex();
         let s = HostSssp::run(&g, root);
         assert!(!s.rounds.is_empty());

@@ -7,5 +7,5 @@ mod gen;
 mod kernels;
 
 pub use csr::Csr;
-pub use gen::{kronecker, power_law, uniform, EdgeList};
+pub use gen::{kronecker, power_law, uniform, Edges};
 pub use kernels::{count_triangles, GraphWorkload, Kernel};

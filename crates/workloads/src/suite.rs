@@ -150,22 +150,22 @@ fn bc_kernel(s: Scale) -> Kernel {
 
 fn kron_graph(s: Scale, seed: u64) -> Csr {
     match s {
-        Scale::Smoke => Csr::from_edges(&kronecker(11, 8, seed), true),
-        Scale::Paper => Csr::from_edges(&kronecker(17, 10, seed), true),
+        Scale::Smoke => Csr::from_edges(kronecker(11, 8, seed), true),
+        Scale::Paper => Csr::from_edges(kronecker(17, 10, seed), true),
     }
 }
 
 fn urand_graph(s: Scale, seed: u64) -> Csr {
     match s {
-        Scale::Smoke => Csr::from_edges(&uniform(2_048, 16_384, seed), true),
-        Scale::Paper => Csr::from_edges(&uniform(131_072, 1_300_000, seed), true),
+        Scale::Smoke => Csr::from_edges(uniform(2_048, 16_384, seed), true),
+        Scale::Paper => Csr::from_edges(uniform(131_072, 1_300_000, seed), true),
     }
 }
 
 fn twitter_graph(s: Scale, seed: u64) -> Csr {
     match s {
-        Scale::Smoke => Csr::from_edges(&power_law(2_048, 16_384, 0.9, seed), true),
-        Scale::Paper => Csr::from_edges(&power_law(131_072, 1_300_000, 0.9, seed), true),
+        Scale::Smoke => Csr::from_edges(power_law(2_048, 16_384, 0.9, seed), true),
+        Scale::Paper => Csr::from_edges(power_law(131_072, 1_300_000, 0.9, seed), true),
     }
 }
 

@@ -17,7 +17,7 @@ use pact_workloads::graph::{kronecker, Csr, GraphWorkload, Kernel};
 fn main() {
     let workload = GraphWorkload::new(
         "bc-kron",
-        Csr::from_edges(&kronecker(14, 8, 42), true),
+        Csr::from_edges(kronecker(14, 8, 42), true),
         Kernel::Bc {
             sources: 2,
             threads: 4,

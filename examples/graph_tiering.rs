@@ -18,7 +18,7 @@ use pact_workloads::graph::{kronecker, Csr, GraphWorkload, Kernel};
 fn main() {
     // A scaled bc-kron: 2^14 vertices, degree ~8, two sources across
     // four cooperating threads.
-    let graph = Csr::from_edges(&kronecker(14, 8, 42), true);
+    let graph = Csr::from_edges(kronecker(14, 8, 42), true);
     println!(
         "graph: {} vertices, {} directed edges",
         graph.num_vertices(),

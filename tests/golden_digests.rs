@@ -187,7 +187,7 @@ fn cheap_figures_match_golden_digests() {
 
 #[test]
 fn graph_csrs_match_golden_digests() {
-    let plaw = || Csr::from_edges(&power_law(16_384, 131_072, 0.9, 42), true);
+    let plaw = || Csr::from_edges(power_law(16_384, 131_072, 0.9, 42), true);
     let tc = GraphWorkload::new(
         "tc",
         plaw(),
@@ -198,10 +198,10 @@ fn graph_csrs_match_golden_digests() {
         42,
     );
     let graphs = [
-        Csr::from_edges(&kronecker(14, 8, 42), true),
-        Csr::from_edges(&uniform(16_384, 131_072, 42), true),
+        Csr::from_edges(kronecker(14, 8, 42), true),
+        Csr::from_edges(uniform(16_384, 131_072, 42), true),
         plaw(),
-        Csr::from_edges(&kronecker(14, 8, 42), false),
+        Csr::from_edges(kronecker(14, 8, 42), false),
         tc.csr().clone(),
     ];
     let got: Vec<(&str, u64)> = GOLDEN_CSRS

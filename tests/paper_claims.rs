@@ -17,7 +17,7 @@ fn bc_kron_midsize() -> GraphWorkload {
     // needs time to converge) yet small enough for CI.
     GraphWorkload::new(
         "bc-kron",
-        Csr::from_edges(&kronecker(15, 10, 42), true),
+        Csr::from_edges(kronecker(15, 10, 42), true),
         Kernel::Bc {
             sources: 2,
             threads: 4,
