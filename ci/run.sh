@@ -17,7 +17,7 @@
 # Stage names are validated against the roster below — a typo exits 2
 # naming the bad stage instead of silently skipping everything.
 #
-# Stages: fmt lint build test workspace perf obs obs-report fault snapshot check
+# Stages: fmt lint build test workspace perf obs obs-report fault check
 #
 # PACT_JOBS is pinned so sweep-shaped tests exercise the parallel
 # executor deterministically regardless of the runner's core count.
@@ -27,7 +27,7 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE="${CARGO_NET_OFFLINE:-true}"
 export PACT_JOBS="${PACT_JOBS:-4}"
 
-ROSTER="fmt lint build test workspace perf obs obs-report fault snapshot check"
+ROSTER="fmt lint build test workspace perf obs obs-report fault check"
 STAGES="${PACT_CI_STAGES:-$ROSTER}"
 for s in $STAGES; do
     case " $ROSTER " in
@@ -220,56 +220,6 @@ stage_fault() {
     }
     grep -q 'failed_promotions=' "$obs_dir/fault_a.out"
     echo "    fault-injected traces byte-identical, nonzero failure totals"
-}
-
-# Crash-recovery gate (DESIGN.md §13): capture a fault-injected cell
-# with the retry/backoff machinery loaded; resume every frame and
-# demand the report:/digest: summary lines match the uninterrupted
-# run's exactly.
-# A deliberately corrupted frame must be rejected with exit 2, and the
-# same fault plan must be set on resume — the plan is part of the
-# configuration fingerprint.
-stage_snapshot() {
-    snap_dir="target/ci-snap"
-    rm -rf "$snap_dir"
-    mkdir -p "$snap_dir"
-    fault_spec='drop=0.2,fail=0.6,retries=2,backoff=2,seed=7'
-    PACT_FAULTS="$fault_spec" \
-        cargo run --release -p pact-bench --bin tierctl -- snapshot \
-        --workload masim --policy pact --ratio 1:2 --seed 7 --every 8 \
-        --out "$snap_dir" | tee "$snap_dir/capture.out"
-    grep -E '^(report|digest):' "$snap_dir/capture.out" > "$snap_dir/want.txt"
-    frames=0
-    for snap in "$snap_dir"/snap_*.pactsnap; do
-        PACT_FAULTS="$fault_spec" \
-            cargo run --release -p pact-bench --bin tierctl -- resume \
-            --from "$snap" | grep -E '^(report|digest):' > "$snap_dir/got.txt"
-        cmp "$snap_dir/want.txt" "$snap_dir/got.txt"
-        frames=$((frames + 1))
-    done
-    [ "$frames" -gt 0 ] || {
-        echo "    FAIL: capture run wrote no snapshots"
-        exit 1
-    }
-    echo "    kill-resume byte-identical for $frames frames"
-    first=$(ls "$snap_dir"/snap_*.pactsnap | head -n 1)
-    cp "$first" "$snap_dir/corrupt.pactsnap"
-    printf '\377' | dd of="$snap_dir/corrupt.pactsnap" bs=1 seek=100 count=1 conv=notrunc 2> /dev/null
-    rc=0
-    PACT_FAULTS="$fault_spec" cargo run --release -p pact-bench --bin tierctl -- resume \
-        --from "$snap_dir/corrupt.pactsnap" > /dev/null 2>&1 || rc=$?
-    [ "$rc" -eq 2 ] || {
-        echo "    FAIL: corrupted snapshot exited $rc, want 2"
-        exit 1
-    }
-    rc=0
-    cargo run --release -p pact-bench --bin tierctl -- resume \
-        --from "$first" > /dev/null 2>&1 || rc=$?
-    [ "$rc" -eq 2 ] || {
-        echo "    FAIL: resume without the capture's fault plan exited $rc, want 2"
-        exit 1
-    }
-    echo "    corrupted and configuration-mismatched snapshots rejected with exit 2"
 }
 
 # Invariant & differential-oracle smoke: the config fuzzer with the

@@ -26,8 +26,9 @@
 //! crash-recovery snapshots at a fixed window cadence (DESIGN.md §13);
 //! `resume` restores one of those files and runs the cell to
 //! completion. A resumed run's report is byte-identical to the
-//! uninterrupted run — the `digest:` line pins it, and the CI
-//! `snapshot` stage and `pact-check`'s kill-resume oracle compare it:
+//! uninterrupted run — the `digest:` line pins it, and the CLI tests
+//! (`tests/tierctl_cli.rs`) and `pact-check`'s kill-resume oracle
+//! compare it:
 //!
 //! ```text
 //! tierctl snapshot --workload gups --every 8 --out snaps
@@ -566,8 +567,8 @@ fn run_serve_metrics(args: &Args) {
 /// FNV-1a over the report's full `Debug` rendering: an order-sensitive
 /// digest of every field the run produced (counters, window records,
 /// telemetry, metrics, the page-stall oracle). Equal digests between an
-/// uninterrupted run and a kill-resume replay are what the CI
-/// `snapshot` stage compares.
+/// uninterrupted run and a kill-resume replay are what the CLI tests
+/// compare.
 fn report_digest(report: &RunReport) -> u64 {
     pact_tiersim::fnv1a(format!("{report:?}").as_bytes())
 }

@@ -45,22 +45,20 @@ pub struct CellSnapshot {
     pub frame: MachineSnapshot,
 }
 
+pact_stats::codec! {
+    impl Codec for CellSnapshot {
+        workload, policy, scale, seed, fast_pages, thp, track_stalls, frame,
+    }
+}
+
 impl CellSnapshot {
-    /// Serializes the cell snapshot for writing to disk.
+    /// Serializes the cell snapshot for writing to disk: the magic and
+    /// version, then the recipe and the frame.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        for b in CELL_MAGIC {
-            w.put_u8(b);
-        }
-        w.put_u32(CELL_VERSION);
-        w.put_str(&self.workload);
-        w.put_str(&self.policy);
-        w.put_str(&self.scale);
-        w.put_u64(self.seed);
-        w.put_u64(self.fast_pages);
-        w.put_bool(self.thp);
-        w.put_bool(self.track_stalls);
-        w.put_bytes(self.frame.as_bytes());
+        w.put(&CELL_MAGIC);
+        w.put(&CELL_VERSION);
+        w.put(self);
         w.into_bytes()
     }
 
@@ -75,46 +73,29 @@ impl CellSnapshot {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
         let e = |e: CodecError| format!("cell snapshot: {e}");
         let mut r = ByteReader::new(bytes);
-        let mut magic = [0u8; 8];
-        for b in &mut magic {
-            *b = r.get_u8().map_err(e)?;
-        }
-        if magic != CELL_MAGIC {
+        if r.get::<[u8; 8]>().map_err(e)? != CELL_MAGIC {
             return Err("not a cell snapshot (bad magic)".into());
         }
-        let version = r.get_u32().map_err(e)?;
+        let version: u32 = r.get().map_err(e)?;
         if version != CELL_VERSION {
             return Err(format!(
                 "unsupported cell snapshot version {version} (this build reads {CELL_VERSION})"
             ));
         }
-        let workload = r.get_str().map_err(e)?.to_string();
-        let policy = r.get_str().map_err(e)?.to_string();
-        let scale = r.get_str().map_err(e)?.to_string();
-        if scale != "smoke" && scale != "paper" {
-            return Err(format!("unknown workload scale {scale:?} in cell snapshot"));
-        }
-        let seed = r.get_u64().map_err(e)?;
-        let fast_pages = r.get_u64().map_err(e)?;
-        let thp = r.get_bool().map_err(e)?;
-        let track_stalls = r.get_bool().map_err(e)?;
-        let frame = MachineSnapshot::from_bytes(r.get_bytes().map_err(e)?.to_vec());
+        let cell: Self = r.get().map_err(e)?;
         r.finish().map_err(e)?;
+        if cell.scale != "smoke" && cell.scale != "paper" {
+            return Err(format!(
+                "unknown workload scale {:?} in cell snapshot",
+                cell.scale
+            ));
+        }
         // Light header validation now; the restore path re-verifies the
         // checksum and configuration fingerprint over the full frame.
-        frame
+        cell.frame
             .window()
             .map_err(|err| format!("embedded machine frame is invalid: {err}"))?;
-        Ok(Self {
-            workload,
-            policy,
-            scale,
-            seed,
-            fast_pages,
-            thp,
-            track_stalls,
-            frame,
-        })
+        Ok(cell)
     }
 }
 

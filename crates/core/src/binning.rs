@@ -129,77 +129,6 @@ impl AdaptiveBins {
         self.scale
     }
 
-    /// Serializes the engine's run state (reservoir contents, RNG
-    /// cursor, width/scale/freeze) for a crash-recovery snapshot.
-    pub(crate) fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        let Self {
-            mode: _,        // fixed by the configuration on restore
-            static_bins: _, // fixed by the configuration on restore
-            t_scale: _,     // fixed by the configuration on restore
-            reservoir,
-            rng,
-            width,
-            scale,
-            frozen,
-        } = self;
-        let samples = reservoir.as_slice();
-        w.put_u64(samples.len() as u64);
-        for &v in samples {
-            w.put_f64(v);
-        }
-        w.put_u64(reservoir.seen());
-        w.put_u64(rng.state());
-        w.put_f64(*width);
-        w.put_f64(*scale);
-        w.put_bool(*frozen);
-    }
-
-    /// Restores the run state written by [`AdaptiveBins::encode_state`]
-    /// into an engine freshly built from the same configuration.
-    pub(crate) fn decode_state(
-        &mut self,
-        r: &mut pact_stats::ByteReader<'_>,
-    ) -> Result<(), String> {
-        let Self {
-            mode: _,        // fixed by the configuration on restore
-            static_bins: _, // fixed by the configuration on restore
-            t_scale: _,     // fixed by the configuration on restore
-            reservoir,
-            rng,
-            width,
-            scale,
-            frozen,
-        } = self;
-        let e = |e: pact_stats::CodecError| e.to_string();
-        let n = r.get_u64().map_err(e)? as usize;
-        if n > reservoir.capacity() {
-            return Err(format!(
-                "snapshot reservoir holds {n} samples but the configured capacity is {}",
-                reservoir.capacity()
-            ));
-        }
-        let mut samples = Vec::with_capacity(n);
-        for _ in 0..n {
-            samples.push(r.get_f64().map_err(e)?);
-        }
-        let seen = r.get_u64().map_err(e)?;
-        if (seen as usize) < n {
-            return Err(format!("reservoir saw {seen} values but holds {n}"));
-        }
-        reservoir.restore_state(&samples, seen);
-        *rng = SplitMix64::new(r.get_u64().map_err(e)?);
-        *width = r.get_f64().map_err(e)?;
-        *scale = r.get_f64().map_err(e)?;
-        *frozen = r.get_bool().map_err(e)?;
-        if !width.is_finite() || *width < 0.0 {
-            return Err(format!("restored bin width is invalid: {width}"));
-        }
-        if !scale.is_finite() || *scale <= 0.0 {
-            return Err(format!("restored bin scale is invalid: {scale}"));
-        }
-        Ok(())
-    }
-
     /// Selects the promotion candidates: the pages whose PAC falls in
     /// the highest non-empty bin among `pages`, which the caller has
     /// pre-filtered to slow-tier residents. Returns `(candidates,
@@ -218,6 +147,25 @@ impl AdaptiveBins {
             .map(|&(p, _)| p)
             .collect();
         (candidates, top)
+    }
+}
+
+// The run state (reservoir contents, RNG cursor, width/scale/freeze),
+// restored into an engine freshly built from the same configuration.
+pact_stats::codec! {
+    impl State for AdaptiveBins {
+        reservoir: state, rng, width, scale, frozen;
+        mode: _,        // fixed by the configuration on restore
+        static_bins: _, // fixed by the configuration on restore
+        t_scale: _,     // fixed by the configuration on restore
+    } then |b| {
+        if !b.width.is_finite() || b.width < 0.0 {
+            return Err(format!("restored bin width is invalid: {}", b.width));
+        }
+        if !b.scale.is_finite() || b.scale <= 0.0 {
+            return Err(format!("restored bin scale is invalid: {}", b.scale));
+        }
+        Ok(())
     }
 }
 

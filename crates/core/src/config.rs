@@ -157,6 +157,37 @@ impl PactConfig {
     }
 }
 
+// Canonical byte encoding of the configuration, embedded in snapshots
+// so a resume under a *different* PACT configuration is rejected
+// instead of silently diverging.
+pact_stats::codec! {
+    impl Codec for PactConfig {
+        rank_by, sampling, attribution, binning, period_windows, alpha,
+        cooling, cooling_distance, eager_demotion_margin,
+        reservoir, static_bins, t_scale, max_promotions_per_period, k_override, seed,
+    }
+}
+
+pact_stats::codec! {
+    impl Codec for RankBy { 0 => Pac, 1 => Frequency }
+}
+
+pact_stats::codec! {
+    impl Codec for SamplingSource { 0 => Pebs, 1 => Chmu }
+}
+
+pact_stats::codec! {
+    impl Codec for Attribution { 0 => Proportional, 1 => LatencyWeighted }
+}
+
+pact_stats::codec! {
+    impl Codec for BinningMode { 0 => Static, 1 => Adaptive, 2 => AdaptiveScaled }
+}
+
+pact_stats::codec! {
+    impl Codec for Cooling { 0 => None, 1 => Halve, 2 => Reset }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

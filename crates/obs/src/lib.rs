@@ -38,7 +38,6 @@
 pub mod attribution;
 pub mod export;
 pub mod hostprof;
-mod intern;
 pub mod json;
 mod metrics;
 mod tracer;
@@ -47,7 +46,7 @@ pub use attribution::{top_k_desc, FoldedStacks};
 pub use export::{
     chrome_trace, jsonl, TraceConfig, TraceFormat, WindowRow, TRACE_ENV, TRACE_FORMAT_ENV,
 };
-pub use intern::intern;
 pub use json::{validate, JsonError, JsonWriter};
 pub use metrics::{HistogramNames, MetricId, MetricKind, MetricsRegistry};
+pub use pact_stats::intern;
 pub use tracer::{EventKind, TraceEvent, Tracer, DEFAULT_RING_CAPACITY};

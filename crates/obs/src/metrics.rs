@@ -15,10 +15,8 @@
 //! per window. Snapshot order is registration order, so reports are
 //! deterministic.
 
-use pact_stats::codec::{ByteReader, ByteWriter};
+use pact_stats::codec::{ByteReader, ByteWriter, Codec, CodecError, State};
 use pact_stats::LogHistogram;
-
-use crate::intern::intern;
 
 /// Dense handle to a registered metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,6 +70,16 @@ enum Value {
     },
 }
 
+impl Value {
+    /// Snapshot entries the metric contributes.
+    fn width(&self) -> usize {
+        match self {
+            Value::Counter { .. } | Value::Gauge(_) => 1,
+            Value::Histogram { .. } => HIST_ENTRIES,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Metric {
     name: &'static str,
@@ -94,12 +102,12 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    fn register(&mut self, name: &'static str, value: Value, width: usize) -> MetricId {
+    fn register(&mut self, name: &'static str, value: Value) -> MetricId {
         if let Some(i) = self.metrics.iter().position(|m| m.name == name) {
             return MetricId(i);
         }
+        self.snapshot_width += value.width();
         self.metrics.push(Metric { name, value });
-        self.snapshot_width += width;
         MetricId(self.metrics.len() - 1)
     }
 
@@ -111,13 +119,12 @@ impl MetricsRegistry {
                 total: 0,
                 last_snapshot: 0,
             },
-            1,
         )
     }
 
     /// Registers (or finds) a gauge named `name`.
     pub fn gauge(&mut self, name: &'static str) -> MetricId {
-        self.register(name, Value::Gauge(0.0), 1)
+        self.register(name, Value::Gauge(0.0))
     }
 
     /// Registers (or finds) a log-bucketed histogram. The histogram is
@@ -133,7 +140,6 @@ impl MetricsRegistry {
                 sum: 0.0,
                 n: 0,
             },
-            HIST_ENTRIES,
         )
     }
 
@@ -259,181 +265,6 @@ impl MetricsRegistry {
         out
     }
 
-    /// Serializes the full registry — names, kinds, counter totals and
-    /// window baselines, gauge values, histogram buckets and window
-    /// sums — into `out`, in registration order. The inverse is
-    /// [`decode_state`](Self::decode_state).
-    pub fn encode_state(&self, out: &mut ByteWriter) {
-        let Self {
-            metrics,
-            snapshot_width: _, // re-accumulated as decode re-registers each metric
-        } = self;
-        out.put_usize(metrics.len());
-        for Metric { name, value } in metrics {
-            out.put_str(name);
-            match value {
-                Value::Counter {
-                    total,
-                    last_snapshot,
-                } => {
-                    out.put_u8(0);
-                    out.put_u64(*total);
-                    out.put_u64(*last_snapshot);
-                }
-                Value::Gauge(g) => {
-                    out.put_u8(1);
-                    out.put_f64(*g);
-                }
-                Value::Histogram {
-                    hist,
-                    names,
-                    sum,
-                    n,
-                } => {
-                    let HistogramNames {
-                        mean: _, // the metric's own name, written above
-                        p50,
-                        p90,
-                        p99,
-                        p999,
-                    } = *names;
-                    out.put_u8(2);
-                    out.put_str(p50);
-                    out.put_str(p90);
-                    out.put_str(p99);
-                    out.put_str(p999);
-                    let (counts, total, max) = hist.to_parts();
-                    // Sparse: most of the ~1000 buckets are empty.
-                    let nonzero = counts.iter().filter(|&&c| c != 0).count();
-                    out.put_usize(counts.len());
-                    out.put_usize(nonzero);
-                    for (i, &c) in counts.iter().enumerate() {
-                        if c != 0 {
-                            out.put_usize(i);
-                            out.put_u64(c);
-                        }
-                    }
-                    out.put_u64(total);
-                    out.put_u64(max);
-                    out.put_f64(*sum);
-                    out.put_u64(*n);
-                }
-            }
-        }
-    }
-
-    /// Restores registry state captured by [`encode_state`]
-    /// (Self::encode_state) into this registry.
-    ///
-    /// Import is by position: entries already registered (the machine
-    /// re-registers its metrics during construction, in the same order
-    /// as the captured run) must match the serialized name and kind and
-    /// have their values overwritten; serialized entries beyond the
-    /// current length — metrics a policy registered mid-run — are
-    /// appended with interned names. After a successful decode the
-    /// registry's registration order is identical to the uninterrupted
-    /// run's, so snapshots and reports stay byte-identical.
-    pub fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
-        let Self {
-            metrics,
-            snapshot_width,
-        } = self;
-        let count = r.get_usize().map_err(|e| e.to_string())?;
-        if count < metrics.len() {
-            return Err(format!(
-                "metrics registry snapshot has {count} entries but {} are already registered",
-                metrics.len()
-            ));
-        }
-        for i in 0..count {
-            let name = r.get_str().map_err(|e| e.to_string())?;
-            let tag = r.get_u8().map_err(|e| e.to_string())?;
-            if let Some(m) = metrics.get(i) {
-                if m.name != name {
-                    return Err(format!(
-                        "metrics registry mismatch at slot {i}: registered {:?}, snapshot has {name:?}",
-                        m.name
-                    ));
-                }
-            }
-            let (value, width) = match tag {
-                0 => {
-                    let total = r.get_u64().map_err(|e| e.to_string())?;
-                    let last_snapshot = r.get_u64().map_err(|e| e.to_string())?;
-                    let value = Value::Counter {
-                        total,
-                        last_snapshot,
-                    };
-                    (value, 1)
-                }
-                1 => (Value::Gauge(r.get_f64().map_err(|e| e.to_string())?), 1),
-                2 => {
-                    let p50 = r.get_str().map_err(|e| e.to_string())?;
-                    let p90 = r.get_str().map_err(|e| e.to_string())?;
-                    let p99 = r.get_str().map_err(|e| e.to_string())?;
-                    let p999 = r.get_str().map_err(|e| e.to_string())?;
-                    let bucket_count = r.get_usize().map_err(|e| e.to_string())?;
-                    let nonzero = r.get_usize().map_err(|e| e.to_string())?;
-                    let mut counts = vec![0u64; bucket_count];
-                    for _ in 0..nonzero {
-                        let idx = r.get_usize().map_err(|e| e.to_string())?;
-                        let c = r.get_u64().map_err(|e| e.to_string())?;
-                        *counts.get_mut(idx).ok_or_else(|| {
-                            format!("histogram {name:?}: bucket index {idx} out of range")
-                        })? = c;
-                    }
-                    let total = r.get_u64().map_err(|e| e.to_string())?;
-                    let max = r.get_u64().map_err(|e| e.to_string())?;
-                    let sum = r.get_f64().map_err(|e| e.to_string())?;
-                    let n = r.get_u64().map_err(|e| e.to_string())?;
-                    let hist = LogHistogram::from_parts(counts, total, max)
-                        .ok_or_else(|| format!("histogram {name:?}: inconsistent bucket state"))?;
-                    let names = HistogramNames {
-                        mean: intern(name),
-                        p50: intern(p50),
-                        p90: intern(p90),
-                        p99: intern(p99),
-                        p999: intern(p999),
-                    };
-                    let value = Value::Histogram {
-                        hist,
-                        names,
-                        sum,
-                        n,
-                    };
-                    (value, HIST_ENTRIES)
-                }
-                other => return Err(format!("unknown metric kind tag {other}")),
-            };
-            // Slots already registered take the captured value; the
-            // rest (metrics a policy registered mid-run) are appended.
-            match metrics.get_mut(i) {
-                Some(m) => {
-                    let same_kind = matches!(
-                        (&m.value, &value),
-                        (Value::Counter { .. }, Value::Counter { .. })
-                            | (Value::Gauge(_), Value::Gauge(_))
-                            | (Value::Histogram { .. }, Value::Histogram { .. })
-                    );
-                    if !same_kind {
-                        return Err(format!(
-                            "metric {name:?}: snapshot kind differs from registered kind"
-                        ));
-                    }
-                    m.value = value;
-                }
-                None => {
-                    metrics.push(Metric {
-                        name: intern(name),
-                        value,
-                    });
-                    *snapshot_width += width;
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Closes the current window: returns one entry per counter/gauge
     /// (counter delta, gauge value) and five per histogram (window
     /// mean, p50, p90, p99, p999), all in registration order, and
@@ -465,6 +296,83 @@ impl MetricsRegistry {
             }
         }
         out
+    }
+}
+
+pact_stats::codec! {
+    impl Codec for Value {
+        0 => Counter { total, last_snapshot },
+        1 => Gauge(value),
+        2 => Histogram { names, hist, sum, n },
+    }
+}
+
+pact_stats::codec! {
+    impl Codec for HistogramNames {
+        p50, p90, p99, p999;
+        mean: _, // the metric's own name, restored by the registry's decode
+    }
+}
+
+pact_stats::codec! {
+    impl Codec for Metric { name, value }
+}
+
+/// Every metric in registration order: name, kind and value.
+///
+/// Import is by position: entries already registered (the machine
+/// re-registers its metrics during construction, in the same order as
+/// the captured run) must match the serialized name and kind and take
+/// the captured value; serialized entries beyond the current length,
+/// metrics a policy registered mid-run, are appended. After a
+/// successful decode the registry's registration order is identical to
+/// the uninterrupted run's, so snapshots and reports stay
+/// byte-identical.
+impl State for MetricsRegistry {
+    fn put_state(&self, w: &mut ByteWriter) {
+        let Self {
+            metrics,
+            snapshot_width: _, // summed again from the decoded metrics
+        } = self;
+        metrics.put(w);
+    }
+
+    fn get_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
+        let Self {
+            metrics,
+            snapshot_width,
+        } = self;
+        let mut decoded: Vec<Metric> = r.get()?;
+        let invalid = |msg| Err(CodecError::Invalid(msg));
+        if decoded.len() < metrics.len() {
+            return invalid(format!(
+                "metrics registry snapshot has {} entries but {} are already registered",
+                decoded.len(),
+                metrics.len()
+            ));
+        }
+        for (i, (m, d)) in metrics.iter().zip(&decoded).enumerate() {
+            if m.name != d.name {
+                return invalid(format!(
+                    "metrics registry mismatch at slot {i}: registered {:?}, snapshot has {:?}",
+                    m.name, d.name
+                ));
+            }
+            if std::mem::discriminant(&m.value) != std::mem::discriminant(&d.value) {
+                return invalid(format!(
+                    "metric {:?}: snapshot kind differs from registered kind",
+                    d.name
+                ));
+            }
+        }
+        for m in &mut decoded {
+            if let Value::Histogram { names, .. } = &mut m.value {
+                names.mean = m.name;
+            }
+        }
+        *snapshot_width = decoded.iter().map(|m| m.value.width()).sum();
+        *metrics = decoded;
+        Ok(())
     }
 }
 
@@ -621,7 +529,7 @@ mod tests {
         r.observe(h, 100.0);
         r.observe(h, 5000.0);
         let mut w = pact_stats::ByteWriter::new();
-        r.encode_state(&mut w);
+        r.put_state(&mut w);
         let bytes = w.into_bytes();
         // The resumed machine re-registers c and g during construction;
         // the policy-registered histogram is appended by the decode.
@@ -629,7 +537,7 @@ mod tests {
         fresh.counter("c");
         fresh.gauge("g");
         fresh
-            .decode_state(&mut pact_stats::ByteReader::new(&bytes))
+            .get_state(&mut pact_stats::ByteReader::new(&bytes))
             .unwrap();
         assert_eq!(fresh.len(), r.len());
         assert_eq!(fresh.counter_total(c), 15);
@@ -645,34 +553,49 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.counter("c");
         let mut w = pact_stats::ByteWriter::new();
-        r.encode_state(&mut w);
+        r.put_state(&mut w);
         let bytes = w.into_bytes();
         // Different name in slot 0.
         let mut other = MetricsRegistry::new();
         other.counter("different");
         let err = other
-            .decode_state(&mut pact_stats::ByteReader::new(&bytes))
+            .get_state(&mut pact_stats::ByteReader::new(&bytes))
             .unwrap_err();
-        assert!(err.contains("slot 0"), "{err}");
+        assert!(err.to_string().contains("slot 0"), "{err}");
         // Same name, different kind.
         let mut gauge = MetricsRegistry::new();
         gauge.gauge("c");
         let err = gauge
-            .decode_state(&mut pact_stats::ByteReader::new(&bytes))
+            .get_state(&mut pact_stats::ByteReader::new(&bytes))
             .unwrap_err();
-        assert!(err.contains("kind"), "{err}");
+        assert!(err.to_string().contains("kind"), "{err}");
         // More live registrations than the snapshot has.
         let mut extra = MetricsRegistry::new();
         extra.counter("c");
         extra.counter("d");
         assert!(extra
-            .decode_state(&mut pact_stats::ByteReader::new(&bytes))
+            .get_state(&mut pact_stats::ByteReader::new(&bytes))
             .is_err());
         // Truncated payload.
         let mut ok = MetricsRegistry::new();
         ok.counter("c");
         assert!(ok
-            .decode_state(&mut pact_stats::ByteReader::new(&bytes[..4]))
+            .get_state(&mut pact_stats::ByteReader::new(&bytes[..4]))
             .is_err());
+    }
+
+    #[test]
+    fn crafted_histogram_bucket_count_is_an_error() {
+        // One histogram whose bucket count claims 2^61 buckets: rejected
+        // before anything is allocated.
+        let mut w = pact_stats::ByteWriter::new();
+        w.put(&(1usize, "lat", 2u8));
+        w.put(&["lat_p50", "lat_p90", "lat_p99", "lat_p999"]);
+        w.put(&((1usize << 61, 0usize), (0u64, 0u64), (0.0f64, 0u64)));
+        let bytes = w.into_bytes();
+        let err = MetricsRegistry::new()
+            .get_state(&mut pact_stats::ByteReader::new(&bytes))
+            .unwrap_err();
+        assert!(err.to_string().contains("bucket count"), "{err}");
     }
 }

@@ -36,7 +36,7 @@ mod reservoir;
 mod rng;
 mod summary;
 
-pub use codec::{ByteReader, ByteWriter, CodecError};
+pub use codec::{intern, ByteReader, ByteWriter, Codec, CodecError, State};
 pub use histogram::{freedman_diaconis_width, Histogram};
 pub use linfit::{linear_fit, LinearFit};
 pub use loghist::LogHistogram;

@@ -23,11 +23,10 @@
 use std::collections::VecDeque;
 
 use pact_obs::MetricId;
-use pact_stats::codec::{ByteReader, ByteWriter, CodecError};
+use pact_stats::codec::{ByteReader, ByteWriter, CodecError, State};
 
 use crate::config::{ConfigError, PebsScope};
 use crate::error::SimError;
-use crate::machine::{decode_order, encode_order};
 use crate::pmu::SampleEvent;
 use crate::policy::{MachineInfo, MigrationOrder, PolicyCtx, TieringPolicy, WindowStats};
 use crate::types::{PageId, Tier};
@@ -225,18 +224,8 @@ impl Admission {
     /// The parameters a frame must have been captured under.
     fn config_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        let AdmissionControl {
-            budget_per_window,
-            saturation_backlog_cycles,
-            defer_windows,
-        } = self.cfg;
-        w.put_u64(budget_per_window);
-        w.put_f64(saturation_backlog_cycles);
-        w.put_u64(defer_windows);
-        w.put_usize(self.weights.len());
-        for &wt in &self.weights {
-            w.put_u32(wt);
-        }
+        w.put(&self.cfg);
+        w.put(&self.weights);
         w.into_bytes()
     }
 
@@ -304,91 +293,60 @@ impl TieringPolicy for Admission {
         self.tokens.copy_from_slice(&self.budget);
     }
 
+    /// The configuration bytes, the admission state, then the inner
+    /// policy's blob.
     fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        let Self {
-            inner,
-            name: _,    // derived from the inner policy
-            cfg: _,     // written by `config_bytes`
-            weights: _, // written by `config_bytes`
-            budget: _,  // derived from the configuration
-            tokens,
-            deferred,
-            lanes,
-            m_rejected: _, // found again by name in the restored registry
-        } = self;
         let mut blob = Vec::new();
-        if !inner.save_state(&mut blob) {
+        if !self.inner.save_state(&mut blob) {
             return false;
         }
         let mut w = ByteWriter::new();
-        w.put_bytes(&self.config_bytes());
-        for &t in tokens {
-            w.put_u64(t);
-        }
-        w.put_usize(deferred.len());
-        for &(due, attempt, order) in deferred {
-            w.put_u64(due);
-            w.put_u32(attempt);
-            encode_order(order, &mut w);
-        }
-        for &AdmissionLane {
-            admitted,
-            rejected,
-            dropped,
-        } in lanes
-        {
-            w.put_u64(admitted);
-            w.put_u64(rejected);
-            w.put_u64(dropped);
-        }
-        w.put_bytes(&blob);
+        w.put(&self.config_bytes());
+        self.put_state(&mut w);
+        w.put(&blob);
         out.extend_from_slice(&w.into_bytes());
         true
     }
 
     fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let own = self.config_bytes();
-        let Self {
-            inner,
-            name: _,
-            cfg: _,
-            weights: _,
-            budget: _,
-            tokens,
-            deferred,
-            lanes,
-            m_rejected: _,
-        } = self;
         let e = |e: CodecError| format!("admission state: {e}");
         let mut r = ByteReader::new(state);
-        if r.get_bytes().map_err(e)? != own.as_slice() {
+        if r.get_bytes().map_err(e)? != self.config_bytes() {
             return Err("snapshot was captured under a different admission configuration".into());
         }
-        for t in tokens.iter_mut() {
-            *t = r.get_u64().map_err(e)?;
-        }
-        let n = r.get_usize().map_err(e)?;
-        if n > DEFERRAL_CAP {
-            return Err(format!(
-                "snapshot deferral queue holds {n} entries, cap is {DEFERRAL_CAP}"
-            ));
-        }
-        deferred.clear();
-        for _ in 0..n {
-            let due = r.get_u64().map_err(e)?;
-            let attempt = r.get_u32().map_err(e)?;
-            deferred.push_back((due, attempt, decode_order(&mut r)?));
-        }
-        for lane in lanes.iter_mut() {
-            *lane = AdmissionLane {
-                admitted: r.get_u64().map_err(e)?,
-                rejected: r.get_u64().map_err(e)?,
-                dropped: r.get_u64().map_err(e)?,
-            };
-        }
+        self.get_state(&mut r).map_err(e)?;
         let blob = r.get_bytes().map_err(e)?;
         r.finish().map_err(e)?;
-        inner.restore_state(blob)
+        self.inner.restore_state(blob)
+    }
+}
+
+pact_stats::codec! {
+    impl Codec for AdmissionControl { budget_per_window, saturation_backlog_cycles, defer_windows }
+}
+
+pact_stats::codec! {
+    impl Codec for AdmissionLane { admitted, rejected, dropped }
+}
+
+// The token buckets, the deferral queue and the per-process ledgers.
+pact_stats::codec! {
+    impl State for Admission {
+        tokens: each, deferred, lanes: each;
+        inner: _,      // its blob follows the admission state
+        name: _,       // derived from the inner policy
+        cfg: _,        // checked ahead of the admission state
+        weights: _,    // checked ahead of the admission state
+        budget: _,     // derived from the configuration
+        m_rejected: _, // found again by name in the restored registry
+    } then |a| {
+        if a.deferred.len() > DEFERRAL_CAP {
+            return Err(format!(
+                "snapshot deferral queue holds {} entries, cap is {DEFERRAL_CAP}",
+                a.deferred.len()
+            ));
+        }
+        Ok(())
     }
 }
 

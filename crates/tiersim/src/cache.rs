@@ -1,7 +1,5 @@
 //! Set-associative last-level cache and stride prefetcher.
 
-use pact_stats::codec::{ByteReader, ByteWriter, CodecError};
-
 use crate::config::{LlcConfig, PrefetchConfig};
 use crate::types::LINE_BYTES;
 
@@ -109,48 +107,15 @@ impl Llc {
     pub fn misses(&self) -> u64 {
         self.misses
     }
+}
 
-    /// Serializes the tag array and hit/miss counters.
-    pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        let Self {
-            ways: _,     // geometry from the configuration on restore
-            set_mask: _, // geometry from the configuration on restore
-            tags,
-            hits,
-            misses,
-        } = self;
-        w.put_usize(tags.len());
-        for &t in tags {
-            w.put_u64(t);
-        }
-        w.put_u64(*hits);
-        w.put_u64(*misses);
-    }
-
-    /// Restores state captured by [`encode_state`](Self::encode_state)
-    /// into a cache built with the same geometry.
-    pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
-        let Self {
-            ways: _,     // geometry from the configuration on restore
-            set_mask: _, // geometry from the configuration on restore
-            tags,
-            hits,
-            misses,
-        } = self;
-        let e = |e: CodecError| format!("llc state: {e}");
-        let n = r.get_usize().map_err(e)?;
-        if n != tags.len() {
-            return Err(format!(
-                "llc state: snapshot has {n} tag slots, machine has {}",
-                tags.len()
-            ));
-        }
-        for t in tags {
-            *t = r.get_u64().map_err(e)?;
-        }
-        *hits = r.get_u64().map_err(e)?;
-        *misses = r.get_u64().map_err(e)?;
-        Ok(())
+// The tag array and hit/miss counters; the geometry comes from the
+// configuration that built the cache.
+pact_stats::codec! {
+    impl State for Llc {
+        tags: fixed, hits, misses;
+        ways: _,     // geometry from the configuration on restore
+        set_mask: _, // geometry from the configuration on restore
     }
 }
 
@@ -232,48 +197,18 @@ impl StrideDetector {
         victim.last_use = self.clock;
         0..0
     }
+}
 
-    /// Serializes the stream table and detector clock.
-    pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        let Self {
-            trigger: _, // fixed by the prefetch configuration on restore
-            degree: _,  // fixed by the prefetch configuration on restore
-            enabled: _, // fixed by the prefetch configuration on restore
-            streams,
-            clock,
-        } = self;
-        for &StreamEntry {
-            last_line,
-            streak,
-            last_use,
-        } in streams
-        {
-            w.put_u64(last_line);
-            w.put_u32(streak);
-            w.put_u64(last_use);
-        }
-        w.put_u64(*clock);
-    }
+pact_stats::codec! {
+    impl Codec for StreamEntry { last_line, streak, last_use }
+}
 
-    /// Restores state captured by [`encode_state`](Self::encode_state).
-    pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
-        let Self {
-            trigger: _, // fixed by the prefetch configuration on restore
-            degree: _,  // fixed by the prefetch configuration on restore
-            enabled: _, // fixed by the prefetch configuration on restore
-            streams,
-            clock,
-        } = self;
-        let e = |e: CodecError| format!("stride detector state: {e}");
-        for entry in streams {
-            *entry = StreamEntry {
-                last_line: r.get_u64().map_err(e)?,
-                streak: r.get_u32().map_err(e)?,
-                last_use: r.get_u64().map_err(e)?,
-            };
-        }
-        *clock = r.get_u64().map_err(e)?;
-        Ok(())
+// The stream table and detector clock.
+pact_stats::codec! {
+    impl State for StrideDetector {
+        streams, clock;
+        // Fixed by the prefetch configuration on restore.
+        trigger: _, degree: _, enabled: _,
     }
 }
 
@@ -286,6 +221,7 @@ pub fn line_of(vaddr: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pact_stats::{ByteWriter, State};
 
     fn small_llc() -> Llc {
         // 2 sets x 2 ways.
@@ -359,8 +295,8 @@ mod tests {
             }
         }
         let (mut a, mut b) = (ByteWriter::new(), ByteWriter::new());
-        fast.encode_state(&mut a);
-        reference.encode_state(&mut b);
+        fast.put_state(&mut a);
+        reference.put_state(&mut b);
         assert_eq!(a.into_bytes(), b.into_bytes());
     }
 
@@ -424,8 +360,8 @@ mod tests {
             );
         }
         let (mut a, mut b) = (ByteWriter::new(), ByteWriter::new());
-        fast.encode_state(&mut a);
-        reference.encode_state(&mut b);
+        fast.put_state(&mut a);
+        reference.put_state(&mut b);
         assert_eq!(a.into_bytes(), b.into_bytes());
     }
 

@@ -326,6 +326,34 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
+// The configuration's encoding for the snapshot fingerprint
+// (`snapshot::config_fingerprint`).
+pact_stats::codec! {
+    impl Codec for TierConfig { latency_ns, bandwidth_gbps }
+}
+
+pact_stats::codec! {
+    impl Codec for LlcConfig { size_bytes, ways }
+}
+
+pact_stats::codec! {
+    impl Codec for PrefetchConfig { enabled, trigger, degree, coverage }
+}
+
+pact_stats::codec! {
+    impl Codec for PebsScope { 0 => SlowOnly, 1 => BothTiers }
+}
+
+pact_stats::codec! {
+    impl Codec for PebsConfig { rate, scope, sample_overhead_cycles }
+}
+
+pact_stats::codec! {
+    impl Codec for MigrationConfig {
+        per_page_cycles, daemon_pages_per_window, hint_fault_cycles, shootdown_cycles_per_page,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

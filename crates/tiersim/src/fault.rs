@@ -91,6 +91,10 @@ pub struct FaultPlan {
     pub chmu_overflow: f64,
 }
 
+pact_stats::codec! {
+    impl Codec for StallFault { tier, lines, prob }
+}
+
 impl Default for FaultPlan {
     fn default() -> Self {
         Self {
@@ -401,71 +405,28 @@ impl FaultState {
     pub fn pending_retries(&self) -> usize {
         self.retries.len()
     }
+}
 
-    /// Serializes the fault RNG cursor and the retry/backoff queue.
-    pub fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        let Self {
-            plan: _,        // comes from the configuration on restore
-            m_injected: _,  // handle re-registered at construction
-            m_retries: _,   // handle re-registered at construction
-            m_pebs_lost: _, // handle re-registered at construction
-            rng,
-            retries,
-        } = self;
-        w.put_u64(rng.state());
-        w.put_usize(retries.len());
-        for &RetryEntry {
-            order: MigrationOrder { page, to, sync },
-            due_window,
-            attempt,
-        } in retries
-        {
-            w.put_u64(page.0);
-            w.put_u8(to.index() as u8);
-            w.put_bool(sync);
-            w.put_u64(due_window);
-            w.put_u32(attempt);
-        }
-    }
+pact_stats::codec! {
+    impl Codec for RetryEntry { order, due_window, attempt }
+}
 
-    /// Restores state captured by [`encode_state`](Self::encode_state)
-    /// into a fault state built from the same plan.
-    pub fn decode_state(&mut self, r: &mut pact_stats::ByteReader<'_>) -> Result<(), String> {
-        let Self {
-            plan,
-            m_injected: _,  // handle re-registered at construction
-            m_retries: _,   // handle re-registered at construction
-            m_pebs_lost: _, // handle re-registered at construction
-            rng,
-            retries,
-        } = self;
-        let e = |e: pact_stats::CodecError| format!("fault state: {e}");
-        *rng = SplitMix64::new(r.get_u64().map_err(e)?);
-        let n = r.get_usize().map_err(e)?;
-        let mut retries_in = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let page = crate::types::PageId(r.get_u64().map_err(e)?);
-            let to = match r.get_u8().map_err(e)? {
-                0 => Tier::Fast,
-                1 => Tier::Slow,
-                t => return Err(format!("fault state: invalid tier index {t}")),
-            };
-            let sync = r.get_bool().map_err(e)?;
-            let due_window = r.get_u64().map_err(e)?;
-            let attempt = r.get_u32().map_err(e)?;
-            if attempt == 0 || attempt > plan.max_retries {
-                return Err(format!(
-                    "fault state: retry attempt {attempt} outside 1..={}",
-                    plan.max_retries
-                ));
-            }
-            retries_in.push_back(RetryEntry {
-                order: MigrationOrder { page, to, sync },
-                due_window,
-                attempt,
-            });
+// The fault RNG cursor and the retry/backoff queue, restored into a
+// fault state built from the same plan.
+pact_stats::codec! {
+    impl State for FaultState {
+        rng, retries;
+        plan: _, // comes from the configuration on restore
+        // Metric handles, re-registered at construction.
+        m_injected: _, m_retries: _, m_pebs_lost: _,
+    } then |f| {
+        let max = f.plan.max_retries;
+        if let Some(e) = f.retries.iter().find(|e| e.attempt == 0 || e.attempt > max) {
+            return Err(format!(
+                "fault state: retry attempt {} outside 1..={max}",
+                e.attempt
+            ));
         }
-        *retries = retries_in;
         Ok(())
     }
 }
@@ -474,6 +435,7 @@ impl FaultState {
 mod tests {
     use super::*;
     use crate::types::PageId;
+    use pact_stats::State;
 
     #[test]
     fn default_plan_is_inert_and_valid() {
@@ -589,5 +551,16 @@ mod tests {
         let plan = FaultPlan::parse("drop=0.25, ,seed=9").unwrap();
         assert_eq!(plan.drop_order, 0.25);
         assert_eq!(plan.seed, 9);
+    }
+
+    #[test]
+    fn crafted_retry_queue_length_is_an_error() {
+        // The retry queue claims 2^61 entries after the RNG state.
+        let mut w = pact_stats::ByteWriter::new();
+        w.put(&(7u64, 1usize << 61));
+        let bytes = w.into_bytes();
+        let mut state = FaultState::new(FaultPlan::default(), &mut MetricsRegistry::new());
+        let got = state.get_state(&mut pact_stats::ByteReader::new(&bytes));
+        assert_eq!(got, Err(pact_stats::CodecError::BadLength));
     }
 }

@@ -77,6 +77,10 @@ impl InvariantSet {
     }
 }
 
+pact_stats::codec! {
+    impl Codec for InvariantSet { pages, migration, bandwidth, mshr, counters, windows }
+}
+
 impl Default for InvariantSet {
     fn default() -> Self {
         Self::all()
@@ -463,91 +467,6 @@ impl InvariantChecker {
         Ok(())
     }
 
-    /// Serializes the ledgers and monotonicity state.
-    pub fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        let Self {
-            set: _, // armed set comes from the configuration on restore
-            issued,
-            executed,
-            noops,
-            shed,
-            abandoned,
-            pages_moved,
-            stall_lines,
-            last_mapped,
-            next_window,
-            last_edge,
-            sum_promotions,
-            sum_demotions,
-            sum_failed,
-            sum_dropped,
-            sum_accesses,
-        } = *self;
-        for v in [
-            issued,
-            executed,
-            noops,
-            shed,
-            abandoned,
-            pages_moved,
-            stall_lines[0],
-            stall_lines[1],
-            last_mapped,
-            next_window,
-            sum_promotions,
-            sum_demotions,
-            sum_failed,
-            sum_dropped,
-            sum_accesses,
-        ] {
-            w.put_u64(v);
-        }
-        w.put_bool(last_edge.is_some());
-        w.put_u64(last_edge.unwrap_or(0));
-    }
-
-    /// Restores state captured by [`encode_state`](Self::encode_state).
-    pub fn decode_state(&mut self, r: &mut pact_stats::ByteReader<'_>) -> Result<(), String> {
-        let Self {
-            set: _, // armed set comes from the configuration on restore
-            issued,
-            executed,
-            noops,
-            shed,
-            abandoned,
-            pages_moved,
-            stall_lines,
-            last_mapped,
-            next_window,
-            last_edge,
-            sum_promotions,
-            sum_demotions,
-            sum_failed,
-            sum_dropped,
-            sum_accesses,
-        } = self;
-        let e = |e: pact_stats::CodecError| format!("invariant checker state: {e}");
-        let mut get = || r.get_u64().map_err(e);
-        *issued = get()?;
-        *executed = get()?;
-        *noops = get()?;
-        *shed = get()?;
-        *abandoned = get()?;
-        *pages_moved = get()?;
-        *stall_lines = [get()?, get()?];
-        *last_mapped = get()?;
-        *next_window = get()?;
-        *sum_promotions = get()?;
-        *sum_demotions = get()?;
-        *sum_failed = get()?;
-        *sum_dropped = get()?;
-        *sum_accesses = get()?;
-        let has_edge = r.get_bool().map_err(e)?;
-        let edge = r.get_u64().map_err(e)?;
-        *last_edge = has_edge.then_some(edge);
-        Ok(())
-    }
-
     /// End-of-run reconciliation: window-record sums must equal the run
     /// totals the report carries.
     pub fn check_final(
@@ -611,6 +530,17 @@ fn nonmonotone_field(cur: &PmuCounters, prev: &PmuCounters) -> Option<&'static s
         prefetches
     );
     None
+}
+
+// The ledgers and monotonicity state.
+pact_stats::codec! {
+    impl State for InvariantChecker {
+        issued, executed, noops, shed, abandoned, pages_moved, stall_lines,
+        last_mapped, next_window,
+        sum_promotions, sum_demotions, sum_failed, sum_dropped, sum_accesses,
+        last_edge;
+        set: _, // armed set comes from the configuration on restore
+    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,6 @@
 
 use std::collections::VecDeque;
 
-use pact_stats::codec::{ByteReader, ByteWriter, CodecError};
-
 use crate::types::{PageId, Tier};
 
 const FLAG_REF: u8 = 1 << 0;
@@ -337,108 +335,28 @@ impl Memory {
     pub fn unpoison(&mut self, page: PageId) {
         self.flags[page.0 as usize] &= !FLAG_POISON;
     }
+}
 
-    /// Serializes the full memory state — page table, flags, recency
-    /// stamps, residency bookkeeping, CLOCK list, and slow-scan list —
-    /// for the crash-recovery snapshot.
-    pub(crate) fn encode_state(&self, w: &mut ByteWriter) {
-        let Self {
-            fast_capacity: _, // fixed by the configuration on restore
-            unit_span: _,     // fixed by the configuration on restore
-            tier,
-            flags,
-            last_window,
-            fast_used,
-            fast_clock,
-            slow_scan,
-            slow_cursor,
-        } = self;
-        w.put_bytes(tier);
-        w.put_bytes(flags);
-        w.put_usize(last_window.len());
-        for &lw in last_window {
-            w.put_u32(lw);
-        }
-        w.put_u64(*fast_used);
-        w.put_usize(fast_clock.len());
-        for &p in fast_clock {
-            w.put_u64(p.0);
-        }
-        w.put_usize(slow_scan.len());
-        for &p in slow_scan {
-            w.put_u64(p.0);
-        }
-        w.put_usize(*slow_cursor);
-    }
-
-    /// Restores state captured by [`encode_state`](Self::encode_state)
-    /// into a memory freshly constructed from the same configuration.
-    pub(crate) fn decode_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), String> {
-        let Self {
-            fast_capacity,
-            unit_span: _, // fixed by the configuration on restore
-            tier,
-            flags,
-            last_window,
-            fast_used,
-            fast_clock,
-            slow_scan,
-            slow_cursor,
-        } = self;
-        let e = |e: CodecError| format!("memory state: {e}");
-        let tier_in = r.get_bytes().map_err(e)?;
-        if tier_in.len() != tier.len() {
-            return Err(format!(
-                "memory state: snapshot has {} pages, machine has {}",
-                tier_in.len(),
-                tier.len()
-            ));
-        }
-        if let Some(bad) = tier_in.iter().find(|&&t| t > NOT_PRESENT) {
+// The full memory state (page table, flags, recency stamps, residency
+// bookkeeping, CLOCK list and slow-scan list), restored into a memory
+// freshly constructed from the same configuration.
+pact_stats::codec! {
+    impl State for Memory {
+        tier: fixed, flags: fixed, last_window: fixed,
+        fast_used, fast_clock, slow_scan, slow_cursor;
+        fast_capacity: _, // fixed by the configuration on restore
+        unit_span: _,     // fixed by the configuration on restore
+    } then |m| {
+        if let Some(bad) = m.tier.iter().find(|&&t| t > NOT_PRESENT) {
             return Err(format!("memory state: invalid residency code {bad}"));
         }
-        let flags_in = r.get_bytes().map_err(e)?;
-        if flags_in.len() != flags.len() {
-            return Err("memory state: flags length mismatch".to_string());
-        }
-        let n_windows = r.get_usize().map_err(e)?;
-        if n_windows != last_window.len() {
-            return Err("memory state: recency-stamp length mismatch".to_string());
-        }
-        let mut last_window_in = Vec::with_capacity(n_windows);
-        for _ in 0..n_windows {
-            last_window_in.push(r.get_u32().map_err(e)?);
-        }
-        let fast_used_in = r.get_u64().map_err(e)?;
-        if fast_used_in > *fast_capacity {
+        if m.fast_used > m.fast_capacity {
             return Err("memory state: fast_used exceeds capacity".to_string());
         }
-        let n_clock = r.get_usize().map_err(e)?;
-        let mut fast_clock_in = VecDeque::with_capacity(n_clock);
-        for _ in 0..n_clock {
-            fast_clock_in.push_back(PageId(r.get_u64().map_err(e)?));
-        }
-        let n_scan = r.get_usize().map_err(e)?;
-        let mut slow_scan_in = Vec::with_capacity(n_scan);
-        for _ in 0..n_scan {
-            slow_scan_in.push(PageId(r.get_u64().map_err(e)?));
-        }
-        let slow_cursor_in = r.get_usize().map_err(e)?;
-        let total = tier.len() as u64;
-        if fast_clock_in
-            .iter()
-            .chain(slow_scan_in.iter())
-            .any(|p| p.0 >= total)
-        {
+        let total = m.tier.len() as u64;
+        if m.fast_clock.iter().chain(&m.slow_scan).any(|p| p.0 >= total) {
             return Err("memory state: list entry beyond page table".to_string());
         }
-        tier.copy_from_slice(tier_in);
-        flags.copy_from_slice(flags_in);
-        *last_window = last_window_in;
-        *fast_used = fast_used_in;
-        *fast_clock = fast_clock_in;
-        *slow_scan = slow_scan_in;
-        *slow_cursor = slow_cursor_in;
         Ok(())
     }
 }
@@ -446,6 +364,7 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pact_stats::codec::{ByteReader, ByteWriter, CodecError, State};
 
     #[test]
     fn recount_tracks_incremental_bookkeeping() {
@@ -616,5 +535,21 @@ mod tests {
         mem.ensure_mapped(PageId(0));
         mem.touch(PageId(17), 42);
         assert_eq!(mem.last_touch_window(PageId(400)), 42);
+    }
+
+    #[test]
+    fn crafted_list_lengths_are_errors() {
+        // The CLOCK list, then the slow-scan list, claims 2^61 pages.
+        for list in 0..2 {
+            let mut w = ByteWriter::new();
+            w.put(&(vec![NOT_PRESENT; 4], vec![0u8; 4], vec![0u32; 4], 0u64));
+            if list == 1 {
+                w.put(&VecDeque::<PageId>::new());
+            }
+            w.put(&(1usize << 61));
+            let bytes = w.into_bytes();
+            let err = Memory::new(4, 2, 1).get_state(&mut ByteReader::new(&bytes));
+            assert_eq!(err, Err(CodecError::BadLength), "list {list}");
+        }
     }
 }

@@ -163,67 +163,16 @@ impl PmuCounters {
     pub fn total_stalls(&self) -> u64 {
         self.llc_stalls[0] + self.llc_stalls[1]
     }
+}
 
-    /// Serializes every counter field, in declaration order. This is
-    /// the one codec for the counters: the machine frame, the window
-    /// records and policy blobs all write them through it.
-    pub fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        let PmuCounters {
-            accesses,
-            loads,
-            stores,
-            llc_hits,
-            llc_misses,
-            llc_stalls,
-            tor_occupancy,
-            tor_busy,
-            demand_latency_sum,
-            bytes,
-            prefetches,
-            hint_faults,
-            pebs_samples,
-        } = *self;
-        for v in [accesses, loads, stores, llc_hits] {
-            w.put_u64(v);
-        }
-        for pair in [
-            llc_misses,
-            llc_stalls,
-            tor_occupancy,
-            tor_busy,
-            demand_latency_sum,
-            bytes,
-            prefetches,
-        ] {
-            w.put_u64(pair[0]);
-            w.put_u64(pair[1]);
-        }
-        w.put_u64(hint_faults);
-        w.put_u64(pebs_samples);
-    }
-
-    /// Restores counters captured by [`encode_state`](Self::encode_state).
-    ///
-    /// # Errors
-    ///
-    /// A description of the truncation when `r` runs out of bytes.
-    pub fn decode_state(r: &mut pact_stats::ByteReader<'_>) -> Result<Self, String> {
-        let mut get = || r.get_u64().map_err(|e| format!("pmu counters: {e}"));
-        Ok(PmuCounters {
-            accesses: get()?,
-            loads: get()?,
-            stores: get()?,
-            llc_hits: get()?,
-            llc_misses: [get()?, get()?],
-            llc_stalls: [get()?, get()?],
-            tor_occupancy: [get()?, get()?],
-            tor_busy: [get()?, get()?],
-            demand_latency_sum: [get()?, get()?],
-            bytes: [get()?, get()?],
-            prefetches: [get()?, get()?],
-            hint_faults: get()?,
-            pebs_samples: get()?,
-        })
+// Every counter field, in declaration order. This is the one codec for
+// the counters: the machine frame, the window records and policy blobs
+// all write them through it.
+pact_stats::codec! {
+    impl Codec for PmuCounters {
+        accesses, loads, stores, llc_hits,
+        llc_misses, llc_stalls, tor_occupancy, tor_busy, demand_latency_sum, bytes, prefetches,
+        hint_faults, pebs_samples,
     }
 }
 
@@ -305,22 +254,21 @@ impl PebsSampler {
     pub fn overhead_cycles(&self) -> u32 {
         self.cfg.sample_overhead_cycles
     }
+}
 
-    /// Current sampling countdown (for the crash-recovery snapshot).
-    pub(crate) fn countdown(&self) -> u64 {
-        self.countdown
-    }
-
-    /// Restores the sampling countdown. Rejects values outside
-    /// `1..=rate`, which a fresh or mid-stream sampler can never hold.
-    pub(crate) fn set_countdown(&mut self, v: u64) -> Result<(), String> {
-        if v == 0 || v > self.cfg.rate {
+// The sampling countdown, which must lie in `1..=rate`: a fresh or
+// mid-stream sampler can never hold anything else.
+pact_stats::codec! {
+    impl State for PebsSampler {
+        countdown;
+        cfg: _, // fixed by the configuration on restore
+    } then |p| {
+        if p.countdown == 0 || p.countdown > p.cfg.rate {
             return Err(format!(
-                "pebs sampler: countdown {v} outside 1..={}",
-                self.cfg.rate
+                "pebs sampler: countdown {} outside 1..={}",
+                p.countdown, p.cfg.rate
             ));
         }
-        self.countdown = v;
         Ok(())
     }
 }

@@ -56,6 +56,10 @@ pub struct MigrationOrder {
     pub sync: bool,
 }
 
+pact_stats::codec! {
+    impl Codec for MigrationOrder { page, to, sync }
+}
+
 /// Cumulative run totals snapshotted into each [`PolicyCtx`]: how many
 /// base pages moved so far and — for graceful degradation under fault
 /// injection or queue pressure — how many orders failed or were shed.

@@ -32,12 +32,8 @@
 
 use pact_stats::codec::ByteWriter;
 
-use crate::config::{
-    LlcConfig, MachineConfig, MigrationConfig, PebsConfig, PebsScope, PrefetchConfig, TierConfig,
-};
-use crate::fault::{FaultPlan, StallFault};
-use crate::invariant::InvariantSet;
-use crate::types::Tier;
+use crate::config::MachineConfig;
+use crate::fault::FaultPlan;
 
 /// Frame magic: the first eight bytes of every snapshot.
 pub const MAGIC: [u8; 8] = *b"PACTSNAP";
@@ -75,6 +71,12 @@ const CHECKSUM_BYTES: usize = 8;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineSnapshot {
     bytes: Vec<u8>,
+}
+
+// The frame as one length-prefixed byte string (the layout a wrapper
+// such as a cell snapshot file embeds it in).
+pact_stats::codec! {
+    impl Codec for MachineSnapshot { bytes }
 }
 
 impl MachineSnapshot {
@@ -200,9 +202,10 @@ pub(crate) fn open_frame(bytes: &[u8], expect_fingerprint: u64) -> Result<(u64, 
 /// Deterministic fingerprint of every behaviour-relevant
 /// [`MachineConfig`] field.
 ///
-/// Every config struct is opened with an exhaustive destructuring, so
-/// a new field fails to compile here until it is hashed or bound `_`
-/// with its reason. `snapshot_every` is the one field left out.
+/// `MachineConfig` and `FaultPlan` are destructured exhaustively here,
+/// and every other config struct through its codec's field list, so a
+/// new field fails to compile until it is hashed or bound `_` with its
+/// reason. `snapshot_every` is the one field left out.
 pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
     let MachineConfig {
         freq_ghz,
@@ -227,61 +230,14 @@ pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
         fault_plan,
         invariants,
     } = cfg;
-    let LlcConfig { size_bytes, ways } = llc;
-    let PrefetchConfig {
-        enabled,
-        trigger,
-        degree,
-        coverage,
-    } = prefetch;
-    let PebsConfig {
-        rate,
-        scope,
-        sample_overhead_cycles,
-    } = pebs;
-    let MigrationConfig {
-        per_page_cycles,
-        daemon_pages_per_window,
-        hint_fault_cycles,
-        shootdown_cycles_per_page,
-    } = migration;
     let mut w = ByteWriter::new();
-    w.put_f64(*freq_ghz);
-    w.put_usize(*mshrs);
-    w.put_u32(*hit_cycles);
-    w.put_u32(*issue_cycles);
-    w.put_u64(*size_bytes);
-    w.put_usize(*ways);
-    w.put_bool(*enabled);
-    w.put_u32(*trigger);
-    w.put_u32(*degree);
-    w.put_f64(*coverage);
-    for TierConfig {
-        latency_ns,
-        bandwidth_gbps,
-    } in tiers
-    {
-        w.put_f64(*latency_ns);
-        w.put_f64(*bandwidth_gbps);
-    }
-    w.put_u64(*fast_tier_pages);
-    w.put_bool(*thp);
-    w.put_u64(*thp_unit_pages);
-    w.put_u64(*window_cycles);
-    w.put_u64(*rate);
-    w.put_u8(match scope {
-        PebsScope::SlowOnly => 0,
-        PebsScope::BothTiers => 1,
-    });
-    w.put_u32(*sample_overhead_cycles);
-    w.put_u64(*per_page_cycles);
-    w.put_u64(*daemon_pages_per_window);
-    w.put_u64(*hint_fault_cycles);
-    w.put_u64(*shootdown_cycles_per_page);
-    w.put_usize(*chmu_counters);
-    w.put_bool(*track_page_stalls);
-    w.put_u64(*seed);
-    w.put_bool(fault_plan.is_some());
+    w.put(&(*freq_ghz, *mshrs, *hit_cycles, *issue_cycles));
+    w.put(&(*llc, *prefetch, *tiers));
+    w.put(&(*fast_tier_pages, *thp, *thp_unit_pages, *window_cycles));
+    w.put(&(*pebs, *migration));
+    w.put(&(*chmu_counters, *track_page_stalls, *seed));
+    // An absent plan or invariant set is its flag alone.
+    w.put(&fault_plan.is_some());
     if let Some(FaultPlan {
         seed,
         window_start,
@@ -295,41 +251,17 @@ pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
         chmu_overflow,
     }) = fault_plan
     {
-        w.put_u64(*seed);
-        w.put_u64(*window_start);
-        w.put_u64(*window_end);
-        w.put_f64(*drop_order);
-        w.put_f64(*fail_migration);
-        w.put_u32(*max_retries);
-        w.put_u64(*backoff_windows);
-        w.put_bool(stall.is_some());
-        if let Some(StallFault { tier, lines, prob }) = stall {
-            w.put_u8(match tier {
-                Tier::Fast => 0,
-                Tier::Slow => 1,
-            });
-            w.put_u64(*lines);
-            w.put_f64(*prob);
+        w.put(&(*seed, *window_start, *window_end));
+        w.put(&(*drop_order, *fail_migration, *max_retries, *backoff_windows));
+        w.put(&stall.is_some());
+        if let Some(stall) = stall {
+            w.put(stall);
         }
-        w.put_f64(*pebs_loss);
-        w.put_f64(*chmu_overflow);
+        w.put(&(*pebs_loss, *chmu_overflow));
     }
-    w.put_bool(invariants.is_some());
-    if let Some(InvariantSet {
-        pages,
-        migration,
-        bandwidth,
-        mshr,
-        counters,
-        windows,
-    }) = invariants
-    {
-        w.put_bool(*pages);
-        w.put_bool(*migration);
-        w.put_bool(*bandwidth);
-        w.put_bool(*mshr);
-        w.put_bool(*counters);
-        w.put_bool(*windows);
+    w.put(&invariants.is_some());
+    if let Some(set) = invariants {
+        w.put(set);
     }
     fnv1a(&w.into_bytes())
 }

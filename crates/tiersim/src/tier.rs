@@ -198,54 +198,25 @@ impl Channel {
         t / EPOCH_CYCLES
     }
 
-    /// Serializes the epoch ring, carry, and lifetime booking counter.
-    pub fn encode_state(&self, w: &mut pact_stats::ByteWriter) {
-        let Self {
-            transfer: _,  // fixed by channel construction on restore
-            cap: _,       // fixed by channel construction on restore
-            prefix: _,    // derived cache of the fold, refolded after restore
-            valid_end: _, // decode resets it to `base`
-            lines,
-            base,
-            carry,
-            booked,
-        } = self;
-        for &l in lines {
-            w.put_f64(l);
-        }
-        w.put_u64(*base);
-        w.put_f64(*carry);
-        w.put_u64(*booked);
-    }
-
-    /// Restores state captured by [`encode_state`](Self::encode_state)
-    /// into a channel constructed with the same transfer time.
-    pub fn decode_state(&mut self, r: &mut pact_stats::ByteReader<'_>) -> Result<(), String> {
-        let Self {
-            transfer: _, // fixed by channel construction on restore
-            cap: _,      // fixed by channel construction on restore
-            prefix: _,   // derived cache of the fold, invalidated below
-            valid_end,
-            lines,
-            base,
-            carry,
-            booked,
-        } = self;
-        let e = |e: pact_stats::CodecError| format!("channel state: {e}");
-        for l in lines {
-            *l = r.get_f64().map_err(e)?;
-        }
-        *base = r.get_u64().map_err(e)?;
-        *carry = r.get_f64().map_err(e)?;
-        *booked = r.get_u64().map_err(e)?;
-        *valid_end = *base;
-        Ok(())
-    }
-
     /// Current backlog at cycle `t`, in cycles of channel time (used by
     /// the prefetcher to yield under load).
     pub fn backlog_cycles(&mut self, t: u64) -> f64 {
         self.backlog_lines(t) * self.transfer
+    }
+}
+
+// The epoch ring, carry, and lifetime booking counter, restored into a
+// channel constructed with the same transfer time.
+pact_stats::codec! {
+    impl State for Channel {
+        lines, base, carry, booked;
+        transfer: _, // fixed by channel construction on restore
+        cap: _,      // fixed by channel construction on restore
+        prefix: _,   // derived cache of the fold, refolded after restore
+        valid_end: _, // reset to `base` below
+    } then |ch| {
+        ch.valid_end = ch.base;
+        Ok(())
     }
 }
 
