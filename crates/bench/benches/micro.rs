@@ -15,7 +15,7 @@ use pact_workloads::Zipf;
 
 fn bench_pac_store(c: &mut Criterion) {
     c.bench_function("pac_store_record_sample", |b| {
-        let mut store = PacStore::new();
+        let mut store = PacStore::for_pages(10_000);
         let mut i = 0u64;
         b.iter(|| {
             i = i.wrapping_add(0x9E3779B97F4A7C15);
@@ -25,7 +25,7 @@ fn bench_pac_store(c: &mut Criterion) {
     c.bench_function("pac_store_attribute_period_1k_pages", |b| {
         b.iter_batched(
             || {
-                let mut store = PacStore::new();
+                let mut store = PacStore::for_pages(1_000);
                 for i in 0..1_000 {
                     store.record_sample(PageId(i), 418);
                 }
@@ -121,7 +121,7 @@ fn bench_engine(c: &mut Criterion) {
 
 fn bench_samplers(c: &mut Criterion) {
     c.bench_function("chmu_space_saving_observe", |b| {
-        let mut ss = SpaceSaving::new(2_048);
+        let mut ss = SpaceSaving::new(2_048, 50_000);
         let mut x = 1u64;
         b.iter(|| {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
