@@ -20,10 +20,19 @@
 //! (`RankBy::Frequency`) since it shares PACT's machinery.
 
 #![warn(missing_docs)]
-// `!(x > 0.0)` is deliberate where NaN must fail validation; and tests
-// build counter fixtures by mutating a Default value for readability.
-#![allow(clippy::neg_cmp_op_on_partial_ord)]
-#![allow(clippy::field_reassign_with_default)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+#![cfg_attr(
+    test,
+    expect(
+        clippy::field_reassign_with_default,
+        reason = "tests build counter fixtures by mutating a Default value"
+    )
+)]
 
 mod alto;
 mod colloid;

@@ -47,7 +47,7 @@ pub struct Memtis {
     cfg: MemtisConfig,
     // BTreeMap, not HashMap: on_window iterates these counts, and the
     // iteration order must be a function of the keys alone for the
-    // bit-determinism contract (pact-lint: det-hash-collections).
+    // bit-determinism contract (D001 in the root clippy.toml).
     counts: BTreeMap<PageId, u32>,
     fast_units: u64,
     span: u64,

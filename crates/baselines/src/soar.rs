@@ -53,14 +53,19 @@ pub fn profile(base_cfg: &MachineConfig, workload: &dyn Workload) -> SoarProfile
     let mut cfg = base_cfg.clone();
     cfg.fast_tier_pages = u64::MAX / PAGE_BYTES; // DRAM-only profiling box
     cfg.pebs.scope = PebsScope::BothTiers;
-    // Invariant: the profiling box is the caller's validated config
-    // with only the fast-tier size and PEBS scope widened, both to
-    // values the constructor accepts.
+    #[expect(
+        clippy::expect_used,
+        reason = "the profiling box is the caller's validated config with only the fast-tier \
+                  size and PEBS scope widened, both to values the constructor accepts"
+    )]
     let machine = Machine::new(cfg).expect("profiling config is valid");
     let mut profiler = Profiler::new(workload.regions());
     let run = machine.try_run(workload, &mut profiler);
-    // Invariant: a workload that runs at all runs here too; the bench
-    // harness runs its DRAM-only baseline first and reports its error.
+    #[expect(
+        clippy::expect_used,
+        reason = "a workload that runs at all runs here too; the bench harness runs its \
+                  DRAM-only baseline first and reports its error"
+    )]
     run.expect("workload runs on the profiling box");
     profiler.finish()
 }

@@ -24,6 +24,8 @@
 //! cargo run --release -p pact-bench --bin check_sweep
 //! ```
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use pact_bench::{
     env, experiment_machine, ratio_sweep, Harness, Lab, OrExit, SweepResult, TierRatio,
 };

@@ -1,5 +1,7 @@
 //! Ratio-sweep probe for calibration: key policies across tier ratios.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use pact_bench::{Harness, OrExit, TierRatio};
 use pact_workloads::suite::{build, Scale};
 

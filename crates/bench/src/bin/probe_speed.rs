@@ -1,6 +1,8 @@
 //! Engine throughput probe: times one bc-kron paper-scale run under
 //! NoTier and PACT and prints accesses/second, to size experiments.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use std::time::Instant;
 
 use pact_bench::{Harness, OrExit, TierRatio};

@@ -16,6 +16,8 @@
 //! bit-identical or serial `sim_cycles_per_sec` regressed by more than
 //! 20%.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use std::time::Instant;
 
 use pact_bench::{env, gate, ratio_sweep, Harness, JsonWriter, OrExit, SweepResult, TierRatio};

@@ -1,5 +1,7 @@
 //! THP calibration probe: bc-kron at 1:1 and 1:4 under huge-page mode.
 
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use pact_bench::{experiment_machine, Harness, OrExit, TierRatio};
 use pact_workloads::suite::{build, Scale};
 

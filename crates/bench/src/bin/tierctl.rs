@@ -73,18 +73,10 @@
 //! tierctl repro --fig fig04,fig06 --scale smoke --seed 7
 //! ```
 //!
-//! The `lint` subcommand runs the pact-lint static-analysis pass over
-//! the workspace sources (determinism & hygiene rules, DESIGN.md §11):
-//!
-//! ```text
-//! tierctl lint                         # lint the enclosing workspace
-//! tierctl lint --json                  # machine-readable diagnostics
-//! tierctl lint --rule naked-unwrap     # run a subset of rules
-//! tierctl lint --list-rules            # print the rule catalogue
-//! ```
-//!
-//! Exit status: 0 all checks passed, 1 a check failed (or lint
-//! findings exist), 2 invalid usage or I/O error.
+//! Exit status: 0 all checks passed, 1 a check failed, 2 invalid
+//! usage or I/O error.
+
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use pact_bench::figures::{self, Figure, FIGURES};
 use pact_bench::snapfile::CellSnapshot;
@@ -290,7 +282,6 @@ fn parse_args() -> Result<Args, String> {
                      [--ratio F:S] [--scale smoke|paper] [--seed N] [--budget N]\n       \
                      tierctl check [--fuzz N] [--seed S] [--case 0xHEX] [--oracle] \
                      [--workload W]...\n       \
-                     tierctl lint [--root DIR] [--json] [--rule ID]... [--list-rules]\n       \
                      tierctl repro [--fig NAME[,NAME...]] [--scale smoke|paper] [--seed N]"
                     .into())
             }
@@ -548,10 +539,13 @@ fn run_serve_metrics(args: &Args) {
         println!("serve-metrics self-check ok ({label})");
         return;
     }
-    let addr = args.addr.unwrap_or_else(|| {
-        // Invariant: a literal loopback address always parses.
-        "127.0.0.1:9464".parse().expect("valid literal")
-    });
+    #[expect(
+        clippy::expect_used,
+        reason = "a literal loopback address always parses"
+    )]
+    let addr = args
+        .addr
+        .unwrap_or_else(|| "127.0.0.1:9464".parse().expect("valid literal"));
     let server = serve::MetricsServer::bind(addr, body).unwrap_or_else(|e| {
         eprintln!("cannot bind {addr}: {e}");
         std::process::exit(1);
@@ -789,155 +783,6 @@ fn run_fleet(args: &Args) {
     print_report_digest(&report);
 }
 
-struct LintArgs {
-    root: Option<String>,
-    json: bool,
-    rules: Vec<String>,
-    list_rules: bool,
-    changed_files: Option<Vec<String>>,
-}
-
-/// Expands one `--rule` argument against the catalogue: an exact id
-/// (`det-rng`), an exact code (`D003`), or a trailing-`*` glob over
-/// either (`D*`, `det-*`).
-fn expand_rule_pattern(pat: &str) -> Result<Vec<String>, String> {
-    let matches: Vec<String> = pact_lint::RULES
-        .iter()
-        .filter(|r| {
-            if let Some(prefix) = pat.strip_suffix('*') {
-                r.id.starts_with(prefix) || r.code.starts_with(prefix)
-            } else {
-                r.id == pat || r.code == pat
-            }
-        })
-        .map(|r| r.id.to_string())
-        .collect();
-    if matches.is_empty() {
-        return Err(format!(
-            "unknown rule '{pat}'; see tierctl lint --list-rules"
-        ));
-    }
-    Ok(matches)
-}
-
-/// Parses a `--changed-files` value: a comma/newline-separated list,
-/// or `-` to read newline-separated paths from stdin (the pre-commit
-/// shape). Paths are normalized to workspace-relative forward-slash
-/// form; non-`.rs` entries are ignored so `git diff --name-only` can
-/// be piped in unfiltered.
-fn parse_changed_files(value: &str) -> Result<Vec<String>, String> {
-    let raw = if value == "-" {
-        let mut buf = String::new();
-        use std::io::Read;
-        std::io::stdin()
-            .read_to_string(&mut buf)
-            .map_err(|e| format!("cannot read --changed-files from stdin: {e}"))?;
-        buf
-    } else {
-        value.to_string()
-    };
-    let mut files: Vec<String> = raw
-        .split(['\n', ','])
-        .map(|s| s.trim().trim_start_matches("./").replace('\\', "/"))
-        .filter(|s| !s.is_empty() && s.ends_with(".rs"))
-        .collect();
-    files.sort();
-    files.dedup();
-    Ok(files)
-}
-
-fn parse_lint_args(mut it: impl Iterator<Item = String>) -> Result<LintArgs, String> {
-    let mut args = LintArgs {
-        root: None,
-        json: false,
-        rules: Vec::new(),
-        list_rules: false,
-        changed_files: None,
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--root" => args.root = Some(it.next().ok_or("--root needs a path")?),
-            "--json" => args.json = true,
-            "--rule" => {
-                let pat = it.next().ok_or("--rule needs a rule id, code, or glob")?;
-                args.rules.extend(expand_rule_pattern(&pat)?);
-            }
-            "--changed-files" => {
-                let value = it
-                    .next()
-                    .ok_or("--changed-files needs a list or '-' for stdin")?;
-                args.changed_files = Some(parse_changed_files(&value)?);
-            }
-            "--list-rules" => args.list_rules = true,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: tierctl lint [--root DIR] [--json] [--rule ID|CODE|GLOB*]... \
-                     [--changed-files LIST|-] [--list-rules]"
-                        .into(),
-                )
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    args.rules.sort();
-    args.rules.dedup();
-    Ok(args)
-}
-
-/// The `lint` subcommand: the pact-lint workspace pass, file scans
-/// fanned out across the bench worker pool (`PACT_JOBS`). Exit 0
-/// clean, 1 findings, 2 usage/IO error.
-fn run_lint(args: &LintArgs) {
-    if args.list_rules {
-        print!("{}", pact_lint::LintReport::catalogue());
-        return;
-    }
-    let root = match &args.root {
-        Some(r) => std::path::PathBuf::from(r),
-        None => {
-            let cwd = std::env::current_dir().unwrap_or_else(|e| {
-                eprintln!("cannot determine working directory: {e}");
-                std::process::exit(2);
-            });
-            pact_lint::find_workspace_root(&cwd).unwrap_or_else(|| {
-                eprintln!("no cargo workspace found above {}", cwd.display());
-                std::process::exit(2);
-            })
-        }
-    };
-    let cfg = pact_lint::LintConfig {
-        enabled_rules: args.rules.clone(),
-        ..pact_lint::LintConfig::default()
-    };
-    let fail = |e: &dyn std::fmt::Display| -> ! {
-        eprintln!("{e}");
-        std::process::exit(2);
-    };
-    if let Err(e) = pact_lint::ensure_workspace_root(&root) {
-        fail(&e);
-    }
-    let files = pact_lint::workspace_files(&root).unwrap_or_else(|e| fail(&e));
-    let jobs = pact_bench::jobs_from_env();
-    // Fan the per-file scans out; the merge re-sorts by file/line/col,
-    // so the report is byte-identical at any PACT_JOBS.
-    let scans = pact_bench::try_run_indexed(files.len(), jobs, |i| {
-        let path = root.join(&files[i]);
-        std::fs::read_to_string(&path)
-            .map(|src| pact_lint::lint_source(&files[i], &src, &cfg))
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))
-    })
-    .unwrap_or_else(|e: String| fail(&e));
-    let report = pact_lint::finish_scans(scans, args.changed_files.as_deref());
-    if args.json {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    if !report.is_clean() {
-        std::process::exit(1);
-    }
-}
-
 struct ReproArgs {
     figures: Vec<&'static Figure>,
     scale: Scale,
@@ -1042,15 +887,6 @@ fn main() {
     pact_bench::validate_fault_env();
     pact_bench::arm_hostprof_from_env();
     let mut raw = std::env::args().skip(1).peekable();
-    if raw.peek().map(String::as_str) == Some("lint") {
-        raw.next();
-        let lint_args = parse_lint_args(raw).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        });
-        run_lint(&lint_args);
-        return;
-    }
     if raw.peek().map(String::as_str) == Some("check") {
         raw.next();
         let check_args = parse_check_args(raw).unwrap_or_else(|msg| {

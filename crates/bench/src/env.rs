@@ -1,9 +1,9 @@
 //! The `PACT_*` environment-variable registry.
 //!
 //! Every environment read in the workspace happens in this module —
-//! the `det-env-read` lint rule (DESIGN.md §11) rejects `env::var`
-//! anywhere else — so the full runtime surface of the reproduction is
-//! auditable in one table:
+//! clippy's `disallowed_methods` (D004 `det-env-read`, DESIGN.md §11)
+//! rejects `env::var` anywhere else — so the full runtime surface of
+//! the reproduction is auditable in one table:
 //!
 //! | Variable            | Read by              | Meaning                                             |
 //! |---------------------|----------------------|-----------------------------------------------------|
@@ -22,6 +22,11 @@
 //! [`TraceConfig`]) through their APIs, which keeps simulation results
 //! a pure function of explicit configuration. Binaries resolve the
 //! environment here, once, at the edge.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the PACT_* registry is the one module that reads the environment"
+)]
 
 use pact_obs::{TraceConfig, TraceFormat, TRACE_ENV, TRACE_FORMAT_ENV};
 use pact_tiersim::{FaultPlan, SimError, FAULTS_ENV};

@@ -105,11 +105,13 @@ where
             }
         }
     });
+    #[expect(
+        clippy::expect_used,
+        reason = "the atomic counter hands out each index in 0..n exactly once and every \
+                  worker joined cleanly above, so each slot was written"
+    )]
     slots
         .into_iter()
-        // Invariant: the atomic counter hands out each index in 0..n
-        // exactly once and every worker joined cleanly above, so each
-        // slot was written; an empty slot is executor corruption.
         .map(|s| s.expect("every job index was claimed and completed"))
         .collect()
 }

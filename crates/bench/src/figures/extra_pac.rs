@@ -45,8 +45,11 @@ pub(super) fn render(lab: &Lab) -> Rendered {
                 ..PactConfig::default()
             })?;
             let report = machine.try_run(wl.as_ref(), &mut pact)?;
-            // Invariant: track_page_stalls was set above, so the report
-            // carries the oracle's per-page stall map.
+            #[expect(
+                clippy::expect_used,
+                reason = "track_page_stalls was set above, so the report carries the oracle's \
+                          per-page stall map"
+            )]
             let truth = report.page_stalls.as_ref().expect("oracle enabled");
 
             // Align: pages the sampler tracked, with both scores.

@@ -74,9 +74,11 @@ pub(super) fn render(lab: &Lab) -> Rendered {
             let slice = &pages[lo..hi];
             let pacs: Vec<f64> = slice.iter().map(|&(_, p)| p).collect();
             let s = Summary::from_values(&pacs);
-            // Invariant: hi >= lo + 1 above, so the slice is non-empty.
-            let f_lo = slice.first().unwrap().0;
-            let f_hi = slice.last().unwrap().0; // Invariant: non-empty, see above
+            #[expect(
+                clippy::unwrap_used,
+                reason = "hi >= lo + 1 above, so the slice is non-empty"
+            )]
+            let (f_lo, f_hi) = (slice.first().unwrap().0, slice.last().unwrap().0);
             t.row(vec![
                 format!("{f_lo}..{f_hi}"),
                 slice.len().to_string(),

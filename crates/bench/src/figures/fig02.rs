@@ -59,8 +59,11 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         }
         let r_raw = pearson(&misses, &stalls).unwrap_or(f64::NAN);
         let r_model = pearson(&predictor, &stalls).unwrap_or(f64::NAN);
-        // Invariant: 96 variants were pushed above, so the fit has
-        // more than the two points linear_fit requires.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "96 variants were pushed above, so the fit has more than the two points \
+                      linear_fit requires"
+        )]
         let fit = linear_fit(&predictor, &stalls).unwrap();
         let unloaded = tier_cfg.latency_cycles(2.2);
         summary.row(vec![

@@ -26,8 +26,11 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     out.push_str(&banner("Table 2: number of promotions (base pages)"));
     out.push_str(&sweep.render_promotions());
 
-    // Headline ratios the paper calls out. Invariant: the sweep above
-    // runs ALL_POLICIES, so every looked-up name is present.
+    // Headline ratios the paper calls out.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the sweep above runs ALL_POLICIES, so every looked-up name is present"
+    )]
     let idx = |name: &str| sweep.policies.iter().position(|p| p == name).unwrap();
     let (pact, colloid, nbt) = (idx("pact"), idx("colloid"), idx("nbt"));
     let mut ratios_c = Vec::new();

@@ -29,8 +29,10 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     out.push_str(&banner("Figure 5: promotions under THP (base pages)"));
     out.push_str(&sweep.render_promotions());
 
-    // Invariant: the sweep above runs ALL_POLICIES, so every looked-up
-    // name is present.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the sweep above runs ALL_POLICIES, so every looked-up name is present"
+    )]
     let idx = |name: &str| sweep.policies.iter().position(|p| p == name).unwrap();
     let (pact, memtis) = (idx("pact"), idx("memtis"));
     let gaps: Vec<f64> = (0..sweep.ratios.len())

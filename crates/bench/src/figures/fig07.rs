@@ -51,16 +51,23 @@ pub(super) fn render(lab: &Lab) -> Rendered {
                 max * 100.0
             ));
         }
-        // Invariant: improvements are ratios of positive cycle counts,
-        // never NaN, so the total order exists.
+        #[expect(
+            clippy::unwrap_used,
+            reason = "improvements are ratios of positive cycle counts, never NaN, so the total \
+                      order exists"
+        )]
         pooled.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let avg = pooled.iter().sum::<f64>() / pooled.len() as f64;
+        #[expect(
+            clippy::unwrap_used,
+            reason = "pooled holds one entry per (workload, baseline) pair, and SUITE and \
+                      baselines are non-empty"
+        )]
+        let max = pooled.last().unwrap();
         out.push_str(&format!(
             "pooled: avg {:+.1}%  max {:+.1}%  (paper: ~10% avg, 57-61% peak)\n",
             avg * 100.0,
-            // Invariant: pooled holds one entry per (workload,
-            // baseline) pair, and SUITE and baselines are non-empty.
-            pooled.last().unwrap() * 100.0
+            max * 100.0
         ));
         out.push_str(&format!(
             "CDF (improvement -> cumulative fraction):\n{}",

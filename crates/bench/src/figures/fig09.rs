@@ -22,7 +22,10 @@ fn pac_vs_freq(h: &LabHarness, ratio: TierRatio) -> Result<(Arc<Outcome>, Arc<Ou
         h.run_policy(["pact", "pact-freq"][i], ratio)
     })?
     .into_iter();
-    // Invariant: try_run_indexed(2, ..) yields exactly two results.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "try_run_indexed(2, ..) yields exactly two results"
+    )]
     Ok((outs.next().unwrap(), outs.next().unwrap()))
 }
 

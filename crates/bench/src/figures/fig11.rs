@@ -7,7 +7,7 @@
 //! performance comparable to or better than Colloid (4 KB) and Memtis
 //! (THP) while promoting several times fewer pages.
 
-use pact_tiersim::{FirstTouch, Machine, RunSpec, Workload, PAGE_BYTES};
+use pact_tiersim::{FirstTouch, Machine, RunReport, RunSpec, Workload, PAGE_BYTES};
 use pact_workloads::suite::Scale;
 use pact_workloads::Mlc;
 
@@ -40,27 +40,27 @@ fn run_level(
     dram_cfg.thp = thp;
     let dram = Machine::new(dram_cfg)?;
     let base = dram.run(RunSpec::new(&[bc.as_ref(), &mlc], &mut FirstTouch::new()))?;
-    // Invariant: the colocated run reports one entry per workload, and
-    // bc-kron was passed in above.
-    let base_cycles = base
-        .per_process
-        .iter()
-        .find(|p| p.name == "bc-kron")
-        .unwrap() // Invariant: bc-kron was passed to the run above
-        .cycles;
+    let base_cycles = bc_cycles(&base);
 
     let mut cfg = experiment_machine(fast);
     cfg.thp = thp;
     let machine = Machine::new(cfg)?;
     let mut policy = make_policy(policy_name)?;
     let r = machine.run(RunSpec::new(&[bc.as_ref(), &mlc], policy.as_mut()))?;
-    let cycles = r
-        .per_process
+    let cycles = bc_cycles(&r);
+    Ok((cycles as f64 / base_cycles as f64 - 1.0, r.promotions))
+}
+
+#[expect(
+    clippy::unwrap_used,
+    reason = "the colocated run reports one entry per workload, and bc-kron was passed in"
+)]
+fn bc_cycles(r: &RunReport) -> u64 {
+    r.per_process
         .iter()
         .find(|p| p.name == "bc-kron")
-        .unwrap() // Invariant: bc-kron was passed to the run above
-        .cycles;
-    Ok((cycles as f64 / base_cycles as f64 - 1.0, r.promotions))
+        .unwrap()
+        .cycles
 }
 
 pub(super) fn render(lab: &Lab) -> Rendered {

@@ -38,13 +38,16 @@ fn build_pair(lab: &Lab) -> (Masim, Masim) {
     )
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "every caller passes the name of a colocated workload, and a colocated run \
+              reports one entry per workload"
+)]
 fn proc_cycles(r: &RunReport, name: &str) -> u64 {
-    // Invariant: every caller passes the name of a colocated workload,
-    // and a colocated run reports one entry per workload.
     r.per_process
         .iter()
         .find(|p| p.name == name)
-        .unwrap() // Invariant: see above
+        .unwrap()
         .cycles
 }
 
@@ -91,9 +94,12 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     }
     out.push_str(&t.render());
 
-    // Invariant: both names are in the loop above, so both rows exist.
-    let pact = rows.iter().find(|r| r.0 == "pact").unwrap();
-    let colloid = rows.iter().find(|r| r.0 == "colloid").unwrap(); // Invariant: see above
+    #[expect(
+        clippy::unwrap_used,
+        reason = "both names are in the loop above, so both rows exist"
+    )]
+    let row = |name: &str| rows.iter().find(|r| r.0 == name).unwrap();
+    let (pact, colloid) = (row("pact"), row("colloid"));
     let rel = |p: f64, c: f64| ((1.0 + c) - (1.0 + p)) / (1.0 + p) * 100.0;
     out.push_str(&format!(
         "\nPACT improvement over Colloid: seq {:+.0}%, rnd {:+.0}%, aggregate {:+.0}% \

@@ -33,8 +33,11 @@ fn metrics(name: &'static str, out: &Outcome) -> Row {
         .filter(|w| w.delta.accesses > 500)
         .map(|w| span / w.delta.accesses as f64)
         .collect();
-    // Invariant: each entry is span / accesses with accesses > 500,
-    // never NaN, so the total order exists.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "each entry is span / accesses with accesses > 500, never NaN, so the total \
+                  order exists"
+    )]
     per_window.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let p99 = per_window
         .get(per_window.len().saturating_sub(1) * 99 / 100)
@@ -97,8 +100,10 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         ]);
     }
     out.push_str(&t.render());
-    // Invariant: rows was filled by the fixed list above; "pact+both"
-    // is last.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "rows was filled by the fixed list above; \"pact+both\" is last"
+    )]
     let both = rows.last().unwrap();
     out.push_str(&format!(
         "\n+Both vs Colloid: throughput {:+.1}%, mean latency {:+.1}% \

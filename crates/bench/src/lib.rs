@@ -20,7 +20,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
+#[cfg(clippy)]
+mod canary;
 mod cli;
 pub mod env;
 pub mod exec;

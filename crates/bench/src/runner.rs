@@ -147,18 +147,19 @@ impl From<SimError> for RunError {
 /// pass is driven by [`Harness::run_policy`]) and
 /// [`RunError::UnknownPolicy`] for names outside [`ALL_POLICIES`], so
 /// sweep drivers can skip bad names instead of aborting mid-sweep.
+#[expect(
+    clippy::expect_used,
+    reason = "PactConfig::default() passes its own validate() (pinned by a pact-core test), \
+              and rank_by is not range-checked, so both PACT configs construct"
+)]
 pub fn make_policy(name: &str) -> Result<Box<dyn TieringPolicy>, RunError> {
     Ok(match name {
-        // Invariant: PactConfig::default() passes its own validate()
-        // (pinned by a pact-core test), so construction cannot fail.
         "pact" => Box::new(PactPolicy::new(PactConfig::default()).expect("default is valid")),
         "pact-freq" => {
             let cfg = PactConfig {
                 rank_by: RankBy::Frequency,
                 ..PactConfig::default()
             };
-            // Invariant: rank_by is not range-checked, so a default
-            // config with only rank_by changed stays valid.
             Box::new(PactPolicy::new(cfg).expect("config is valid"))
         }
         "colloid" => Box::new(Colloid::new()),

@@ -75,12 +75,14 @@ pub fn render_prometheus(label: &str, report: &RunReport) -> String {
     use std::fmt::Write as _;
     let run = prom_label_value(label);
     let mut out = String::new();
+    #[expect(clippy::unwrap_used, reason = "writing to a String cannot fail")]
     let sample = |out: &mut String, name: &str, kind: &str, help: &str, value: f64| {
         let n = prom_name(name);
-        // Invariant: writing to a String cannot fail.
-        writeln!(out, "# HELP {n} {help}").unwrap();
-        writeln!(out, "# TYPE {n} {kind}").unwrap(); // Invariant: see above
-        writeln!(out, "{n}{{run=\"{run}\"}} {value}").unwrap(); // Invariant: see above
+        writeln!(
+            out,
+            "# HELP {n} {help}\n# TYPE {n} {kind}\n{n}{{run=\"{run}\"}} {value}"
+        )
+        .unwrap();
     };
     sample(
         &mut out,

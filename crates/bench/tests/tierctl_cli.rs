@@ -20,6 +20,14 @@ fn run(args: &[&str]) -> Output {
     tierctl(args).output().expect("spawn tierctl")
 }
 
+/// A fresh scratch path under the test target directory.
+fn fixture_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    // A stale tree from an earlier run would leak into this one.
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
@@ -476,230 +484,4 @@ fn report_with_prof_emits_summary_on_stderr_only() {
     );
     let md = std::fs::read_to_string(dir.join("report.md")).expect("report.md");
     assert!(!md.contains("host self-profile"), "{md}");
-}
-
-// --- tierctl lint ----------------------------------------------------
-
-/// Writes a throwaway one-crate workspace for lint to scan.
-fn lint_fixture(dir: &std::path::Path, src: &str) {
-    std::fs::create_dir_all(dir.join("crates/tiersim/src")).expect("mkdir fixture");
-    std::fs::write(dir.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
-    std::fs::write(dir.join("crates/tiersim/src/lib.rs"), src).expect("write source");
-}
-
-fn fixture_dir(name: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
-    // A stale tree from an earlier run would leak extra findings.
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-#[test]
-fn lint_clean_tree_exits_0() {
-    let dir = fixture_dir("lint_clean");
-    lint_fixture(&dir, "//! Clean.\npub fn ok() -> u32 { 1 }\n");
-    let out = run(&["lint", "--root", dir.to_str().expect("utf8 path")]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("0 findings"), "{stdout}");
-}
-
-#[test]
-fn lint_findings_exit_1_with_rustc_style_diagnostics() {
-    let dir = fixture_dir("lint_dirty");
-    lint_fixture(&dir, "use std::collections::HashMap;\n");
-    let out = run(&["lint", "--root", dir.to_str().expect("utf8 path")]);
-    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.contains("error[D001/det-hash-collections]"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("--> crates/tiersim/src/lib.rs:1:23"),
-        "{stdout}"
-    );
-    assert!(stdout.contains("= help:"), "{stdout}");
-}
-
-#[test]
-fn lint_json_mode_is_machine_readable() {
-    let dir = fixture_dir("lint_json");
-    lint_fixture(&dir, "use std::collections::HashMap;\n");
-    let out = run(&["lint", "--json", "--root", dir.to_str().expect("utf8 path")]);
-    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    pact_obs::validate(&stdout).expect("lint --json emits valid JSON");
-    assert!(stdout.contains("\"tool\":\"pact-lint\""), "{stdout}");
-    assert!(
-        stdout.contains("\"rule\":\"det-hash-collections\""),
-        "{stdout}"
-    );
-    assert!(stdout.contains("\"findings_total\":1"), "{stdout}");
-}
-
-#[test]
-fn lint_rule_filter_restricts_the_rule_set() {
-    let dir = fixture_dir("lint_filter");
-    // One D001 and one H003 finding in the same file.
-    lint_fixture(
-        &dir,
-        "use std::collections::HashMap;\npub fn f() { println!(\"x\"); }\n",
-    );
-    let all = run(&["lint", "--root", dir.to_str().expect("utf8 path")]);
-    assert_eq!(all.status.code(), Some(1));
-    let filtered = run(&[
-        "lint",
-        "--rule",
-        "stray-print",
-        "--root",
-        dir.to_str().expect("utf8 path"),
-    ]);
-    let stdout = String::from_utf8_lossy(&filtered.stdout);
-    assert_eq!(filtered.status.code(), Some(1), "{stdout}");
-    assert!(stdout.contains("stray-print"), "{stdout}");
-    assert!(!stdout.contains("det-hash-collections"), "{stdout}");
-}
-
-#[test]
-fn lint_rejects_bad_usage_with_2() {
-    for args in [
-        &["lint", "--rule", "no-such-rule"][..],
-        &["lint", "--nope"],
-        &["lint", "--root"],
-        &["lint", "--root", "/definitely/not/a/workspace"],
-    ] {
-        let out = run(args);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "args {args:?}: {}",
-            stderr_of(&out)
-        );
-    }
-}
-
-#[test]
-fn lint_list_rules_prints_the_catalogue() {
-    let out = run(&["lint", "--list-rules"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    for id in [
-        "det-hash-collections",
-        "det-wall-clock",
-        "det-rng",
-        "det-env-read",
-        "naked-unwrap",
-        "counter-truncation",
-        "stray-print",
-        "suppression",
-    ] {
-        assert!(stdout.contains(id), "missing {id} in:\n{stdout}");
-    }
-}
-
-#[test]
-fn lint_of_this_workspace_is_clean() {
-    // The gate CI enforces: the real tree has zero findings. --root
-    // points at the repo root, two levels up from crates/bench.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits two levels below the workspace root")
-        .to_path_buf();
-    let out = run(&["lint", "--root", root.to_str().expect("utf8 path")]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "workspace has lint findings:\n{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-}
-
-/// A minimal D-rule violation: a wall-clock read (D002) in a
-/// deterministic crate.
-const D002_SRC: &str = "pub fn t() -> u64 { std::time::Instant::now().elapsed().as_secs() }\n";
-
-#[test]
-fn lint_rule_glob_selects_the_d_family() {
-    let dir = fixture_dir("lint_dglob");
-    let src = format!("pub fn f() {{ println!(\"x\"); }}\n{D002_SRC}");
-    lint_fixture(&dir, &src);
-    let root = dir.to_str().expect("utf8 path");
-    let all = run(&["lint", "--root", root]);
-    assert_eq!(all.status.code(), Some(1));
-    let all_out = String::from_utf8_lossy(&all.stdout).into_owned();
-    assert!(all_out.contains("stray-print"), "{all_out}");
-    assert!(all_out.contains("det-wall-clock"), "{all_out}");
-    let only_d = run(&["lint", "--root", root, "--rule", "D*"]);
-    assert_eq!(only_d.status.code(), Some(1));
-    let d_out = String::from_utf8_lossy(&only_d.stdout).into_owned();
-    assert!(!d_out.contains("stray-print"), "{d_out}");
-    assert!(d_out.contains("det-wall-clock"), "{d_out}");
-}
-
-#[test]
-fn lint_changed_files_agrees_with_the_full_run() {
-    let dir = fixture_dir("lint_changed");
-    lint_fixture(&dir, D002_SRC);
-    std::fs::write(
-        dir.join("crates/tiersim/src/other.rs"),
-        "use std::collections::HashMap;\n",
-    )
-    .expect("write second source");
-    let root = dir.to_str().expect("utf8 path");
-    let full = run(&["lint", "--root", root]);
-    assert_eq!(full.status.code(), Some(1));
-    let full_out = String::from_utf8_lossy(&full.stdout).into_owned();
-    let changed = run(&[
-        "lint",
-        "--root",
-        root,
-        "--changed-files",
-        "crates/tiersim/src/lib.rs",
-    ]);
-    assert_eq!(changed.status.code(), Some(1));
-    let changed_out = String::from_utf8_lossy(&changed.stdout).into_owned();
-    // Whole-workspace and changed-files runs agree exactly on the
-    // overlapping file: same findings at the same positions.
-    let locs = |text: &str| -> Vec<String> {
-        text.lines()
-            .filter(|l| l.trim_start().starts_with("-->"))
-            .map(|l| l.trim().to_string())
-            .collect()
-    };
-    let full_lib: Vec<String> = locs(&full_out)
-        .into_iter()
-        .filter(|l| l.contains("lib.rs"))
-        .collect();
-    assert!(!full_lib.is_empty(), "{full_out}");
-    assert_eq!(locs(&changed_out), full_lib, "{changed_out}");
-    assert!(!changed_out.contains("other.rs"), "{changed_out}");
-    // The untouched file's findings still gate a full run, proving the
-    // filter trims the report, not the analysis.
-    assert!(full_out.contains("other.rs"), "{full_out}");
-}
-
-#[test]
-fn lint_changed_files_reads_stdin_dash() {
-    use std::io::Write as _;
-    let dir = fixture_dir("lint_changed_stdin");
-    lint_fixture(&dir, D002_SRC);
-    let root = dir.to_str().expect("utf8 path");
-    let mut child = tierctl(&["lint", "--root", root, "--changed-files", "-"])
-        .stdin(std::process::Stdio::piped())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn tierctl");
-    child
-        .stdin
-        .as_mut()
-        .expect("piped stdin")
-        .write_all(b"crates/tiersim/src/lib.rs\n")
-        .expect("write stdin");
-    let out = child.wait_with_output().expect("tierctl exits");
-    assert_eq!(out.status.code(), Some(1), "{}", stderr_of(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("det-wall-clock"), "{stdout}");
 }

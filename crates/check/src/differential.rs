@@ -74,15 +74,20 @@ fn fingerprint(report: &RunReport) -> String {
 }
 
 /// PACT at its default configuration.
+#[expect(
+    clippy::expect_used,
+    reason = "the default PactConfig passes its own validation (pinned by pact-core tests)"
+)]
 fn default_pact() -> PactPolicy {
-    // Invariant: the default PactConfig passes its own validation
-    // (pinned by pact-core tests).
     PactPolicy::new(PactConfig::default()).expect("default config is valid")
 }
 
 fn run_with(cfg: &MachineConfig, wl: &dyn Workload, traced: bool) -> Result<RunReport, SimError> {
-    // Invariant: the caller's config came from a validated preset with
-    // only validated-range edits, so Machine::new cannot fail.
+    #[expect(
+        clippy::expect_used,
+        reason = "the caller's config came from a validated preset with only validated-range \
+                  edits, so Machine::new cannot fail"
+    )]
     let machine = Machine::new(cfg.clone()).expect("differential config is valid");
     let mut tracer = if traced {
         Tracer::ring(1 << 16)
@@ -230,11 +235,17 @@ pub fn tenant_conservation_oracle(workload: &str, seed: u64) -> Result<(), Strin
         budget_per_window: 4,
         ..AdmissionControl::default()
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "a positive budget and positive weights are valid"
+    )]
     let mut policy = Admission::new(Box::new(default_pact()), admission, vec![4, 1, 2])
-        // Invariant: a positive budget and positive weights are valid.
         .expect("admission config is valid");
 
-    // Invariant: the preset plus validated-range edits construct.
+    #[expect(
+        clippy::expect_used,
+        reason = "the preset plus validated-range edits construct"
+    )]
     let m = Machine::new(cfg).expect("fleet config is valid");
     let base = m
         .run(RunSpec::new(&tenants, &mut policy))
@@ -256,13 +267,12 @@ pub fn tenant_conservation_oracle(workload: &str, seed: u64) -> Result<(), Strin
     };
     // Exact partition of the page-stall oracle.
     let mut oracle_totals = [0u64; 2];
-    for lanes in base
-        .page_stalls
-        .as_ref()
-        // Invariant: this oracle's config sets track_page_stalls.
-        .expect("track_page_stalls is on")
-        .values()
-    {
+    #[expect(
+        clippy::expect_used,
+        reason = "this oracle's config sets track_page_stalls"
+    )]
+    let stalls = base.page_stalls.as_ref().expect("track_page_stalls is on");
+    for lanes in stalls.values() {
         oracle_totals[0] += lanes[0];
         oracle_totals[1] += lanes[1];
     }
@@ -329,8 +339,10 @@ pub fn kill_resume_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
         Ok([report.to_json(), crit.folded()])
     };
 
-    // Invariant: skylake_cxl presets with validated-range edits always
-    // construct.
+    #[expect(
+        clippy::expect_used,
+        reason = "skylake_cxl presets with validated-range edits always construct"
+    )]
     let machine = Machine::new(cfg.clone()).expect("kill-resume config is valid");
     let mut frames: Vec<MachineSnapshot> = Vec::new();
     let base = machine
@@ -349,8 +361,11 @@ pub fn kill_resume_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
     // Resumes `frame` on `rcfg` with capture off.
     let resume_on = |mut rcfg: MachineConfig, frame: &MachineSnapshot| {
         rcfg.snapshot_every = 0;
-        // Invariant: the base config was valid, and cadence 0 or a fast
-        // tier one page larger keep it valid.
+        #[expect(
+            clippy::expect_used,
+            reason = "the base config was valid, and cadence 0 or a fast tier one page larger \
+                      keep it valid"
+        )]
         let m = Machine::new(rcfg).expect("resume config is valid");
         m.run(RunSpec {
             resume_from: Some(frame),
@@ -380,7 +395,8 @@ pub fn kill_resume_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
 
     // Fail-closed checks: tampered frames must be rejected with a
     // structured snapshot error, never silently resumed.
-    let last = frames.last().expect("frames is non-empty"); // Invariant: checked above
+    #[expect(clippy::expect_used, reason = "frames was checked non-empty above")]
+    let last = frames.last().expect("frames is non-empty");
     let mut corrupt = last.as_bytes().to_vec();
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0xff;
@@ -469,6 +485,7 @@ pub fn attribution_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
 /// # Errors
 ///
 /// Returns the two cycle counts when the law is violated.
+#[expect(clippy::expect_used, reason = "skylake_cxl presets always construct")]
 pub fn dominance_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
     let total_pages = wl.footprint_bytes().div_ceil(PAGE_BYTES);
     let mut local_cfg = MachineConfig::skylake_cxl(total_pages);
@@ -476,11 +493,11 @@ pub fn dominance_oracle(wl: &dyn Workload, seed: u64) -> Result<(), String> {
     let mut remote_cfg = MachineConfig::skylake_cxl(0);
     remote_cfg.seed = seed;
     let local = Machine::new(local_cfg)
-        .expect("config is valid") // Invariant: skylake_cxl presets always construct
+        .expect("config is valid")
         .try_run(wl, &mut FirstTouch::new())
         .map_err(|e| format!("all-local run failed: {e}"))?;
     let remote = Machine::new(remote_cfg)
-        .expect("config is valid") // Invariant: skylake_cxl presets always construct
+        .expect("config is valid")
         .try_run(wl, &mut FirstTouch::new())
         .map_err(|e| format!("all-remote run failed: {e}"))?;
     if local.total_cycles <= remote.total_cycles {

@@ -196,19 +196,21 @@ impl FuzzPolicy {
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "the default config and a rank_by change both pass PactConfig::validate (pinned \
+              by pact-core tests)"
+)]
 fn gen_policy(rng: &mut SplitMix64) -> FuzzPolicy {
     match rng.next_u64() % 3 {
-        // Invariant: the default config and a rank_by change both pass
-        // PactConfig::validate (pinned by pact-core tests).
         0 => FuzzPolicy::Pact(Box::new(
-            PactPolicy::new(PactConfig::default()).expect("default is valid"), // Invariant: see above
+            PactPolicy::new(PactConfig::default()).expect("default is valid"),
         )),
         1 => {
             let cfg = PactConfig {
                 rank_by: RankBy::Frequency,
                 ..PactConfig::default()
             };
-            // Invariant: see above — validate accepts this config.
             FuzzPolicy::Pact(Box::new(PactPolicy::new(cfg).expect("config is valid")))
         }
         _ => FuzzPolicy::First(FirstTouch::new()),
@@ -234,7 +236,7 @@ pub fn run_case(case_seed: u64) -> Result<CaseSummary, String> {
     let wl = gen_workload(&mut rng);
     let mut policy = gen_policy(&mut rng);
     let faulted = cfg.fault_plan.is_some();
-    // Invariant: cfg.validate() just passed.
+    #[expect(clippy::expect_used, reason = "cfg.validate() just passed")]
     let machine = Machine::new(cfg).expect("validated config");
     let mut run = || -> Result<RunReport, String> {
         machine

@@ -31,6 +31,12 @@
 //! The `tierctl check` subcommand in `pact-bench` is the CLI front end.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod differential;
 pub mod fuzz;

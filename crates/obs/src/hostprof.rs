@@ -4,8 +4,10 @@
 //! # The dual-clock rule
 //!
 //! This module is the **only** sanctioned wall-clock reader among the
-//! deterministic crates: pact-lint's D002 (`det-wall-clock`) allowlists
-//! exactly this file and keeps firing everywhere else. The discipline
+//! deterministic crates: the `#![expect]` below waives clippy's
+//! `disallowed_types` (D002 `det-wall-clock`, DESIGN.md §11) for this
+//! file alone, and the root `clippy.toml` keeps it firing everywhere
+//! else. The discipline
 //! that makes this safe is one-directional data flow — spans *read*
 //! the host clock but never write anything the simulation can observe:
 //! no sim state, no metrics registry, no tracer events, no report
@@ -35,6 +37,11 @@
 //! pact_obs::hostprof::set_enabled(false);
 //! pact_obs::hostprof::reset();
 //! ```
+
+#![expect(
+    clippy::disallowed_types,
+    reason = "the host self-profiler times the simulator itself and never feeds sim output"
+)]
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;

@@ -34,6 +34,12 @@
 //! integration tests pin this.
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub mod attribution;
 pub mod export;

@@ -327,7 +327,7 @@ impl<T: Codec, const N: usize> Codec for [T; N] {
 macro_rules! tuple_codec {
     ($(($($t:ident),+))*) => {$(
         impl<$($t: Codec),+> Codec for ($($t,)+) {
-            #[allow(non_snake_case)]
+            #[expect(non_snake_case, reason = "type parameters double as binding names")]
             fn put(&self, w: &mut ByteWriter) {
                 let ($($t,)+) = self;
                 $($t.put(w);)+
@@ -606,7 +606,7 @@ macro_rules! codec {
     } $(then |$this:ident| $check:block)?) => {
         impl $(<$($lt),+>)? $crate::codec::State for $t {
             fn put_state(&self, w: &mut $crate::codec::ByteWriter) {
-                #[allow(unused_imports)]
+                #[allow(unused_imports, reason = "only `state` field modes call `State` methods")]
                 use $crate::codec::State as _;
                 let Self { $($f,)* $($($s: _,)*)? } = self;
                 $($crate::codec!(@put [$($mode)?] $f w);)*
@@ -615,7 +615,7 @@ macro_rules! codec {
                 &mut self,
                 r: &mut $crate::codec::ByteReader<'_>,
             ) -> Result<(), $crate::codec::CodecError> {
-                #[allow(unused_imports)]
+                #[allow(unused_imports, reason = "only `state` field modes call `State` methods")]
                 use $crate::codec::State as _;
                 let Self { $($f,)* $($($s: _,)*)? } = self;
                 $($crate::codec!(@get [$($mode)?] $f r);)*
@@ -664,8 +664,11 @@ static INTERNED: Mutex<Vec<&'static str>> = Mutex::new(Vec::new());
 /// searched linearly: the distinct labels are few (metric names,
 /// telemetry keys, fault class names) and restore runs once per process.
 pub fn intern(s: &str) -> &'static str {
-    // Invariant: the interner mutex is never poisoned — no code path
-    // inside the critical section can panic.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "the interner mutex is never poisoned: no code path inside the critical \
+                  section can panic"
+    )]
     let mut table = INTERNED.lock().unwrap();
     if let Some(&hit) = table.iter().find(|&&t| t == s) {
         return hit;

@@ -23,7 +23,15 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
+#[cfg(clippy)]
+mod canary;
 pub mod codec;
 
 mod histogram;

@@ -27,8 +27,11 @@ impl Quantiles {
     /// NaN values are dropped so the internal ordering is total.
     pub fn from_unsorted(values: &[f64]) -> Self {
         let mut sorted: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-        // Invariant: NaNs were filtered on the line above, so every
-        // remaining pair of values is comparable.
+        #[expect(
+            clippy::expect_used,
+            reason = "NaNs were filtered on the line above, so every remaining pair of values \
+                      is comparable"
+        )]
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaNs were filtered"));
         Self { sorted }
     }

@@ -90,8 +90,11 @@ pub fn gini(values: &[f64]) -> Option<f64> {
         return None;
     }
     let mut sorted: Vec<f64> = values.iter().copied().filter(|v| !v.is_nan()).collect();
-    // Invariant: NaNs were filtered on the line above, so every pair
-    // of remaining values is comparable.
+    #[expect(
+        clippy::expect_used,
+        reason = "NaNs were filtered on the line above, so every pair of remaining values is \
+                  comparable"
+    )]
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaNs filtered"));
     let n = sorted.len() as f64;
     let total: f64 = sorted.iter().sum();

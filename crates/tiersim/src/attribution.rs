@@ -77,6 +77,7 @@ impl<'a> CriticalityReport<'a> {
     /// pair with nonzero blame: `tier;huge#H;page#P cycles`. Lines are
     /// ordered page-ascending with the fast lane first — a fixed order,
     /// so the bytes are identical for every job count.
+    #[expect(clippy::unwrap_used, reason = "writing to a String cannot fail")]
     pub fn folded(&self) -> String {
         let mut f = FoldedStacks::new();
         let mut huge = String::new();
@@ -85,9 +86,8 @@ impl<'a> CriticalityReport<'a> {
             use std::fmt::Write as _;
             huge.clear();
             page.clear();
-            // Invariant: writing to a String cannot fail.
             write!(huge, "huge#{}", p.huge_head().0).unwrap();
-            write!(page, "{p}").unwrap(); // Invariant: see above
+            write!(page, "{p}").unwrap();
             for tier in Tier::ALL {
                 let cycles = lanes[tier.index()];
                 if cycles > 0 {
@@ -159,13 +159,13 @@ impl<'a> CriticalityReport<'a> {
 
     /// Markdown criticality report: run header, tier split, and the
     /// top-K tables with per-row share of total blame.
+    #[expect(clippy::unwrap_used, reason = "writing to a String cannot fail")]
     pub fn to_markdown(&self) -> String {
         use std::fmt::Write as _;
         let totals = self.tier_totals();
         let total = (totals[0] + totals[1]).max(1);
         let mut out = String::new();
         out.push_str("# Criticality report\n\n");
-        // Invariant: writing to a String cannot fail.
         writeln!(
             out,
             "- policy: `{}`\n- total cycles: {}\n- tracked pages: {}\n\
@@ -177,7 +177,7 @@ impl<'a> CriticalityReport<'a> {
             totals[0],
             totals[1],
         )
-        .unwrap(); // Invariant: see above
+        .unwrap();
         out.push_str("\n## Most critical pages\n\n");
         out.push_str("| rank | page | region | stall cycles | share |\n");
         out.push_str("|-----:|-----:|-------:|-------------:|------:|\n");
@@ -191,7 +191,7 @@ impl<'a> CriticalityReport<'a> {
                 cycles,
                 cycles as f64 * 100.0 / total as f64,
             )
-            .unwrap(); // Invariant: writing to a String cannot fail.
+            .unwrap();
         }
         out.push_str("\n## Most critical huge-page regions\n\n");
         out.push_str("| rank | region | stall cycles | share |\n");
@@ -205,7 +205,7 @@ impl<'a> CriticalityReport<'a> {
                 cycles,
                 cycles as f64 * 100.0 / total as f64,
             )
-            .unwrap(); // Invariant: writing to a String cannot fail.
+            .unwrap();
         }
         out
     }

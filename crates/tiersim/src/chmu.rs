@@ -12,6 +12,8 @@
 //! the access stream with bounded overestimation error (at most the
 //! minimum counter value).
 
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::types::PageId;
 
 /// One occupied counter slot.
@@ -21,6 +23,16 @@ struct Slot {
     count: u64,
     /// Overestimation inherited when the page adopted an evicted counter.
     err: u64,
+}
+
+/// The position-table index of `page`.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "page ids are below the machine's page count, checked at construction and on restore"
+)]
+fn index(page: PageId) -> usize {
+    page.0 as usize
 }
 
 /// A Space-Saving heavy-hitter counter table.
@@ -69,14 +81,16 @@ impl SpaceSaving {
 
     #[inline]
     fn set_pos(&mut self, page: PageId, heap_idx: usize) {
-        let idx = page.0 as usize;
+        let idx = index(page);
         if idx >= self.pos.len() {
             self.pos.resize(idx + 1, 0);
         }
-        // pact-lint: allow(counter-truncation) — heap indices are
-        // bounded by the Space-Saving table capacity (a few thousand
-        // entries), orders of magnitude below u32::MAX.
-        self.pos[idx] = heap_idx as u32 + 1;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "heap indices are bounded by the table capacity, a few thousand entries"
+        )]
+        let pos = heap_idx as u32 + 1;
+        self.pos[idx] = pos;
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -116,7 +130,7 @@ impl SpaceSaving {
     /// Observes one access to `page`.
     pub fn observe(&mut self, page: PageId) {
         self.total += 1;
-        let tracked = self.pos.get(page.0 as usize).copied().unwrap_or(0);
+        let tracked = self.pos.get(index(page)).copied().unwrap_or(0);
         if tracked != 0 {
             let i = tracked as usize - 1;
             self.heap[i].count += 1;
@@ -136,7 +150,7 @@ impl SpaceSaving {
         // Evict the minimum counter (the heap root); the newcomer
         // inherits its count (the classic Space-Saving bound).
         let victim = self.heap[0];
-        self.pos[victim.page.0 as usize] = 0;
+        self.pos[index(victim.page)] = 0;
         self.heap[0] = Slot {
             page,
             count: victim.count + 1,
@@ -172,7 +186,7 @@ impl SpaceSaving {
     /// Clears all counters (the host read and reset the unit).
     pub fn reset(&mut self) {
         for slot in &self.heap {
-            self.pos[slot.page.0 as usize] = 0;
+            self.pos[index(slot.page)] = 0;
         }
         self.heap.clear();
         self.total = 0;
@@ -203,7 +217,7 @@ pact_stats::codec! {
                     page.0, ss.pages
                 ));
             }
-            if ss.pos.get(page.0 as usize).copied().unwrap_or(0) != 0 {
+            if ss.pos.get(index(page)).copied().unwrap_or(0) != 0 {
                 return Err(format!("chmu state: page {} tracked twice", page.0));
             }
             ss.set_pos(page, i);

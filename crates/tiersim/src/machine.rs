@@ -528,9 +528,6 @@ impl<'a, 'w> Sim<'a, 'w> {
             let gate = wl.prologue().map(|stream| {
                 threads.push(mk(stream));
                 gated.push(None);
-                // pact-lint: allow(counter-truncation) — thread indices
-                // are bounded by the workload's stream count, far below
-                // u32::MAX.
                 (threads.len() - 1) as u32
             });
             for stream in wl.streams() {
@@ -881,9 +878,13 @@ impl<'a, 'w> Sim<'a, 'w> {
             self.lanes[lane].pmu.hint_faults += 1;
             self.deliver_sample(ti, SampleEvent::HintFault { page, tier });
             // The fault may have migrated the page synchronously.
-            // Invariant: migration moves a page between tiers but never
-            // unmaps it, so the page looked up above is still mapped.
-            tier = self.mem.tier_of(page).expect("page was mapped above");
+            #[expect(
+                clippy::expect_used,
+                reason = "migration moves a page between tiers but never unmaps it, so the page \
+                          looked up above is still mapped"
+            )]
+            let moved = self.mem.tier_of(page).expect("page was mapped above");
+            tier = moved;
         }
 
         let gline = line_of(base_page * PAGE_BYTES + a.vaddr);
@@ -1580,6 +1581,8 @@ impl<'a, 'w> Sim<'a, 'w> {
                 max_write_buffer = max_write_buffer.max(t.write_buffer.len());
             }
             let totals = self.totals();
+            #[expect(clippy::expect_used, reason = "this window's record was pushed above")]
+            let record = self.windows.last().expect("record pushed above");
             let result = c.check_window(WindowCheck {
                 window: self.window_idx,
                 edge,
@@ -1587,7 +1590,7 @@ impl<'a, 'w> Sim<'a, 'w> {
                 counters: &totals.pmu,
                 prev_snapshot: &self.last_snapshot,
                 channels: &self.channels,
-                record: self.windows.last().expect("record pushed above"), // Invariant: pushed this window
+                record,
                 peeked_metrics,
                 registry_chan_lines: [
                     self.registry.counter_total(self.m_chan_lines[0]),

@@ -11,6 +11,8 @@
 //! (Figure 2) against truth. Policies should not consult
 //! [`PmuCounters::llc_stalls`]; PACT itself never does.
 
+#![warn(clippy::cast_possible_truncation)]
+
 use crate::config::{PebsConfig, PebsScope};
 use crate::types::Tier;
 

@@ -129,7 +129,10 @@ pub struct PolicyCtx<'a> {
 }
 
 impl<'a> PolicyCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one borrow per machine table the policy may touch"
+    )]
     pub(crate) fn new(
         mem: &'a mut Memory,
         chmu: Option<&'a mut Chmu>,

@@ -122,8 +122,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "callers check `bytes.len()` covers `at + 8` first"
+)]
 fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    // Invariant: callers check `bytes.len()` covers `at + 8` first.
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
@@ -141,7 +144,10 @@ fn check_header(bytes: &[u8]) -> Result<(), String> {
     if bytes[..8] != MAGIC {
         return Err("bad magic: not a PACT snapshot".into());
     }
-    // Invariant: length checked above, slices are in range.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "length checked above, slices are in range"
+    )]
     let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version != FORMAT_VERSION {
         return Err(format!(

@@ -127,14 +127,13 @@ pub fn read_trace<R: Read>(mut r: R) -> io::Result<TraceWorkload> {
             Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
             Err(e) => return Err(e),
         }
-        // Invariant: rec is exactly 12 bytes, so each fixed-width
-        // subslice below converts to its array type.
-        let vaddr = u64::from_le_bytes(rec[0..8].try_into().expect("8 bytes"));
-        let flags = u16::from_le_bytes(rec[8..10].try_into().expect("2 bytes")); // Invariant: see above
-        let work = u16::from_le_bytes(rec[10..12].try_into().expect("2 bytes")); // Invariant: see above
-                                                                                 // Decode the flags independently: a store may also carry the
-                                                                                 // dependent bit (address computed from a prior load), and the
-                                                                                 // constructor shortcuts would silently drop it.
+        let [v0, v1, v2, v3, v4, v5, v6, v7, f0, f1, w0, w1] = rec;
+        let vaddr = u64::from_le_bytes([v0, v1, v2, v3, v4, v5, v6, v7]);
+        let flags = u16::from_le_bytes([f0, f1]);
+        let work = u16::from_le_bytes([w0, w1]);
+        // Decode the flags independently: a store may also carry the
+        // dependent bit (address computed from a prior load), and the
+        // constructor shortcuts would silently drop it.
         let kind = if flags & FLAG_STORE != 0 {
             AccessKind::Store
         } else {

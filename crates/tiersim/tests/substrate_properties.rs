@@ -185,7 +185,7 @@ proptest! {
     #[test]
     fn space_saving_error_bound(stream in prop::collection::vec(0u64..50, 50..2_000)) {
         let mut ss = SpaceSaving::new(16, 50);
-        let mut truth = std::collections::HashMap::new();
+        let mut truth = std::collections::BTreeMap::new();
         for &p in &stream {
             ss.observe(PageId(p));
             *truth.entry(p).or_insert(0u64) += 1;

@@ -294,8 +294,10 @@ impl HostBfs {
         let mut levels = vec![vec![root]];
         loop {
             let mut next = Vec::new();
-            // Invariant: levels starts with the root level and only
-            // grows, so last() always exists.
+            #[expect(
+                clippy::expect_used,
+                reason = "levels starts with the root level and only grows, so last() always exists"
+            )]
             let cur = levels.last().expect("at least the root level");
             let d = levels.len() as i32 - 1;
             for &v in cur {
@@ -467,7 +469,7 @@ pub fn count_triangles(csr: &Csr) -> u64 {
 struct HostSssp {
     rounds: Vec<Vec<(u32, Vec<u32>)>>,
     /// Final distances (kept for validation tests).
-    #[allow(dead_code)]
+    #[allow(dead_code, reason = "read only by the validation tests")]
     dist: Vec<u64>,
 }
 

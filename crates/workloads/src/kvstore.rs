@@ -241,7 +241,7 @@ mod tests {
 
     #[test]
     fn hot_keys_dominate_value_traffic_but_scatter() {
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
         let w = KvStore::redis_ycsb_c(100_000, 20_000, 3);
         let t = drain_one(&w);
         let values = w
@@ -250,7 +250,7 @@ mod tests {
             .find(|r| r.name == "values")
             .unwrap()
             .clone();
-        let hot_slots: HashSet<u64> = (0..1_000)
+        let hot_slots: BTreeSet<u64> = (0..1_000)
             .map(|r| crate::common::scramble(r, 100_000))
             .collect();
         let mut hot = 0usize;

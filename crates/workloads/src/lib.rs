@@ -34,6 +34,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 mod common;
 mod gpt2;

@@ -49,12 +49,11 @@ impl Silo {
         assert!(threads > 0);
         // B+-tree fanout 16: levels sized rows/16^i from the leaves up.
         let fanout = 16u64;
-        let mut level_sizes = vec![rows.div_ceil(fanout)]; // leaves
-                                                           // Invariant: level_sizes is seeded with the leaf level above
-                                                           // and push only ever grows it.
-        while *level_sizes.last().unwrap() > 1 {
-            let next = level_sizes.last().unwrap().div_ceil(fanout); // Invariant: see above
-            level_sizes.push(next);
+        let mut top = rows.div_ceil(fanout); // leaves
+        let mut level_sizes = vec![top];
+        while top > 1 {
+            top = top.div_ceil(fanout);
+            level_sizes.push(top);
         }
         level_sizes.reverse(); // root first
         let mut lb = LayoutBuilder::new();

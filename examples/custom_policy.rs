@@ -9,7 +9,7 @@
 //! Zipf-skewed key-value workload. The same `TieringPolicy` trait is
 //! what PACT and all seven paper baselines are built on.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
@@ -21,7 +21,7 @@ use pact_workloads::KvStore;
 /// Promote any slow-tier page seen in `threshold` PEBS samples; demote
 /// kernel-LRU-cold pages to make room. That's the whole policy.
 struct SampledHotness {
-    counts: HashMap<PageId, u32>,
+    counts: BTreeMap<PageId, u32>,
     threshold: u32,
 }
 
@@ -69,7 +69,7 @@ fn main() {
     let machine = Machine::new(MachineConfig::skylake_cxl(pages / 2)).unwrap();
 
     let mut mine = SampledHotness {
-        counts: HashMap::new(),
+        counts: BTreeMap::new(),
         threshold: 3,
     };
     let mut pact = PactPolicy::new(PactConfig::default()).unwrap();

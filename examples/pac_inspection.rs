@@ -54,7 +54,7 @@ fn main() {
     by_pac.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     by_freq.sort_by_key(|&(_, f)| std::cmp::Reverse(f));
     let top = 100.min(by_pac.len());
-    let pac_top: std::collections::HashSet<_> = by_pac[..top].iter().map(|&(p, _)| p).collect();
+    let pac_top: std::collections::BTreeSet<_> = by_pac[..top].iter().map(|&(p, _)| p).collect();
     let overlap = by_freq[..top]
         .iter()
         .filter(|&&(p, _)| pac_top.contains(&p))
