@@ -17,9 +17,9 @@
 //! ([`LabHarness::run_custom`]) and traced sweep cells are never
 //! cached.
 //!
-//! The cache lives here, not in [`Harness`]: `check_sweep` and the
-//! determinism tests compare sweeps run on one harness, and a cache
-//! there would answer the second sweep from memory.
+//! The cache lives here, not in [`Harness`]: the determinism tests
+//! compare sweeps run on one harness, and a cache there would answer
+//! the second sweep from memory.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -28,7 +28,6 @@ mod cli;
 pub mod env;
 pub mod exec;
 pub mod figures;
-pub mod gate;
 mod lab;
 mod report;
 mod runner;
@@ -41,7 +40,7 @@ pub use cli::{
 };
 pub use exec::{jobs_from_env, run_indexed, try_run_indexed};
 pub use lab::{Lab, LabHarness, LabStats};
-pub use report::{banner, cdf_lines, count, pct, save_results, sparkline, JsonWriter, Table};
+pub use report::{banner, cdf_lines, count, pct, save_results, sparkline, Table};
 pub use runner::{
     experiment_machine, is_runnable_policy, make_policy, ratio_sweep, Cells, Harness, Outcome,
     RunError, SweepResult, TierRatio, ALL_POLICIES,

@@ -1,12 +1,6 @@
 //! Plain-text reporting: aligned tables, percentage formatting, CDF
 //! series, and sparkline-style time series for the figures.
-//!
-//! Machine-readable output goes through the shared deterministic
-//! [`JsonWriter`] (re-exported from `pact-obs`) instead of hand-rolled
-//! `format!` strings, so every artifact the binaries save is valid,
-//! byte-stable JSON.
 
-pub use pact_obs::JsonWriter;
 use pact_workloads::suite::Scale;
 
 /// A simple aligned-column text table.

@@ -40,10 +40,14 @@ impl TierRatio {
     }
 
     /// Fast-tier capacity in base pages for a footprint of
-    /// `footprint_bytes`.
+    /// `footprint_bytes`. The arithmetic is wide enough for any two
+    /// `u32` parts, so no ratio overflows.
     pub fn fast_pages(&self, footprint_bytes: u64) -> u64 {
-        let total_pages = footprint_bytes.div_ceil(PAGE_BYTES);
-        (total_pages * self.fast as u64 / (self.fast + self.slow) as u64).max(1)
+        let total_pages = u128::from(footprint_bytes.div_ceil(PAGE_BYTES));
+        let parts = u64::from(self.fast) + u64::from(self.slow);
+        let fast = total_pages * u128::from(self.fast) / u128::from(parts.max(1));
+        // At most `total_pages`, since `fast <= parts`.
+        u64::try_from(fast).unwrap_or(u64::MAX).max(1)
     }
 }
 
@@ -504,6 +508,19 @@ mod tests {
         assert_eq!(r81.fast_pages(90 * PAGE_BYTES), 80);
         assert_eq!(TierRatio::new(1, 8).fast_pages(90 * PAGE_BYTES), 10);
         assert_eq!(format!("{r}"), "1:1");
+        // Extreme parts overflow neither the sum nor the product. The
+        // largest footprint has 2^52 pages, and 2^52 * u32::MAX needs
+        // more than 64 bits before the division.
+        let max = u32::MAX;
+        for (fast, slow, small, huge) in [
+            (max, 1, 99, (1 << 52) - (1 << 20)),
+            (1, max, 1, 1 << 20),
+            (max, max, 50, 1 << 51),
+        ] {
+            let r = TierRatio::new(fast, slow);
+            assert_eq!(r.fast_pages(100 * PAGE_BYTES), small, "{r}");
+            assert_eq!(r.fast_pages(u64::MAX), huge, "{r}");
+        }
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Determinism guarantees of the parallel sweep executor: fanning a
-//! sweep over worker threads must not change a single reported value,
-//! and `Arc`-sharing a workload must be observationally identical to
-//! rebuilding it.
+//! sweep over worker threads, arming the invariant checker or an inert
+//! fault plan, or serving it from the lab cache must not change a
+//! single reported value, and `Arc`-sharing a workload must be
+//! observationally identical to rebuilding it.
 
 use std::sync::Arc;
 
-use pact_bench::{ratio_sweep, Harness, TierRatio};
-use pact_tiersim::Workload;
+use pact_bench::{experiment_machine, ratio_sweep, Harness, Lab, SweepResult, TierRatio};
+use pact_tiersim::{FaultPlan, InvariantSet, Workload};
 use pact_workloads::suite::{build, Scale};
 
 const RATIOS: [TierRatio; 3] = [
@@ -15,28 +16,57 @@ const RATIOS: [TierRatio; 3] = [
     TierRatio { fast: 1, slow: 4 },
 ];
 
-/// A parallel `ratio_sweep` (4+ workers) produces a byte-identical
-/// result table to the serial sweep: same ordering, and every f64
-/// equal down to the bit pattern.
+/// Asserts `sweep` equals `reference` down to every f64's bit pattern
+/// (`==` would call `-0.0 == 0.0` equal and hide a drifted sign).
+fn assert_bit_identical(reference: &SweepResult, sweep: &SweepResult, variant: &str) {
+    let bits = |s: &SweepResult| {
+        let floats = s.slowdown.iter().flatten().chain([&s.cxl]);
+        let floats: Vec<u64> = floats.map(|x| x.to_bits()).collect();
+        (
+            s.policies.clone(),
+            s.ratios.clone(),
+            s.promotions.clone(),
+            floats,
+        )
+    };
+    assert_eq!(bits(reference), bits(sweep), "{variant} diverged");
+}
+
+/// Every way of running a sweep that must not change an answer gives
+/// the serial sweep bit for bit: 4 workers, the runtime invariant set
+/// armed on every machine, an inert fault plan (every probability
+/// zero) on every machine, and the cache behind `tierctl repro`.
+/// Each variant simulates every cell on its own harness or fresh lab.
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    let policies = ["pact", "colloid", "memtis", "notier"];
-    let h = Harness::new(build("gups", Scale::Smoke, 21));
-    let serial = ratio_sweep(&h, &policies, &RATIOS, 1, None).expect("sweep runs");
-    let parallel = ratio_sweep(&h, &policies, &RATIOS, 4, None).expect("sweep runs");
+    let policies = ["pact", "colloid", "memtis", "tpp", "notier"];
+    let (wl, seed) = ("gups", 21);
+    let h = Harness::new(build(wl, Scale::Smoke, seed));
+    let on = |cfg| {
+        let h = Harness::from_arc(h.workload_arc());
+        h.with_machine(cfg).expect("valid machine config")
+    };
+    let mut armed = experiment_machine(0);
+    armed.invariants = Some(InvariantSet::all());
+    let mut inert = experiment_machine(0);
+    inert.fault_plan = Some(FaultPlan::default());
+    let lab = Lab::new(Scale::Smoke, seed);
+    let lab_h = lab.harness(wl).expect("suite workload");
 
-    assert_eq!(serial.policies, parallel.policies);
-    assert_eq!(serial.ratios, parallel.ratios);
-    assert_eq!(serial.promotions, parallel.promotions);
-    assert_eq!(serial.cxl.to_bits(), parallel.cxl.to_bits());
-    for (srow, prow) in serial.slowdown.iter().zip(&parallel.slowdown) {
-        for (s, p) in srow.iter().zip(prow) {
-            assert_eq!(s.to_bits(), p.to_bits(), "slowdown diverged: {s} vs {p}");
-        }
+    let sweep = |h: &Harness, jobs| ratio_sweep(h, &policies, &RATIOS, jobs, None);
+    let serial = sweep(&h, 1).expect("sweep runs");
+    let variants = [
+        ("jobs=4", sweep(&h, 4)),
+        ("invariants armed", sweep(&on(armed), 1)),
+        ("inert fault plan", sweep(&on(inert), 1)),
+        (
+            "lab-cached",
+            ratio_sweep(&lab_h, &policies, &RATIOS, 4, None),
+        ),
+    ];
+    for (variant, result) in variants {
+        assert_bit_identical(&serial, &result.expect("sweep runs"), variant);
     }
-    // The rendered tables (what the figures print) match too.
-    assert_eq!(serial.render_slowdowns(), parallel.render_slowdowns());
-    assert_eq!(serial.render_promotions(), parallel.render_promotions());
 }
 
 /// Oversubscribed worker counts (more workers than cells) change
@@ -48,7 +78,7 @@ fn worker_count_never_changes_results() {
     let reference = ratio_sweep(&h, &policies, &RATIOS[..2], 1, None).expect("sweep runs");
     for jobs in [2, 3, 16] {
         let sweep = ratio_sweep(&h, &policies, &RATIOS[..2], jobs, None).expect("sweep runs");
-        assert_eq!(sweep, reference, "jobs={jobs} diverged");
+        assert_bit_identical(&reference, &sweep, &format!("jobs={jobs}"));
     }
 }
 

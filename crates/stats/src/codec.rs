@@ -141,6 +141,15 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
+    /// The next `N` bytes as an array, for fixed-width integers.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, _) = self.buf[self.pos..]
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.pos += N;
+        Ok(*head)
+    }
+
     /// Reads a length-prefixed byte string.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let n = self.get_len()?;
@@ -227,9 +236,7 @@ macro_rules! le_codec {
                 w.buf.extend_from_slice(&self.to_le_bytes());
             }
             fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-                let b = r.take(std::mem::size_of::<$t>())?;
-                // Invariant: `take` returned exactly the type's width.
-                Ok(<$t>::from_le_bytes(b.try_into().expect("`take` returned the width")))
+                r.take_array().map(<$t>::from_le_bytes)
             }
         }
     )*};
