@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Offline CI gate: format, lint, build, tests, a memory bound on the
-# headline cell, observability / fault / invariant smoke checks.
+# Offline CI gate: format, lint, build, the workspace's tests, a memory
+# bound on the headline cell, and the smoke-scale reproduction's bytes
+# across worker counts.
 #
 # The workspace is fully hermetic — `rand`, `proptest`, and `criterion`
 # are replaced by in-repo implementations (crates/stats/src/rng.rs and
@@ -12,12 +13,12 @@
 # in PACT_CI_STAGES (space-separated), e.g.
 #
 #     PACT_CI_STAGES="fmt lint" ci/run.sh
-#     PACT_CI_STAGES="build check" ci/run.sh
+#     PACT_CI_STAGES="build repro" ci/run.sh
 #
 # Stage names are validated against the roster below — a typo exits 2
 # naming the bad stage instead of silently skipping everything.
 #
-# Stages: fmt lint build test workspace perf obs obs-report fault check
+# Stages: fmt lint build test perf repro
 #
 # PACT_JOBS is pinned so sweep-shaped tests exercise the parallel
 # executor deterministically regardless of the runner's core count.
@@ -27,7 +28,7 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE="${CARGO_NET_OFFLINE:-true}"
 export PACT_JOBS="${PACT_JOBS:-4}"
 
-ROSTER="fmt lint build test workspace perf obs obs-report fault check"
+ROSTER="fmt lint build test perf repro"
 STAGES="${PACT_CI_STAGES:-$ROSTER}"
 for s in $STAGES; do
     case " $ROSTER " in
@@ -101,8 +102,11 @@ stage_build() {
     cargo build --release --manifest-path perfbench/Cargo.toml
 }
 
+# Every crate's tests, the root package's integration tests among them:
+# invariants, the config fuzzer, golden digests, crash recovery, fault
+# injection, tracing, the criticality report and the tierctl CLI.
 stage_test() {
-    cargo test -q
+    cargo test --workspace -q
     cargo test --release -q --manifest-path perfbench/Cargo.toml
     # Run every example to completion, not just compile it: they are the
     # documented way into the library, and a run call that fails only
@@ -126,10 +130,6 @@ stage_test() {
         exit 1
     }
     echo "    PACT_CI_STAGES roster validation rejects unknown stages with exit 2"
-}
-
-stage_workspace() {
-    cargo test --workspace -q
 }
 
 # A memory bound on the headline cell: one short perfbench run of
@@ -159,88 +159,9 @@ stage_perf() {
     echo "    bckron-pact correct, peak RSS $rss MiB <= 28"
 }
 
-stage_obs() {
-    obs_dir="target/ci-obs"
-    rm -rf "$obs_dir"
-    mkdir -p "$obs_dir"
-    cargo run --release -p pact-bench --bin tierctl -- trace \
-        --workload gups --policy pact --seed 7 --validate \
-        --out "$obs_dir/a.json"
-    cargo run --release -p pact-bench --bin tierctl -- trace \
-        --workload gups --policy pact --seed 7 --validate \
-        --out "$obs_dir/b.json"
-    cmp "$obs_dir/a.json" "$obs_dir/b.json"
-    echo "    chrome traces byte-identical across identically-seeded runs"
-}
-
-# Criticality-attribution gate (DESIGN.md §12): `tierctl report` on a
-# fault-injected cell must emit its artifacts byte-identically across
-# identically-seeded runs, and the metrics endpoint must answer
-# /healthz and /metrics. Artifacts stay in target/ci-report for the
-# workflow's upload step.
-stage_obs_report() {
-    report_dir="target/ci-report"
-    rm -rf "$report_dir"
-    fault_spec='drop=0.2,fail=0.6,retries=1,stall=slow:20000:0.5,seed=7'
-    for run in a b; do
-        PACT_FAULTS="$fault_spec" \
-            cargo run --release -p pact-bench --bin tierctl -- report \
-            --workload gups --policy pact --ratio 1:2 --seed 7 \
-            --out "$report_dir/$run"
-    done
-    for f in report.md report.json flame.folded; do
-        cmp "$report_dir/a/$f" "$report_dir/b/$f"
-    done
-    echo "    criticality report byte-identical across identically-seeded runs"
-    if command -v curl > /dev/null 2>&1; then
-        # Every accepted connection counts against --max-requests, so
-        # readiness is detected from the server's "serving metrics"
-        # line rather than by probing the port.
-        cargo run --release -p pact-bench --bin tierctl -- serve-metrics \
-            --workload gups --seed 7 --addr 127.0.0.1:19464 --max-requests 2 \
-            > "$report_dir/serve.out" &
-        serve_pid=$!
-        for _ in $(seq 1 150); do
-            grep -q 'serving metrics' "$report_dir/serve.out" 2> /dev/null && break
-            sleep 0.2
-        done
-        curl -fsS http://127.0.0.1:19464/healthz | grep -q ok
-        curl -fsS http://127.0.0.1:19464/metrics | grep -q '^pact_total_cycles'
-        wait "$serve_pid"
-        echo "    /healthz and /metrics answered over HTTP"
-    else
-        cargo run --release -p pact-bench --bin tierctl -- serve-metrics \
-            --workload gups --seed 7 --self-check
-        echo "    serve-metrics self-check passed (curl unavailable)"
-    fi
-}
-
-stage_fault() {
-    obs_dir="target/ci-obs"
-    mkdir -p "$obs_dir"
-    fault_spec='drop=0.2,fail=0.6,retries=1,stall=slow:20000:0.5,seed=7'
-    PACT_FAULTS="$fault_spec" cargo run --release -p pact-bench --bin tierctl -- trace \
-        --workload gups --policy pact --ratio 1:2 --seed 7 --validate \
-        --out "$obs_dir/fault_a.json" | tee "$obs_dir/fault_a.out"
-    PACT_FAULTS="$fault_spec" cargo run --release -p pact-bench --bin tierctl -- trace \
-        --workload gups --policy pact --ratio 1:2 --seed 7 --validate \
-        --out "$obs_dir/fault_b.json" > /dev/null
-    cmp "$obs_dir/fault_a.json" "$obs_dir/fault_b.json"
-    grep -q 'failed_promotions=0 dropped_orders=0' "$obs_dir/fault_a.out" && {
-        echo "    FAIL: injected faults produced no failed/dropped orders"
-        exit 1
-    }
-    grep -q 'failed_promotions=' "$obs_dir/fault_a.out"
-    echo "    fault-injected traces byte-identical, nonzero failure totals"
-}
-
-# Invariant & differential-oracle smoke: the config fuzzer with the
-# runtime checker armed, per-cell differential oracles, and the whole
-# smoke-scale reproduction, which must print the same bytes whether its
-# figures run serially or in parallel.
-stage_check() {
-    cargo run --release -p pact-bench --bin tierctl -- check \
-        --fuzz 60 --seed 1 --oracle
+# The whole smoke-scale reproduction must print the same bytes whether
+# its figures run serially or in parallel.
+stage_repro() {
     repro_dir="target/ci-repro"
     rm -rf "$repro_dir"
     mkdir -p "$repro_dir"
@@ -268,8 +189,7 @@ run_stage() {
     fi
     echo "==> $1"
     stage_start=$(date +%s)
-    # POSIX function names cannot contain dashes; stage names can.
-    "stage_$(echo "$1" | tr '-' '_')"
+    "stage_$1"
     elapsed=$(($(date +%s) - stage_start))
     printf '%-12s %4ss\n' "$1" "$elapsed" >> "$TIMING_FILE"
     # Soft slowdown warning against the last persisted run: never fails

@@ -11,7 +11,7 @@
 //! The `trace` subcommand runs one cell with the structured event
 //! tracer enabled and exports it as Chrome-trace JSON (open in
 //! Perfetto / `chrome://tracing`) or JSONL; `--validate` parses the
-//! output before writing, so CI can gate on well-formedness without
+//! output before writing, so a test can gate on well-formedness without
 //! external tools.
 //!
 //! The `report` subcommand runs one cell with the criticality oracle
@@ -27,8 +27,7 @@
 //! `resume` restores one of those files and runs the cell to
 //! completion. A resumed run's report is byte-identical to the
 //! uninterrupted run — the `digest:` line pins it, and the CLI tests
-//! (`tests/tierctl_cli.rs`) and `pact-check`'s kill-resume oracle
-//! compare it:
+//! (`tests/tierctl_cli.rs`) compare it:
 //!
 //! ```text
 //! tierctl snapshot --workload gups --every 8 --out snaps
@@ -53,14 +52,6 @@
 //! tierctl serve-metrics --self-check        # bind, scrape, verify, exit
 //! ```
 //!
-//! The `check` subcommand is the CLI front end of `pact-check`:
-//!
-//! ```text
-//! tierctl check --fuzz 200 --seed 1      # deterministic config fuzzing
-//! tierctl check --oracle                 # differential oracles too
-//! tierctl check --case 0xdeadbeef        # replay one failing fuzz case
-//! ```
-//!
 //! The `repro` subcommand reproduces the paper's evaluation: every
 //! figure, Table 2, the ablations and the extra experiments, or the
 //! `--fig` selection, printed in report order and saved under
@@ -73,8 +64,10 @@
 //! tierctl repro --fig fig04,fig06 --scale smoke --seed 7
 //! ```
 //!
-//! Exit status: 0 all checks passed, 1 a check failed, 2 invalid
-//! usage or I/O error.
+//! Exit status: 0 success; 1 a failed `--validate` or `--self-check`,
+//! or an unwritable output; 2 invalid usage (an unknown workload,
+//! policy, figure or flag value), an unreadable or rejected snapshot,
+//! or an invalid configuration.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
@@ -89,9 +82,36 @@ use pact_tiersim::{
     export_trace, Admission, AdmissionControl, AdmissionLane, CriticalityReport, Machine,
     MachineConfig, RunReport, RunSpec, Tier, TraceFormat, Tracer, DEFAULT_REPORT_TOPK,
 };
-use pact_workloads::suite::{build, Scale, SUITE};
+use pact_workloads::suite::{build, check_name, Scale, EXTRA, SUITE};
+
+/// What one `tierctl` invocation does: the one-shot summary, or one of
+/// the single-cell subcommands (`repro` has its own parser).
+enum Cmd {
+    Run,
+    Trace,
+    Report,
+    ServeMetrics,
+    Snapshot,
+    Resume,
+    Fleet,
+}
+
+impl Cmd {
+    fn from_word(word: &str) -> Option<Cmd> {
+        Some(match word {
+            "trace" => Cmd::Trace,
+            "report" => Cmd::Report,
+            "serve-metrics" => Cmd::ServeMetrics,
+            "snapshot" => Cmd::Snapshot,
+            "resume" => Cmd::Resume,
+            "fleet" => Cmd::Fleet,
+            _ => return None,
+        })
+    }
+}
 
 struct Args {
+    cmd: Cmd,
     workload: String,
     policy: String,
     ratio: TierRatio,
@@ -100,30 +120,22 @@ struct Args {
     seed: u64,
     windows: bool,
     trace_out: Option<String>,
-    // `trace` / `report` / `serve-metrics` / `snapshot` / `resume`
-    // subcommand state.
-    trace_cmd: bool,
-    report_cmd: bool,
-    serve_cmd: bool,
-    snapshot_cmd: bool,
-    resume_cmd: bool,
+    // Subcommand flags.
     out: Option<String>,
     format: TraceFormat,
     validate: bool,
     topk: Option<usize>,
     addr: Option<std::net::SocketAddr>,
-    max_requests: Option<usize>,
     self_check: bool,
     every: Option<u64>,
     from: Option<String>,
-    // `fleet` subcommand state.
-    fleet_cmd: bool,
     tenants: Option<String>,
     budget: Option<u64>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
+        cmd: Cmd::Run,
         workload: "bc-kron".into(),
         policy: "pact".into(),
         ratio: TierRatio::new(1, 1),
@@ -132,63 +144,31 @@ fn parse_args() -> Result<Args, String> {
         seed: 42,
         windows: false,
         trace_out: None,
-        trace_cmd: false,
-        report_cmd: false,
-        serve_cmd: false,
-        snapshot_cmd: false,
-        resume_cmd: false,
         out: None,
         format: TraceFormat::Chrome,
         validate: false,
         topk: None,
         addr: None,
-        max_requests: None,
         self_check: false,
         every: None,
         from: None,
-        fleet_cmd: false,
         tenants: None,
         budget: None,
     };
     let mut it = std::env::args().skip(1).peekable();
     // The inspection subcommands default to smoke scale: their runs
     // exist to be looked at (or scraped), not for paper-scale timing.
-    match it.peek().map(String::as_str) {
-        Some("trace") => {
-            it.next();
-            args.trace_cmd = true;
-            args.scale = Scale::Smoke;
-        }
-        Some("report") => {
-            it.next();
-            args.report_cmd = true;
-            args.scale = Scale::Smoke;
-        }
-        Some("serve-metrics") => {
-            it.next();
-            args.serve_cmd = true;
-            args.scale = Scale::Smoke;
-        }
-        Some("snapshot") => {
-            it.next();
-            args.snapshot_cmd = true;
-            args.scale = Scale::Smoke;
-        }
-        Some("resume") => {
-            it.next();
-            args.resume_cmd = true;
-            args.scale = Scale::Smoke;
-        }
-        Some("fleet") => {
-            it.next();
-            args.fleet_cmd = true;
-            args.scale = Scale::Smoke;
-        }
-        _ => {}
+    if let Some(cmd) = it.peek().and_then(|w| Cmd::from_word(w)) {
+        it.next();
+        args.cmd = cmd;
+        args.scale = Scale::Smoke;
     }
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--workload" | "-w" => args.workload = it.next().ok_or("--workload needs a value")?,
+            "--workload" | "-w" => {
+                args.workload = it.next().ok_or("--workload needs a value")?;
+                check_name(&args.workload)?;
+            }
             "--policy" | "-p" => args.policy = it.next().ok_or("--policy needs a value")?,
             "--ratio" | "-r" => {
                 let v = it.next().ok_or("--ratio needs a value")?;
@@ -229,11 +209,6 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--addr needs host:port")?;
                 args.addr = Some(v.parse().map_err(|e| format!("bad addr '{v}': {e}"))?);
             }
-            "--max-requests" => {
-                let v = it.next().ok_or("--max-requests needs a count")?;
-                args.max_requests =
-                    Some(v.parse().map_err(|_| format!("bad request count '{v}'"))?);
-            }
             "--self-check" => args.self_check = true,
             "--every" => {
                 let v = it.next().ok_or("--every needs a window count")?;
@@ -258,7 +233,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--list" => {
                 println!("workloads: {}", SUITE.join(", "));
-                println!("           masim, gups (motivation)");
+                println!("           {} (motivation, fleet)", EXTRA.join(", "));
                 println!("policies:  {}", ALL_POLICIES.join(", "));
                 println!("           pact-freq (frequency-ranked PACT)");
                 std::process::exit(0);
@@ -274,14 +249,12 @@ fn parse_args() -> Result<Args, String> {
                      [--scale smoke|paper] [--seed N] [--out DIR] [--topk N]\n       \
                      tierctl serve-metrics [--workload W] [--policy P] [--ratio F:S] \
                      [--scale smoke|paper] [--seed N] [--addr HOST:PORT] \
-                     [--max-requests N] [--self-check]\n       \
+                     [--self-check]\n       \
                      tierctl snapshot [--workload W] [--policy P] [--ratio F:S] [--thp] \
                      [--scale smoke|paper] [--seed N] [--every N] [--out DIR]\n       \
                      tierctl resume --from FILE\n       \
                      tierctl fleet [--tenants NAME:WORKLOAD:WEIGHT,...] [--policy P] \
                      [--ratio F:S] [--scale smoke|paper] [--seed N] [--budget N]\n       \
-                     tierctl check [--fuzz N] [--seed S] [--case 0xHEX] [--oracle] \
-                     [--workload W]...\n       \
                      tierctl repro [--fig NAME[,NAME...]] [--scale smoke|paper] [--seed N]"
                     .into())
             }
@@ -289,101 +262,6 @@ fn parse_args() -> Result<Args, String> {
         }
     }
     Ok(args)
-}
-
-struct CheckArgs {
-    fuzz: u32,
-    seed: u64,
-    case: Option<u64>,
-    oracle: bool,
-    workloads: Vec<String>,
-}
-
-fn parse_check_args(mut it: impl Iterator<Item = String>) -> Result<CheckArgs, String> {
-    let mut args = CheckArgs {
-        fuzz: 120,
-        seed: 1,
-        case: None,
-        oracle: false,
-        workloads: Vec::new(),
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--fuzz" => {
-                let v = it.next().ok_or("--fuzz needs a case count")?;
-                args.fuzz = v.parse().map_err(|_| format!("bad case count '{v}'"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?;
-            }
-            "--case" => {
-                let v = it.next().ok_or("--case needs a hex seed")?;
-                let hex = v.strip_prefix("0x").unwrap_or(&v);
-                args.case =
-                    Some(u64::from_str_radix(hex, 16).map_err(|_| format!("bad case seed '{v}'"))?);
-            }
-            "--oracle" => args.oracle = true,
-            "--workload" | "-w" => args
-                .workloads
-                .push(it.next().ok_or("--workload needs a value")?),
-            "--help" | "-h" => {
-                return Err("usage: tierctl check [--fuzz N] [--seed S] [--case 0xHEX] \
-                     [--oracle] [--workload W]..."
-                    .into())
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    Ok(args)
-}
-
-/// The `check` subcommand: deterministic config fuzzing plus optional
-/// differential oracles. Exits 1 when any check fails.
-fn run_check(args: &CheckArgs) {
-    // Replay mode: one case from its printed seed.
-    if let Some(seed) = args.case {
-        match pact_check::run_case(seed) {
-            Ok(s) => println!(
-                "case seed={seed:#018x} ok policy={} windows={} cycles={}",
-                s.policy, s.windows, s.total_cycles
-            ),
-            Err(e) => {
-                eprintln!("case seed={seed:#018x} FAIL {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let mut failed = false;
-    if args.oracle {
-        let defaults = ["gups".to_string(), "masim".to_string()];
-        let cells: &[String] = if args.workloads.is_empty() {
-            &defaults
-        } else {
-            &args.workloads
-        };
-        for wl in cells {
-            let ledger = pact_check::check_cell(wl, args.seed);
-            println!("differential oracles: {wl} seed={}", args.seed);
-            print!("{}", ledger.render());
-            failed |= !ledger.is_ok();
-        }
-    }
-    let ledger = pact_check::run_fuzz(&pact_check::FuzzOptions {
-        cases: args.fuzz,
-        seed: args.seed,
-    });
-    print!("{}", ledger.render());
-    println!(
-        "fuzz: {}/{} cases passed (seed {})",
-        args.fuzz as usize - ledger.failures.len(),
-        args.fuzz,
-        args.seed
-    );
-    if failed || !ledger.is_ok() {
-        std::process::exit(1);
-    }
 }
 
 /// The `trace` subcommand: one traced run, exported (and optionally
@@ -433,7 +311,7 @@ fn run_trace(args: &Args) {
             tracer.overwritten()
         );
     }
-    // Greppable one-liner for the CI fault-injection smoke test.
+    // Greppable one-liner: the migration failures a fault plan caused.
     println!(
         "migration health: failed_promotions={} dropped_orders={}",
         out.report.failed_promotions, out.report.dropped_orders
@@ -485,8 +363,8 @@ fn run_cell(args: &Args, track_stalls: bool) -> (pact_bench::Outcome, String) {
 
 /// The `report` subcommand: one run with the criticality oracle armed,
 /// folded flamegraph + markdown + JSON written to `--out`. Artifacts
-/// are sim-domain and byte-identical across `PACT_JOBS`; the CI
-/// `obs-report` stage pins this with `cmp`.
+/// are sim-domain: a CLI test byte-compares them across runs with and
+/// without `PACT_PROF`, under a fault plan.
 fn run_report(args: &Args) {
     let (out, label) = run_cell(args, true);
     let topk = args.topk.unwrap_or(DEFAULT_REPORT_TOPK);
@@ -527,7 +405,7 @@ fn run_report(args: &Args) {
 /// The `serve-metrics` subcommand: one run, then a Prometheus
 /// text-exposition endpoint over its metrics (plus `/healthz`).
 /// `--self-check` binds an ephemeral port, scrapes both routes through
-/// a real TCP client, and exits — the CI path when `curl` is absent.
+/// a real TCP client, and exits.
 fn run_serve_metrics(args: &Args) {
     let (out, label) = run_cell(args, false);
     let body = serve::render_prometheus(&label, &out.report);
@@ -552,7 +430,7 @@ fn run_serve_metrics(args: &Args) {
     });
     let bound = server.local_addr().unwrap_or(addr);
     println!("serving metrics for {label} on http://{bound}/metrics (and /healthz)");
-    server.serve(args.max_requests).unwrap_or_else(|e| {
+    server.serve(None).unwrap_or_else(|e| {
         eprintln!("serve error: {e}");
         std::process::exit(1);
     });
@@ -887,15 +765,6 @@ fn main() {
     pact_bench::validate_fault_env();
     pact_bench::arm_hostprof_from_env();
     let mut raw = std::env::args().skip(1).peekable();
-    if raw.peek().map(String::as_str) == Some("check") {
-        raw.next();
-        let check_args = parse_check_args(raw).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        });
-        run_check(&check_args);
-        return;
-    }
     if raw.peek().map(String::as_str) == Some("repro") {
         raw.next();
         let repro_args = parse_repro_args(raw).unwrap_or_else(|msg| {
@@ -910,35 +779,21 @@ fn main() {
         eprintln!("{msg}");
         std::process::exit(2);
     });
-    if args.trace_cmd {
-        run_trace(&args);
-        pact_bench::emit_hostprof_summary();
-        return;
+    match args.cmd {
+        Cmd::Run => return run_one_shot(&args),
+        Cmd::ServeMetrics => return run_serve_metrics(&args),
+        Cmd::Trace => run_trace(&args),
+        Cmd::Report => run_report(&args),
+        Cmd::Snapshot => run_snapshot(&args),
+        Cmd::Resume => run_resume(&args),
+        Cmd::Fleet => run_fleet(&args),
     }
-    if args.report_cmd {
-        run_report(&args);
-        pact_bench::emit_hostprof_summary();
-        return;
-    }
-    if args.serve_cmd {
-        run_serve_metrics(&args);
-        return;
-    }
-    if args.snapshot_cmd {
-        run_snapshot(&args);
-        pact_bench::emit_hostprof_summary();
-        return;
-    }
-    if args.resume_cmd {
-        run_resume(&args);
-        pact_bench::emit_hostprof_summary();
-        return;
-    }
-    if args.fleet_cmd {
-        run_fleet(&args);
-        pact_bench::emit_hostprof_summary();
-        return;
-    }
+    pact_bench::emit_hostprof_summary();
+}
+
+/// The one-shot run: the cell's summary, or with `--trace-out` its
+/// access trace written to a file.
+fn run_one_shot(args: &Args) {
     if let Some(path) = &args.trace_out {
         let wl = build(&args.workload, args.scale, args.seed);
         let file = std::fs::File::create(path).unwrap_or_else(|e| {
@@ -953,7 +808,7 @@ fn main() {
         println!("wrote {n} accesses of '{}' to {path}", args.workload);
         return;
     }
-    let h = cell_harness(&args, false);
+    let h = cell_harness(args, false);
     let out = h
         .run_policy(&args.policy, args.ratio, None)
         .unwrap_or_else(|e| exit_run_error(e));

@@ -82,8 +82,8 @@ pub struct TenantArg {
 /// # Errors
 ///
 /// Returns a message naming the offending fragment for an empty list,
-/// a malformed triple, an empty field, a zero/invalid weight, or a
-/// duplicate tenant name.
+/// a malformed triple, an empty field, an unknown workload, a
+/// zero/invalid weight, or a duplicate tenant name.
 pub fn parse_tenants(spec: &str) -> Result<Vec<TenantArg>, String> {
     let mut out: Vec<TenantArg> = Vec::new();
     for frag in spec.split(',') {
@@ -101,6 +101,8 @@ pub fn parse_tenants(spec: &str) -> Result<Vec<TenantArg>, String> {
         if name.is_empty() || workload.is_empty() {
             return Err(format!("invalid tenant {frag:?}: empty name or workload"));
         }
+        pact_workloads::suite::check_name(workload)
+            .map_err(|e| format!("invalid tenant {frag:?}: {e}"))?;
         let qos_weight = match parts[2].trim().parse::<u32>() {
             Ok(w) if w >= 1 => w,
             _ => {
@@ -139,6 +141,7 @@ mod tests {
         assert!(parse_tenants("a:gups").is_err());
         assert!(parse_tenants("a:gups:0").is_err());
         assert!(parse_tenants(":gups:1").is_err());
+        assert!(parse_tenants("a:nope:1").is_err());
         assert!(parse_tenants("a:gups:1,a:silo:2").is_err());
     }
 }

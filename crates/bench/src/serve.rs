@@ -170,7 +170,7 @@ impl MetricsServer {
     }
 
     /// Accepts and answers requests. With `max_requests = Some(n)` the
-    /// server exits after `n` connections (the CI self-check and tests
+    /// server exits after `n` connections ([`self_check`] and the tests
     /// use this); `None` serves until the process dies.
     pub fn serve(&self, max_requests: Option<usize>) -> std::io::Result<()> {
         for (served, stream) in self.listener.incoming().enumerate() {

@@ -67,7 +67,8 @@ impl CellSnapshot {
     /// # Errors
     ///
     /// Returns a one-line description on bad magic, an unsupported
-    /// wrapper version, a truncated file, or an embedded machine frame
+    /// wrapper version, a truncated file, an unknown scale or workload
+    /// name, or an embedded machine frame
     /// whose own header does not parse (full frame verification —
     /// checksum, configuration fingerprint — happens at restore).
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
@@ -90,6 +91,8 @@ impl CellSnapshot {
                 cell.scale
             ));
         }
+        pact_workloads::suite::check_name(&cell.workload)
+            .map_err(|err| format!("cell snapshot: {err}"))?;
         // Light header validation now; the restore path re-verifies the
         // checksum and configuration fingerprint over the full frame.
         cell.frame
@@ -182,5 +185,11 @@ mod tests {
         assert!(CellSnapshot::from_bytes(&cell2.to_bytes())
             .unwrap_err()
             .contains("machine frame"));
+        // So is a recipe naming no buildable workload.
+        let mut cell3 = cell.clone();
+        cell3.workload = "nope".into();
+        assert!(CellSnapshot::from_bytes(&cell3.to_bytes())
+            .unwrap_err()
+            .contains("unknown workload 'nope'"));
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end CLI tests for `tierctl`: exit-code conventions (0 ok,
-//! 1 check failure, 2 invalid usage) are part of the CI pipeline's
-//! contract, so they are pinned here against the real binary.
+//! 1 a failed self-check or write, 2 invalid usage) are part of the
+//! binary's contract, so they are pinned here against the real binary.
 
 use std::process::{Command, Output};
 
@@ -79,42 +79,6 @@ fn unknown_policy_exits_2() {
 }
 
 #[test]
-fn check_rejects_bad_usage_with_2() {
-    for args in [
-        &["check", "--fuzz", "many"][..],
-        &["check", "--case", "0xnothex"],
-        &["check", "--nope"],
-        &["check", "--seed"],
-    ] {
-        let out = run(args);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "args {args:?}: {}",
-            stderr_of(&out)
-        );
-    }
-}
-
-#[test]
-fn check_small_fuzz_is_green_and_deterministic() {
-    let a = run(&["check", "--fuzz", "3", "--seed", "1"]);
-    assert_eq!(a.status.code(), Some(0), "{}", stderr_of(&a));
-    let stdout_a = String::from_utf8_lossy(&a.stdout).into_owned();
-    assert!(stdout_a.contains("fuzz: 3/3 cases passed"), "{stdout_a}");
-    let b = run(&["check", "--fuzz", "3", "--seed", "1"]);
-    assert_eq!(stdout_a, String::from_utf8_lossy(&b.stdout));
-}
-
-#[test]
-fn check_replays_a_single_case() {
-    let out = run(&["check", "--case", "0x1"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("ok policy="), "{stdout}");
-}
-
-#[test]
 fn one_shot_summary_and_trace_agree_for_the_same_seed() {
     // Both start from the same `--seed`, so they simulate the same
     // machine and must report the same cycle count.
@@ -139,7 +103,7 @@ fn one_shot_summary_and_trace_agree_for_the_same_seed() {
         .to_string();
     let path = fixture_dir("seeded_trace.json");
     let out = run(&[
-        &["trace"],
+        &["trace", "--validate"],
         &flags[..],
         &["--out", path.to_str().expect("utf8")],
     ]
@@ -292,6 +256,10 @@ fn malformed_subcommand_flags_exit_2() {
         &["report", "--topk", "0"][..],
         &["snapshot", "--every", "0"],
         &["serve-metrics", "--addr", "not-an-addr"],
+        &["--workload", "nope"],
+        &["trace", "--workload", "nope"],
+        &["snapshot", "--workload", "nope"],
+        &["fleet", "--tenants", "a:nope:1"],
     ] {
         let out = run(args);
         assert_eq!(
@@ -301,6 +269,13 @@ fn malformed_subcommand_flags_exit_2() {
             stderr_of(&out)
         );
         assert!(out.stdout.is_empty(), "nothing may run on bad usage");
+        if args.iter().any(|a| a.contains("nope")) {
+            let err = stderr_of(&out);
+            assert!(
+                err.contains("unknown workload 'nope'") && err.contains("zipf-drift"),
+                "args {args:?}: {err}"
+            );
+        }
     }
 }
 
@@ -461,27 +436,55 @@ fn serve_metrics_self_check_exits_0() {
 
 #[test]
 fn report_with_prof_emits_summary_on_stderr_only() {
-    let dir = fixture_dir("report_prof");
-    let out = tierctl(&[
-        "report",
-        "--workload",
-        "gups",
-        "--seed",
-        "1",
-        "--out",
-        dir.to_str().expect("utf8 path"),
-    ])
-    .env("PACT_PROF", "1")
-    .output()
-    .expect("spawn tierctl");
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    // Host timings go to stderr; the deterministic artifacts and stdout
-    // stay clean of wall-clock numbers.
+    // The criticality artifacts are sim-domain data (DESIGN.md §12):
+    // arming the host profiler must not change a byte of them, even on
+    // a fault-injected cell, and its wall-clock summary goes to stderr.
+    let report = |name: &str, prof: bool| {
+        let dir = fixture_dir(name);
+        let mut cmd = tierctl(&[
+            "report",
+            "--workload",
+            "gups",
+            "--policy",
+            "pact",
+            "--ratio",
+            "1:2",
+            "--seed",
+            "7",
+            "--out",
+            dir.to_str().expect("utf8 path"),
+        ]);
+        cmd.env(
+            "PACT_FAULTS",
+            "drop=0.2,fail=0.6,retries=1,stall=slow:20000:0.5,seed=7",
+        );
+        if prof {
+            cmd.env("PACT_PROF", "1");
+        }
+        let out = cmd.output().expect("spawn tierctl");
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        (out, dir)
+    };
+    let (plain, plain_dir) = report("report_plain", false);
+    let (prof, prof_dir) = report("report_prof", true);
     assert!(
-        stderr_of(&out).contains("host self-profile"),
+        stderr_of(&prof).contains("host self-profile"),
         "{}",
-        stderr_of(&out)
+        stderr_of(&prof)
     );
-    let md = std::fs::read_to_string(dir.join("report.md")).expect("report.md");
-    assert!(!md.contains("host self-profile"), "{md}");
+    assert!(!stderr_of(&plain).contains("host self-profile"));
+    let summary = |out: &Output| {
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        stdout.lines().next().unwrap_or_default().to_string()
+    };
+    assert_eq!(
+        summary(&plain),
+        summary(&prof),
+        "stdout changed under PACT_PROF"
+    );
+    for name in ["report.md", "report.json", "flame.folded"] {
+        let want = std::fs::read(plain_dir.join(name)).expect(name);
+        let got = std::fs::read(prof_dir.join(name)).expect(name);
+        assert!(want == got, "{name} changed under PACT_PROF");
+    }
 }

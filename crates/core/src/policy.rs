@@ -94,7 +94,8 @@ impl PactPolicy {
     }
 
     /// Post-run consistency audit for the policy's internal state; the
-    /// `pact-check` fuzzer calls this after every PACT cell.
+    /// config fuzzer (`tests/config_fuzz.rs`) calls this after every
+    /// PACT cell.
     ///
     /// Delegates to [`PacStore::debug_validate`] and additionally checks
     /// that the derived bin width is finite and non-negative.

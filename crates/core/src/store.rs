@@ -226,7 +226,7 @@ impl PacStore {
     }
 
     /// Validates the store's internal bookkeeping invariants; used by
-    /// `pact-check`'s config fuzzer after every PACT run.
+    /// the config fuzzer (`tests/config_fuzz.rs`) after every PACT run.
     ///
     /// Checked: every tracked PAC is finite and non-negative; the
     /// tracked bitmap, insertion-order registry, and active list agree;

@@ -13,8 +13,9 @@
 //! no sim state, no metrics registry, no tracer events, no report
 //! fields. Host profiles are explicitly nondeterministic (they measure
 //! this machine, this run) and must never feed a deterministic
-//! artifact; `pact-check` carries an oracle pinning that enabling the
-//! profiler leaves every sim-domain byte unchanged.
+//! artifact. The `tierctl` CLI test
+//! `report_with_prof_emits_summary_on_stderr_only` pins that enabling
+//! the profiler leaves every criticality-report byte unchanged.
 //!
 //! # Use
 //!

@@ -20,8 +20,9 @@
 //! Everything here is sim-domain and byte-deterministic: inputs are
 //! BTreeMaps keyed by [`PageId`], floats render with Rust's
 //! shortest-roundtrip formatting, and no wall-clock or host state is
-//! consulted. The `pact-check` differential oracle pins the folded and
-//! JSON bytes with the host profiler armed and disarmed.
+//! consulted. The `tierctl` CLI test
+//! `report_with_prof_emits_summary_on_stderr_only` pins the markdown,
+//! JSON and folded bytes with the host profiler armed and disarmed.
 
 use std::collections::BTreeMap;
 

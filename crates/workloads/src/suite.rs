@@ -37,16 +37,39 @@ pub const SUITE: [&str; 12] = [
     "657.xz",
 ];
 
-/// Builds a suite workload by name.
+/// The names [`build`] accepts beyond [`SUITE`]: the motivation-study
+/// workloads `"masim"` and `"gups"`, and the fleet-cell tenants
+/// `"mlc-hog"` (foreground bandwidth antagonist) and `"zipf-drift"`
+/// (skew-drift Zipf point lookups).
+pub const EXTRA: [&str; 4] = ["masim", "gups", "mlc-hog", "zipf-drift"];
+
+/// Checks that [`build`] accepts `name`, so a command line can reject
+/// an unknown workload before any work happens.
 ///
-/// Accepts every name in [`SUITE`] plus the motivation-study workloads
-/// `"masim"` and `"gups"`, and the fleet-cell tenants `"mlc-hog"`
-/// (foreground bandwidth antagonist) and `"zipf-drift"` (skew-drift
-/// Zipf point lookups).
+/// # Errors
+///
+/// Names the unknown workload and lists every valid one.
+pub fn check_name(name: &str) -> Result<(), String> {
+    if SUITE.contains(&name) || EXTRA.contains(&name) {
+        Ok(())
+    } else {
+        Err(unknown(name))
+    }
+}
+
+fn unknown(name: &str) -> String {
+    let valid: Vec<&str> = SUITE.iter().chain(&EXTRA).copied().collect();
+    format!(
+        "unknown workload '{name}'; valid names: {}",
+        valid.join(", ")
+    )
+}
+
+/// Builds a workload by name: every name in [`SUITE`] and [`EXTRA`].
 ///
 /// # Panics
 ///
-/// Panics on an unknown name; use [`SUITE`] to enumerate valid ones.
+/// Panics on any other name; [`check_name`] reports it as an error.
 pub fn build(name: &str, scale: Scale, seed: u64) -> Box<dyn Workload> {
     let s = scale;
     match name {
@@ -121,9 +144,7 @@ pub fn build(name: &str, scale: Scale, seed: u64) -> Box<dyn Workload> {
             Scale::Smoke => Box::new(ZipfDrift::new(256, 60_000, 0.99, 10_000, seed)),
             Scale::Paper => Box::new(ZipfDrift::new(6_144, 4_000_000, 0.99, 400_000, seed)),
         },
-        other => panic!(
-            "unknown workload '{other}'; valid names: {SUITE:?}, masim, gups, mlc-hog, zipf-drift"
-        ),
+        other => panic!("{}", unknown(other)),
     }
 }
 
@@ -191,8 +212,8 @@ mod tests {
     }
 
     #[test]
-    fn motivation_workloads_build() {
-        for name in ["masim", "gups"] {
+    fn extra_workloads_build() {
+        for name in EXTRA {
             let wl = build(name, Scale::Smoke, 1);
             assert!(!wl.streams().is_empty());
         }
@@ -209,9 +230,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown workload")]
+    #[should_panic(expected = "unknown workload 'nope'; valid names: bc-kron,")]
     fn unknown_name_panics() {
         build("nope", Scale::Smoke, 1);
+    }
+
+    #[test]
+    fn check_name_accepts_every_listed_name() {
+        for name in SUITE.iter().chain(&EXTRA) {
+            check_name(name).unwrap();
+        }
+        let err = check_name("nope").unwrap_err();
+        assert!(
+            err.ends_with("631.deepsjeng, 657.xz, masim, gups, mlc-hog, zipf-drift"),
+            "{err}"
+        );
     }
 
     #[test]

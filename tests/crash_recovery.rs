@@ -97,10 +97,14 @@ fn snapshots_mid_retry_backoff_resume_byte_identically() {
     let want = base.to_json();
     for frame in &frames {
         let window = frame.window().expect("frame header is readable");
-        let got = resume(frame)
-            .unwrap_or_else(|e| panic!("resume from window {window}: {e}"))
-            .to_json();
-        assert_eq!(got, want, "resume from window {window} diverged");
+        let got = resume(frame).unwrap_or_else(|e| panic!("resume from window {window}: {e}"));
+        assert_eq!(got.to_json(), want, "resume from window {window} diverged");
+        // The page-stall oracle feeds the criticality report, and the
+        // report JSON does not carry it.
+        assert!(
+            got.page_stalls == base.page_stalls,
+            "page stalls diverged resuming window {window}"
+        );
     }
 }
 

@@ -2,7 +2,7 @@
 //! the simulator under every policy.
 
 use pact_bench::{make_policy, Harness, TierRatio, ALL_POLICIES};
-use pact_tiersim::{Machine, MachineConfig, RunSpec, PAGE_BYTES};
+use pact_tiersim::{FirstTouch, Machine, MachineConfig, RunSpec, PAGE_BYTES};
 use pact_workloads::suite::{build, Scale, SUITE};
 
 /// Every suite workload completes under PACT and NoTier at smoke scale,
@@ -76,7 +76,8 @@ fn runs_are_deterministic_end_to_end() {
 }
 
 /// The DRAM-only run is a true lower bound across the suite: no policy
-/// at any ratio materially beats it.
+/// at any ratio materially beats it, and all-local never loses to
+/// all-remote.
 #[test]
 fn dram_is_a_lower_bound() {
     for name in ["bc-kron", "redis", "gups"] {
@@ -91,6 +92,27 @@ fn dram_is_a_lower_bound() {
                 );
             }
         }
+    }
+    // Without a policy the law is strict: the whole footprint in the
+    // fast tier never finishes later than the whole of it in the slow
+    // tier (`fast_tier_never_hurts_first_touch` allows 5% on random
+    // traces).
+    for name in ["gups", "masim", "silo"] {
+        let wl = build(name, Scale::Smoke, 1);
+        let cycles = |fast_pages: u64| {
+            let mut cfg = MachineConfig::skylake_cxl(fast_pages);
+            cfg.seed = 1;
+            Machine::new(cfg)
+                .unwrap()
+                .try_run(wl.as_ref(), &mut FirstTouch::new())
+                .expect("run succeeds")
+                .total_cycles
+        };
+        let (local, remote) = (cycles(wl.footprint_bytes().div_ceil(PAGE_BYTES)), cycles(0));
+        assert!(
+            local <= remote,
+            "{name}: all-local took {local} cycles, all-remote {remote}"
+        );
     }
 }
 
