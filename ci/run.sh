@@ -160,17 +160,22 @@ stage_perf() {
 }
 
 # The whole smoke-scale reproduction must print the same bytes whether
-# its figures run serially or in parallel.
+# its figures run serially or in parallel, clean and under a fixed
+# fault plan (which every figure applies to every run).
 stage_repro() {
     repro_dir="target/ci-repro"
     rm -rf "$repro_dir"
     mkdir -p "$repro_dir"
-    for jobs in 1 4; do
-        PACT_JOBS="$jobs" cargo run --release -p pact-bench --bin tierctl -- repro \
-            --scale smoke > "$repro_dir/j${jobs}.txt"
+    cargo build --release -p pact-bench --bin tierctl
+    for faults in "" "drop=0.2,fail=0.6,pebs_loss=0.5,seed=3"; do
+        for jobs in 1 4; do
+            PACT_FAULTS="$faults" PACT_JOBS="$jobs" target/release/tierctl repro \
+                --scale smoke > "$repro_dir/j${jobs}.txt"
+        done
+        cmp "$repro_dir/j1.txt" "$repro_dir/j4.txt"
+        echo "    tierctl repro --scale smoke byte-identical across PACT_JOBS={1,4}" \
+            "(PACT_FAULTS='$faults')"
     done
-    cmp "$repro_dir/j1.txt" "$repro_dir/j4.txt"
-    echo "    tierctl repro --scale smoke byte-identical across PACT_JOBS={1,4}"
 }
 
 # --- driver ----------------------------------------------------------

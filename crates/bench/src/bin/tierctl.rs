@@ -64,54 +64,113 @@
 //! tierctl repro --fig fig04,fig06 --scale smoke --seed 7
 //! ```
 //!
-//! Exit status: 0 success; 1 a failed `--validate` or `--self-check`,
-//! or an unwritable output; 2 invalid usage (an unknown workload,
-//! policy, figure or flag value), an unreadable or rejected snapshot,
-//! or an invalid configuration.
+//! `main` resolves the `PACT_*` environment once and every command runs
+//! its cells on a `Lab` under it, so a fault plan reaches every run.
+//! Exit status: 0 success (`--help` and `--list` included); 1 a failed
+//! `--validate` or `--self-check`, or an unwritable output; 2 invalid
+//! usage (an unknown workload, policy, figure or flag value, or a
+//! malformed `PACT_*` value), an unreadable or rejected snapshot, or an
+//! invalid configuration.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+
+use std::sync::Arc;
 
 use pact_bench::figures::{self, Figure, FIGURES};
 use pact_bench::snapfile::CellSnapshot;
 use pact_bench::{
-    count, experiment_machine, make_policy, pct, save_results, serve, Harness, Lab, OrExit,
-    RunError, TierRatio, ALL_POLICIES,
+    count, experiment_machine, make_policy, pct, save_results, serve, Env, Harness, Lab, RunError,
+    TierRatio, ALL_POLICIES,
 };
 use pact_obs::{validate, DEFAULT_RING_CAPACITY};
 use pact_tiersim::{
-    export_trace, Admission, AdmissionControl, AdmissionLane, CriticalityReport, Machine,
-    MachineConfig, RunReport, RunSpec, Tier, TraceFormat, Tracer, DEFAULT_REPORT_TOPK,
+    export_trace, Admission, AdmissionControl, AdmissionLane, ConfigError, CriticalityReport,
+    MachineConfig, RunReport, RunSpec, SimError, Tier, TieringPolicy, TraceFormat, Tracer,
+    Workload, DEFAULT_REPORT_TOPK,
 };
-use pact_workloads::suite::{build, check_name, Scale, EXTRA, SUITE};
+use pact_workloads::suite::{check_name, Scale, EXTRA, SUITE};
 
-/// What one `tierctl` invocation does: the one-shot summary, or one of
-/// the single-cell subcommands (`repro` has its own parser).
-enum Cmd {
-    Run,
-    Trace,
-    Report,
-    ServeMetrics,
-    Snapshot,
-    Resume,
-    Fleet,
-}
+const USAGE: &str = "usage: tierctl [--workload W] [--policy P] [--ratio F:S] \
+     [--thp] [--scale smoke|paper] [--seed N] [--windows] \
+     [--trace-out FILE] [--list]\n       \
+     tierctl trace [--workload W] [--policy P] [--ratio F:S] [--thp] \
+     [--scale smoke|paper] [--seed N] [--out FILE] \
+     [--format chrome|jsonl] [--validate]\n       \
+     tierctl report [--workload W] [--policy P] [--ratio F:S] [--thp] \
+     [--scale smoke|paper] [--seed N] [--out DIR] [--topk N]\n       \
+     tierctl serve-metrics [--workload W] [--policy P] [--ratio F:S] \
+     [--scale smoke|paper] [--seed N] [--addr HOST:PORT] \
+     [--self-check]\n       \
+     tierctl snapshot [--workload W] [--policy P] [--ratio F:S] [--thp] \
+     [--scale smoke|paper] [--seed N] [--every N] [--out DIR]\n       \
+     tierctl resume --from FILE\n       \
+     tierctl fleet [--tenants NAME:WORKLOAD:WEIGHT,...] [--policy P] \
+     [--ratio F:S] [--scale smoke|paper] [--seed N] [--budget N]\n       \
+     tierctl repro [--fig NAME[,NAME...]] [--scale smoke|paper] [--seed N]";
 
-impl Cmd {
-    fn from_word(word: &str) -> Option<Cmd> {
-        Some(match word {
-            "trace" => Cmd::Trace,
-            "report" => Cmd::Report,
-            "serve-metrics" => Cmd::ServeMetrics,
-            "snapshot" => Cmd::Snapshot,
-            "resume" => Cmd::Resume,
-            "fleet" => Cmd::Fleet,
-            _ => return None,
-        })
+/// How a `tierctl` run ends other than by finishing its work: the exit
+/// status and the message, printed on stdout for status 0 (`--help`,
+/// `--list`) and on stderr otherwise. Status 1 is a failed check or an
+/// unwritable output, 2 invalid usage, a rejected input or an invalid
+/// configuration.
+struct Exit(i32, String);
+
+impl From<String> for Exit {
+    fn from(msg: String) -> Self {
+        Exit(2, msg)
     }
 }
 
+impl From<&str> for Exit {
+    fn from(msg: &str) -> Self {
+        Exit(2, msg.into())
+    }
+}
+
+impl From<SimError> for Exit {
+    fn from(e: SimError) -> Self {
+        Exit(2, format!("error: {e}"))
+    }
+}
+
+impl From<ConfigError> for Exit {
+    fn from(e: ConfigError) -> Self {
+        SimError::Config(e).into()
+    }
+}
+
+/// A bad policy name also lists the known ones.
+impl From<RunError> for Exit {
+    fn from(e: RunError) -> Self {
+        match e {
+            RunError::Sim(e) => e.into(),
+            e => Exit(
+                2,
+                format!("{e}; known policies: {}", ALL_POLICIES.join(", ")),
+            ),
+        }
+    }
+}
+
+/// One `tierctl` command: the one-shot summary or a single-cell
+/// subcommand (`repro` has its own parser).
+type Command = fn(&Args, Env) -> Result<(), Exit>;
+
+/// The subcommand `word` names.
+fn subcommand(word: &str) -> Option<Command> {
+    Some(match word {
+        "trace" => run_trace,
+        "report" => run_report,
+        "serve-metrics" => run_serve_metrics,
+        "snapshot" => run_snapshot,
+        "resume" => run_resume,
+        "fleet" => run_fleet,
+        _ => return None,
+    })
+}
+
 struct Args {
-    cmd: Cmd,
+    cmd: Command,
     workload: String,
     policy: String,
     ratio: TierRatio,
@@ -133,9 +192,9 @@ struct Args {
     budget: Option<u64>,
 }
 
-fn parse_args() -> Result<Args, String> {
+fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
     let mut args = Args {
-        cmd: Cmd::Run,
+        cmd: run_one_shot,
         workload: "bc-kron".into(),
         policy: "pact".into(),
         ratio: TierRatio::new(1, 1),
@@ -155,10 +214,10 @@ fn parse_args() -> Result<Args, String> {
         tenants: None,
         budget: None,
     };
-    let mut it = std::env::args().skip(1).peekable();
+    let mut it = it.peekable();
     // The inspection subcommands default to smoke scale: their runs
     // exist to be looked at (or scraped), not for paper-scale timing.
-    if let Some(cmd) = it.peek().and_then(|w| Cmd::from_word(w)) {
+    if let Some(cmd) = it.peek().and_then(|w| subcommand(w)) {
         it.next();
         args.cmd = cmd;
         args.scale = Scale::Smoke;
@@ -182,13 +241,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--thp" => args.thp = true,
-            "--scale" => {
-                args.scale = match it.next().as_deref() {
-                    Some("smoke") => Scale::Smoke,
-                    Some("paper") => Scale::Paper,
-                    other => return Err(format!("unknown scale {other:?}")),
-                }
-            }
+            "--scale" => args.scale = parse_scale(it.next())?,
             "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).ok_or("bad seed")?,
             "--windows" => args.windows = true,
             "--trace-out" => args.trace_out = Some(it.next().ok_or("--trace-out needs a path")?),
@@ -202,7 +255,7 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--topk needs a row count")?;
                 args.topk = match v.parse::<usize>() {
                     Ok(n) if n > 0 => Some(n),
-                    _ => return Err(format!("bad topk '{v}': expected a positive integer")),
+                    _ => return Err(format!("bad topk '{v}': expected a positive integer").into()),
                 };
             }
             "--addr" => {
@@ -214,7 +267,9 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--every needs a window count")?;
                 args.every = match v.parse::<u64>() {
                     Ok(n) if n > 0 => Some(n),
-                    _ => return Err(format!("bad cadence '{v}': expected a positive integer")),
+                    _ => {
+                        return Err(format!("bad cadence '{v}': expected a positive integer").into())
+                    }
                 };
             }
             "--from" => args.from = Some(it.next().ok_or("--from needs a snapshot file")?),
@@ -228,51 +283,117 @@ fn parse_args() -> Result<Args, String> {
                 let v = it.next().ok_or("--budget needs an order count")?;
                 args.budget = match v.parse::<u64>() {
                     Ok(n) if n > 0 => Some(n),
-                    _ => return Err(format!("bad budget '{v}': expected a positive integer")),
+                    _ => {
+                        return Err(format!("bad budget '{v}': expected a positive integer").into())
+                    }
                 };
             }
             "--list" => {
-                println!("workloads: {}", SUITE.join(", "));
-                println!("           {} (motivation, fleet)", EXTRA.join(", "));
-                println!("policies:  {}", ALL_POLICIES.join(", "));
-                println!("           pact-freq (frequency-ranked PACT)");
-                std::process::exit(0);
+                let list = [
+                    format!("workloads: {}", SUITE.join(", ")),
+                    format!("           {} (motivation, fleet)", EXTRA.join(", ")),
+                    format!("policies:  {}", ALL_POLICIES.join(", ")),
+                    "           pact-freq (frequency-ranked PACT)".into(),
+                ];
+                return Err(Exit(0, list.join("\n")));
             }
-            "--help" | "-h" => {
-                return Err("usage: tierctl [--workload W] [--policy P] [--ratio F:S] \
-                     [--thp] [--scale smoke|paper] [--seed N] [--windows] \
-                     [--trace-out FILE] [--list]\n       \
-                     tierctl trace [--workload W] [--policy P] [--ratio F:S] [--thp] \
-                     [--scale smoke|paper] [--seed N] [--out FILE] \
-                     [--format chrome|jsonl] [--validate]\n       \
-                     tierctl report [--workload W] [--policy P] [--ratio F:S] [--thp] \
-                     [--scale smoke|paper] [--seed N] [--out DIR] [--topk N]\n       \
-                     tierctl serve-metrics [--workload W] [--policy P] [--ratio F:S] \
-                     [--scale smoke|paper] [--seed N] [--addr HOST:PORT] \
-                     [--self-check]\n       \
-                     tierctl snapshot [--workload W] [--policy P] [--ratio F:S] [--thp] \
-                     [--scale smoke|paper] [--seed N] [--every N] [--out DIR]\n       \
-                     tierctl resume --from FILE\n       \
-                     tierctl fleet [--tenants NAME:WORKLOAD:WEIGHT,...] [--policy P] \
-                     [--ratio F:S] [--scale smoke|paper] [--seed N] [--budget N]\n       \
-                     tierctl repro [--fig NAME[,NAME...]] [--scale smoke|paper] [--seed N]"
-                    .into())
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+            "--help" | "-h" => return Err(Exit(0, USAGE.into())),
+            other => return Err(format!("unknown flag '{other}'").into()),
         }
     }
     Ok(args)
 }
 
+fn parse_scale(v: Option<String>) -> Result<Scale, Exit> {
+    match v.as_deref() {
+        Some("smoke") => Ok(Scale::Smoke),
+        Some("paper") => Ok(Scale::Paper),
+        other => Err(format!("unknown scale {other:?}").into()),
+    }
+}
+
+/// The experiment machine for a single-workload cell with a fast tier
+/// of `fast_pages`: every subcommand that runs one builds it here, so
+/// the same flags simulate the same machine. `track_stalls` arms the
+/// criticality oracle.
+fn cell_config(fast_pages: u64, thp: bool, seed: u64, track_stalls: bool) -> MachineConfig {
+    let mut cfg = experiment_machine(fast_pages);
+    cfg.thp = thp;
+    cfg.seed = seed;
+    cfg.track_page_stalls = track_stalls;
+    cfg
+}
+
+impl Args {
+    /// The lab for the flags' `--scale` and `--seed` under `env`.
+    fn lab(&self, env: Env) -> Lab {
+        Lab::new(self.scale, self.seed).with_env(env)
+    }
+
+    /// `workload/policy/ratio`.
+    fn label(&self) -> String {
+        format!("{}/{}/{}", self.workload, self.policy, self.ratio)
+    }
+
+    /// [`cell_config`] for the flags' cell, the fast tier sized by
+    /// `--ratio`.
+    fn config(&self, lab: &Lab, track_stalls: bool) -> MachineConfig {
+        let footprint = lab.workload(&self.workload).footprint_bytes();
+        let fast_pages = self.ratio.fast_pages(footprint);
+        cell_config(fast_pages, self.thp, self.seed, track_stalls)
+    }
+}
+
+/// The harness for `workload` on `cfg`, and `policy` built for `cfg`'s
+/// fast tier (Soar from the harness's profile).
+fn cell<'l>(
+    lab: &'l Lab,
+    workload: &str,
+    policy: &str,
+    cfg: &MachineConfig,
+) -> Result<(Harness<'l>, Box<dyn TieringPolicy>), Exit> {
+    let h = lab.harness_with(workload, cfg.clone())?;
+    let policy = h.policy(policy, cfg.fast_tier_pages)?;
+    Ok((h, policy))
+}
+
+/// Runs the flags' cell for a subcommand that inspects the finished
+/// run: no DRAM reference, since none of them prints a slowdown.
+fn inspect(
+    lab: &Lab,
+    args: &Args,
+    track_stalls: bool,
+    tracer: Option<&mut Tracer>,
+) -> Result<RunReport, Exit> {
+    let cfg = args.config(lab, track_stalls);
+    let (h, mut policy) = cell(lab, &args.workload, &args.policy, &cfg)?;
+    let workloads = [h.workload()];
+    let spec = RunSpec {
+        tracer,
+        ..RunSpec::new(&workloads, policy.as_mut())
+    };
+    Ok(lab.run(cfg, spec)?)
+}
+
+/// Writes `body` to `path`, or fails with status 1.
+fn write(path: &std::path::Path, body: impl AsRef<[u8]>) -> Result<(), Exit> {
+    std::fs::write(path, body).map_err(|e| Exit(1, format!("cannot write {}: {e}", path.display())))
+}
+
+/// Creates `dir`, or fails with status 1.
+fn create_dir(dir: &std::path::Path) -> Result<(), Exit> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| Exit(1, format!("cannot create {}: {e}", dir.display())))
+}
+
 /// The `trace` subcommand: one traced run, exported (and optionally
 /// validated) to `--out`.
-fn run_trace(args: &Args) {
+fn run_trace(args: &Args, env: Env) -> Result<(), Exit> {
+    let lab = &args.lab(env);
     let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-    let out = cell_harness(args, false)
-        .run_policy(&args.policy, args.ratio, Some(&mut tracer))
-        .unwrap_or_else(|e| exit_run_error(e));
-    let label = format!("{}/{}/{}", args.workload, args.policy, args.ratio);
-    let body = export_trace(&out.report, &tracer, &label, args.format);
+    let report = inspect(lab, args, false, Some(&mut tracer))?;
+    let label = args.label();
+    let body = export_trace(&report, &tracer, &label, args.format);
     if args.validate {
         let bad = match args.format {
             TraceFormat::Chrome => validate(&body)
@@ -285,24 +406,20 @@ fn run_trace(args: &Args) {
             }),
         };
         if let Some(msg) = bad {
-            eprintln!("{msg}");
-            std::process::exit(1);
+            return Err(Exit(1, msg));
         }
     }
     let path = args
         .out
         .clone()
         .unwrap_or_else(|| format!("trace.{}", args.format.extension()));
-    std::fs::write(&path, &body).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
+    write(path.as_ref(), &body)?;
     println!(
         "traced {label}: {} events ({} overwritten), {} windows, {} cycles",
         tracer.len(),
         tracer.overwritten(),
-        out.report.windows.len(),
-        out.report.total_cycles
+        report.windows.len(),
+        report.total_cycles
     );
     if tracer.overwritten() > 0 {
         eprintln!(
@@ -314,7 +431,7 @@ fn run_trace(args: &Args) {
     // Greppable one-liner: the migration failures a fault plan caused.
     println!(
         "migration health: failed_promotions={} dropped_orders={}",
-        out.report.failed_promotions, out.report.dropped_orders
+        report.failed_promotions, report.dropped_orders
     );
     println!(
         "wrote {path} ({} bytes, {} format{})",
@@ -322,139 +439,75 @@ fn run_trace(args: &Args) {
         args.format,
         if args.validate { ", validated" } else { "" }
     );
-}
-
-/// The harness for one `--workload`/`--seed`/`--thp` cell; the
-/// one-shot summary, `trace`, `report` and `serve-metrics` all start
-/// here so the same flags simulate the same machine. `track_stalls`
-/// arms the criticality oracle (the `report` path).
-fn cell_harness(args: &Args, track_stalls: bool) -> Harness {
-    let cfg = cell_machine_config(0, args.thp, args.seed, track_stalls, 0);
-    Harness::new(build(&args.workload, args.scale, args.seed))
-        .with_machine(cfg)
-        .or_exit()
-}
-
-/// Reports `e` as a one-line `error:` and exits 2.
-fn exit_error(e: impl std::fmt::Display) -> ! {
-    eprintln!("error: {e}");
-    std::process::exit(2);
-}
-
-/// Exits 2 on a failed cell run; a bad policy name also lists the
-/// known ones.
-fn exit_run_error(e: RunError) -> ! {
-    if let RunError::Sim(e) = e {
-        pact_bench::exit_invalid_config(e);
-    }
-    eprintln!("{e}; known policies: {}", ALL_POLICIES.join(", "));
-    std::process::exit(2);
-}
-
-/// Runs one cell for a subcommand that inspects a finished run,
-/// exiting 2 on an unknown policy.
-fn run_cell(args: &Args, track_stalls: bool) -> (pact_bench::Outcome, String) {
-    let out = cell_harness(args, track_stalls)
-        .run_policy(&args.policy, args.ratio, None)
-        .unwrap_or_else(|e| exit_run_error(e));
-    let label = format!("{}/{}/{}", args.workload, args.policy, args.ratio);
-    (out, label)
+    Ok(())
 }
 
 /// The `report` subcommand: one run with the criticality oracle armed,
 /// folded flamegraph + markdown + JSON written to `--out`. Artifacts
 /// are sim-domain: a CLI test byte-compares them across runs with and
 /// without `PACT_PROF`, under a fault plan.
-fn run_report(args: &Args) {
-    let (out, label) = run_cell(args, true);
+fn run_report(args: &Args, env: Env) -> Result<(), Exit> {
+    let lab = &args.lab(env);
+    let report = inspect(lab, args, true, None)?;
     let topk = args.topk.unwrap_or(DEFAULT_REPORT_TOPK);
     // Borrow the oracle out of the report — the map can hold an entry
     // per touched page, and the report path must not duplicate it.
-    let crit = CriticalityReport::new(&out.report, topk).unwrap_or_else(|| {
-        eprintln!("internal error: report ran without the page-stall oracle");
-        std::process::exit(1);
-    });
+    let crit = CriticalityReport::new(&report, topk).ok_or_else(|| {
+        Exit(
+            1,
+            "internal error: report ran without the page-stall oracle".into(),
+        )
+    })?;
     let dir = std::path::PathBuf::from(args.out.as_deref().unwrap_or("report"));
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| {
-        eprintln!("cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    });
-    let artifacts = [
-        ("report.md", crit.to_markdown()),
-        ("report.json", crit.to_json()),
-        ("flame.folded", crit.folded()),
-    ];
-    for (name, body) in &artifacts {
-        let path = dir.join(name);
-        std::fs::write(&path, body).unwrap_or_else(|e| {
-            eprintln!("cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        });
-    }
+    create_dir(&dir)?;
+    write(&dir.join("report.md"), crit.to_markdown())?;
+    write(&dir.join("report.json"), crit.to_json())?;
+    write(&dir.join("flame.folded"), crit.folded())?;
     println!(
-        "criticality report for {label}: {} blamed stall cycles across {} pages (top-{topk})",
+        "criticality report for {}: {} blamed stall cycles across {} pages (top-{topk})",
+        args.label(),
         crit.total_stalls(),
-        out.report.page_stalls.as_ref().map_or(0, |m| m.len()),
+        report.page_stalls.as_ref().map_or(0, |m| m.len()),
     );
     println!(
         "wrote {}/report.md, report.json, flame.folded",
         dir.display()
     );
+    Ok(())
 }
 
 /// The `serve-metrics` subcommand: one run, then a Prometheus
 /// text-exposition endpoint over its metrics (plus `/healthz`).
 /// `--self-check` binds an ephemeral port, scrapes both routes through
 /// a real TCP client, and exits.
-fn run_serve_metrics(args: &Args) {
-    let (out, label) = run_cell(args, false);
-    let body = serve::render_prometheus(&label, &out.report);
+fn run_serve_metrics(args: &Args, env: Env) -> Result<(), Exit> {
+    let lab = &args.lab(env);
+    let label = args.label();
+    let body = serve::render_prometheus(&label, &inspect(lab, args, false, None)?);
     if args.self_check {
-        serve::self_check(body).unwrap_or_else(|e| {
-            eprintln!("serve-metrics self-check failed: {e}");
-            std::process::exit(1);
-        });
+        serve::self_check(body)
+            .map_err(|e| Exit(1, format!("serve-metrics self-check failed: {e}")))?;
         println!("serve-metrics self-check ok ({label})");
-        return;
+        return Ok(());
     }
-    #[expect(
-        clippy::expect_used,
-        reason = "a literal loopback address always parses"
-    )]
     let addr = args
         .addr
-        .unwrap_or_else(|| "127.0.0.1:9464".parse().expect("valid literal"));
-    let server = serve::MetricsServer::bind(addr, body).unwrap_or_else(|e| {
-        eprintln!("cannot bind {addr}: {e}");
-        std::process::exit(1);
-    });
+        .unwrap_or(std::net::SocketAddr::from(([127, 0, 0, 1], 9464)));
+    let server = serve::MetricsServer::bind(addr, body)
+        .map_err(|e| Exit(1, format!("cannot bind {addr}: {e}")))?;
     let bound = server.local_addr().unwrap_or(addr);
     println!("serving metrics for {label} on http://{bound}/metrics (and /healthz)");
-    server.serve(None).unwrap_or_else(|e| {
-        eprintln!("serve error: {e}");
-        std::process::exit(1);
-    });
+    server
+        .serve(None)
+        .map_err(|e| Exit(1, format!("serve error: {e}")))
 }
 
-/// FNV-1a over the report's full `Debug` rendering: an order-sensitive
-/// digest of every field the run produced (counters, window records,
-/// telemetry, metrics, the page-stall oracle). Equal digests between an
-/// uninterrupted run and a kill-resume replay are what the CLI tests
-/// compare.
-fn report_digest(report: &RunReport) -> u64 {
-    pact_tiersim::fnv1a(format!("{report:?}").as_bytes())
-}
-
-/// The deterministic summary shared by `snapshot` and `resume`: the
-/// `report:`/`digest:` lines must be byte-identical between the
-/// uninterrupted run and every resumed replay.
-fn print_run_summary(label: &str, report: &RunReport) {
-    println!("cell {label}");
-    print_report_digest(report);
-}
-
-/// The `report:`/`digest:` lines of [`print_run_summary`], which
-/// `fleet` prints after its tenant rows.
+/// The `report:`/`digest:` lines `snapshot`, `resume` and `fleet`
+/// print. They must be byte-identical between an uninterrupted run and
+/// every resumed replay, which is what the CLI tests compare. The
+/// digest is FNV-1a over the report's full `Debug` rendering: an
+/// order-sensitive digest of every field the run produced (counters,
+/// window records, telemetry, metrics, the page-stall oracle).
 fn print_report_digest(report: &RunReport) {
     println!(
         "report: windows={} cycles={} promotions={} demotions={} failed={} dropped={}",
@@ -465,56 +518,28 @@ fn print_report_digest(report: &RunReport) {
         report.failed_promotions,
         report.dropped_orders
     );
-    println!("digest: {:#018x}", report_digest(report));
-}
-
-/// Machine configuration for every single-workload cell. Applies the
-/// already-validated `PACT_FAULTS` hook the same way the `Harness`
-/// does, so a snapshot cell matches the equivalent `tierctl` run cell
-/// exactly.
-fn cell_machine_config(
-    fast_pages: u64,
-    thp: bool,
-    seed: u64,
-    track_stalls: bool,
-    every: u64,
-) -> MachineConfig {
-    let mut cfg = experiment_machine(fast_pages);
-    cfg.thp = thp;
-    cfg.seed = seed;
-    cfg.track_page_stalls = track_stalls;
-    cfg.snapshot_every = every;
-    if cfg.fault_plan.is_none() {
-        cfg.fault_plan = pact_bench::env::fault_plan().ok().flatten();
-    }
-    cfg
-}
-
-fn cell_policy(name: &str) -> Box<dyn pact_tiersim::TieringPolicy> {
-    make_policy(name).unwrap_or_else(|e| exit_run_error(e))
+    let digest = pact_tiersim::fnv1a(format!("{report:?}").as_bytes());
+    println!("digest: {digest:#018x}");
 }
 
 /// The `snapshot` subcommand: one cell run to completion with the
 /// page-stall oracle armed, writing a versioned cell snapshot every
 /// `--every` windows (default 16).
-fn run_snapshot(args: &Args) {
+fn run_snapshot(args: &Args, env: Env) -> Result<(), Exit> {
+    let lab = &args.lab(env);
     let every = args.every.unwrap_or(16);
-    let wl = build(&args.workload, args.scale, args.seed);
-    let fast_pages = args.ratio.fast_pages(wl.footprint_bytes());
-    let cfg = cell_machine_config(fast_pages, args.thp, args.seed, true, every);
-    let machine = Machine::new(cfg).unwrap_or_else(|e| exit_error(e));
-    let mut policy = cell_policy(&args.policy);
+    let mut cfg = args.config(lab, true);
+    cfg.snapshot_every = every;
+    let (h, mut policy) = cell(lab, &args.workload, &args.policy, &cfg)?;
     let dir = std::path::PathBuf::from(args.out.as_deref().unwrap_or("snapshots"));
-    std::fs::create_dir_all(&dir).unwrap_or_else(|e| {
-        eprintln!("cannot create {}: {e}", dir.display());
-        std::process::exit(1);
-    });
+    create_dir(&dir)?;
     let scale_name = match args.scale {
         Scale::Smoke => "smoke",
         Scale::Paper => "paper",
     };
+    let fast_pages = cfg.fast_tier_pages;
     let mut written = 0usize;
-    let mut write_err: Option<String> = None;
+    let mut write_err: Option<Exit> = None;
     let report = {
         let mut sink = |frame: pact_tiersim::MachineSnapshot| {
             let window = frame.window().unwrap_or(0);
@@ -529,100 +554,91 @@ fn run_snapshot(args: &Args) {
                 frame,
             };
             let path = dir.join(format!("snap_{window:06}.pactsnap"));
-            match std::fs::write(&path, cell.to_bytes()) {
+            match write(&path, cell.to_bytes()) {
                 Ok(()) => written += 1,
                 Err(e) => {
-                    write_err.get_or_insert(format!("cannot write {}: {e}", path.display()));
+                    write_err.get_or_insert(e);
                 }
             }
         };
-        machine.run(RunSpec {
-            snapshot_sink: Some(&mut sink),
-            ..RunSpec::new(&[wl.as_ref()], policy.as_mut())
-        })
-    }
-    .unwrap_or_else(|e| exit_error(e));
+        lab.run(
+            cfg,
+            RunSpec {
+                snapshot_sink: Some(&mut sink),
+                ..RunSpec::new(&[h.workload()], policy.as_mut())
+            },
+        )?
+    };
     if let Some(e) = write_err {
-        eprintln!("{e}");
-        std::process::exit(1);
+        return Err(e);
     }
-    let label = format!("{}/{}/{}", args.workload, args.policy, args.ratio);
-    print_run_summary(&label, &report);
+    println!("cell {}", args.label());
+    print_report_digest(&report);
     println!(
         "wrote {written} snapshots to {} (every {every} windows)",
         dir.display()
     );
+    Ok(())
 }
 
 /// The `resume` subcommand: restores a `tierctl snapshot` file and
 /// runs the cell to completion. Corrupt, version-bumped, or
 /// wrong-configuration snapshots are rejected with exit 2.
-fn run_resume(args: &Args) {
-    let Some(path) = &args.from else {
-        eprintln!("resume needs --from FILE");
-        std::process::exit(2);
-    };
-    let bytes = std::fs::read(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    let cell = CellSnapshot::from_bytes(&bytes).unwrap_or_else(|e| exit_error(e));
-    let scale = match cell.scale.as_str() {
-        "smoke" => Scale::Smoke,
-        _ => Scale::Paper,
-    };
-    let wl = build(&cell.workload, scale, cell.seed);
-    let cfg = cell_machine_config(cell.fast_pages, cell.thp, cell.seed, cell.track_stalls, 0);
-    let machine = Machine::new(cfg).unwrap_or_else(|e| exit_error(e));
-    let mut policy = cell_policy(&cell.policy);
-    let report = machine
-        .run(RunSpec {
-            resume_from: Some(&cell.frame),
-            ..RunSpec::new(&[wl.as_ref()], policy.as_mut())
-        })
-        .unwrap_or_else(|e| exit_error(e));
-    let window = cell.frame.window().unwrap_or(0);
+fn run_resume(args: &Args, env: Env) -> Result<(), Exit> {
+    let path = args.from.as_ref().ok_or("resume needs --from FILE")?;
+    let bytes = std::fs::read(path).map_err(|e| Exit(2, format!("cannot read {path}: {e}")))?;
+    let snap = CellSnapshot::from_bytes(&bytes).map_err(|e| Exit(2, format!("error: {e}")))?;
+    let lab = Lab::new(parse_scale(Some(snap.scale.clone()))?, snap.seed).with_env(env);
+    let cfg = cell_config(snap.fast_pages, snap.thp, snap.seed, snap.track_stalls);
+    let (h, mut policy) = cell(&lab, &snap.workload, &snap.policy, &cfg)?;
+    let report = lab.run(
+        cfg,
+        RunSpec {
+            resume_from: Some(&snap.frame),
+            ..RunSpec::new(&[h.workload()], policy.as_mut())
+        },
+    )?;
+    let window = snap.frame.window().unwrap_or(0);
     let label = format!(
         "{}/{} (resumed from window {window})",
-        cell.workload, cell.policy
+        snap.workload, snap.policy
     );
-    print_run_summary(&label, &report);
+    println!("cell {label}");
+    print_report_digest(&report);
+    Ok(())
 }
 
 /// The `fleet` subcommand: a colocated cell whose policy runs inside
 /// migration admission control (DESIGN.md §14). Prints one accounting
 /// row per tenant, a greppable `admission:` line, and the same
 /// deterministic digest `snapshot`/`resume` print.
-fn run_fleet(args: &Args) {
+fn run_fleet(args: &Args, env: Env) -> Result<(), Exit> {
+    let lab = &args.lab(env);
     // The default noisy-neighbor cell from EXPERIMENTS.md: a
     // latency-sensitive app, a bandwidth hog, and a skew-drift store.
     let spec = args
         .tenants
         .as_deref()
         .unwrap_or("app:gups:4,hog:mlc-hog:1,store:zipf-drift:2");
-    let tenants = pact_bench::parse_tenants(spec).unwrap_or_else(|e| {
-        eprintln!("invalid --tenants: {e}");
-        std::process::exit(2);
-    });
-    let workloads: Vec<Box<dyn pact_tiersim::Workload>> = tenants
-        .iter()
-        .map(|t| build(&t.workload, args.scale, args.seed))
-        .collect();
-    let refs: Vec<&dyn pact_tiersim::Workload> = workloads.iter().map(|w| w.as_ref()).collect();
+    let tenants =
+        pact_bench::parse_tenants(spec).map_err(|e| Exit(2, format!("invalid --tenants: {e}")))?;
+    let workloads: Vec<Arc<dyn Workload>> =
+        tenants.iter().map(|t| lab.workload(&t.workload)).collect();
+    let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
     let total_footprint: u64 = refs.iter().map(|w| w.footprint_bytes()).sum();
-    let fast_pages = args.ratio.fast_pages(total_footprint);
-    let cfg = cell_machine_config(fast_pages, false, args.seed, true, 0);
-    let machine = Machine::new(cfg).unwrap_or_else(|e| exit_error(e));
+    let cfg = cell_config(
+        args.ratio.fast_pages(total_footprint),
+        false,
+        args.seed,
+        true,
+    );
     let admission = AdmissionControl {
         budget_per_window: args.budget.unwrap_or(4),
         ..AdmissionControl::default()
     };
     let weights = tenants.iter().map(|t| t.qos_weight).collect();
-    let mut policy = Admission::new(cell_policy(&args.policy), admission, weights)
-        .unwrap_or_else(|e| exit_error(e));
-    let report = machine
-        .run(RunSpec::new(&refs, &mut policy))
-        .unwrap_or_else(|e| exit_error(e));
+    let mut policy = Admission::new(make_policy(&args.policy)?, admission, weights)?;
+    let report = lab.run(cfg, RunSpec::new(&refs, &mut policy))?;
 
     let label = format!(
         "fleet[{}]/{}/{}",
@@ -659,6 +675,7 @@ fn run_fleet(args: &Args) {
         sum(|a| a.dropped)
     );
     print_report_digest(&report);
+    Ok(())
 }
 
 struct ReproArgs {
@@ -667,7 +684,7 @@ struct ReproArgs {
     seed: u64,
 }
 
-fn parse_repro_args(mut it: impl Iterator<Item = String>) -> Result<ReproArgs, String> {
+fn parse_repro_args(mut it: impl Iterator<Item = String>) -> Result<ReproArgs, Exit> {
     let mut args = ReproArgs {
         figures: FIGURES.iter().collect(),
         scale: Scale::Paper,
@@ -680,28 +697,16 @@ fn parse_repro_args(mut it: impl Iterator<Item = String>) -> Result<ReproArgs, S
                 let names: Vec<&str> = v.split(',').collect();
                 if let Some(bad) = names.iter().find(|&&n| figures::find(n).is_none()) {
                     let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-                    return Err(format!(
-                        "unknown figure '{bad}' (valid: {})",
-                        valid.join(", ")
-                    ));
+                    return Err(
+                        format!("unknown figure '{bad}' (valid: {})", valid.join(", ")).into(),
+                    );
                 }
                 args.figures = FIGURES.iter().filter(|f| names.contains(&f.name)).collect();
             }
-            "--scale" => {
-                args.scale = match it.next().as_deref() {
-                    Some("smoke") => Scale::Smoke,
-                    Some("paper") => Scale::Paper,
-                    other => return Err(format!("unknown scale {other:?}")),
-                }
-            }
+            "--scale" => args.scale = parse_scale(it.next())?,
             "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).ok_or("bad seed")?,
-            "--help" | "-h" => {
-                return Err(
-                    "usage: tierctl repro [--fig NAME[,NAME...]] [--scale smoke|paper] [--seed N]"
-                        .into(),
-                )
-            }
-            other => return Err(format!("unknown flag '{other}'")),
+            "--help" | "-h" => return Err(Exit(0, USAGE.into())),
+            other => return Err(format!("unknown flag '{other}'").into()),
         }
     }
     Ok(args)
@@ -726,11 +731,11 @@ fn peak_rss() -> String {
 /// them at paper scale, and reports wall time, the lab's totals and the
 /// peak RSS on stderr (stdout is byte-compared). A failed figure exits
 /// 2 after the others are printed.
-fn run_repro(args: &ReproArgs) {
-    let lab = Lab::new(args.scale, args.seed).with_trace(pact_bench::env::trace_config());
+fn run_repro(args: &ReproArgs, env: Env) -> Result<(), Exit> {
+    let lab = Lab::new(args.scale, args.seed).with_env(env);
     let start = std::time::Instant::now();
-    let reports = figures::render_all(&lab, &args.figures, pact_bench::jobs_from_env());
-    let mut failed = false;
+    let reports = figures::render_all(&lab, &args.figures);
+    let mut failed = 0;
     for (fig, report) in args.figures.iter().zip(reports) {
         match report {
             Ok(text) => {
@@ -739,7 +744,7 @@ fn run_repro(args: &ReproArgs) {
             }
             Err(e) => {
                 eprintln!("error: {}: {e}", fig.name);
-                failed = true;
+                failed += 1;
             }
         }
     }
@@ -754,65 +759,31 @@ fn run_repro(args: &ReproArgs) {
         s.harnesses,
         peak_rss()
     );
-    if failed {
-        std::process::exit(2);
+    match failed {
+        0 => Ok(()),
+        n => Err(Exit(2, format!("error: {n} figure(s) failed"))),
     }
-}
-
-fn main() {
-    // Reject malformed PACT_* hooks before any work happens, then arm
-    // the host self-profiler if PACT_PROF asks for it.
-    pact_bench::validate_fault_env();
-    pact_bench::arm_hostprof_from_env();
-    let mut raw = std::env::args().skip(1).peekable();
-    if raw.peek().map(String::as_str) == Some("repro") {
-        raw.next();
-        let repro_args = parse_repro_args(raw).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        });
-        run_repro(&repro_args);
-        pact_bench::emit_hostprof_summary();
-        return;
-    }
-    let args = parse_args().unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    });
-    match args.cmd {
-        Cmd::Run => return run_one_shot(&args),
-        Cmd::ServeMetrics => return run_serve_metrics(&args),
-        Cmd::Trace => run_trace(&args),
-        Cmd::Report => run_report(&args),
-        Cmd::Snapshot => run_snapshot(&args),
-        Cmd::Resume => run_resume(&args),
-        Cmd::Fleet => run_fleet(&args),
-    }
-    pact_bench::emit_hostprof_summary();
 }
 
 /// The one-shot run: the cell's summary, or with `--trace-out` its
 /// access trace written to a file.
-fn run_one_shot(args: &Args) {
+fn run_one_shot(args: &Args, env: Env) -> Result<(), Exit> {
+    let lab = &args.lab(env);
     if let Some(path) = &args.trace_out {
-        let wl = build(&args.workload, args.scale, args.seed);
-        let file = std::fs::File::create(path).unwrap_or_else(|e| {
-            eprintln!("cannot create {path}: {e}");
-            std::process::exit(1);
-        });
+        let wl = lab.workload(&args.workload);
+        let file = std::fs::File::create(path)
+            .map_err(|e| Exit(1, format!("cannot create {path}: {e}")))?;
         let n = pact_tiersim::write_workload_trace(std::io::BufWriter::new(file), wl.as_ref())
-            .unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
+            .map_err(|e| Exit(1, format!("cannot write {path}: {e}")))?;
         println!("wrote {n} accesses of '{}' to {path}", args.workload);
-        return;
+        return Ok(());
     }
-    let h = cell_harness(args, false);
-    let out = h
-        .run_policy(&args.policy, args.ratio, None)
-        .unwrap_or_else(|e| exit_run_error(e));
-    let cxl = h.cxl_slowdown().or_exit();
+    let cfg = args.config(lab, false);
+    let h = lab
+        .harness_with(&args.workload, cfg)
+        .map_err(SimError::Config)?;
+    let out = h.run_policy(&args.policy, args.ratio, None)?;
+    let cxl = h.cxl_slowdown()?;
     let r = &out.report;
     let c = &r.counters;
 
@@ -863,4 +834,42 @@ fn run_one_shot(args: &Args) {
             );
         }
     }
+    Ok(())
+}
+
+/// Resolves the `PACT_*` environment once, rejecting a malformed value
+/// before any work, and runs the command under it.
+fn run() -> Result<(), Exit> {
+    let env = Env::resolve().map_err(|e| Exit(2, format!("error: {e}")))?;
+    pact_obs::hostprof::set_enabled(env.prof);
+    let mut raw = std::env::args().skip(1).peekable();
+    if raw.peek().map(String::as_str) == Some("repro") {
+        raw.next();
+        return run_repro(&parse_repro_args(raw)?, env);
+    }
+    let args = parse_args(raw)?;
+    (args.cmd)(&args, env)
+}
+
+/// Every path out of `tierctl` passes here: the message, the host
+/// self-profile when `PACT_PROF` armed it, then the exit status. The
+/// profile goes to stderr: host timings are nondeterministic and must
+/// never mix into output that is byte-compared.
+fn main() {
+    let code = match run() {
+        Ok(()) => 0,
+        Err(Exit(0, msg)) => {
+            println!("{msg}");
+            0
+        }
+        Err(Exit(code, msg)) => {
+            eprintln!("{msg}");
+            code
+        }
+    };
+    if pact_obs::hostprof::enabled() {
+        eprintln!("host self-profile (wall clock, nondeterministic):");
+        eprint!("{}", pact_obs::hostprof::summary());
+    }
+    std::process::exit(code);
 }

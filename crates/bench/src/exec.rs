@@ -16,36 +16,21 @@
 //! inputs are immutable (`Arc`-shared workloads, cloned configs) and
 //! results are merged by index rather than completion order, the
 //! output is **bit-identical** to the serial loop regardless of worker
-//! count or OS scheduling.
+//! count or OS scheduling. Fallible jobs collect that `Vec<Result>`
+//! into a `Result<Vec>`, so the error reported is the first failing
+//! job's in index order, never the first to finish; all jobs still run
+//! to completion.
 //!
 //! # Choosing the worker count
 //!
-//! [`jobs_from_env`] resolves the pool size: the `PACT_JOBS`
-//! environment variable when set to a positive integer, otherwise
-//! [`std::thread::available_parallelism`]. `PACT_JOBS=1` recovers the
-//! exact serial execution path (no threads are spawned at all).
+//! Callers pass the pool size. `tierctl` resolves it once at startup
+//! ([`crate::env::Env`]): the `PACT_JOBS` environment variable when set
+//! to a positive integer, otherwise [`default_jobs`]. `PACT_JOBS=1`
+//! recovers the exact serial execution path (no threads are spawned at
+//! all).
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-pub use crate::env::JOBS_ENV;
-
-/// Resolves the worker count: `PACT_JOBS` if set to a positive
-/// integer, else the machine's available parallelism, else 1. The
-/// environment read itself lives in [`crate::env`], the `PACT_*`
-/// registry. An invalid value warns and falls back to the default —
-/// binaries reject it eagerly at startup (see
-/// [`crate::validate_fault_env`]).
-pub fn jobs_from_env() -> usize {
-    match crate::env::jobs_override() {
-        Ok(Some(n)) => n,
-        Ok(None) => default_jobs(),
-        Err(e) => {
-            eprintln!("warning: ignoring {e}");
-            default_jobs()
-        }
-    }
-}
 
 /// The machine's available parallelism (1 if it cannot be queried).
 pub fn default_jobs() -> usize {
@@ -116,23 +101,6 @@ where
         .collect()
 }
 
-/// [`run_indexed`] for fallible jobs: returns the first `Err` in job
-/// (not completion) order, or all results in job order.
-///
-/// All jobs still run to completion — a failure does not cancel
-/// in-flight work — so a retried invocation observes the same
-/// deterministic schedule. The deterministic error choice matters for
-/// reproducibility: which cell *reports* the failure never depends on
-/// thread timing.
-pub fn try_run_indexed<T, E, F>(n: usize, jobs: usize, f: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    run_indexed(n, jobs, f).into_iter().collect()
-}
-
 /// Raw-pointer wrapper so the slot base address can cross the thread
 /// boundary; soundness is argued at the single write site.
 struct SlotPtr<T>(*mut Option<T>);
@@ -187,23 +155,5 @@ mod tests {
             })
         });
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn try_run_indexed_returns_first_error_by_index() {
-        let f = |i: usize| if i % 3 == 2 { Err(i) } else { Ok(i * 2) };
-        // Jobs 2, 5, 8, 11 fail; index order pins the reported error
-        // to 2 regardless of worker scheduling.
-        assert_eq!(try_run_indexed(12, 4, f), Err(2));
-        assert_eq!(try_run_indexed(12, 1, f), Err(2));
-        let ok = |i: usize| Ok::<usize, ()>(i + 1);
-        assert_eq!(try_run_indexed(4, 2, ok), Ok(vec![1, 2, 3, 4]));
-    }
-
-    #[test]
-    fn jobs_env_parsing() {
-        // Can't mutate the environment safely under the parallel test
-        // harness; exercise the default path only.
-        assert!(default_jobs() >= 1);
     }
 }

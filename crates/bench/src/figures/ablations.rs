@@ -11,7 +11,7 @@
 //!   emergent property of the substrate, not a tuned constant.
 
 use pact_core::{Attribution, PactConfig, PactPolicy, SamplingSource};
-use pact_tiersim::{FirstTouch, Machine, Tier};
+use pact_tiersim::{FirstTouch, RunSpec, Tier};
 
 use super::Rendered;
 use crate::{banner, count, experiment_machine, pct, Lab, Table, TierRatio};
@@ -141,9 +141,8 @@ pub(super) fn render(lab: &Lab) -> Rendered {
             let mut cfg = experiment_machine(0);
             cfg.mshrs = mshrs;
             cfg.prefetch.enabled = false;
-            let wl = pact_workloads::Phased::sweep_variant(0, 8 << 20, 200_000, lab.seed());
-            let machine = Machine::new(cfg)?;
-            let r = machine.try_run(&wl, &mut FirstTouch::new())?;
+            let wl = pact_workloads::Phased::sweep_variant(0, 8 << 20, 200_000, lab.seed);
+            let r = lab.run(cfg, RunSpec::new(&[&wl], &mut FirstTouch::new()))?;
             let mlp = r.counters.tor_mlp(Tier::Slow);
             let spm = r.counters.llc_stalls[1] as f64 / r.counters.llc_misses[1].max(1) as f64;
             t.row(vec![

@@ -29,7 +29,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         let h = lab.harness_with("bc-kron", cfg)?;
         let all_slow = h.cxl_slowdown()?;
         for policy in ["pact", "memtis", "nbt", "colloid", "notier"] {
-            let o = h.run_policy(policy, ratio)?;
+            let o = h.run_policy(policy, ratio, None)?;
             t.row(vec![
                 label.to_string(),
                 policy.to_string(),

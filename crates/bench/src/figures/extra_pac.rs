@@ -12,7 +12,7 @@
 
 use pact_core::{Attribution, PactConfig, PactPolicy};
 use pact_stats::{gini, spearman, top_k_overlap};
-use pact_tiersim::Machine;
+use pact_tiersim::RunSpec;
 
 use super::Rendered;
 use crate::{banner, experiment_machine, Lab, Table};
@@ -39,12 +39,11 @@ pub(super) fn render(lab: &Lab) -> Rendered {
             let mut cfg = experiment_machine(0);
             cfg.pebs.rate = 25;
             cfg.track_page_stalls = true;
-            let machine = Machine::new(cfg)?;
             let mut pact = PactPolicy::new(PactConfig {
                 attribution,
                 ..PactConfig::default()
             })?;
-            let report = machine.try_run(wl.as_ref(), &mut pact)?;
+            let report = lab.run(cfg, RunSpec::new(&[wl.as_ref()], &mut pact))?;
             #[expect(
                 clippy::expect_used,
                 reason = "track_page_stalls was set above, so the report carries the oracle's \

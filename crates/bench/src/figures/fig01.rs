@@ -11,7 +11,7 @@
 
 use pact_core::{PactConfig, PactPolicy};
 use pact_stats::{Quantiles, Summary};
-use pact_tiersim::{Machine, PAGE_BYTES};
+use pact_tiersim::{RunSpec, PAGE_BYTES};
 
 use super::Rendered;
 use crate::{banner, experiment_machine, Lab, Table};
@@ -24,9 +24,8 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         // dense PEBS sampling so per-page statistics are well resolved.
         let mut cfg = experiment_machine(0);
         cfg.pebs.rate = 20;
-        let machine = Machine::new(cfg.clone())?;
         let mut pact = PactPolicy::new(PactConfig::default())?;
-        let report = machine.try_run(wl.as_ref(), &mut pact)?;
+        let report = lab.run(cfg.clone(), RunSpec::new(&[wl.as_ref()], &mut pact))?;
 
         // Per-page (frequency, PAC-per-access) from the PAC store.
         let mut pages: Vec<(u64, f64)> = pact

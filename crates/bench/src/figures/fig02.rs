@@ -10,7 +10,7 @@
 //! raw misses.
 
 use pact_stats::{linear_fit, pearson};
-use pact_tiersim::{FirstTouch, Machine, MachineConfig, Tier, TierConfig, PAGE_BYTES};
+use pact_tiersim::{FirstTouch, MachineConfig, RunSpec, Tier, TierConfig, PAGE_BYTES};
 use pact_workloads::suite::Scale;
 use pact_workloads::Phased;
 
@@ -18,7 +18,7 @@ use super::Rendered;
 use crate::{banner, Lab, Table};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
-    let (buffer, loads) = match lab.scale() {
+    let (buffer, loads) = match lab.scale {
         Scale::Smoke => (1 << 21, 30_000),
         Scale::Paper => (16 << 20, 400_000),
     };
@@ -40,7 +40,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         let mut predictor = Vec::new();
         let mut stalls = Vec::new();
         for variant in 0..96 {
-            let wl = Phased::sweep_variant(variant, buffer, loads, lab.seed());
+            let wl = Phased::sweep_variant(variant, buffer, loads, lab.seed);
             let mut cfg = match tier {
                 // DRAM study: everything in the fast tier.
                 Tier::Fast => MachineConfig::skylake_cxl(u64::MAX / PAGE_BYTES),
@@ -48,8 +48,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
                 Tier::Slow => MachineConfig::skylake_cxl(0),
             };
             cfg.tiers[tier.index()] = tier_cfg;
-            let machine = Machine::new(cfg)?;
-            let r = machine.try_run(&wl, &mut FirstTouch::new())?;
+            let r = lab.run(cfg, RunSpec::new(&[&wl], &mut FirstTouch::new()))?;
             let c = &r.counters;
             let m = c.llc_misses[tier.index()] as f64;
             let mlp = c.tor_mlp(tier);

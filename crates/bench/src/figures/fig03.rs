@@ -10,7 +10,7 @@
 //! phases and shifts across them.
 
 use pact_stats::pearson;
-use pact_tiersim::{FirstTouch, Machine, MachineConfig, Tier};
+use pact_tiersim::{FirstTouch, MachineConfig, RunSpec, Tier};
 use pact_workloads::suite::Scale;
 use pact_workloads::Phased;
 
@@ -18,14 +18,14 @@ use super::Rendered;
 use crate::{banner, sparkline, Lab, Table};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
-    let (buffer, loads, pairs) = match lab.scale() {
+    let (buffer, loads, pairs) = match lab.scale {
         Scale::Smoke => (1 << 21, 40_000, 4),
         Scale::Paper => (16 << 20, 400_000, 10),
     };
-    let wl = Phased::mlp_phases(buffer, loads, pairs, lab.seed());
+    let wl = Phased::mlp_phases(buffer, loads, pairs, lab.seed);
     let cfg = MachineConfig::skylake_cxl(0); // everything on the slow tier
-    let machine = Machine::new(cfg)?;
-    let report = machine.try_run(&wl, &mut FirstTouch::new())?;
+    let window_cycles = cfg.window_cycles;
+    let report = lab.run(cfg, RunSpec::new(&[&wl], &mut FirstTouch::new()))?;
 
     let mut tor = Vec::new();
     let mut system = Vec::new();
@@ -39,7 +39,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         let occ = d.tor_occupancy[0] + d.tor_occupancy[1];
         let busy = (d.tor_busy[0] + d.tor_busy[1]).max(1);
         system.push((occ as f64 / busy as f64).max(1.0));
-        littles.push(d.littles_law_mlp(Tier::Slow, machine.config().window_cycles));
+        littles.push(d.littles_law_mlp(Tier::Slow, window_cycles));
     }
     let mut out = String::new();
     out.push_str(&banner(

@@ -8,7 +8,7 @@
 //! promotes up to ~10x fewer pages than Colloid (Table 2).
 
 use super::Rendered;
-use crate::{banner, jobs_from_env, ratio_sweep, Lab, TierRatio, ALL_POLICIES};
+use crate::{banner, ratio_sweep, Lab, TierRatio, ALL_POLICIES};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let h = lab.harness("bc-kron")?;
@@ -16,7 +16,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         &h,
         &ALL_POLICIES,
         &TierRatio::PAPER_SWEEP,
-        jobs_from_env(),
+        lab.jobs(),
         lab.trace("fig04").as_ref(),
     )?;
 

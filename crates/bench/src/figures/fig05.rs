@@ -9,7 +9,7 @@
 //! baseline.
 
 use super::Rendered;
-use crate::{banner, experiment_machine, jobs_from_env, ratio_sweep, Lab, TierRatio, ALL_POLICIES};
+use crate::{banner, experiment_machine, ratio_sweep, Lab, TierRatio, ALL_POLICIES};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let mut cfg = experiment_machine(0);
@@ -19,7 +19,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         &h,
         &ALL_POLICIES,
         &TierRatio::PAPER_SWEEP,
-        jobs_from_env(),
+        lab.jobs(),
         lab.trace("fig05").as_ref(),
     )?;
 

@@ -20,7 +20,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     let mut promo_table = Table::new(header);
     let mut results: Vec<(String, Vec<f64>)> = Vec::new();
 
-    let jobs = exec::jobs_from_env();
+    let jobs = lab.jobs();
     for name in SUITE {
         eprintln!("[fig06] {name}");
         // The lab's harness shares the workload (and the cached DRAM
@@ -29,12 +29,14 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         let cxl = h.cxl_slowdown()?;
         // The Soar profile is a OnceLock: the first worker to need it
         // computes it, the rest block briefly and then share it.
-        let outs =
-            exec::try_run_indexed(policies.len(), jobs, |i| h.run_policy(policies[i], ratio))?;
+        let outs = exec::run_indexed(policies.len(), jobs, |i| {
+            h.run_policy(policies[i], ratio, None)
+        });
         let mut srow = vec![name.to_string(), crate::pct(cxl)];
         let mut prow = vec![name.to_string(), "-".to_string()];
         let mut slows = Vec::new();
         for out in outs {
+            let out = out?;
             srow.push(crate::pct(out.slowdown));
             prow.push(crate::count(out.promotions));
             slows.push(out.slowdown);

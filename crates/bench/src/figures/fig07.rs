@@ -24,7 +24,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
             eprintln!("[fig07] {name} @ {ratio}");
             let h = lab.harness(name)?;
             let cycles = |policy: &str| -> Result<f64, crate::RunError> {
-                Ok(h.run_policy(policy, ratio)?.report.total_cycles as f64)
+                Ok(h.run_policy(policy, ratio, None)?.report.total_cycles as f64)
             };
             let pact_cycles = cycles("pact")?;
             let mut cells = vec![name.to_string()];

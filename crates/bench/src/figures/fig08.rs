@@ -14,8 +14,8 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     let h = lab.harness("sssp-kron")?;
     let ratio = TierRatio::new(1, 1);
 
-    let pact = h.run_policy("pact", ratio)?;
-    let colloid = h.run_policy("colloid", ratio)?;
+    let pact = h.run_policy("pact", ratio, None)?;
+    let colloid = h.run_policy("colloid", ratio, None)?;
 
     let promos: Vec<f64> = pact
         .report

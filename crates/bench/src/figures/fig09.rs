@@ -11,22 +11,26 @@
 use std::sync::Arc;
 
 use super::Rendered;
-use crate::{banner, exec, sparkline, Lab, LabHarness, Outcome, RunError, Table, TierRatio};
+use crate::{banner, exec, sparkline, Harness, Lab, Outcome, RunError, Table, TierRatio};
 
 /// Runs the PAC-ranked and frequency-ranked variants over one shared
-/// workload, fanning the two independent runs across workers.
-fn pac_vs_freq(h: &LabHarness, ratio: TierRatio) -> Result<(Arc<Outcome>, Arc<Outcome>), RunError> {
+/// workload, fanning the two independent runs over `jobs` workers.
+fn pac_vs_freq(
+    h: &Harness<'_>,
+    ratio: TierRatio,
+    jobs: usize,
+) -> Result<(Arc<Outcome>, Arc<Outcome>), RunError> {
     // Warm the shared baseline before fanning out.
     h.dram_cycles()?;
-    let mut outs = exec::try_run_indexed(2, exec::jobs_from_env(), |i| {
-        h.run_policy(["pact", "pact-freq"][i], ratio)
-    })?
+    let mut outs = exec::run_indexed(2, jobs, |i| {
+        h.run_policy(["pact", "pact-freq"][i], ratio, None)
+    })
     .into_iter();
     #[expect(
         clippy::unwrap_used,
-        reason = "try_run_indexed(2, ..) yields exactly two results"
+        reason = "run_indexed(2, ..) yields exactly two results"
     )]
-    Ok((outs.next().unwrap(), outs.next().unwrap()))
+    Ok((outs.next().unwrap()?, outs.next().unwrap()?))
 }
 
 pub(super) fn render(lab: &Lab) -> Rendered {
@@ -36,7 +40,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     // Featured workload: timeline comparison.
     {
         let h = lab.harness("bc-kron")?;
-        let (pac, freq) = pac_vs_freq(&h, ratio)?;
+        let (pac, freq) = pac_vs_freq(&h, ratio, lab.jobs())?;
         let series = |o: &Outcome| -> Vec<f64> {
             o.report
                 .windows
@@ -75,7 +79,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     for name in ["bc-urand", "sssp-kron", "silo"] {
         eprintln!("[fig09] {name}");
         let h = lab.harness(name)?;
-        let (pac, freq) = pac_vs_freq(&h, ratio)?;
+        let (pac, freq) = pac_vs_freq(&h, ratio, lab.jobs())?;
         let improvement = (freq.report.total_cycles as f64 - pac.report.total_cycles as f64)
             / freq.report.total_cycles as f64;
         t.row(vec![

@@ -26,7 +26,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
             cfg.pebs.rate = rate;
             let o = lab
                 .harness_with("bc-kron", cfg)?
-                .run_policy("pact", ratio)?;
+                .run_policy("pact", ratio, None)?;
             t.row(vec![
                 rate.to_string(),
                 crate::pct(o.slowdown),

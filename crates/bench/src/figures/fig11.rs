@@ -7,60 +7,50 @@
 //! performance comparable to or better than Colloid (4 KB) and Memtis
 //! (THP) while promoting several times fewer pages.
 
-use pact_tiersim::{FirstTouch, Machine, RunReport, RunSpec, Workload, PAGE_BYTES};
+use pact_tiersim::{FirstTouch, RunSpec, Workload, PAGE_BYTES};
 use pact_workloads::suite::Scale;
 use pact_workloads::Mlc;
 
-use super::Rendered;
+use super::{process_cycles, Rendered};
 use crate::{banner, count, experiment_machine, make_policy, pct, Lab, Table};
 
-type Level = Result<(f64, u64), Box<dyn std::error::Error + Send + Sync>>;
+/// `(slowdown, promotions)` of each policy at one contention level.
+type Level = Result<Vec<(f64, u64)>, Box<dyn std::error::Error + Send + Sync>>;
 
-fn run_level(
-    lab: &Lab,
-    mlc_threads: usize,
-    thp: bool,
-    policy_name: &str,
-    fast_ratio_of_bc: (u64, u64),
-) -> Level {
+/// Runs bc-kron next to `mlc_threads` MLC threads under each of
+/// `policies` at 1:1, normalised to one DRAM-only run under the same
+/// contention.
+fn run_level(lab: &Lab, mlc_threads: usize, thp: bool, policies: [&str; 2]) -> Level {
     let bc = lab.workload("bc-kron");
-    let loads = match lab.scale() {
+    let loads = match lab.scale {
         Scale::Smoke => 300_000,
         Scale::Paper => 16_000_000,
     };
     let mlc = Mlc::paper_thread(mlc_threads, loads);
+    let workloads = [bc.as_ref(), &mlc];
     let bc_pages = bc.footprint_bytes().div_ceil(PAGE_BYTES);
     let mlc_pages = mlc.footprint_bytes().div_ceil(PAGE_BYTES);
     // MLC lives on the local node: its buffers always fit the fast tier.
-    let fast =
-        bc_pages * fast_ratio_of_bc.0 / (fast_ratio_of_bc.0 + fast_ratio_of_bc.1) + mlc_pages + 512;
+    let fast = bc_pages / 2 + mlc_pages + 512;
+    let machine = |fast_pages| {
+        let mut cfg = experiment_machine(fast_pages);
+        cfg.thp = thp;
+        cfg
+    };
 
     // DRAM-only reference under identical contention.
-    let mut dram_cfg = experiment_machine(u64::MAX / PAGE_BYTES);
-    dram_cfg.thp = thp;
-    let dram = Machine::new(dram_cfg)?;
-    let base = dram.run(RunSpec::new(&[bc.as_ref(), &mlc], &mut FirstTouch::new()))?;
-    let base_cycles = bc_cycles(&base);
+    let dram = machine(u64::MAX / PAGE_BYTES);
+    let base = lab.run(dram, RunSpec::new(&workloads, &mut FirstTouch::new()))?;
+    let base_cycles = process_cycles(&base, "bc-kron");
 
-    let mut cfg = experiment_machine(fast);
-    cfg.thp = thp;
-    let machine = Machine::new(cfg)?;
-    let mut policy = make_policy(policy_name)?;
-    let r = machine.run(RunSpec::new(&[bc.as_ref(), &mlc], policy.as_mut()))?;
-    let cycles = bc_cycles(&r);
-    Ok((cycles as f64 / base_cycles as f64 - 1.0, r.promotions))
-}
-
-#[expect(
-    clippy::unwrap_used,
-    reason = "the colocated run reports one entry per workload, and bc-kron was passed in"
-)]
-fn bc_cycles(r: &RunReport) -> u64 {
-    r.per_process
-        .iter()
-        .find(|p| p.name == "bc-kron")
-        .unwrap()
-        .cycles
+    let mut rows = Vec::with_capacity(policies.len());
+    for name in policies {
+        let mut policy = make_policy(name)?;
+        let r = lab.run(machine(fast), RunSpec::new(&workloads, policy.as_mut()))?;
+        let slowdown = process_cycles(&r, "bc-kron") as f64 / base_cycles as f64 - 1.0;
+        rows.push((slowdown, r.promotions));
+    }
+    Ok(rows)
 }
 
 pub(super) fn render(lab: &Lab) -> Rendered {
@@ -82,8 +72,8 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         ]);
         for &n in &levels {
             eprintln!("[fig11 {label}] {n} MLC threads");
-            let (s0, p0) = run_level(lab, n, thp, policies[0], (1, 1))?;
-            let (s1, p1) = run_level(lab, n, thp, policies[1], (1, 1))?;
+            let rows = run_level(lab, n, thp, policies)?;
+            let ((s0, p0), (s1, p1)) = (rows[0], rows[1]);
             t.row(vec![
                 n.to_string(),
                 pct(s0),

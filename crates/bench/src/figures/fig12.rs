@@ -8,15 +8,15 @@
 //! over Colloid by 112% (sequential), 28% (random), and 61% aggregate,
 //! with 300K promotions vs Colloid's 12M.
 
-use pact_tiersim::{FirstTouch, Machine, RunReport, RunSpec, Workload, PAGE_BYTES};
+use pact_tiersim::{FirstTouch, RunSpec, Workload, PAGE_BYTES};
 use pact_workloads::suite::Scale;
 use pact_workloads::{Masim, MasimPattern};
 
-use super::Rendered;
+use super::{process_cycles, Rendered};
 use crate::{banner, count, experiment_machine, make_policy, Lab, Table};
 
 fn build_pair(lab: &Lab) -> (Masim, Masim) {
-    let (buf, seq_loads, rnd_loads) = match lab.scale() {
+    let (buf, seq_loads, rnd_loads) = match lab.scale {
         Scale::Smoke => (1 << 20, 200_000, 30_000),
         Scale::Paper => (8 << 20, 20_000_000, 600_000),
     };
@@ -26,29 +26,16 @@ fn build_pair(lab: &Lab) -> (Masim, Masim) {
             MasimPattern::Sequential,
             buf,
             seq_loads,
-            lab.seed(),
+            lab.seed,
         ),
         Masim::single(
             "masim-rnd",
             MasimPattern::RandomChase,
             buf,
             rnd_loads,
-            lab.seed() + 1,
+            lab.seed + 1,
         ),
     )
-}
-
-#[expect(
-    clippy::unwrap_used,
-    reason = "every caller passes the name of a colocated workload, and a colocated run \
-              reports one entry per workload"
-)]
-fn proc_cycles(r: &RunReport, name: &str) -> u64 {
-    r.per_process
-        .iter()
-        .find(|p| p.name == name)
-        .unwrap()
-        .cycles
 }
 
 pub(super) fn render(lab: &Lab) -> Rendered {
@@ -57,10 +44,12 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     let fast = total_pages / 2; // fast tier holds half the footprint
 
     // Solo DRAM baselines for per-process normalization.
-    let dram = Machine::new(experiment_machine(u64::MAX / PAGE_BYTES))?;
-    let base = dram.run(RunSpec::new(&[&seq, &rnd], &mut FirstTouch::new()))?;
-    let base_seq = proc_cycles(&base, "masim-seq");
-    let base_rnd = proc_cycles(&base, "masim-rnd");
+    let base = lab.run(
+        experiment_machine(u64::MAX / PAGE_BYTES),
+        RunSpec::new(&[&seq, &rnd], &mut FirstTouch::new()),
+    )?;
+    let base_seq = process_cycles(&base, "masim-seq");
+    let base_rnd = process_cycles(&base, "masim-rnd");
 
     let mut out = String::new();
     out.push_str(&banner(
@@ -75,12 +64,14 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     ]);
     let mut rows: Vec<(String, f64, f64, f64, u64)> = Vec::new();
     for name in ["pact", "colloid", "notier"] {
-        let machine = Machine::new(experiment_machine(fast))?;
         let mut policy = make_policy(name)?;
-        let r = machine.run(RunSpec::new(&[&seq, &rnd], policy.as_mut()))?;
-        let s_seq = proc_cycles(&r, "masim-seq") as f64 / base_seq as f64 - 1.0;
-        let s_rnd = proc_cycles(&r, "masim-rnd") as f64 / base_rnd as f64 - 1.0;
-        let agg = (proc_cycles(&r, "masim-seq") + proc_cycles(&r, "masim-rnd")) as f64
+        let r = lab.run(
+            experiment_machine(fast),
+            RunSpec::new(&[&seq, &rnd], policy.as_mut()),
+        )?;
+        let s_seq = process_cycles(&r, "masim-seq") as f64 / base_seq as f64 - 1.0;
+        let s_rnd = process_cycles(&r, "masim-rnd") as f64 / base_rnd as f64 - 1.0;
+        let agg = (process_cycles(&r, "masim-seq") + process_cycles(&r, "masim-rnd")) as f64
             / (base_seq + base_rnd) as f64
             - 1.0;
         t.row(vec![

@@ -58,7 +58,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     let fast = ratio.fast_pages(h.workload().footprint_bytes());
 
     let mut rows = Vec::new();
-    let colloid = h.run_policy("colloid", ratio)?;
+    let colloid = h.run_policy("colloid", ratio, None)?;
     rows.push(metrics("colloid", &colloid));
     for (name, mode) in [
         ("pact+static", BinningMode::Static),

@@ -63,6 +63,20 @@ pub const FIGURES: [Figure; 16] = [
     figure("extra-pac", "extra_pac_accuracy.txt", extra_pac::render),
 ];
 
+/// Cycles the colocated process `name` ran in `r`.
+#[expect(
+    clippy::unwrap_used,
+    reason = "every caller names a workload of its colocated run, and a colocated run reports \
+              one entry per workload"
+)]
+fn process_cycles(r: &pact_tiersim::RunReport, name: &str) -> u64 {
+    r.per_process
+        .iter()
+        .find(|p| p.name == name)
+        .unwrap()
+        .cycles
+}
+
 const fn figure(name: &'static str, file: &'static str, render: fn(&Lab) -> Rendered) -> Figure {
     Figure { name, file, render }
 }
@@ -95,14 +109,14 @@ pub fn find(name: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.name == name)
 }
 
-/// Renders `figures` on up to `jobs` workers, longest first, and
-/// returns the reports in the order given. Each figure's wall time goes
-/// to stderr as it finishes.
-pub fn render_all(lab: &Lab, figures: &[&Figure], jobs: usize) -> Vec<Rendered> {
+/// Renders `figures` on the lab's workers, longest first, and returns
+/// the reports in the order given. Each figure's wall time goes to
+/// stderr as it finishes.
+pub fn render_all(lab: &Lab, figures: &[&Figure]) -> Vec<Rendered> {
     let rank = |f: &Figure| LONGEST_FIRST.iter().position(|&n| n == f.name);
     let mut order: Vec<usize> = (0..figures.len()).collect();
     order.sort_by_key(|&i| rank(figures[i]));
-    let done = crate::exec::run_indexed(order.len(), jobs, |k| {
+    let done = crate::exec::run_indexed(order.len(), lab.jobs(), |k| {
         let fig = figures[order[k]];
         let start = Instant::now();
         let report = (fig.render)(lab);

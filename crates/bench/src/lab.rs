@@ -1,42 +1,40 @@
-//! The reproduction lab: the one cache behind `tierctl repro`, so a
-//! workload several figures use is built once and a cell several
-//! figures request runs once.
+//! The reproduction lab: the one place in pact-bench that builds a
+//! [`Machine`], and the cache behind `tierctl repro`, so a workload
+//! several figures use is built once and a cell several figures
+//! request runs once.
+//!
+//! A lab serves one `(scale, seed)` under one resolved environment
+//! ([`Env`]). Every run it makes, through [`Lab::run`] or a
+//! [`Harness`] it hands out, applies the environment's fault plan
+//! unless the run's configuration carries a plan of its own; figures
+//! take their worker count and trace root from it too.
 //!
 //! Sharing is decided by keys, never by equal numbers:
 //!
-//! * suite workloads by `(name, scale, seed)`;
+//! * suite workloads by name;
 //! * harnesses by workload plus the [`config_fingerprint`] of the
-//!   effective machine config (the `PACT_FAULTS` plan included), so a
-//!   figure that changes any behaviour-relevant knob gets its own
-//!   harness and DRAM reference;
-//! * untraced named-policy outcomes and the CXL reference by harness
-//!   plus `(policy, fast_pages)`.
+//!   machine config, so a figure that changes any behaviour-relevant
+//!   knob gets its own harness and DRAM reference;
+//! * within a harness, untraced named-policy outcomes and the CXL
+//!   reference by `(policy, fast_pages)`.
 //!
 //! Concurrent requests for one key block on its `OnceLock`, so a key
-//! never runs twice. Runs of caller-built policies
-//! ([`LabHarness::run_custom`]) and traced sweep cells are never
-//! cached.
-//!
-//! The cache lives here, not in [`Harness`]: the determinism tests
-//! compare sweeps run on one harness, and a cache there would answer
-//! the second sweep from memory.
+//! never runs twice. Runs of caller-built policies and traced runs are
+//! never cached. A comparison that must simulate both of its sides
+//! uses a fresh lab for each.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use pact_baselines::NoTier;
+use pact_baselines::{soar_profile, NoTier, Soar, SoarProfile};
 use pact_tiersim::{
-    config_fingerprint, ConfigError, MachineConfig, SimError, TieringPolicy, TraceConfig, Workload,
+    config_fingerprint, ConfigError, Machine, MachineConfig, RunReport, RunSpec, SimError,
+    TieringPolicy, TraceConfig, Tracer, Workload, PAGE_BYTES,
 };
 use pact_workloads::suite::{build, Scale};
 
-use crate::runner::{effective_config, Cells};
-use crate::{experiment_machine, Harness, Outcome, RunError, TierRatio};
-
-type WorkloadKey = (String, Scale, u64);
-type HarnessKey = (WorkloadKey, u64);
-type CellKey = (HarnessKey, String, u64);
+use crate::{experiment_machine, make_policy, Env, Outcome, RunError, TierRatio};
 
 /// A map whose values are computed once per key: the first caller runs
 /// `init`, concurrent callers of the same key block until it is done.
@@ -71,38 +69,42 @@ pub struct LabStats {
     pub workload_builds: u64,
     /// Harnesses created (each computes its own DRAM reference).
     pub harnesses: u64,
-    /// Cells asked of the lab's harnesses. Traced sweep cells bypass
-    /// the lab and are not counted.
+    /// Runs asked of the lab: every run it made plus every request a
+    /// harness answered from its cache.
     pub cells_requested: u64,
-    /// Cells actually simulated.
+    /// Simulations actually run (Soar's profiling pass aside).
     pub cells_run: u64,
 }
 
-/// Shared workloads, harnesses and outcomes for one `(scale, seed)`
-/// reproduction; see the module docs for what is shared.
+/// Shared workloads and harnesses for one `(scale, seed)` reproduction
+/// under one environment; see the module docs for what is shared.
 pub struct Lab {
-    scale: Scale,
-    seed: u64,
-    trace: Option<TraceConfig>,
-    workloads: Memo<WorkloadKey, Arc<dyn Workload>>,
-    harnesses: Memo<HarnessKey, Result<Arc<Harness>, ConfigError>>,
-    outcomes: Memo<CellKey, Result<Arc<Outcome>, RunError>>,
+    pub(crate) scale: Scale,
+    pub(crate) seed: u64,
+    env: Env,
+    workloads: Memo<String, Arc<dyn Workload>>,
+    harnesses: Memo<(String, u64), Result<Arc<HarnessState>, ConfigError>>,
     workload_builds: AtomicU64,
     harness_count: AtomicU64,
     cells_requested: AtomicU64,
     cells_run: AtomicU64,
 }
 
+fn bump(n: &AtomicU64) {
+    n.fetch_add(1, Ordering::Relaxed);
+}
+
 impl Lab {
-    /// An empty lab for suite workloads at `scale`, seeded with `seed`.
+    /// An empty lab for suite workloads at `scale`, seeded with `seed`,
+    /// under the default environment: no fault plan, no trace, one
+    /// worker per available core.
     pub fn new(scale: Scale, seed: u64) -> Self {
         Self {
             scale,
             seed,
-            trace: None,
+            env: Env::default(),
             workloads: Memo::new(),
             harnesses: Memo::new(),
-            outcomes: Memo::new(),
             workload_builds: AtomicU64::new(0),
             harness_count: AtomicU64::new(0),
             cells_requested: AtomicU64::new(0),
@@ -110,68 +112,72 @@ impl Lab {
         }
     }
 
-    /// Sets the trace root (`PACT_TRACE`) under which figures write
-    /// their sweep traces.
-    pub fn with_trace(mut self, trace: Option<TraceConfig>) -> Self {
-        self.trace = trace;
+    /// Runs everything under `env`: its fault plan, trace root and
+    /// worker count.
+    pub fn with_env(mut self, env: Env) -> Self {
+        self.env = env;
         self
     }
 
-    /// Workload scale.
-    pub(crate) fn scale(&self) -> Scale {
-        self.scale
-    }
-
-    /// Base RNG seed.
-    pub(crate) fn seed(&self) -> u64 {
-        self.seed
+    /// Worker count for sweeps and figures.
+    pub fn jobs(&self) -> usize {
+        self.env.jobs
     }
 
     /// Where `figure` writes its sweep traces: `<root>/<figure>/`, so
     /// two figures that sweep the same cell keep both files.
     pub(crate) fn trace(&self, figure: &str) -> Option<TraceConfig> {
-        self.trace.as_ref().map(|t| TraceConfig {
+        self.env.trace.as_ref().map(|t| TraceConfig {
             path: t.path.join(figure),
             format: t.format,
         })
     }
 
     /// The suite workload `name`, built on first use.
-    pub(crate) fn workload(&self, name: &str) -> Arc<dyn Workload> {
-        let key = (name.to_string(), self.scale, self.seed);
-        self.workloads.get(key, || {
-            self.workload_builds.fetch_add(1, Ordering::Relaxed);
+    pub fn workload(&self, name: &str) -> Arc<dyn Workload> {
+        self.workloads.get(name.to_string(), || {
+            bump(&self.workload_builds);
             Arc::from(build(name, self.scale, self.seed))
         })
     }
 
     /// The harness for workload `name` on the experiment machine.
-    pub fn harness(&self, name: &str) -> Result<LabHarness<'_>, ConfigError> {
+    pub fn harness(&self, name: &str) -> Result<Harness<'_>, ConfigError> {
         self.harness_with(name, experiment_machine(0))
     }
 
     /// The harness for workload `name` on machine `cfg` (tier capacity
     /// is set per run), validated on first use.
-    pub(crate) fn harness_with(
-        &self,
-        name: &str,
-        cfg: MachineConfig,
-    ) -> Result<LabHarness<'_>, ConfigError> {
-        let key = (
-            (name.to_string(), self.scale, self.seed),
-            config_fingerprint(&effective_config(cfg.clone())),
-        );
-        let harness = self.harnesses.get(key.clone(), || {
-            self.harness_count.fetch_add(1, Ordering::Relaxed);
-            Harness::from_arc(self.workload(name))
-                .with_machine(cfg)
-                .map(Arc::new)
+    pub fn harness_with(&self, name: &str, cfg: MachineConfig) -> Result<Harness<'_>, ConfigError> {
+        let key = (name.to_string(), config_fingerprint(&cfg));
+        let state = self.harnesses.get(key, || {
+            bump(&self.harness_count);
+            cfg.validate()?;
+            Ok(Arc::new(HarnessState {
+                workload: self.workload(name),
+                cfg,
+                dram_cycles: OnceLock::new(),
+                soar_profile: OnceLock::new(),
+                cells: Memo::new(),
+            }))
         })?;
-        Ok(LabHarness {
-            lab: self,
-            key,
-            harness,
-        })
+        Ok(Harness { lab: self, state })
+    }
+
+    /// Runs `spec` on a machine built from `cfg`, with the lab's fault
+    /// plan when `cfg` has none: the one way any caller simulates,
+    /// colocated workloads, snapshot sinks and resume frames included.
+    ///
+    /// # Errors
+    ///
+    /// An invalid `cfg` or a failed run, as its [`SimError`].
+    pub fn run(&self, mut cfg: MachineConfig, spec: RunSpec<'_>) -> Result<RunReport, SimError> {
+        if cfg.fault_plan.is_none() {
+            cfg.fault_plan = self.env.faults.clone();
+        }
+        bump(&self.cells_requested);
+        bump(&self.cells_run);
+        Machine::new(cfg).map_err(SimError::Config)?.run(spec)
     }
 
     /// Totals so far.
@@ -184,86 +190,167 @@ impl Lab {
             cells_run: get(&self.cells_run),
         }
     }
+
+    /// Serves `workload` as the suite workload `name`, so a test can
+    /// run a harness over a workload the suite cannot build.
+    #[cfg(test)]
+    pub(crate) fn insert_workload(&self, name: &str, workload: Arc<dyn Workload>) {
+        self.workloads.get(name.to_string(), || workload);
+    }
 }
 
-/// A [`Harness`] whose untraced named-policy cells and CXL reference
-/// are shared through its [`Lab`].
-pub struct LabHarness<'a> {
+/// What a [`Lab`] keeps per harness: the workload, the base machine,
+/// and everything computed from them once.
+struct HarnessState {
+    workload: Arc<dyn Workload>,
+    cfg: MachineConfig,
+    dram_cycles: OnceLock<Result<u64, SimError>>,
+    soar_profile: OnceLock<SoarProfile>,
+    cells: Memo<(String, u64), Result<Arc<Outcome>, RunError>>,
+}
+
+/// Per-workload experiment driver, handed out by a [`Lab`]: runs
+/// policies at any tier ratio on one base machine, normalised against
+/// that machine's DRAM-only run.
+///
+/// Every method takes `&self` and its state is shared, so a sweep can
+/// fan independent `(policy, ratio)` cells across threads. The DRAM
+/// baseline and the Soar profile are computed once, and each untraced
+/// named-policy cell and the CXL reference run once per key.
+pub struct Harness<'a> {
     lab: &'a Lab,
-    key: HarnessKey,
-    harness: Arc<Harness>,
+    state: Arc<HarnessState>,
 }
 
-impl LabHarness<'_> {
+impl Harness<'_> {
     /// The wrapped workload.
-    pub(crate) fn workload(&self) -> &dyn Workload {
-        self.harness.workload()
+    pub fn workload(&self) -> &dyn Workload {
+        self.state.workload.as_ref()
     }
 
-    /// [`Harness::dram_cycles`], cached by the harness.
-    pub(crate) fn dram_cycles(&self) -> Result<u64, SimError> {
-        self.harness.dram_cycles()
+    /// Cycles of the ideal DRAM-only run, computed once: concurrent
+    /// callers block until the first one finishes.
+    pub fn dram_cycles(&self) -> Result<u64, SimError> {
+        self.state
+            .dram_cycles
+            .get_or_init(|| {
+                let cfg = self.config(u64::MAX / PAGE_BYTES);
+                let report = self
+                    .lab
+                    .run(cfg, RunSpec::new(&[self.workload()], &mut NoTier::new()))?;
+                Ok(report.total_cycles)
+            })
+            .clone()
     }
 
-    /// [`Harness::run_policy`], untraced, run once per key.
-    pub(crate) fn run_policy(
-        &self,
-        policy: &str,
-        ratio: TierRatio,
-    ) -> Result<Arc<Outcome>, RunError> {
-        let fast_pages = ratio.fast_pages(self.workload().footprint_bytes());
-        self.cell(policy, fast_pages, || {
-            self.harness.run_policy(policy, ratio, None)
-        })
-    }
-
-    /// [`Harness::cxl_slowdown`], run once per harness. It is NoTier
-    /// with no fast tier, so it is keyed as that cell.
-    pub(crate) fn cxl_slowdown(&self) -> Result<f64, RunError> {
-        let out = self.cell("notier", 0, || {
-            self.harness.run_custom(&mut NoTier::new(), 0, None)
-        })?;
+    /// Slowdown of running entirely on the slow tier (the "CXL" line).
+    /// It is NoTier with no fast tier, so it is cached as that cell.
+    pub fn cxl_slowdown(&self) -> Result<f64, RunError> {
+        let out = self.cell("notier", 0, || self.outcome(&mut NoTier::new(), 0, None))?;
         Ok(out.slowdown)
     }
 
-    /// [`Harness::run_custom`], untraced. Never cached: the lab cannot
-    /// key a caller-built policy.
-    pub(crate) fn run_custom(
+    /// Runs the evaluated system `name` (any of
+    /// [`ALL_POLICIES`](crate::ALL_POLICIES), Soar's profiling pass
+    /// included) at `ratio`, normalised against the DRAM baseline.
+    /// Untraced, it runs once per key; with a `tracer` it always runs,
+    /// and records the run's event trace without perturbing it.
+    pub fn run_policy(
+        &self,
+        name: &str,
+        ratio: TierRatio,
+        tracer: Option<&mut Tracer>,
+    ) -> Result<Arc<Outcome>, RunError> {
+        let fast_pages = ratio.fast_pages(self.workload().footprint_bytes());
+        let run =
+            |tracer| self.outcome(self.policy(name, fast_pages)?.as_mut(), fast_pages, tracer);
+        match tracer {
+            None => self.cell(name, fast_pages, || run(None)),
+            tracer => run(tracer).map(Arc::new),
+        }
+    }
+
+    /// Runs a caller-constructed policy (for custom configurations,
+    /// e.g. PACT ablations) with an explicit fast-tier size in pages.
+    /// Never cached: the harness cannot key a caller-built policy.
+    pub fn run_custom(
         &self,
         policy: &mut dyn TieringPolicy,
         fast_pages: u64,
     ) -> Result<Outcome, RunError> {
-        self.lab.cells_requested.fetch_add(1, Ordering::Relaxed);
-        self.lab.cells_run.fetch_add(1, Ordering::Relaxed);
-        self.harness.run_custom(policy, fast_pages, None)
+        self.outcome(policy, fast_pages, None)
     }
 
+    /// The evaluated system `name` for a fast tier of `fast_pages`,
+    /// built the way [`Harness::run_policy`] builds it: Soar from this
+    /// harness's profile, every other name by
+    /// [`make_policy`](crate::make_policy).
+    pub fn policy(&self, name: &str, fast_pages: u64) -> Result<Box<dyn TieringPolicy>, RunError> {
+        if name == "soar" {
+            return Ok(Box::new(Soar::from_profile(self.soar()?, fast_pages)));
+        }
+        make_policy(name)
+    }
+
+    /// The Soar object-placement profile (computed once, cached). The
+    /// DRAM baseline runs first, so a workload that cannot run is
+    /// reported as its error rather than a panic in the profiling pass.
+    pub(crate) fn soar(&self) -> Result<&SoarProfile, SimError> {
+        self.dram_cycles()?;
+        Ok(self
+            .state
+            .soar_profile
+            .get_or_init(|| soar_profile(&self.state.cfg, self.workload())))
+    }
+
+    /// The base machine with a fast tier of `fast_pages`.
+    fn config(&self, fast_pages: u64) -> MachineConfig {
+        let mut cfg = self.state.cfg.clone();
+        cfg.fast_tier_pages = fast_pages;
+        cfg
+    }
+
+    /// The untraced outcome cached under `(policy, fast_pages)`; an
+    /// answer from the cache counts as a request the lab did not run.
     fn cell(
         &self,
         policy: &str,
         fast_pages: u64,
         run: impl FnOnce() -> Result<Outcome, RunError>,
     ) -> Result<Arc<Outcome>, RunError> {
-        self.lab.cells_requested.fetch_add(1, Ordering::Relaxed);
-        let key = (self.key.clone(), policy.to_string(), fast_pages);
-        self.lab.outcomes.get(key, || {
-            self.lab.cells_run.fetch_add(1, Ordering::Relaxed);
+        let mut ran = false;
+        let key = (policy.to_string(), fast_pages);
+        let out = self.state.cells.get(key, || {
+            ran = true;
             run().map(Arc::new)
+        });
+        if !ran {
+            bump(&self.lab.cells_requested);
+        }
+        out
+    }
+
+    /// One run of `policy`, normalised against the DRAM baseline.
+    fn outcome(
+        &self,
+        policy: &mut dyn TieringPolicy,
+        fast_pages: u64,
+        tracer: Option<&mut Tracer>,
+    ) -> Result<Outcome, RunError> {
+        let report = self.lab.run(
+            self.config(fast_pages),
+            RunSpec {
+                tracer,
+                ..RunSpec::new(&[self.workload()], policy)
+            },
+        )?;
+        let dram = self.dram_cycles()?;
+        Ok(Outcome {
+            slowdown: report.total_cycles as f64 / dram as f64 - 1.0,
+            promotions: report.promotions,
+            demotions: report.demotions,
+            report,
         })
-    }
-}
-
-impl Cells for LabHarness<'_> {
-    fn harness(&self) -> &Harness {
-        &self.harness
-    }
-
-    fn outcome(&self, policy: &str, ratio: TierRatio) -> Result<Arc<Outcome>, RunError> {
-        self.run_policy(policy, ratio)
-    }
-
-    fn cxl(&self) -> Result<f64, RunError> {
-        self.cxl_slowdown()
     }
 }
 
@@ -271,7 +358,7 @@ impl Cells for LabHarness<'_> {
 mod tests {
     use super::*;
     use crate::ratio_sweep;
-    use pact_tiersim::{fnv1a, InvariantSet, TraceFormat};
+    use pact_tiersim::{fnv1a, FaultPlan, InvariantSet, TraceFormat};
 
     /// `(cells requested, cells run, workload builds, harnesses)`.
     fn totals(lab: &Lab) -> (u64, u64, u64, u64) {
@@ -288,27 +375,31 @@ mod tests {
     fn a_repeated_key_runs_once_and_matches_a_fresh_run() {
         let lab = Lab::new(Scale::Smoke, 42);
         let ratio = TierRatio::new(1, 1);
-        // Four workers race for one key; exactly one simulates it.
+        // Four workers race for one key; exactly one simulates it,
+        // after the harness's DRAM reference.
         let outs = crate::run_indexed(8, 4, |_| {
             let h = lab.harness("gups").unwrap();
-            h.run_policy("pact", ratio).unwrap()
+            h.run_policy("pact", ratio, None).unwrap()
         });
         assert!(outs.iter().all(|o| Arc::ptr_eq(o, &outs[0])));
-        assert_eq!(totals(&lab), (8, 1, 1, 1));
-        let fresh = Harness::new(build("gups", Scale::Smoke, 42))
-            .run_policy("pact", ratio, None)
-            .unwrap();
+        assert_eq!(totals(&lab), (9, 2, 1, 1));
+        let fresh = Lab::new(Scale::Smoke, 42);
+        let fresh = fresh.harness("gups").unwrap();
+        let fresh = fresh.run_policy("pact", ratio, None).unwrap();
         assert_eq!(
             fnv1a(outs[0].report.to_json().as_bytes()),
             fnv1a(fresh.report.to_json().as_bytes())
         );
-        // The CXL reference is a cached cell too; custom runs never are.
+        // The CXL reference is a cached cell too; custom runs and
+        // traced runs never are.
         let h = lab.harness("gups").unwrap();
         for _ in 0..2 {
             h.cxl_slowdown().unwrap();
             h.run_custom(&mut NoTier::new(), 1).unwrap();
+            h.run_policy("pact", ratio, Some(&mut Tracer::ring(16)))
+                .unwrap();
         }
-        assert_eq!(totals(&lab), (12, 4, 1, 1));
+        assert_eq!(totals(&lab), (15, 7, 1, 1));
     }
 
     #[test]
@@ -320,23 +411,48 @@ mod tests {
         armed.invariants = Some(InvariantSet::all());
         for cfg in [experiment_machine(0), thp, armed] {
             let h = lab.harness_with("gups", cfg).unwrap();
-            h.run_policy("notier", TierRatio::new(1, 2)).unwrap();
+            h.run_policy("notier", TierRatio::new(1, 2), None).unwrap();
         }
-        assert_eq!(totals(&lab), (3, 3, 1, 3));
+        // Each harness runs its cell and its own DRAM reference.
+        assert_eq!(totals(&lab), (6, 6, 1, 3));
+    }
+
+    #[test]
+    fn runs_the_lab_makes_apply_its_plan_unless_the_config_has_one() {
+        let plan = FaultPlan::parse("pebs_loss=0.9,seed=3").unwrap();
+        let faulted = Lab::new(Scale::Smoke, 42).with_env(Env {
+            faults: Some(plan),
+            ..Env::default()
+        });
+        let clean = Lab::new(Scale::Smoke, 42);
+        let samples = |lab: &Lab, cfg: MachineConfig| {
+            let wl = lab.workload("gups");
+            let mut policy = make_policy("pact").unwrap();
+            let report = lab.run(cfg, RunSpec::new(&[wl.as_ref()], policy.as_mut()));
+            report.unwrap().counters.pebs_samples
+        };
+        let (cfg, mut inert) = (experiment_machine(0), experiment_machine(0));
+        assert_ne!(samples(&faulted, cfg.clone()), samples(&clean, cfg.clone()));
+        // An explicit plan wins over the lab's.
+        inert.fault_plan = Some(FaultPlan::default());
+        assert_eq!(samples(&faulted, inert), samples(&clean, cfg));
     }
 
     #[test]
     fn figures_sweeping_one_cell_keep_both_trace_sets() {
         let root = std::env::temp_dir().join(format!("pact-lab-trace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let lab = Lab::new(Scale::Smoke, 42).with_trace(Some(TraceConfig {
-            path: root.clone(),
-            format: TraceFormat::Jsonl,
-        }));
+        let lab = Lab::new(Scale::Smoke, 42).with_env(Env {
+            trace: Some(TraceConfig {
+                path: root.clone(),
+                format: TraceFormat::Jsonl,
+            }),
+            ..Env::default()
+        });
         let h = lab.harness("gups").unwrap();
         let ratios = [TierRatio::new(1, 1)];
         // The cell is already cached; a traced sweep must run it anyway.
-        h.run_policy("notier", ratios[0]).unwrap();
+        h.run_policy("notier", ratios[0], None).unwrap();
         for figure in ["fig04", "fig05"] {
             ratio_sweep(&h, &["notier"], &ratios, 1, lab.trace(figure).as_ref()).unwrap();
         }

@@ -4,11 +4,14 @@
 //! [`figures`] (see `DESIGN.md` for the experiment index), run by one
 //! driver, `tierctl repro`. This library provides the shared pieces:
 //!
-//! * [`Harness`] / [`TierRatio`] — builds the Skylake+CXL machine at
-//!   the paper's tier ratios, caches the DRAM-only baseline, runs any
-//!   policy by name (including Soar's two-phase profile-then-place);
-//! * [`Lab`] — the cache behind the driver: each workload is built
-//!   once and each distinct cell runs once across all figures;
+//! * [`Lab`] — the one builder of machines: it applies the run's
+//!   resolved environment ([`env::Env`]) to every run, builds each
+//!   workload once, and hands out [`Harness`]es that run each
+//!   distinct cell once across all figures;
+//! * [`Harness`] / [`TierRatio`] — runs any policy by name at the
+//!   paper's tier ratios (including Soar's two-phase
+//!   profile-then-place), normalised against a cached DRAM-only
+//!   baseline;
 //! * [`Table`], [`sparkline`], [`cdf_lines`] — plain-text rendering of
 //!   the rows/series each figure reports.
 //!
@@ -34,14 +37,12 @@ mod runner;
 pub mod serve;
 pub mod snapfile;
 
-pub use cli::{
-    arm_hostprof_from_env, emit_hostprof_summary, exit_invalid_config, parse_tenants,
-    validate_fault_env, OrExit, TenantArg,
-};
-pub use exec::{jobs_from_env, run_indexed, try_run_indexed};
-pub use lab::{Lab, LabHarness, LabStats};
+pub use cli::{parse_tenants, TenantArg};
+pub use env::Env;
+pub use exec::run_indexed;
+pub use lab::{Harness, Lab, LabStats};
 pub use report::{banner, cdf_lines, count, pct, save_results, sparkline, Table};
 pub use runner::{
-    experiment_machine, is_runnable_policy, make_policy, ratio_sweep, Cells, Harness, Outcome,
-    RunError, SweepResult, TierRatio, ALL_POLICIES,
+    experiment_machine, make_policy, ratio_sweep, Outcome, RunError, SweepResult, TierRatio,
+    ALL_POLICIES,
 };

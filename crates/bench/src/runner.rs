@@ -1,16 +1,15 @@
-//! Shared experiment runner: builds machines at paper tier ratios,
-//! normalizes against the DRAM-only baseline, and constructs every
-//! evaluated policy by name.
+//! Shared experiment pieces: the paper's tier ratios and machine,
+//! every evaluated policy by name, and the policies × ratios sweep.
 
-use std::sync::{Arc, OnceLock};
-
-use pact_baselines::{soar_profile, Alto, Colloid, Memtis, Nbt, NoTier, Nomad, Soar, Tpp};
+use pact_baselines::{Alto, Colloid, Memtis, Nbt, NoTier, Nomad, Tpp};
 use pact_core::{PactConfig, PactPolicy, RankBy};
 use pact_obs::DEFAULT_RING_CAPACITY;
 use pact_tiersim::{
-    export_trace, ConfigError, FaultPlan, Machine, MachineConfig, RunReport, RunSpec, SimError,
-    TieringPolicy, TraceConfig, Tracer, Workload, FAULTS_ENV, PAGE_BYTES,
+    export_trace, MachineConfig, RunReport, SimError, TieringPolicy, TraceConfig, Tracer,
+    PAGE_BYTES,
 };
+
+use crate::Harness;
 
 /// A fast:slow tier-capacity ratio relative to the workload footprint
 /// (the paper's x-axis: 8:1 … 1:8).
@@ -68,41 +67,9 @@ pub fn experiment_machine(fast_pages: u64) -> MachineConfig {
     MachineConfig::skylake_cxl(fast_pages)
 }
 
-/// The process-wide fault plan from `PACT_FAULTS`, parsed once.
-///
-/// Sweep cells run on worker threads; parsing the environment once up
-/// front guarantees every cell sees the same plan even if the
-/// environment is mutated mid-run. An invalid spec warns once and is
-/// ignored here — binaries validate it eagerly at startup (see
-/// [`crate::validate_fault_env`]) so interactive users get a hard error.
-fn env_fault_plan() -> Option<&'static FaultPlan> {
-    static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    PLAN.get_or_init(|| match crate::env::fault_plan() {
-        Ok(plan) => plan,
-        Err(e) => {
-            eprintln!("warning: ignoring {FAULTS_ENV}: {e}");
-            None
-        }
-    })
-    .as_ref()
-}
-
-/// The configuration a [`Harness`] actually runs `cfg` under: an
-/// explicit plan on the config wins; otherwise every run in the
-/// process picks up the `PACT_FAULTS` plan (parsed once — workers must
-/// all see the same plan).
-pub(crate) fn effective_config(mut cfg: MachineConfig) -> MachineConfig {
-    if cfg.fault_plan.is_none() {
-        cfg.fault_plan = env_fault_plan().cloned();
-    }
-    cfg
-}
-
 /// Outcome of one policy run, normalized against the DRAM baseline.
 #[derive(Debug, Clone)]
 pub struct Outcome {
-    /// Policy name.
-    pub policy: String,
     /// Slowdown vs DRAM-only (0.26 = 26%).
     pub slowdown: f64,
     /// Base pages promoted.
@@ -178,144 +145,6 @@ pub fn make_policy(name: &str) -> Result<Box<dyn TieringPolicy>, RunError> {
     })
 }
 
-/// Whether `name` can be run by the harness (includes `"soar"`, which
-/// the harness handles via its profiling pass).
-pub fn is_runnable_policy(name: &str) -> bool {
-    name == "soar" || make_policy(name).is_ok()
-}
-
-/// Per-workload experiment driver: owns (a shared handle to) the
-/// workload, caches the DRAM-only baseline and the Soar profile, and
-/// runs policies at arbitrary tier ratios.
-///
-/// All run methods take `&self`: the expensive artifacts (workload
-/// data, baseline cycles, Soar profile) are built once and shared, so
-/// a sweep can fan independent `(policy, ratio)` cells across threads
-/// against one `Harness`.
-pub struct Harness {
-    workload: Arc<dyn Workload>,
-    base_cfg: MachineConfig,
-    dram_cycles: OnceLock<Result<u64, SimError>>,
-    soar_profile: OnceLock<pact_baselines::SoarProfile>,
-}
-
-impl Harness {
-    /// Wraps a workload with the default experiment machine.
-    pub fn new(workload: Box<dyn Workload>) -> Self {
-        Self::from_arc(Arc::from(workload))
-    }
-
-    /// Wraps an already-shared workload (e.g. one `Arc` fanned across
-    /// several harnesses) with the default experiment machine.
-    pub fn from_arc(workload: Arc<dyn Workload>) -> Self {
-        Self {
-            workload,
-            base_cfg: experiment_machine(0),
-            dram_cycles: OnceLock::new(),
-            soar_profile: OnceLock::new(),
-        }
-    }
-
-    /// Overrides the base machine configuration (tier capacity is still
-    /// set per run) after validating it, so an invalid configuration is
-    /// a structured error here instead of a failure deep inside the
-    /// first run. The cached DRAM baseline and Soar profile belong to
-    /// the old configuration and are dropped.
-    pub fn with_machine(mut self, cfg: MachineConfig) -> Result<Self, ConfigError> {
-        cfg.validate()?;
-        self.base_cfg = cfg;
-        self.dram_cycles = OnceLock::new();
-        self.soar_profile = OnceLock::new();
-        Ok(self)
-    }
-
-    /// The wrapped workload.
-    pub fn workload(&self) -> &dyn Workload {
-        self.workload.as_ref()
-    }
-
-    /// A shared handle to the wrapped workload, for building further
-    /// harnesses over the same (expensive) artifact.
-    pub fn workload_arc(&self) -> Arc<dyn Workload> {
-        Arc::clone(&self.workload)
-    }
-
-    fn machine(&self, fast_pages: u64) -> Result<Machine, SimError> {
-        let mut cfg = effective_config(self.base_cfg.clone());
-        cfg.fast_tier_pages = fast_pages;
-        Machine::new(cfg).map_err(SimError::Config)
-    }
-
-    /// Cycles of the ideal DRAM-only run, computed once: concurrent
-    /// callers block until the first one finishes.
-    pub fn dram_cycles(&self) -> Result<u64, SimError> {
-        self.dram_cycles
-            .get_or_init(|| {
-                let machine = self.machine(u64::MAX / PAGE_BYTES)?;
-                let report = machine.try_run(self.workload.as_ref(), &mut NoTier::new())?;
-                Ok(report.total_cycles)
-            })
-            .clone()
-    }
-
-    /// Slowdown of running entirely on the slow tier (the "CXL" line).
-    pub fn cxl_slowdown(&self) -> Result<f64, SimError> {
-        let report = self
-            .machine(0)?
-            .try_run(self.workload.as_ref(), &mut NoTier::new())?;
-        Ok(report.total_cycles as f64 / self.dram_cycles()? as f64 - 1.0)
-    }
-
-    /// The Soar object-placement profile (computed once, cached). The
-    /// DRAM baseline runs first, so a workload that cannot run is
-    /// reported as its error rather than a panic in the profiling pass.
-    fn soar(&self) -> Result<&pact_baselines::SoarProfile, SimError> {
-        self.dram_cycles()?;
-        Ok(self
-            .soar_profile
-            .get_or_init(|| soar_profile(&self.base_cfg, self.workload.as_ref())))
-    }
-
-    /// Runs the evaluated system `policy_name` (any of [`ALL_POLICIES`],
-    /// Soar's profiling pass included) at `ratio`, normalized against
-    /// the DRAM baseline. `tracer`, when given, records the run's event
-    /// trace without perturbing it.
-    pub fn run_policy(
-        &self,
-        policy_name: &str,
-        ratio: TierRatio,
-        tracer: Option<&mut Tracer>,
-    ) -> Result<Outcome, RunError> {
-        let fast_pages = ratio.fast_pages(self.workload.footprint_bytes());
-        if policy_name == "soar" {
-            let mut soar = Soar::from_profile(self.soar()?, fast_pages);
-            return self.run_custom(&mut soar, fast_pages, tracer);
-        }
-        self.run_custom(make_policy(policy_name)?.as_mut(), fast_pages, tracer)
-    }
-
-    /// Runs a caller-constructed policy (for custom configurations,
-    /// e.g. PACT ablations) with an explicit fast-tier size in pages.
-    pub fn run_custom(
-        &self,
-        policy: &mut dyn TieringPolicy,
-        fast_pages: u64,
-        tracer: Option<&mut Tracer>,
-    ) -> Result<Outcome, RunError> {
-        let report = self.machine(fast_pages)?.run(RunSpec {
-            tracer,
-            ..RunSpec::new(&[self.workload.as_ref()], policy)
-        })?;
-        let dram = self.dram_cycles()?;
-        Ok(Outcome {
-            policy: report.policy.clone(),
-            slowdown: report.total_cycles as f64 / dram as f64 - 1.0,
-            promotions: report.promotions,
-            demotions: report.demotions,
-            report,
-        })
-    }
-}
 /// Result of a policies × ratios sweep over one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
@@ -345,36 +174,10 @@ fn file_stem(s: &str) -> String {
         .collect()
 }
 
-/// What a [`ratio_sweep`] runs its cells on: a bare [`Harness`], where
-/// every cell simulates, or a [`LabHarness`](crate::LabHarness), whose
-/// untraced cells are shared through its lab's cache.
-pub trait Cells: Sync {
-    /// The harness the cells run on (traced cells always run here).
-    fn harness(&self) -> &Harness;
-    /// The untraced outcome of `policy` at `ratio`.
-    fn outcome(&self, policy: &str, ratio: TierRatio) -> Result<Arc<Outcome>, RunError>;
-    /// Slowdown of the all-slow-tier run (the "CXL" line).
-    fn cxl(&self) -> Result<f64, RunError>;
-}
-
-impl Cells for Harness {
-    fn harness(&self) -> &Harness {
-        self
-    }
-
-    fn outcome(&self, policy: &str, ratio: TierRatio) -> Result<Arc<Outcome>, RunError> {
-        self.run_policy(policy, ratio, None).map(Arc::new)
-    }
-
-    fn cxl(&self) -> Result<f64, RunError> {
-        Ok(self.cxl_slowdown()?)
-    }
-}
-
-/// Runs every `(policy, ratio)` combination for the cells' workload,
+/// Runs every `(policy, ratio)` combination for the harness's workload,
 /// fanning the independent cells over `jobs` worker threads
-/// (`jobs = 1` is the serial path; binaries pass
-/// [`jobs_from_env`](crate::exec::jobs_from_env)).
+/// (`jobs = 1` is the serial path; figures pass their lab's worker
+/// count).
 ///
 /// The result is bit-identical to the serial sweep for any worker
 /// count: cells share only immutable state and are merged in
@@ -384,24 +187,24 @@ impl Cells for Harness {
 ///
 /// When `trace` is set (figures pass `Lab::trace`, i.e.
 /// `PACT_TRACE/<figure>`), its path is treated as a directory and every
-/// cell runs traced, bypassing any cache, and writes one trace file named
+/// cell runs traced, bypassing the cache, and writes one trace file named
 /// `<workload>_<policy>_<F>-<S>.<ext>`. File names and contents derive
 /// only from the cell's identity — never from worker scheduling — so
-/// the files are byte-identical for any `jobs` count; the CI
-/// observability gate pins this.
+/// the files are byte-identical for any `jobs` count;
+/// `crates/obs/tests/determinism.rs` pins this.
 pub fn ratio_sweep(
-    cells: &impl Cells,
+    h: &Harness<'_>,
     policies: &[&str],
     ratios: &[TierRatio],
     jobs: usize,
     trace: Option<&TraceConfig>,
 ) -> Result<SweepResult, RunError> {
-    let h = cells.harness();
     let kept: Vec<&str> = policies
         .iter()
         .copied()
         .filter(|&p| {
-            let ok = is_runnable_policy(p);
+            // Soar is built from the harness's profile, not by name.
+            let ok = p == "soar" || make_policy(p).is_ok();
             if !ok {
                 eprintln!("warning: skipping unknown policy '{p}'");
             }
@@ -412,7 +215,7 @@ pub fn ratio_sweep(
     // the DRAM baseline (via the CXL reference) and, if swept, the Soar
     // profile. OnceLock would serialize a race anyway; warming avoids
     // even that.
-    let cxl = cells.cxl()?;
+    let cxl = h.cxl_slowdown()?;
     if kept.contains(&"soar") {
         h.soar()?;
     }
@@ -426,11 +229,11 @@ pub fn ratio_sweep(
     }
     let wl_stem = file_stem(&h.workload().name());
     let n = kept.len() * ratios.len();
-    let outcomes = crate::exec::try_run_indexed(n, jobs, |i| {
+    let outcomes = crate::exec::run_indexed(n, jobs, |i| {
         let p = kept[i / ratios.len()];
         let r = ratios[i % ratios.len()];
         let Some(cfg) = trace else {
-            return cells.outcome(p, r);
+            return h.run_policy(p, r, None);
         };
         let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
         let out = h.run_policy(p, r, Some(&mut tracer))?;
@@ -446,8 +249,10 @@ pub fn ratio_sweep(
         if let Err(e) = std::fs::write(&file, body) {
             eprintln!("warning: cannot write trace {}: {e}", file.display());
         }
-        Ok(Arc::new(out))
-    })?;
+        Ok(out)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, RunError>>()?;
     let mut slowdown = Vec::with_capacity(kept.len());
     let mut promotions = Vec::with_capacity(kept.len());
     for row in outcomes.chunks(ratios.len()) {
@@ -498,7 +303,10 @@ impl SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_workloads::suite::{build, Scale};
+    use crate::Lab;
+    use pact_tiersim::FaultPlan;
+    use pact_workloads::suite::Scale;
+    use std::sync::Arc;
 
     #[test]
     fn ratio_math() {
@@ -541,33 +349,30 @@ mod tests {
             Some(RunError::UnknownPolicy("bogus".into()))
         );
         assert_eq!(make_policy("soar").err(), Some(RunError::NeedsProfile));
-        assert!(is_runnable_policy("soar"));
-        assert!(is_runnable_policy("pact"));
-        assert!(!is_runnable_policy("bogus"));
         let msg = RunError::UnknownPolicy("bogus".into()).to_string();
         assert!(msg.contains("unknown policy"), "{msg}");
     }
 
     #[test]
-    fn with_machine_validates_the_config() {
-        let h = Harness::new(build("gups", Scale::Smoke, 9));
+    fn harness_with_validates_the_config() {
+        let lab = Lab::new(Scale::Smoke, 9);
         let mut bad = experiment_machine(0);
         bad.window_cycles = 0;
-        let err = h.with_machine(bad).err().unwrap();
+        let err = lab.harness_with("gups", bad).err().unwrap();
         assert!(err.to_string().contains("window_cycles"), "{err}");
         // An invalid fault plan is caught the same way.
-        let h = Harness::new(build("gups", Scale::Smoke, 9));
         let mut bad = experiment_machine(0);
         bad.fault_plan = Some(FaultPlan {
             drop_order: 2.0,
             ..FaultPlan::default()
         });
-        assert!(h.with_machine(bad).is_err());
+        assert!(lab.harness_with("gups", bad).is_err());
     }
 
     #[test]
     fn run_policy_reports_unknown_names() {
-        let h = Harness::new(build("gups", Scale::Smoke, 9));
+        let lab = Lab::new(Scale::Smoke, 9);
+        let h = lab.harness("gups").unwrap();
         let err = h
             .run_policy("bogus", TierRatio::new(1, 1), None)
             .unwrap_err();
@@ -581,7 +386,9 @@ mod tests {
             PAGE_BYTES,
             vec![pact_tiersim::Access::load(2 * PAGE_BYTES)],
         );
-        let h = Harness::new(Box::new(wl));
+        let lab = Lab::new(Scale::Smoke, 9);
+        lab.insert_workload("bad", Arc::new(wl));
+        let h = lab.harness("bad").unwrap();
         let err = h.dram_cycles().unwrap_err();
         assert!(matches!(err, SimError::AddressOutOfRange { .. }), "{err}");
         for policy in ["notier", "soar"] {
@@ -596,7 +403,8 @@ mod tests {
 
     #[test]
     fn harness_normalizes_against_dram() {
-        let h = Harness::new(build("silo", Scale::Smoke, 1));
+        let lab = Lab::new(Scale::Smoke, 1);
+        let h = lab.harness("silo").unwrap();
         let out = h.run_policy("notier", TierRatio::new(1, 1), None).unwrap();
         assert!(out.slowdown > -0.01, "slowdown {}", out.slowdown);
         let cxl = h.cxl_slowdown().unwrap();
@@ -610,23 +418,17 @@ mod tests {
 
     #[test]
     fn harness_runs_soar_via_profile() {
-        let h = Harness::new(build("silo", Scale::Smoke, 1));
+        let lab = Lab::new(Scale::Smoke, 1);
+        let h = lab.harness("silo").unwrap();
         let out = h.run_policy("soar", TierRatio::new(1, 1), None).unwrap();
-        assert_eq!(out.policy, "soar");
+        assert_eq!(out.report.policy, "soar");
         assert_eq!(out.promotions, 0);
     }
 
     #[test]
-    fn harness_runs_pact() {
-        let h = Harness::new(build("silo", Scale::Smoke, 1));
-        let out = h.run_policy("pact", TierRatio::new(1, 2), None).unwrap();
-        assert_eq!(out.policy, "pact");
-        assert!(out.slowdown.is_finite());
-    }
-
-    #[test]
     fn sweep_renders_consistent_tables() {
-        let h = Harness::new(build("gups", Scale::Smoke, 2));
+        let lab = Lab::new(Scale::Smoke, 2);
+        let h = lab.harness("gups").unwrap();
         let ratios = [TierRatio::new(2, 1), TierRatio::new(1, 2)];
         let sweep = ratio_sweep(&h, &["pact", "notier"], &ratios, 1, None).unwrap();
         assert_eq!(sweep.policies, vec!["pact", "notier"]);
@@ -643,7 +445,8 @@ mod tests {
 
     #[test]
     fn sweep_skips_unknown_policies() {
-        let h = Harness::new(build("gups", Scale::Smoke, 2));
+        let lab = Lab::new(Scale::Smoke, 2);
+        let h = lab.harness("gups").unwrap();
         let ratios = [TierRatio::new(1, 1)];
         let sweep = ratio_sweep(&h, &["notier", "made-up"], &ratios, 1, None).unwrap();
         assert_eq!(sweep.policies, vec!["notier"]);
@@ -652,29 +455,19 @@ mod tests {
 
     #[test]
     fn dram_cycles_is_cached_and_stable() {
-        let h = Harness::new(build("gups", Scale::Smoke, 3));
+        let lab = Lab::new(Scale::Smoke, 3);
+        let h = lab.harness("gups").unwrap();
         let a = h.dram_cycles().unwrap();
         let b = h.dram_cycles().unwrap();
         assert_eq!(a, b);
         assert!(a > 0);
-        // A new machine config drops the cached baseline.
+        // Another machine config gets its own baseline.
         let mut cfg = experiment_machine(0);
         cfg.mshrs = 1;
-        let h = h.with_machine(cfg.clone()).unwrap();
-        let fresh = Harness::new(build("gups", Scale::Smoke, 3))
-            .with_machine(cfg)
-            .unwrap();
+        let h = lab.harness_with("gups", cfg.clone()).unwrap();
+        let fresh = Lab::new(Scale::Smoke, 3);
+        let fresh = fresh.harness_with("gups", cfg).unwrap();
         assert_eq!(h.dram_cycles(), fresh.dram_cycles());
         assert_ne!(h.dram_cycles(), Ok(a));
-    }
-
-    #[test]
-    fn shared_workload_harnesses_agree() {
-        let h1 = Harness::new(build("gups", Scale::Smoke, 4));
-        let h2 = Harness::from_arc(h1.workload_arc());
-        assert_eq!(h1.dram_cycles(), h2.dram_cycles());
-        let a = h1.run_policy("pact", TierRatio::new(1, 2), None).unwrap();
-        let b = h2.run_policy("pact", TierRatio::new(1, 2), None).unwrap();
-        assert_eq!(a.report.total_cycles, b.report.total_cycles);
     }
 }

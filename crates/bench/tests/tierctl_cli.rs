@@ -488,3 +488,49 @@ fn report_with_prof_emits_summary_on_stderr_only() {
         assert!(want == got, "{name} changed under PACT_PROF");
     }
 }
+
+#[test]
+fn help_prints_the_usage_on_stdout_and_exits_0() {
+    for args in [&["--help"][..], &["repro", "--help"]] {
+        let out = run(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr_of(&out));
+        assert!(stdout.starts_with("usage: tierctl"), "{args:?}: {stdout}");
+        assert!(out.stderr.is_empty(), "{args:?}: {}", stderr_of(&out));
+    }
+}
+
+#[test]
+fn prof_profiles_every_command_and_counts_only_the_runs_it_prints() {
+    let trace = fixture_dir("profiled_trace.json");
+    let cell = "--workload gups --seed 3 --scale smoke";
+    // The one-shot summary prints a slowdown and the CXL line, so it
+    // runs the cell, its DRAM reference and the CXL cell. The
+    // inspecting subcommands print neither and run the cell alone.
+    for (args, runs) in [
+        (cell.to_string(), "3"),
+        (format!("trace --out {} {cell}", trace.display()), "1"),
+        (format!("serve-metrics --self-check {cell}"), "1"),
+    ] {
+        let argv: Vec<&str> = args.split_whitespace().collect();
+        let out = tierctl(&argv).env("PACT_PROF", "1").output();
+        let out = out.expect("spawn tierctl");
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+        let err = stderr_of(&out);
+        let calls = err.lines().find_map(|l| l.strip_prefix("run "));
+        let calls = calls.and_then(|l| l.split_whitespace().next());
+        assert_eq!(calls, Some(runs), "{args}: {err}");
+    }
+}
+
+#[test]
+fn a_fault_plan_reaches_every_figure() {
+    // fig01 builds its own machines; the plan must reach them too.
+    let args = ["repro", "--fig", "fig01", "--scale", "smoke"];
+    let clean = run_under(&args, None);
+    let faulted = run_under(&args, Some("pebs_loss=0.9,seed=3"));
+    for out in [&clean, &faulted] {
+        assert_eq!(out.status.code(), Some(0), "{}", stderr_of(out));
+    }
+    assert!(clean.stdout != faulted.stdout, "fig01 ignored PACT_FAULTS");
+}

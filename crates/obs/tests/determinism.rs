@@ -8,13 +8,15 @@
 use std::fs;
 use std::path::PathBuf;
 
-use pact_bench::{ratio_sweep, Harness, TierRatio};
+use pact_bench::{ratio_sweep, Lab, TierRatio};
 use pact_obs::{validate, TraceConfig, TraceFormat, Tracer, DEFAULT_RING_CAPACITY};
 use pact_tiersim::export_trace;
-use pact_workloads::suite::{build, Scale};
+use pact_workloads::suite::Scale;
 
-fn harness() -> Harness {
-    Harness::new(build("bc-kron", Scale::Smoke, 42))
+/// A fresh lab: each side of a comparison simulates on its own, since
+/// one lab would answer the second side from its cache.
+fn lab() -> Lab {
+    Lab::new(Scale::Smoke, 42)
 }
 
 /// Tracing must be observation-only: a traced run and an untraced run
@@ -23,7 +25,8 @@ fn harness() -> Harness {
 /// windows, and the per-window metrics snapshots).
 #[test]
 fn traced_run_report_matches_untraced() {
-    let h = harness();
+    let lab = lab();
+    let h = lab.harness("bc-kron").expect("suite workload");
     let ratio = TierRatio::new(1, 1);
     let untraced = h.run_policy("pact", ratio, None).expect("run succeeds");
     let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
@@ -43,7 +46,8 @@ fn traced_run_report_matches_untraced() {
 #[test]
 fn repeated_seeded_runs_export_identical_traces() {
     let run = || {
-        let h = harness();
+        let lab = lab();
+        let h = lab.harness("bc-kron").expect("suite workload");
         let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
         let out = h
             .run_policy("pact", TierRatio::new(1, 1), Some(&mut tracer))
@@ -97,7 +101,6 @@ fn dir_contents(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
 /// scheduling order.
 #[test]
 fn sweep_trace_files_identical_across_jobs() {
-    let h = harness();
     let policies = ["pact", "notier"];
     let ratios = [TierRatio::new(1, 1), TierRatio::new(1, 4)];
 
@@ -112,8 +115,13 @@ fn sweep_trace_files_identical_across_jobs() {
         format: TraceFormat::Jsonl,
     };
 
-    let serial = ratio_sweep(&h, &policies, &ratios, 1, Some(&cfg1)).expect("sweep runs");
-    let parallel = ratio_sweep(&h, &policies, &ratios, 4, Some(&cfg4)).expect("sweep runs");
+    let sweep = |jobs, cfg| {
+        let lab = lab();
+        let h = lab.harness("bc-kron").expect("suite workload");
+        ratio_sweep(&h, &policies, &ratios, jobs, Some(cfg)).expect("sweep runs")
+    };
+    let serial = sweep(1, &cfg1);
+    let parallel = sweep(4, &cfg4);
     assert_eq!(serial, parallel, "sweep results diverged across jobs");
 
     let files1 = dir_contents(&dir1);
@@ -140,7 +148,6 @@ fn sweep_trace_files_identical_across_jobs() {
 /// format routes through a different serializer path than JSONL).
 #[test]
 fn sweep_chrome_traces_identical_across_jobs() {
-    let h = harness();
     let policies = ["pact"];
     let ratios = [TierRatio::new(1, 1)];
 
@@ -150,8 +157,11 @@ fn sweep_chrome_traces_identical_across_jobs() {
         path: p.clone(),
         format: TraceFormat::Chrome,
     };
-    ratio_sweep(&h, &policies, &ratios, 1, Some(&cfg(&dir1))).expect("sweep runs");
-    ratio_sweep(&h, &policies, &ratios, 4, Some(&cfg(&dir4))).expect("sweep runs");
+    for (jobs, dir) in [(1, &dir1), (4, &dir4)] {
+        let lab = lab();
+        let h = lab.harness("bc-kron").expect("suite workload");
+        ratio_sweep(&h, &policies, &ratios, jobs, Some(&cfg(dir))).expect("sweep runs");
+    }
 
     let files1 = dir_contents(&dir1);
     let files4 = dir_contents(&dir4);

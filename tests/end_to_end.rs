@@ -1,7 +1,7 @@
 //! Integration tests spanning the whole stack: suite workloads through
 //! the simulator under every policy.
 
-use pact_bench::{make_policy, Harness, TierRatio, ALL_POLICIES};
+use pact_bench::{make_policy, Lab, TierRatio, ALL_POLICIES};
 use pact_tiersim::{FirstTouch, Machine, MachineConfig, RunSpec, PAGE_BYTES};
 use pact_workloads::suite::{build, Scale, SUITE};
 
@@ -9,8 +9,9 @@ use pact_workloads::suite::{build, Scale, SUITE};
 /// with sane counters.
 #[test]
 fn suite_runs_under_pact_and_notier() {
+    let lab = Lab::new(Scale::Smoke, 7);
     for name in SUITE {
-        let h = Harness::new(build(name, Scale::Smoke, 7));
+        let h = lab.harness(name).expect("suite workload");
         for policy in ["pact", "notier"] {
             let out = h
                 .run_policy(policy, TierRatio::new(1, 1), None)
@@ -35,7 +36,8 @@ fn suite_runs_under_pact_and_notier() {
 /// a representative workload and respects conservation invariants.
 #[test]
 fn all_policies_run_on_silo() {
-    let h = Harness::new(build("silo", Scale::Smoke, 3));
+    let lab = Lab::new(Scale::Smoke, 3);
+    let h = lab.harness("silo").expect("suite workload");
     for policy in ALL_POLICIES {
         let out = h
             .run_policy(policy, TierRatio::new(1, 2), None)
@@ -80,8 +82,9 @@ fn runs_are_deterministic_end_to_end() {
 /// all-remote.
 #[test]
 fn dram_is_a_lower_bound() {
+    let lab = Lab::new(Scale::Smoke, 5);
     for name in ["bc-kron", "redis", "gups"] {
-        let h = Harness::new(build(name, Scale::Smoke, 5));
+        let h = lab.harness(name).expect("suite workload");
         for ratio in [TierRatio::new(4, 1), TierRatio::new(1, 4)] {
             for policy in ["pact", "colloid", "notier"] {
                 let out = h.run_policy(policy, ratio, None).expect("run succeeds");

@@ -6,13 +6,13 @@
 //! under the parallel test runner, and an explicit plan exercises the
 //! same `FaultState` machinery.
 
-use pact_bench::{exec, Harness, TierRatio};
+use pact_bench::{exec, Lab, TierRatio};
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
     export_trace, FaultPlan, Machine, MachineConfig, RunReport, RunSpec, SimError, StallFault,
     Tier, TraceFormat, Tracer,
 };
-use pact_workloads::suite::{build, Scale};
+use pact_workloads::suite::Scale;
 
 /// A plan that injects every fault class at high-but-survivable rates.
 fn stress_plan() -> FaultPlan {
@@ -37,15 +37,14 @@ fn traced_run(plan: Option<FaultPlan>, seed: u64) -> (RunReport, String) {
     let mut cfg = MachineConfig::skylake_cxl(0);
     cfg.seed = seed;
     cfg.fault_plan = plan;
-    let h = Harness::new(build("gups", Scale::Smoke, seed))
-        .with_machine(cfg)
-        .expect("stress plan is valid");
+    let lab = Lab::new(Scale::Smoke, seed);
+    let h = lab.harness_with("gups", cfg).expect("stress plan is valid");
     let mut tracer = Tracer::ring(4096);
     let out = h
         .run_policy("pact", TierRatio::new(1, 2), Some(&mut tracer))
         .expect("pact is a known policy");
     let body = export_trace(&out.report, &tracer, "fault-test", TraceFormat::Jsonl);
-    (out.report, body)
+    (out.report.clone(), body)
 }
 
 #[test]
@@ -92,9 +91,8 @@ fn different_fault_seeds_diverge() {
     let mut cfg = MachineConfig::skylake_cxl(0);
     cfg.seed = 7;
     cfg.fault_plan = Some(other);
-    let h = Harness::new(build("gups", Scale::Smoke, 7))
-        .with_machine(cfg)
-        .expect("valid");
+    let lab = Lab::new(Scale::Smoke, 7);
+    let h = lab.harness_with("gups", cfg).expect("valid");
     let out = h
         .run_policy("pact", TierRatio::new(1, 2), None)
         .expect("known policy");
@@ -108,12 +106,13 @@ fn parallel_and_serial_fault_sweeps_agree() {
     let mut cfg = MachineConfig::skylake_cxl(0);
     cfg.seed = 7;
     cfg.fault_plan = Some(stress_plan());
-    let h = Harness::new(build("gups", Scale::Smoke, 7))
-        .with_machine(cfg)
-        .expect("valid");
-    // Warm the shared baseline before fanning out.
-    h.dram_cycles().expect("dram baseline runs");
+    // Each side simulates on a fresh lab: one lab would answer the
+    // second side from its cache.
     let run = |jobs: usize| {
+        let lab = Lab::new(Scale::Smoke, 7);
+        let h = lab.harness_with("gups", cfg.clone()).expect("valid");
+        // Warm the shared baseline before fanning out.
+        h.dram_cycles().expect("dram baseline runs");
         exec::run_indexed(4, jobs, |i| {
             let out = h
                 .run_policy(["pact", "memtis"][i % 2], TierRatio::new(1, 2), None)

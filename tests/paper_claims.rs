@@ -4,12 +4,12 @@
 //! (see `EXPERIMENTS.md`); here they are pinned as fast regression
 //! tests so a refactor that silently breaks a mechanism fails CI.
 
-use pact_bench::{Harness, TierRatio};
+use pact_bench::{Lab, TierRatio};
 use pact_core::{estimate_tier_stalls, PactConfig, PactPolicy};
 use pact_stats::pearson;
 use pact_tiersim::{FirstTouch, Machine, MachineConfig, Tier, Workload, PAGE_BYTES};
 use pact_workloads::graph::{kronecker, Csr, GraphWorkload, Kernel};
-use pact_workloads::suite::{build, Scale};
+use pact_workloads::suite::Scale;
 use pact_workloads::Phased;
 
 fn bc_kron_midsize() -> GraphWorkload {
@@ -120,7 +120,8 @@ fn tpp_is_the_pathological_baseline() {
 /// lose to ranking by frequency on a criticality-divergent workload.
 #[test]
 fn pac_ranking_at_least_matches_frequency_ranking() {
-    let h = Harness::new(build("bc-kron", Scale::Smoke, 13));
+    let lab = Lab::new(Scale::Smoke, 13);
+    let h = lab.harness("bc-kron").expect("suite workload");
     let pac = h
         .run_policy("pact", TierRatio::new(1, 2), None)
         .expect("run succeeds");
@@ -139,7 +140,8 @@ fn pac_ranking_at_least_matches_frequency_ranking() {
 /// with any fast tier does at least as well.
 #[test]
 fn cxl_only_is_the_ceiling() {
-    let h = Harness::new(build("bc-kron", Scale::Smoke, 17));
+    let lab = Lab::new(Scale::Smoke, 17);
+    let h = lab.harness("bc-kron").expect("suite workload");
     let cxl = h.cxl_slowdown().expect("run succeeds");
     for policy in ["pact", "notier", "memtis"] {
         let out = h
