@@ -103,8 +103,8 @@ stage_build() {
 }
 
 # Every crate's tests, the root package's integration tests among them:
-# invariants, the config fuzzer, golden digests, crash recovery, fault
-# injection, tracing, the criticality report and the tierctl CLI.
+# invariants, the config fuzzer, golden digests, fault injection,
+# tracing, the criticality report and the tierctl CLI.
 stage_test() {
     cargo test --workspace -q
     cargo test --release -q --manifest-path perfbench/Cargo.toml

@@ -22,18 +22,6 @@
 //! # -> report_dir/report.md, report.json, flame.folded
 //! ```
 //!
-//! The `snapshot` subcommand runs one cell while capturing versioned
-//! crash-recovery snapshots at a fixed window cadence (DESIGN.md §13);
-//! `resume` restores one of those files and runs the cell to
-//! completion. A resumed run's report is byte-identical to the
-//! uninterrupted run — the `digest:` line pins it, and the CLI tests
-//! (`tests/tierctl_cli.rs`) compare it:
-//!
-//! ```text
-//! tierctl snapshot --workload gups --every 8 --out snaps
-//! tierctl resume --from snaps/snap_000008.pactsnap
-//! ```
-//!
 //! The `fleet` subcommand runs a multi-tenant cell (DESIGN.md §14):
 //! N colocated workloads share one machine's tiers under a policy
 //! wrapped in migration admission control with per-tenant QoS
@@ -69,30 +57,27 @@
 //! Exit status: 0 success (`--help` and `--list` included); 1 a failed
 //! `--validate` or `--self-check`, or an unwritable output; 2 invalid
 //! usage (an unknown workload, policy, figure or flag value, or a
-//! malformed `PACT_*` value), an unreadable or rejected snapshot, or an
-//! invalid configuration.
+//! malformed `PACT_*` value) or an invalid configuration.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 use std::sync::Arc;
 
 use pact_bench::figures::{self, Figure, FIGURES};
-use pact_bench::snapfile::CellSnapshot;
 use pact_bench::{
-    count, experiment_machine, make_policy, pct, save_results, serve, Env, Harness, Lab, RunError,
+    count, experiment_machine, make_policy, pct, save_results, serve, Env, Lab, RunError,
     TierRatio, ALL_POLICIES,
 };
 use pact_obs::{validate, DEFAULT_RING_CAPACITY};
 use pact_tiersim::{
     export_trace, Admission, AdmissionControl, AdmissionLane, ConfigError, CriticalityReport,
-    MachineConfig, RunReport, RunSpec, SimError, Tier, TieringPolicy, TraceFormat, Tracer,
-    Workload, DEFAULT_REPORT_TOPK,
+    MachineConfig, RunReport, RunSpec, SimError, Tier, TraceFormat, Tracer, Workload,
+    DEFAULT_REPORT_TOPK,
 };
 use pact_workloads::suite::{check_name, Scale, EXTRA, SUITE};
 
 const USAGE: &str = "usage: tierctl [--workload W] [--policy P] [--ratio F:S] \
-     [--thp] [--scale smoke|paper] [--seed N] [--windows] \
-     [--trace-out FILE] [--list]\n       \
+     [--thp] [--scale smoke|paper] [--seed N] [--windows] [--list]\n       \
      tierctl trace [--workload W] [--policy P] [--ratio F:S] [--thp] \
      [--scale smoke|paper] [--seed N] [--out FILE] \
      [--format chrome|jsonl] [--validate]\n       \
@@ -101,9 +86,6 @@ const USAGE: &str = "usage: tierctl [--workload W] [--policy P] [--ratio F:S] \
      tierctl serve-metrics [--workload W] [--policy P] [--ratio F:S] \
      [--scale smoke|paper] [--seed N] [--addr HOST:PORT] \
      [--self-check]\n       \
-     tierctl snapshot [--workload W] [--policy P] [--ratio F:S] [--thp] \
-     [--scale smoke|paper] [--seed N] [--every N] [--out DIR]\n       \
-     tierctl resume --from FILE\n       \
      tierctl fleet [--tenants NAME:WORKLOAD:WEIGHT,...] [--policy P] \
      [--ratio F:S] [--scale smoke|paper] [--seed N] [--budget N]\n       \
      tierctl repro [--fig NAME[,NAME...]] [--scale smoke|paper] [--seed N]";
@@ -162,8 +144,6 @@ fn subcommand(word: &str) -> Option<Command> {
         "trace" => run_trace,
         "report" => run_report,
         "serve-metrics" => run_serve_metrics,
-        "snapshot" => run_snapshot,
-        "resume" => run_resume,
         "fleet" => run_fleet,
         _ => return None,
     })
@@ -178,7 +158,6 @@ struct Args {
     scale: Scale,
     seed: u64,
     windows: bool,
-    trace_out: Option<String>,
     // Subcommand flags.
     out: Option<String>,
     format: TraceFormat,
@@ -186,8 +165,6 @@ struct Args {
     topk: Option<usize>,
     addr: Option<std::net::SocketAddr>,
     self_check: bool,
-    every: Option<u64>,
-    from: Option<String>,
     tenants: Option<String>,
     budget: Option<u64>,
 }
@@ -202,15 +179,12 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
         scale: Scale::Paper,
         seed: 42,
         windows: false,
-        trace_out: None,
         out: None,
         format: TraceFormat::Chrome,
         validate: false,
         topk: None,
         addr: None,
         self_check: false,
-        every: None,
-        from: None,
         tenants: None,
         budget: None,
     };
@@ -244,7 +218,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
             "--scale" => args.scale = parse_scale(it.next())?,
             "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).ok_or("bad seed")?,
             "--windows" => args.windows = true,
-            "--trace-out" => args.trace_out = Some(it.next().ok_or("--trace-out needs a path")?),
             "--out" | "-o" => args.out = Some(it.next().ok_or("--out needs a path")?),
             "--format" | "-f" => {
                 let v = it.next().ok_or("--format needs chrome|jsonl")?;
@@ -263,16 +236,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
                 args.addr = Some(v.parse().map_err(|e| format!("bad addr '{v}': {e}"))?);
             }
             "--self-check" => args.self_check = true,
-            "--every" => {
-                let v = it.next().ok_or("--every needs a window count")?;
-                args.every = match v.parse::<u64>() {
-                    Ok(n) if n > 0 => Some(n),
-                    _ => {
-                        return Err(format!("bad cadence '{v}': expected a positive integer").into())
-                    }
-                };
-            }
-            "--from" => args.from = Some(it.next().ok_or("--from needs a snapshot file")?),
             "--tenants" => {
                 args.tenants = Some(
                     it.next()
@@ -344,21 +307,10 @@ impl Args {
     }
 }
 
-/// The harness for `workload` on `cfg`, and `policy` built for `cfg`'s
-/// fast tier (Soar from the harness's profile).
-fn cell<'l>(
-    lab: &'l Lab,
-    workload: &str,
-    policy: &str,
-    cfg: &MachineConfig,
-) -> Result<(Harness<'l>, Box<dyn TieringPolicy>), Exit> {
-    let h = lab.harness_with(workload, cfg.clone())?;
-    let policy = h.policy(policy, cfg.fast_tier_pages)?;
-    Ok((h, policy))
-}
-
 /// Runs the flags' cell for a subcommand that inspects the finished
-/// run: no DRAM reference, since none of them prints a slowdown.
+/// run: no DRAM reference, since none of them prints a slowdown. The
+/// policy is built for the cell's fast tier (Soar from the harness's
+/// profile).
 fn inspect(
     lab: &Lab,
     args: &Args,
@@ -366,7 +318,8 @@ fn inspect(
     tracer: Option<&mut Tracer>,
 ) -> Result<RunReport, Exit> {
     let cfg = args.config(lab, track_stalls);
-    let (h, mut policy) = cell(lab, &args.workload, &args.policy, &cfg)?;
+    let h = lab.harness_with(&args.workload, cfg.clone())?;
+    let mut policy = h.policy(&args.policy, cfg.fast_tier_pages)?;
     let workloads = [h.workload()];
     let spec = RunSpec {
         tracer,
@@ -502,116 +455,12 @@ fn run_serve_metrics(args: &Args, env: Env) -> Result<(), Exit> {
         .map_err(|e| Exit(1, format!("serve error: {e}")))
 }
 
-/// The `report:`/`digest:` lines `snapshot`, `resume` and `fleet`
-/// print. They must be byte-identical between an uninterrupted run and
-/// every resumed replay, which is what the CLI tests compare. The
-/// digest is FNV-1a over the report's full `Debug` rendering: an
-/// order-sensitive digest of every field the run produced (counters,
-/// window records, telemetry, metrics, the page-stall oracle).
-fn print_report_digest(report: &RunReport) {
-    println!(
-        "report: windows={} cycles={} promotions={} demotions={} failed={} dropped={}",
-        report.windows.len(),
-        report.total_cycles,
-        report.promotions,
-        report.demotions,
-        report.failed_promotions,
-        report.dropped_orders
-    );
-    let digest = pact_tiersim::fnv1a(format!("{report:?}").as_bytes());
-    println!("digest: {digest:#018x}");
-}
-
-/// The `snapshot` subcommand: one cell run to completion with the
-/// page-stall oracle armed, writing a versioned cell snapshot every
-/// `--every` windows (default 16).
-fn run_snapshot(args: &Args, env: Env) -> Result<(), Exit> {
-    let lab = &args.lab(env);
-    let every = args.every.unwrap_or(16);
-    let mut cfg = args.config(lab, true);
-    cfg.snapshot_every = every;
-    let (h, mut policy) = cell(lab, &args.workload, &args.policy, &cfg)?;
-    let dir = std::path::PathBuf::from(args.out.as_deref().unwrap_or("snapshots"));
-    create_dir(&dir)?;
-    let scale_name = match args.scale {
-        Scale::Smoke => "smoke",
-        Scale::Paper => "paper",
-    };
-    let fast_pages = cfg.fast_tier_pages;
-    let mut written = 0usize;
-    let mut write_err: Option<Exit> = None;
-    let report = {
-        let mut sink = |frame: pact_tiersim::MachineSnapshot| {
-            let window = frame.window().unwrap_or(0);
-            let cell = CellSnapshot {
-                workload: args.workload.clone(),
-                policy: args.policy.clone(),
-                scale: scale_name.into(),
-                seed: args.seed,
-                fast_pages,
-                thp: args.thp,
-                track_stalls: true,
-                frame,
-            };
-            let path = dir.join(format!("snap_{window:06}.pactsnap"));
-            match write(&path, cell.to_bytes()) {
-                Ok(()) => written += 1,
-                Err(e) => {
-                    write_err.get_or_insert(e);
-                }
-            }
-        };
-        lab.run(
-            cfg,
-            RunSpec {
-                snapshot_sink: Some(&mut sink),
-                ..RunSpec::new(&[h.workload()], policy.as_mut())
-            },
-        )?
-    };
-    if let Some(e) = write_err {
-        return Err(e);
-    }
-    println!("cell {}", args.label());
-    print_report_digest(&report);
-    println!(
-        "wrote {written} snapshots to {} (every {every} windows)",
-        dir.display()
-    );
-    Ok(())
-}
-
-/// The `resume` subcommand: restores a `tierctl snapshot` file and
-/// runs the cell to completion. Corrupt, version-bumped, or
-/// wrong-configuration snapshots are rejected with exit 2.
-fn run_resume(args: &Args, env: Env) -> Result<(), Exit> {
-    let path = args.from.as_ref().ok_or("resume needs --from FILE")?;
-    let bytes = std::fs::read(path).map_err(|e| Exit(2, format!("cannot read {path}: {e}")))?;
-    let snap = CellSnapshot::from_bytes(&bytes).map_err(|e| Exit(2, format!("error: {e}")))?;
-    let lab = Lab::new(parse_scale(Some(snap.scale.clone()))?, snap.seed).with_env(env);
-    let cfg = cell_config(snap.fast_pages, snap.thp, snap.seed, snap.track_stalls);
-    let (h, mut policy) = cell(&lab, &snap.workload, &snap.policy, &cfg)?;
-    let report = lab.run(
-        cfg,
-        RunSpec {
-            resume_from: Some(&snap.frame),
-            ..RunSpec::new(&[h.workload()], policy.as_mut())
-        },
-    )?;
-    let window = snap.frame.window().unwrap_or(0);
-    let label = format!(
-        "{}/{} (resumed from window {window})",
-        snap.workload, snap.policy
-    );
-    println!("cell {label}");
-    print_report_digest(&report);
-    Ok(())
-}
-
 /// The `fleet` subcommand: a colocated cell whose policy runs inside
 /// migration admission control (DESIGN.md §14). Prints one accounting
-/// row per tenant, a greppable `admission:` line, and the same
-/// deterministic digest `snapshot`/`resume` print.
+/// row per tenant, a greppable `admission:` line, and a deterministic
+/// digest: FNV-1a over the report's full `Debug` rendering, so every
+/// field the run produced (counters, window records, telemetry,
+/// metrics, the page-stall oracle) moves it.
 fn run_fleet(args: &Args, env: Env) -> Result<(), Exit> {
     let lab = &args.lab(env);
     // The default noisy-neighbor cell from EXPERIMENTS.md: a
@@ -674,7 +523,17 @@ fn run_fleet(args: &Args, env: Env) -> Result<(), Exit> {
         sum(|a| a.rejected),
         sum(|a| a.dropped)
     );
-    print_report_digest(&report);
+    println!(
+        "report: windows={} cycles={} promotions={} demotions={} failed={} dropped={}",
+        report.windows.len(),
+        report.total_cycles,
+        report.promotions,
+        report.demotions,
+        report.failed_promotions,
+        report.dropped_orders
+    );
+    let digest = pact_tiersim::fnv1a(format!("{report:?}").as_bytes());
+    println!("digest: {digest:#018x}");
     Ok(())
 }
 
@@ -765,19 +624,9 @@ fn run_repro(args: &ReproArgs, env: Env) -> Result<(), Exit> {
     }
 }
 
-/// The one-shot run: the cell's summary, or with `--trace-out` its
-/// access trace written to a file.
+/// The one-shot run: the cell's summary.
 fn run_one_shot(args: &Args, env: Env) -> Result<(), Exit> {
     let lab = &args.lab(env);
-    if let Some(path) = &args.trace_out {
-        let wl = lab.workload(&args.workload);
-        let file = std::fs::File::create(path)
-            .map_err(|e| Exit(1, format!("cannot create {path}: {e}")))?;
-        let n = pact_tiersim::write_workload_trace(std::io::BufWriter::new(file), wl.as_ref())
-            .map_err(|e| Exit(1, format!("cannot write {path}: {e}")))?;
-        println!("wrote {n} accesses of '{}' to {path}", args.workload);
-        return Ok(());
-    }
     let cfg = args.config(lab, false);
     let h = lab
         .harness_with(&args.workload, cfg)

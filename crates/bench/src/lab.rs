@@ -13,8 +13,8 @@
 //!
 //! * suite workloads by name;
 //! * harnesses by workload plus the [`config_fingerprint`] of the
-//!   machine config, so a figure that changes any behaviour-relevant
-//!   knob gets its own harness and DRAM reference;
+//!   machine config, so a figure that changes any config field gets
+//!   its own harness and DRAM reference;
 //! * within a harness, untraced named-policy outcomes and the CXL
 //!   reference by `(policy, fast_pages)`.
 //!
@@ -166,7 +166,7 @@ impl Lab {
 
     /// Runs `spec` on a machine built from `cfg`, with the lab's fault
     /// plan when `cfg` has none: the one way any caller simulates,
-    /// colocated workloads, snapshot sinks and resume frames included.
+    /// colocated workloads and tracers included.
     ///
     /// # Errors
     ///

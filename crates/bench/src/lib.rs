@@ -35,7 +35,6 @@ mod lab;
 mod report;
 mod runner;
 pub mod serve;
-pub mod snapfile;
 
 pub use cli::{parse_tenants, TenantArg};
 pub use env::Env;

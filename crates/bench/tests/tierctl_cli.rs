@@ -254,11 +254,9 @@ fn malformed_scaling_env_exits_2_naming_the_variable() {
 fn malformed_subcommand_flags_exit_2() {
     for args in [
         &["report", "--topk", "0"][..],
-        &["snapshot", "--every", "0"],
         &["serve-metrics", "--addr", "not-an-addr"],
         &["--workload", "nope"],
         &["trace", "--workload", "nope"],
-        &["snapshot", "--workload", "nope"],
         &["fleet", "--tenants", "a:nope:1"],
     ] {
         let out = run(args);
@@ -320,11 +318,6 @@ fn fleet_rejects_bad_tenants_and_budget_with_2() {
     }
 }
 
-// --- tierctl snapshot / resume ---------------------------------------
-
-/// The fault plan the crash-recovery tests capture under.
-const FAULTS: &str = "drop=0.2,fail=0.6,retries=2,backoff=2,seed=7";
-
 /// Runs `tierctl ARGS` under the fault plan `faults`, when given.
 fn run_under(args: &[&str], faults: Option<&str>) -> Output {
     let mut cmd = tierctl(args);
@@ -332,91 +325,6 @@ fn run_under(args: &[&str], faults: Option<&str>) -> Output {
         cmd.env("PACT_FAULTS", spec);
     }
     cmd.output().expect("spawn tierctl")
-}
-
-/// Runs `tierctl snapshot ARGS --out DIR` under `faults` and returns
-/// its `report:`/`digest:` lines and the frames it wrote, in capture
-/// order.
-fn capture(dir: &std::path::Path, args: &str, faults: Option<&str>) -> (String, Vec<String>) {
-    std::fs::create_dir_all(dir).expect("mkdir snapshot dir");
-    let dir_arg = dir.to_str().expect("utf8 path");
-    let mut argv = vec!["snapshot", "--out", dir_arg];
-    argv.extend(args.split_whitespace());
-    let out = run_under(&argv, faults);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    let mut snaps: Vec<String> = std::fs::read_dir(dir)
-        .expect("read snapshot dir")
-        .map(|e| e.expect("dir entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "pactsnap"))
-        .map(|p| p.to_str().expect("utf8 path").to_string())
-        .collect();
-    snaps.sort();
-    assert!(!snaps.is_empty(), "no snapshots written");
-    (outcome(&out), snaps)
-}
-
-/// The lines a resumed run must reproduce exactly.
-fn outcome(out: &Output) -> String {
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let lines = stdout
-        .lines()
-        .filter(|l| l.starts_with("report:") || l.starts_with("digest:"));
-    lines.collect::<Vec<_>>().join("\n")
-}
-
-#[test]
-fn snapshot_then_resume_reproduces_the_digest() {
-    // A plain capture, and one under a fault plan that resumes under
-    // the same plan.
-    let cells = [
-        (
-            "snap_roundtrip",
-            "--workload gups --policy pact --seed 5 --every 1",
-            None,
-        ),
-        (
-            "snap_faults",
-            "--workload masim --policy pact --ratio 1:2 --seed 7 --every 8",
-            Some(FAULTS),
-        ),
-    ];
-    for (name, args, faults) in cells {
-        let (want, snaps) = capture(&fixture_dir(name), args, faults);
-        assert!(want.contains("digest:"), "{name}: no digest line");
-        // Every snapshot point resumes to the same end-of-run report.
-        for snap in &snaps {
-            let out = run_under(&["resume", "--from", snap], faults);
-            assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-            assert_eq!(outcome(&out), want, "resume from {snap} diverged");
-        }
-    }
-}
-
-#[test]
-fn resume_rejects_corrupt_and_missing_snapshots_with_2() {
-    let dir = fixture_dir("snap_corrupt");
-    let (_, snaps) = capture(&dir, "--workload gups --seed 2 --every 1", Some(FAULTS));
-    // Flip a byte deep in the frame payload: checksum mismatch, not UB.
-    let mut bytes = std::fs::read(&snaps[0]).expect("read snapshot");
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xff;
-    let corrupt = dir.join("corrupt.pactsnap");
-    std::fs::write(&corrupt, &bytes).expect("write corrupt snapshot");
-    let out = run_under(
-        &["resume", "--from", corrupt.to_str().expect("utf8 path")],
-        Some(FAULTS),
-    );
-    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
-    // The fault plan is part of the configuration fingerprint: resuming
-    // without the capture's plan is refused.
-    let out = run(&["resume", "--from", &snaps[0]]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
-    // Missing file and missing --from are usage errors too.
-    let gone = dir.join("no_such.pactsnap");
-    let out = run(&["resume", "--from", gone.to_str().expect("utf8 path")]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
-    let out = run(&["resume"]);
-    assert_eq!(out.status.code(), Some(2), "{}", stderr_of(&out));
 }
 
 #[test]

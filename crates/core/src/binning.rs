@@ -150,25 +150,6 @@ impl AdaptiveBins {
     }
 }
 
-// The run state (reservoir contents, RNG cursor, width/scale/freeze),
-// restored into an engine freshly built from the same configuration.
-pact_stats::codec! {
-    impl State for AdaptiveBins {
-        reservoir: state, rng, width, scale, frozen;
-        mode: _,        // fixed by the configuration on restore
-        static_bins: _, // fixed by the configuration on restore
-        t_scale: _,     // fixed by the configuration on restore
-    } then |b| {
-        if !b.width.is_finite() || b.width < 0.0 {
-            return Err(format!("restored bin width is invalid: {}", b.width));
-        }
-        if !b.scale.is_finite() || b.scale <= 0.0 {
-            return Err(format!("restored bin scale is invalid: {}", b.scale));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

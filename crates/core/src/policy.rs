@@ -1,6 +1,5 @@
 //! The PACT tiering policy (Algorithms 1–3 end to end).
 
-use pact_stats::{ByteReader, ByteWriter, State};
 use pact_tiersim::{
     MachineInfo, PageId, PmuCounters, PolicyCtx, SampleEvent, Tier, TieringPolicy, WindowStats,
 };
@@ -68,7 +67,7 @@ impl PactPolicy {
         Ok(Self {
             cfg,
             // Sized to the machine in `prepare`.
-            store: PacStore::for_pages(0),
+            store: PacStore::new(),
             bins,
             k: 418.0,
             windows_seen: 0,
@@ -296,13 +295,6 @@ impl PactPolicy {
         m.set(t, tracked);
     }
 
-    /// The configuration a frame must have been captured under.
-    fn config_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put(&self.cfg);
-        w.into_bytes()
-    }
-
     fn store_decay_unit(&mut self, head: PageId, span: u64) {
         for off in 0..span {
             let page = PageId(head.0 + off);
@@ -329,7 +321,7 @@ impl TieringPolicy for PactPolicy {
             .cfg
             .k_override
             .unwrap_or(info.latency_cycles[Tier::Slow.index()] as f64);
-        self.store = PacStore::for_pages(info.total_pages);
+        self.store = PacStore::new();
         self.bins = AdaptiveBins::new(&self.cfg);
         self.windows_seen = 0;
         self.last_period_snapshot = PmuCounters::default();
@@ -358,40 +350,12 @@ impl TieringPolicy for PactPolicy {
             self.run_period(win, ctx);
         }
     }
-
-    /// The configuration's bytes, then the run state.
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        let mut w = ByteWriter::new();
-        w.put(&self.config_bytes());
-        self.put_state(&mut w);
-        out.extend_from_slice(&w.into_bytes());
-        true
-    }
-
-    fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let mut r = ByteReader::new(state);
-        if r.get_bytes().map_err(|e| e.to_string())? != self.config_bytes() {
-            return Err("snapshot was captured under a different PACT configuration".into());
-        }
-        self.get_state(&mut r).map_err(|e| e.to_string())?;
-        r.finish().map_err(|e| e.to_string())
-    }
-}
-
-pact_stats::codec! {
-    impl State for PactPolicy {
-        k, windows_seen, failures_seen, rejections_seen, last_period_snapshot,
-        store: state, bins: state;
-        cfg: _, // checked ahead of the run state
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_tiersim::{
-        Access, Machine, MachineConfig, PebsScope, RunSpec, TraceWorkload, PAGE_BYTES,
-    };
+    use pact_tiersim::{Access, Machine, MachineConfig, PebsScope, TraceWorkload, PAGE_BYTES};
 
     fn mixed_workload() -> TraceWorkload {
         // Half the pages are pointer-chased (critical), half streamed.
@@ -551,54 +515,6 @@ mod tests {
         p.audit().unwrap(); // fresh policy is consistent
         m.try_run(&wl, &mut p).expect("run succeeds");
         p.audit().unwrap();
-    }
-
-    #[test]
-    fn pact_survives_kill_resume_byte_identically() {
-        let wl = mixed_workload();
-        let mut mcfg = small_cfg(128);
-        mcfg.snapshot_every = 3;
-        mcfg.track_page_stalls = true;
-        let m = Machine::new(mcfg).unwrap();
-        let mut snaps = Vec::new();
-        let reference = m
-            .run(RunSpec {
-                snapshot_sink: Some(&mut |s| snaps.push(s)),
-                ..RunSpec::new(&[&wl], &mut PactPolicy::new(PactConfig::default()).unwrap())
-            })
-            .unwrap();
-        assert!(!snaps.is_empty());
-        assert!(reference.promotions > 0);
-        let ref_dbg = format!("{reference:?}");
-        for snap in &snaps {
-            let mut p = PactPolicy::new(PactConfig::default()).unwrap();
-            let resumed = m
-                .run(RunSpec {
-                    resume_from: Some(snap),
-                    ..RunSpec::new(&[&wl], &mut p)
-                })
-                .unwrap();
-            assert_eq!(
-                format!("{resumed:?}"),
-                ref_dbg,
-                "divergence resuming from window {:?}",
-                snap.window()
-            );
-            p.audit().unwrap();
-        }
-        // Resuming under a different PACT configuration is rejected.
-        let other = PactConfig {
-            period_windows: 2,
-            ..PactConfig::default()
-        };
-        let mut p = PactPolicy::new(other).unwrap();
-        let err = m
-            .run(RunSpec {
-                resume_from: Some(&snaps[0]),
-                ..RunSpec::new(&[&wl], &mut p)
-            })
-            .unwrap_err();
-        assert!(err.to_string().contains("configuration"), "{err}");
     }
 
     #[test]

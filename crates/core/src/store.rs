@@ -8,7 +8,6 @@
 //! reports 25 bytes per tracked 4 KiB page; this entry is the same
 //! order.
 
-use pact_stats::codec::{ByteReader, ByteWriter, CodecError, State};
 use pact_tiersim::PageId;
 
 use crate::config::Cooling;
@@ -30,7 +29,7 @@ pub struct PageEntry {
 }
 
 /// The PAC tracking store.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PacStore {
     /// Dense entry table indexed by page number; untracked slots hold
     /// default entries and are skipped via `tracked`.
@@ -45,23 +44,12 @@ pub struct PacStore {
     period_total: u64,
     /// Global sample counter across the run.
     global_samples: u64,
-    /// Page ids a restored frame may name lie below this bound.
-    page_limit: u64,
 }
 
 impl PacStore {
-    /// Creates an empty store for a machine of `total_pages` pages: a
-    /// snapshot naming a page at or beyond it fails to restore.
-    pub fn for_pages(total_pages: u64) -> Self {
-        Self {
-            entries: Vec::new(),
-            tracked: Vec::new(),
-            ids: Vec::new(),
-            active: Vec::new(),
-            period_total: 0,
-            global_samples: 0,
-            page_limit: total_pages,
-        }
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     #[inline]
@@ -298,67 +286,13 @@ impl PacStore {
     }
 }
 
-pact_stats::codec! {
-    impl Codec for PageEntry {
-        pac, period_samples, period_latency_sum, total_samples, last_capture,
-    }
-}
-
-/// Only tracked entries are written, as `(page, entry)` in first-touch
-/// order; the dense table is rebuilt on restore, and the restored
-/// bookkeeping is re-checked with [`PacStore::debug_validate`].
-impl State for PacStore {
-    fn put_state(&self, w: &mut ByteWriter) {
-        let Self {
-            entries,
-            tracked: _, // rebuilt from the decoded pages
-            ids,
-            active,
-            period_total,
-            global_samples,
-            page_limit: _, // set by the policy's `prepare`
-        } = self;
-        w.put(&ids.len());
-        for &page in ids {
-            w.put(&(page, entries[page.0 as usize]));
-        }
-        w.put(active);
-        w.put(period_total);
-        w.put(global_samples);
-    }
-
-    fn get_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        let invalid = |msg| Err(CodecError::Invalid(msg));
-        let pages: Vec<(PageId, PageEntry)> = r.get()?;
-        let mut store = PacStore::for_pages(self.page_limit);
-        for (page, entry) in pages {
-            if page.0 >= self.page_limit {
-                return invalid(format!(
-                    "pac store lists page {} on a machine of {} pages",
-                    page.0, self.page_limit
-                ));
-            }
-            if store.get(page).is_some() {
-                return invalid(format!("pac store lists page {} twice", page.0));
-            }
-            *store.slot(page) = entry;
-        }
-        (store.active, store.period_total, store.global_samples) = r.get()?;
-        if let Err(err) = store.debug_validate() {
-            return invalid(format!("restored pac store is inconsistent: {err}"));
-        }
-        *self = store;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn proportional_attribution_splits_by_frequency() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         for _ in 0..3 {
             s.record_sample(PageId(1), 400);
         }
@@ -373,7 +307,7 @@ mod tests {
 
     #[test]
     fn latency_weighted_attribution_prefers_slow_loads() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         s.record_sample(PageId(1), 100); // fast load
         s.record_sample(PageId(2), 900); // slow load
         let updated = s.attribute_period(1000.0, 1.0, |e| e.period_latency_sum as f64);
@@ -384,7 +318,7 @@ mod tests {
 
     #[test]
     fn accumulation_across_periods() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         s.record_sample(PageId(7), 400);
         s.attribute_period(50.0, 1.0, |e| e.period_samples as f64);
         s.record_sample(PageId(7), 400);
@@ -395,7 +329,7 @@ mod tests {
 
     #[test]
     fn alpha_decays_history() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         s.record_sample(PageId(7), 400);
         s.attribute_period(100.0, 0.5, |e| e.period_samples as f64);
         s.record_sample(PageId(7), 400);
@@ -405,7 +339,7 @@ mod tests {
 
     #[test]
     fn unsampled_pages_keep_pac_without_alpha() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         s.record_sample(PageId(1), 400);
         s.attribute_period(100.0, 0.5, |e| e.period_samples as f64);
         // Page 1 not sampled this period: untouched by attribution.
@@ -416,7 +350,7 @@ mod tests {
 
     #[test]
     fn cooling_halves_stale_pages() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         s.record_sample(PageId(1), 400);
         s.attribute_period(100.0, 1.0, |e| e.period_samples as f64);
         // Push the global counter past the distance with other pages.
@@ -431,7 +365,7 @@ mod tests {
 
     #[test]
     fn cooling_reset_zeroes() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         s.record_sample(PageId(1), 400);
         s.attribute_period(100.0, 1.0, |e| e.period_samples as f64);
         for i in 0..20 {
@@ -444,7 +378,7 @@ mod tests {
 
     #[test]
     fn zero_weight_period_attributes_nothing() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         s.record_sample(PageId(1), 0);
         let updated = s.attribute_period(100.0, 1.0, |e| e.period_latency_sum as f64);
         assert_eq!(updated[0].1, 0.0);
@@ -452,7 +386,7 @@ mod tests {
 
     #[test]
     fn counted_records_aggregate() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         s.record_counted(PageId(4), 10, 0);
         s.record_counted(PageId(4), 5, 0);
         s.record_counted(PageId(9), 0, 0); // no-op
@@ -470,7 +404,7 @@ mod tests {
 
     #[test]
     fn iteration_is_first_touch_ordered() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         for p in [9u64, 2, 500, 2, 9, 41] {
             s.record_sample(PageId(p), 100);
         }
@@ -481,7 +415,7 @@ mod tests {
 
     #[test]
     fn debug_validate_accepts_live_store_and_rejects_corruption() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         for p in [1u64, 2, 3] {
             s.record_sample(PageId(p), 400);
         }
@@ -501,7 +435,7 @@ mod tests {
 
     #[test]
     fn sparse_high_page_ids_work() {
-        let mut s = PacStore::for_pages(1 << 22);
+        let mut s = PacStore::new();
         s.record_sample(PageId(1_000_000), 400);
         assert_eq!(s.tracked_pages(), 1);
         assert_eq!(s.pac(PageId(999_999)), 0.0);
@@ -509,28 +443,5 @@ mod tests {
         s.set_pac(PageId(1_000_000), 7.0);
         s.set_pac(PageId(3_000_000), 7.0); // untracked: no-op
         assert_eq!(s.pac(PageId(1_000_000)), 7.0);
-    }
-
-    #[test]
-    fn crafted_page_ids_are_errors() {
-        // One tracked page at `u64::MAX`: rejected before the dense
-        // table grows to it.
-        let mut w = ByteWriter::new();
-        w.put(&vec![(PageId(u64::MAX), PageEntry::default())]);
-        w.put(&(Vec::<PageId>::new(), 0u64, 0u64));
-        let bytes = w.into_bytes();
-        let mut store = PacStore::for_pages(64);
-        let err = store.get_state(&mut ByteReader::new(&bytes)).unwrap_err();
-        assert!(
-            matches!(&err, CodecError::Invalid(m) if m.contains("64 pages")),
-            "{err:?}"
-        );
-        // The same page on a machine that has it restores.
-        let mut w = ByteWriter::new();
-        w.put(&vec![(PageId(63), PageEntry::default())]);
-        w.put(&(Vec::<PageId>::new(), 0u64, 0u64));
-        let bytes = w.into_bytes();
-        store.get_state(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(store.tracked_pages(), 1);
     }
 }

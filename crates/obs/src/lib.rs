@@ -54,5 +54,4 @@ pub use export::{
 };
 pub use json::{validate, JsonError, JsonWriter};
 pub use metrics::{HistogramNames, MetricId, MetricKind, MetricsRegistry};
-pub use pact_stats::intern;
 pub use tracer::{EventKind, TraceEvent, Tracer, DEFAULT_RING_CAPACITY};

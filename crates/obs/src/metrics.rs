@@ -15,7 +15,6 @@
 //! per window. Snapshot order is registration order, so reports are
 //! deterministic.
 
-use pact_stats::codec::{ByteReader, ByteWriter, Codec, CodecError, State};
 use pact_stats::LogHistogram;
 
 /// Dense handle to a registered metric.
@@ -299,83 +298,6 @@ impl MetricsRegistry {
     }
 }
 
-pact_stats::codec! {
-    impl Codec for Value {
-        0 => Counter { total, last_snapshot },
-        1 => Gauge(value),
-        2 => Histogram { names, hist, sum, n },
-    }
-}
-
-pact_stats::codec! {
-    impl Codec for HistogramNames {
-        p50, p90, p99, p999;
-        mean: _, // the metric's own name, restored by the registry's decode
-    }
-}
-
-pact_stats::codec! {
-    impl Codec for Metric { name, value }
-}
-
-/// Every metric in registration order: name, kind and value.
-///
-/// Import is by position: entries already registered (the machine
-/// re-registers its metrics during construction, in the same order as
-/// the captured run) must match the serialized name and kind and take
-/// the captured value; serialized entries beyond the current length,
-/// metrics a policy registered mid-run, are appended. After a
-/// successful decode the registry's registration order is identical to
-/// the uninterrupted run's, so snapshots and reports stay
-/// byte-identical.
-impl State for MetricsRegistry {
-    fn put_state(&self, w: &mut ByteWriter) {
-        let Self {
-            metrics,
-            snapshot_width: _, // summed again from the decoded metrics
-        } = self;
-        metrics.put(w);
-    }
-
-    fn get_state(&mut self, r: &mut ByteReader<'_>) -> Result<(), CodecError> {
-        let Self {
-            metrics,
-            snapshot_width,
-        } = self;
-        let mut decoded: Vec<Metric> = r.get()?;
-        let invalid = |msg| Err(CodecError::Invalid(msg));
-        if decoded.len() < metrics.len() {
-            return invalid(format!(
-                "metrics registry snapshot has {} entries but {} are already registered",
-                decoded.len(),
-                metrics.len()
-            ));
-        }
-        for (i, (m, d)) in metrics.iter().zip(&decoded).enumerate() {
-            if m.name != d.name {
-                return invalid(format!(
-                    "metrics registry mismatch at slot {i}: registered {:?}, snapshot has {:?}",
-                    m.name, d.name
-                ));
-            }
-            if std::mem::discriminant(&m.value) != std::mem::discriminant(&d.value) {
-                return invalid(format!(
-                    "metric {:?}: snapshot kind differs from registered kind",
-                    d.name
-                ));
-            }
-        }
-        for m in &mut decoded {
-            if let Value::Histogram { names, .. } = &mut m.value {
-                names.mean = m.name;
-            }
-        }
-        *snapshot_width = decoded.iter().map(|m| m.value.width()).sum();
-        *metrics = decoded;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,88 +436,5 @@ mod tests {
         let mut r = MetricsRegistry::new();
         let c = r.counter("c");
         r.set(c, 1.0);
-    }
-
-    #[test]
-    fn state_round_trips_into_a_rebuilt_registry() {
-        let mut r = MetricsRegistry::new();
-        let c = r.counter("c");
-        let g = r.gauge("g");
-        let h = r.histogram(H);
-        r.inc(c, 12);
-        r.snapshot_window(); // establish a non-zero counter baseline
-        r.inc(c, 3);
-        r.set(g, -1.25);
-        r.observe(h, 100.0);
-        r.observe(h, 5000.0);
-        let mut w = pact_stats::ByteWriter::new();
-        r.put_state(&mut w);
-        let bytes = w.into_bytes();
-        // The resumed machine re-registers c and g during construction;
-        // the policy-registered histogram is appended by the decode.
-        let mut fresh = MetricsRegistry::new();
-        fresh.counter("c");
-        fresh.gauge("g");
-        fresh
-            .get_state(&mut pact_stats::ByteReader::new(&bytes))
-            .unwrap();
-        assert_eq!(fresh.len(), r.len());
-        assert_eq!(fresh.counter_total(c), 15);
-        assert_eq!(fresh.peek_window(), r.peek_window());
-        assert_eq!(fresh.snapshot_window(), r.snapshot_window());
-        // Post-reset windows stay in lockstep too (snapshot_width and
-        // histogram reset behave identically).
-        assert_eq!(fresh.snapshot_window(), r.snapshot_window());
-    }
-
-    #[test]
-    fn decode_rejects_mismatched_registration() {
-        let mut r = MetricsRegistry::new();
-        r.counter("c");
-        let mut w = pact_stats::ByteWriter::new();
-        r.put_state(&mut w);
-        let bytes = w.into_bytes();
-        // Different name in slot 0.
-        let mut other = MetricsRegistry::new();
-        other.counter("different");
-        let err = other
-            .get_state(&mut pact_stats::ByteReader::new(&bytes))
-            .unwrap_err();
-        assert!(err.to_string().contains("slot 0"), "{err}");
-        // Same name, different kind.
-        let mut gauge = MetricsRegistry::new();
-        gauge.gauge("c");
-        let err = gauge
-            .get_state(&mut pact_stats::ByteReader::new(&bytes))
-            .unwrap_err();
-        assert!(err.to_string().contains("kind"), "{err}");
-        // More live registrations than the snapshot has.
-        let mut extra = MetricsRegistry::new();
-        extra.counter("c");
-        extra.counter("d");
-        assert!(extra
-            .get_state(&mut pact_stats::ByteReader::new(&bytes))
-            .is_err());
-        // Truncated payload.
-        let mut ok = MetricsRegistry::new();
-        ok.counter("c");
-        assert!(ok
-            .get_state(&mut pact_stats::ByteReader::new(&bytes[..4]))
-            .is_err());
-    }
-
-    #[test]
-    fn crafted_histogram_bucket_count_is_an_error() {
-        // One histogram whose bucket count claims 2^61 buckets: rejected
-        // before anything is allocated.
-        let mut w = pact_stats::ByteWriter::new();
-        w.put(&(1usize, "lat", 2u8));
-        w.put(&["lat_p50", "lat_p90", "lat_p99", "lat_p999"]);
-        w.put(&((1usize << 61, 0usize), (0u64, 0u64), (0.0f64, 0u64)));
-        let bytes = w.into_bytes();
-        let err = MetricsRegistry::new()
-            .get_state(&mut pact_stats::ByteReader::new(&bytes))
-            .unwrap_err();
-        assert!(err.to_string().contains("bucket count"), "{err}");
     }
 }

@@ -17,8 +17,7 @@
 //!
 //! Matches over [`EventKind`] name every variant: wildcard arms are a
 //! denied clippy lint here, so a new variant without a name is a compile
-//! error. The snapshot codec's encoder and decoder both come from one
-//! tag list, whose encoder match is exhaustive too.
+//! error.
 
 #![deny(clippy::wildcard_enum_match_arm)]
 
@@ -151,27 +150,6 @@ impl EventKind {
     }
 }
 
-// A tag byte, then the variant's fields; labels come back interned.
-pact_stats::codec! {
-    impl Codec for EventKind {
-        0 => WindowBoundary { index, promotions, demotions, failed_promotions, dropped_orders },
-        1 => OrderIssued { page, to, sync },
-        2 => OrderCompleted { page, to, moved },
-        3 => OrderDropped { page, to },
-        4 => PromotionRejected { page },
-        5 => ChannelSaturated { tier, backlog_cycles },
-        6 => ChannelRecovered { tier, episode_cycles },
-        7 => SampleBatch { pebs, hint_faults },
-        8 => PolicyTelemetry { key, value },
-        9 => FaultInjected { kind, arg },
-        10 => OrderRetried { page, to, attempt },
-    }
-}
-
-pact_stats::codec! {
-    impl Codec for TraceEvent { cycle, kind }
-}
-
 /// Human-readable tier name for a [`TierIdx`].
 pub(crate) fn tier_name(t: TierIdx) -> &'static str {
     if t == 0 {
@@ -273,32 +251,9 @@ impl Tracer {
     }
 }
 
-// The sink's configuration and full ring contents. A resumed run
-// re-creates its tracer from the same settings, so a different
-// enablement or capacity is an error rather than a silent trace
-// divergence.
-pact_stats::codec! {
-    impl State for Tracer {
-        enabled: eq, cap: eq, head, overwritten, events,
-    } then |t| {
-        let (len, head, cap) = (t.events.len(), t.head, t.cap);
-        // The head is meaningful only once the ring has wrapped
-        // (len == cap); before that it must still be 0.
-        if len > cap || (head != 0 && (len < cap || head >= cap)) {
-            return Err(format!(
-                "tracer snapshot ring shape is invalid: len={len} head={head} cap={cap}"
-            ));
-        }
-        // Keep the ring's one allocation, so `emit` never grows it.
-        t.events.reserve_exact(cap - len);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_stats::{ByteReader, ByteWriter, CodecError, State};
 
     #[test]
     fn disabled_sink_never_allocates() {
@@ -345,50 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn state_round_trips_through_put_and_get() {
-        let mut t = Tracer::ring(4);
-        // Every variant, then a wrap that keeps the two carrying labels.
-        for (cycle, kind) in (10..).zip(one_of_each()) {
-            t.emit(cycle, kind);
-        }
-        assert_eq!(t.overwritten(), 7);
-        let mut w = ByteWriter::new();
-        t.put_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = Tracer::ring(4);
-        fresh.get_state(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(fresh.events_in_order(), t.events_in_order());
-        assert_eq!(fresh.overwritten(), t.overwritten());
-        // Continuing both in lockstep keeps them identical.
-        t.emit(99, EventKind::PromotionRejected { page: 9 });
-        fresh.emit(99, EventKind::PromotionRejected { page: 9 });
-        assert_eq!(fresh.events_in_order(), t.events_in_order());
-        // Re-encoding yields the same bytes.
-        let mut w2 = ByteWriter::new();
-        fresh.put_state(&mut w2);
-        let mut w3 = ByteWriter::new();
-        t.put_state(&mut w3);
-        assert_eq!(w2.into_bytes(), w3.into_bytes());
-    }
-
-    #[test]
-    fn decode_rejects_mismatched_sink_shape() {
-        let t = Tracer::ring(8);
-        let mut w = ByteWriter::new();
-        t.put_state(&mut w);
-        let bytes = w.into_bytes();
-        // Wrong capacity.
-        let mut other = Tracer::ring(4);
-        assert!(other.get_state(&mut ByteReader::new(&bytes)).is_err());
-        // Wrong enablement.
-        let mut off = Tracer::disabled();
-        assert!(off.get_state(&mut ByteReader::new(&bytes)).is_err());
-        // Truncated payload.
-        let mut same = Tracer::ring(8);
-        assert!(same.get_state(&mut ByteReader::new(&bytes[..3])).is_err());
-    }
-
-    #[test]
     fn event_names_are_stable() {
         assert_eq!(
             EventKind::WindowBoundary {
@@ -411,79 +322,5 @@ mod tests {
         );
         assert_eq!(tier_name(0), "fast");
         assert_eq!(tier_name(1), "slow");
-    }
-
-    /// One value of every [`EventKind`] variant, in tag order. A new
-    /// variant belongs here too.
-    fn one_of_each() -> Vec<EventKind> {
-        vec![
-            EventKind::WindowBoundary {
-                index: 1,
-                promotions: 2,
-                demotions: 3,
-                failed_promotions: 4,
-                dropped_orders: 5,
-            },
-            EventKind::OrderIssued {
-                page: 6,
-                to: 1,
-                sync: true,
-            },
-            EventKind::OrderCompleted {
-                page: 7,
-                to: 0,
-                moved: 512,
-            },
-            EventKind::OrderDropped { page: 8, to: 1 },
-            EventKind::PromotionRejected { page: 9 },
-            EventKind::ChannelSaturated {
-                tier: 1,
-                backlog_cycles: 1_000,
-            },
-            EventKind::ChannelRecovered {
-                tier: 0,
-                episode_cycles: 77,
-            },
-            EventKind::SampleBatch {
-                pebs: 10,
-                hint_faults: 11,
-            },
-            EventKind::PolicyTelemetry {
-                key: "bin_width",
-                value: -0.5,
-            },
-            EventKind::FaultInjected {
-                kind: "pebs_loss",
-                arg: 12,
-            },
-            EventKind::OrderRetried {
-                page: 13,
-                to: 0,
-                attempt: 3,
-            },
-        ]
-    }
-
-    /// The tags in the codec's variant list are written by hand, and the
-    /// frame layout depends on them; this pins each variant's tag to its
-    /// position, checks that it decodes back to itself, and that the
-    /// first tag past the last variant is rejected as unknown.
-    #[test]
-    fn every_variant_round_trips_and_the_next_tag_is_rejected() {
-        let all = one_of_each();
-        for (tag, kind) in all.iter().enumerate() {
-            let mut w = ByteWriter::new();
-            w.put(kind);
-            let bytes = w.into_bytes();
-            assert_eq!(usize::from(bytes[0]), tag, "{kind:?} has the wrong tag");
-            let mut r = ByteReader::new(&bytes);
-            assert_eq!(r.get::<EventKind>().as_ref(), Ok(kind));
-            r.finish().expect("decode consumes every encoded byte");
-        }
-        let past = u8::try_from(all.len()).expect("fewer than 256 variants");
-        assert_eq!(
-            ByteReader::new(&[past]).get::<EventKind>(),
-            Err(CodecError::BadTag(past))
-        );
     }
 }

@@ -32,7 +32,6 @@
 
 #[cfg(clippy)]
 mod canary;
-pub mod codec;
 
 mod histogram;
 mod linfit;
@@ -44,7 +43,6 @@ mod reservoir;
 mod rng;
 mod summary;
 
-pub use codec::{intern, ByteReader, ByteWriter, Codec, CodecError, State};
 pub use histogram::{freedman_diaconis_width, Histogram};
 pub use linfit::{linear_fit, LinearFit};
 pub use loghist::LogHistogram;

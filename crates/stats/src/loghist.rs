@@ -15,8 +15,6 @@
 //! recorded. Two histograms fed the same values in any order report
 //! identical quantiles.
 
-use crate::codec::{ByteReader, ByteWriter, Codec, CodecError};
-
 /// Values below this threshold get one exact bucket each.
 const LINEAR_MAX: u64 = 16;
 /// Linear sub-buckets per power-of-two group above [`LINEAR_MAX`].
@@ -140,47 +138,6 @@ impl LogHistogram {
             }
         }
         self.max
-    }
-}
-
-/// Sparse, since most buckets are empty: the bucket count, the number
-/// of nonzero buckets, each as `(index, count)`, then `total` and `max`.
-/// Decoding rejects a bucket count other than this build's, and parts
-/// that are inconsistent (counts that do not sum to `total`, or a `max`
-/// outside its bucket), so a corrupted snapshot never yields quantiles
-/// from impossible state.
-impl Codec for LogHistogram {
-    fn put(&self, w: &mut ByteWriter) {
-        let Self { counts, total, max } = self;
-        w.put(&counts.len());
-        w.put(&counts.iter().filter(|&&c| c != 0).count());
-        for (i, &c) in counts.iter().enumerate() {
-            if c != 0 {
-                w.put(&(i, c));
-            }
-        }
-        w.put(&(*total, *max));
-    }
-
-    fn get(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
-        let invalid = |what: &str| CodecError::Invalid(format!("histogram: {what}"));
-        if r.get::<usize>()? != BUCKETS {
-            return Err(invalid("bucket count differs from this build's"));
-        }
-        let mut h = Self::new();
-        for _ in 0..r.get::<usize>()? {
-            let (i, c): (usize, u64) = r.get()?;
-            *h.counts
-                .get_mut(i)
-                .ok_or_else(|| invalid("bucket index out of range"))? = c;
-        }
-        (h.total, h.max) = r.get()?;
-        let sum = h.counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
-        let max_bucket_empty = h.total > 0 && h.counts[Self::bucket_of(h.max)] == 0;
-        if sum != Some(h.total) || max_bucket_empty || (h.total == 0 && h.max != 0) {
-            return Err(invalid("inconsistent bucket state"));
-        }
-        Ok(h)
     }
 }
 
@@ -320,55 +277,6 @@ mod tests {
         h.record((1 << 30) + 1); // bucket upper edge is far above this
         assert_eq!(h.value_at_quantile(1.0), (1 << 30) + 1);
         assert_eq!(h.value_at_quantile(1.0), h.max());
-    }
-
-    fn encode(counts: &[(usize, u64)], buckets: usize, total: u64, max: u64) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put(&buckets);
-        w.put(&counts.to_vec());
-        w.put(&(total, max));
-        w.into_bytes()
-    }
-
-    fn decode(bytes: &[u8]) -> Result<LogHistogram, CodecError> {
-        let mut r = ByteReader::new(bytes);
-        let h = r.get()?;
-        r.finish()?;
-        Ok(h)
-    }
-
-    #[test]
-    fn codec_round_trip_preserves_quantiles() {
-        let mut h = LogHistogram::new();
-        for i in 0..5_000u64 {
-            h.record(i * 37 % 100_003);
-        }
-        let mut w = ByteWriter::new();
-        w.put(&h);
-        let back = decode(&w.into_bytes()).unwrap();
-        assert_eq!(back.total(), h.total());
-        assert_eq!(back.max(), h.max());
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            assert_eq!(back.value_at_quantile(q), h.value_at_quantile(q));
-        }
-    }
-
-    #[test]
-    fn decode_rejects_inconsistent_state() {
-        let b = LogHistogram::bucket_of(1000);
-        // The untampered encoding of one recorded 1000 is accepted.
-        assert!(decode(&encode(&[(b, 1)], BUCKETS, 1, 1000)).is_ok());
-        // Wrong bucket count, including one no input could back.
-        assert!(decode(&encode(&[], 3, 0, 0)).is_err());
-        assert!(decode(&encode(&[], 1 << 61, 0, 0)).is_err());
-        // A bucket index out of range.
-        assert!(decode(&encode(&[(BUCKETS, 1)], BUCKETS, 1, 1000)).is_err());
-        // Counts do not sum to total.
-        assert!(decode(&encode(&[(b, 1)], BUCKETS, 2, 1000)).is_err());
-        // Max claims a bucket with zero count.
-        assert!(decode(&encode(&[(b, 1)], BUCKETS, 1, 5)).is_err());
-        // Non-zero max on an empty histogram.
-        assert!(decode(&encode(&[], BUCKETS, 0, 9)).is_err());
     }
 
     #[test]

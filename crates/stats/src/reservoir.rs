@@ -111,29 +111,6 @@ impl Reservoir {
     }
 }
 
-// The sample in insertion order, then the observation count; the
-// capacity stays as constructed.
-crate::codec! {
-    impl State for Reservoir {
-        samples, seen;
-        capacity: _, // fixed by the configuration that built the reservoir
-    } then |r| {
-        let n = r.samples.len();
-        if n > r.capacity {
-            return Err(format!(
-                "snapshot reservoir holds {n} samples but the configured capacity is {}",
-                r.capacity
-            ));
-        }
-        if r.seen < n as u64 {
-            return Err(format!("reservoir saw {} values but holds {n}", r.seen));
-        }
-        // Keep the one allocation `new` made, so offers never grow it.
-        r.samples.reserve_exact(r.capacity - n);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,44 +161,6 @@ mod tests {
         r.reset();
         assert!(r.is_empty());
         assert_eq!(r.seen(), 0);
-    }
-
-    #[test]
-    fn state_round_trips() {
-        use crate::codec::{ByteReader, ByteWriter, State};
-        let mut rng = SplitMix64::seed_from_u64(11);
-        let mut r = Reservoir::new(8);
-        for i in 0..300 {
-            r.offer((i % 41) as f64, &mut rng);
-        }
-        let mut w = ByteWriter::new();
-        r.put_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = Reservoir::new(8);
-        fresh.get_state(&mut ByteReader::new(&bytes)).unwrap();
-        assert_eq!(fresh.as_slice(), r.as_slice());
-        assert_eq!(fresh.seen(), r.seen());
-        // Continuing both with the same RNG stays in lockstep.
-        let mut rng2 = rng;
-        for i in 300..400 {
-            r.offer(i as f64, &mut rng);
-            fresh.offer(i as f64, &mut rng2);
-        }
-        assert_eq!(fresh.as_slice(), r.as_slice());
-        assert_eq!(fresh.seen(), r.seen());
-    }
-
-    #[test]
-    fn get_state_rejects_oversized_sample() {
-        use crate::codec::{ByteReader, ByteWriter, CodecError, State};
-        let mut w = ByteWriter::new();
-        w.put(&vec![1.0f64, 2.0, 3.0]);
-        w.put(&3u64);
-        let bytes = w.into_bytes();
-        let err = Reservoir::new(2)
-            .get_state(&mut ByteReader::new(&bytes))
-            .unwrap_err();
-        assert!(matches!(err, CodecError::Invalid(m) if m.contains("capacity")));
     }
 
     #[test]

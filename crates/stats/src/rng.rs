@@ -160,16 +160,6 @@ impl UniformRange for std::ops::Range<f64> {
     }
 }
 
-/// The generator's whole state: the stream resumes exactly.
-impl crate::codec::Codec for SplitMix64 {
-    fn put(&self, w: &mut crate::codec::ByteWriter) {
-        w.put(&self.state);
-    }
-    fn get(r: &mut crate::codec::ByteReader<'_>) -> Result<Self, crate::codec::CodecError> {
-        r.get().map(Self::new)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

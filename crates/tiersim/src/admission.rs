@@ -23,7 +23,6 @@
 use std::collections::VecDeque;
 
 use pact_obs::MetricId;
-use pact_stats::codec::{ByteReader, ByteWriter, CodecError, State};
 
 use crate::config::{ConfigError, PebsScope};
 use crate::error::SimError;
@@ -221,14 +220,6 @@ impl Admission {
         totals.dropped_orders += self.lanes.iter().map(|l| l.dropped).sum::<u64>();
     }
 
-    /// The parameters a frame must have been captured under.
-    fn config_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put(&self.cfg);
-        w.put(&self.weights);
-        w.into_bytes()
-    }
-
     /// Filters the orders the inner policy pushed in this callback.
     fn filter(&mut self, ctx: &mut PolicyCtx) -> Vec<MigrationOrder> {
         let mut orders = std::mem::take(ctx.orders_mut());
@@ -291,62 +282,6 @@ impl TieringPolicy for Admission {
         }
         *ctx.orders_mut() = orders;
         self.tokens.copy_from_slice(&self.budget);
-    }
-
-    /// The configuration bytes, the admission state, then the inner
-    /// policy's blob.
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        let mut blob = Vec::new();
-        if !self.inner.save_state(&mut blob) {
-            return false;
-        }
-        let mut w = ByteWriter::new();
-        w.put(&self.config_bytes());
-        self.put_state(&mut w);
-        w.put(&blob);
-        out.extend_from_slice(&w.into_bytes());
-        true
-    }
-
-    fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        let e = |e: CodecError| format!("admission state: {e}");
-        let mut r = ByteReader::new(state);
-        if r.get_bytes().map_err(e)? != self.config_bytes() {
-            return Err("snapshot was captured under a different admission configuration".into());
-        }
-        self.get_state(&mut r).map_err(e)?;
-        let blob = r.get_bytes().map_err(e)?;
-        r.finish().map_err(e)?;
-        self.inner.restore_state(blob)
-    }
-}
-
-pact_stats::codec! {
-    impl Codec for AdmissionControl { budget_per_window, saturation_backlog_cycles, defer_windows }
-}
-
-pact_stats::codec! {
-    impl Codec for AdmissionLane { admitted, rejected, dropped }
-}
-
-// The token buckets, the deferral queue and the per-process ledgers.
-pact_stats::codec! {
-    impl State for Admission {
-        tokens: each, deferred, lanes: each;
-        inner: _,      // its blob follows the admission state
-        name: _,       // derived from the inner policy
-        cfg: _,        // checked ahead of the admission state
-        weights: _,    // checked ahead of the admission state
-        budget: _,     // derived from the configuration
-        m_rejected: _, // found again by name in the restored registry
-    } then |a| {
-        if a.deferred.len() > DEFERRAL_CAP {
-            return Err(format!(
-                "snapshot deferral queue holds {} entries, cap is {DEFERRAL_CAP}",
-                a.deferred.len()
-            ));
-        }
-        Ok(())
     }
 }
 

@@ -109,16 +109,6 @@ impl Llc {
     }
 }
 
-// The tag array and hit/miss counters; the geometry comes from the
-// configuration that built the cache.
-pact_stats::codec! {
-    impl State for Llc {
-        tags: fixed, hits, misses;
-        ways: _,     // geometry from the configuration on restore
-        set_mask: _, // geometry from the configuration on restore
-    }
-}
-
 /// Multi-stream stride detector driving the hardware prefetcher model.
 ///
 /// Real L2 streamers track many concurrent streams (one per accessed
@@ -199,19 +189,6 @@ impl StrideDetector {
     }
 }
 
-pact_stats::codec! {
-    impl Codec for StreamEntry { last_line, streak, last_use }
-}
-
-// The stream table and detector clock.
-pact_stats::codec! {
-    impl State for StrideDetector {
-        streams, clock;
-        // Fixed by the prefetch configuration on restore.
-        trigger: _, degree: _, enabled: _,
-    }
-}
-
 /// Converts a byte address to its line address.
 #[inline]
 pub fn line_of(vaddr: u64) -> u64 {
@@ -221,7 +198,6 @@ pub fn line_of(vaddr: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_stats::{ByteWriter, State};
 
     fn small_llc() -> Llc {
         // 2 sets x 2 ways.
@@ -294,10 +270,7 @@ mod tests {
                 assert!(!reference.fill(line));
             }
         }
-        let (mut a, mut b) = (ByteWriter::new(), ByteWriter::new());
-        fast.put_state(&mut a);
-        reference.put_state(&mut b);
-        assert_eq!(a.into_bytes(), b.into_bytes());
+        assert_eq!(format!("{fast:?}"), format!("{reference:?}"));
     }
 
     /// The two-pass `observe` the single-pass scan replaced: match
@@ -359,10 +332,7 @@ mod tests {
                 "step {step}"
             );
         }
-        let (mut a, mut b) = (ByteWriter::new(), ByteWriter::new());
-        fast.put_state(&mut a);
-        reference.put_state(&mut b);
-        assert_eq!(a.into_bytes(), b.into_bytes());
+        assert_eq!(format!("{fast:?}"), format!("{reference:?}"));
     }
 
     #[test]

@@ -29,7 +29,7 @@ struct Slot {
 #[inline]
 #[expect(
     clippy::cast_possible_truncation,
-    reason = "page ids are below the machine's page count, checked at construction and on restore"
+    reason = "page ids are below the machine's page count, which fits the host's address space"
 )]
 fn index(page: PageId) -> usize {
     page.0 as usize
@@ -51,26 +51,21 @@ pub struct SpaceSaving {
     /// page id -> heap index + 1; 0 means untracked. Grown on demand.
     pos: Vec<u32>,
     total: u64,
-    /// Page ids a restored table may name lie below this bound.
-    pages: u64,
 }
 
 impl SpaceSaving {
-    /// Creates a table with `capacity` counters for a machine of
-    /// `pages` pages: a snapshot naming a page at or beyond it fails to
-    /// restore.
+    /// Creates a table with `capacity` counters.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize, pages: u64) -> Self {
+    pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "need at least one counter");
         Self {
             capacity,
             heap: Vec::with_capacity(capacity),
             pos: Vec::new(),
             total: 0,
-            pages,
         }
     }
 
@@ -193,41 +188,6 @@ impl SpaceSaving {
     }
 }
 
-pact_stats::codec! {
-    impl Codec for Slot { page, count, err }
-}
-
-// The counter table in heap order, and its total, restored into a table
-// constructed with the same capacity.
-pact_stats::codec! {
-    impl State for SpaceSaving {
-        capacity: eq, heap, total;
-        pos: _, // dense index rebuilt below from the restored heap order
-        pages: _, // fixed at construction
-    } then |ss| {
-        if ss.heap.len() > ss.capacity {
-            return Err("chmu state: more slots than capacity".to_string());
-        }
-        ss.pos.fill(0);
-        for i in 0..ss.heap.len() {
-            let page = ss.heap[i].page;
-            if page.0 >= ss.pages {
-                return Err(format!(
-                    "chmu state: page {} on a machine of {} pages",
-                    page.0, ss.pages
-                ));
-            }
-            if ss.pos.get(index(page)).copied().unwrap_or(0) != 0 {
-                return Err(format!("chmu state: page {} tracked twice", page.0));
-            }
-            ss.set_pos(page, i);
-        }
-        // Keep the table's one allocation, so `observe` never grows it.
-        ss.heap.reserve_exact(ss.capacity - ss.heap.len());
-        Ok(())
-    }
-}
-
 /// The device-side hotness monitoring unit: a Space-Saving table fed by
 /// every slow-tier demand access, read and reset by the host each
 /// sampling window.
@@ -237,11 +197,10 @@ pub struct Chmu {
 }
 
 impl Chmu {
-    /// Creates a CHMU with `counters` hardware counters, watching a
-    /// machine of `pages` pages.
-    pub fn new(counters: usize, pages: u64) -> Self {
+    /// Creates a CHMU with `counters` hardware counters.
+    pub fn new(counters: usize) -> Self {
         Self {
-            table: SpaceSaving::new(counters, pages),
+            table: SpaceSaving::new(counters),
         }
     }
 
@@ -278,18 +237,13 @@ impl Chmu {
     }
 }
 
-pact_stats::codec! {
-    impl State for Chmu { table: state }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_stats::{ByteReader, ByteWriter, CodecError, State};
 
     #[test]
     fn exact_when_under_capacity() {
-        let mut ss = SpaceSaving::new(8, 1 << 20);
+        let mut ss = SpaceSaving::new(8);
         for i in 0..4u64 {
             for _ in 0..=i {
                 ss.observe(PageId(i));
@@ -303,7 +257,7 @@ mod tests {
 
     #[test]
     fn heavy_hitters_survive_churn() {
-        let mut ss = SpaceSaving::new(16, 1 << 20);
+        let mut ss = SpaceSaving::new(16);
         let mut x = 7u64;
         for i in 0..50_000u64 {
             // Two heavy hitters amid uniform noise over 10k pages.
@@ -329,7 +283,7 @@ mod tests {
 
     #[test]
     fn eviction_keeps_table_bounded() {
-        let mut ss = SpaceSaving::new(4, 1 << 20);
+        let mut ss = SpaceSaving::new(4);
         for i in 0..1000u64 {
             ss.observe(PageId(i));
         }
@@ -338,7 +292,7 @@ mod tests {
 
     #[test]
     fn chmu_read_and_reset() {
-        let mut chmu = Chmu::new(8, 16);
+        let mut chmu = Chmu::new(8);
         for _ in 0..5 {
             chmu.observe(PageId(9));
         }
@@ -354,24 +308,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one")]
     fn zero_counters_rejected() {
-        SpaceSaving::new(0, 1 << 20);
-    }
-
-    #[test]
-    fn restored_pages_must_lie_below_the_machine() {
-        // A 4-counter table holding one slot for `page`.
-        let frame = |page: u64| {
-            let mut w = ByteWriter::new();
-            w.put(&(4usize, vec![(page, 3u64, 1u64)], 3u64));
-            w.into_bytes()
-        };
-        let restore = |page| SpaceSaving::new(4, 16).get_state(&mut ByteReader::new(&frame(page)));
-        assert_eq!(restore(15), Ok(()));
-        // The first page past the machine, and a crafted u64::MAX, fail
-        // before the page index is sized from them.
-        for page in [16, u64::MAX] {
-            let err = restore(page).unwrap_err();
-            assert!(matches!(err, CodecError::Invalid(_)), "{err:?}");
-        }
+        SpaceSaving::new(0);
     }
 }

@@ -178,12 +178,6 @@ pub struct MachineConfig {
     /// Seed for all randomized machine behaviour (prefetch coverage,
     /// hint-fault scan sampling). Runs are deterministic given the seed.
     pub seed: u64,
-    /// Capture a crash-recovery snapshot every N completed windows when
-    /// a snapshot sink is installed (`0` disables capture, the zero-cost
-    /// default). The field is *excluded* from the snapshot
-    /// configuration fingerprint, so a run may be resumed under a
-    /// different capture cadence.
-    pub snapshot_every: u64,
     /// Deterministic fault-injection plan ([`crate::fault`]); `None`
     /// disables injection entirely (the zero-cost default).
     pub fault_plan: Option<FaultPlan>,
@@ -240,7 +234,6 @@ impl MachineConfig {
             chmu_counters: 0,
             track_page_stalls: false,
             seed: 0x9ac7_1357,
-            snapshot_every: 0,
             fault_plan: None,
             invariants: None,
         }
@@ -314,6 +307,24 @@ impl Default for MachineConfig {
     }
 }
 
+/// Deterministic fingerprint of a [`MachineConfig`]: FNV-1a over its
+/// `Debug` rendering. Every config type derives `Debug`, so every field,
+/// nested ones included, moves it.
+pub fn config_fingerprint(cfg: &MachineConfig) -> u64 {
+    fnv1a(format!("{cfg:?}").as_bytes())
+}
+
+/// 64-bit FNV-1a over `bytes`: the configuration fingerprint and the
+/// digest the report and figure golden tests pin.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Error returned by [`MachineConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfigError(pub(crate) &'static str);
@@ -325,34 +336,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-// The configuration's encoding for the snapshot fingerprint
-// (`snapshot::config_fingerprint`).
-pact_stats::codec! {
-    impl Codec for TierConfig { latency_ns, bandwidth_gbps }
-}
-
-pact_stats::codec! {
-    impl Codec for LlcConfig { size_bytes, ways }
-}
-
-pact_stats::codec! {
-    impl Codec for PrefetchConfig { enabled, trigger, degree, coverage }
-}
-
-pact_stats::codec! {
-    impl Codec for PebsScope { 0 => SlowOnly, 1 => BothTiers }
-}
-
-pact_stats::codec! {
-    impl Codec for PebsConfig { rate, scope, sample_overhead_cycles }
-}
-
-pact_stats::codec! {
-    impl Codec for MigrationConfig {
-        per_page_cycles, daemon_pages_per_window, hint_fault_cycles, shootdown_cycles_per_page,
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -450,6 +433,60 @@ mod tests {
                     "coverage {coverage:e}, threshold {t}, draw {x}"
                 );
             }
+        }
+    }
+
+    /// Each row changes one field, nested ones included; every row's
+    /// fingerprint differs from the base's and from every other row's,
+    /// and equal configs agree.
+    #[test]
+    fn every_config_field_moves_the_fingerprint() {
+        let mut base = MachineConfig::skylake_cxl(512);
+        base.fault_plan = Some(FaultPlan::default());
+        type Change = fn(&mut MachineConfig);
+        let rows: [(&str, Change); 12] = [
+            ("seed", |c| c.seed ^= 1),
+            ("fast_tier_pages", |c| c.fast_tier_pages += 1),
+            ("llc.ways", |c| c.llc.ways = 8),
+            ("prefetch.coverage", |c| c.prefetch.coverage = 0.5),
+            ("tiers[1].latency_ns", |c| c.tiers[1].latency_ns = 140.0),
+            ("pebs.rate", |c| c.pebs.rate += 1),
+            ("pebs.scope", |c| c.pebs.scope = PebsScope::BothTiers),
+            ("migration.per_page_cycles", |c| {
+                c.migration.per_page_cycles += 1
+            }),
+            ("fault_plan", |c| c.fault_plan = None),
+            ("fault_plan.pebs_loss", |c| {
+                if let Some(plan) = c.fault_plan.as_mut() {
+                    plan.pebs_loss = 0.5;
+                }
+            }),
+            ("fault_plan.stall", |c| {
+                if let Some(plan) = c.fault_plan.as_mut() {
+                    plan.stall = Some(crate::StallFault {
+                        tier: Tier::Slow,
+                        lines: 64,
+                        prob: 0.5,
+                    });
+                }
+            }),
+            ("invariants", |c| c.invariants = Some(InvariantSet::all())),
+        ];
+        let base_fp = config_fingerprint(&base);
+        assert_eq!(config_fingerprint(&base.clone()), base_fp);
+        let mut rebuilt = MachineConfig::skylake_cxl(512);
+        rebuilt.fault_plan = Some(FaultPlan::default());
+        assert_eq!(config_fingerprint(&rebuilt), base_fp);
+        let mut seen = vec![("base", base_fp)];
+        for (name, change) in rows {
+            let mut cfg = base.clone();
+            change(&mut cfg);
+            assert_ne!(cfg, base, "row {name} changed nothing");
+            let fp = config_fingerprint(&cfg);
+            if let Some((other, _)) = seen.iter().find(|(_, f)| *f == fp) {
+                panic!("changing {name} gives the fingerprint of {other}");
+            }
+            seen.push((name, fp));
         }
     }
 

@@ -34,10 +34,6 @@ pub enum SimError {
     /// [`MachineConfig::invariants`](crate::MachineConfig::invariants)
     /// failed at a window boundary.
     Invariant(InvariantViolation),
-    /// A crash-recovery snapshot could not be captured or restored
-    /// (corrupt frame, version/configuration mismatch, or a policy
-    /// without snapshot support).
-    Snapshot(String),
     /// An [`Admission`](crate::Admission) policy carries a different
     /// number of QoS weights than the run has colocated workloads.
     WeightMismatch {
@@ -71,7 +67,6 @@ impl std::fmt::Display for SimError {
                 write!(f, "at least one foreground workload is required")
             }
             SimError::Invariant(v) => write!(f, "{v}"),
-            SimError::Snapshot(reason) => write!(f, "snapshot error: {reason}"),
             SimError::WeightMismatch { weights, workloads } => write!(
                 f,
                 "admission control has {weights} qos weights but {workloads} workloads are colocated"

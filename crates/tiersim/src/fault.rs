@@ -91,10 +91,6 @@ pub struct FaultPlan {
     pub chmu_overflow: f64,
 }
 
-pact_stats::codec! {
-    impl Codec for StallFault { tier, lines, prob }
-}
-
 impl Default for FaultPlan {
     fn default() -> Self {
         Self {
@@ -407,35 +403,10 @@ impl FaultState {
     }
 }
 
-pact_stats::codec! {
-    impl Codec for RetryEntry { order, due_window, attempt }
-}
-
-// The fault RNG cursor and the retry/backoff queue, restored into a
-// fault state built from the same plan.
-pact_stats::codec! {
-    impl State for FaultState {
-        rng, retries;
-        plan: _, // comes from the configuration on restore
-        // Metric handles, re-registered at construction.
-        m_injected: _, m_retries: _, m_pebs_lost: _,
-    } then |f| {
-        let max = f.plan.max_retries;
-        if let Some(e) = f.retries.iter().find(|e| e.attempt == 0 || e.attempt > max) {
-            return Err(format!(
-                "fault state: retry attempt {} outside 1..={max}",
-                e.attempt
-            ));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::types::PageId;
-    use pact_stats::State;
 
     #[test]
     fn default_plan_is_inert_and_valid() {
@@ -551,16 +522,5 @@ mod tests {
         let plan = FaultPlan::parse("drop=0.25, ,seed=9").unwrap();
         assert_eq!(plan.drop_order, 0.25);
         assert_eq!(plan.seed, 9);
-    }
-
-    #[test]
-    fn crafted_retry_queue_length_is_an_error() {
-        // The retry queue claims 2^61 entries after the RNG state.
-        let mut w = pact_stats::ByteWriter::new();
-        w.put(&(7u64, 1usize << 61));
-        let bytes = w.into_bytes();
-        let mut state = FaultState::new(FaultPlan::default(), &mut MetricsRegistry::new());
-        let got = state.get_state(&mut pact_stats::ByteReader::new(&bytes));
-        assert_eq!(got, Err(pact_stats::CodecError::BadLength));
     }
 }

@@ -77,10 +77,6 @@ impl InvariantSet {
     }
 }
 
-pact_stats::codec! {
-    impl Codec for InvariantSet { pages, migration, bandwidth, mshr, counters, windows }
-}
-
 impl Default for InvariantSet {
     fn default() -> Self {
         Self::all()
@@ -530,17 +526,6 @@ fn nonmonotone_field(cur: &PmuCounters, prev: &PmuCounters) -> Option<&'static s
         prefetches
     );
     None
-}
-
-// The ledgers and monotonicity state.
-pact_stats::codec! {
-    impl State for InvariantChecker {
-        issued, executed, noops, shed, abandoned, pages_moved, stall_lines,
-        last_mapped, next_window,
-        sum_promotions, sum_demotions, sum_failed, sum_dropped, sum_accesses,
-        last_edge;
-        set: _, // armed set comes from the configuration on restore
-    }
 }
 
 #[cfg(test)]

@@ -74,9 +74,7 @@ mod mem;
 mod observe;
 mod pmu;
 mod policy;
-mod snapshot;
 mod tier;
-mod trace;
 mod types;
 mod workload;
 
@@ -85,8 +83,8 @@ pub use attribution::{CriticalityReport, DEFAULT_REPORT_TOPK};
 pub use cache::{line_of, Llc, StrideDetector};
 pub use chmu::{Chmu, SpaceSaving};
 pub use config::{
-    ConfigError, LlcConfig, MachineConfig, MigrationConfig, PebsConfig, PebsScope, PrefetchConfig,
-    TierConfig,
+    config_fingerprint, fnv1a, ConfigError, LlcConfig, MachineConfig, MigrationConfig, PebsConfig,
+    PebsScope, PrefetchConfig, TierConfig,
 };
 pub use error::SimError;
 pub use fault::{FaultPlan, StallFault, FAULTS_ENV};
@@ -99,8 +97,6 @@ pub use pact_obs::{
 };
 pub use pmu::{PebsSampler, PmuCounters, SampleEvent};
 pub use policy::{FirstTouch, MachineInfo, MigrationOrder, PolicyCtx, TieringPolicy, WindowStats};
-pub use snapshot::{config_fingerprint, fnv1a, MachineSnapshot, FORMAT_VERSION, MAGIC};
 pub use tier::Channel;
-pub use trace::{read_trace, write_trace, write_workload_trace};
 pub use types::{Access, AccessKind, PageId, ProcId, Tier, HUGE_PAGE_SPAN, LINE_BYTES, PAGE_BYTES};
 pub use workload::{AccessStream, Region, TraceWorkload, VecStream, Workload};

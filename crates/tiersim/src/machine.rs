@@ -23,7 +23,6 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use pact_obs::{EventKind, HistogramNames, MetricId, MetricsRegistry, Tracer};
-use pact_stats::codec::{ByteReader, ByteWriter, CodecError, State};
 use pact_stats::SplitMix64;
 
 use crate::cache::{line_of, Llc, StrideDetector};
@@ -37,7 +36,6 @@ use crate::pmu::{PebsSampler, PmuCounters, SampleEvent};
 use crate::policy::{
     CtxTotals, MachineInfo, MigrationOrder, PolicyCtx, TieringPolicy, WindowStats,
 };
-use crate::snapshot::{self, MachineSnapshot};
 use crate::tier::Channel;
 use crate::types::{AccessKind, PageId, Tier, HUGE_PAGE_SPAN, LINE_BYTES, PAGE_BYTES};
 use crate::workload::{AccessStream, Workload};
@@ -179,36 +177,25 @@ impl Machine {
     }
 
     /// Runs one simulation as described by `spec`: each call is an
-    /// independent run with fresh state (or the state restored from
-    /// [`RunSpec::resume_from`]).
+    /// independent run with fresh state.
     ///
     /// # Errors
     ///
     /// [`SimError::NoWorkloads`] / [`SimError::NoStreams`] /
     /// [`SimError::NoForeground`] for degenerate workload sets,
     /// [`SimError::AddressOutOfRange`] when a stream emits an address
-    /// beyond its declared footprint, and [`SimError::Snapshot`] for a
-    /// corrupt, truncated, version- or configuration-mismatched resume
-    /// frame or when capture is armed under a policy that does not
-    /// implement [`TieringPolicy::save_state`].
+    /// beyond its declared footprint.
     pub fn run(&self, spec: RunSpec<'_>) -> Result<RunReport, SimError> {
         if spec.workloads.is_empty() {
             return Err(SimError::NoWorkloads);
         }
         let mut disabled = Tracer::disabled();
         let tracer = spec.tracer.unwrap_or(&mut disabled);
-        let mut sim = Sim::new(&self.cfg, spec.workloads, spec.policy, tracer)?;
-        if let Some(sink) = spec.snapshot_sink {
-            sim.snap_sink = Some(sink);
-        }
-        if let Some(snap) = spec.resume_from {
-            sim.restore(snap)?;
-        }
-        sim.run()
+        Sim::new(&self.cfg, spec.workloads, spec.policy, tracer)?.run()
     }
 
     /// Shorthand for the common case: one workload under `policy`,
-    /// untraced, no snapshots.
+    /// untraced.
     ///
     /// # Errors
     ///
@@ -251,17 +238,6 @@ pub struct RunSpec<'a> {
     /// Tracing does not perturb the run: the report is identical to an
     /// untraced one.
     pub tracer: Option<&'a mut Tracer>,
-    /// Receives a sealed [`MachineSnapshot`] after every
-    /// [`MachineConfig::snapshot_every`] completed windows (nothing
-    /// when that is 0). Capture does not perturb the run.
-    pub snapshot_sink: Option<&'a mut dyn FnMut(MachineSnapshot)>,
-    /// Continues a run from this frame instead of starting fresh; the
-    /// report (and every trace, metrics and captured-frame byte) is
-    /// identical to the uninterrupted run's. The workloads and policy
-    /// must be the ones the frame was captured under, and the machine
-    /// configuration must match its fingerprint except
-    /// `snapshot_every`, which may differ freely.
-    pub resume_from: Option<&'a MachineSnapshot>,
 }
 
 impl<'a> RunSpec<'a> {
@@ -271,8 +247,6 @@ impl<'a> RunSpec<'a> {
             workloads,
             policy,
             tracer: None,
-            snapshot_sink: None,
-            resume_from: None,
         }
     }
 }
@@ -286,11 +260,6 @@ struct ThreadState<'w> {
     proc: usize,
     base_page: u64,
     footprint_bytes: u64,
-    /// Accesses consumed from `stream` so far. Snapshot restore
-    /// fast-forwards a fresh stream by this many accesses — sound
-    /// because [`Workload::streams`] contractually returns identical
-    /// streams on every call.
-    consumed: u64,
     /// Outstanding miss completions:
     /// `Reverse((completion_cycle, tier_index, page))`.
     inflight: BinaryHeap<Reverse<(u64, u8, u64)>>,
@@ -345,10 +314,6 @@ impl Lane {
         self.failed_promotions += failed_promotions;
         self.dropped_orders += dropped_orders;
     }
-}
-
-pact_stats::codec! {
-    impl Codec for Lane { pmu, promotions, demotions, failed_promotions, dropped_orders }
 }
 
 struct Sim<'a, 'w> {
@@ -413,7 +378,7 @@ struct Sim<'a, 'w> {
     tracer: &'a mut Tracer,
     registry: MetricsRegistry,
     // All `m_*` handles below: dense metric ids assigned by the fixed
-    // registration order at construction, identical on any resume.
+    // registration order at construction.
     m_daemon_pages: MetricId,
     m_queue_len: MetricId,
     m_fast_used: MetricId,
@@ -441,10 +406,6 @@ struct Sim<'a, 'w> {
     /// dead `Option` branches to the migration path and keeps output
     /// byte-identical to a build without the checking layer.
     checker: Option<Box<InvariantChecker>>,
-    /// Crash-recovery snapshot sink; when set and
-    /// `cfg.snapshot_every > 0`, sealed frames are handed to it every
-    /// `snapshot_every` completed windows.
-    snap_sink: Option<&'a mut dyn FnMut(MachineSnapshot)>,
 }
 
 /// Maximum pending async migration orders before new ones are dropped.
@@ -517,7 +478,6 @@ impl<'a, 'w> Sim<'a, 'w> {
                 proc: pi,
                 base_page,
                 footprint_bytes: fp_bytes,
-                consumed: 0,
                 inflight: BinaryHeap::with_capacity(cfg.mshrs + 1),
                 write_buffer: BinaryHeap::with_capacity(WRITE_BUFFER + 1),
                 last_miss_completion: 0,
@@ -615,7 +575,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             process_base,
             mem,
             llc: Llc::new(cfg.llc),
-            chmu: (cfg.chmu_counters > 0).then(|| Chmu::new(cfg.chmu_counters, next_base_page)),
+            chmu: (cfg.chmu_counters > 0).then(|| Chmu::new(cfg.chmu_counters)),
             pebs: PebsSampler::new(pebs_cfg),
             rng: SplitMix64::seed_from_u64(cfg.seed),
             prefetch_threshold: cfg.prefetch.coverage_threshold(),
@@ -663,7 +623,6 @@ impl<'a, 'w> Sim<'a, 'w> {
             checker: cfg
                 .invariants
                 .map(|set| Box::new(InvariantChecker::new(set))),
-            snap_sink: None,
             cfg,
         })
     }
@@ -719,7 +678,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             let Some(ti) = best else { break };
             // Fire any window boundaries the whole machine has passed.
             while self.clock[ti] + self.clock_offset >= self.next_edge {
-                self.fire_window(true)?;
+                self.fire_window()?;
             }
             self.step_thread(ti)?;
         }
@@ -744,10 +703,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             }
         }
         // Close the final partial window so its activity is recorded.
-        // Snapshot capture is suppressed here: the frame would describe
-        // a run with no live foreground threads, which resume could
-        // never continue (and whose outputs are already final).
-        self.fire_window(false)?;
+        self.fire_window()?;
         let totals = self.totals();
         if let Some(c) = self.checker.as_ref() {
             c.check_final(
@@ -845,7 +801,6 @@ impl<'a, 'w> Sim<'a, 'w> {
             }
             return Ok(());
         };
-        self.threads[ti].consumed += 1;
         let (lane, base_page, fp_bytes) = {
             let t = &self.threads[ti];
             (t.proc, t.base_page, t.footprint_bytes)
@@ -1346,11 +1301,7 @@ impl<'a, 'w> Sim<'a, 'w> {
     /// Ends the current window: snapshot counters, consult the policy,
     /// run the migration daemon, refresh hint-fault poison, and — when
     /// an [`crate::InvariantSet`] is armed — verify conservation laws.
-    ///
-    /// `allow_snapshot` gates crash-recovery capture: the in-run window
-    /// edges pass `true`; the final partial window fired from
-    /// [`run`](Self::run) passes `false` (nothing is left to resume).
-    fn fire_window(&mut self, allow_snapshot: bool) -> Result<(), SimError> {
+    fn fire_window(&mut self) -> Result<(), SimError> {
         let _prof = pact_obs::hostprof::span("window");
         let cumulative = self.totals().pmu;
         let delta = cumulative.delta_since(&self.last_snapshot);
@@ -1618,214 +1569,6 @@ impl<'a, 'w> Sim<'a, 'w> {
         self.last_snapshot = self.totals().pmu;
         self.window_idx += 1;
         self.next_edge += self.cfg.window_cycles;
-        if allow_snapshot
-            && self.cfg.snapshot_every > 0
-            && self.snap_sink.is_some()
-            && self.window_idx.is_multiple_of(self.cfg.snapshot_every)
-        {
-            let snap = self.capture_snapshot()?;
-            if let Some(sink) = self.snap_sink.as_mut() {
-                sink(snap);
-            }
-        }
-        Ok(())
-    }
-
-    /// Seals the complete mutable run state into a versioned frame: the
-    /// machine state, then the policy's name and blob.
-    ///
-    /// Only called at a window edge (end of [`fire_window`]
-    /// (Self::fire_window)), where the per-window accumulators and the
-    /// reusable policy sinks are provably empty.
-    fn capture_snapshot(&self) -> Result<MachineSnapshot, SimError> {
-        let _prof = pact_obs::hostprof::span("snapshot_capture");
-        debug_assert!(self.order_buf.is_empty());
-        debug_assert!(self.telemetry_buf.is_empty());
-        debug_assert!(self.window_telemetry.is_empty());
-        // A nonzero accumulator here means a snapshot mid-window, which
-        // no frame can represent.
-        debug_assert_eq!(
-            [
-                self.window_promos,
-                self.window_demos,
-                self.window_failed,
-                self.window_dropped
-            ],
-            [0; 4]
-        );
-        let mut blob = Vec::new();
-        if !self.policy.save_state(&mut blob) {
-            return Err(SimError::Snapshot(format!(
-                "policy '{}' does not support snapshot capture",
-                self.policy.name()
-            )));
-        }
-        let mut w = ByteWriter::new();
-        self.put_state(&mut w);
-        w.put_str(self.policy.name());
-        w.put(&blob);
-        Ok(MachineSnapshot::from_bytes(snapshot::seal_frame(
-            self.window_idx,
-            snapshot::config_fingerprint(self.cfg),
-            &w.into_bytes(),
-        )))
-    }
-
-    /// Restores this freshly constructed simulation from `snap` so that
-    /// [`run`](Self::run) continues it byte-identically to the
-    /// uninterrupted execution, and validates what the machine state
-    /// alone cannot: the frame header, the policy, and the streams.
-    fn restore(&mut self, snap: &MachineSnapshot) -> Result<(), SimError> {
-        let _prof = pact_obs::hostprof::span("snapshot_restore");
-        let fp = snapshot::config_fingerprint(self.cfg);
-        let (window, payload) =
-            snapshot::open_frame(snap.as_bytes(), fp).map_err(SimError::Snapshot)?;
-        let codec = |e: CodecError| SimError::Snapshot(format!("machine state: {e}"));
-        let mut r = ByteReader::new(payload);
-        self.get_state(&mut r).map_err(codec)?;
-        if self.window_idx != window {
-            return Err(SimError::Snapshot(format!(
-                "frame header says {window} completed windows, payload says {}",
-                self.window_idx
-            )));
-        }
-        let name = r.get_str().map_err(codec)?;
-        if name != self.policy.name() {
-            return Err(SimError::Snapshot(format!(
-                "snapshot was captured under policy '{name}', resuming with '{}'",
-                self.policy.name()
-            )));
-        }
-        let blob = r.get_bytes().map_err(codec)?;
-        r.finish().map_err(codec)?;
-        // `prepare` already ran in `Sim::new`; the restore overwrites
-        // whatever it reset.
-        self.policy
-            .restore_state(blob)
-            .map_err(|e| SimError::Snapshot(format!("policy '{name}': {e}")))?;
-        // Live threads re-read their (contractually repeatable) streams
-        // from the start; fast-forward past the consumed prefix.
-        for (ti, t) in self.threads.iter_mut().enumerate() {
-            if self.done[ti] {
-                continue;
-            }
-            for k in 0..t.consumed {
-                if t.stream.next_access().is_none() {
-                    return Err(SimError::Snapshot(format!(
-                        "thread {ti}'s stream ended after {k} accesses while fast-forwarding \
-                         to {}; workload streams must be repeatable",
-                        t.consumed
-                    )));
-                }
-            }
-        }
-        self.foreground_threads = (0..self.threads.len())
-            .filter(|&ti| !self.done[ti] && !self.procs[self.threads[ti].proc].background)
-            .count();
-        if self.foreground_threads == 0 {
-            return Err(SimError::Snapshot(
-                "snapshot has no live foreground threads to resume".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-pact_stats::codec! {
-    impl Codec for WindowRecord {
-        index, end_cycles, promotions, demotions, failed_promotions, dropped_orders,
-        trace_dropped_events, delta, telemetry, metrics,
-    }
-}
-
-// Heap contents are written sorted, so the frame bytes do not depend on
-// heap-internal layout; pop order of *values* is layout-independent
-// either way (ties are identical tuples).
-pact_stats::codec! {
-    impl<'w> State for ThreadState<'w> {
-        consumed, inflight: state, write_buffer: state,
-        last_miss_completion, last_miss_tier, last_miss_page, detector: state;
-        stream: _,          // re-read from the workload and fast-forwarded on restore
-        proc: _,            // fixed by the workload set
-        base_page: _,       // fixed by the workload set
-        footprint_bytes: _, // fixed by the workload set
-    }
-}
-
-pact_stats::codec! {
-    impl State for ProcState {
-        finish;
-        name: _,       // rebuilt from the workloads on resume
-        background: _, // rebuilt from the workloads on resume
-    }
-}
-
-// The complete mutable machine state in frame order. The checks after
-// the list are the constraints no single component can check alone.
-pact_stats::codec! {
-    impl<'a, 'w> State for Sim<'a, 'w> {
-        // Threads, then the scheduler's per-thread arrays.
-        threads: state, clock: each, done: each, gated_by: each, clock_offset,
-        // Processes and their counter lanes; run totals are the lanes' sum.
-        procs: state, lanes: fixed, last_snapshot,
-        // Substrate.
-        mem: state, llc: state, channels: state,
-        tor_covered, chan_lines_seen, edge_backlog, saturated_since,
-        pebs: state, rng, chmu: state,
-        // Window bookkeeping, the full per-window history, and the
-        // migration order queue with its enqueue cycles.
-        window_idx, next_edge, windows, hint_scan_per_window, order_queue,
-        // Sections present iff configured, then observability.
-        page_stalls: each, faults: state, checker: state,
-        registry: state, overwritten_seen, tracer: state;
-        cfg: _,                // the configuration the frame's fingerprint matched
-        policy: _,             // its name and blob follow the machine state
-        retry_buf: _,          // scratch, cleared before every use
-        process_base: _,       // fixed by the workload set
-        prefetch_threshold: _, // derived from the prefetch configuration
-        latency: _,            // fixed tier latencies from the configuration
-        // Per-window accumulators and policy sinks: empty at every
-        // capture, and still empty in the fresh machine.
-        window_promos: _, window_demos: _, window_failed: _, window_dropped: _,
-        window_telemetry: _, order_buf: _, telemetry_buf: _,
-        foreground_threads: _, // recomputed from thread liveness on restore
-        // Dense metric handles: re-registered in the same order at
-        // construction, identical on any resume.
-        m_daemon_pages: _, m_queue_len: _, m_fast_used: _, m_chan_backlog: _, m_chan_lines: _,
-        m_chmu: _, m_pebs_latency: _, m_mig_latency: _, m_chan_occupancy: _,
-        snap_sink: _, // host-side sink, re-attached by the driver on resume
-    } then |sim| {
-        let n = sim.threads.len();
-        for (ti, t) in sim.threads.iter().enumerate() {
-            if t.inflight.len() > sim.cfg.mshrs {
-                return Err(format!(
-                    "thread {ti} has {} in-flight misses, machine has {} MSHRs",
-                    t.inflight.len(),
-                    sim.cfg.mshrs
-                ));
-            }
-            if t.write_buffer.len() > WRITE_BUFFER {
-                return Err(format!(
-                    "thread {ti} has {} buffered stores, write buffer holds {WRITE_BUFFER}",
-                    t.write_buffer.len()
-                ));
-            }
-            let mut tiers = t.inflight.iter().map(|m| m.0 .1).chain([t.last_miss_tier]);
-            if let Some(bad) = tiers.find(|&tier| tier > 1) {
-                return Err(format!("thread {ti}: invalid tier index {bad}"));
-            }
-        }
-        for (ti, g) in sim.gated_by.iter().enumerate() {
-            if let Some(g) = g.filter(|&g| g as usize >= n) {
-                return Err(format!("thread {ti} gated by out-of-range thread {g}"));
-            }
-        }
-        if sim.order_queue.len() > ORDER_QUEUE_CAP {
-            return Err(format!(
-                "snapshot order queue holds {} entries, cap is {ORDER_QUEUE_CAP}",
-                sim.order_queue.len()
-            ));
-        }
         Ok(())
     }
 }
@@ -2088,273 +1831,5 @@ mod tests {
             r16.counters.avg_demand_latency(Tier::Slow),
             r1.counters.avg_demand_latency(Tier::Slow)
         );
-    }
-
-    /// Stateful test policy for the kill-resume round trip: promotes
-    /// sampled slow pages, demotes under pressure, carries counters
-    /// across snapshots, and registers its own metric.
-    #[derive(Default)]
-    struct HotPromote {
-        samples: u64,
-        windows: u64,
-    }
-
-    impl TieringPolicy for HotPromote {
-        fn name(&self) -> &str {
-            "hotprom"
-        }
-
-        fn on_sample(&mut self, ev: &SampleEvent, ctx: &mut PolicyCtx) {
-            self.samples += 1;
-            if let SampleEvent::Pebs {
-                page,
-                tier: Tier::Slow,
-                ..
-            } = ev
-            {
-                ctx.promote(*page);
-            }
-        }
-
-        fn on_window(&mut self, _win: &WindowStats, ctx: &mut PolicyCtx) {
-            self.windows += 1;
-            ctx.telemetry("hotprom/samples", self.samples as f64);
-            if ctx.fast_free() < 16 {
-                for head in ctx.cold_fast_units(8) {
-                    ctx.demote(head);
-                }
-            }
-            let c = ctx.metrics().counter("hotprom/windows");
-            ctx.metrics().inc(c, 1);
-        }
-
-        fn save_state(&self, out: &mut Vec<u8>) -> bool {
-            let mut w = ByteWriter::new();
-            w.put(&(self.samples, self.windows));
-            out.extend_from_slice(&w.into_bytes());
-            true
-        }
-
-        fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-            let e = |e: CodecError| e.to_string();
-            let mut r = ByteReader::new(state);
-            (self.samples, self.windows) = r.get().map_err(e)?;
-            r.finish().map_err(e)
-        }
-    }
-
-    fn snapshotty_cfg() -> MachineConfig {
-        let mut cfg = small_cfg(100);
-        cfg.track_page_stalls = true;
-        cfg.snapshot_every = 4;
-        cfg.fault_plan = Some(crate::FaultPlan {
-            drop_order: 0.1,
-            fail_migration: 0.2,
-            pebs_loss: 0.05,
-            ..crate::FaultPlan::default()
-        });
-        cfg
-    }
-
-    /// Runs `wl` under a fresh [`HotPromote`] with capture armed and
-    /// returns the report plus every captured frame.
-    fn capture(m: &Machine, wl: &dyn Workload) -> (RunReport, Vec<MachineSnapshot>) {
-        let mut snaps = Vec::new();
-        let report = m
-            .run(RunSpec {
-                snapshot_sink: Some(&mut |s| snaps.push(s)),
-                ..RunSpec::new(&[wl], &mut HotPromote::default())
-            })
-            .expect("run succeeds");
-        (report, snaps)
-    }
-
-    fn resume(
-        m: &Machine,
-        wl: &dyn Workload,
-        policy: &mut dyn TieringPolicy,
-        snap: &MachineSnapshot,
-    ) -> Result<RunReport, SimError> {
-        m.run(RunSpec {
-            resume_from: Some(snap),
-            ..RunSpec::new(&[wl], policy)
-        })
-    }
-
-    #[test]
-    fn snapshot_capture_does_not_perturb_the_run() {
-        let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
-        let m = Machine::new(snapshotty_cfg()).unwrap();
-        let plain = m
-            .try_run(&wl, &mut HotPromote::default())
-            .expect("run succeeds");
-        let (snapped, snaps) = capture(&m, &wl);
-        assert!(!snaps.is_empty());
-        assert_eq!(format!("{plain:?}"), format!("{snapped:?}"));
-    }
-
-    #[test]
-    fn kill_resume_is_byte_identical() {
-        // Resume from every frame k with capture still armed: the report
-        // and every frame the resumed run seals must be byte-identical to
-        // the uninterrupted run's (its frames after k).
-        let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
-        let m = Machine::new(snapshotty_cfg()).unwrap();
-        let (reference, snaps) = capture(&m, &wl);
-        assert!(snaps.len() >= 3, "only {} snapshots captured", snaps.len());
-        assert!(reference.promotions > 0, "test policy must migrate");
-        for k in 0..snaps.len() {
-            let mut again = Vec::new();
-            let resumed = m
-                .run(RunSpec {
-                    snapshot_sink: Some(&mut |s| again.push(s)),
-                    resume_from: Some(&snaps[k]),
-                    ..RunSpec::new(&[&wl], &mut HotPromote::default())
-                })
-                .unwrap();
-            assert_eq!(format!("{resumed:?}"), format!("{reference:?}"));
-            let later: Vec<&[u8]> = snaps[k + 1..].iter().map(|s| s.as_bytes()).collect();
-            let got: Vec<&[u8]> = again.iter().map(|s| s.as_bytes()).collect();
-            assert_eq!(got, later, "frames diverge resuming frame {k}");
-        }
-    }
-
-    #[test]
-    fn window_accumulators_reset_before_every_edge_capture() {
-        // The per-window accumulators (`window_promos`/`window_demos`/
-        // `window_failed`/`window_dropped`) are left out of the frame
-        // on the grounds that `fire_window` folds them into the sealed
-        // WindowRecord and resets them *before* the edge capture. Run a
-        // fault-heavy config where failed and dropped orders occur in
-        // most windows; the capture-side debug_asserts abort this
-        // (debug-built) test if that ordering ever drifts, and the
-        // resume must still be byte-identical.
-        let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
-        let mut cfg = snapshotty_cfg();
-        cfg.snapshot_every = 1;
-        cfg.fault_plan = Some(crate::FaultPlan {
-            drop_order: 0.4,
-            fail_migration: 0.6,
-            ..crate::FaultPlan::default()
-        });
-        let m = Machine::new(cfg.clone()).unwrap();
-        let (reference, snaps) = capture(&m, &wl);
-        assert!(
-            reference.failed_promotions > 0 && reference.dropped_orders > 0,
-            "fault plan must make the skipped accumulators nonzero mid-window \
-             (failed {}, dropped {})",
-            reference.failed_promotions,
-            reference.dropped_orders
-        );
-        let last = snaps.last().expect("snapshot_every=1 captures frames");
-        let resumed = resume(&m, &wl, &mut HotPromote::default(), last).unwrap();
-        assert_eq!(format!("{resumed:?}"), format!("{reference:?}"));
-    }
-
-    #[test]
-    fn corrupt_or_mismatched_snapshots_are_rejected() {
-        let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
-        let cfg = snapshotty_cfg();
-        let m = Machine::new(cfg.clone()).unwrap();
-        let good = capture(&m, &wl).1.remove(0);
-        let hot = |mm: &Machine, snap: &MachineSnapshot| {
-            resume(mm, &wl, &mut HotPromote::default(), snap)
-        };
-        // Pristine frame resumes.
-        assert!(hot(&m, &good).is_ok());
-        // A flipped payload byte is caught by the checksum.
-        let mut corrupt = good.as_bytes().to_vec();
-        let mid = corrupt.len() / 2;
-        corrupt[mid] ^= 0x10;
-        let err = hot(&m, &MachineSnapshot::from_bytes(corrupt)).unwrap_err();
-        assert!(matches!(err, SimError::Snapshot(_)), "{err}");
-        // A truncated frame is rejected, not UB.
-        let cut = good.as_bytes()[..good.as_bytes().len() / 2].to_vec();
-        let err = hot(&m, &MachineSnapshot::from_bytes(cut)).unwrap_err();
-        assert!(matches!(err, SimError::Snapshot(_)), "{err}");
-        // A different machine configuration is rejected by fingerprint.
-        let mut other = cfg.clone();
-        other.fast_tier_pages += 1;
-        let om = Machine::new(other).unwrap();
-        let err = hot(&om, &good).unwrap_err();
-        assert!(err.to_string().contains("fingerprint"), "{err}");
-        // A different policy is rejected by name.
-        let err = resume(&m, &wl, &mut FirstTouch::new(), &good).unwrap_err();
-        assert!(err.to_string().contains("hotprom"), "{err}");
-    }
-
-    #[test]
-    fn snapshot_capture_fails_loudly_for_unsupported_policies() {
-        struct NoSnap;
-        impl TieringPolicy for NoSnap {
-            fn name(&self) -> &str {
-                "nosnap"
-            }
-        }
-        let wl = TraceWorkload::new("chase", 1 << 22, chasing_trace(400, 8_000));
-        let m = Machine::new(snapshotty_cfg()).unwrap();
-        let err = m
-            .run(RunSpec {
-                snapshot_sink: Some(&mut |_| {}),
-                ..RunSpec::new(&[&wl], &mut NoSnap)
-            })
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("does not support snapshot"),
-            "{err}"
-        );
-    }
-
-    /// Every strict prefix of `v`'s encoding decodes to an error.
-    fn every_prefix_fails<T: pact_stats::Codec>(v: &T) {
-        let mut w = ByteWriter::new();
-        w.put(v);
-        let bytes = w.into_bytes();
-        for cut in 0..bytes.len() {
-            assert!(
-                ByteReader::new(&bytes[..cut]).get::<T>().is_err(),
-                "cut={cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn every_strict_prefix_of_a_record_or_counters_is_an_error() {
-        let delta = PmuCounters {
-            accesses: 900,
-            llc_misses: [4, 9],
-            ..PmuCounters::default()
-        };
-        every_prefix_fails(&delta);
-        every_prefix_fails(&WindowRecord {
-            index: 3,
-            end_cycles: 40_000,
-            promotions: 2,
-            demotions: 1,
-            failed_promotions: 1,
-            dropped_orders: 0,
-            trace_dropped_events: 5,
-            delta,
-            telemetry: vec![("bin_width", 2.5)],
-            metrics: vec![("mig/latency_cycles", 17.0), ("chmu/total", -0.0)],
-        });
-    }
-
-    #[test]
-    fn crafted_window_record_lengths_are_errors() {
-        // A telemetry or metrics length of 2^61 is rejected before
-        // anything is allocated.
-        for series in 0..2 {
-            let mut w = ByteWriter::new();
-            w.put(&[3u64, 40_000, 2, 1, 1, 0, 5]);
-            w.put(&PmuCounters::default());
-            if series == 1 {
-                w.put(&Vec::<(&'static str, f64)>::new());
-            }
-            w.put(&(1usize << 61));
-            let bytes = w.into_bytes();
-            let got = ByteReader::new(&bytes).get::<WindowRecord>();
-            assert_eq!(got.err(), Some(CodecError::BadLength), "series {series}");
-        }
     }
 }

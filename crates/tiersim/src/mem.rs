@@ -337,34 +337,9 @@ impl Memory {
     }
 }
 
-// The full memory state (page table, flags, recency stamps, residency
-// bookkeeping, CLOCK list and slow-scan list), restored into a memory
-// freshly constructed from the same configuration.
-pact_stats::codec! {
-    impl State for Memory {
-        tier: fixed, flags: fixed, last_window: fixed,
-        fast_used, fast_clock, slow_scan, slow_cursor;
-        fast_capacity: _, // fixed by the configuration on restore
-        unit_span: _,     // fixed by the configuration on restore
-    } then |m| {
-        if let Some(bad) = m.tier.iter().find(|&&t| t > NOT_PRESENT) {
-            return Err(format!("memory state: invalid residency code {bad}"));
-        }
-        if m.fast_used > m.fast_capacity {
-            return Err("memory state: fast_used exceeds capacity".to_string());
-        }
-        let total = m.tier.len() as u64;
-        if m.fast_clock.iter().chain(&m.slow_scan).any(|p| p.0 >= total) {
-            return Err("memory state: list entry beyond page table".to_string());
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pact_stats::codec::{ByteReader, ByteWriter, CodecError, State};
 
     #[test]
     fn recount_tracks_incremental_bookkeeping() {
@@ -535,21 +510,5 @@ mod tests {
         mem.ensure_mapped(PageId(0));
         mem.touch(PageId(17), 42);
         assert_eq!(mem.last_touch_window(PageId(400)), 42);
-    }
-
-    #[test]
-    fn crafted_list_lengths_are_errors() {
-        // The CLOCK list, then the slow-scan list, claims 2^61 pages.
-        for list in 0..2 {
-            let mut w = ByteWriter::new();
-            w.put(&(vec![NOT_PRESENT; 4], vec![0u8; 4], vec![0u32; 4], 0u64));
-            if list == 1 {
-                w.put(&VecDeque::<PageId>::new());
-            }
-            w.put(&(1usize << 61));
-            let bytes = w.into_bytes();
-            let err = Memory::new(4, 2, 1).get_state(&mut ByteReader::new(&bytes));
-            assert_eq!(err, Err(CodecError::BadLength), "list {list}");
-        }
     }
 }

@@ -167,17 +167,6 @@ impl PmuCounters {
     }
 }
 
-// Every counter field, in declaration order. This is the one codec for
-// the counters: the machine frame, the window records and policy blobs
-// all write them through it.
-pact_stats::codec! {
-    impl Codec for PmuCounters {
-        accesses, loads, stores, llc_hits,
-        llc_misses, llc_stalls, tor_occupancy, tor_busy, demand_latency_sum, bytes, prefetches,
-        hint_faults, pebs_samples,
-    }
-}
-
 /// A sampled memory event delivered to the active tiering policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleEvent {
@@ -255,23 +244,6 @@ impl PebsSampler {
     /// Per-sample overhead charged to the sampled thread.
     pub fn overhead_cycles(&self) -> u32 {
         self.cfg.sample_overhead_cycles
-    }
-}
-
-// The sampling countdown, which must lie in `1..=rate`: a fresh or
-// mid-stream sampler can never hold anything else.
-pact_stats::codec! {
-    impl State for PebsSampler {
-        countdown;
-        cfg: _, // fixed by the configuration on restore
-    } then |p| {
-        if p.countdown == 0 || p.countdown > p.cfg.rate {
-            return Err(format!(
-                "pebs sampler: countdown {} outside 1..={}",
-                p.countdown, p.cfg.rate
-            ));
-        }
-        Ok(())
     }
 }
 

@@ -56,10 +56,6 @@ pub struct MigrationOrder {
     pub sync: bool,
 }
 
-pact_stats::codec! {
-    impl Codec for MigrationOrder { page, to, sync }
-}
-
 /// Cumulative run totals snapshotted into each [`PolicyCtx`]: how many
 /// base pages moved so far and — for graceful degradation under fault
 /// injection or queue pressure — how many orders failed or were shed.
@@ -381,27 +377,22 @@ pub trait TieringPolicy {
     /// Called at every sampling-window boundary with counter deltas.
     fn on_window(&mut self, _win: &WindowStats, _ctx: &mut PolicyCtx) {}
 
-    /// Serializes the policy's mutable state into `out` for a
-    /// crash-recovery snapshot, returning `true` if the policy supports
-    /// snapshotting. Stateless policies return `true` with an empty
-    /// blob; the default `false` makes snapshot capture fail loudly for
-    /// policies that carry state but have not implemented the hook
-    /// (silently resuming with reset state would diverge).
+    /// Unused by the machine: nothing in this workspace saves or
+    /// restores policy state. The declaration stays because the
+    /// separate `perfbench/` workspace's `TimedPolicy` overrides it;
+    /// it goes when that benchmark next changes.
     fn save_state(&self, _out: &mut Vec<u8>) -> bool {
         false
     }
 
-    /// Restores state previously produced by
-    /// [`save_state`](Self::save_state). Called after
-    /// [`prepare`](Self::prepare), so implementations overwrite any
-    /// state `prepare` reset.
+    /// Unused by the machine; kept for the same reason as
+    /// [`save_state`](Self::save_state).
     ///
     /// # Errors
     ///
-    /// Returns a description of the mismatch when the blob cannot be
-    /// decoded into this policy.
+    /// The default always fails: there is no state to restore.
     fn restore_state(&mut self, _state: &[u8]) -> Result<(), String> {
-        Err("policy does not support snapshot restore".into())
+        Err("policy does not support state restore".into())
     }
 }
 
@@ -421,21 +412,6 @@ impl FirstTouch {
 impl TieringPolicy for FirstTouch {
     fn name(&self) -> &str {
         "notier"
-    }
-
-    fn save_state(&self, _out: &mut Vec<u8>) -> bool {
-        true // stateless: nothing to capture
-    }
-
-    fn restore_state(&mut self, state: &[u8]) -> Result<(), String> {
-        if state.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "notier snapshot blob should be empty, got {} bytes",
-                state.len()
-            ))
-        }
     }
 }
 

@@ -205,21 +205,6 @@ impl Channel {
     }
 }
 
-// The epoch ring, carry, and lifetime booking counter, restored into a
-// channel constructed with the same transfer time.
-pact_stats::codec! {
-    impl State for Channel {
-        lines, base, carry, booked;
-        transfer: _, // fixed by channel construction on restore
-        cap: _,      // fixed by channel construction on restore
-        prefix: _,   // derived cache of the fold, refolded after restore
-        valid_end: _, // reset to `base` below
-    } then |ch| {
-        ch.valid_end = ch.base;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

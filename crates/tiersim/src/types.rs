@@ -152,20 +152,6 @@ impl PageId {
     }
 }
 
-impl pact_stats::Codec for PageId {
-    fn put(&self, w: &mut pact_stats::ByteWriter) {
-        w.put(&self.0);
-    }
-    fn get(r: &mut pact_stats::ByteReader<'_>) -> Result<Self, pact_stats::CodecError> {
-        r.get().map(PageId)
-    }
-}
-
-// A tier is its `index` as one byte.
-pact_stats::codec! {
-    impl Codec for Tier { 0 => Fast, 1 => Slow }
-}
-
 impl std::fmt::Display for PageId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "page#{}", self.0)
