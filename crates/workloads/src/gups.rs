@@ -10,8 +10,9 @@ use pact_tiersim::{Access, AccessStream, Region, Workload, LINE_BYTES};
 use crate::common::{stream_rng, BufferedStream, Generator, InitPhase, LayoutBuilder};
 
 /// The GUPS workload: read-modify-write updates over a large table,
-/// alternating between a sequential phase and a random phase (50% mix by
-/// default, matching the paper's modified GUPS).
+/// alternating strictly between a sequential phase and a random phase
+/// (a 50% mix, matching the paper's modified GUPS). Each thread's
+/// first pattern is drawn from its seeded stream.
 ///
 /// Updates in the random phase use independent addresses (the classic
 /// GUPS index stream is computable ahead of the loads), so random phases
@@ -24,7 +25,6 @@ pub struct Gups {
     table_bytes: u64,
     updates: u64,
     phase_len: u64,
-    random_fraction: f64,
     work: u16,
     threads: usize,
     footprint: u64,
@@ -49,7 +49,6 @@ impl Gups {
             table_bytes,
             updates,
             phase_len: 30_000,
-            random_fraction: 0.5,
             work: 8,
             threads,
             footprint,
@@ -81,16 +80,16 @@ impl Workload for Gups {
         let per_thread = self.updates / self.threads as u64;
         (0..self.threads)
             .map(|i| {
+                let mut rng = stream_rng(self.seed, i as u64);
                 let gen = GupsGen {
                     lines: self.table_bytes / LINE_BYTES,
                     remaining: per_thread,
                     phase_len: self.phase_len,
-                    random_fraction: self.random_fraction,
                     work: self.work,
                     cursor: (i as u64) * (self.table_bytes / LINE_BYTES / self.threads as u64),
-                    in_phase: 0,
-                    random_phase: false,
-                    rng: stream_rng(self.seed, i as u64),
+                    in_phase: self.phase_len,
+                    random_phase: rng.random::<bool>(),
+                    rng,
                 };
                 Box::new(BufferedStream::new(gen)) as Box<dyn AccessStream + '_>
             })
@@ -102,7 +101,6 @@ struct GupsGen {
     lines: u64,
     remaining: u64,
     phase_len: u64,
-    random_fraction: f64,
     work: u16,
     cursor: u64,
     in_phase: u64,
@@ -118,7 +116,7 @@ impl Generator for GupsGen {
         let batch = self.remaining.min(32);
         for _ in 0..batch {
             if self.in_phase == 0 {
-                self.random_phase = self.rng.random::<f64>() < self.random_fraction;
+                self.random_phase = !self.random_phase;
                 self.in_phase = self.phase_len;
             }
             self.in_phase -= 1;
@@ -173,30 +171,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn phases_alternate_patterns() {
-        // Ten default-length phases, each sequential or random by a
-        // fair coin.
-        let w = Gups::new(1 << 22, 300_000, 1, 3);
-        let t = drain_one(&w);
-        // Detect at least one sequential run and one random phase by
-        // looking at address deltas between consecutive loads.
-        let loads: Vec<u64> = t
+    /// Each default-length phase's loads, classified by their address
+    /// deltas: `true` for a sequential phase (nearly every delta is one
+    /// line), `false` for a random one (almost none is).
+    fn phase_patterns(w: &Gups) -> Vec<bool> {
+        let loads: Vec<u64> = drain_one(w)
             .iter()
             .filter(|a| a.kind == AccessKind::Load)
             .map(|a| a.vaddr)
             .collect();
-        let mut seq_runs = 0;
-        let mut jumps = 0;
-        for w2 in loads.windows(2) {
-            if w2[1] == w2[0] + LINE_BYTES {
-                seq_runs += 1;
-            } else {
-                jumps += 1;
+        loads
+            .chunks(w.phase_len as usize)
+            .map(|phase| {
+                let steps = phase.windows(2).filter(|p| p[1] == p[0] + LINE_BYTES);
+                let share = steps.count() as f64 / (phase.len() - 1) as f64;
+                assert!(!(0.1..=0.9).contains(&share), "mixed phase: {share}");
+                share > 0.9
+            })
+            .collect()
+    }
+
+    #[test]
+    fn phases_alternate_patterns() {
+        // Ten default-length phases per seed: consecutive phases never
+        // share a pattern, and the first pattern follows the seed.
+        let mut firsts = Vec::new();
+        for seed in [1, 2, 3, 7, 42] {
+            let patterns = phase_patterns(&Gups::new(1 << 22, 300_000, 1, seed));
+            assert_eq!(patterns.len(), 10, "seed {seed}");
+            for (k, pair) in patterns.windows(2).enumerate() {
+                assert_ne!(pair[0], pair[1], "seed {seed}: phases {k} and {}", k + 1);
             }
+            firsts.push(patterns[0]);
         }
-        assert!(seq_runs > 1_000, "sequential accesses: {seq_runs}");
-        assert!(jumps > 1_000, "random accesses: {jumps}");
+        assert!(
+            firsts.contains(&true) && firsts.contains(&false),
+            "first patterns {firsts:?} ignore the seed"
+        );
     }
 
     #[test]
