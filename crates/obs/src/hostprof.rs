@@ -1,5 +1,5 @@
 //! Host-side hierarchical span profiler for the simulator's own
-//! phases (run, window loop, policy step, snapshot capture/restore).
+//! phases (run, window loop, policy step).
 //!
 //! # The dual-clock rule
 //!

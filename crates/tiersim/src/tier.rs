@@ -16,8 +16,8 @@
 //! so a query folds only the stale tail. A booking at epoch `e` changes
 //! `lines[e]` and so invalidates `b[e..]` (`valid_end = min(valid_end, e)`);
 //! advancing the ring turns `b[base]` into the new carry through the same
-//! expression and keeps the rest. A whole-window gap drain and a snapshot
-//! restore reset the cache to `base`. Every cached entry was computed by
+//! expression and keeps the rest. A whole-window gap drain resets the
+//! cache to `base`. Every cached entry was computed by
 //! the same f64 operations on the same operands as a full refold from
 //! `base`, so results are bit-identical to one; only host time changes.
 //! Clocks mostly move forward, so a booking typically folds one epoch

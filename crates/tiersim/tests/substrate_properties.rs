@@ -113,8 +113,8 @@ proptest! {
 
     /// The cached busy-period fold is bit-identical to refolding the
     /// whole ring on every call, for any interleaving of bookings and
-    /// queries, across out-of-order times, ring-length gaps, clamped
-    /// old arrivals and mid-stream snapshot restores.
+    /// queries, across out-of-order times, ring-length gaps and clamped
+    /// old arrivals.
     #[test]
     fn channel_matches_full_refold_oracle(
         transfer in 0.5f64..12.0,
