@@ -52,6 +52,12 @@
 //! tierctl repro --fig fig04,fig06 --scale smoke --seed 7
 //! ```
 //!
+//! The flags `--workload`, `--policy`, `--ratio`, `--thp` and `--seed`
+//! build one `Cell`, the key `Lab::cell` caches outcomes under; its
+//! `workload/policy/ratio` label names the run in every output. Each
+//! command takes only the flags it reads (`--help` lists them) and
+//! rejects any other with exit 2.
+//!
 //! `main` resolves the `PACT_*` environment once and every command runs
 //! its cells on a `Lab` under it, so a fault plan reaches every run.
 //! Exit status: 0 success (`--help` and `--list` included); 1 a failed
@@ -65,30 +71,14 @@ use std::sync::Arc;
 
 use pact_bench::figures::{self, Figure, FIGURES};
 use pact_bench::{
-    count, experiment_machine, make_policy, pct, save_results, serve, Env, Lab, RunError,
-    TierRatio, ALL_POLICIES,
+    count, pct, save_results, serve, Cell, Env, Lab, Policy, RunError, TierRatio, ALL_POLICIES,
 };
 use pact_obs::{validate, DEFAULT_RING_CAPACITY};
 use pact_tiersim::{
-    export_trace, Admission, AdmissionControl, AdmissionLane, ConfigError, CriticalityReport,
-    MachineConfig, RunReport, RunSpec, SimError, Tier, TraceFormat, Tracer, Workload,
-    DEFAULT_REPORT_TOPK,
+    export_trace, Admission, AdmissionControl, AdmissionLane, CriticalityReport, RunReport,
+    RunSpec, SimError, Tier, TraceFormat, Tracer, Workload, DEFAULT_REPORT_TOPK,
 };
 use pact_workloads::suite::{check_name, Scale, EXTRA, SUITE};
-
-const USAGE: &str = "usage: tierctl [--workload W] [--policy P] [--ratio F:S] \
-     [--thp] [--scale smoke|paper] [--seed N] [--windows] [--list]\n       \
-     tierctl trace [--workload W] [--policy P] [--ratio F:S] [--thp] \
-     [--scale smoke|paper] [--seed N] [--out FILE] \
-     [--format chrome|jsonl] [--validate]\n       \
-     tierctl report [--workload W] [--policy P] [--ratio F:S] [--thp] \
-     [--scale smoke|paper] [--seed N] [--out DIR] [--topk N]\n       \
-     tierctl serve-metrics [--workload W] [--policy P] [--ratio F:S] \
-     [--scale smoke|paper] [--seed N] [--addr HOST:PORT] \
-     [--self-check]\n       \
-     tierctl fleet [--tenants NAME:WORKLOAD:WEIGHT,...] [--policy P] \
-     [--ratio F:S] [--scale smoke|paper] [--seed N] [--budget N]\n       \
-     tierctl repro [--fig NAME[,NAME...]] [--scale smoke|paper] [--seed N]";
 
 /// How a `tierctl` run ends other than by finishing its work: the exit
 /// status and the message, printed on stdout for status 0 (`--help`,
@@ -115,12 +105,6 @@ impl From<SimError> for Exit {
     }
 }
 
-impl From<ConfigError> for Exit {
-    fn from(e: ConfigError) -> Self {
-        SimError::Config(e).into()
-    }
-}
-
 /// A bad policy name also lists the known ones.
 impl From<RunError> for Exit {
     fn from(e: RunError) -> Self {
@@ -134,31 +118,87 @@ impl From<RunError> for Exit {
     }
 }
 
-/// One `tierctl` command: the one-shot summary or a single-cell
-/// subcommand (`repro` has its own parser).
-type Command = fn(&Args, Env) -> Result<(), Exit>;
+/// One `tierctl` command: its name (empty for the one-shot summary),
+/// the flags it reads as the usage lists them, and what runs it.
+struct Command {
+    name: &'static str,
+    flags: &'static [&'static str],
+    run: fn(&Args, Env) -> Result<(), Exit>,
+}
 
-/// The subcommand `word` names.
-fn subcommand(word: &str) -> Option<Command> {
-    Some(match word {
-        "trace" => run_trace,
-        "report" => run_report,
-        "serve-metrics" => run_serve_metrics,
-        "fleet" => run_fleet,
-        _ => return None,
-    })
+impl Command {
+    /// Whether the command reads `flag` (a long name, `--help` aside).
+    fn reads(&self, flag: &str) -> bool {
+        let (bare, valued) = (format!("[{flag}]"), format!("[{flag} "));
+        self.flags
+            .iter()
+            .any(|f| f.contains(&bare) || f.contains(&valued))
+    }
+}
+
+/// The flags that pick one cell.
+const CELL: &str = "[--workload W] [--policy P] [--ratio F:S] [--thp] [--scale smoke|paper] \
+                    [--seed N]";
+
+/// Every command, in the order the usage lists them.
+const COMMANDS: [Command; 6] = [
+    Command {
+        name: "",
+        flags: &[CELL, "[--windows] [--list]"],
+        run: run_one_shot,
+    },
+    Command {
+        name: "trace",
+        flags: &[CELL, "[--out FILE] [--format chrome|jsonl] [--validate]"],
+        run: run_trace,
+    },
+    Command {
+        name: "report",
+        flags: &[CELL, "[--out DIR] [--topk N]"],
+        run: run_report,
+    },
+    Command {
+        name: "serve-metrics",
+        flags: &[CELL, "[--addr HOST:PORT] [--self-check]"],
+        run: run_serve_metrics,
+    },
+    Command {
+        name: "fleet",
+        flags: &[
+            "[--tenants NAME:WORKLOAD:WEIGHT,...] [--policy P] [--ratio F:S] \
+                  [--scale smoke|paper] [--seed N] [--budget N]",
+        ],
+        run: run_fleet,
+    },
+    Command {
+        name: "repro",
+        flags: &["[--fig NAME[,NAME...]] [--scale smoke|paper] [--seed N]"],
+        run: run_repro,
+    },
+];
+
+/// One line per command, listing exactly the flags it reads.
+fn usage() -> String {
+    let lines: Vec<String> = COMMANDS
+        .iter()
+        .map(|c| {
+            let words = std::iter::once(c.name).chain(c.flags.iter().copied());
+            let words: Vec<&str> = words.filter(|w| !w.is_empty()).collect();
+            format!("tierctl {}", words.join(" "))
+        })
+        .collect();
+    format!("usage: {}", lines.join("\n       "))
 }
 
 struct Args {
-    cmd: Command,
-    workload: String,
-    policy: String,
-    ratio: TierRatio,
-    thp: bool,
+    cmd: &'static Command,
+    /// The cell a single-cell command runs; `fleet` takes its policy,
+    /// ratio and machine.
+    cell: Cell,
     scale: Scale,
     seed: u64,
+    // Flags of one command each.
     windows: bool,
-    // Subcommand flags.
     out: Option<String>,
     format: TraceFormat,
     validate: bool,
@@ -167,16 +207,27 @@ struct Args {
     self_check: bool,
     tenants: Option<String>,
     budget: Option<u64>,
+    figures: Vec<&'static Figure>,
 }
 
 fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
+    let mut it = it.peekable();
+    let named = it
+        .peek()
+        .and_then(|w| COMMANDS.iter().find(|c| !c.name.is_empty() && c.name == w));
+    let cmd = named.unwrap_or(&COMMANDS[0]);
+    if named.is_some() {
+        it.next();
+    }
     let mut args = Args {
-        cmd: run_one_shot,
-        workload: "bc-kron".into(),
-        policy: "pact".into(),
-        ratio: TierRatio::new(1, 1),
-        thp: false,
-        scale: Scale::Paper,
+        cmd,
+        cell: Cell::new("bc-kron", "pact", TierRatio::new(1, 1)),
+        // The inspection subcommands default to smoke scale: their runs
+        // exist to be looked at (or scraped), not for paper-scale timing.
+        scale: match cmd.name {
+            "" | "repro" => Scale::Paper,
+            _ => Scale::Smoke,
+        },
         seed: 42,
         windows: false,
         out: None,
@@ -187,39 +238,56 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
         self_check: false,
         tenants: None,
         budget: None,
+        figures: FIGURES.iter().collect(),
     };
-    let mut it = it.peekable();
-    // The inspection subcommands default to smoke scale: their runs
-    // exist to be looked at (or scraped), not for paper-scale timing.
-    if let Some(cmd) = it.peek().and_then(|w| subcommand(w)) {
-        it.next();
-        args.cmd = cmd;
-        args.scale = Scale::Smoke;
-    }
     while let Some(a) = it.next() {
-        match a.as_str() {
-            "--workload" | "-w" => {
-                args.workload = it.next().ok_or("--workload needs a value")?;
-                check_name(&args.workload)?;
+        let flag = match a.as_str() {
+            "-w" => "--workload",
+            "-p" => "--policy",
+            "-r" => "--ratio",
+            "-o" => "--out",
+            "-f" => "--format",
+            "-h" => "--help",
+            flag => flag,
+        };
+        if flag == "--help" {
+            return Err(Exit(0, usage()));
+        }
+        if !cmd.reads(flag) {
+            return Err(match COMMANDS.iter().any(|c| c.reads(flag)) {
+                true if cmd.name.is_empty() => format!("the one-shot run does not take {flag}"),
+                true => format!("tierctl {} does not take {flag}", cmd.name),
+                false => format!("unknown flag '{a}'"),
             }
-            "--policy" | "-p" => args.policy = it.next().ok_or("--policy needs a value")?,
-            "--ratio" | "-r" => {
+            .into());
+        }
+        match flag {
+            "--workload" => {
+                let v = it.next().ok_or("--workload needs a value")?;
+                check_name(&v)?;
+                args.cell.workload = v;
+            }
+            "--policy" => {
+                let v = it.next().ok_or("--policy needs a value")?;
+                args.cell.policy = Policy::from(v.as_str());
+            }
+            "--ratio" => {
                 let v = it.next().ok_or("--ratio needs a value")?;
                 let (f, s) = v.split_once(':').ok_or("ratio format is F:S")?;
-                args.ratio = TierRatio::new(
+                args.cell.ratio = TierRatio::new(
                     f.parse().map_err(|_| "bad ratio")?,
                     s.parse().map_err(|_| "bad ratio")?,
                 );
-                if args.ratio.fast == 0 && args.ratio.slow == 0 {
+                if args.cell.ratio == TierRatio::new(0, 0) {
                     return Err("ratio must have at least one non-zero part".into());
                 }
             }
-            "--thp" => args.thp = true,
+            "--thp" => args.cell.machine.thp = true,
             "--scale" => args.scale = parse_scale(it.next())?,
             "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).ok_or("bad seed")?,
             "--windows" => args.windows = true,
-            "--out" | "-o" => args.out = Some(it.next().ok_or("--out needs a path")?),
-            "--format" | "-f" => {
+            "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
+            "--format" => {
                 let v = it.next().ok_or("--format needs chrome|jsonl")?;
                 args.format = TraceFormat::parse(&v).ok_or(format!("unknown format '{v}'"))?;
             }
@@ -251,6 +319,17 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
                     }
                 };
             }
+            "--fig" => {
+                let v = it.next().ok_or("--fig needs NAME[,NAME...]")?;
+                let names: Vec<&str> = v.split(',').collect();
+                if let Some(bad) = names.iter().find(|&&n| figures::find(n).is_none()) {
+                    let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+                    return Err(
+                        format!("unknown figure '{bad}' (valid: {})", valid.join(", ")).into(),
+                    );
+                }
+                args.figures = FIGURES.iter().filter(|f| names.contains(&f.name)).collect();
+            }
             "--list" => {
                 let list = [
                     format!("workloads: {}", SUITE.join(", ")),
@@ -260,10 +339,12 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
                 ];
                 return Err(Exit(0, list.join("\n")));
             }
-            "--help" | "-h" => return Err(Exit(0, USAGE.into())),
-            other => return Err(format!("unknown flag '{other}'").into()),
+            other => unreachable!("{other} is in the flag table but not parsed"),
         }
     }
+    args.cell.machine.seed = args.seed;
+    // `report` and `fleet` print the criticality oracle's blame.
+    args.cell.machine.track_page_stalls = matches!(cmd.name, "report" | "fleet");
     Ok(args)
 }
 
@@ -275,57 +356,27 @@ fn parse_scale(v: Option<String>) -> Result<Scale, Exit> {
     }
 }
 
-/// The experiment machine for a single-workload cell with a fast tier
-/// of `fast_pages`: every subcommand that runs one builds it here, so
-/// the same flags simulate the same machine. `track_stalls` arms the
-/// criticality oracle.
-fn cell_config(fast_pages: u64, thp: bool, seed: u64, track_stalls: bool) -> MachineConfig {
-    let mut cfg = experiment_machine(fast_pages);
-    cfg.thp = thp;
-    cfg.seed = seed;
-    cfg.track_page_stalls = track_stalls;
-    cfg
-}
-
 impl Args {
     /// The lab for the flags' `--scale` and `--seed` under `env`.
     fn lab(&self, env: Env) -> Lab {
         Lab::new(self.scale, self.seed).with_env(env)
     }
-
-    /// `workload/policy/ratio`.
-    fn label(&self) -> String {
-        format!("{}/{}/{}", self.workload, self.policy, self.ratio)
-    }
-
-    /// [`cell_config`] for the flags' cell, the fast tier sized by
-    /// `--ratio`.
-    fn config(&self, lab: &Lab, track_stalls: bool) -> MachineConfig {
-        let footprint = lab.workload(&self.workload).footprint_bytes();
-        let fast_pages = self.ratio.fast_pages(footprint);
-        cell_config(fast_pages, self.thp, self.seed, track_stalls)
-    }
 }
 
 /// Runs the flags' cell for a subcommand that inspects the finished
 /// run: no DRAM reference, since none of them prints a slowdown. The
-/// policy is built for the cell's fast tier (Soar from the harness's
+/// policy is built for the cell's fast tier (Soar from the lab's
 /// profile).
-fn inspect(
-    lab: &Lab,
-    args: &Args,
-    track_stalls: bool,
-    tracer: Option<&mut Tracer>,
-) -> Result<RunReport, Exit> {
-    let cfg = args.config(lab, track_stalls);
-    let h = lab.harness_with(&args.workload, cfg.clone())?;
-    let mut policy = h.policy(&args.policy, cfg.fast_tier_pages)?;
-    let workloads = [h.workload()];
+fn inspect(args: &Args, env: Env, tracer: Option<&mut Tracer>) -> Result<RunReport, Exit> {
+    let (lab, cell) = (args.lab(env), &args.cell);
+    let mut policy = lab.policy(cell)?;
+    let workload = lab.workload(&cell.workload);
+    let workloads = [workload.as_ref()];
     let spec = RunSpec {
         tracer,
         ..RunSpec::new(&workloads, policy.as_mut())
     };
-    Ok(lab.run(cfg, spec)?)
+    Ok(lab.run(lab.machine(cell), spec)?)
 }
 
 /// Writes `body` to `path`, or fails with status 1.
@@ -342,10 +393,9 @@ fn create_dir(dir: &std::path::Path) -> Result<(), Exit> {
 /// The `trace` subcommand: one traced run, exported (and optionally
 /// validated) to `--out`.
 fn run_trace(args: &Args, env: Env) -> Result<(), Exit> {
-    let lab = &args.lab(env);
     let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-    let report = inspect(lab, args, false, Some(&mut tracer))?;
-    let label = args.label();
+    let report = inspect(args, env, Some(&mut tracer))?;
+    let label = args.cell.to_string();
     let body = export_trace(&report, &tracer, &label, args.format);
     if args.validate {
         let bad = match args.format {
@@ -400,8 +450,7 @@ fn run_trace(args: &Args, env: Env) -> Result<(), Exit> {
 /// are sim-domain: a CLI test byte-compares them across runs with and
 /// without `PACT_PROF`, under a fault plan.
 fn run_report(args: &Args, env: Env) -> Result<(), Exit> {
-    let lab = &args.lab(env);
-    let report = inspect(lab, args, true, None)?;
+    let report = inspect(args, env, None)?;
     let topk = args.topk.unwrap_or(DEFAULT_REPORT_TOPK);
     // Borrow the oracle out of the report — the map can hold an entry
     // per touched page, and the report path must not duplicate it.
@@ -418,7 +467,7 @@ fn run_report(args: &Args, env: Env) -> Result<(), Exit> {
     write(&dir.join("flame.folded"), crit.folded())?;
     println!(
         "criticality report for {}: {} blamed stall cycles across {} pages (top-{topk})",
-        args.label(),
+        args.cell,
         crit.total_stalls(),
         report.page_stalls.as_ref().map_or(0, |m| m.len()),
     );
@@ -434,9 +483,8 @@ fn run_report(args: &Args, env: Env) -> Result<(), Exit> {
 /// `--self-check` binds an ephemeral port, scrapes both routes through
 /// a real TCP client, and exits.
 fn run_serve_metrics(args: &Args, env: Env) -> Result<(), Exit> {
-    let lab = &args.lab(env);
-    let label = args.label();
-    let body = serve::render_prometheus(&label, &inspect(lab, args, false, None)?);
+    let label = args.cell.to_string();
+    let body = serve::render_prometheus(&label, &inspect(args, env, None)?);
     if args.self_check {
         serve::self_check(body)
             .map_err(|e| Exit(1, format!("serve-metrics self-check failed: {e}")))?;
@@ -475,18 +523,15 @@ fn run_fleet(args: &Args, env: Env) -> Result<(), Exit> {
         tenants.iter().map(|t| lab.workload(&t.workload)).collect();
     let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
     let total_footprint: u64 = refs.iter().map(|w| w.footprint_bytes()).sum();
-    let cfg = cell_config(
-        args.ratio.fast_pages(total_footprint),
-        false,
-        args.seed,
-        true,
-    );
+    let mut cfg = args.cell.machine.clone();
+    cfg.fast_tier_pages = args.cell.ratio.fast_pages(total_footprint);
     let admission = AdmissionControl {
         budget_per_window: args.budget.unwrap_or(4),
         ..AdmissionControl::default()
     };
     let weights = tenants.iter().map(|t| t.qos_weight).collect();
-    let mut policy = Admission::new(make_policy(&args.policy)?, admission, weights)?;
+    let mut policy =
+        Admission::new(args.cell.policy.build()?, admission, weights).map_err(SimError::Config)?;
     let report = lab.run(cfg, RunSpec::new(&refs, &mut policy))?;
 
     let label = format!(
@@ -496,8 +541,8 @@ fn run_fleet(args: &Args, env: Env) -> Result<(), Exit> {
             .map(|t| t.name.as_str())
             .collect::<Vec<_>>()
             .join("+"),
-        args.policy,
-        args.ratio
+        args.cell.policy,
+        args.cell.ratio
     );
     println!("cell {label}");
     println!(
@@ -537,40 +582,6 @@ fn run_fleet(args: &Args, env: Env) -> Result<(), Exit> {
     Ok(())
 }
 
-struct ReproArgs {
-    figures: Vec<&'static Figure>,
-    scale: Scale,
-    seed: u64,
-}
-
-fn parse_repro_args(mut it: impl Iterator<Item = String>) -> Result<ReproArgs, Exit> {
-    let mut args = ReproArgs {
-        figures: FIGURES.iter().collect(),
-        scale: Scale::Paper,
-        seed: 42,
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--fig" => {
-                let v = it.next().ok_or("--fig needs NAME[,NAME...]")?;
-                let names: Vec<&str> = v.split(',').collect();
-                if let Some(bad) = names.iter().find(|&&n| figures::find(n).is_none()) {
-                    let valid: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-                    return Err(
-                        format!("unknown figure '{bad}' (valid: {})", valid.join(", ")).into(),
-                    );
-                }
-                args.figures = FIGURES.iter().filter(|f| names.contains(&f.name)).collect();
-            }
-            "--scale" => args.scale = parse_scale(it.next())?,
-            "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).ok_or("bad seed")?,
-            "--help" | "-h" => return Err(Exit(0, USAGE.into())),
-            other => return Err(format!("unknown flag '{other}'").into()),
-        }
-    }
-    Ok(args)
-}
-
 /// This process's peak resident set (`VmHWM`) in MiB, or `n/a` where
 /// `/proc/self/status` cannot be read.
 fn peak_rss() -> String {
@@ -590,7 +601,7 @@ fn peak_rss() -> String {
 /// them at paper scale, and reports wall time, the lab's totals and the
 /// peak RSS on stderr (stdout is byte-compared). A failed figure exits
 /// 2 after the others are printed.
-fn run_repro(args: &ReproArgs, env: Env) -> Result<(), Exit> {
+fn run_repro(args: &Args, env: Env) -> Result<(), Exit> {
     let lab = Lab::new(args.scale, args.seed).with_env(env);
     let start = std::time::Instant::now();
     let reports = figures::render_all(&lab, &args.figures);
@@ -609,13 +620,12 @@ fn run_repro(args: &ReproArgs, env: Env) -> Result<(), Exit> {
     }
     let s = lab.stats();
     eprintln!(
-        "[repro] {} figures in {:.1}s; cells: {} requested, {} run; {} workload builds, {} harnesses; peak RSS {}",
+        "[repro] {} figures in {:.1}s; cells: {} requested, {} run; {} workload builds; peak RSS {}",
         args.figures.len(),
         start.elapsed().as_secs_f64(),
         s.cells_requested,
         s.cells_run,
         s.workload_builds,
-        s.harnesses,
         peak_rss()
     );
     match failed {
@@ -627,24 +637,21 @@ fn run_repro(args: &ReproArgs, env: Env) -> Result<(), Exit> {
 /// The one-shot run: the cell's summary.
 fn run_one_shot(args: &Args, env: Env) -> Result<(), Exit> {
     let lab = &args.lab(env);
-    let cfg = args.config(lab, false);
-    let h = lab
-        .harness_with(&args.workload, cfg)
-        .map_err(SimError::Config)?;
-    let out = h.run_policy(&args.policy, args.ratio, None)?;
-    let cxl = h.cxl_slowdown()?;
+    let cell = &args.cell;
+    let out = lab.cell(cell, None)?;
+    let cxl = lab.cell(&Cell::cxl(&cell.workload, cell.machine.clone()), None)?;
     let r = &out.report;
     let c = &r.counters;
 
     println!(
         "{} / {} @ {}{}",
-        args.workload,
-        args.policy,
-        args.ratio,
-        if args.thp { " (THP)" } else { "" }
+        cell.workload,
+        cell.policy,
+        cell.ratio,
+        if cell.machine.thp { " (THP)" } else { "" }
     );
     println!("  slowdown vs DRAM:   {}", pct(out.slowdown));
-    println!("  cxl-only reference: {}", pct(cxl));
+    println!("  cxl-only reference: {}", pct(cxl.slowdown));
     println!("  total cycles:       {}", r.total_cycles);
     println!("  accesses:           {}", count(c.accesses));
     println!(
@@ -691,13 +698,8 @@ fn run_one_shot(args: &Args, env: Env) -> Result<(), Exit> {
 fn run() -> Result<(), Exit> {
     let env = Env::resolve().map_err(|e| Exit(2, format!("error: {e}")))?;
     pact_obs::hostprof::set_enabled(env.prof);
-    let mut raw = std::env::args().skip(1).peekable();
-    if raw.peek().map(String::as_str) == Some("repro") {
-        raw.next();
-        return run_repro(&parse_repro_args(raw)?, env);
-    }
-    let args = parse_args(raw)?;
-    (args.cmd)(&args, env)
+    let args = parse_args(std::env::args().skip(1))?;
+    (args.cmd.run)(&args, env)
 }
 
 /// Every path out of `tierctl` passes here: the message, the host

@@ -20,7 +20,7 @@
 //! run it makes. Nothing else in the crate reads the environment.
 //!
 //! A setting that one subcommand reads is a `tierctl` flag instead
-//! (`--topk`, `--addr`, `--every`, `--tenants`), not a variable.
+//! (`--topk`, `--addr`, `--tenants`), not a variable.
 //!
 //! Library crates below `pact-bench` (`tiersim`, `obs`, …) never read
 //! the environment: they take parsed values (a [`FaultPlan`], a

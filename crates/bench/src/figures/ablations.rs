@@ -10,17 +10,16 @@
 //! * MSHR count: validates that Equation 1's MLP amortization is an
 //!   emergent property of the substrate, not a tuned constant.
 
-use pact_core::{Attribution, PactConfig, PactPolicy, SamplingSource};
+use pact_core::{Attribution, PactConfig, SamplingSource};
 use pact_tiersim::{FirstTouch, RunSpec, Tier};
 
 use super::Rendered;
-use crate::{banner, count, experiment_machine, pct, Lab, Table, TierRatio};
+use crate::{banner, count, experiment_machine, pct, Cell, Lab, Table, TierRatio};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 2);
     let mut out = String::new();
-    let bc = lab.harness("bc-kron")?;
-    let fast = ratio.fast_pages(bc.workload().footprint_bytes());
+    let bc = |cfg| lab.cell(&Cell::new("bc-kron", cfg, ratio), None);
 
     // --- m sweep -------------------------------------------------------
     {
@@ -30,8 +29,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
                 eager_demotion_margin: m,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(cfg)?;
-            let o = bc.run_custom(&mut p, fast)?;
+            let o = bc(cfg)?;
             t.row(vec![
                 m.to_string(),
                 pct(o.slowdown),
@@ -52,8 +50,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
                 reservoir: size,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(cfg)?;
-            let o = bc.run_custom(&mut p, fast)?;
+            let o = bc(cfg)?;
             t.row(vec![size.to_string(), pct(o.slowdown), count(o.promotions)]);
         }
         out.push_str(&banner("Ablation: reservoir size (paper default: 100)"));
@@ -68,8 +65,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
                 t_scale: ts,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(cfg)?;
-            let o = bc.run_custom(&mut p, fast)?;
+            let o = bc(cfg)?;
             t.row(vec![
                 format!("{ts:.0}"),
                 pct(o.slowdown),
@@ -85,16 +81,13 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         let mut t = Table::new(vec!["workload", "proportional", "latency-weighted"]);
         for name in ["bc-kron", "silo", "redis"] {
             eprintln!("[ablations] attribution on {name}");
-            let h = lab.harness(name)?;
-            let fast = ratio.fast_pages(h.workload().footprint_bytes());
             let mut cells = vec![name.to_string()];
             for attribution in [Attribution::Proportional, Attribution::LatencyWeighted] {
                 let cfg = PactConfig {
                     attribution,
                     ..PactConfig::default()
                 };
-                let mut p = PactPolicy::new(cfg)?;
-                cells.push(pct(h.run_custom(&mut p, fast)?.slowdown));
+                cells.push(pct(lab.cell(&Cell::new(name, cfg, ratio), None)?.slowdown));
             }
             t.row(cells);
         }
@@ -112,20 +105,20 @@ pub(super) fn render(lab: &Lab) -> Rendered {
             ("chmu-512", SamplingSource::Chmu, 512),
             ("chmu-4096", SamplingSource::Chmu, 4_096),
         ] {
-            let mut cfg = experiment_machine(0);
-            cfg.chmu_counters = chmu;
-            let h = lab.harness_with("bc-kron", cfg)?;
-            let pcfg = PactConfig {
+            let mut machine = experiment_machine(0);
+            machine.chmu_counters = chmu;
+            let cfg = PactConfig {
                 sampling,
                 ..PactConfig::default()
             };
-            let mut p = PactPolicy::new(pcfg)?;
-            let o = h.run_custom(&mut p, fast)?;
+            let cell = Cell::new("bc-kron", cfg, ratio).on(machine);
+            let o = lab.cell(&cell, None)?;
+            let samples = o.pac_samples.ok_or("a PACT cell reports its samples")?;
             t.row(vec![
                 label.to_string(),
                 pct(o.slowdown),
                 count(o.promotions),
-                count(p.store().global_samples()),
+                count(samples),
             ]);
         }
         out.push_str(&banner(

@@ -10,7 +10,7 @@
 use pact_tiersim::MachineConfig;
 
 use super::Rendered;
-use crate::{banner, count, pct, Lab, Table, TierRatio};
+use crate::{banner, count, pct, Cell, Lab, Table, TierRatio};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 1);
@@ -26,10 +26,10 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         ("CXL 190ns", MachineConfig::skylake_cxl(0)),
         ("NUMA 140ns", MachineConfig::skylake_numa(0)),
     ] {
-        let h = lab.harness_with("bc-kron", cfg)?;
-        let all_slow = h.cxl_slowdown()?;
+        let all_slow = lab.cell(&Cell::cxl("bc-kron", cfg.clone()), None)?.slowdown;
         for policy in ["pact", "memtis", "nbt", "colloid", "notier"] {
-            let o = h.run_policy(policy, ratio, None)?;
+            let cell = Cell::new("bc-kron", policy, ratio).on(cfg.clone());
+            let o = lab.cell(&cell, None)?;
             t.row(vec![
                 label.to_string(),
                 policy.to_string(),

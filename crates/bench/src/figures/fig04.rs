@@ -8,12 +8,13 @@
 //! promotes up to ~10x fewer pages than Colloid (Table 2).
 
 use super::Rendered;
-use crate::{banner, ratio_sweep, Lab, TierRatio, ALL_POLICIES};
+use crate::{banner, experiment_machine, ratio_sweep, Lab, TierRatio, ALL_POLICIES};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
-    let h = lab.harness("bc-kron")?;
     let sweep = ratio_sweep(
-        &h,
+        lab,
+        "bc-kron",
+        &experiment_machine(0),
         &ALL_POLICIES,
         &TierRatio::PAPER_SWEEP,
         lab.jobs(),

@@ -14,9 +14,10 @@ use crate::{banner, experiment_machine, ratio_sweep, Lab, TierRatio, ALL_POLICIE
 pub(super) fn render(lab: &Lab) -> Rendered {
     let mut cfg = experiment_machine(0);
     cfg.thp = true;
-    let h = lab.harness_with("bc-kron", cfg)?;
     let sweep = ratio_sweep(
-        &h,
+        lab,
+        "bc-kron",
+        &cfg,
         &ALL_POLICIES,
         &TierRatio::PAPER_SWEEP,
         lab.jobs(),

@@ -9,7 +9,7 @@
 use pact_workloads::suite::SUITE;
 
 use super::Rendered;
-use crate::{banner, exec, Lab, Table, TierRatio, ALL_POLICIES};
+use crate::{banner, experiment_machine, ratio_sweep, Lab, Table, TierRatio, ALL_POLICIES};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let policies = ALL_POLICIES;
@@ -20,27 +20,15 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     let mut promo_table = Table::new(header);
     let mut results: Vec<(String, Vec<f64>)> = Vec::new();
 
-    let jobs = lab.jobs();
+    let machine = experiment_machine(0);
     for name in SUITE {
         eprintln!("[fig06] {name}");
-        // The lab's harness shares the workload (and the cached DRAM
-        // baseline / Soar profile) across worker threads.
-        let h = lab.harness(name)?;
-        let cxl = h.cxl_slowdown()?;
-        // The Soar profile is a OnceLock: the first worker to need it
-        // computes it, the rest block briefly and then share it.
-        let outs = exec::run_indexed(policies.len(), jobs, |i| {
-            h.run_policy(policies[i], ratio, None)
-        });
-        let mut srow = vec![name.to_string(), crate::pct(cxl)];
+        let s = ratio_sweep(lab, name, &machine, &policies, &[ratio], lab.jobs(), None)?;
+        let slows: Vec<f64> = s.slowdown.iter().map(|row| row[0]).collect();
+        let mut srow = vec![name.to_string(), crate::pct(s.cxl)];
+        srow.extend(slows.iter().map(|&x| crate::pct(x)));
         let mut prow = vec![name.to_string(), "-".to_string()];
-        let mut slows = Vec::new();
-        for out in outs {
-            let out = out?;
-            srow.push(crate::pct(out.slowdown));
-            prow.push(crate::count(out.promotions));
-            slows.push(out.slowdown);
-        }
+        prow.extend(s.promotions.iter().map(|row| crate::count(row[0])));
         slow_table.row(srow);
         promo_table.row(prow);
         results.push((name.to_string(), slows));

@@ -9,7 +9,7 @@
 use pact_workloads::suite::SUITE;
 
 use super::Rendered;
-use crate::{banner, cdf_lines, Lab, Table, TierRatio};
+use crate::{banner, cdf_lines, Cell, Lab, Table, TierRatio};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let baselines = ["colloid", "nbt", "memtis"];
@@ -22,9 +22,9 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         let mut t = Table::new(vec!["workload", "vs colloid", "vs nbt", "vs memtis"]);
         for name in SUITE {
             eprintln!("[fig07] {name} @ {ratio}");
-            let h = lab.harness(name)?;
             let cycles = |policy: &str| -> Result<f64, crate::RunError> {
-                Ok(h.run_policy(policy, ratio, None)?.report.total_cycles as f64)
+                let out = lab.cell(&Cell::new(name, policy, ratio), None)?;
+                Ok(out.report.total_cycles as f64)
             };
             let pact_cycles = cycles("pact")?;
             let mut cells = vec![name.to_string()];

@@ -8,14 +8,12 @@
 //! (paper: 180K vs 8M, 18% vs 25%).
 
 use super::Rendered;
-use crate::{banner, sparkline, Lab, Table, TierRatio};
+use crate::{banner, sparkline, Cell, Lab, Table, TierRatio};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
-    let h = lab.harness("sssp-kron")?;
     let ratio = TierRatio::new(1, 1);
-
-    let pact = h.run_policy("pact", ratio, None)?;
-    let colloid = h.run_policy("colloid", ratio, None)?;
+    let pact = lab.cell(&Cell::new("sssp-kron", "pact", ratio), None)?;
+    let colloid = lab.cell(&Cell::new("sssp-kron", "colloid", ratio), None)?;
 
     let promos: Vec<f64> = pact
         .report

@@ -11,19 +11,17 @@
 use std::sync::Arc;
 
 use super::Rendered;
-use crate::{banner, exec, sparkline, Harness, Lab, Outcome, RunError, Table, TierRatio};
+use crate::{banner, exec, sparkline, Cell, Lab, Outcome, RunError, Table, TierRatio};
 
-/// Runs the PAC-ranked and frequency-ranked variants over one shared
-/// workload, fanning the two independent runs over `jobs` workers.
+/// Runs the PAC-ranked and frequency-ranked variants of `workload`,
+/// fanning the two independent cells over the lab's workers.
 fn pac_vs_freq(
-    h: &Harness<'_>,
+    lab: &Lab,
+    workload: &str,
     ratio: TierRatio,
-    jobs: usize,
 ) -> Result<(Arc<Outcome>, Arc<Outcome>), RunError> {
-    // Warm the shared baseline before fanning out.
-    h.dram_cycles()?;
-    let mut outs = exec::run_indexed(2, jobs, |i| {
-        h.run_policy(["pact", "pact-freq"][i], ratio, None)
+    let mut outs = exec::run_indexed(2, lab.jobs(), |i| {
+        lab.cell(&Cell::new(workload, ["pact", "pact-freq"][i], ratio), None)
     })
     .into_iter();
     #[expect(
@@ -39,8 +37,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
 
     // Featured workload: timeline comparison.
     {
-        let h = lab.harness("bc-kron")?;
-        let (pac, freq) = pac_vs_freq(&h, ratio, lab.jobs())?;
+        let (pac, freq) = pac_vs_freq(lab, "bc-kron", ratio)?;
         let series = |o: &Outcome| -> Vec<f64> {
             o.report
                 .windows
@@ -78,8 +75,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     ]);
     for name in ["bc-urand", "sssp-kron", "silo"] {
         eprintln!("[fig09] {name}");
-        let h = lab.harness(name)?;
-        let (pac, freq) = pac_vs_freq(&h, ratio, lab.jobs())?;
+        let (pac, freq) = pac_vs_freq(lab, name, ratio)?;
         let improvement = (freq.report.total_cycles as f64 - pac.report.total_cycles as f64)
             / freq.report.total_cycles as f64;
         t.row(vec![

@@ -7,10 +7,10 @@
 //! longer PAC periods increase both promotions and slowdown; cooling
 //! rarely helps over pure accumulation (α = 1).
 
-use pact_core::{Cooling, PactConfig, PactPolicy};
+use pact_core::{Cooling, PactConfig};
 
 use super::Rendered;
-use crate::{banner, experiment_machine, Lab, Table, TierRatio};
+use crate::{banner, experiment_machine, Cell, Lab, Table, TierRatio};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 1);
@@ -22,11 +22,10 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     {
         let mut t = Table::new(vec!["pebs rate (1-in-N)", "slowdown", "promotions"]);
         for rate in [25u64, 50, 100, 200, 400] {
-            let mut cfg = experiment_machine(0);
-            cfg.pebs.rate = rate;
-            let o = lab
-                .harness_with("bc-kron", cfg)?
-                .run_policy("pact", ratio, None)?;
+            let mut machine = experiment_machine(0);
+            machine.pebs.rate = rate;
+            let cell = Cell::new("bc-kron", "pact", ratio).on(machine);
+            let o = lab.cell(&cell, None)?;
             t.row(vec![
                 rate.to_string(),
                 crate::pct(o.slowdown),
@@ -42,16 +41,13 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     // (b) PAC sampling period, in machine windows (the paper's default
     // 20 ms corresponds to one window; it sweeps 10 ms .. 1000 ms).
     {
-        let h = lab.harness("bc-kron")?;
         let mut t = Table::new(vec!["period (windows)", "slowdown", "promotions"]);
         for period in [1u32, 2, 4, 8, 16, 32] {
             let cfg = PactConfig {
                 period_windows: period,
                 ..PactConfig::default()
             };
-            let mut policy = PactPolicy::new(cfg)?;
-            let fast = ratio.fast_pages(h.workload().footprint_bytes());
-            let o = h.run_custom(&mut policy, fast)?;
+            let o = lab.cell(&Cell::new("bc-kron", cfg, ratio), None)?;
             t.row(vec![
                 period.to_string(),
                 crate::pct(o.slowdown),
@@ -70,16 +66,13 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         let mut t = Table::new(vec!["workload", "no cooling", "halve", "reset"]);
         for name in ["bc-kron", "sssp-kron", "redis"] {
             eprintln!("[fig10c] {name}");
-            let h = lab.harness(name)?;
             let mut cells = vec![name.to_string()];
             for cooling in [Cooling::None, Cooling::Halve, Cooling::Reset] {
                 let cfg = PactConfig {
                     cooling,
                     ..PactConfig::default()
                 };
-                let mut policy = PactPolicy::new(cfg)?;
-                let fast = ratio.fast_pages(h.workload().footprint_bytes());
-                let o = h.run_custom(&mut policy, fast)?;
+                let o = lab.cell(&Cell::new(name, cfg, ratio), None)?;
                 cells.push(crate::pct(o.slowdown));
             }
             t.row(cells);

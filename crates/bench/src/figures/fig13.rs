@@ -8,10 +8,10 @@
 //! beating Colloid by up to 40% in latency and throughput with lower
 //! tail latency.
 
-use pact_core::{BinningMode, PactConfig, PactPolicy};
+use pact_core::{BinningMode, PactConfig};
 
 use super::Rendered;
-use crate::{banner, count, experiment_machine, Lab, Outcome, Table, TierRatio};
+use crate::{banner, count, experiment_machine, Cell, Lab, Outcome, Table, TierRatio};
 
 struct Row {
     name: &'static str,
@@ -54,11 +54,8 @@ fn metrics(name: &'static str, out: &Outcome) -> Row {
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 1);
-    let h = lab.harness("redis")?;
-    let fast = ratio.fast_pages(h.workload().footprint_bytes());
-
     let mut rows = Vec::new();
-    let colloid = h.run_policy("colloid", ratio, None)?;
+    let colloid = lab.cell(&Cell::new("redis", "colloid", ratio), None)?;
     rows.push(metrics("colloid", &colloid));
     for (name, mode) in [
         ("pact+static", BinningMode::Static),
@@ -70,8 +67,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
             binning: mode,
             ..PactConfig::default()
         };
-        let mut policy = PactPolicy::new(cfg)?;
-        let out = h.run_custom(&mut policy, fast)?;
+        let out = lab.cell(&Cell::new("redis", cfg, ratio), None)?;
         rows.push(metrics(name, &out));
     }
 

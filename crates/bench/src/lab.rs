@@ -4,37 +4,39 @@
 //! request runs once.
 //!
 //! A lab serves one `(scale, seed)` under one resolved environment
-//! ([`Env`]). Every run it makes, through [`Lab::run`] or a
-//! [`Harness`] it hands out, applies the environment's fault plan
-//! unless the run's configuration carries a plan of its own; figures
-//! take their worker count and trace root from it too.
+//! ([`Env`]). Every run it makes, through [`Lab::run`] or [`Lab::cell`],
+//! applies the environment's fault plan unless the run's configuration
+//! carries a plan of its own; figures take their worker count and trace
+//! root from it too.
 //!
-//! Sharing is decided by keys, never by equal numbers:
+//! A [`Cell`] — workload, policy, tier ratio and machine — names every
+//! simulation a figure reports. Sharing is decided by keys, never by
+//! equal numbers:
 //!
 //! * suite workloads by name;
-//! * harnesses by workload plus the [`config_fingerprint`] of the
-//!   machine config, so a figure that changes any config field gets
-//!   its own harness and DRAM reference;
-//! * within a harness, untraced named-policy outcomes and the CXL
-//!   reference by `(policy, fast_pages)`.
+//! * the DRAM reference and Soar's profile by workload plus the
+//!   [`config_fingerprint`] of the cell's machine, so a figure that
+//!   changes any config field gets its own;
+//! * untraced cell outcomes by that pair plus the policy (a PACT
+//!   configuration whatever it is called) and the fast-tier size.
 //!
 //! Concurrent requests for one key block on its `OnceLock`, so a key
-//! never runs twice. Runs of caller-built policies and traced runs are
-//! never cached. A comparison that must simulate both of its sides
-//! uses a fresh lab for each.
+//! never runs twice. Traced runs are never cached. A comparison that
+//! must simulate both of its sides uses a fresh lab for each.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use pact_baselines::{soar_profile, NoTier, Soar, SoarProfile};
+use pact_core::PactPolicy;
 use pact_tiersim::{
-    config_fingerprint, ConfigError, Machine, MachineConfig, RunReport, RunSpec, SimError,
-    TieringPolicy, TraceConfig, Tracer, Workload, PAGE_BYTES,
+    config_fingerprint, Machine, MachineConfig, RunReport, RunSpec, SimError, TieringPolicy,
+    TraceConfig, Tracer, Workload, PAGE_BYTES,
 };
 use pact_workloads::suite::{build, Scale};
 
-use crate::{experiment_machine, make_policy, Env, Outcome, RunError, TierRatio};
+use crate::{experiment_machine, Env, Outcome, Policy, RunError, TierRatio};
 
 /// A map whose values are computed once per key: the first caller runs
 /// `init`, concurrent callers of the same key block until it is done.
@@ -62,30 +64,85 @@ impl<K: Ord, V: Clone> Memo<K, V> {
     }
 }
 
+/// The tier ratio of a cell with no fast tier at all. `TierRatio`
+/// gives every other ratio at least one fast page, and no command line
+/// accepts `0:0`.
+const NO_FAST_TIER: TierRatio = TierRatio { fast: 0, slow: 0 };
+
+/// One simulation the evaluation reports: `policy` running `workload`
+/// with a fast tier sized by `ratio`, on `machine` (whose
+/// `fast_tier_pages` the ratio overrides).
+#[derive(Debug, Clone)]
+pub struct Cell {
+    /// Suite workload name.
+    pub workload: String,
+    /// The tiering system.
+    pub policy: Policy,
+    /// Fast:slow capacity relative to the workload's footprint.
+    pub ratio: TierRatio,
+    /// The machine.
+    pub machine: MachineConfig,
+}
+
+impl Cell {
+    /// `policy` on `workload` at `ratio`, on the experiment machine.
+    pub fn new(workload: &str, policy: impl Into<Policy>, ratio: TierRatio) -> Self {
+        Self {
+            workload: workload.to_string(),
+            policy: policy.into(),
+            ratio,
+            machine: experiment_machine(0),
+        }
+    }
+
+    /// The cell on `machine` instead.
+    pub fn on(self, machine: MachineConfig) -> Self {
+        Self { machine, ..self }
+    }
+
+    /// The all-slow-tier reference on `machine` (the paper's gray "CXL"
+    /// line): NoTier with no fast tier.
+    pub fn cxl(workload: &str, machine: MachineConfig) -> Self {
+        Self::new(workload, "notier", NO_FAST_TIER).on(machine)
+    }
+}
+
+/// `workload/policy/ratio`: the label of trace exports, metrics and
+/// `tierctl` lines. The machine is not part of it.
+impl std::fmt::Display for Cell {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}/{}/{}", self.workload, self.policy, self.ratio)
+    }
+}
+
 /// What a [`Lab`] did: the totals `tierctl repro` reports on stderr.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabStats {
     /// Suite workloads built.
     pub workload_builds: u64,
-    /// Harnesses created (each computes its own DRAM reference).
-    pub harnesses: u64,
-    /// Runs asked of the lab: every run it made plus every request a
-    /// harness answered from its cache.
+    /// Runs asked of the lab: every run it made plus every cell it
+    /// answered from its cache.
     pub cells_requested: u64,
     /// Simulations actually run (Soar's profiling pass aside).
     pub cells_run: u64,
 }
 
-/// Shared workloads and harnesses for one `(scale, seed)` reproduction
-/// under one environment; see the module docs for what is shared.
+/// A workload on a machine: what the DRAM reference and Soar's profile
+/// are shared by.
+type Base = (String, u64);
+
+/// Shared workloads, references and cell outcomes for one
+/// `(scale, seed)` reproduction under one environment; see the module
+/// docs for what is shared.
 pub struct Lab {
     pub(crate) scale: Scale,
     pub(crate) seed: u64,
     env: Env,
     workloads: Memo<String, Arc<dyn Workload>>,
-    harnesses: Memo<(String, u64), Result<Arc<HarnessState>, ConfigError>>,
+    dram_cycles: Memo<Base, Result<u64, SimError>>,
+    soar_profiles: Memo<Base, Arc<SoarProfile>>,
+    cells: Memo<(Base, String, u64), Result<Arc<Outcome>, RunError>>,
     workload_builds: AtomicU64,
-    harness_count: AtomicU64,
     cells_requested: AtomicU64,
     cells_run: AtomicU64,
 }
@@ -104,9 +161,10 @@ impl Lab {
             seed,
             env: Env::default(),
             workloads: Memo::new(),
-            harnesses: Memo::new(),
+            dram_cycles: Memo::new(),
+            soar_profiles: Memo::new(),
+            cells: Memo::new(),
             workload_builds: AtomicU64::new(0),
-            harness_count: AtomicU64::new(0),
             cells_requested: AtomicU64::new(0),
             cells_run: AtomicU64::new(0),
         }
@@ -141,29 +199,6 @@ impl Lab {
         })
     }
 
-    /// The harness for workload `name` on the experiment machine.
-    pub fn harness(&self, name: &str) -> Result<Harness<'_>, ConfigError> {
-        self.harness_with(name, experiment_machine(0))
-    }
-
-    /// The harness for workload `name` on machine `cfg` (tier capacity
-    /// is set per run), validated on first use.
-    pub fn harness_with(&self, name: &str, cfg: MachineConfig) -> Result<Harness<'_>, ConfigError> {
-        let key = (name.to_string(), config_fingerprint(&cfg));
-        let state = self.harnesses.get(key, || {
-            bump(&self.harness_count);
-            cfg.validate()?;
-            Ok(Arc::new(HarnessState {
-                workload: self.workload(name),
-                cfg,
-                dram_cycles: OnceLock::new(),
-                soar_profile: OnceLock::new(),
-                cells: Memo::new(),
-            }))
-        })?;
-        Ok(Harness { lab: self, state })
-    }
-
     /// Runs `spec` on a machine built from `cfg`, with the lab's fault
     /// plan when `cfg` has none: the one way any caller simulates,
     /// colocated workloads and tracers included.
@@ -180,176 +215,125 @@ impl Lab {
         Machine::new(cfg).map_err(SimError::Config)?.run(spec)
     }
 
+    /// The outcome of `cell`, normalised against its DRAM reference.
+    /// Untraced, each key runs once and later requests share its
+    /// outcome; with a `tracer` the cell always runs, and records its
+    /// event trace without perturbing the run.
+    ///
+    /// # Errors
+    ///
+    /// An unknown or invalid policy, an invalid machine, or a failed
+    /// run (the cell's or its DRAM reference's).
+    pub fn cell(&self, cell: &Cell, tracer: Option<&mut Tracer>) -> Result<Arc<Outcome>, RunError> {
+        if tracer.is_some() {
+            return self.simulate(cell, tracer).map(Arc::new);
+        }
+        let key = (
+            self.base(cell),
+            format!("{:?}", cell.policy),
+            self.machine(cell).fast_tier_pages,
+        );
+        let mut ran = false;
+        let out = self.cells.get(key, || {
+            ran = true;
+            self.simulate(cell, None).map(Arc::new)
+        });
+        if !ran {
+            bump(&self.cells_requested);
+        }
+        out
+    }
+
+    /// The machine `cell` runs on: its own, with the fast tier sized by
+    /// its ratio against its workload's footprint.
+    pub fn machine(&self, cell: &Cell) -> MachineConfig {
+        let mut cfg = cell.machine.clone();
+        cfg.fast_tier_pages = match cell.ratio {
+            NO_FAST_TIER => 0,
+            ratio => ratio.fast_pages(self.workload(&cell.workload).footprint_bytes()),
+        };
+        cfg
+    }
+
+    /// A fresh instance of `cell`'s policy for its fast tier: Soar from
+    /// the lab's profile of the cell's workload and machine, any other
+    /// by [`Policy::build`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Policy::build`]; for Soar, a failed DRAM reference.
+    pub fn policy(&self, cell: &Cell) -> Result<Box<dyn TieringPolicy>, RunError> {
+        if !matches!(&cell.policy, Policy::System(name) if name == "soar") {
+            return cell.policy.build();
+        }
+        // The DRAM reference runs first, so a workload that cannot run
+        // is reported as its error rather than a panic in the profiling
+        // pass.
+        self.dram_cycles(cell)?;
+        let profile = self.soar_profiles.get(self.base(cell), || {
+            let workload = self.workload(&cell.workload);
+            Arc::new(soar_profile(&cell.machine, workload.as_ref()))
+        });
+        let fast_pages = self.machine(cell).fast_tier_pages;
+        Ok(Box::new(Soar::from_profile(&profile, fast_pages)))
+    }
+
     /// Totals so far.
     pub fn stats(&self) -> LabStats {
         let get = |n: &AtomicU64| n.load(Ordering::Relaxed);
         LabStats {
             workload_builds: get(&self.workload_builds),
-            harnesses: get(&self.harness_count),
             cells_requested: get(&self.cells_requested),
             cells_run: get(&self.cells_run),
         }
     }
 
-    /// Serves `workload` as the suite workload `name`, so a test can
-    /// run a harness over a workload the suite cannot build.
-    #[cfg(test)]
-    pub(crate) fn insert_workload(&self, name: &str, workload: Arc<dyn Workload>) {
-        self.workloads.get(name.to_string(), || workload);
-    }
-}
-
-/// What a [`Lab`] keeps per harness: the workload, the base machine,
-/// and everything computed from them once.
-struct HarnessState {
-    workload: Arc<dyn Workload>,
-    cfg: MachineConfig,
-    dram_cycles: OnceLock<Result<u64, SimError>>,
-    soar_profile: OnceLock<SoarProfile>,
-    cells: Memo<(String, u64), Result<Arc<Outcome>, RunError>>,
-}
-
-/// Per-workload experiment driver, handed out by a [`Lab`]: runs
-/// policies at any tier ratio on one base machine, normalised against
-/// that machine's DRAM-only run.
-///
-/// Every method takes `&self` and its state is shared, so a sweep can
-/// fan independent `(policy, ratio)` cells across threads. The DRAM
-/// baseline and the Soar profile are computed once, and each untraced
-/// named-policy cell and the CXL reference run once per key.
-pub struct Harness<'a> {
-    lab: &'a Lab,
-    state: Arc<HarnessState>,
-}
-
-impl Harness<'_> {
-    /// The wrapped workload.
-    pub fn workload(&self) -> &dyn Workload {
-        self.state.workload.as_ref()
+    /// `cell`'s workload and machine; the fast-tier size is the cell's
+    /// ratio's, so it is left out.
+    fn base(&self, cell: &Cell) -> Base {
+        let mut machine = cell.machine.clone();
+        machine.fast_tier_pages = 0;
+        (cell.workload.clone(), config_fingerprint(&machine))
     }
 
-    /// Cycles of the ideal DRAM-only run, computed once: concurrent
-    /// callers block until the first one finishes.
-    pub fn dram_cycles(&self) -> Result<u64, SimError> {
-        self.state
-            .dram_cycles
-            .get_or_init(|| {
-                let cfg = self.config(u64::MAX / PAGE_BYTES);
-                let report = self
-                    .lab
-                    .run(cfg, RunSpec::new(&[self.workload()], &mut NoTier::new()))?;
-                Ok(report.total_cycles)
-            })
-            .clone()
+    /// Cycles of the ideal DRAM-only run of `cell`'s workload on its
+    /// machine, computed once per [`Base`].
+    fn dram_cycles(&self, cell: &Cell) -> Result<u64, SimError> {
+        self.dram_cycles.get(self.base(cell), || {
+            let mut cfg = cell.machine.clone();
+            cfg.fast_tier_pages = u64::MAX / PAGE_BYTES;
+            let workload = self.workload(&cell.workload);
+            let report = self.run(cfg, RunSpec::new(&[workload.as_ref()], &mut NoTier::new()))?;
+            Ok(report.total_cycles)
+        })
     }
 
-    /// Slowdown of running entirely on the slow tier (the "CXL" line).
-    /// It is NoTier with no fast tier, so it is cached as that cell.
-    pub fn cxl_slowdown(&self) -> Result<f64, RunError> {
-        let out = self.cell("notier", 0, || self.outcome(&mut NoTier::new(), 0, None))?;
-        Ok(out.slowdown)
-    }
-
-    /// Runs the evaluated system `name` (any of
-    /// [`ALL_POLICIES`](crate::ALL_POLICIES), Soar's profiling pass
-    /// included) at `ratio`, normalised against the DRAM baseline.
-    /// Untraced, it runs once per key; with a `tracer` it always runs,
-    /// and records the run's event trace without perturbing it.
-    pub fn run_policy(
-        &self,
-        name: &str,
-        ratio: TierRatio,
-        tracer: Option<&mut Tracer>,
-    ) -> Result<Arc<Outcome>, RunError> {
-        let fast_pages = ratio.fast_pages(self.workload().footprint_bytes());
-        let run =
-            |tracer| self.outcome(self.policy(name, fast_pages)?.as_mut(), fast_pages, tracer);
-        match tracer {
-            None => self.cell(name, fast_pages, || run(None)),
-            tracer => run(tracer).map(Arc::new),
-        }
-    }
-
-    /// Runs a caller-constructed policy (for custom configurations,
-    /// e.g. PACT ablations) with an explicit fast-tier size in pages.
-    /// Never cached: the harness cannot key a caller-built policy.
-    pub fn run_custom(
-        &self,
-        policy: &mut dyn TieringPolicy,
-        fast_pages: u64,
-    ) -> Result<Outcome, RunError> {
-        self.outcome(policy, fast_pages, None)
-    }
-
-    /// The evaluated system `name` for a fast tier of `fast_pages`,
-    /// built the way [`Harness::run_policy`] builds it: Soar from this
-    /// harness's profile, every other name by
-    /// [`make_policy`](crate::make_policy).
-    pub fn policy(&self, name: &str, fast_pages: u64) -> Result<Box<dyn TieringPolicy>, RunError> {
-        if name == "soar" {
-            return Ok(Box::new(Soar::from_profile(self.soar()?, fast_pages)));
-        }
-        make_policy(name)
-    }
-
-    /// The Soar object-placement profile (computed once, cached). The
-    /// DRAM baseline runs first, so a workload that cannot run is
-    /// reported as its error rather than a panic in the profiling pass.
-    pub(crate) fn soar(&self) -> Result<&SoarProfile, SimError> {
-        self.dram_cycles()?;
-        Ok(self
-            .state
-            .soar_profile
-            .get_or_init(|| soar_profile(&self.state.cfg, self.workload())))
-    }
-
-    /// The base machine with a fast tier of `fast_pages`.
-    fn config(&self, fast_pages: u64) -> MachineConfig {
-        let mut cfg = self.state.cfg.clone();
-        cfg.fast_tier_pages = fast_pages;
-        cfg
-    }
-
-    /// The untraced outcome cached under `(policy, fast_pages)`; an
-    /// answer from the cache counts as a request the lab did not run.
-    fn cell(
-        &self,
-        policy: &str,
-        fast_pages: u64,
-        run: impl FnOnce() -> Result<Outcome, RunError>,
-    ) -> Result<Arc<Outcome>, RunError> {
-        let mut ran = false;
-        let key = (policy.to_string(), fast_pages);
-        let out = self.state.cells.get(key, || {
-            ran = true;
-            run().map(Arc::new)
-        });
-        if !ran {
-            bump(&self.lab.cells_requested);
-        }
-        out
-    }
-
-    /// One run of `policy`, normalised against the DRAM baseline.
-    fn outcome(
-        &self,
-        policy: &mut dyn TieringPolicy,
-        fast_pages: u64,
-        tracer: Option<&mut Tracer>,
-    ) -> Result<Outcome, RunError> {
-        let report = self.lab.run(
-            self.config(fast_pages),
-            RunSpec {
+    /// One run of `cell`, normalised against its DRAM reference.
+    fn simulate(&self, cell: &Cell, tracer: Option<&mut Tracer>) -> Result<Outcome, RunError> {
+        let workload = self.workload(&cell.workload);
+        let workloads = [workload.as_ref()];
+        let run = |policy: &mut dyn TieringPolicy| {
+            let spec = RunSpec {
                 tracer,
-                ..RunSpec::new(&[self.workload()], policy)
-            },
-        )?;
-        let dram = self.dram_cycles()?;
+                ..RunSpec::new(&workloads, policy)
+            };
+            self.run(self.machine(cell), spec)
+        };
+        let (report, pac_samples) = match &cell.policy {
+            Policy::Pact(cfg) => {
+                let mut policy = PactPolicy::new(cfg.clone()).map_err(RunError::InvalidPact)?;
+                let report = run(&mut policy)?;
+                (report, Some(policy.store().global_samples()))
+            }
+            Policy::System(_) => (run(self.policy(cell)?.as_mut())?, None),
+        };
+        let dram = self.dram_cycles(cell)?;
         Ok(Outcome {
             slowdown: report.total_cycles as f64 / dram as f64 - 1.0,
             promotions: report.promotions,
             demotions: report.demotions,
             report,
+            pac_samples,
         })
     }
 }
@@ -358,48 +342,56 @@ impl Harness<'_> {
 mod tests {
     use super::*;
     use crate::ratio_sweep;
-    use pact_tiersim::{fnv1a, FaultPlan, InvariantSet, TraceFormat};
+    use pact_core::{PactConfig, RankBy};
+    use pact_tiersim::{FaultPlan, InvariantSet, TraceFormat};
 
-    /// `(cells requested, cells run, workload builds, harnesses)`.
-    fn totals(lab: &Lab) -> (u64, u64, u64, u64) {
+    /// `(cells requested, cells run, workload builds)`.
+    fn totals(lab: &Lab) -> (u64, u64, u64) {
         let s = lab.stats();
-        (
-            s.cells_requested,
-            s.cells_run,
-            s.workload_builds,
-            s.harnesses,
-        )
+        (s.cells_requested, s.cells_run, s.workload_builds)
     }
 
     #[test]
     fn a_repeated_key_runs_once_and_matches_a_fresh_run() {
         let lab = Lab::new(Scale::Smoke, 42);
-        let ratio = TierRatio::new(1, 1);
+        let cell = Cell::new("gups", "pact", TierRatio::new(1, 1));
         // Four workers race for one key; exactly one simulates it,
-        // after the harness's DRAM reference.
-        let outs = crate::run_indexed(8, 4, |_| {
-            let h = lab.harness("gups").unwrap();
-            h.run_policy("pact", ratio, None).unwrap()
-        });
+        // after its DRAM reference.
+        let outs = crate::run_indexed(8, 4, |_| lab.cell(&cell, None).unwrap());
         assert!(outs.iter().all(|o| Arc::ptr_eq(o, &outs[0])));
-        assert_eq!(totals(&lab), (9, 2, 1, 1));
-        let fresh = Lab::new(Scale::Smoke, 42);
-        let fresh = fresh.harness("gups").unwrap();
-        let fresh = fresh.run_policy("pact", ratio, None).unwrap();
-        assert_eq!(
-            fnv1a(outs[0].report.to_json().as_bytes()),
-            fnv1a(fresh.report.to_json().as_bytes())
-        );
-        // The CXL reference is a cached cell too; custom runs and
-        // traced runs never are.
-        let h = lab.harness("gups").unwrap();
+        assert_eq!(totals(&lab), (9, 2, 1));
+        let fresh = Lab::new(Scale::Smoke, 42).cell(&cell, None).unwrap();
+        assert_eq!(outs[0].report.to_json(), fresh.report.to_json());
+        // The CXL reference is a cached cell too; traced runs never are.
+        let cxl = Cell::cxl("gups", experiment_machine(0));
         for _ in 0..2 {
-            h.cxl_slowdown().unwrap();
-            h.run_custom(&mut NoTier::new(), 1).unwrap();
-            h.run_policy("pact", ratio, Some(&mut Tracer::ring(16)))
-                .unwrap();
+            lab.cell(&cxl, None).unwrap();
+            lab.cell(&cell, Some(&mut Tracer::ring(16))).unwrap();
         }
-        assert_eq!(totals(&lab), (15, 7, 1, 1));
+        assert_eq!(totals(&lab), (13, 5, 1));
+        assert_eq!(lab.machine(&cxl).fast_tier_pages, 0);
+    }
+
+    #[test]
+    fn one_pact_configuration_is_one_key() {
+        let ratio = TierRatio::new(1, 2);
+        let freq = PactConfig {
+            rank_by: RankBy::Frequency,
+            ..PactConfig::default()
+        };
+        for (name, cfg) in [("pact", PactConfig::default()), ("pact-freq", freq)] {
+            let lab = Lab::new(Scale::Smoke, 42);
+            lab.cell(&Cell::new("gups", "notier", ratio), None).unwrap();
+            let before = lab.stats().cells_run;
+            let named = lab.cell(&Cell::new("gups", name, ratio), None).unwrap();
+            let built = lab.cell(&Cell::new("gups", cfg, ratio), None).unwrap();
+            assert!(Arc::ptr_eq(&named, &built), "{name}");
+            assert_eq!(lab.stats().cells_run, before + 1, "{name}");
+            let fresh = Lab::new(Scale::Smoke, 42);
+            let fresh = fresh.cell(&Cell::new("gups", name, ratio), None).unwrap();
+            assert_eq!(named.report.to_json(), fresh.report.to_json(), "{name}");
+            assert_eq!(named.report.policy, name);
+        }
     }
 
     #[test]
@@ -409,12 +401,100 @@ mod tests {
         thp.thp = true;
         let mut armed = experiment_machine(0);
         armed.invariants = Some(InvariantSet::all());
-        for cfg in [experiment_machine(0), thp, armed] {
-            let h = lab.harness_with("gups", cfg).unwrap();
-            h.run_policy("notier", TierRatio::new(1, 2), None).unwrap();
+        for machine in [experiment_machine(0), thp, armed] {
+            let cell = Cell::new("gups", "notier", TierRatio::new(1, 2)).on(machine);
+            lab.cell(&cell, None).unwrap();
         }
-        // Each harness runs its cell and its own DRAM reference.
-        assert_eq!(totals(&lab), (6, 6, 1, 3));
+        // Each machine runs its cell and its own DRAM reference.
+        assert_eq!(totals(&lab), (6, 6, 1));
+    }
+
+    #[test]
+    fn bad_cells_are_errors() {
+        let lab = Lab::new(Scale::Smoke, 9);
+        let cell = |policy: Policy| Cell::new("gups", policy, TierRatio::new(1, 1));
+        let err = lab.cell(&cell("bogus".into()), None).unwrap_err();
+        assert_eq!(err, RunError::UnknownPolicy("bogus".into()));
+        let bad = PactConfig {
+            reservoir: 0,
+            ..PactConfig::default()
+        };
+        let err = lab.cell(&cell(bad.into()), None).unwrap_err();
+        assert!(matches!(err, RunError::InvalidPact(_)), "{err}");
+        // A policy that cannot be built runs nothing.
+        assert_eq!(lab.stats().cells_run, 0);
+        let mut bad = experiment_machine(0);
+        bad.window_cycles = 0;
+        let err = lab.cell(&cell("pact".into()).on(bad), None).unwrap_err();
+        assert!(matches!(err, RunError::Sim(SimError::Config(_))), "{err}");
+        assert!(err.to_string().contains("window_cycles"), "{err}");
+        // An invalid fault plan is caught the same way.
+        let mut bad = experiment_machine(0);
+        bad.fault_plan = Some(FaultPlan {
+            drop_order: 2.0,
+            ..FaultPlan::default()
+        });
+        let err = lab.cell(&cell("pact".into()).on(bad), None).unwrap_err();
+        assert!(matches!(err, RunError::Sim(SimError::Config(_))), "{err}");
+    }
+
+    #[test]
+    fn sim_errors_are_returned_not_panicked() {
+        let wl = pact_tiersim::TraceWorkload::new(
+            "bad",
+            PAGE_BYTES,
+            vec![pact_tiersim::Access::load(2 * PAGE_BYTES)],
+        );
+        let lab = Lab::new(Scale::Smoke, 9);
+        let wl: Arc<dyn Workload> = Arc::new(wl);
+        lab.workloads.get("bad".into(), || wl);
+        let cell = |policy| Cell::new("bad", policy, TierRatio::new(1, 1));
+        let err = lab.dram_cycles(&cell("notier")).unwrap_err();
+        assert!(matches!(err, SimError::AddressOutOfRange { .. }), "{err}");
+        for policy in ["notier", "soar"] {
+            let err = lab.cell(&cell(policy), None).unwrap_err();
+            assert!(matches!(err, RunError::Sim(_)), "{policy}: {err}");
+        }
+        let machine = experiment_machine(0);
+        let ratios = [TierRatio::new(1, 1)];
+        let err = ratio_sweep(&lab, "bad", &machine, &["pact"], &ratios, 1, None).unwrap_err();
+        assert!(err.to_string().contains("beyond footprint"), "{err}");
+    }
+
+    #[test]
+    fn cells_normalise_against_dram() {
+        let lab = Lab::new(Scale::Smoke, 1);
+        let cell = Cell::new("silo", "notier", TierRatio::new(1, 1));
+        let out = lab.cell(&cell, None).unwrap();
+        assert!(out.slowdown > -0.01, "slowdown {}", out.slowdown);
+        assert_eq!(out.pac_samples, None);
+        let cxl = lab.cell(&Cell::cxl("silo", experiment_machine(0)), None);
+        let cxl = cxl.unwrap().slowdown;
+        assert!(
+            cxl >= out.slowdown - 0.05,
+            "cxl {cxl} vs 1:1 {}",
+            out.slowdown
+        );
+        // Soar runs from its profile and never migrates.
+        let soar = lab.cell(&Cell::new("silo", "soar", TierRatio::new(1, 1)), None);
+        let soar = soar.unwrap();
+        assert_eq!((soar.report.policy.as_str(), soar.promotions), ("soar", 0));
+    }
+
+    #[test]
+    fn dram_cycles_is_cached_and_stable() {
+        let lab = Lab::new(Scale::Smoke, 3);
+        let cell = Cell::new("gups", "notier", TierRatio::new(1, 1));
+        let a = lab.dram_cycles(&cell).unwrap();
+        assert!(a > 0 && lab.dram_cycles(&cell) == Ok(a));
+        assert_eq!(lab.stats().cells_run, 1);
+        // Another machine gets its own baseline.
+        let mut machine = experiment_machine(0);
+        machine.mshrs = 1;
+        let cell = cell.on(machine);
+        let fresh = Lab::new(Scale::Smoke, 3);
+        assert_eq!(lab.dram_cycles(&cell), fresh.dram_cycles(&cell));
+        assert_ne!(lab.dram_cycles(&cell), Ok(a));
     }
 
     #[test]
@@ -427,7 +507,7 @@ mod tests {
         let clean = Lab::new(Scale::Smoke, 42);
         let samples = |lab: &Lab, cfg: MachineConfig| {
             let wl = lab.workload("gups");
-            let mut policy = make_policy("pact").unwrap();
+            let mut policy = crate::make_policy("pact").unwrap();
             let report = lab.run(cfg, RunSpec::new(&[wl.as_ref()], policy.as_mut()));
             report.unwrap().counters.pebs_samples
         };
@@ -449,12 +529,23 @@ mod tests {
             }),
             ..Env::default()
         });
-        let h = lab.harness("gups").unwrap();
         let ratios = [TierRatio::new(1, 1)];
+        let machine = experiment_machine(0);
         // The cell is already cached; a traced sweep must run it anyway.
-        h.run_policy("notier", ratios[0], None).unwrap();
+        lab.cell(&Cell::new("gups", "notier", ratios[0]), None)
+            .unwrap();
         for figure in ["fig04", "fig05"] {
-            ratio_sweep(&h, &["notier"], &ratios, 1, lab.trace(figure).as_ref()).unwrap();
+            let trace = lab.trace(figure);
+            ratio_sweep(
+                &lab,
+                "gups",
+                &machine,
+                &["notier"],
+                &ratios,
+                1,
+                trace.as_ref(),
+            )
+            .unwrap();
         }
         for figure in ["fig04", "fig05"] {
             let file = root.join(figure).join("gups_notier_1-1.jsonl");

@@ -6,12 +6,14 @@
 //!
 //! * [`Lab`] — the one builder of machines: it applies the run's
 //!   resolved environment ([`env::Env`]) to every run, builds each
-//!   workload once, and hands out [`Harness`]es that run each
-//!   distinct cell once across all figures;
-//! * [`Harness`] / [`TierRatio`] — runs any policy by name at the
-//!   paper's tier ratios (including Soar's two-phase
-//!   profile-then-place), normalised against a cached DRAM-only
-//!   baseline;
+//!   workload once, and runs each distinct [`Cell`] once across all
+//!   figures ([`Lab::cell`]), normalised against a cached DRAM-only
+//!   baseline; [`Lab::run`] runs anything else (colocated workloads,
+//!   bare machines);
+//! * [`Cell`] / [`Policy`] / [`TierRatio`] — one simulation by name:
+//!   workload, an evaluated system or a PACT configuration (Soar's
+//!   two-phase profile-then-place included), the paper's tier ratio,
+//!   and the machine;
 //! * [`Table`], [`sparkline`], [`cdf_lines`] — plain-text rendering of
 //!   the rows/series each figure reports.
 //!
@@ -39,9 +41,9 @@ pub mod serve;
 pub use cli::{parse_tenants, TenantArg};
 pub use env::Env;
 pub use exec::run_indexed;
-pub use lab::{Harness, Lab, LabStats};
+pub use lab::{Cell, Lab, LabStats};
 pub use report::{banner, cdf_lines, count, pct, save_results, sparkline, Table};
 pub use runner::{
-    experiment_machine, make_policy, ratio_sweep, Outcome, RunError, SweepResult, TierRatio,
-    ALL_POLICIES,
+    experiment_machine, make_policy, ratio_sweep, Outcome, Policy, RunError, SweepResult,
+    TierRatio, ALL_POLICIES,
 };

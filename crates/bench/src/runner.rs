@@ -9,7 +9,7 @@ use pact_tiersim::{
     PAGE_BYTES,
 };
 
-use crate::Harness;
+use crate::{Cell, Lab};
 
 /// A fast:slow tier-capacity ratio relative to the workload footprint
 /// (the paper's x-axis: 8:1 … 1:8).
@@ -78,16 +78,21 @@ pub struct Outcome {
     pub demotions: u64,
     /// The full report for deeper analysis.
     pub report: RunReport,
+    /// Samples PACT's page store took in over the run
+    /// (`PacStore::global_samples`); `None` for the other systems.
+    pub pac_samples: Option<u64>,
 }
 
-/// Why a harness run failed.
+/// Why a cell could not run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunError {
     /// The policy name is not in [`ALL_POLICIES`] (or a known variant).
     UnknownPolicy(String),
-    /// `soar` needs a profiling pass first; use
-    /// [`Harness::run_policy`], which performs it.
+    /// `soar` needs a profiling pass first; run it as a cell with
+    /// [`Lab::cell`], which performs it.
     NeedsProfile,
+    /// A PACT configuration failed its own validation.
+    InvalidPact(String),
     /// The simulation itself failed.
     Sim(SimError),
 }
@@ -96,9 +101,8 @@ impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RunError::UnknownPolicy(name) => write!(f, "unknown policy '{name}'"),
-            RunError::NeedsProfile => {
-                write!(f, "soar requires profiling; use Harness::run_policy")
-            }
+            RunError::NeedsProfile => write!(f, "soar requires profiling; run it with Lab::cell"),
+            RunError::InvalidPact(e) => write!(f, "invalid PACT configuration: {e}"),
             RunError::Sim(e) => e.fmt(f),
         }
     }
@@ -112,37 +116,80 @@ impl From<SimError> for RunError {
     }
 }
 
-/// Builds a policy instance by name.
-///
-/// Returns [`RunError::NeedsProfile`] for `"soar"` (its profiling
-/// pass is driven by [`Harness::run_policy`]) and
-/// [`RunError::UnknownPolicy`] for names outside [`ALL_POLICIES`], so
-/// sweep drivers can skip bad names instead of aborting mid-sweep.
-#[expect(
-    clippy::expect_used,
-    reason = "PactConfig::default() passes its own validate() (pinned by a pact-core test), \
-              and rank_by is not range-checked, so both PACT configs construct"
-)]
-pub fn make_policy(name: &str) -> Result<Box<dyn TieringPolicy>, RunError> {
-    Ok(match name {
-        "pact" => Box::new(PactPolicy::new(PactConfig::default()).expect("default is valid")),
-        "pact-freq" => {
-            let cfg = PactConfig {
+/// The system a [`Cell`] runs: an evaluated system by name, or PACT
+/// under a configuration.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Policy {
+    /// An evaluated system other than PACT, by its name in
+    /// [`ALL_POLICIES`]; PACT's names convert to [`Policy::Pact`].
+    System(String),
+    /// PACT under this configuration.
+    Pact(PactConfig),
+}
+
+impl Policy {
+    /// A fresh instance of the policy: [`RunError::NeedsProfile`] for
+    /// `soar`, whose profiling pass [`Lab::cell`] drives, and
+    /// [`RunError::UnknownPolicy`] for a name outside [`ALL_POLICIES`].
+    pub fn build(&self) -> Result<Box<dyn TieringPolicy>, RunError> {
+        Ok(match self {
+            Policy::Pact(cfg) => {
+                Box::new(PactPolicy::new(cfg.clone()).map_err(RunError::InvalidPact)?)
+            }
+            Policy::System(name) => match name.as_str() {
+                "colloid" => Box::new(Colloid::new()),
+                "nbt" => Box::new(Nbt::new()),
+                "alto" => Box::new(Alto::new()),
+                "nomad" => Box::new(Nomad::new()),
+                "tpp" => Box::new(Tpp::new()),
+                "memtis" => Box::new(Memtis::new()),
+                "notier" => Box::new(NoTier::new()),
+                "soar" => return Err(RunError::NeedsProfile),
+                other => return Err(RunError::UnknownPolicy(other.to_string())),
+            },
+        })
+    }
+}
+
+/// Renders the name the policy reports in its runs: a system's name,
+/// and `pact` or `pact-freq` by a PACT configuration's ranking.
+impl std::fmt::Display for Policy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Policy::System(name) => name,
+            Policy::Pact(cfg) => match cfg.rank_by {
+                RankBy::Pac => "pact",
+                RankBy::Frequency => "pact-freq",
+            },
+        })
+    }
+}
+
+/// The system `name`. `pact` and `pact-freq` resolve to
+/// [`PactConfig::default`] and its [`RankBy::Frequency`] variant, so
+/// one PACT configuration has one key however it is named.
+impl From<&str> for Policy {
+    fn from(name: &str) -> Self {
+        match name {
+            "pact" => Policy::Pact(PactConfig::default()),
+            "pact-freq" => Policy::Pact(PactConfig {
                 rank_by: RankBy::Frequency,
                 ..PactConfig::default()
-            };
-            Box::new(PactPolicy::new(cfg).expect("config is valid"))
+            }),
+            other => Policy::System(other.to_string()),
         }
-        "colloid" => Box::new(Colloid::new()),
-        "nbt" => Box::new(Nbt::new()),
-        "alto" => Box::new(Alto::new()),
-        "nomad" => Box::new(Nomad::new()),
-        "tpp" => Box::new(Tpp::new()),
-        "memtis" => Box::new(Memtis::new()),
-        "notier" => Box::new(NoTier::new()),
-        "soar" => return Err(RunError::NeedsProfile),
-        other => return Err(RunError::UnknownPolicy(other.to_string())),
-    })
+    }
+}
+
+impl From<PactConfig> for Policy {
+    fn from(cfg: PactConfig) -> Self {
+        Policy::Pact(cfg)
+    }
+}
+
+/// Builds the evaluated system `name`; see [`Policy::build`].
+pub fn make_policy(name: &str) -> Result<Box<dyn TieringPolicy>, RunError> {
+    Policy::from(name).build()
 }
 
 /// Result of a policies × ratios sweep over one workload.
@@ -174,10 +221,10 @@ fn file_stem(s: &str) -> String {
         .collect()
 }
 
-/// Runs every `(policy, ratio)` combination for the harness's workload,
-/// fanning the independent cells over `jobs` worker threads
-/// (`jobs = 1` is the serial path; figures pass their lab's worker
-/// count).
+/// Runs workload `workload` on `machine` under every `(policy, ratio)`
+/// combination, each a [`Cell`] of `lab`, fanning the independent
+/// cells over `jobs` worker threads (`jobs = 1` is the serial path;
+/// figures pass their lab's worker count).
 ///
 /// The result is bit-identical to the serial sweep for any worker
 /// count: cells share only immutable state and are merged in
@@ -193,7 +240,9 @@ fn file_stem(s: &str) -> String {
 /// the files are byte-identical for any `jobs` count;
 /// `crates/obs/tests/determinism.rs` pins this.
 pub fn ratio_sweep(
-    h: &Harness<'_>,
+    lab: &Lab,
+    workload: &str,
+    machine: &MachineConfig,
     policies: &[&str],
     ratios: &[TierRatio],
     jobs: usize,
@@ -203,7 +252,7 @@ pub fn ratio_sweep(
         .iter()
         .copied()
         .filter(|&p| {
-            // Soar is built from the harness's profile, not by name.
+            // Soar is built from the lab's profile, not by name.
             let ok = p == "soar" || make_policy(p).is_ok();
             if !ok {
                 eprintln!("warning: skipping unknown policy '{p}'");
@@ -211,14 +260,11 @@ pub fn ratio_sweep(
             ok
         })
         .collect();
-    // Warm every shared artifact serially so worker threads only read:
-    // the DRAM baseline (via the CXL reference) and, if swept, the Soar
-    // profile. OnceLock would serialize a race anyway; warming avoids
-    // even that.
-    let cxl = h.cxl_slowdown()?;
-    if kept.contains(&"soar") {
-        h.soar()?;
-    }
+    // The CXL reference runs first and serially, and warms the DRAM
+    // baseline every cell is normalised against.
+    let cxl = lab
+        .cell(&Cell::cxl(workload, machine.clone()), None)?
+        .slowdown;
     if let Some(cfg) = trace {
         if let Err(e) = std::fs::create_dir_all(&cfg.path) {
             eprintln!(
@@ -227,23 +273,22 @@ pub fn ratio_sweep(
             );
         }
     }
-    let wl_stem = file_stem(&h.workload().name());
     let n = kept.len() * ratios.len();
     let outcomes = crate::exec::run_indexed(n, jobs, |i| {
-        let p = kept[i / ratios.len()];
-        let r = ratios[i % ratios.len()];
+        let (policy, ratio) = (kept[i / ratios.len()], ratios[i % ratios.len()]);
+        let cell = Cell::new(workload, policy, ratio).on(machine.clone());
         let Some(cfg) = trace else {
-            return h.run_policy(p, r, None);
+            return lab.cell(&cell, None);
         };
         let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-        let out = h.run_policy(p, r, Some(&mut tracer))?;
-        let label = format!("{}/{}/{}", h.workload().name(), p, r);
-        let body = export_trace(&out.report, &tracer, &label, cfg.format);
+        let out = lab.cell(&cell, Some(&mut tracer))?;
+        let body = export_trace(&out.report, &tracer, &cell.to_string(), cfg.format);
         let file = cfg.path.join(format!(
-            "{wl_stem}_{}_{}-{}.{}",
-            file_stem(p),
-            r.fast,
-            r.slow,
+            "{}_{}_{}-{}.{}",
+            file_stem(workload),
+            file_stem(policy),
+            ratio.fast,
+            ratio.slow,
             cfg.format.extension()
         ));
         if let Err(e) = std::fs::write(&file, body) {
@@ -303,10 +348,7 @@ impl SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Lab;
-    use pact_tiersim::FaultPlan;
     use pact_workloads::suite::Scale;
-    use std::sync::Arc;
 
     #[test]
     fn ratio_math() {
@@ -354,83 +396,20 @@ mod tests {
     }
 
     #[test]
-    fn harness_with_validates_the_config() {
-        let lab = Lab::new(Scale::Smoke, 9);
-        let mut bad = experiment_machine(0);
-        bad.window_cycles = 0;
-        let err = lab.harness_with("gups", bad).err().unwrap();
-        assert!(err.to_string().contains("window_cycles"), "{err}");
-        // An invalid fault plan is caught the same way.
-        let mut bad = experiment_machine(0);
-        bad.fault_plan = Some(FaultPlan {
-            drop_order: 2.0,
-            ..FaultPlan::default()
-        });
-        assert!(lab.harness_with("gups", bad).is_err());
-    }
-
-    #[test]
-    fn run_policy_reports_unknown_names() {
-        let lab = Lab::new(Scale::Smoke, 9);
-        let h = lab.harness("gups").unwrap();
-        let err = h
-            .run_policy("bogus", TierRatio::new(1, 1), None)
-            .unwrap_err();
-        assert_eq!(err, RunError::UnknownPolicy("bogus".into()));
-    }
-
-    #[test]
-    fn sim_errors_are_returned_not_panicked() {
-        let wl = pact_tiersim::TraceWorkload::new(
-            "bad",
-            PAGE_BYTES,
-            vec![pact_tiersim::Access::load(2 * PAGE_BYTES)],
-        );
-        let lab = Lab::new(Scale::Smoke, 9);
-        lab.insert_workload("bad", Arc::new(wl));
-        let h = lab.harness("bad").unwrap();
-        let err = h.dram_cycles().unwrap_err();
-        assert!(matches!(err, SimError::AddressOutOfRange { .. }), "{err}");
-        for policy in ["notier", "soar"] {
-            let err = h
-                .run_policy(policy, TierRatio::new(1, 1), None)
-                .unwrap_err();
-            assert!(matches!(err, RunError::Sim(_)), "{policy}: {err}");
-        }
-        let err = ratio_sweep(&h, &["pact"], &[TierRatio::new(1, 1)], 1, None).unwrap_err();
-        assert!(err.to_string().contains("beyond footprint"), "{err}");
-    }
-
-    #[test]
-    fn harness_normalizes_against_dram() {
-        let lab = Lab::new(Scale::Smoke, 1);
-        let h = lab.harness("silo").unwrap();
-        let out = h.run_policy("notier", TierRatio::new(1, 1), None).unwrap();
-        assert!(out.slowdown > -0.01, "slowdown {}", out.slowdown);
-        let cxl = h.cxl_slowdown().unwrap();
-        assert!(
-            cxl >= out.slowdown - 0.05,
-            "cxl {} vs 1:1 {}",
-            cxl,
-            out.slowdown
-        );
-    }
-
-    #[test]
-    fn harness_runs_soar_via_profile() {
-        let lab = Lab::new(Scale::Smoke, 1);
-        let h = lab.harness("silo").unwrap();
-        let out = h.run_policy("soar", TierRatio::new(1, 1), None).unwrap();
-        assert_eq!(out.report.policy, "soar");
-        assert_eq!(out.promotions, 0);
-    }
-
-    #[test]
     fn sweep_renders_consistent_tables() {
         let lab = Lab::new(Scale::Smoke, 2);
-        let h = lab.harness("gups").unwrap();
+        let machine = experiment_machine(0);
         let ratios = [TierRatio::new(2, 1), TierRatio::new(1, 2)];
-        let sweep = ratio_sweep(&h, &["pact", "notier"], &ratios, 1, None).unwrap();
+        let sweep = ratio_sweep(
+            &lab,
+            "gups",
+            &machine,
+            &["pact", "notier"],
+            &ratios,
+            1,
+            None,
+        );
+        let sweep = sweep.unwrap();
         assert_eq!(sweep.policies, vec!["pact", "notier"]);
         assert_eq!(sweep.slowdown.len(), 2);
         assert_eq!(sweep.slowdown[0].len(), 2);
@@ -446,28 +425,18 @@ mod tests {
     #[test]
     fn sweep_skips_unknown_policies() {
         let lab = Lab::new(Scale::Smoke, 2);
-        let h = lab.harness("gups").unwrap();
-        let ratios = [TierRatio::new(1, 1)];
-        let sweep = ratio_sweep(&h, &["notier", "made-up"], &ratios, 1, None).unwrap();
+        let (machine, ratios) = (experiment_machine(0), [TierRatio::new(1, 1)]);
+        let sweep = ratio_sweep(
+            &lab,
+            "gups",
+            &machine,
+            &["notier", "made-up"],
+            &ratios,
+            1,
+            None,
+        );
+        let sweep = sweep.unwrap();
         assert_eq!(sweep.policies, vec!["notier"]);
         assert_eq!(sweep.slowdown.len(), 1);
-    }
-
-    #[test]
-    fn dram_cycles_is_cached_and_stable() {
-        let lab = Lab::new(Scale::Smoke, 3);
-        let h = lab.harness("gups").unwrap();
-        let a = h.dram_cycles().unwrap();
-        let b = h.dram_cycles().unwrap();
-        assert_eq!(a, b);
-        assert!(a > 0);
-        // Another machine config gets its own baseline.
-        let mut cfg = experiment_machine(0);
-        cfg.mshrs = 1;
-        let h = lab.harness_with("gups", cfg.clone()).unwrap();
-        let fresh = Lab::new(Scale::Smoke, 3);
-        let fresh = fresh.harness_with("gups", cfg).unwrap();
-        assert_eq!(h.dram_cycles(), fresh.dram_cycles());
-        assert_ne!(h.dram_cycles(), Ok(a));
     }
 }

@@ -1,10 +1,10 @@
 //! Determinism guarantees of the parallel sweep executor: fanning a
 //! sweep over worker threads, arming the invariant checker or an inert
-//! fault plan, or serving it from a harness's cache must not change a
+//! fault plan, or serving it from a lab's cell cache must not change a
 //! single reported value, and a workload one lab shares across its
-//! harnesses must be observationally identical to a fresh build.
+//! machines must be observationally identical to a fresh build.
 
-use pact_bench::{experiment_machine, ratio_sweep, Env, Harness, Lab, SweepResult, TierRatio};
+use pact_bench::{experiment_machine, ratio_sweep, Cell, Env, Lab, SweepResult, TierRatio};
 use pact_tiersim::{FaultPlan, InvariantSet, MachineConfig};
 use pact_workloads::suite::Scale;
 
@@ -34,15 +34,14 @@ fn assert_bit_identical(reference: &SweepResult, sweep: &SweepResult, variant: &
 /// the serial sweep bit for bit: 4 workers, the runtime invariant set
 /// armed on every machine, an inert fault plan on every machine (set
 /// on the config, or applied by the lab), and a second sweep answered
-/// from the harness's cache. Each variant but the cached one simulates
+/// from the lab's cache. Each variant but the cached one simulates
 /// every cell on a fresh lab.
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
     let policies = ["pact", "colloid", "memtis", "tpp", "notier"];
     let (wl, seed) = ("gups", 21);
     let sweep = |lab: &Lab, cfg: MachineConfig, jobs| {
-        let h = lab.harness_with(wl, cfg).expect("valid machine config");
-        ratio_sweep(&h, &policies, &RATIOS, jobs, None)
+        ratio_sweep(lab, wl, &cfg, &policies, &RATIOS, jobs, None)
     };
     let fresh = || Lab::new(Scale::Smoke, seed);
     let mut armed = experiment_machine(0);
@@ -80,9 +79,9 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 fn worker_count_never_changes_results() {
     let policies = ["pact", "notier"];
     let sweep = |jobs| {
-        let lab = Lab::new(Scale::Smoke, 5);
-        let h = lab.harness("silo").expect("suite workload");
-        ratio_sweep(&h, &policies, &RATIOS[..2], jobs, None).expect("sweep runs")
+        let (lab, machine) = (Lab::new(Scale::Smoke, 5), experiment_machine(0));
+        ratio_sweep(&lab, "silo", &machine, &policies, &RATIOS[..2], jobs, None)
+            .expect("sweep runs")
     };
     let reference = sweep(1);
     for jobs in [2, 3, 16] {
@@ -90,27 +89,25 @@ fn worker_count_never_changes_results() {
     }
 }
 
-/// A harness whose workload another harness of its lab already ran
-/// gives reports identical to a fresh lab's: sharing the workload
+/// A cell whose workload a cell on another machine of its lab already
+/// ran gives reports identical to a fresh lab's: sharing the workload
 /// `Arc` is purely an allocation optimization.
 #[test]
 fn shared_workload_matches_fresh_build() {
     let shared = Lab::new(Scale::Smoke, 13);
     let mut thp = experiment_machine(0);
     thp.thp = true;
-    let other = shared.harness_with("silo", thp).expect("valid config");
-    other
-        .run_policy("pact", RATIOS[1], None)
-        .expect("run succeeds");
-    let h_shared = shared.harness("silo").expect("suite workload");
+    let other = Cell::new("silo", "pact", RATIOS[1]).on(thp);
+    shared.cell(&other, None).expect("run succeeds");
     let fresh = Lab::new(Scale::Smoke, 13);
-    let h_fresh = fresh.harness("silo").expect("suite workload");
+    let cxl = Cell::cxl("silo", experiment_machine(0));
+    let cxl = |lab: &Lab| lab.cell(&cxl, None).expect("run succeeds").slowdown;
+    assert_eq!(cxl(&shared).to_bits(), cxl(&fresh).to_bits());
     assert_eq!(shared.stats().workload_builds, 1);
-
-    assert_eq!(h_shared.dram_cycles(), h_fresh.dram_cycles());
     for (policy, ratio) in [("pact", RATIOS[1]), ("colloid", RATIOS[2])] {
-        let run = |h: &Harness| h.run_policy(policy, ratio, None).expect("run succeeds");
-        let (a, f) = (run(&h_shared), run(&h_fresh));
+        let cell = Cell::new("silo", policy, ratio);
+        let run = |lab: &Lab| lab.cell(&cell, None).expect("run succeeds");
+        let (a, f) = (run(&shared), run(&fresh));
         assert_eq!(
             a.report.total_cycles, f.report.total_cycles,
             "{policy}@{ratio}"
@@ -122,22 +119,20 @@ fn shared_workload_matches_fresh_build() {
     }
 }
 
-/// Concurrent runs against one shared harness (the executor's actual
-/// access pattern, including a cold Soar profile behind a `OnceLock`
-/// and repeated cells racing for one cache slot) agree with serial
-/// runs on a fresh lab.
+/// Concurrent cells on one shared lab (the executor's actual access
+/// pattern, including a cold Soar profile behind a `OnceLock` and
+/// repeated cells racing for one cache slot) agree with serial runs
+/// on a fresh lab.
 #[test]
-fn concurrent_runs_on_one_harness_are_deterministic() {
+fn concurrent_runs_on_one_lab_are_deterministic() {
     let policies = ["pact", "soar", "tpp", "soar", "pact", "tpp"];
-    let cycles = |h: &Harness, i: usize| {
-        let out = h.run_policy(policies[i], RATIOS[1], None);
+    let cycles = |lab: &Lab, i: usize| {
+        let out = lab.cell(&Cell::new("gups", policies[i], RATIOS[1]), None);
         out.expect("run succeeds").report.total_cycles
     };
     let lab = Lab::new(Scale::Smoke, 8);
-    let h = lab.harness("gups").expect("suite workload");
-    let serial: Vec<u64> = (0..policies.len()).map(|i| cycles(&h, i)).collect();
+    let serial: Vec<u64> = (0..policies.len()).map(|i| cycles(&lab, i)).collect();
     let lab = Lab::new(Scale::Smoke, 8);
-    let h = lab.harness("gups").expect("suite workload");
-    let parallel: Vec<u64> = pact_bench::run_indexed(policies.len(), 4, |i| cycles(&h, i));
+    let parallel: Vec<u64> = pact_bench::run_indexed(policies.len(), 4, |i| cycles(&lab, i));
     assert_eq!(serial, parallel);
 }

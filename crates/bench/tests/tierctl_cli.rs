@@ -40,6 +40,25 @@ fn unknown_flag_exits_2() {
 }
 
 #[test]
+fn commands_reject_flags_they_do_not_read() {
+    for (args, flag, command) in [
+        (&["fleet", "--thp"][..], "--thp", "fleet"),
+        (&["--topk", "3"], "--topk", "one-shot"),
+        (&["report", "--format", "jsonl"], "--format", "report"),
+        (&["repro", "--workload", "gups"], "--workload", "repro"),
+    ] {
+        let out = run(args);
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}: {err}");
+        assert!(out.stdout.is_empty(), "nothing may run on bad usage");
+        assert!(
+            err.contains(flag) && err.contains(command),
+            "{args:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn malformed_fault_spec_exits_2() {
     let out = tierctl(&["--list"])
         .env("PACT_FAULTS", "drop=banana")

@@ -8,7 +8,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use pact_bench::{ratio_sweep, Lab, TierRatio};
+use pact_bench::{experiment_machine, ratio_sweep, Cell, Lab, SweepResult, TierRatio};
 use pact_obs::{validate, TraceConfig, TraceFormat, Tracer, DEFAULT_RING_CAPACITY};
 use pact_tiersim::export_trace;
 use pact_workloads::suite::Scale;
@@ -26,13 +26,10 @@ fn lab() -> Lab {
 #[test]
 fn traced_run_report_matches_untraced() {
     let lab = lab();
-    let h = lab.harness("bc-kron").expect("suite workload");
-    let ratio = TierRatio::new(1, 1);
-    let untraced = h.run_policy("pact", ratio, None).expect("run succeeds");
+    let cell = Cell::new("bc-kron", "pact", TierRatio::new(1, 1));
+    let untraced = lab.cell(&cell, None).expect("run succeeds");
     let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-    let traced = h
-        .run_policy("pact", ratio, Some(&mut tracer))
-        .expect("run succeeds");
+    let traced = lab.cell(&cell, Some(&mut tracer)).expect("run succeeds");
     assert!(!tracer.is_empty(), "traced run recorded no events");
     assert_eq!(
         untraced.report.to_json(),
@@ -41,17 +38,14 @@ fn traced_run_report_matches_untraced() {
     );
 }
 
-/// Same seed, fresh harness → byte-identical Chrome and JSONL exports,
+/// Same seed, fresh lab → byte-identical Chrome and JSONL exports,
 /// and both must pass the JSON validator.
 #[test]
 fn repeated_seeded_runs_export_identical_traces() {
     let run = || {
-        let lab = lab();
-        let h = lab.harness("bc-kron").expect("suite workload");
+        let cell = Cell::new("bc-kron", "pact", TierRatio::new(1, 1));
         let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-        let out = h
-            .run_policy("pact", TierRatio::new(1, 1), Some(&mut tracer))
-            .expect("run succeeds");
+        let out = lab().cell(&cell, Some(&mut tracer)).expect("run succeeds");
         let chrome = export_trace(
             &out.report,
             &tracer,
@@ -71,6 +65,22 @@ fn repeated_seeded_runs_export_identical_traces() {
     for (i, line) in jsonl_a.lines().enumerate() {
         validate(line).unwrap_or_else(|e| panic!("jsonl line {} invalid: {e}", i + 1));
     }
+}
+
+/// `policies` × `ratios` on bc-kron on a fresh lab, every cell traced
+/// under `trace`.
+fn sweep(policies: &[&str], ratios: &[TierRatio], jobs: usize, trace: &TraceConfig) -> SweepResult {
+    let machine = experiment_machine(0);
+    let sweep = ratio_sweep(
+        &lab(),
+        "bc-kron",
+        &machine,
+        policies,
+        ratios,
+        jobs,
+        Some(trace),
+    );
+    sweep.expect("sweep runs")
 }
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -115,13 +125,8 @@ fn sweep_trace_files_identical_across_jobs() {
         format: TraceFormat::Jsonl,
     };
 
-    let sweep = |jobs, cfg| {
-        let lab = lab();
-        let h = lab.harness("bc-kron").expect("suite workload");
-        ratio_sweep(&h, &policies, &ratios, jobs, Some(cfg)).expect("sweep runs")
-    };
-    let serial = sweep(1, &cfg1);
-    let parallel = sweep(4, &cfg4);
+    let serial = sweep(&policies, &ratios, 1, &cfg1);
+    let parallel = sweep(&policies, &ratios, 4, &cfg4);
     assert_eq!(serial, parallel, "sweep results diverged across jobs");
 
     let files1 = dir_contents(&dir1);
@@ -158,9 +163,7 @@ fn sweep_chrome_traces_identical_across_jobs() {
         format: TraceFormat::Chrome,
     };
     for (jobs, dir) in [(1, &dir1), (4, &dir4)] {
-        let lab = lab();
-        let h = lab.harness("bc-kron").expect("suite workload");
-        ratio_sweep(&h, &policies, &ratios, jobs, Some(&cfg(dir))).expect("sweep runs");
+        sweep(&policies, &ratios, jobs, &cfg(dir));
     }
 
     let files1 = dir_contents(&dir1);

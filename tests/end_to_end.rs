@@ -1,7 +1,7 @@
 //! Integration tests spanning the whole stack: suite workloads through
 //! the simulator under every policy.
 
-use pact_bench::{make_policy, Lab, TierRatio, ALL_POLICIES};
+use pact_bench::{make_policy, Cell, Lab, TierRatio, ALL_POLICIES};
 use pact_tiersim::{FirstTouch, Machine, MachineConfig, RunSpec, PAGE_BYTES};
 use pact_workloads::suite::{build, Scale, SUITE};
 
@@ -11,10 +11,9 @@ use pact_workloads::suite::{build, Scale, SUITE};
 fn suite_runs_under_pact_and_notier() {
     let lab = Lab::new(Scale::Smoke, 7);
     for name in SUITE {
-        let h = lab.harness(name).expect("suite workload");
         for policy in ["pact", "notier"] {
-            let out = h
-                .run_policy(policy, TierRatio::new(1, 1), None)
+            let out = lab
+                .cell(&Cell::new(name, policy, TierRatio::new(1, 1)), None)
                 .expect("run succeeds");
             let r = &out.report;
             assert!(r.total_cycles > 0, "{name}/{policy}: empty run");
@@ -37,16 +36,15 @@ fn suite_runs_under_pact_and_notier() {
 #[test]
 fn all_policies_run_on_silo() {
     let lab = Lab::new(Scale::Smoke, 3);
-    let h = lab.harness("silo").expect("suite workload");
     for policy in ALL_POLICIES {
-        let out = h
-            .run_policy(policy, TierRatio::new(1, 2), None)
+        let out = lab
+            .cell(&Cell::new("silo", policy, TierRatio::new(1, 2)), None)
             .expect("run succeeds");
         let r = &out.report;
         assert!(r.total_cycles > 0, "{policy}: empty run");
         // Promotions need matching demotions once the fast tier fills
         // (within the initial free capacity).
-        let fast_cap = TierRatio::new(1, 2).fast_pages(h.workload().footprint_bytes());
+        let fast_cap = TierRatio::new(1, 2).fast_pages(lab.workload("silo").footprint_bytes());
         assert!(
             r.promotions <= r.demotions + fast_cap,
             "{policy}: promoted {} with only {} demotions and {} capacity",
@@ -84,10 +82,10 @@ fn runs_are_deterministic_end_to_end() {
 fn dram_is_a_lower_bound() {
     let lab = Lab::new(Scale::Smoke, 5);
     for name in ["bc-kron", "redis", "gups"] {
-        let h = lab.harness(name).expect("suite workload");
         for ratio in [TierRatio::new(4, 1), TierRatio::new(1, 4)] {
             for policy in ["pact", "colloid", "notier"] {
-                let out = h.run_policy(policy, ratio, None).expect("run succeeds");
+                let out = lab.cell(&Cell::new(name, policy, ratio), None);
+                let out = out.expect("run succeeds");
                 assert!(
                     out.slowdown > -0.1,
                     "{name}/{policy}@{ratio}: beats DRAM by {:.1}%",

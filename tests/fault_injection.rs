@@ -6,7 +6,7 @@
 //! under the parallel test runner, and an explicit plan exercises the
 //! same `FaultState` machinery.
 
-use pact_bench::{exec, Lab, TierRatio};
+use pact_bench::{exec, Cell, Lab, TierRatio};
 use pact_core::{PactConfig, PactPolicy};
 use pact_tiersim::{
     export_trace, FaultPlan, Machine, MachineConfig, RunReport, RunSpec, SimError, StallFault,
@@ -38,11 +38,11 @@ fn traced_run(plan: Option<FaultPlan>, seed: u64) -> (RunReport, String) {
     cfg.seed = seed;
     cfg.fault_plan = plan;
     let lab = Lab::new(Scale::Smoke, seed);
-    let h = lab.harness_with("gups", cfg).expect("stress plan is valid");
+    let cell = Cell::new("gups", "pact", TierRatio::new(1, 2)).on(cfg);
     let mut tracer = Tracer::ring(4096);
-    let out = h
-        .run_policy("pact", TierRatio::new(1, 2), Some(&mut tracer))
-        .expect("pact is a known policy");
+    let out = lab
+        .cell(&cell, Some(&mut tracer))
+        .expect("the stress plan is valid");
     let body = export_trace(&out.report, &tracer, "fault-test", TraceFormat::Jsonl);
     (out.report.clone(), body)
 }
@@ -91,11 +91,8 @@ fn different_fault_seeds_diverge() {
     let mut cfg = MachineConfig::skylake_cxl(0);
     cfg.seed = 7;
     cfg.fault_plan = Some(other);
-    let lab = Lab::new(Scale::Smoke, 7);
-    let h = lab.harness_with("gups", cfg).expect("valid");
-    let out = h
-        .run_policy("pact", TierRatio::new(1, 2), None)
-        .expect("known policy");
+    let cell = Cell::new("gups", "pact", TierRatio::new(1, 2)).on(cfg);
+    let out = Lab::new(Scale::Smoke, 7).cell(&cell, None).expect("valid");
     // Same machine seed, different fault seed: the injected schedule —
     // and so the run — must differ.
     assert_ne!(r1.total_cycles, out.report.total_cycles);
@@ -110,13 +107,10 @@ fn parallel_and_serial_fault_sweeps_agree() {
     // second side from its cache.
     let run = |jobs: usize| {
         let lab = Lab::new(Scale::Smoke, 7);
-        let h = lab.harness_with("gups", cfg.clone()).expect("valid");
-        // Warm the shared baseline before fanning out.
-        h.dram_cycles().expect("dram baseline runs");
         exec::run_indexed(4, jobs, |i| {
-            let out = h
-                .run_policy(["pact", "memtis"][i % 2], TierRatio::new(1, 2), None)
-                .expect("known policy");
+            let cell =
+                Cell::new("gups", ["pact", "memtis"][i % 2], TierRatio::new(1, 2)).on(cfg.clone());
+            let out = lab.cell(&cell, None).expect("valid");
             (out.report.total_cycles, out.report.dropped_orders)
         })
     };

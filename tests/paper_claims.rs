@@ -4,7 +4,7 @@
 //! (see `EXPERIMENTS.md`); here they are pinned as fast regression
 //! tests so a refactor that silently breaks a mechanism fails CI.
 
-use pact_bench::{Lab, TierRatio};
+use pact_bench::{experiment_machine, Cell, Lab, TierRatio};
 use pact_core::{estimate_tier_stalls, PactConfig, PactPolicy};
 use pact_stats::pearson;
 use pact_tiersim::{FirstTouch, Machine, MachineConfig, Tier, Workload, PAGE_BYTES};
@@ -121,13 +121,9 @@ fn tpp_is_the_pathological_baseline() {
 #[test]
 fn pac_ranking_at_least_matches_frequency_ranking() {
     let lab = Lab::new(Scale::Smoke, 13);
-    let h = lab.harness("bc-kron").expect("suite workload");
-    let pac = h
-        .run_policy("pact", TierRatio::new(1, 2), None)
-        .expect("run succeeds");
-    let freq = h
-        .run_policy("pact-freq", TierRatio::new(1, 2), None)
-        .expect("run succeeds");
+    let run = |policy| lab.cell(&Cell::new("bc-kron", policy, TierRatio::new(1, 2)), None);
+    let pac = run("pact").expect("run succeeds");
+    let freq = run("pact-freq").expect("run succeeds");
     assert!(
         pac.report.total_cycles as f64 <= freq.report.total_cycles as f64 * 1.05,
         "pac {} vs freq {}",
@@ -141,11 +137,11 @@ fn pac_ranking_at_least_matches_frequency_ranking() {
 #[test]
 fn cxl_only_is_the_ceiling() {
     let lab = Lab::new(Scale::Smoke, 17);
-    let h = lab.harness("bc-kron").expect("suite workload");
-    let cxl = h.cxl_slowdown().expect("run succeeds");
+    let cxl = lab.cell(&Cell::cxl("bc-kron", experiment_machine(0)), None);
+    let cxl = cxl.expect("run succeeds").slowdown;
     for policy in ["pact", "notier", "memtis"] {
-        let out = h
-            .run_policy(policy, TierRatio::new(1, 1), None)
+        let out = lab
+            .cell(&Cell::new("bc-kron", policy, TierRatio::new(1, 1)), None)
             .expect("run succeeds");
         assert!(
             out.slowdown <= cxl + 0.05,
