@@ -16,6 +16,16 @@ use pact_tiersim::{RunSpec, PAGE_BYTES};
 use super::Rendered;
 use crate::{banner, experiment_machine, Lab, Table};
 
+/// The frequency groups (the violin x-axis) of `n` pages sorted by
+/// frequency: five, or one per page when fewer than five, so every page
+/// sits in exactly one non-empty group.
+fn freq_groups(n: usize) -> Vec<std::ops::Range<usize>> {
+    let groups = n.min(5);
+    (0..groups)
+        .map(|g| n * g / groups..n * (g + 1) / groups)
+        .collect()
+}
+
 pub(super) fn render(lab: &Lab) -> Rendered {
     let mut out = String::new();
     for name in ["masim", "gups", "tc-twitter"] {
@@ -64,18 +74,13 @@ pub(super) fn render(lab: &Lab) -> Rendered {
             "max",
             "max/min",
         ]);
-        const GROUPS: usize = 5;
-        for g in 0..GROUPS {
-            let lo = pages.len() * g / GROUPS;
-            let hi = (pages.len() * (g + 1) / GROUPS)
-                .max(lo + 1)
-                .min(pages.len());
-            let slice = &pages[lo..hi];
+        for group in freq_groups(pages.len()) {
+            let slice = &pages[group];
             let pacs: Vec<f64> = slice.iter().map(|&(_, p)| p).collect();
             let s = Summary::from_values(&pacs);
             #[expect(
                 clippy::unwrap_used,
-                reason = "hi >= lo + 1 above, so the slice is non-empty"
+                reason = "freq_groups never yields an empty group"
             )]
             let (f_lo, f_hi) = (slice.first().unwrap().0, slice.last().unwrap().0);
             t.row(vec![
@@ -139,4 +144,15 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         }
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::freq_groups;
+
+    #[test]
+    fn every_page_sits_in_exactly_one_group() {
+        assert_eq!(freq_groups(2), vec![0..1, 1..2]);
+        assert_eq!(freq_groups(7), vec![0..1, 1..2, 2..4, 4..5, 5..7]);
+    }
 }
