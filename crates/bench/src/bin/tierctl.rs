@@ -165,8 +165,8 @@ const COMMANDS: [Command; 6] = [
     Command {
         name: "fleet",
         flags: &[
-            "[--tenants NAME:WORKLOAD:WEIGHT,...] [--policy P] [--ratio F:S] \
-                  [--scale smoke|paper] [--seed N] [--budget N]",
+            "[--tenants NAME:WORKLOAD:WEIGHT,...] [--policy P] [--ratio F:S]",
+            "[--scale smoke|paper] [--seed N] [--budget N]",
         ],
         run: run_fleet,
     },
@@ -283,7 +283,13 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
                 }
             }
             "--thp" => args.cell.machine.thp = true,
-            "--scale" => args.scale = parse_scale(it.next())?,
+            "--scale" => {
+                args.scale = match it.next().as_deref() {
+                    Some("smoke") => Scale::Smoke,
+                    Some("paper") => Scale::Paper,
+                    other => return Err(format!("unknown scale {other:?}").into()),
+                }
+            }
             "--seed" => args.seed = it.next().and_then(|v| v.parse().ok()).ok_or("bad seed")?,
             "--windows" => args.windows = true,
             "--out" => args.out = Some(it.next().ok_or("--out needs a path")?),
@@ -346,14 +352,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
     // `report` and `fleet` print the criticality oracle's blame.
     args.cell.machine.track_page_stalls = matches!(cmd.name, "report" | "fleet");
     Ok(args)
-}
-
-fn parse_scale(v: Option<String>) -> Result<Scale, Exit> {
-    match v.as_deref() {
-        Some("smoke") => Ok(Scale::Smoke),
-        Some("paper") => Ok(Scale::Paper),
-        other => Err(format!("unknown scale {other:?}").into()),
-    }
 }
 
 impl Args {
