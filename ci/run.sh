@@ -160,8 +160,9 @@ stage_perf() {
 }
 
 # The whole smoke-scale reproduction must print the same bytes whether
-# its figures run serially or in parallel, clean and under a fixed
-# fault plan (which every figure applies to every run), traced or not.
+# each figure's runs go one at a time or over four workers, clean and
+# under a fixed fault plan (which every figure applies to every run),
+# traced or not.
 stage_repro() {
     repro_dir="target/ci-repro"
     rm -rf "$repro_dir"

@@ -44,8 +44,9 @@
 //! figure, Table 2, the ablations and the extra experiments, or the
 //! `--fig` selection, printed in report order and saved under
 //! `results/` at paper scale. A workload several figures use is built
-//! once and a cell several figures request runs once; figures run in
-//! parallel on `PACT_JOBS` workers without changing a byte of output:
+//! once and a cell several figures request runs once; figures run one
+//! after another, each fanning its runs over `PACT_JOBS` workers
+//! without changing a byte of output:
 //!
 //! ```text
 //! tierctl repro                          # everything, paper scale
@@ -278,8 +279,8 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
                     f.parse().map_err(|_| "bad ratio")?,
                     s.parse().map_err(|_| "bad ratio")?,
                 );
-                if args.cell.ratio == TierRatio::new(0, 0) {
-                    return Err("ratio must have at least one non-zero part".into());
+                if args.cell.ratio.fast == 0 {
+                    Err("ratio F:S needs a non-zero F; the summary's cxl-only line is F = 0")?;
                 }
             }
             "--thp" => args.cell.machine.thp = true,

@@ -7,7 +7,7 @@
 //!
 //! | Variable            | Resolved into        | Meaning                                             |
 //! |---------------------|----------------------|-----------------------------------------------------|
-//! | `PACT_JOBS`         | [`Env::jobs`]        | Sweep worker count (positive integer; `1` = serial) |
+//! | `PACT_JOBS`         | [`Env::jobs`]        | Simulations run at once (positive; `1` = serial)    |
 //! | `PACT_TRACE`        | [`Env::trace`]       | Trace output path (file for one run, dir for sweeps)|
 //! | `PACT_TRACE_FORMAT` | [`Env::trace`]       | `chrome` (default) or `jsonl`                       |
 //! | `PACT_FAULTS`       | [`Env::faults`]      | Fault-injection spec (see `tiersim::fault`)         |
@@ -36,7 +36,7 @@
 use pact_obs::{TraceConfig, TraceFormat, TRACE_ENV, TRACE_FORMAT_ENV};
 use pact_tiersim::{FaultPlan, FAULTS_ENV};
 
-/// `PACT_JOBS`: worker-count override for sweep executors.
+/// `PACT_JOBS`: how many simulations a figure runs at once.
 const JOBS_ENV: &str = "PACT_JOBS";
 
 /// `PACT_PROF`: arms the host-side self-profiler
@@ -52,7 +52,7 @@ pub struct Env {
     pub faults: Option<FaultPlan>,
     /// Where sweeps write their traces; `None` when not tracing.
     pub trace: Option<TraceConfig>,
-    /// Worker count for sweeps and figures.
+    /// Workers each figure fans its runs over.
     pub jobs: usize,
     /// Whether the host self-profiler is armed.
     pub prof: bool,

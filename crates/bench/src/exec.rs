@@ -1,10 +1,10 @@
 //! Deterministic parallel executor for independent experiment runs.
 //!
-//! Sweep cells — one `(policy, ratio)` simulation each — share no
-//! mutable state, so they can run on any number of OS threads without
-//! changing a single reported value. This module provides the one
-//! primitive the sweep drivers need: fan a list of independent jobs
-//! over a worker pool and hand the results back **in job order**.
+//! A figure's runs — one simulation each — share no mutable state, so
+//! they can run on any number of OS threads without changing a single
+//! reported value. This module provides the one primitive the figures
+//! need: fan a list of independent jobs over a worker pool and hand the
+//! results back **in job order**.
 //!
 //! # Job model
 //!
@@ -24,10 +24,10 @@
 //! # Choosing the worker count
 //!
 //! Callers pass the pool size. `tierctl` resolves it once at startup
-//! ([`crate::env::Env`]): the `PACT_JOBS` environment variable when set
-//! to a positive integer, otherwise [`default_jobs`]. `PACT_JOBS=1`
-//! recovers the exact serial execution path (no threads are spawned at
-//! all).
+//! ([`crate::env::Env`]): `PACT_JOBS` when set, otherwise
+//! [`default_jobs`]; `PACT_JOBS=1` is the exact serial path (no threads
+//! at all). Pools do not nest: `tierctl repro` renders one figure at a
+//! time and no job starts a pool, so at most `jobs` simulations run.
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

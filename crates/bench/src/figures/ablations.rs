@@ -13,23 +13,20 @@
 use pact_core::{Attribution, PactConfig, SamplingSource};
 use pact_tiersim::{FirstTouch, RunSpec, Tier};
 
-use super::Rendered;
+use super::{pact, Rendered};
 use crate::{banner, count, experiment_machine, pct, Cell, Lab, Table, TierRatio};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 2);
     let mut out = String::new();
-    let bc = |cfg| lab.cell(&Cell::new("bc-kron", cfg, ratio), None);
+    let bc = |cfg: PactConfig| Cell::new("bc-kron", cfg, ratio);
 
     // --- m sweep -------------------------------------------------------
     {
         let mut t = Table::new(vec!["m (units)", "slowdown", "promotions", "demotions"]);
-        for m in [0u64, 8, 32, 128] {
-            let cfg = PactConfig {
-                eager_demotion_margin: m,
-                ..PactConfig::default()
-            };
-            let o = bc(cfg)?;
+        let margins = [0u64, 8, 32, 128];
+        let cells = margins.map(|m| bc(pact(|c| c.eager_demotion_margin = m)));
+        for (m, o) in margins.iter().zip(lab.cells(&cells)?) {
             t.row(vec![
                 m.to_string(),
                 pct(o.slowdown),
@@ -45,12 +42,9 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     // --- reservoir size -------------------------------------------------
     {
         let mut t = Table::new(vec!["reservoir", "slowdown", "promotions"]);
-        for size in [25usize, 50, 100, 400, 1600] {
-            let cfg = PactConfig {
-                reservoir: size,
-                ..PactConfig::default()
-            };
-            let o = bc(cfg)?;
+        let sizes = [25usize, 50, 100, 400, 1600];
+        let cells = sizes.map(|size| bc(pact(|c| c.reservoir = size)));
+        for (size, o) in sizes.iter().zip(lab.cells(&cells)?) {
             t.row(vec![size.to_string(), pct(o.slowdown), count(o.promotions)]);
         }
         out.push_str(&banner("Ablation: reservoir size (paper default: 100)"));
@@ -60,12 +54,9 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     // --- T_scale ---------------------------------------------------------
     {
         let mut t = Table::new(vec!["t_scale", "slowdown", "promotions"]);
-        for ts in [25.0f64, 50.0, 100.0, 400.0] {
-            let cfg = PactConfig {
-                t_scale: ts,
-                ..PactConfig::default()
-            };
-            let o = bc(cfg)?;
+        let targets = [25.0f64, 50.0, 100.0, 400.0];
+        let cells = targets.map(|ts| bc(pact(|c| c.t_scale = ts)));
+        for (ts, o) in targets.iter().zip(lab.cells(&cells)?) {
             t.row(vec![
                 format!("{ts:.0}"),
                 pct(o.slowdown),
@@ -79,17 +70,15 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     // --- attribution scheme ---------------------------------------------
     {
         let mut t = Table::new(vec!["workload", "proportional", "latency-weighted"]);
-        for name in ["bc-kron", "silo", "redis"] {
-            eprintln!("[ablations] attribution on {name}");
-            let mut cells = vec![name.to_string()];
-            for attribution in [Attribution::Proportional, Attribution::LatencyWeighted] {
-                let cfg = PactConfig {
-                    attribution,
-                    ..PactConfig::default()
-                };
-                cells.push(pct(lab.cell(&Cell::new(name, cfg, ratio), None)?.slowdown));
-            }
-            t.row(cells);
+        let workloads = ["bc-kron", "silo", "redis"];
+        let schemes = [Attribution::Proportional, Attribution::LatencyWeighted];
+        let cells =
+            workloads.map(|w| schemes.map(|a| Cell::new(w, pact(|c| c.attribution = a), ratio)));
+        let outs = lab.cells(&cells.concat())?;
+        for (name, row) in workloads.iter().zip(outs.chunks(schemes.len())) {
+            let mut line = vec![name.to_string()];
+            line.extend(row.iter().map(|o| pct(o.slowdown)));
+            t.row(line);
         }
         out.push_str(&banner(
             "Ablation: stall attribution (§4.3.7's latency-weighted extension)",
@@ -100,19 +89,17 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     // --- sampling source: PEBS vs CHMU ------------------------------------
     {
         let mut t = Table::new(vec!["source", "slowdown", "promotions", "tracked obs"]);
-        for (label, sampling, chmu) in [
+        let sources = [
             ("pebs", SamplingSource::Pebs, 0usize),
             ("chmu-512", SamplingSource::Chmu, 512),
             ("chmu-4096", SamplingSource::Chmu, 4_096),
-        ] {
+        ];
+        let cells = sources.map(|(_, sampling, chmu)| {
             let mut machine = experiment_machine(0);
             machine.chmu_counters = chmu;
-            let cfg = PactConfig {
-                sampling,
-                ..PactConfig::default()
-            };
-            let cell = Cell::new("bc-kron", cfg, ratio).on(machine);
-            let o = lab.cell(&cell, None)?;
+            bc(pact(|c| c.sampling = sampling)).on(machine)
+        });
+        for ((label, ..), o) in sources.iter().zip(lab.cells(&cells)?) {
             let samples = o.pac_samples.ok_or("a PACT cell reports its samples")?;
             t.row(vec![
                 label.to_string(),
@@ -130,12 +117,16 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     // --- MSHR sweep: Equation 1 is emergent -------------------------------
     {
         let mut t = Table::new(vec!["MSHRs", "measured slow MLP", "stall/miss (cycles)"]);
-        for mshrs in [1usize, 2, 4, 10, 16] {
+        let mshr_counts = [1usize, 2, 4, 10, 16];
+        let wl = pact_workloads::Phased::sweep_variant(0, 8 << 20, 200_000, lab.seed);
+        let runs = crate::run_indexed(mshr_counts.len(), lab.jobs(), |i| {
             let mut cfg = experiment_machine(0);
-            cfg.mshrs = mshrs;
+            cfg.mshrs = mshr_counts[i];
             cfg.prefetch.enabled = false;
-            let wl = pact_workloads::Phased::sweep_variant(0, 8 << 20, 200_000, lab.seed);
-            let r = lab.run(cfg, RunSpec::new(&[&wl], &mut FirstTouch::new()))?;
+            lab.run(cfg, RunSpec::new(&[&wl], &mut FirstTouch::new()))
+        });
+        for (mshrs, r) in mshr_counts.iter().zip(runs) {
+            let r = r?;
             let mlp = r.counters.tor_mlp(Tier::Slow);
             let spm = r.counters.llc_stalls[1] as f64 / r.counters.llc_misses[1].max(1) as f64;
             t.row(vec![

@@ -22,14 +22,21 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         "promotions",
         "(cxl-only)",
     ]);
-    for (label, cfg) in [
+    let tiers = [
         ("CXL 190ns", MachineConfig::skylake_cxl(0)),
         ("NUMA 140ns", MachineConfig::skylake_numa(0)),
-    ] {
-        let all_slow = lab.cell(&Cell::cxl("bc-kron", cfg.clone()), None)?.slowdown;
-        for policy in ["pact", "memtis", "nbt", "colloid", "notier"] {
-            let cell = Cell::new("bc-kron", policy, ratio).on(cfg.clone());
-            let o = lab.cell(&cell, None)?;
+    ];
+    let policies = ["pact", "memtis", "nbt", "colloid", "notier"];
+    // Per slow tier: its all-slow reference, then every policy.
+    let mut cells = Vec::new();
+    for (_, cfg) in &tiers {
+        cells.push(Cell::cxl("bc-kron", cfg.clone()));
+        cells.extend(policies.map(|p| Cell::new("bc-kron", p, ratio).on(cfg.clone())));
+    }
+    let outs = lab.cells(&cells)?;
+    for ((label, _), row) in tiers.iter().zip(outs.chunks(1 + policies.len())) {
+        let all_slow = row[0].slowdown;
+        for (policy, o) in policies.iter().zip(&row[1..]) {
             t.row(vec![
                 label.to_string(),
                 policy.to_string(),

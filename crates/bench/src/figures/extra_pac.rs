@@ -10,7 +10,7 @@
 //! oracle — Spearman rank correlation and top-k overlap — for both
 //! proportional and latency-weighted attribution.
 
-use pact_core::{Attribution, PactConfig, PactPolicy};
+use pact_core::{Attribution, PactPolicy};
 use pact_stats::{gini, spearman, top_k_overlap};
 use pact_tiersim::RunSpec;
 
@@ -31,52 +31,14 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         "truth gini",
         "pac gini",
     ]);
-    for name in ["bc-kron", "gups", "silo", "redis"] {
-        for attribution in [Attribution::Proportional, Attribution::LatencyWeighted] {
-            let wl = lab.workload(name);
-            // Profile on the slow tier only (the motivation setup) with
-            // the oracle enabled.
-            let mut cfg = experiment_machine(0);
-            cfg.pebs.rate = 25;
-            cfg.track_page_stalls = true;
-            let mut pact = PactPolicy::new(PactConfig {
-                attribution,
-                ..PactConfig::default()
-            })?;
-            let report = lab.run(cfg, RunSpec::new(&[wl.as_ref()], &mut pact))?;
-            #[expect(
-                clippy::expect_used,
-                reason = "track_page_stalls was set above, so the report carries the oracle's \
-                          per-page stall map"
-            )]
-            let truth = report.page_stalls.as_ref().expect("oracle enabled");
-
-            // Align: pages the sampler tracked, with both scores.
-            let mut est = Vec::new();
-            let mut tru = Vec::new();
-            for (page, entry) in pact.store().iter() {
-                if entry.pac > 0.0 {
-                    est.push(entry.pac);
-                    // Per-tier blame lanes sum to total criticality.
-                    tru.push(truth.get(page).map_or(0, |v| v[0] + v[1]) as f64);
-                }
-            }
-            if est.len() < 16 {
-                continue;
-            }
-            let rho = spearman(&est, &tru).unwrap_or(f64::NAN);
-            let k = (est.len() / 20).max(1);
-            let overlap = top_k_overlap(&est, &tru, k);
-            t.row(vec![
-                name.to_string(),
-                format!("{attribution:?}"),
-                est.len().to_string(),
-                format!("{rho:.3}"),
-                format!("{:.0}%", overlap * 100.0),
-                format!("{:.2}", gini(&tru).unwrap_or(f64::NAN)),
-                format!("{:.2}", gini(&est).unwrap_or(f64::NAN)),
-            ]);
-        }
+    let workloads = ["bc-kron", "gups", "silo", "redis"];
+    let schemes = [Attribution::Proportional, Attribution::LatencyWeighted];
+    let rows = crate::run_indexed(workloads.len() * schemes.len(), lab.jobs(), |i| {
+        let name = workloads[i / schemes.len()];
+        accuracy(lab, name, schemes[i % schemes.len()])
+    });
+    for row in rows.into_iter().filter_map(Result::transpose) {
+        t.row(row?);
     }
     out.push_str(&t.render());
     out.push_str(
@@ -85,4 +47,51 @@ pub(super) fn render(lab: &Lab) -> Rendered {
          reproduces the skew the promotion policy is designed around (§3).\n",
     );
     Ok(out)
+}
+
+type Row = Result<Option<Vec<String>>, Box<dyn std::error::Error + Send + Sync>>;
+
+/// The table row of `name` under `attribution`, or `None` when the
+/// sampler tracked too few pages to rank.
+fn accuracy(lab: &Lab, name: &str, attribution: Attribution) -> Row {
+    let wl = lab.workload(name);
+    // Profile on the slow tier only (the motivation setup) with the
+    // oracle enabled.
+    let mut cfg = experiment_machine(0);
+    cfg.pebs.rate = 25;
+    cfg.track_page_stalls = true;
+    let mut pact = PactPolicy::new(super::pact(|c| c.attribution = attribution))?;
+    let report = lab.run(cfg, RunSpec::new(&[wl.as_ref()], &mut pact))?;
+    #[expect(
+        clippy::expect_used,
+        reason = "track_page_stalls was set above, so the report carries the oracle's per-page \
+                  stall map"
+    )]
+    let truth = report.page_stalls.as_ref().expect("oracle enabled");
+
+    // Align: pages the sampler tracked, with both scores.
+    let mut est = Vec::new();
+    let mut tru = Vec::new();
+    for (page, entry) in pact.store().iter() {
+        if entry.pac > 0.0 {
+            est.push(entry.pac);
+            // Per-tier blame lanes sum to total criticality.
+            tru.push(truth.get(page).map_or(0, |v| v[0] + v[1]) as f64);
+        }
+    }
+    if est.len() < 16 {
+        return Ok(None);
+    }
+    let rho = spearman(&est, &tru).unwrap_or(f64::NAN);
+    let k = (est.len() / 20).max(1);
+    let overlap = top_k_overlap(&est, &tru, k);
+    Ok(Some(vec![
+        name.to_string(),
+        format!("{attribution:?}"),
+        est.len().to_string(),
+        format!("{rho:.3}"),
+        format!("{:.0}%", overlap * 100.0),
+        format!("{:.2}", gini(&tru).unwrap_or(f64::NAN)),
+        format!("{:.2}", gini(&est).unwrap_or(f64::NAN)),
+    ]))
 }

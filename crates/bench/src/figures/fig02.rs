@@ -10,12 +10,15 @@
 //! raw misses.
 
 use pact_stats::{linear_fit, pearson};
-use pact_tiersim::{FirstTouch, MachineConfig, RunSpec, Tier, TierConfig, PAGE_BYTES};
+use pact_tiersim::{FirstTouch, MachineConfig, RunSpec, SimError, Tier, TierConfig, PAGE_BYTES};
 use pact_workloads::suite::Scale;
 use pact_workloads::Phased;
 
 use super::Rendered;
 use crate::{banner, Lab, Table};
+
+/// Workloads in the synthetic sweep.
+const VARIANTS: usize = 96;
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let (buffer, loads) = match lab.scale {
@@ -35,33 +38,32 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         "fitted k (cycles)",
         "unloaded latency",
     ]);
-    for (label, tier_cfg, tier) in configs {
-        let mut misses = Vec::new();
-        let mut predictor = Vec::new();
-        let mut stalls = Vec::new();
-        for variant in 0..96 {
-            let wl = Phased::sweep_variant(variant, buffer, loads, lab.seed);
-            let mut cfg = match tier {
-                // DRAM study: everything in the fast tier.
-                Tier::Fast => MachineConfig::skylake_cxl(u64::MAX / PAGE_BYTES),
-                // NUMA/CXL study: everything in the slow tier.
-                Tier::Slow => MachineConfig::skylake_cxl(0),
-            };
-            cfg.tiers[tier.index()] = tier_cfg;
-            let r = lab.run(cfg, RunSpec::new(&[&wl], &mut FirstTouch::new()))?;
-            let c = &r.counters;
-            let m = c.llc_misses[tier.index()] as f64;
-            let mlp = c.tor_mlp(tier);
-            misses.push(m);
-            predictor.push(m / mlp);
-            stalls.push(c.llc_stalls[tier.index()] as f64);
-        }
+    // Every (config, variant) run, config-major.
+    let runs = crate::run_indexed(configs.len() * VARIANTS, lab.jobs(), |i| {
+        let (_, tier_cfg, tier) = configs[i / VARIANTS];
+        let wl = Phased::sweep_variant(i % VARIANTS, buffer, loads, lab.seed);
+        let mut cfg = match tier {
+            // DRAM study: everything in the fast tier.
+            Tier::Fast => MachineConfig::skylake_cxl(u64::MAX / PAGE_BYTES),
+            // NUMA/CXL study: everything in the slow tier.
+            Tier::Slow => MachineConfig::skylake_cxl(0),
+        };
+        cfg.tiers[tier.index()] = tier_cfg;
+        let r = lab.run(cfg, RunSpec::new(&[&wl], &mut FirstTouch::new()))?;
+        let c = &r.counters;
+        let m = c.llc_misses[tier.index()] as f64;
+        Ok((m, m / c.tor_mlp(tier), c.llc_stalls[tier.index()] as f64))
+    });
+    let runs = runs.into_iter().collect::<Result<Vec<_>, SimError>>()?;
+    for ((label, tier_cfg, _), points) in configs.iter().zip(runs.chunks(VARIANTS)) {
+        let misses: Vec<f64> = points.iter().map(|p| p.0).collect();
+        let predictor: Vec<f64> = points.iter().map(|p| p.1).collect();
+        let stalls: Vec<f64> = points.iter().map(|p| p.2).collect();
         let r_raw = pearson(&misses, &stalls).unwrap_or(f64::NAN);
         let r_model = pearson(&predictor, &stalls).unwrap_or(f64::NAN);
         #[expect(
             clippy::unwrap_used,
-            reason = "96 variants were pushed above, so the fit has more than the two points \
-                      linear_fit requires"
+            reason = "each config has VARIANTS points, more than the two linear_fit requires"
         )]
         let fit = linear_fit(&predictor, &stalls).unwrap();
         let unloaded = tier_cfg.latency_cycles(2.2);
@@ -74,7 +76,7 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         ]);
         out.push_str(&banner(&format!("Figure 2 ({label}): 96-workload scatter")));
         out.push_str("variant\tmisses\tmisses/MLP\tstalls\n");
-        for i in (0..96).step_by(8) {
+        for i in (0..VARIANTS).step_by(8) {
             out.push_str(&format!(
                 "{i}\t{:.0}\t{:.0}\t{:.0}\n",
                 misses[i], predictor[i], stalls[i]

@@ -20,7 +20,6 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         &cfg,
         &ALL_POLICIES,
         &TierRatio::PAPER_SWEEP,
-        lab.jobs(),
         lab.trace("fig05").as_ref(),
     )?;
 

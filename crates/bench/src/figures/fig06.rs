@@ -9,7 +9,7 @@
 use pact_workloads::suite::SUITE;
 
 use super::Rendered;
-use crate::{banner, experiment_machine, ratio_sweep, Lab, Table, TierRatio, ALL_POLICIES};
+use crate::{banner, experiment_machine, Cell, Lab, Table, TierRatio, ALL_POLICIES};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let policies = ALL_POLICIES;
@@ -20,15 +20,19 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     let mut promo_table = Table::new(header);
     let mut results: Vec<(String, Vec<f64>)> = Vec::new();
 
-    let machine = experiment_machine(0);
+    // Per workload: its CXL reference, then every policy.
+    let mut cells = Vec::new();
     for name in SUITE {
-        eprintln!("[fig06] {name}");
-        let s = ratio_sweep(lab, name, &machine, &policies, &[ratio], lab.jobs(), None)?;
-        let slows: Vec<f64> = s.slowdown.iter().map(|row| row[0]).collect();
-        let mut srow = vec![name.to_string(), crate::pct(s.cxl)];
+        cells.push(Cell::cxl(name, experiment_machine(0)));
+        cells.extend(policies.map(|p| Cell::new(name, p, ratio)));
+    }
+    let outs = lab.cells(&cells)?;
+    for (name, row) in SUITE.iter().zip(outs.chunks(1 + policies.len())) {
+        let slows: Vec<f64> = row[1..].iter().map(|o| o.slowdown).collect();
+        let mut srow = vec![name.to_string(), crate::pct(row[0].slowdown)];
         srow.extend(slows.iter().map(|&x| crate::pct(x)));
         let mut prow = vec![name.to_string(), "-".to_string()];
-        prow.extend(s.promotions.iter().map(|row| crate::count(row[0])));
+        prow.extend(row[1..].iter().map(|o| crate::count(o.promotions)));
         slow_table.row(srow);
         promo_table.row(prow);
         results.push((name.to_string(), slows));

@@ -9,32 +9,38 @@
 use pact_workloads::suite::SUITE;
 
 use super::Rendered;
-use crate::{banner, cdf_lines, Cell, Lab, Table, TierRatio};
+use crate::{banner, cdf_lines, Cell, Lab, Outcome, Table, TierRatio};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
-    let baselines = ["colloid", "nbt", "memtis"];
+    let systems = ["pact", "colloid", "nbt", "memtis"];
+    let baselines = &systems[1..];
     let ratios = [TierRatio::new(1, 2), TierRatio::new(2, 1)];
     let mut out = String::new();
     let mut all_improvements: Vec<(TierRatio, Vec<f64>)> = Vec::new();
 
+    let mut cells = Vec::new();
+    for ratio in ratios {
+        for name in SUITE {
+            cells.extend(systems.map(|p| Cell::new(name, p, ratio)));
+        }
+    }
+    let outs = lab.cells(&cells)?;
+    let cycles = |o: &Outcome| o.report.total_cycles as f64;
+    let mut outs = outs.chunks(systems.len());
+
     for ratio in ratios {
         let mut per_baseline: Vec<Vec<f64>> = vec![Vec::new(); baselines.len()];
         let mut t = Table::new(vec!["workload", "vs colloid", "vs nbt", "vs memtis"]);
-        for name in SUITE {
-            eprintln!("[fig07] {name} @ {ratio}");
-            let cycles = |policy: &str| -> Result<f64, crate::RunError> {
-                let out = lab.cell(&Cell::new(name, policy, ratio), None)?;
-                Ok(out.report.total_cycles as f64)
-            };
-            let pact_cycles = cycles("pact")?;
-            let mut cells = vec![name.to_string()];
-            for (bi, b) in baselines.iter().enumerate() {
-                let base_cycles = cycles(b)?;
+        for (name, row) in SUITE.iter().zip(outs.by_ref()) {
+            let pact_cycles = cycles(&row[0]);
+            let mut line = vec![name.to_string()];
+            for (bi, base) in row[1..].iter().enumerate() {
+                let base_cycles = cycles(base);
                 let improvement = (base_cycles - pact_cycles) / base_cycles;
                 per_baseline[bi].push(improvement);
-                cells.push(format!("{:+.1}%", improvement * 100.0));
+                line.push(format!("{:+.1}%", improvement * 100.0));
             }
-            t.row(cells);
+            t.row(line);
         }
         out.push_str(&banner(&format!(
             "Figure 7 @ {ratio}: PACT runtime improvement per workload"

@@ -12,8 +12,8 @@ use crate::{banner, sparkline, Cell, Lab, Table, TierRatio};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 1);
-    let pact = lab.cell(&Cell::new("sssp-kron", "pact", ratio), None)?;
-    let colloid = lab.cell(&Cell::new("sssp-kron", "colloid", ratio), None)?;
+    let outs = lab.cells(&["pact", "colloid"].map(|p| Cell::new("sssp-kron", p, ratio)))?;
+    let (pact, colloid) = (&outs[0], &outs[1]);
 
     let promos: Vec<f64> = pact
         .report

@@ -8,36 +8,23 @@
 //! others, with PAC front-loading its promotions while the frequency
 //! policy oscillates.
 
-use std::sync::Arc;
-
 use super::Rendered;
-use crate::{banner, exec, sparkline, Cell, Lab, Outcome, RunError, Table, TierRatio};
-
-/// Runs the PAC-ranked and frequency-ranked variants of `workload`,
-/// fanning the two independent cells over the lab's workers.
-fn pac_vs_freq(
-    lab: &Lab,
-    workload: &str,
-    ratio: TierRatio,
-) -> Result<(Arc<Outcome>, Arc<Outcome>), RunError> {
-    let mut outs = exec::run_indexed(2, lab.jobs(), |i| {
-        lab.cell(&Cell::new(workload, ["pact", "pact-freq"][i], ratio), None)
-    })
-    .into_iter();
-    #[expect(
-        clippy::unwrap_used,
-        reason = "run_indexed(2, ..) yields exactly two results"
-    )]
-    Ok((outs.next().unwrap()?, outs.next().unwrap()?))
-}
+use crate::{banner, sparkline, Cell, Lab, Outcome, Table, TierRatio};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 1);
+    let workloads = ["bc-kron", "bc-urand", "sssp-kron", "silo"];
+    // Per workload: PAC-ranked, then frequency-ranked PACT.
+    let cells: Vec<Cell> = workloads
+        .iter()
+        .flat_map(|&name| ["pact", "pact-freq"].map(|p| Cell::new(name, p, ratio)))
+        .collect();
+    let outs = lab.cells(&cells)?;
     let mut out = String::new();
 
     // Featured workload: timeline comparison.
     {
-        let (pac, freq) = pac_vs_freq(lab, "bc-kron", ratio)?;
+        let (pac, freq) = (&outs[0], &outs[1]);
         let series = |o: &Outcome| -> Vec<f64> {
             o.report
                 .windows
@@ -46,8 +33,8 @@ pub(super) fn render(lab: &Lab) -> Rendered {
                 .collect()
         };
         out.push_str(&banner("Figure 9: promotion timelines (bc-kron @ 1:1)"));
-        out.push_str(&format!("PAC   {}\n", sparkline(&series(&pac), 72)));
-        out.push_str(&format!("freq  {}\n", sparkline(&series(&freq), 72)));
+        out.push_str(&format!("PAC   {}\n", sparkline(&series(pac), 72)));
+        out.push_str(&format!("freq  {}\n", sparkline(&series(freq), 72)));
         out.push_str(&format!(
             "PAC:  slowdown {} promotions {}\nfreq: slowdown {} promotions {}\n",
             crate::pct(pac.slowdown),
@@ -73,9 +60,8 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         "freq promos",
         "improvement",
     ]);
-    for name in ["bc-urand", "sssp-kron", "silo"] {
-        eprintln!("[fig09] {name}");
-        let (pac, freq) = pac_vs_freq(lab, name, ratio)?;
+    for (name, pair) in workloads.iter().zip(outs.chunks(2)).skip(1) {
+        let (pac, freq) = (&pair[0], &pair[1]);
         let improvement = (freq.report.total_cycles as f64 - pac.report.total_cycles as f64)
             / freq.report.total_cycles as f64;
         t.row(vec![

@@ -7,9 +7,9 @@
 //! longer PAC periods increase both promotions and slowdown; cooling
 //! rarely helps over pure accumulation (α = 1).
 
-use pact_core::{Cooling, PactConfig};
+use pact_core::Cooling;
 
-use super::Rendered;
+use super::{pact, Rendered};
 use crate::{banner, experiment_machine, Cell, Lab, Table, TierRatio};
 
 pub(super) fn render(lab: &Lab) -> Rendered {
@@ -21,11 +21,13 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     // the default is 50, swept proportionally.
     {
         let mut t = Table::new(vec!["pebs rate (1-in-N)", "slowdown", "promotions"]);
-        for rate in [25u64, 50, 100, 200, 400] {
+        let rates = [25u64, 50, 100, 200, 400];
+        let cells = rates.map(|rate| {
             let mut machine = experiment_machine(0);
             machine.pebs.rate = rate;
-            let cell = Cell::new("bc-kron", "pact", ratio).on(machine);
-            let o = lab.cell(&cell, None)?;
+            Cell::new("bc-kron", "pact", ratio).on(machine)
+        });
+        for (rate, o) in rates.iter().zip(lab.cells(&cells)?) {
             t.row(vec![
                 rate.to_string(),
                 crate::pct(o.slowdown),
@@ -42,12 +44,9 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     // 20 ms corresponds to one window; it sweeps 10 ms .. 1000 ms).
     {
         let mut t = Table::new(vec!["period (windows)", "slowdown", "promotions"]);
-        for period in [1u32, 2, 4, 8, 16, 32] {
-            let cfg = PactConfig {
-                period_windows: period,
-                ..PactConfig::default()
-            };
-            let o = lab.cell(&Cell::new("bc-kron", cfg, ratio), None)?;
+        let periods = [1u32, 2, 4, 8, 16, 32];
+        let cells = periods.map(|n| Cell::new("bc-kron", pact(|c| c.period_windows = n), ratio));
+        for (period, o) in periods.iter().zip(lab.cells(&cells)?) {
             t.row(vec![
                 period.to_string(),
                 crate::pct(o.slowdown),
@@ -64,18 +63,15 @@ pub(super) fn render(lab: &Lab) -> Rendered {
     // across three workloads.
     {
         let mut t = Table::new(vec!["workload", "no cooling", "halve", "reset"]);
-        for name in ["bc-kron", "sssp-kron", "redis"] {
-            eprintln!("[fig10c] {name}");
-            let mut cells = vec![name.to_string()];
-            for cooling in [Cooling::None, Cooling::Halve, Cooling::Reset] {
-                let cfg = PactConfig {
-                    cooling,
-                    ..PactConfig::default()
-                };
-                let o = lab.cell(&Cell::new(name, cfg, ratio), None)?;
-                cells.push(crate::pct(o.slowdown));
-            }
-            t.row(cells);
+        let workloads = ["bc-kron", "sssp-kron", "redis"];
+        let coolings = [Cooling::None, Cooling::Halve, Cooling::Reset];
+        let cells =
+            workloads.map(|w| coolings.map(|k| Cell::new(w, pact(|c| c.cooling = k), ratio)));
+        let outs = lab.cells(&cells.concat())?;
+        for (name, row) in workloads.iter().zip(outs.chunks(coolings.len())) {
+            let mut line = vec![name.to_string()];
+            line.extend(row.iter().map(|o| crate::pct(o.slowdown)));
+            t.row(line);
         }
         out.push_str(&banner(
             "Figure 10c: cooling factor (paper: cooling rarely beats pure accumulation)",

@@ -7,57 +7,55 @@
 //! performance comparable to or better than Colloid (4 KB) and Memtis
 //! (THP) while promoting several times fewer pages.
 
-use pact_tiersim::{FirstTouch, RunSpec, Workload, PAGE_BYTES};
+use pact_tiersim::{FirstTouch, RunSpec, TieringPolicy, Workload, PAGE_BYTES};
 use pact_workloads::suite::Scale;
 use pact_workloads::Mlc;
 
 use super::{process_cycles, Rendered};
 use crate::{banner, count, experiment_machine, make_policy, pct, Lab, Table};
 
-/// `(slowdown, promotions)` of each policy at one contention level.
-type Level = Result<Vec<(f64, u64)>, Box<dyn std::error::Error + Send + Sync>>;
+/// Cycles bc-kron ran and base pages promoted.
+type Run = Result<(u64, u64), Box<dyn std::error::Error + Send + Sync>>;
 
-/// Runs bc-kron next to `mlc_threads` MLC threads under each of
-/// `policies` at 1:1, normalised to one DRAM-only run under the same
+/// Runs bc-kron next to `mlc_threads` MLC threads at 1:1 under
+/// `policy`, or, for `None`, the DRAM-only reference under the same
 /// contention.
-fn run_level(lab: &Lab, mlc_threads: usize, thp: bool, policies: [&str; 2]) -> Level {
+fn run(lab: &Lab, mlc_threads: usize, thp: bool, policy: Option<&str>) -> Run {
     let bc = lab.workload("bc-kron");
     let loads = match lab.scale {
         Scale::Smoke => 300_000,
         Scale::Paper => 16_000_000,
     };
     let mlc = Mlc::paper_thread(mlc_threads, loads);
-    let workloads = [bc.as_ref(), &mlc];
     let bc_pages = bc.footprint_bytes().div_ceil(PAGE_BYTES);
     let mlc_pages = mlc.footprint_bytes().div_ceil(PAGE_BYTES);
-    // MLC lives on the local node: its buffers always fit the fast tier.
-    let fast = bc_pages / 2 + mlc_pages + 512;
-    let machine = |fast_pages| {
-        let mut cfg = experiment_machine(fast_pages);
-        cfg.thp = thp;
-        cfg
+    let (fast, mut policy): (_, Box<dyn TieringPolicy>) = match policy {
+        None => (u64::MAX / PAGE_BYTES, Box::new(FirstTouch::new())),
+        // MLC lives on the local node: its buffers always fit the fast
+        // tier.
+        Some(name) => (bc_pages / 2 + mlc_pages + 512, make_policy(name)?),
     };
-
-    // DRAM-only reference under identical contention.
-    let dram = machine(u64::MAX / PAGE_BYTES);
-    let base = lab.run(dram, RunSpec::new(&workloads, &mut FirstTouch::new()))?;
-    let base_cycles = process_cycles(&base, "bc-kron");
-
-    let mut rows = Vec::with_capacity(policies.len());
-    for name in policies {
-        let mut policy = make_policy(name)?;
-        let r = lab.run(machine(fast), RunSpec::new(&workloads, policy.as_mut()))?;
-        let slowdown = process_cycles(&r, "bc-kron") as f64 / base_cycles as f64 - 1.0;
-        rows.push((slowdown, r.promotions));
-    }
-    Ok(rows)
+    let mut cfg = experiment_machine(fast);
+    cfg.thp = thp;
+    let r = lab.run(cfg, RunSpec::new(&[bc.as_ref(), &mlc], policy.as_mut()))?;
+    Ok((process_cycles(&r, "bc-kron"), r.promotions))
 }
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let levels = [1usize, 2, 4, 8];
+    let systems = [(false, ["pact", "colloid"]), (true, ["pact", "memtis"])];
+    // Per (page size, contention level): the DRAM reference, then each
+    // policy.
+    let runs = crate::run_indexed(systems.len() * levels.len() * 3, lab.jobs(), |i| {
+        let (thp, [p0, p1]) = systems[i / (3 * levels.len())];
+        let n = levels[i / 3 % levels.len()];
+        run(lab, n, thp, [None, Some(p0), Some(p1)][i % 3])
+    });
+    let runs = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let mut runs = runs.chunks(3);
     let mut out = String::new();
 
-    for (thp, policies) in [(false, ["pact", "colloid"]), (true, ["pact", "memtis"])] {
+    for (thp, policies) in systems {
         let label = if thp { "THP" } else { "4KB" };
         out.push_str(&banner(&format!(
             "Figure 11 ({label}): bc-kron under MLC contention @ 1:1, normalized to contended DRAM"
@@ -70,15 +68,14 @@ pub(super) fn render(lab: &Lab) -> Rendered {
             &format!("{} promos", policies[1]),
             "promo ratio",
         ]);
-        for &n in &levels {
-            eprintln!("[fig11 {label}] {n} MLC threads");
-            let rows = run_level(lab, n, thp, policies)?;
-            let ((s0, p0), (s1, p1)) = (rows[0], rows[1]);
+        for (&n, level) in levels.iter().zip(runs.by_ref()) {
+            let [(base, _), (c0, p0), (c1, p1)] = [level[0], level[1], level[2]];
+            let slowdown = |cycles: u64| pct(cycles as f64 / base as f64 - 1.0);
             t.row(vec![
                 n.to_string(),
-                pct(s0),
+                slowdown(c0),
                 count(p0),
-                pct(s1),
+                slowdown(c1),
                 count(p1),
                 format!("{:.1}x", p1 as f64 / p0.max(1) as f64),
             ]);

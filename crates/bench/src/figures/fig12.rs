@@ -13,7 +13,7 @@ use pact_workloads::suite::Scale;
 use pact_workloads::{Masim, MasimPattern};
 
 use super::{process_cycles, Rendered};
-use crate::{banner, count, experiment_machine, make_policy, Lab, Table};
+use crate::{banner, count, experiment_machine, make_policy, Lab, RunError, Table};
 
 fn build_pair(lab: &Lab) -> (Masim, Masim) {
     let (buf, seq_loads, rnd_loads) = match lab.scale {
@@ -62,13 +62,17 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         "aggregate",
         "promotions",
     ]);
-    let mut rows: Vec<(String, f64, f64, f64, u64)> = Vec::new();
-    for name in ["pact", "colloid", "notier"] {
-        let mut policy = make_policy(name)?;
-        let r = lab.run(
+    let policies = ["pact", "colloid", "notier"];
+    let runs = crate::run_indexed(policies.len(), lab.jobs(), |i| -> Result<_, RunError> {
+        let mut policy = make_policy(policies[i])?;
+        Ok(lab.run(
             experiment_machine(fast),
             RunSpec::new(&[&seq, &rnd], policy.as_mut()),
-        )?;
+        )?)
+    });
+    let mut rows: Vec<(String, f64, f64, f64, u64)> = Vec::new();
+    for (name, r) in policies.iter().zip(runs) {
+        let r = r?;
         let s_seq = process_cycles(&r, "masim-seq") as f64 / base_seq as f64 - 1.0;
         let s_rnd = process_cycles(&r, "masim-rnd") as f64 / base_rnd as f64 - 1.0;
         let agg = (process_cycles(&r, "masim-seq") + process_cycles(&r, "masim-rnd")) as f64

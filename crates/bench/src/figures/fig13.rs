@@ -8,9 +8,9 @@
 //! beating Colloid by up to 40% in latency and throughput with lower
 //! tail latency.
 
-use pact_core::{BinningMode, PactConfig};
+use pact_core::BinningMode;
 
-use super::Rendered;
+use super::{pact, Rendered};
 use crate::{banner, count, experiment_machine, Cell, Lab, Outcome, Table, TierRatio};
 
 struct Row {
@@ -54,22 +54,16 @@ fn metrics(name: &'static str, out: &Outcome) -> Row {
 
 pub(super) fn render(lab: &Lab) -> Rendered {
     let ratio = TierRatio::new(1, 1);
-    let mut rows = Vec::new();
-    let colloid = lab.cell(&Cell::new("redis", "colloid", ratio), None)?;
-    rows.push(metrics("colloid", &colloid));
-    for (name, mode) in [
+    let modes = [
         ("pact+static", BinningMode::Static),
         ("pact+adaptive", BinningMode::Adaptive),
         ("pact+both", BinningMode::AdaptiveScaled),
-    ] {
-        eprintln!("[fig13] {name}");
-        let cfg = PactConfig {
-            binning: mode,
-            ..PactConfig::default()
-        };
-        let out = lab.cell(&Cell::new("redis", cfg, ratio), None)?;
-        rows.push(metrics(name, &out));
-    }
+    ];
+    let mut cells = vec![Cell::new("redis", "colloid", ratio)];
+    cells.extend(modes.map(|(_, m)| Cell::new("redis", pact(|c| c.binning = m), ratio)));
+    let names = std::iter::once("colloid").chain(modes.map(|(name, _)| name));
+    let outs = lab.cells(&cells)?;
+    let rows: Vec<Row> = names.zip(&outs).map(|(n, o)| metrics(n, o)).collect();
 
     let base = rows[0].throughput;
     let base_lat = rows[0].mean_lat;

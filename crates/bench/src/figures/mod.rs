@@ -3,11 +3,15 @@
 //! renders its report from a shared [`Lab`].
 //!
 //! [`FIGURES`] lists them in report order; `tierctl repro` renders a
-//! selection with [`render_all`] and prints the reports in that order,
-//! so a full reproduction prints exactly the concatenation of the
-//! figures run one by one.
+//! selection with [`render_all`], one figure at a time, and prints the
+//! reports in that order, so a full reproduction prints exactly the
+//! concatenation of the figures run one by one. Each figure fans its
+//! own runs over the lab's workers, through [`Lab::cells`] or
+//! [`run_indexed`](crate::run_indexed).
 
 use std::time::Instant;
+
+use pact_core::PactConfig;
 
 use crate::Lab;
 
@@ -77,67 +81,34 @@ fn process_cycles(r: &pact_tiersim::RunReport, name: &str) -> u64 {
         .cycles
 }
 
+/// PACT's default configuration with `set` applied: one point of a
+/// sensitivity sweep.
+fn pact(set: impl FnOnce(&mut PactConfig)) -> PactConfig {
+    let mut cfg = PactConfig::default();
+    set(&mut cfg);
+    cfg
+}
+
 const fn figure(name: &'static str, file: &'static str, render: fn(&Lab) -> Rendered) -> Figure {
     Figure { name, file, render }
 }
-
-/// Start order for [`render_all`], longest first by each figure's
-/// wall time in a full paper-scale run on two workers (fig11 381 s
-/// down to fig08 0.0 s, whose cells fig06 had already run), so a long
-/// figure never starts last and leaves a worker idle at the end.
-const LONGEST_FIRST: [&str; 16] = [
-    "fig11",
-    "fig07",
-    "fig05",
-    "fig06",
-    "fig04",
-    "ablations",
-    "fig10",
-    "extra-numa",
-    "extra-pac",
-    "fig09",
-    "fig02",
-    "fig12",
-    "fig13",
-    "fig01",
-    "fig03",
-    "fig08",
-];
 
 /// The report called `name`.
 pub fn find(name: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.name == name)
 }
 
-/// Renders `figures` on the lab's workers, longest first, and returns
-/// the reports in the order given. Each figure's wall time goes to
-/// stderr as it finishes.
+/// Renders `figures` one after another, each fanning its own runs
+/// over the lab's workers, and returns the reports in the order given.
+/// Each figure's wall time goes to stderr as it finishes.
 pub fn render_all(lab: &Lab, figures: &[&Figure]) -> Vec<Rendered> {
-    let rank = |f: &Figure| LONGEST_FIRST.iter().position(|&n| n == f.name);
-    let mut order: Vec<usize> = (0..figures.len()).collect();
-    order.sort_by_key(|&i| rank(figures[i]));
-    let done = crate::exec::run_indexed(order.len(), lab.jobs(), |k| {
-        let fig = figures[order[k]];
-        let start = Instant::now();
-        let report = (fig.render)(lab);
-        eprintln!("[repro] {} {:.1}s", fig.name, start.elapsed().as_secs_f64());
-        report
-    });
-    let mut by_position: Vec<(usize, Rendered)> = order.into_iter().zip(done).collect();
-    by_position.sort_by_key(|&(i, _)| i);
-    by_position.into_iter().map(|(_, r)| r).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_figure_is_scheduled_once() {
-        let mut scheduled = LONGEST_FIRST.to_vec();
-        scheduled.sort_unstable();
-        let mut names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
-        names.sort_unstable();
-        assert_eq!(scheduled, names);
-    }
+    figures
+        .iter()
+        .map(|fig| {
+            let start = Instant::now();
+            let report = (fig.render)(lab);
+            eprintln!("[repro] {} {:.1}s", fig.name, start.elapsed().as_secs_f64());
+            report
+        })
+        .collect()
 }

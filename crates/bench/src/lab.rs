@@ -64,9 +64,7 @@ impl<K: Ord, V: Clone> Memo<K, V> {
     }
 }
 
-/// The tier ratio of a cell with no fast tier at all. `TierRatio`
-/// gives every other ratio at least one fast page, and no command line
-/// accepts `0:0`.
+/// The tier ratio of a cell with no fast tier at all.
 const NO_FAST_TIER: TierRatio = TierRatio { fast: 0, slow: 0 };
 
 /// One simulation the evaluation reports: `policy` running `workload`
@@ -177,7 +175,8 @@ impl Lab {
         self
     }
 
-    /// Worker count for sweeps and figures.
+    /// Workers a figure fans its runs over: at most this many
+    /// simulations run at once.
     pub fn jobs(&self) -> usize {
         self.env.jobs
     }
@@ -210,9 +209,10 @@ impl Lab {
         if cfg.fault_plan.is_none() {
             cfg.fault_plan = self.env.faults.clone();
         }
+        let machine = Machine::new(cfg).map_err(SimError::Config)?;
         bump(&self.cells_requested);
         bump(&self.cells_run);
-        Machine::new(cfg).map_err(SimError::Config)?.run(spec)
+        machine.run(spec)
     }
 
     /// The outcome of `cell`, normalised against its DRAM reference.
@@ -244,14 +244,38 @@ impl Lab {
         out
     }
 
+    /// The untraced outcomes of `cells`, in order, run on the lab's
+    /// workers. The batch's distinct DRAM references are claimed first:
+    /// a cell needs its reference only once it has run (Soar's before
+    /// its profile), so a worker starts cells while another runs a
+    /// reference instead of waiting. Each key runs once, as with
+    /// [`Lab::cell`].
+    ///
+    /// # Errors
+    ///
+    /// The error of the first failing cell in `cells` order.
+    pub fn cells(&self, cells: &[Cell]) -> Result<Vec<Arc<Outcome>>, RunError> {
+        let bases: BTreeMap<Base, &Cell> = cells.iter().map(|c| (self.base(c), c)).collect();
+        let refs: Vec<&Cell> = bases.into_values().collect();
+        let jobs = refs.len() + cells.len();
+        let outs = crate::run_indexed(jobs, self.jobs(), |i| match i.checked_sub(refs.len()) {
+            None => {
+                // A failed reference stays memoised; its cells return it.
+                let _ = self.dram_cycles(refs[i]);
+                None
+            }
+            Some(c) => Some(self.cell(&cells[c], None)),
+        });
+        outs.into_iter().flatten().collect()
+    }
+
     /// The machine `cell` runs on: its own, with the fast tier sized by
     /// its ratio against its workload's footprint.
     pub fn machine(&self, cell: &Cell) -> MachineConfig {
         let mut cfg = cell.machine.clone();
-        cfg.fast_tier_pages = match cell.ratio {
-            NO_FAST_TIER => 0,
-            ratio => ratio.fast_pages(self.workload(&cell.workload).footprint_bytes()),
-        };
+        cfg.fast_tier_pages = cell
+            .ratio
+            .fast_pages(self.workload(&cell.workload).footprint_bytes());
         cfg
     }
 
@@ -343,7 +367,7 @@ mod tests {
     use super::*;
     use crate::ratio_sweep;
     use pact_core::{PactConfig, RankBy};
-    use pact_tiersim::{FaultPlan, InvariantSet, TraceFormat};
+    use pact_tiersim::{FaultPlan, TraceFormat};
 
     /// `(cells requested, cells run, workload builds)`.
     fn totals(lab: &Lab) -> (u64, u64, u64) {
@@ -397,7 +421,7 @@ mod tests {
         let mut thp = experiment_machine(0);
         thp.thp = true;
         let mut armed = experiment_machine(0);
-        armed.invariants = Some(InvariantSet::all());
+        armed.check_invariants = true;
         for machine in [experiment_machine(0), thp, armed] {
             let cell = Cell::new("gups", "notier", TierRatio::new(1, 2)).on(machine);
             lab.cell(&cell, None).unwrap();
@@ -433,6 +457,57 @@ mod tests {
         });
         let err = lab.cell(&cell("pact".into()).on(bad), None).unwrap_err();
         assert!(matches!(err, RunError::Sim(SimError::Config(_))), "{err}");
+        // A machine that fails validation runs nothing either.
+        assert_eq!(lab.stats().cells_run, 0);
+    }
+
+    /// A lab whose batches run on four workers.
+    fn parallel_lab(seed: u64) -> Lab {
+        Lab::new(Scale::Smoke, seed).with_env(Env {
+            jobs: 4,
+            ..Env::default()
+        })
+    }
+
+    #[test]
+    fn a_batch_matches_its_cells_run_one_by_one() {
+        let ratio = TierRatio::new(1, 2);
+        let mut thp = experiment_machine(0);
+        thp.thp = true;
+        let cells = [
+            Cell::new("gups", "pact", ratio),
+            Cell::new("silo", "colloid", ratio),
+            Cell::cxl("gups", experiment_machine(0)),
+            Cell::new("gups", "soar", ratio).on(thp),
+        ];
+        let batch = parallel_lab(42).cells(&cells).unwrap();
+        let serial = Lab::new(Scale::Smoke, 42);
+        for (cell, out) in cells.iter().zip(&batch) {
+            let one = serial.cell(cell, None).unwrap();
+            assert_eq!(out.report.to_json(), one.report.to_json(), "{cell}");
+        }
+    }
+
+    #[test]
+    fn a_batch_runs_a_repeated_or_cached_key_once() {
+        let lab = parallel_lab(42);
+        let cached = Cell::new("gups", "notier", TierRatio::new(1, 1));
+        lab.cell(&cached, None).unwrap();
+        // The cell and its DRAM reference.
+        assert_eq!(totals(&lab), (2, 2, 1));
+        let repeated = Cell::new("gups", "pact", TierRatio::new(1, 1));
+        let batch = [repeated.clone(), cached.clone(), repeated, cached];
+        let outs = lab.cells(&batch).unwrap();
+        assert!(Arc::ptr_eq(&outs[0], &outs[2]) && Arc::ptr_eq(&outs[1], &outs[3]));
+        assert_eq!(totals(&lab), (6, 3, 1));
+    }
+
+    #[test]
+    fn a_batch_returns_the_first_failing_cells_error() {
+        let ratio = TierRatio::new(1, 1);
+        let cells = ["notier", "bogus", "made-up", "pact"].map(|p| Cell::new("gups", p, ratio));
+        let err = parallel_lab(9).cells(&cells).unwrap_err();
+        assert_eq!(err, RunError::UnknownPolicy("bogus".into()));
     }
 
     #[test]
@@ -454,7 +529,7 @@ mod tests {
         }
         let machine = experiment_machine(0);
         let ratios = [TierRatio::new(1, 1)];
-        let err = ratio_sweep(&lab, "bad", &machine, &["pact"], &ratios, 1, None).unwrap_err();
+        let err = ratio_sweep(&lab, "bad", &machine, &["pact"], &ratios, None).unwrap_err();
         assert!(err.to_string().contains("beyond footprint"), "{err}");
     }
 
@@ -533,16 +608,7 @@ mod tests {
             .unwrap();
         for figure in ["fig04", "fig05"] {
             let trace = lab.trace(figure);
-            ratio_sweep(
-                &lab,
-                "gups",
-                &machine,
-                &["notier"],
-                &ratios,
-                1,
-                trace.as_ref(),
-            )
-            .unwrap();
+            ratio_sweep(&lab, "gups", &machine, &["notier"], &ratios, trace.as_ref()).unwrap();
         }
         for figure in ["fig04", "fig05"] {
             let file = root.join(figure).join("gups_notier_1-1.jsonl");

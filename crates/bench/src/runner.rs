@@ -1,6 +1,8 @@
 //! Shared experiment pieces: the paper's tier ratios and machine,
 //! every evaluated policy by name, and the policies × ratios sweep.
 
+use std::sync::Arc;
+
 use pact_baselines::{Alto, Colloid, Memtis, Nbt, NoTier, Nomad, Tpp};
 use pact_core::{PactConfig, PactPolicy, RankBy};
 use pact_obs::DEFAULT_RING_CAPACITY;
@@ -39,14 +41,17 @@ impl TierRatio {
     }
 
     /// Fast-tier capacity in base pages for a footprint of
-    /// `footprint_bytes`. The arithmetic is wide enough for any two
-    /// `u32` parts, so no ratio overflows.
+    /// `footprint_bytes`: none for a zero fast part, at least one page
+    /// otherwise. The arithmetic is wide enough for any two `u32`
+    /// parts, so no ratio overflows.
     pub fn fast_pages(&self, footprint_bytes: u64) -> u64 {
         let total_pages = u128::from(footprint_bytes.div_ceil(PAGE_BYTES));
         let parts = u64::from(self.fast) + u64::from(self.slow);
         let fast = total_pages * u128::from(self.fast) / u128::from(parts.max(1));
         // At most `total_pages`, since `fast <= parts`.
-        u64::try_from(fast).unwrap_or(u64::MAX).max(1)
+        u64::try_from(fast)
+            .unwrap_or(u64::MAX)
+            .max(u64::from(self.fast > 0))
     }
 }
 
@@ -222,95 +227,79 @@ fn file_stem(s: &str) -> String {
 }
 
 /// Runs workload `workload` on `machine` under every `(policy, ratio)`
-/// combination, each a [`Cell`] of `lab`, fanning the independent
-/// cells over `jobs` worker threads (`jobs = 1` is the serial path;
-/// figures pass their lab's worker count).
+/// combination, plus the all-slow-tier reference, as one batch of
+/// `lab`'s cells on its workers ([`Lab::cells`]).
 ///
-/// The result is bit-identical to the serial sweep for any worker
-/// count: cells share only immutable state and are merged in
-/// `(policy, ratio)` index order. Unknown policy names are skipped
-/// with a warning instead of aborting the sweep; a failed run is
-/// returned as the error of the first failing cell in that order.
+/// The result is bit-identical for any worker count: cells share only
+/// immutable state and are merged in `(policy, ratio)` index order. An
+/// unknown policy or a failed run is returned as the error of the
+/// first failing cell in that order.
 ///
 /// When `trace` is set (figures pass `Lab::trace`, i.e.
 /// `PACT_TRACE/<figure>`), its path is treated as a directory and every
-/// cell runs traced, bypassing the cache, and writes one trace file named
-/// `<workload>_<policy>_<F>-<S>.<ext>`. File names and contents derive
-/// only from the cell's identity — never from worker scheduling — so
-/// the files are byte-identical for any `jobs` count;
-/// `crates/obs/tests/determinism.rs` pins this.
+/// `(policy, ratio)` cell runs traced, bypassing the cache, and writes
+/// one trace file named `<workload>_<policy>_<F>-<S>.<ext>`. File names
+/// and contents derive only from the cell's identity — never from
+/// worker scheduling — so the files are byte-identical for any worker
+/// count; `crates/obs/tests/determinism.rs` pins this.
 pub fn ratio_sweep(
     lab: &Lab,
     workload: &str,
     machine: &MachineConfig,
     policies: &[&str],
     ratios: &[TierRatio],
-    jobs: usize,
     trace: Option<&TraceConfig>,
 ) -> Result<SweepResult, RunError> {
-    let kept: Vec<&str> = policies
-        .iter()
-        .copied()
-        .filter(|&p| {
-            // Soar is built from the lab's profile, not by name.
-            let ok = p == "soar" || make_policy(p).is_ok();
-            if !ok {
-                eprintln!("warning: skipping unknown policy '{p}'");
-            }
-            ok
+    let mut cells = vec![Cell::cxl(workload, machine.clone())];
+    for &policy in policies {
+        cells.extend(
+            ratios
+                .iter()
+                .map(|&ratio| Cell::new(workload, policy, ratio).on(machine.clone())),
+        );
+    }
+    let outcomes = match trace {
+        None => lab.cells(&cells)?,
+        // The CXL reference is never traced.
+        Some(cfg) => crate::run_indexed(cells.len(), lab.jobs(), |i| match i {
+            0 => lab.cell(&cells[0], None),
+            _ => traced(lab, &cells[i], cfg),
         })
-        .collect();
-    // The CXL reference runs first and serially, and warms the DRAM
-    // baseline every cell is normalised against.
-    let cxl = lab
-        .cell(&Cell::cxl(workload, machine.clone()), None)?
-        .slowdown;
-    if let Some(cfg) = trace {
-        if let Err(e) = std::fs::create_dir_all(&cfg.path) {
-            eprintln!(
-                "warning: cannot create trace directory {}: {e}",
-                cfg.path.display()
-            );
-        }
-    }
-    let n = kept.len() * ratios.len();
-    let outcomes = crate::exec::run_indexed(n, jobs, |i| {
-        let (policy, ratio) = (kept[i / ratios.len()], ratios[i % ratios.len()]);
-        let cell = Cell::new(workload, policy, ratio).on(machine.clone());
-        let Some(cfg) = trace else {
-            return lab.cell(&cell, None);
-        };
-        let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-        let out = lab.cell(&cell, Some(&mut tracer))?;
-        let body = export_trace(&out.report, &tracer, &cell.to_string(), cfg.format);
-        let file = cfg.path.join(format!(
-            "{}_{}_{}-{}.{}",
-            file_stem(workload),
-            file_stem(policy),
-            ratio.fast,
-            ratio.slow,
-            cfg.format.extension()
-        ));
-        if let Err(e) = std::fs::write(&file, body) {
-            eprintln!("warning: cannot write trace {}: {e}", file.display());
-        }
-        Ok(out)
-    })
-    .into_iter()
-    .collect::<Result<Vec<_>, RunError>>()?;
-    let mut slowdown = Vec::with_capacity(kept.len());
-    let mut promotions = Vec::with_capacity(kept.len());
-    for row in outcomes.chunks(ratios.len()) {
-        slowdown.push(row.iter().map(|o| o.slowdown).collect());
-        promotions.push(row.iter().map(|o| o.promotions).collect());
-    }
+        .into_iter()
+        .collect::<Result<_, _>>()?,
+    };
+    let rows = outcomes[1..].chunks(ratios.len());
     Ok(SweepResult {
         ratios: ratios.to_vec(),
-        policies: kept.iter().map(|s| s.to_string()).collect(),
-        slowdown,
-        promotions,
-        cxl,
+        policies: policies.iter().map(|s| s.to_string()).collect(),
+        slowdown: rows
+            .clone()
+            .map(|r| r.iter().map(|o| o.slowdown).collect())
+            .collect(),
+        promotions: rows
+            .map(|r| r.iter().map(|o| o.promotions).collect())
+            .collect(),
+        cxl: outcomes[0].slowdown,
     })
+}
+
+/// Runs `cell` traced and writes its trace file into `cfg.path`.
+fn traced(lab: &Lab, cell: &Cell, cfg: &TraceConfig) -> Result<Arc<Outcome>, RunError> {
+    let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
+    let out = lab.cell(cell, Some(&mut tracer))?;
+    let body = export_trace(&out.report, &tracer, &cell.to_string(), cfg.format);
+    let file = cfg.path.join(format!(
+        "{}_{}_{}-{}.{}",
+        file_stem(&cell.workload),
+        file_stem(&cell.policy.to_string()),
+        cell.ratio.fast,
+        cell.ratio.slow,
+        cfg.format.extension()
+    ));
+    if let Err(e) = std::fs::create_dir_all(&cfg.path).and_then(|()| std::fs::write(&file, body)) {
+        eprintln!("warning: cannot write trace {}: {e}", file.display());
+    }
+    Ok(out)
 }
 
 impl SweepResult {
@@ -357,6 +346,9 @@ mod tests {
         let r81 = TierRatio::new(8, 1);
         assert_eq!(r81.fast_pages(90 * PAGE_BYTES), 80);
         assert_eq!(TierRatio::new(1, 8).fast_pages(90 * PAGE_BYTES), 10);
+        // A zero fast part is no fast tier; any other gets a page.
+        assert_eq!(TierRatio::new(0, 1).fast_pages(90 * PAGE_BYTES), 0);
+        assert_eq!(TierRatio::new(1, 1000).fast_pages(90 * PAGE_BYTES), 1);
         assert_eq!(format!("{r}"), "1:1");
         // Extreme parts overflow neither the sum nor the product. The
         // largest footprint has 2^52 pages, and 2^52 * u32::MAX needs
@@ -400,15 +392,7 @@ mod tests {
         let lab = Lab::new(Scale::Smoke, 2);
         let machine = experiment_machine(0);
         let ratios = [TierRatio::new(2, 1), TierRatio::new(1, 2)];
-        let sweep = ratio_sweep(
-            &lab,
-            "gups",
-            &machine,
-            &["pact", "notier"],
-            &ratios,
-            1,
-            None,
-        );
+        let sweep = ratio_sweep(&lab, "gups", &machine, &["pact", "notier"], &ratios, None);
         let sweep = sweep.unwrap();
         assert_eq!(sweep.policies, vec!["pact", "notier"]);
         assert_eq!(sweep.slowdown.len(), 2);
@@ -423,20 +407,11 @@ mod tests {
     }
 
     #[test]
-    fn sweep_skips_unknown_policies() {
+    fn unknown_policy_fails_the_sweep() {
         let lab = Lab::new(Scale::Smoke, 2);
         let (machine, ratios) = (experiment_machine(0), [TierRatio::new(1, 1)]);
-        let sweep = ratio_sweep(
-            &lab,
-            "gups",
-            &machine,
-            &["notier", "made-up"],
-            &ratios,
-            1,
-            None,
-        );
-        let sweep = sweep.unwrap();
-        assert_eq!(sweep.policies, vec!["notier"]);
-        assert_eq!(sweep.slowdown.len(), 1);
+        let policies = ["notier", "made-up"];
+        let err = ratio_sweep(&lab, "gups", &machine, &policies, &ratios, None).unwrap_err();
+        assert_eq!(err, RunError::UnknownPolicy("made-up".into()));
     }
 }

@@ -1,11 +1,11 @@
 //! Determinism guarantees of the parallel sweep executor: fanning a
-//! sweep over worker threads, arming the invariant checker or an inert
+//! sweep over worker threads, checking invariants, or arming an inert
 //! fault plan, or serving it from a lab's cell cache must not change a
 //! single reported value, and a workload one lab shares across its
 //! machines must be observationally identical to a fresh build.
 
 use pact_bench::{experiment_machine, ratio_sweep, Cell, Env, Lab, SweepResult, TierRatio};
-use pact_tiersim::{FaultPlan, InvariantSet, MachineConfig};
+use pact_tiersim::{FaultPlan, MachineConfig};
 use pact_workloads::suite::Scale;
 
 const RATIOS: [TierRatio; 3] = [
@@ -31,8 +31,8 @@ fn assert_bit_identical(reference: &SweepResult, sweep: &SweepResult, variant: &
 }
 
 /// Every way of running a sweep that must not change an answer gives
-/// the serial sweep bit for bit: 4 workers, the runtime invariant set
-/// armed on every machine, an inert fault plan on every machine (set
+/// the serial sweep bit for bit: 4 workers, runtime invariants checked
+/// on every machine, an inert fault plan on every machine (set
 /// on the config, or applied by the lab), and a second sweep answered
 /// from the lab's cache. Each variant but the cached one simulates
 /// every cell on a fresh lab.
@@ -40,30 +40,33 @@ fn assert_bit_identical(reference: &SweepResult, sweep: &SweepResult, variant: &
 fn parallel_sweep_is_bit_identical_to_serial() {
     let policies = ["pact", "colloid", "memtis", "tpp", "notier"];
     let (wl, seed) = ("gups", 21);
-    let sweep = |lab: &Lab, cfg: MachineConfig, jobs| {
-        ratio_sweep(lab, wl, &cfg, &policies, &RATIOS, jobs, None)
+    let sweep =
+        |lab: &Lab, cfg: MachineConfig| ratio_sweep(lab, wl, &cfg, &policies, &RATIOS, None);
+    let lab_with = |env| Lab::new(Scale::Smoke, seed).with_env(env);
+    let jobs = |jobs| {
+        lab_with(Env {
+            jobs,
+            ..Env::default()
+        })
     };
-    let fresh = || Lab::new(Scale::Smoke, seed);
     let mut armed = experiment_machine(0);
-    armed.invariants = Some(InvariantSet::all());
+    armed.check_invariants = true;
     let mut inert = experiment_machine(0);
     inert.fault_plan = Some(FaultPlan::default());
-    let inert_lab = fresh().with_env(Env {
+    let inert_lab = lab_with(Env {
         faults: Some(FaultPlan::default()),
+        jobs: 1,
         ..Env::default()
     });
 
-    let lab = fresh();
-    let serial = sweep(&lab, experiment_machine(0), 1).expect("sweep runs");
+    let lab = jobs(1);
+    let serial = sweep(&lab, experiment_machine(0)).expect("sweep runs");
     let variants = [
-        ("jobs=4", sweep(&fresh(), experiment_machine(0), 4)),
-        ("invariants armed", sweep(&fresh(), armed, 1)),
-        ("inert fault plan", sweep(&fresh(), inert, 1)),
-        (
-            "inert lab plan",
-            sweep(&inert_lab, experiment_machine(0), 1),
-        ),
-        ("cached", sweep(&lab, experiment_machine(0), 4)),
+        ("jobs=4", sweep(&jobs(4), experiment_machine(0))),
+        ("invariants checked", sweep(&jobs(1), armed)),
+        ("inert fault plan", sweep(&jobs(1), inert)),
+        ("inert lab plan", sweep(&inert_lab, experiment_machine(0))),
+        ("cached", sweep(&lab, experiment_machine(0))),
     ];
     for (variant, result) in variants {
         assert_bit_identical(&serial, &result.expect("sweep runs"), variant);
@@ -79,9 +82,12 @@ fn parallel_sweep_is_bit_identical_to_serial() {
 fn worker_count_never_changes_results() {
     let policies = ["pact", "notier"];
     let sweep = |jobs| {
-        let (lab, machine) = (Lab::new(Scale::Smoke, 5), experiment_machine(0));
-        ratio_sweep(&lab, "silo", &machine, &policies, &RATIOS[..2], jobs, None)
-            .expect("sweep runs")
+        let lab = Lab::new(Scale::Smoke, 5).with_env(Env {
+            jobs,
+            ..Env::default()
+        });
+        let machine = experiment_machine(0);
+        ratio_sweep(&lab, "silo", &machine, &policies, &RATIOS[..2], None).expect("sweep runs")
     };
     let reference = sweep(1);
     for jobs in [2, 3, 16] {

@@ -277,6 +277,7 @@ fn malformed_subcommand_flags_exit_2() {
         &["--workload", "nope"],
         &["trace", "--workload", "nope"],
         &["fleet", "--tenants", "a:nope:1"],
+        &["--workload", "gups", "--ratio", "0:1"],
     ] {
         let out = run(args);
         assert_eq!(
@@ -292,6 +293,9 @@ fn malformed_subcommand_flags_exit_2() {
                 err.contains("unknown workload 'nope'") && err.contains("zipf-drift"),
                 "args {args:?}: {err}"
             );
+        }
+        if args.contains(&"0:1") {
+            assert!(stderr_of(&out).contains("cxl-only"), "args {args:?}");
         }
     }
 }

@@ -8,7 +8,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use pact_bench::{experiment_machine, ratio_sweep, Cell, Lab, SweepResult, TierRatio};
+use pact_bench::{experiment_machine, ratio_sweep, Cell, Env, Lab, SweepResult, TierRatio};
 use pact_obs::{validate, TraceConfig, TraceFormat, Tracer, DEFAULT_RING_CAPACITY};
 use pact_tiersim::export_trace;
 use pact_workloads::suite::Scale;
@@ -67,19 +67,15 @@ fn repeated_seeded_runs_export_identical_traces() {
     }
 }
 
-/// `policies` × `ratios` on bc-kron on a fresh lab, every cell traced
-/// under `trace`.
+/// `policies` × `ratios` on bc-kron on a fresh lab with `jobs`
+/// workers, every cell traced under `trace`.
 fn sweep(policies: &[&str], ratios: &[TierRatio], jobs: usize, trace: &TraceConfig) -> SweepResult {
-    let machine = experiment_machine(0);
-    let sweep = ratio_sweep(
-        &lab(),
-        "bc-kron",
-        &machine,
-        policies,
-        ratios,
+    let lab = lab().with_env(Env {
         jobs,
-        Some(trace),
-    );
+        ..Env::default()
+    });
+    let machine = experiment_machine(0);
+    let sweep = ratio_sweep(&lab, "bc-kron", &machine, policies, ratios, Some(trace));
     sweep.expect("sweep runs")
 }
 

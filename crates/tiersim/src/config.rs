@@ -1,7 +1,6 @@
 //! Machine configuration and hardware presets.
 
 use crate::fault::FaultPlan;
-use crate::invariant::InvariantSet;
 use crate::types::{Tier, HUGE_PAGE_SPAN, LINE_BYTES, PAGE_BYTES};
 
 /// Configuration of one memory tier: unloaded latency and peak bandwidth.
@@ -181,10 +180,11 @@ pub struct MachineConfig {
     /// Deterministic fault-injection plan ([`crate::fault`]); `None`
     /// disables injection entirely (the zero-cost default).
     pub fault_plan: Option<FaultPlan>,
-    /// Runtime invariant checking ([`crate::invariant`]); `None`
-    /// disables it entirely — the zero-cost default, leaving run output
-    /// byte-identical to a build without the checking layer.
-    pub invariants: Option<InvariantSet>,
+    /// Runtime invariant checking ([`crate::invariant`]): every
+    /// family at every window edge. `false` disables it entirely — the
+    /// zero-cost default, leaving run output byte-identical to a build
+    /// without the checking layer.
+    pub check_invariants: bool,
 }
 
 impl MachineConfig {
@@ -235,7 +235,7 @@ impl MachineConfig {
             track_page_stalls: false,
             seed: 0x9ac7_1357,
             fault_plan: None,
-            invariants: None,
+            check_invariants: false,
         }
     }
 
@@ -470,7 +470,7 @@ mod tests {
                     });
                 }
             }),
-            ("invariants", |c| c.invariants = Some(InvariantSet::all())),
+            ("check_invariants", |c| c.check_invariants = true),
         ];
         let base_fp = config_fingerprint(&base);
         let mut rebuilt = MachineConfig::skylake_cxl(512);

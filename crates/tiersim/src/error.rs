@@ -30,8 +30,8 @@ pub enum SimError {
     /// Every workload is a background co-runner; at least one foreground
     /// workload must bound the run.
     NoForeground,
-    /// A runtime invariant armed via
-    /// [`MachineConfig::invariants`](crate::MachineConfig::invariants)
+    /// A runtime invariant checked under
+    /// [`MachineConfig::check_invariants`](crate::MachineConfig::check_invariants)
     /// failed at a window boundary.
     Invariant(InvariantViolation),
     /// An [`Admission`](crate::Admission) policy carries a different

@@ -3,11 +3,11 @@
 //! The simulator's credibility rests on a handful of physical ledgers —
 //! pages never appear or vanish, every migration order is accounted for
 //! exactly once, channels cannot drain faster than their capacity, a
-//! thread never holds more misses than it has MSHRs. An [`InvariantSet`]
-//! in [`MachineConfig::invariants`](crate::MachineConfig::invariants)
-//! turns on per-window verification of those ledgers; the default
-//! (`None`) keeps the hot path untouched so production sweeps stay
-//! byte-identical and pay nothing.
+//! thread never holds more misses than it has MSHRs.
+//! [`MachineConfig::check_invariants`](crate::MachineConfig::check_invariants)
+//! turns on per-window verification of every one of those ledgers; the
+//! default (`false`) keeps the hot path untouched so production sweeps
+//! stay byte-identical and pay nothing.
 //!
 //! Violations surface as [`SimError::Invariant`](crate::SimError) from
 //! the `try_*` run APIs, carrying the window index, the invariant's
@@ -17,7 +17,7 @@
 //!
 //! Invariants and their owning subsystems (see DESIGN.md §10):
 //!
-//! | flag          | invariant                                           | owner |
+//! | family        | invariant                                           | owner |
 //! |---------------|-----------------------------------------------------|-------|
 //! | `pages`       | tier recount == incremental bookkeeping, cap bound  | `mem` |
 //! | `migration`   | issued == executed + noop + shed + abandoned + live | `machine`/`fault` |
@@ -32,65 +32,14 @@ use crate::pmu::PmuCounters;
 use crate::tier::Channel;
 use crate::types::LINE_BYTES;
 
-/// Which invariant families to verify at every window boundary.
-///
-/// Stored as [`MachineConfig::invariants`](crate::MachineConfig::invariants);
-/// `None` there disables checking entirely (the zero-cost default),
-/// while `Some(InvariantSet::all())` arms every family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvariantSet {
-    /// Page-count conservation: a full page-table recount must match
-    /// the incremental fast-tier bookkeeping, stay within capacity, and
-    /// the mapped-page count must never shrink.
-    pub pages: bool,
-    /// Migration order ledger: every issued order is executed, no-oped,
-    /// shed, abandoned, or still in flight — exactly one of them — and
-    /// promoted+demoted base pages equal the pages actually moved.
-    pub migration: bool,
-    /// Channel conservation: drained lines never exceed capacity ×
-    /// elapsed time, and PMU byte counters equal booked lines minus
-    /// injected stall lines.
-    pub bandwidth: bool,
-    /// Per-thread structural bounds: in-flight misses ≤ MSHRs and
-    /// buffered stores ≤ the write-buffer depth.
-    pub mshr: bool,
-    /// PMU counter monotonicity within each window and strictly
-    /// increasing window indices/edges.
-    pub counters: bool,
-    /// Window-record consistency: the recorded metrics snapshot matches
-    /// a non-mutating registry peek, the registry's channel-line
-    /// counters match the channels, and run totals equal window sums.
-    pub windows: bool,
-}
-
-impl InvariantSet {
-    /// Every invariant family armed.
-    pub fn all() -> Self {
-        Self {
-            pages: true,
-            migration: true,
-            bandwidth: true,
-            mshr: true,
-            counters: true,
-            windows: true,
-        }
-    }
-}
-
-impl Default for InvariantSet {
-    fn default() -> Self {
-        Self::all()
-    }
-}
-
 /// A detected conservation-law violation: which window, which
 /// invariant, and the numeric imbalance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InvariantViolation {
     /// Window index at whose boundary the check failed.
     pub window: u64,
-    /// Name of the violated invariant (one of the [`InvariantSet`]
-    /// field names, dash-qualified, e.g. `migration-ledger`).
+    /// Name of the violated invariant (its family from the module
+    /// docs' table, dash-qualified, e.g. `migration-ledger`).
     pub invariant: &'static str,
     /// Human-readable account of the imbalance.
     pub detail: String,
@@ -119,7 +68,7 @@ pub(crate) struct WindowCheck<'a> {
     pub channels: &'a [Channel; 2],
     pub record: &'a WindowRecord,
     /// Non-mutating registry peek taken immediately before the record's
-    /// snapshot (present only when the `windows` family is armed).
+    /// snapshot; `None` skips the comparison.
     pub peeked_metrics: Option<Vec<(&'static str, f64)>>,
     /// Cumulative totals of the registry's channel-line counters.
     pub registry_chan_lines: [u64; 2],
@@ -148,7 +97,6 @@ const CAP_EPS: f64 = 1.0 + 1e-6;
 /// `note_*` hooks, plus cross-window monotonicity state.
 #[derive(Debug, Clone)]
 pub(crate) struct InvariantChecker {
-    set: InvariantSet,
     // Order ledger (in orders).
     issued: u64,
     executed: u64,
@@ -172,9 +120,8 @@ pub(crate) struct InvariantChecker {
 }
 
 impl InvariantChecker {
-    pub fn new(set: InvariantSet) -> Self {
+    pub fn new() -> Self {
         Self {
-            set,
             issued: 0,
             executed: 0,
             noops: 0,
@@ -191,10 +138,6 @@ impl InvariantChecker {
             sum_dropped: 0,
             sum_accesses: 0,
         }
-    }
-
-    pub fn wants_window_records(&self) -> bool {
-        self.set.windows
     }
 
     /// A policy issued a migration order (sync or async).
@@ -250,214 +193,201 @@ impl InvariantChecker {
         })
     }
 
-    /// Verifies every armed invariant at one window boundary.
+    /// Verifies every invariant at one window boundary.
     pub fn check_window(&mut self, cx: WindowCheck<'_>) -> Result<(), InvariantViolation> {
         let w = cx.window;
-        if self.set.pages {
-            let (fast, slow) = cx.mem.recount();
-            if fast != cx.mem.fast_used() {
-                return self.fail(
-                    w,
-                    "pages-recount",
-                    format!(
-                        "page-table recount finds {fast} fast pages but incremental \
-                         bookkeeping says {}",
-                        cx.mem.fast_used()
-                    ),
-                );
-            }
-            if fast > cx.mem.fast_capacity() {
-                return self.fail(
-                    w,
-                    "pages-capacity",
-                    format!(
-                        "fast tier holds {fast} pages, over its capacity of {}",
-                        cx.mem.fast_capacity()
-                    ),
-                );
-            }
-            let mapped = fast + slow;
-            if mapped < self.last_mapped {
-                return self.fail(
-                    w,
-                    "pages-mapped",
-                    format!(
-                        "mapped page count shrank from {} to {mapped}; pages cannot unmap",
-                        self.last_mapped
-                    ),
-                );
-            }
-            self.last_mapped = mapped;
+        let (fast, slow) = cx.mem.recount();
+        if fast != cx.mem.fast_used() {
+            return self.fail(
+                w,
+                "pages-recount",
+                format!(
+                    "page-table recount finds {fast} fast pages but incremental \
+                     bookkeeping says {}",
+                    cx.mem.fast_used()
+                ),
+            );
         }
-        if self.set.migration {
-            let settled = self.executed + self.noops + self.shed + self.abandoned;
-            let live = cx.queue_len as u64 + cx.pending_retries as u64;
-            if self.issued != settled + live {
-                return self.fail(
-                    w,
-                    "migration-ledger",
-                    format!(
-                        "order ledger imbalance: issued={} != executed={} + noop={} + \
-                         shed={} + abandoned={} + queued={} + retrying={}",
-                        self.issued,
-                        self.executed,
-                        self.noops,
-                        self.shed,
-                        self.abandoned,
-                        cx.queue_len,
-                        cx.pending_retries
-                    ),
-                );
-            }
-            if cx.promotions + cx.demotions != self.pages_moved {
-                return self.fail(
-                    w,
-                    "migration-pages",
-                    format!(
-                        "promoted {} + demoted {} base pages but the page ledger \
-                         recorded {} moved",
-                        cx.promotions, cx.demotions, self.pages_moved
-                    ),
-                );
-            }
-            // Reports can only see shed/abandoned orders through these
-            // two counters, so they must cover the ledger's totals.
-            if cx.dropped_orders + cx.failed_promotions < self.shed + self.abandoned {
-                return self.fail(
-                    w,
-                    "migration-failures",
-                    format!(
-                        "dropped={} + failed={} under-counts shed={} + abandoned={}",
-                        cx.dropped_orders, cx.failed_promotions, self.shed, self.abandoned
-                    ),
-                );
-            }
+        if fast > cx.mem.fast_capacity() {
+            return self.fail(
+                w,
+                "pages-capacity",
+                format!(
+                    "fast tier holds {fast} pages, over its capacity of {}",
+                    cx.mem.fast_capacity()
+                ),
+            );
         }
-        if self.set.bandwidth {
-            let horizon = cx.edge.max(cx.max_thread_now);
-            for tidx in 0..2 {
-                let ch = &cx.channels[tidx];
-                let booked = ch.lines_booked() as f64;
-                let backlog = ch.backlog_lines_at(horizon);
-                let drained = booked - backlog;
-                // +2 epochs of slack: the current partially-filled epoch
-                // plus ring-expiry rounding.
-                let capacity =
-                    (Channel::epoch_index(horizon) + 2) as f64 * ch.epoch_capacity_lines();
-                if drained > capacity * CAP_EPS {
-                    return self.fail(
-                        w,
-                        "bandwidth-capacity",
-                        format!(
-                            "channel {tidx} drained {drained:.1} lines by cycle {horizon}, \
-                             over its capacity of {capacity:.1}"
-                        ),
-                    );
-                }
-                let bytes_lines = cx.counters.bytes[tidx] / LINE_BYTES;
-                if bytes_lines + self.stall_lines[tidx] != ch.lines_booked() {
-                    return self.fail(
-                        w,
-                        "bandwidth-bytes",
-                        format!(
-                            "channel {tidx} booked {} lines but PMU bytes account for {} \
-                             (+{} injected stall lines)",
-                            ch.lines_booked(),
-                            bytes_lines,
-                            self.stall_lines[tidx]
-                        ),
-                    );
-                }
-            }
+        let mapped = fast + slow;
+        if mapped < self.last_mapped {
+            return self.fail(
+                w,
+                "pages-mapped",
+                format!(
+                    "mapped page count shrank from {} to {mapped}; pages cannot unmap",
+                    self.last_mapped
+                ),
+            );
         }
-        if self.set.mshr {
-            if cx.max_inflight > cx.mshrs {
+        self.last_mapped = mapped;
+        let settled = self.executed + self.noops + self.shed + self.abandoned;
+        let live = cx.queue_len as u64 + cx.pending_retries as u64;
+        if self.issued != settled + live {
+            return self.fail(
+                w,
+                "migration-ledger",
+                format!(
+                    "order ledger imbalance: issued={} != executed={} + noop={} + \
+                     shed={} + abandoned={} + queued={} + retrying={}",
+                    self.issued,
+                    self.executed,
+                    self.noops,
+                    self.shed,
+                    self.abandoned,
+                    cx.queue_len,
+                    cx.pending_retries
+                ),
+            );
+        }
+        if cx.promotions + cx.demotions != self.pages_moved {
+            return self.fail(
+                w,
+                "migration-pages",
+                format!(
+                    "promoted {} + demoted {} base pages but the page ledger \
+                     recorded {} moved",
+                    cx.promotions, cx.demotions, self.pages_moved
+                ),
+            );
+        }
+        // Reports can only see shed/abandoned orders through these
+        // two counters, so they must cover the ledger's totals.
+        if cx.dropped_orders + cx.failed_promotions < self.shed + self.abandoned {
+            return self.fail(
+                w,
+                "migration-failures",
+                format!(
+                    "dropped={} + failed={} under-counts shed={} + abandoned={}",
+                    cx.dropped_orders, cx.failed_promotions, self.shed, self.abandoned
+                ),
+            );
+        }
+        let horizon = cx.edge.max(cx.max_thread_now);
+        for tidx in 0..2 {
+            let ch = &cx.channels[tidx];
+            let booked = ch.lines_booked() as f64;
+            let backlog = ch.backlog_lines_at(horizon);
+            let drained = booked - backlog;
+            // +2 epochs of slack: the current partially-filled epoch
+            // plus ring-expiry rounding.
+            let capacity = (Channel::epoch_index(horizon) + 2) as f64 * ch.epoch_capacity_lines();
+            if drained > capacity * CAP_EPS {
                 return self.fail(
                     w,
-                    "mshr-inflight",
+                    "bandwidth-capacity",
                     format!(
-                        "a thread holds {} in-flight misses with only {} MSHRs",
-                        cx.max_inflight, cx.mshrs
+                        "channel {tidx} drained {drained:.1} lines by cycle {horizon}, \
+                         over its capacity of {capacity:.1}"
                     ),
                 );
             }
-            if cx.max_write_buffer > cx.write_buffer_cap {
+            let bytes_lines = cx.counters.bytes[tidx] / LINE_BYTES;
+            if bytes_lines + self.stall_lines[tidx] != ch.lines_booked() {
                 return self.fail(
                     w,
-                    "mshr-write-buffer",
+                    "bandwidth-bytes",
                     format!(
-                        "a thread buffers {} stores with a write-buffer depth of {}",
-                        cx.max_write_buffer, cx.write_buffer_cap
+                        "channel {tidx} booked {} lines but PMU bytes account for {} \
+                         (+{} injected stall lines)",
+                        ch.lines_booked(),
+                        bytes_lines,
+                        self.stall_lines[tidx]
                     ),
                 );
             }
         }
-        if self.set.counters {
-            if let Some(field) = nonmonotone_field(cx.counters, cx.prev_snapshot) {
+        if cx.max_inflight > cx.mshrs {
+            return self.fail(
+                w,
+                "mshr-inflight",
+                format!(
+                    "a thread holds {} in-flight misses with only {} MSHRs",
+                    cx.max_inflight, cx.mshrs
+                ),
+            );
+        }
+        if cx.max_write_buffer > cx.write_buffer_cap {
+            return self.fail(
+                w,
+                "mshr-write-buffer",
+                format!(
+                    "a thread buffers {} stores with a write-buffer depth of {}",
+                    cx.max_write_buffer, cx.write_buffer_cap
+                ),
+            );
+        }
+        if let Some(field) = nonmonotone_field(cx.counters, cx.prev_snapshot) {
+            return self.fail(
+                w,
+                "counters-monotone",
+                format!("PMU counter '{field}' decreased within the window"),
+            );
+        }
+        if cx.record.index != self.next_window {
+            return self.fail(
+                w,
+                "counters-window-index",
+                format!(
+                    "window record index {} where {} was expected",
+                    cx.record.index, self.next_window
+                ),
+            );
+        }
+        if let Some(last) = self.last_edge {
+            if cx.record.end_cycles <= last {
                 return self.fail(
                     w,
-                    "counters-monotone",
-                    format!("PMU counter '{field}' decreased within the window"),
-                );
-            }
-            if cx.record.index != self.next_window {
-                return self.fail(
-                    w,
-                    "counters-window-index",
+                    "counters-window-edge",
                     format!(
-                        "window record index {} where {} was expected",
-                        cx.record.index, self.next_window
+                        "window edge {} did not advance past the previous edge {last}",
+                        cx.record.end_cycles
                     ),
                 );
             }
-            if let Some(last) = self.last_edge {
-                if cx.record.end_cycles <= last {
-                    return self.fail(
-                        w,
-                        "counters-window-edge",
-                        format!(
-                            "window edge {} did not advance past the previous edge {last}",
-                            cx.record.end_cycles
-                        ),
-                    );
-                }
+        }
+        if let Some(peeked) = &cx.peeked_metrics {
+            if *peeked != cx.record.metrics {
+                return self.fail(
+                    w,
+                    "windows-metrics",
+                    format!(
+                        "window metrics snapshot ({} entries) disagrees with the \
+                         registry peek ({} entries)",
+                        cx.record.metrics.len(),
+                        peeked.len()
+                    ),
+                );
             }
         }
-        if self.set.windows {
-            if let Some(peeked) = &cx.peeked_metrics {
-                if *peeked != cx.record.metrics {
-                    return self.fail(
-                        w,
-                        "windows-metrics",
-                        format!(
-                            "window metrics snapshot ({} entries) disagrees with the \
-                             registry peek ({} entries)",
-                            cx.record.metrics.len(),
-                            peeked.len()
-                        ),
-                    );
-                }
+        for tidx in 0..2 {
+            if cx.registry_chan_lines[tidx] != cx.channels[tidx].lines_booked() {
+                return self.fail(
+                    w,
+                    "windows-channel-lines",
+                    format!(
+                        "registry counted {} lines on channel {tidx} but the channel \
+                         booked {}",
+                        cx.registry_chan_lines[tidx],
+                        cx.channels[tidx].lines_booked()
+                    ),
+                );
             }
-            for tidx in 0..2 {
-                if cx.registry_chan_lines[tidx] != cx.channels[tidx].lines_booked() {
-                    return self.fail(
-                        w,
-                        "windows-channel-lines",
-                        format!(
-                            "registry counted {} lines on channel {tidx} but the channel \
-                             booked {}",
-                            cx.registry_chan_lines[tidx],
-                            cx.channels[tidx].lines_booked()
-                        ),
-                    );
-                }
-            }
-            self.sum_promotions += cx.record.promotions;
-            self.sum_demotions += cx.record.demotions;
-            self.sum_failed += cx.record.failed_promotions;
-            self.sum_dropped += cx.record.dropped_orders;
-            self.sum_accesses += cx.record.delta.accesses;
         }
+        self.sum_promotions += cx.record.promotions;
+        self.sum_demotions += cx.record.demotions;
+        self.sum_failed += cx.record.failed_promotions;
+        self.sum_dropped += cx.record.dropped_orders;
+        self.sum_accesses += cx.record.delta.accesses;
         self.next_window = cx.window + 1;
         self.last_edge = Some(cx.record.end_cycles);
         Ok(())
@@ -473,9 +403,6 @@ impl InvariantChecker {
         dropped_orders: u64,
         counters: &PmuCounters,
     ) -> Result<(), InvariantViolation> {
-        if !self.set.windows {
-            return Ok(());
-        }
         let checks = [
             ("promotions", self.sum_promotions, promotions),
             ("demotions", self.sum_demotions, demotions),
@@ -539,7 +466,7 @@ mod tests {
         let mut cfg = MachineConfig::skylake_cxl(fast_pages);
         cfg.llc.size_bytes = 64 * 1024;
         cfg.window_cycles = 50_000;
-        cfg.invariants = Some(InvariantSet::all());
+        cfg.check_invariants = true;
         cfg
     }
 
@@ -567,7 +494,7 @@ mod tests {
     fn checked_run_report_is_identical_to_unchecked() {
         let wl = TraceWorkload::new("chase", 1 << 22, chase(800, 20_000));
         let mut plain_cfg = checked_cfg(100);
-        plain_cfg.invariants = None;
+        plain_cfg.check_invariants = false;
         let plain = Machine::new(plain_cfg)
             .unwrap()
             .try_run(&wl, &mut FirstTouch::new())
@@ -585,7 +512,7 @@ mod tests {
     /// caught at the next window boundary with the imbalance spelled out.
     #[test]
     fn deliberately_unbalanced_ledger_is_caught() {
-        let mut c = InvariantChecker::new(InvariantSet::all());
+        let mut c = InvariantChecker::new();
         c.note_issued();
         c.note_issued();
         c.note_executed(4);
@@ -631,7 +558,7 @@ mod tests {
         assert_eq!(err.invariant, "migration-ledger");
         assert!(err.to_string().contains("issued=2"), "{err}");
         // Balancing the ledger with the missing note clears the check.
-        let mut c = InvariantChecker::new(InvariantSet::all());
+        let mut c = InvariantChecker::new();
         c.note_issued();
         c.note_issued();
         c.note_executed(4);

@@ -88,7 +88,7 @@ pub use config::{
 };
 pub use error::SimError;
 pub use fault::{FaultPlan, StallFault, FAULTS_ENV};
-pub use invariant::{InvariantSet, InvariantViolation};
+pub use invariant::InvariantViolation;
 pub use machine::{Machine, ProcessReport, RunReport, RunSpec, WindowRecord};
 pub use mem::Memory;
 pub use observe::export_trace;

@@ -401,8 +401,8 @@ struct Sim<'a, 'w> {
     /// active plan; `None` keeps the hot path fault-free and the
     /// metrics/trace output byte-identical to a pre-fault build.
     faults: Option<FaultState>,
-    /// Invariant checking, present only when the configuration arms an
-    /// [`crate::InvariantSet`]; `None` (the default) adds nothing but
+    /// Invariant checking, present only when the configuration sets
+    /// `check_invariants`; `None` (the default) adds nothing but
     /// dead `Option` branches to the migration path and keeps output
     /// byte-identical to a build without the checking layer.
     checker: Option<Box<InvariantChecker>>,
@@ -621,8 +621,8 @@ impl<'a, 'w> Sim<'a, 'w> {
             saturated_since: [None; 2],
             faults,
             checker: cfg
-                .invariants
-                .map(|set| Box::new(InvariantChecker::new(set))),
+                .check_invariants
+                .then(|| Box::new(InvariantChecker::new())),
             cfg,
         })
     }
@@ -1300,7 +1300,7 @@ impl<'a, 'w> Sim<'a, 'w> {
 
     /// Ends the current window: snapshot counters, consult the policy,
     /// run the migration daemon, refresh hint-fault poison, and — when
-    /// an [`crate::InvariantSet`] is armed — verify conservation laws.
+    /// invariants are checked — verify conservation laws.
     fn fire_window(&mut self) -> Result<(), SimError> {
         let _prof = pact_obs::hostprof::span("window");
         let cumulative = self.totals().pmu;
@@ -1493,10 +1493,7 @@ impl<'a, 'w> Sim<'a, 'w> {
             },
         );
 
-        let peeked_metrics = match self.checker.as_ref() {
-            Some(c) if c.wants_window_records() => Some(self.registry.peek_window()),
-            _ => None,
-        };
+        let peeked_metrics = self.checker.as_ref().map(|_| self.registry.peek_window());
         // Ring-overwrite delta after every emit above, so events evicted
         // *by this edge's own emissions* still count against this window.
         let overwritten = self.tracer.overwritten();
