@@ -161,8 +161,7 @@ stage_perf() {
 
 # The whole smoke-scale reproduction must print the same bytes whether
 # each figure's runs go one at a time or over four workers, clean and
-# under a fixed fault plan (which every figure applies to every run),
-# traced or not.
+# under a fixed fault plan (which every figure applies to every run).
 stage_repro() {
     repro_dir="target/ci-repro"
     rm -rf "$repro_dir"
@@ -176,14 +175,6 @@ stage_repro() {
         cmp "$repro_dir/j1.txt" "$repro_dir/j4.txt"
         echo "    tierctl repro --scale smoke byte-identical across PACT_JOBS={1,4}" \
             "(PACT_FAULTS='$faults')"
-        # Traced cells are the one path that bypasses the lab's cell
-        # cache; tracing must not change a byte of the reproduction.
-        if [ -z "$faults" ]; then
-            PACT_TRACE="$repro_dir/trace" target/release/tierctl repro \
-                --scale smoke > "$repro_dir/traced.txt"
-            cmp "$repro_dir/j1.txt" "$repro_dir/traced.txt"
-            echo "    tierctl repro --scale smoke byte-identical with PACT_TRACE set"
-        fi
     done
 }
 

@@ -53,8 +53,11 @@
 //! tierctl repro --fig fig04,fig06 --scale smoke --seed 7
 //! ```
 //!
-//! The flags `--workload`, `--policy`, `--ratio`, `--thp` and `--seed`
-//! build one `Cell`, the key `Lab::cell` caches outcomes under; its
+//! The flags `--workload`, `--policy`, `--ratio` and `--thp` build one
+//! `Cell`, the key `Lab::cell` caches outcomes under, exactly as a
+//! figure builds it; `--scale` and `--seed` pick the lab (the suite's
+//! workload seed), as for `repro`. So `tierctl trace` on a figure's
+//! cell traces the run that figure reports. The cell's
 //! `workload/policy/ratio` label names the run in every output. Each
 //! command takes only the flags it reads (`--help` lists them) and
 //! rejects any other with exit 2.
@@ -349,7 +352,6 @@ fn parse_args(it: impl Iterator<Item = String>) -> Result<Args, Exit> {
             other => unreachable!("{other} is in the flag table but not parsed"),
         }
     }
-    args.cell.machine.seed = args.seed;
     // `report` and `fleet` print the criticality oracle's blame.
     args.cell.machine.track_page_stalls = matches!(cmd.name, "report" | "fleet");
     Ok(args)
@@ -522,7 +524,9 @@ fn run_fleet(args: &Args, env: Env) -> Result<(), Exit> {
         tenants.iter().map(|t| lab.workload(&t.workload)).collect();
     let refs: Vec<&dyn Workload> = workloads.iter().map(|w| w.as_ref()).collect();
     let total_footprint: u64 = refs.iter().map(|w| w.footprint_bytes()).sum();
+    // A fleet run is not a figure's cell: `--seed` seeds its machine too.
     let mut cfg = args.cell.machine.clone();
+    cfg.seed = args.seed;
     cfg.fast_tier_pages = args.cell.ratio.fast_pages(total_footprint);
     let admission = AdmissionControl {
         budget_per_window: args.budget.unwrap_or(4),
@@ -637,8 +641,8 @@ fn run_repro(args: &Args, env: Env) -> Result<(), Exit> {
 fn run_one_shot(args: &Args, env: Env) -> Result<(), Exit> {
     let lab = &args.lab(env);
     let cell = &args.cell;
-    let out = lab.cell(cell, None)?;
-    let cxl = lab.cell(&Cell::cxl(&cell.workload, cell.machine.clone()), None)?;
+    let out = lab.cell(cell)?;
+    let cxl = lab.cell(&Cell::cxl(&cell.workload, cell.machine.clone()))?;
     let r = &out.report;
     let c = &r.counters;
 

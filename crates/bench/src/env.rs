@@ -8,32 +8,29 @@
 //! | Variable            | Resolved into        | Meaning                                             |
 //! |---------------------|----------------------|-----------------------------------------------------|
 //! | `PACT_JOBS`         | [`Env::jobs`]        | Simulations run at once (positive; `1` = serial)    |
-//! | `PACT_TRACE`        | [`Env::trace`]       | Trace output path (file for one run, dir for sweeps)|
-//! | `PACT_TRACE_FORMAT` | [`Env::trace`]       | `chrome` (default) or `jsonl`                       |
 //! | `PACT_FAULTS`       | [`Env::faults`]      | Fault-injection spec (see `tiersim::fault`)         |
 //! | `PACT_PROF`         | [`Env::prof`]        | `1`/`true` arms the host self-profiler (`hostprof`) |
 //! | `PACT_CI_STAGES`    | `ci/run.sh` only     | Space-separated CI stage subset (validated roster)  |
 //!
 //! [`Env::resolve`] reads them all once; `tierctl`'s `main` calls it
 //! before any work and hands the result to the [`Lab`](crate::Lab),
-//! which applies the plan, the trace root and the worker count to every
-//! run it makes. Nothing else in the crate reads the environment.
+//! which applies the plan and the worker count to every run it makes.
+//! Nothing else in the crate reads the environment.
 //!
 //! A setting that one subcommand reads is a `tierctl` flag instead
-//! (`--topk`, `--addr`, `--tenants`), not a variable.
+//! (`--format`, `--topk`, `--addr`, `--tenants`), not a variable.
 //!
 //! Library crates below `pact-bench` (`tiersim`, `obs`, …) never read
-//! the environment: they take parsed values (a [`FaultPlan`], a
-//! [`TraceConfig`]) through their APIs, which keeps simulation results
-//! a pure function of explicit configuration. Binaries resolve the
-//! environment here, once, at the edge.
+//! the environment: they take parsed values (a [`FaultPlan`]) through
+//! their APIs, which keeps simulation results a pure function of
+//! explicit configuration. Binaries resolve the environment here,
+//! once, at the edge.
 
 #![expect(
     clippy::disallowed_methods,
     reason = "the PACT_* registry is the one module that reads the environment"
 )]
 
-use pact_obs::{TraceConfig, TraceFormat, TRACE_ENV, TRACE_FORMAT_ENV};
 use pact_tiersim::{FaultPlan, FAULTS_ENV};
 
 /// `PACT_JOBS`: how many simulations a figure runs at once.
@@ -50,8 +47,6 @@ pub struct Env {
     /// The fault plan every run applies unless its configuration
     /// carries one of its own; `None` is the zero-cost clean path.
     pub faults: Option<FaultPlan>,
-    /// Where sweeps write their traces; `None` when not tracing.
-    pub trace: Option<TraceConfig>,
     /// Workers each figure fans its runs over.
     pub jobs: usize,
     /// Whether the host self-profiler is armed.
@@ -59,12 +54,11 @@ pub struct Env {
 }
 
 impl Default for Env {
-    /// No plan, no trace, no profiler, and one worker per available
+    /// No plan, no profiler, and one worker per available
     /// core: what a run sees with every variable unset.
     fn default() -> Self {
         Self {
             faults: None,
-            trace: None,
             jobs: crate::exec::default_jobs(),
             prof: false,
         }
@@ -78,8 +72,7 @@ impl Env {
     ///
     /// A malformed `PACT_FAULTS`, `PACT_PROF` or `PACT_JOBS` is a
     /// one-line message naming the variable and value; `tierctl` exits
-    /// 2 on it before doing any work. An unknown `PACT_TRACE_FORMAT`
-    /// only warns and falls back to Chrome trace.
+    /// 2 on it before doing any work.
     pub fn resolve() -> Result<Env, String> {
         let faults = read(FAULTS_ENV)
             .map(|v| FaultPlan::parse(v.trim()))
@@ -105,26 +98,7 @@ impl Env {
                 }
             },
         };
-        let trace = read(TRACE_ENV).map(|path| {
-            let format = read(TRACE_FORMAT_ENV).map_or(TraceFormat::Chrome, |v| {
-                TraceFormat::parse(v.trim()).unwrap_or_else(|| {
-                    eprintln!(
-                        "warning: unknown {TRACE_FORMAT_ENV}={v:?}; using chrome trace format"
-                    );
-                    TraceFormat::Chrome
-                })
-            });
-            TraceConfig {
-                path: path.into(),
-                format,
-            }
-        });
-        Ok(Env {
-            faults,
-            trace,
-            jobs,
-            prof,
-        })
+        Ok(Env { faults, jobs, prof })
     }
 }
 
@@ -143,7 +117,7 @@ mod tests {
 
     #[test]
     fn unset_variables_resolve_to_the_default() {
-        let vars = [JOBS_ENV, TRACE_ENV, FAULTS_ENV, PROF_ENV];
+        let vars = [JOBS_ENV, FAULTS_ENV, PROF_ENV];
         if vars.iter().all(|v| std::env::var(v).is_err()) {
             assert_eq!(Env::resolve(), Ok(Env::default()));
         }

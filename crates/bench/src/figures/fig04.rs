@@ -17,7 +17,6 @@ pub(super) fn render(lab: &Lab) -> Rendered {
         &experiment_machine(0),
         &ALL_POLICIES,
         &TierRatio::PAPER_SWEEP,
-        lab.trace("fig04").as_ref(),
     )?;
 
     let mut out = String::new();

@@ -14,14 +14,7 @@ use crate::{banner, experiment_machine, ratio_sweep, Lab, TierRatio, ALL_POLICIE
 pub(super) fn render(lab: &Lab) -> Rendered {
     let mut cfg = experiment_machine(0);
     cfg.thp = true;
-    let sweep = ratio_sweep(
-        lab,
-        "bc-kron",
-        &cfg,
-        &ALL_POLICIES,
-        &TierRatio::PAPER_SWEEP,
-        lab.trace("fig05").as_ref(),
-    )?;
+    let sweep = ratio_sweep(lab, "bc-kron", &cfg, &ALL_POLICIES, &TierRatio::PAPER_SWEEP)?;
 
     let mut out = String::new();
     out.push_str(&banner("Figure 5: bc-kron slowdown vs DRAM (THP)"));

@@ -6,8 +6,8 @@
 //! A lab serves one `(scale, seed)` under one resolved environment
 //! ([`Env`]). Every run it makes, through [`Lab::run`] or [`Lab::cell`],
 //! applies the environment's fault plan unless the run's configuration
-//! carries a plan of its own; figures take their worker count and trace
-//! root from it too.
+//! carries a plan of its own; figures take their worker count from it
+//! too.
 //!
 //! A [`Cell`] — workload, policy, tier ratio and machine — names every
 //! simulation a figure reports. Sharing is decided by keys, never by
@@ -17,12 +17,14 @@
 //! * the DRAM reference and Soar's profile by workload plus the
 //!   [`config_fingerprint`] of the cell's machine, so a figure that
 //!   changes any config field gets its own;
-//! * untraced cell outcomes by that pair plus the policy (a PACT
-//!   configuration whatever it is called) and the fast-tier size.
+//! * cell outcomes by that pair plus the policy (a PACT configuration
+//!   whatever it is called) and the fast-tier size.
 //!
 //! Concurrent requests for one key block on its `OnceLock`, so a key
-//! never runs twice. Traced runs are never cached. A comparison that
-//! must simulate both of its sides uses a fresh lab for each.
+//! never runs twice. A comparison that must simulate both of its sides
+//! uses a fresh lab for each. A traced run is not a cell: it goes
+//! through [`Lab::run`] with the cell's [`Lab::machine`] and
+//! [`Lab::policy`], as `tierctl trace` does.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +34,7 @@ use pact_baselines::{soar_profile, NoTier, Soar, SoarProfile};
 use pact_core::PactPolicy;
 use pact_tiersim::{
     config_fingerprint, Machine, MachineConfig, RunReport, RunSpec, SimError, TieringPolicy,
-    TraceConfig, Tracer, Workload, PAGE_BYTES,
+    Workload, PAGE_BYTES,
 };
 use pact_workloads::suite::{build, Scale};
 
@@ -151,8 +153,8 @@ fn bump(n: &AtomicU64) {
 
 impl Lab {
     /// An empty lab for suite workloads at `scale`, seeded with `seed`,
-    /// under the default environment: no fault plan, no trace, one
-    /// worker per available core.
+    /// under the default environment: no fault plan, one worker per
+    /// available core.
     pub fn new(scale: Scale, seed: u64) -> Self {
         Self {
             scale,
@@ -168,8 +170,7 @@ impl Lab {
         }
     }
 
-    /// Runs everything under `env`: its fault plan, trace root and
-    /// worker count.
+    /// Runs everything under `env`: its fault plan and worker count.
     pub fn with_env(mut self, env: Env) -> Self {
         self.env = env;
         self
@@ -179,15 +180,6 @@ impl Lab {
     /// simulations run at once.
     pub fn jobs(&self) -> usize {
         self.env.jobs
-    }
-
-    /// Where `figure` writes its sweep traces: `<root>/<figure>/`, so
-    /// two figures that sweep the same cell keep both files.
-    pub(crate) fn trace(&self, figure: &str) -> Option<TraceConfig> {
-        self.env.trace.as_ref().map(|t| TraceConfig {
-            path: t.path.join(figure),
-            format: t.format,
-        })
     }
 
     /// The suite workload `name`, built on first use.
@@ -216,18 +208,13 @@ impl Lab {
     }
 
     /// The outcome of `cell`, normalised against its DRAM reference.
-    /// Untraced, each key runs once and later requests share its
-    /// outcome; with a `tracer` the cell always runs, and records its
-    /// event trace without perturbing the run.
+    /// Each key runs once and later requests share its outcome.
     ///
     /// # Errors
     ///
     /// An unknown or invalid policy, an invalid machine, or a failed
     /// run (the cell's or its DRAM reference's).
-    pub fn cell(&self, cell: &Cell, tracer: Option<&mut Tracer>) -> Result<Arc<Outcome>, RunError> {
-        if tracer.is_some() {
-            return self.simulate(cell, tracer).map(Arc::new);
-        }
+    pub fn cell(&self, cell: &Cell) -> Result<Arc<Outcome>, RunError> {
         let key = (
             self.base(cell),
             format!("{:?}", cell.policy),
@@ -236,7 +223,7 @@ impl Lab {
         let mut ran = false;
         let out = self.cells.get(key, || {
             ran = true;
-            self.simulate(cell, None).map(Arc::new)
+            self.simulate(cell).map(Arc::new)
         });
         if !ran {
             bump(&self.cells_requested);
@@ -244,12 +231,11 @@ impl Lab {
         out
     }
 
-    /// The untraced outcomes of `cells`, in order, run on the lab's
-    /// workers. The batch's distinct DRAM references are claimed first:
-    /// a cell needs its reference only once it has run (Soar's before
-    /// its profile), so a worker starts cells while another runs a
-    /// reference instead of waiting. Each key runs once, as with
-    /// [`Lab::cell`].
+    /// The outcomes of `cells`, in order, run on the lab's workers. The
+    /// batch's distinct DRAM references are claimed first: a cell needs
+    /// its reference only once it has run (Soar's before its profile),
+    /// so a worker starts cells while another runs a reference instead
+    /// of waiting. Each key runs once, as with [`Lab::cell`].
     ///
     /// # Errors
     ///
@@ -264,7 +250,7 @@ impl Lab {
                 let _ = self.dram_cycles(refs[i]);
                 None
             }
-            Some(c) => Some(self.cell(&cells[c], None)),
+            Some(c) => Some(self.cell(&cells[c])),
         });
         outs.into_iter().flatten().collect()
     }
@@ -333,15 +319,11 @@ impl Lab {
     }
 
     /// One run of `cell`, normalised against its DRAM reference.
-    fn simulate(&self, cell: &Cell, tracer: Option<&mut Tracer>) -> Result<Outcome, RunError> {
+    fn simulate(&self, cell: &Cell) -> Result<Outcome, RunError> {
         let workload = self.workload(&cell.workload);
         let workloads = [workload.as_ref()];
         let run = |policy: &mut dyn TieringPolicy| {
-            let spec = RunSpec {
-                tracer,
-                ..RunSpec::new(&workloads, policy)
-            };
-            self.run(self.machine(cell), spec)
+            self.run(self.machine(cell), RunSpec::new(&workloads, policy))
         };
         let (report, pac_samples) = match &cell.policy {
             Policy::Pact(cfg) => {
@@ -367,7 +349,7 @@ mod tests {
     use super::*;
     use crate::ratio_sweep;
     use pact_core::{PactConfig, RankBy};
-    use pact_tiersim::{FaultPlan, TraceFormat};
+    use pact_tiersim::FaultPlan;
 
     /// `(cells requested, cells run, workload builds)`.
     fn totals(lab: &Lab) -> (u64, u64, u64) {
@@ -381,18 +363,17 @@ mod tests {
         let cell = Cell::new("gups", "pact", TierRatio::new(1, 1));
         // Four workers race for one key; exactly one simulates it,
         // after its DRAM reference.
-        let outs = crate::run_indexed(8, 4, |_| lab.cell(&cell, None).unwrap());
+        let outs = crate::run_indexed(8, 4, |_| lab.cell(&cell).unwrap());
         assert!(outs.iter().all(|o| Arc::ptr_eq(o, &outs[0])));
         assert_eq!(totals(&lab), (9, 2, 1));
-        let fresh = Lab::new(Scale::Smoke, 42).cell(&cell, None).unwrap();
+        let fresh = Lab::new(Scale::Smoke, 42).cell(&cell).unwrap();
         assert_eq!(outs[0].report.to_json(), fresh.report.to_json());
-        // The CXL reference is a cached cell too; traced runs never are.
+        // The CXL reference is a cached cell too.
         let cxl = Cell::cxl("gups", experiment_machine(0));
         for _ in 0..2 {
-            lab.cell(&cxl, None).unwrap();
-            lab.cell(&cell, Some(&mut Tracer::ring(16))).unwrap();
+            lab.cell(&cxl).unwrap();
         }
-        assert_eq!(totals(&lab), (13, 5, 1));
+        assert_eq!(totals(&lab), (11, 3, 1));
         assert_eq!(lab.machine(&cxl).fast_tier_pages, 0);
     }
 
@@ -400,13 +381,13 @@ mod tests {
     fn one_pact_configuration_is_one_key() {
         let ratio = TierRatio::new(1, 2);
         let lab = Lab::new(Scale::Smoke, 42);
-        lab.cell(&Cell::new("gups", "notier", ratio), None).unwrap();
+        lab.cell(&Cell::new("gups", "notier", ratio)).unwrap();
         let before = lab.stats().cells_run;
-        let named = lab.cell(&Cell::new("gups", "pact", ratio), None).unwrap();
+        let named = lab.cell(&Cell::new("gups", "pact", ratio)).unwrap();
         let built = Cell::new("gups", PactConfig::default(), ratio);
-        assert!(Arc::ptr_eq(&named, &lab.cell(&built, None).unwrap()));
+        assert!(Arc::ptr_eq(&named, &lab.cell(&built).unwrap()));
         assert_eq!(lab.stats().cells_run, before + 1);
-        let fresh = Lab::new(Scale::Smoke, 42).cell(&built, None).unwrap();
+        let fresh = Lab::new(Scale::Smoke, 42).cell(&built).unwrap();
         assert_eq!(named.report.to_json(), fresh.report.to_json());
         let freq = PactConfig {
             rank_by: RankBy::Frequency,
@@ -424,7 +405,7 @@ mod tests {
         armed.check_invariants = true;
         for machine in [experiment_machine(0), thp, armed] {
             let cell = Cell::new("gups", "notier", TierRatio::new(1, 2)).on(machine);
-            lab.cell(&cell, None).unwrap();
+            lab.cell(&cell).unwrap();
         }
         // Each machine runs its cell and its own DRAM reference.
         assert_eq!(totals(&lab), (6, 6, 1));
@@ -434,19 +415,19 @@ mod tests {
     fn bad_cells_are_errors() {
         let lab = Lab::new(Scale::Smoke, 9);
         let cell = |policy: Policy| Cell::new("gups", policy, TierRatio::new(1, 1));
-        let err = lab.cell(&cell("bogus".into()), None).unwrap_err();
+        let err = lab.cell(&cell("bogus".into())).unwrap_err();
         assert_eq!(err, RunError::UnknownPolicy("bogus".into()));
         let bad = PactConfig {
             reservoir: 0,
             ..PactConfig::default()
         };
-        let err = lab.cell(&cell(bad.into()), None).unwrap_err();
+        let err = lab.cell(&cell(bad.into())).unwrap_err();
         assert!(matches!(err, RunError::InvalidPact(_)), "{err}");
         // A policy that cannot be built runs nothing.
         assert_eq!(lab.stats().cells_run, 0);
         let mut bad = experiment_machine(0);
         bad.window_cycles = 0;
-        let err = lab.cell(&cell("pact".into()).on(bad), None).unwrap_err();
+        let err = lab.cell(&cell("pact".into()).on(bad)).unwrap_err();
         assert!(matches!(err, RunError::Sim(SimError::Config(_))), "{err}");
         assert!(err.to_string().contains("window_cycles"), "{err}");
         // An invalid fault plan is caught the same way.
@@ -455,7 +436,7 @@ mod tests {
             drop_order: 2.0,
             ..FaultPlan::default()
         });
-        let err = lab.cell(&cell("pact".into()).on(bad), None).unwrap_err();
+        let err = lab.cell(&cell("pact".into()).on(bad)).unwrap_err();
         assert!(matches!(err, RunError::Sim(SimError::Config(_))), "{err}");
         // A machine that fails validation runs nothing either.
         assert_eq!(lab.stats().cells_run, 0);
@@ -483,7 +464,7 @@ mod tests {
         let batch = parallel_lab(42).cells(&cells).unwrap();
         let serial = Lab::new(Scale::Smoke, 42);
         for (cell, out) in cells.iter().zip(&batch) {
-            let one = serial.cell(cell, None).unwrap();
+            let one = serial.cell(cell).unwrap();
             assert_eq!(out.report.to_json(), one.report.to_json(), "{cell}");
         }
     }
@@ -492,7 +473,7 @@ mod tests {
     fn a_batch_runs_a_repeated_or_cached_key_once() {
         let lab = parallel_lab(42);
         let cached = Cell::new("gups", "notier", TierRatio::new(1, 1));
-        lab.cell(&cached, None).unwrap();
+        lab.cell(&cached).unwrap();
         // The cell and its DRAM reference.
         assert_eq!(totals(&lab), (2, 2, 1));
         let repeated = Cell::new("gups", "pact", TierRatio::new(1, 1));
@@ -524,12 +505,12 @@ mod tests {
         let err = lab.dram_cycles(&cell("notier")).unwrap_err();
         assert!(matches!(err, SimError::AddressOutOfRange { .. }), "{err}");
         for policy in ["notier", "soar"] {
-            let err = lab.cell(&cell(policy), None).unwrap_err();
+            let err = lab.cell(&cell(policy)).unwrap_err();
             assert!(matches!(err, RunError::Sim(_)), "{policy}: {err}");
         }
         let machine = experiment_machine(0);
         let ratios = [TierRatio::new(1, 1)];
-        let err = ratio_sweep(&lab, "bad", &machine, &["pact"], &ratios, None).unwrap_err();
+        let err = ratio_sweep(&lab, "bad", &machine, &["pact"], &ratios).unwrap_err();
         assert!(err.to_string().contains("beyond footprint"), "{err}");
     }
 
@@ -537,10 +518,10 @@ mod tests {
     fn cells_normalise_against_dram() {
         let lab = Lab::new(Scale::Smoke, 1);
         let cell = Cell::new("silo", "notier", TierRatio::new(1, 1));
-        let out = lab.cell(&cell, None).unwrap();
+        let out = lab.cell(&cell).unwrap();
         assert!(out.slowdown > -0.01, "slowdown {}", out.slowdown);
         assert_eq!(out.pac_samples, None);
-        let cxl = lab.cell(&Cell::cxl("silo", experiment_machine(0)), None);
+        let cxl = lab.cell(&Cell::cxl("silo", experiment_machine(0)));
         let cxl = cxl.unwrap().slowdown;
         assert!(
             cxl >= out.slowdown - 0.05,
@@ -548,7 +529,7 @@ mod tests {
             out.slowdown
         );
         // Soar runs from its profile and never migrates.
-        let soar = lab.cell(&Cell::new("silo", "soar", TierRatio::new(1, 1)), None);
+        let soar = lab.cell(&Cell::new("silo", "soar", TierRatio::new(1, 1)));
         let soar = soar.unwrap();
         assert_eq!((soar.report.policy.as_str(), soar.promotions), ("soar", 0));
     }
@@ -588,33 +569,5 @@ mod tests {
         // An explicit plan wins over the lab's.
         inert.fault_plan = Some(FaultPlan::default());
         assert_eq!(samples(&faulted, inert), samples(&clean, cfg));
-    }
-
-    #[test]
-    fn figures_sweeping_one_cell_keep_both_trace_sets() {
-        let root = std::env::temp_dir().join(format!("pact-lab-trace-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let lab = Lab::new(Scale::Smoke, 42).with_env(Env {
-            trace: Some(TraceConfig {
-                path: root.clone(),
-                format: TraceFormat::Jsonl,
-            }),
-            ..Env::default()
-        });
-        let ratios = [TierRatio::new(1, 1)];
-        let machine = experiment_machine(0);
-        // The cell is already cached; a traced sweep must run it anyway.
-        lab.cell(&Cell::new("gups", "notier", ratios[0]), None)
-            .unwrap();
-        for figure in ["fig04", "fig05"] {
-            let trace = lab.trace(figure);
-            ratio_sweep(&lab, "gups", &machine, &["notier"], &ratios, trace.as_ref()).unwrap();
-        }
-        for figure in ["fig04", "fig05"] {
-            let file = root.join(figure).join("gups_notier_1-1.jsonl");
-            let body = std::fs::read_to_string(&file).unwrap();
-            assert!(!body.is_empty(), "{} is empty", file.display());
-        }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

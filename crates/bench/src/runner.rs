@@ -1,15 +1,9 @@
 //! Shared experiment pieces: the paper's tier ratios and machine,
 //! every evaluated policy by name, and the policies × ratios sweep.
 
-use std::sync::Arc;
-
 use pact_baselines::{Alto, Colloid, Memtis, Nbt, NoTier, Nomad, Tpp};
 use pact_core::{PactConfig, PactPolicy, RankBy};
-use pact_obs::DEFAULT_RING_CAPACITY;
-use pact_tiersim::{
-    export_trace, MachineConfig, RunReport, SimError, TieringPolicy, TraceConfig, Tracer,
-    PAGE_BYTES,
-};
+use pact_tiersim::{MachineConfig, RunReport, SimError, TieringPolicy, PAGE_BYTES};
 
 use crate::{Cell, Lab};
 
@@ -212,20 +206,6 @@ pub struct SweepResult {
     pub cxl: f64,
 }
 
-/// Replaces path-hostile characters in a workload/policy name so it can
-/// serve as a trace-file stem.
-fn file_stem(s: &str) -> String {
-    s.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '-' || c == '.' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
 /// Runs workload `workload` on `machine` under every `(policy, ratio)`
 /// combination, plus the all-slow-tier reference, as one batch of
 /// `lab`'s cells on its workers ([`Lab::cells`]).
@@ -234,21 +214,12 @@ fn file_stem(s: &str) -> String {
 /// immutable state and are merged in `(policy, ratio)` index order. An
 /// unknown policy or a failed run is returned as the error of the
 /// first failing cell in that order.
-///
-/// When `trace` is set (figures pass `Lab::trace`, i.e.
-/// `PACT_TRACE/<figure>`), its path is treated as a directory and every
-/// `(policy, ratio)` cell runs traced, bypassing the cache, and writes
-/// one trace file named `<workload>_<policy>_<F>-<S>.<ext>`. File names
-/// and contents derive only from the cell's identity — never from
-/// worker scheduling — so the files are byte-identical for any worker
-/// count; `crates/obs/tests/determinism.rs` pins this.
 pub fn ratio_sweep(
     lab: &Lab,
     workload: &str,
     machine: &MachineConfig,
     policies: &[&str],
     ratios: &[TierRatio],
-    trace: Option<&TraceConfig>,
 ) -> Result<SweepResult, RunError> {
     let mut cells = vec![Cell::cxl(workload, machine.clone())];
     for &policy in policies {
@@ -258,16 +229,7 @@ pub fn ratio_sweep(
                 .map(|&ratio| Cell::new(workload, policy, ratio).on(machine.clone())),
         );
     }
-    let outcomes = match trace {
-        None => lab.cells(&cells)?,
-        // The CXL reference is never traced.
-        Some(cfg) => crate::run_indexed(cells.len(), lab.jobs(), |i| match i {
-            0 => lab.cell(&cells[0], None),
-            _ => traced(lab, &cells[i], cfg),
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?,
-    };
+    let outcomes = lab.cells(&cells)?;
     let rows = outcomes[1..].chunks(ratios.len());
     Ok(SweepResult {
         ratios: ratios.to_vec(),
@@ -281,25 +243,6 @@ pub fn ratio_sweep(
             .collect(),
         cxl: outcomes[0].slowdown,
     })
-}
-
-/// Runs `cell` traced and writes its trace file into `cfg.path`.
-fn traced(lab: &Lab, cell: &Cell, cfg: &TraceConfig) -> Result<Arc<Outcome>, RunError> {
-    let mut tracer = Tracer::ring(DEFAULT_RING_CAPACITY);
-    let out = lab.cell(cell, Some(&mut tracer))?;
-    let body = export_trace(&out.report, &tracer, &cell.to_string(), cfg.format);
-    let file = cfg.path.join(format!(
-        "{}_{}_{}-{}.{}",
-        file_stem(&cell.workload),
-        file_stem(&cell.policy.to_string()),
-        cell.ratio.fast,
-        cell.ratio.slow,
-        cfg.format.extension()
-    ));
-    if let Err(e) = std::fs::create_dir_all(&cfg.path).and_then(|()| std::fs::write(&file, body)) {
-        eprintln!("warning: cannot write trace {}: {e}", file.display());
-    }
-    Ok(out)
 }
 
 impl SweepResult {
@@ -392,7 +335,7 @@ mod tests {
         let lab = Lab::new(Scale::Smoke, 2);
         let machine = experiment_machine(0);
         let ratios = [TierRatio::new(2, 1), TierRatio::new(1, 2)];
-        let sweep = ratio_sweep(&lab, "gups", &machine, &["pact", "notier"], &ratios, None);
+        let sweep = ratio_sweep(&lab, "gups", &machine, &["pact", "notier"], &ratios);
         let sweep = sweep.unwrap();
         assert_eq!(sweep.policies, vec!["pact", "notier"]);
         assert_eq!(sweep.slowdown.len(), 2);
@@ -411,7 +354,7 @@ mod tests {
         let lab = Lab::new(Scale::Smoke, 2);
         let (machine, ratios) = (experiment_machine(0), [TierRatio::new(1, 1)]);
         let policies = ["notier", "made-up"];
-        let err = ratio_sweep(&lab, "gups", &machine, &policies, &ratios, None).unwrap_err();
+        let err = ratio_sweep(&lab, "gups", &machine, &policies, &ratios).unwrap_err();
         assert_eq!(err, RunError::UnknownPolicy("made-up".into()));
     }
 }

@@ -40,8 +40,7 @@ fn assert_bit_identical(reference: &SweepResult, sweep: &SweepResult, variant: &
 fn parallel_sweep_is_bit_identical_to_serial() {
     let policies = ["pact", "colloid", "memtis", "tpp", "notier"];
     let (wl, seed) = ("gups", 21);
-    let sweep =
-        |lab: &Lab, cfg: MachineConfig| ratio_sweep(lab, wl, &cfg, &policies, &RATIOS, None);
+    let sweep = |lab: &Lab, cfg: MachineConfig| ratio_sweep(lab, wl, &cfg, &policies, &RATIOS);
     let lab_with = |env| Lab::new(Scale::Smoke, seed).with_env(env);
     let jobs = |jobs| {
         lab_with(Env {
@@ -87,7 +86,7 @@ fn worker_count_never_changes_results() {
             ..Env::default()
         });
         let machine = experiment_machine(0);
-        ratio_sweep(&lab, "silo", &machine, &policies, &RATIOS[..2], None).expect("sweep runs")
+        ratio_sweep(&lab, "silo", &machine, &policies, &RATIOS[..2]).expect("sweep runs")
     };
     let reference = sweep(1);
     for jobs in [2, 3, 16] {
@@ -104,15 +103,15 @@ fn shared_workload_matches_fresh_build() {
     let mut thp = experiment_machine(0);
     thp.thp = true;
     let other = Cell::new("silo", "pact", RATIOS[1]).on(thp);
-    shared.cell(&other, None).expect("run succeeds");
+    shared.cell(&other).expect("run succeeds");
     let fresh = Lab::new(Scale::Smoke, 13);
     let cxl = Cell::cxl("silo", experiment_machine(0));
-    let cxl = |lab: &Lab| lab.cell(&cxl, None).expect("run succeeds").slowdown;
+    let cxl = |lab: &Lab| lab.cell(&cxl).expect("run succeeds").slowdown;
     assert_eq!(cxl(&shared).to_bits(), cxl(&fresh).to_bits());
     assert_eq!(shared.stats().workload_builds, 1);
     for (policy, ratio) in [("pact", RATIOS[1]), ("colloid", RATIOS[2])] {
         let cell = Cell::new("silo", policy, ratio);
-        let run = |lab: &Lab| lab.cell(&cell, None).expect("run succeeds");
+        let run = |lab: &Lab| lab.cell(&cell).expect("run succeeds");
         let (a, f) = (run(&shared), run(&fresh));
         assert_eq!(
             a.report.total_cycles, f.report.total_cycles,
@@ -133,7 +132,7 @@ fn shared_workload_matches_fresh_build() {
 fn concurrent_runs_on_one_lab_are_deterministic() {
     let policies = ["pact", "soar", "tpp", "soar", "pact", "tpp"];
     let cycles = |lab: &Lab, i: usize| {
-        let out = lab.cell(&Cell::new("gups", policies[i], RATIOS[1]), None);
+        let out = lab.cell(&Cell::new("gups", policies[i], RATIOS[1]));
         out.expect("run succeeds").report.total_cycles
     };
     let lab = Lab::new(Scale::Smoke, 8);

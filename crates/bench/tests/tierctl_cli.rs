@@ -11,7 +11,6 @@ fn tierctl(args: &[&str]) -> Command {
     // left over from a CI stage must not leak into these assertions.
     cmd.env_remove("PACT_FAULTS");
     cmd.env_remove("PACT_JOBS");
-    cmd.env_remove("PACT_TRACE");
     cmd.env_remove("PACT_PROF");
     cmd
 }
@@ -97,10 +96,48 @@ fn unknown_policy_exits_2() {
     assert!(stderr_of(&out).contains("unknown policy"));
 }
 
+/// The `total cycles:` a successful one-shot run of `flags` prints.
+fn one_shot_total_cycles(flags: &[&str]) -> String {
+    let out = run(flags);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    let summary = String::from_utf8_lossy(&out.stdout).into_owned();
+    summary
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("total cycles:"))
+        .expect("summary prints total cycles")
+        .trim()
+        .to_string()
+}
+
+#[test]
+fn one_shot_runs_the_figures_cell() {
+    // The flags build the `Cell` a figure builds, and `--seed` seeds the
+    // lab, so the one-shot reports the run `Lab::cell` caches.
+    let flags = [
+        "--workload",
+        "gpt-2",
+        "--policy",
+        "pact",
+        "--ratio",
+        "1:2",
+        "--seed",
+        "42",
+        "--scale",
+        "smoke",
+    ];
+    let lab = pact_bench::Lab::new(pact_workloads::suite::Scale::Smoke, 42);
+    let cell = pact_bench::Cell::new("gpt-2", "pact", pact_bench::TierRatio::new(1, 2));
+    let out = lab.cell(&cell).expect("the cell runs");
+    assert_eq!(
+        one_shot_total_cycles(&flags),
+        out.report.total_cycles.to_string()
+    );
+}
+
 #[test]
 fn one_shot_summary_and_trace_agree_for_the_same_seed() {
-    // Both start from the same `--seed`, so they simulate the same
-    // machine and must report the same cycle count.
+    // Both build the same cell on a lab with the same `--seed`, so they
+    // simulate the same run and must report the same cycle count.
     let flags = [
         "--workload",
         "gups",
@@ -111,15 +148,7 @@ fn one_shot_summary_and_trace_agree_for_the_same_seed() {
         "--scale",
         "smoke",
     ];
-    let out = run(&flags);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
-    let summary = String::from_utf8_lossy(&out.stdout).into_owned();
-    let total = summary
-        .lines()
-        .find_map(|l| l.trim().strip_prefix("total cycles:"))
-        .expect("summary prints total cycles")
-        .trim()
-        .to_string();
+    let total = one_shot_total_cycles(&flags);
     let path = fixture_dir("seeded_trace.json");
     let out = run(&[
         &["trace", "--validate"],

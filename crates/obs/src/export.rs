@@ -14,10 +14,8 @@
 //! Both formats are produced with the deterministic [`crate::json`]
 //! writer, so identical runs export byte-identical files.
 //!
-//! Runtime selection: the `PACT_TRACE` / `PACT_TRACE_FORMAT`
-//! variables (named by [`TRACE_ENV`] / [`TRACE_FORMAT_ENV`]) are
-//! resolved into a [`TraceConfig`] by `pact-bench`'s `env` registry
-//! module — this crate never reads the environment itself.
+//! `tierctl trace` picks the format with its `--format` flag; this
+//! crate never reads the environment itself.
 //!
 //! Every `match` here names each [`EventKind`] variant: the denied
 //! clippy lint below rejects wildcard arms, so a new variant without an
@@ -64,22 +62,6 @@ impl std::fmt::Display for TraceFormat {
             TraceFormat::Jsonl => write!(f, "jsonl"),
         }
     }
-}
-
-/// Environment variable naming the trace output path.
-pub const TRACE_ENV: &str = "PACT_TRACE";
-
-/// Environment variable selecting the trace format.
-pub const TRACE_FORMAT_ENV: &str = "PACT_TRACE_FORMAT";
-
-/// Where and how to write traces. Constructed by binaries (typically
-/// from the `pact-bench` `env` registry); this crate only consumes it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// Output path (file for single runs, directory for sweeps).
-    pub path: std::path::PathBuf,
-    /// Export format.
-    pub format: TraceFormat,
 }
 
 /// One window of per-window series data, supplied by the simulator's

@@ -16,8 +16,8 @@
 //!   CHMU, migration daemon, and policies register into; snapshotted at
 //!   every sampling window.
 //! * [`export`] — Chrome-trace JSON (open in `chrome://tracing` or
-//!   Perfetto) and JSONL exporters, selected at runtime via the
-//!   `PACT_TRACE` / `PACT_TRACE_FORMAT` environment variables.
+//!   Perfetto) and JSONL exporters, selected by `tierctl trace
+//!   --format`.
 //! * [`json`] — the dependency-free JSON writer/validator the
 //!   exporters and the bench harness share.
 //! * [`attribution`] — collapsed-stack ("folded") flamegraph text and
@@ -49,9 +49,7 @@ mod metrics;
 mod tracer;
 
 pub use attribution::{top_k_desc, FoldedStacks};
-pub use export::{
-    chrome_trace, jsonl, TraceConfig, TraceFormat, WindowRow, TRACE_ENV, TRACE_FORMAT_ENV,
-};
+pub use export::{chrome_trace, jsonl, TraceFormat, WindowRow};
 pub use json::{validate, JsonError, JsonWriter};
 pub use metrics::{HistogramNames, MetricId, MetricKind, MetricsRegistry};
 pub use tracer::{EventKind, TraceEvent, Tracer, DEFAULT_RING_CAPACITY};

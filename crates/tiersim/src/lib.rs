@@ -93,7 +93,7 @@ pub use machine::{Machine, ProcessReport, RunReport, RunSpec, WindowRecord};
 pub use mem::Memory;
 pub use observe::export_trace;
 pub use pact_obs::{
-    EventKind, MetricId, MetricKind, MetricsRegistry, TraceConfig, TraceEvent, TraceFormat, Tracer,
+    EventKind, MetricId, MetricKind, MetricsRegistry, TraceEvent, TraceFormat, Tracer,
 };
 pub use pmu::{PebsSampler, PmuCounters, SampleEvent};
 pub use policy::{FirstTouch, MachineInfo, MigrationOrder, PolicyCtx, TieringPolicy, WindowStats};

@@ -13,7 +13,7 @@ fn suite_runs_under_pact_and_notier() {
     for name in SUITE {
         for policy in ["pact", "notier"] {
             let out = lab
-                .cell(&Cell::new(name, policy, TierRatio::new(1, 1)), None)
+                .cell(&Cell::new(name, policy, TierRatio::new(1, 1)))
                 .expect("run succeeds");
             let r = &out.report;
             assert!(r.total_cycles > 0, "{name}/{policy}: empty run");
@@ -38,7 +38,7 @@ fn all_policies_run_on_silo() {
     let lab = Lab::new(Scale::Smoke, 3);
     for policy in ALL_POLICIES {
         let out = lab
-            .cell(&Cell::new("silo", policy, TierRatio::new(1, 2)), None)
+            .cell(&Cell::new("silo", policy, TierRatio::new(1, 2)))
             .expect("run succeeds");
         let r = &out.report;
         assert!(r.total_cycles > 0, "{policy}: empty run");
@@ -84,7 +84,7 @@ fn dram_is_a_lower_bound() {
     for name in ["bc-kron", "redis", "gups"] {
         for ratio in [TierRatio::new(4, 1), TierRatio::new(1, 4)] {
             for policy in ["pact", "colloid", "notier"] {
-                let out = lab.cell(&Cell::new(name, policy, ratio), None);
+                let out = lab.cell(&Cell::new(name, policy, ratio));
                 let out = out.expect("run succeeds");
                 assert!(
                     out.slowdown > -0.1,

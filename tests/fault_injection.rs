@@ -39,12 +39,19 @@ fn traced_run(plan: Option<FaultPlan>, seed: u64) -> (RunReport, String) {
     cfg.fault_plan = plan;
     let lab = Lab::new(Scale::Smoke, seed);
     let cell = Cell::new("gups", "pact", TierRatio::new(1, 2)).on(cfg);
+    let mut policy = lab.policy(&cell).expect("pact builds");
+    let workload = lab.workload(&cell.workload);
+    let workloads = [workload.as_ref()];
     let mut tracer = Tracer::ring(4096);
-    let out = lab
-        .cell(&cell, Some(&mut tracer))
+    let spec = RunSpec {
+        tracer: Some(&mut tracer),
+        ..RunSpec::new(&workloads, policy.as_mut())
+    };
+    let report = lab
+        .run(lab.machine(&cell), spec)
         .expect("the stress plan is valid");
-    let body = export_trace(&out.report, &tracer, "fault-test", TraceFormat::Jsonl);
-    (out.report.clone(), body)
+    let body = export_trace(&report, &tracer, "fault-test", TraceFormat::Jsonl);
+    (report, body)
 }
 
 #[test]
@@ -92,7 +99,7 @@ fn different_fault_seeds_diverge() {
     cfg.seed = 7;
     cfg.fault_plan = Some(other);
     let cell = Cell::new("gups", "pact", TierRatio::new(1, 2)).on(cfg);
-    let out = Lab::new(Scale::Smoke, 7).cell(&cell, None).expect("valid");
+    let out = Lab::new(Scale::Smoke, 7).cell(&cell).expect("valid");
     // Same machine seed, different fault seed: the injected schedule —
     // and so the run — must differ.
     assert_ne!(r1.total_cycles, out.report.total_cycles);
@@ -110,7 +117,7 @@ fn parallel_and_serial_fault_sweeps_agree() {
         exec::run_indexed(4, jobs, |i| {
             let cell =
                 Cell::new("gups", ["pact", "memtis"][i % 2], TierRatio::new(1, 2)).on(cfg.clone());
-            let out = lab.cell(&cell, None).expect("valid");
+            let out = lab.cell(&cell).expect("valid");
             (out.report.total_cycles, out.report.dropped_orders)
         })
     };

@@ -121,7 +121,7 @@ fn tpp_is_the_pathological_baseline() {
 #[test]
 fn pac_ranking_at_least_matches_frequency_ranking() {
     let lab = Lab::new(Scale::Smoke, 13);
-    let run = |policy| lab.cell(&Cell::new("bc-kron", policy, TierRatio::new(1, 2)), None);
+    let run = |policy| lab.cell(&Cell::new("bc-kron", policy, TierRatio::new(1, 2)));
     let pac = run("pact").expect("run succeeds");
     let freq = run("pact-freq").expect("run succeeds");
     assert!(
@@ -137,11 +137,11 @@ fn pac_ranking_at_least_matches_frequency_ranking() {
 #[test]
 fn cxl_only_is_the_ceiling() {
     let lab = Lab::new(Scale::Smoke, 17);
-    let cxl = lab.cell(&Cell::cxl("bc-kron", experiment_machine(0)), None);
+    let cxl = lab.cell(&Cell::cxl("bc-kron", experiment_machine(0)));
     let cxl = cxl.expect("run succeeds").slowdown;
     for policy in ["pact", "notier", "memtis"] {
         let out = lab
-            .cell(&Cell::new("bc-kron", policy, TierRatio::new(1, 1)), None)
+            .cell(&Cell::new("bc-kron", policy, TierRatio::new(1, 1)))
             .expect("run succeeds");
         assert!(
             out.slowdown <= cxl + 0.05,
