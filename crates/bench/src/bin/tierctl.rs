@@ -64,13 +64,15 @@
 //!
 //! `main` resolves the `PACT_*` environment once and every command runs
 //! its cells on a `Lab` under it, so a fault plan reaches every run.
-//! Exit status: 0 success (`--help` and `--list` included); 1 a failed
-//! `--validate` or `--self-check`, or an unwritable output; 2 invalid
-//! usage (an unknown workload, policy, figure or flag value, or a
-//! malformed `PACT_*` value) or an invalid configuration.
+//! Exit status: 0 success (`--help` and `--list` included, and a
+//! stdout its reader closed early, which ends a command quietly); 1 a
+//! failed `--validate` or `--self-check`, or an unwritable output; 2
+//! invalid usage (an unknown workload, policy, figure or flag value, or
+//! a malformed `PACT_*` value) or an invalid configuration.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+use std::io::Write;
 use std::sync::Arc;
 
 use pact_bench::figures::{self, Figure, FIGURES};
@@ -107,6 +109,26 @@ impl From<SimError> for Exit {
     fn from(e: SimError) -> Self {
         Exit(2, format!("error: {e}"))
     }
+}
+
+/// A failed write to stdout. A reader that closed it early (`| head`)
+/// has what it wanted, so a broken pipe ends the command quietly with
+/// status 0; any other write error is an unwritable output.
+impl From<std::io::Error> for Exit {
+    fn from(e: std::io::Error) -> Self {
+        match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Exit(0, String::new()),
+            _ => Exit(1, format!("error: cannot write stdout: {e}")),
+        }
+    }
+}
+
+/// `println!` that hands a failed write back as an [`Exit`] instead of
+/// panicking.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(Exit::from)
+    };
 }
 
 /// A bad policy name also lists the known ones.
@@ -418,13 +440,13 @@ fn run_trace(args: &Args, env: Env) -> Result<(), Exit> {
         .clone()
         .unwrap_or_else(|| format!("trace.{}", args.format.extension()));
     write(path.as_ref(), &body)?;
-    println!(
+    outln!(
         "traced {label}: {} events ({} overwritten), {} windows, {} cycles",
         tracer.len(),
         tracer.overwritten(),
         report.windows.len(),
         report.total_cycles
-    );
+    )?;
     if tracer.overwritten() > 0 {
         eprintln!(
             "warning: trace ring overflowed; the {} oldest events were dropped \
@@ -433,16 +455,17 @@ fn run_trace(args: &Args, env: Env) -> Result<(), Exit> {
         );
     }
     // Greppable one-liner: the migration failures a fault plan caused.
-    println!(
+    outln!(
         "migration health: failed_promotions={} dropped_orders={}",
-        report.failed_promotions, report.dropped_orders
-    );
-    println!(
+        report.failed_promotions,
+        report.dropped_orders
+    )?;
+    outln!(
         "wrote {path} ({} bytes, {} format{})",
         body.len(),
         args.format,
         if args.validate { ", validated" } else { "" }
-    );
+    )?;
     Ok(())
 }
 
@@ -466,16 +489,16 @@ fn run_report(args: &Args, env: Env) -> Result<(), Exit> {
     write(&dir.join("report.md"), crit.to_markdown())?;
     write(&dir.join("report.json"), crit.to_json())?;
     write(&dir.join("flame.folded"), crit.folded())?;
-    println!(
+    outln!(
         "criticality report for {}: {} blamed stall cycles across {} pages (top-{topk})",
         args.cell,
         crit.total_stalls(),
         report.page_stalls.as_ref().map_or(0, |m| m.len()),
-    );
-    println!(
+    )?;
+    outln!(
         "wrote {}/report.md, report.json, flame.folded",
         dir.display()
-    );
+    )?;
     Ok(())
 }
 
@@ -489,7 +512,7 @@ fn run_serve_metrics(args: &Args, env: Env) -> Result<(), Exit> {
     if args.self_check {
         serve::self_check(body)
             .map_err(|e| Exit(1, format!("serve-metrics self-check failed: {e}")))?;
-        println!("serve-metrics self-check ok ({label})");
+        outln!("serve-metrics self-check ok ({label})")?;
         return Ok(());
     }
     let addr = args
@@ -498,7 +521,7 @@ fn run_serve_metrics(args: &Args, env: Env) -> Result<(), Exit> {
     let server = serve::MetricsServer::bind(addr, body)
         .map_err(|e| Exit(1, format!("cannot bind {addr}: {e}")))?;
     let bound = server.local_addr().unwrap_or(addr);
-    println!("serving metrics for {label} on http://{bound}/metrics (and /healthz)");
+    outln!("serving metrics for {label} on http://{bound}/metrics (and /healthz)")?;
     server
         .serve(None)
         .map_err(|e| Exit(1, format!("serve error: {e}")))
@@ -547,12 +570,12 @@ fn run_fleet(args: &Args, env: Env) -> Result<(), Exit> {
         args.cell.policy,
         args.cell.ratio
     );
-    println!("cell {label}");
-    println!(
+    outln!("cell {label}")?;
+    outln!(
         "tenant            weight    accesses  promoted  demoted  admitted  rejected     stalls"
-    );
+    )?;
     for ((t, p), a) in tenants.iter().zip(&report.per_process).zip(policy.lanes()) {
-        println!(
+        outln!(
             "{:<16} {:>7} {:>11} {:>9} {:>8} {:>9} {:>9} {:>10}",
             t.name,
             t.qos_weight,
@@ -562,16 +585,16 @@ fn run_fleet(args: &Args, env: Env) -> Result<(), Exit> {
             a.admitted,
             a.rejected,
             p.stall_cycles[0] + p.stall_cycles[1],
-        );
+        )?;
     }
     let sum = |f: fn(&AdmissionLane) -> u64| -> u64 { policy.lanes().iter().map(f).sum() };
-    println!(
+    outln!(
         "admission: admitted={} rejected={} dropped={}",
         sum(|a| a.admitted),
         sum(|a| a.rejected),
         sum(|a| a.dropped)
-    );
-    println!(
+    )?;
+    outln!(
         "report: windows={} cycles={} promotions={} demotions={} failed={} dropped={}",
         report.windows.len(),
         report.total_cycles,
@@ -579,9 +602,9 @@ fn run_fleet(args: &Args, env: Env) -> Result<(), Exit> {
         report.demotions,
         report.failed_promotions,
         report.dropped_orders
-    );
+    )?;
     let digest = pact_tiersim::fnv1a(format!("{report:?}").as_bytes());
-    println!("digest: {digest:#018x}");
+    outln!("digest: {digest:#018x}")?;
     Ok(())
 }
 
@@ -609,10 +632,14 @@ fn run_repro(args: &Args, env: Env) -> Result<(), Exit> {
     let start = std::time::Instant::now();
     let reports = figures::render_all(&lab, &args.figures);
     let mut failed = 0;
+    // A closed stdout stops the printing, not the saving.
+    let mut printed = Ok(());
     for (fig, report) in args.figures.iter().zip(reports) {
         match report {
             Ok(text) => {
-                print!("{text}");
+                if printed.is_ok() {
+                    printed = write!(std::io::stdout(), "{text}");
+                }
                 save_results(args.scale, fig.file, &text);
             }
             Err(e) => {
@@ -632,7 +659,7 @@ fn run_repro(args: &Args, env: Env) -> Result<(), Exit> {
         peak_rss()
     );
     match failed {
-        0 => Ok(()),
+        0 => printed.map_err(Exit::from),
         n => Err(Exit(2, format!("error: {n} figure(s) failed"))),
     }
 }
@@ -646,51 +673,54 @@ fn run_one_shot(args: &Args, env: Env) -> Result<(), Exit> {
     let r = &out.report;
     let c = &r.counters;
 
-    println!(
+    outln!(
         "{} / {} @ {}{}",
         cell.workload,
         cell.policy,
         cell.ratio,
         if cell.machine.thp { " (THP)" } else { "" }
-    );
-    println!("  slowdown vs DRAM:   {}", pct(out.slowdown));
-    println!("  cxl-only reference: {}", pct(cxl.slowdown));
-    println!("  total cycles:       {}", r.total_cycles);
-    println!("  accesses:           {}", count(c.accesses));
-    println!(
+    )?;
+    outln!("  slowdown vs DRAM:   {}", pct(out.slowdown))?;
+    outln!("  cxl-only reference: {}", pct(cxl.slowdown))?;
+    outln!("  total cycles:       {}", r.total_cycles)?;
+    outln!("  accesses:           {}", count(c.accesses))?;
+    outln!(
         "  llc misses:         {} fast + {} slow ({} hits)",
         count(c.llc_misses[0]),
         count(c.llc_misses[1]),
         count(c.llc_hits)
-    );
-    println!(
+    )?;
+    outln!(
         "  measured MLP:       fast {:.1} / slow {:.1}",
         c.tor_mlp(Tier::Fast),
         c.tor_mlp(Tier::Slow)
-    );
-    println!(
+    )?;
+    outln!(
         "  loaded latency:     fast {:.0} / slow {:.0} cycles",
         c.avg_demand_latency(Tier::Fast),
         c.avg_demand_latency(Tier::Slow)
-    );
-    println!(
+    )?;
+    outln!(
         "  migrations:         {} promoted, {} demoted, {} failed",
         count(r.promotions),
         count(r.demotions),
         count(r.failed_promotions)
-    );
-    println!(
+    )?;
+    outln!(
         "  sampling:           {} PEBS samples, {} hint faults",
         count(c.pebs_samples),
         count(c.hint_faults)
-    );
+    )?;
     if args.windows {
-        println!("\nwindow  promotions  demotions  slow-misses");
+        outln!("\nwindow  promotions  demotions  slow-misses")?;
         for w in r.windows.iter().step_by((r.windows.len() / 40).max(1)) {
-            println!(
+            outln!(
                 "{:>6}  {:>10}  {:>9}  {:>11}",
-                w.index, w.promotions, w.demotions, w.delta.llc_misses[1]
-            );
+                w.index,
+                w.promotions,
+                w.demotions,
+                w.delta.llc_misses[1]
+            )?;
         }
     }
     Ok(())
@@ -713,7 +743,10 @@ fn main() {
     let code = match run() {
         Ok(()) => 0,
         Err(Exit(0, msg)) => {
-            println!("{msg}");
+            if !msg.is_empty() {
+                // Nothing is left to do if this write fails.
+                let _ = writeln!(std::io::stdout(), "{msg}");
+            }
             0
         }
         Err(Exit(code, msg)) => {

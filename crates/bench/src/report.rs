@@ -1,6 +1,8 @@
 //! Plain-text reporting: aligned tables, percentage formatting, CDF
 //! series, and sparkline-style time series for the figures.
 
+use std::io::Write;
+
 use pact_workloads::suite::Scale;
 
 /// A simple aligned-column text table.
@@ -162,7 +164,10 @@ fn save_results_in(dir: &std::path::Path, scale: Scale, name: &str, contents: &s
     }
     let path = dir.join(name);
     match std::fs::write(&path, contents) {
-        Ok(()) => println!("[saved {}]", path.display()),
+        Ok(()) => {
+            // A stdout closed early must not stop the saving.
+            let _ = writeln!(std::io::stdout(), "[saved {}]", path.display());
+        }
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
 }

@@ -2,7 +2,7 @@
 //! 1 a failed self-check or write, 2 invalid usage) are part of the
 //! binary's contract, so they are pinned here against the real binary.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn tierctl(args: &[&str]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_tierctl"));
@@ -203,6 +203,30 @@ fn repro_summary_reports_peak_rss_on_stderr_only() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!stdout.contains("peak RSS"), "stdout is the figure only");
+}
+
+#[test]
+fn a_closed_stdout_ends_every_command_quietly() {
+    for args in [
+        "--workload gpt-2 --policy notier --ratio 1:1 --scale smoke",
+        "repro --fig fig01 --scale smoke",
+        "fleet --scale smoke",
+        "--list",
+    ] {
+        let mut child = tierctl(&args.split(' ').collect::<Vec<_>>())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn tierctl");
+        // Close the read end before tierctl writes: every write to
+        // stdout then fails with a broken pipe.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for tierctl");
+        let err = stderr_of(&out);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert_ne!(out.status.code(), Some(101), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    }
 }
 
 #[test]

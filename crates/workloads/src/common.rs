@@ -122,8 +122,10 @@ pub struct BufferedStream<G> {
 }
 
 /// An incremental access generator: each [`refill`](Self::refill) call
-/// appends the accesses of one unit of algorithmic work (one vertex, one
-/// query, one stencil row) and returns `false` when the work is done.
+/// appends the accesses of one unit of algorithmic work (one query, one
+/// stencil row, one adjacency line of a graph vertex) and returns
+/// `false` when the work is done. The buffer keeps the capacity of the
+/// largest unit, so a unit's size bounds the stream's memory.
 pub trait Generator {
     /// Emits the next unit of work into `out`; returns `false` when
     /// exhausted (nothing may be appended in that case).

@@ -10,9 +10,15 @@
 //! across threads. The mix of streaming (adjacency) and pointer-chasing
 //! (vertex state) pages is exactly the structure the paper exploits:
 //! frequency treats both alike, criticality separates them.
+//!
+//! A traversal kernel's per-source plan is computed on demand, when a
+//! thread reaches the source, and each `refill` emits at most one
+//! adjacency line, so a stream holds at most the plans of the sources
+//! its threads are on and a buffer of one line's accesses.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use pact_tiersim::{Access, AccessStream, Region, Workload};
 
@@ -185,18 +191,12 @@ impl Workload for GraphWorkload {
         match self.kernel {
             Kernel::Bfs { sources, threads } | Kernel::Bc { sources, threads } => {
                 let is_bc = matches!(self.kernel, Kernel::Bc { .. });
-                let roots = self.csr.pick_sources(sources);
-                let plan = Rc::new(
-                    roots
-                        .into_iter()
-                        .map(|root| HostBfs::run(&self.csr, root))
-                        .collect::<Vec<_>>(),
-                );
+                let plans = Plans::new(&self.csr, sources, HostBfs::run);
                 (0..threads)
                     .map(|t| {
                         Box::new(BufferedStream::new(TraversalGen {
                             wl: self,
-                            plan: Rc::clone(&plan),
+                            source: OnSource::new(&plans),
                             is_bc,
                             thread: t,
                             threads,
@@ -206,23 +206,18 @@ impl Workload for GraphWorkload {
                     .collect()
             }
             Kernel::Sssp { sources, threads } => {
-                let roots = self.csr.pick_sources(sources);
-                let plan = Rc::new(
-                    roots
-                        .into_iter()
-                        .map(|root| HostSssp::run(&self.csr, root))
-                        .collect::<Vec<_>>(),
-                );
+                let plans = Plans::new(&self.csr, sources, HostSssp::run);
                 (0..threads)
                     .map(|t| {
                         Box::new(BufferedStream::new(SsspGen {
                             wl: self,
-                            plan: Rc::clone(&plan),
+                            source: OnSource::new(&plans),
                             thread: t,
                             threads,
-                            source: 0,
                             round: 0,
                             pos: t,
+                            nbr: 0,
+                            relaxed: 0,
                         })) as Box<dyn AccessStream + '_>
                     })
                     .collect()
@@ -247,39 +242,124 @@ impl Workload for GraphWorkload {
     }
 }
 
-/// Emits one vertex's adjacency walk: the offset lookup, interleaved
-/// neighbor-line loads, and a per-neighbor state visit driven by
-/// `visit(out, neighbor, position, dep)`, where `dep` marks the first
-/// neighbor of each adjacency line (its ID arrives with that line).
-fn walk_vertex<F: FnMut(&mut VecDeque<Access>, u64, u64, bool)>(
+/// Emits one adjacency line of `v`'s walk, the one that starts at
+/// neighbor `pos` (a multiple of [`IDS_PER_LINE`]): the offset lookup
+/// first when `pos == 0`, then the line load and a per-neighbor state
+/// visit driven by `visit(out, neighbor, position, dep)`, where `dep`
+/// marks the line's first neighbor (its ID arrives with the line).
+/// Returns where the next line starts, or `None` after `v`'s last line
+/// (a vertex without neighbors emits only the lookup).
+fn walk_line<F: FnMut(&mut VecDeque<Access>, u64, u64, bool)>(
     out: &mut VecDeque<Access>,
     wl: &GraphWorkload,
     v: u32,
+    pos: u64,
     mut visit: F,
-) {
-    load_elem8(out, wl.offsets_base, v as u64, false, 2);
-    let off = wl.csr.offset(v);
-    for (pos, &u) in wl.csr.neighbors(v).iter().enumerate() {
-        let pos = pos as u64;
-        if starts_line(pos) {
+) -> Option<u64> {
+    if pos == 0 {
+        load_elem8(out, wl.offsets_base, v as u64, false, 2);
+    }
+    let adj = wl.csr.neighbors(v);
+    let end = (pos + IDS_PER_LINE).min(adj.len() as u64);
+    for (p, &u) in (pos..end).zip(&adj[pos as usize..end as usize]) {
+        if starts_line(p) {
             // New adjacency line: its address is known once the offset
             // (first line) or the running pointer (later lines) is ready.
-            let mut a = Access::load(wl.neighbors_base + (off + pos) * 4).with_work(2);
-            a.dep = pos == 0;
+            let mut a = Access::load(wl.neighbors_base + (wl.csr.offset(v) + p) * 4).with_work(2);
+            a.dep = p == 0;
             out.push_back(a);
         }
-        visit(out, u as u64, pos, starts_line(pos));
+        visit(out, u as u64, p, starts_line(p));
+    }
+    (end < adj.len() as u64).then_some(end)
+}
+
+// --- Per-source plans, on demand ----------------------------------------
+
+/// The per-source plans of one `streams()` call. A thread computes
+/// source `s`'s plan when it reaches `s`, unless another thread still
+/// holds it, and holds it while on `s`. Threads the machine interleaves
+/// therefore share one computation, a plan is freed when the last
+/// thread leaves its source, and about two plans are live at once. A
+/// sequential drain holds one plan at a time and recomputes it per
+/// thread: a plan is a pure function of the graph and its root, so
+/// every copy is the same.
+struct Plans<'w, P> {
+    csr: &'w Csr,
+    roots: Vec<u32>,
+    compute: fn(&Csr, u32) -> P,
+    live: RefCell<Vec<Weak<P>>>,
+}
+
+impl<'w, P> Plans<'w, P> {
+    fn new(csr: &'w Csr, sources: usize, compute: fn(&Csr, u32) -> P) -> Rc<Self> {
+        let roots = csr.pick_sources(sources);
+        let live = RefCell::new(roots.iter().map(|_| Weak::new()).collect());
+        Rc::new(Self {
+            csr,
+            roots,
+            compute,
+            live,
+        })
+    }
+
+    /// Source `s`'s plan, shared if a thread holds it and computed
+    /// otherwise; `None` past the last source.
+    fn get(&self, s: usize) -> Option<Rc<P>> {
+        let root = *self.roots.get(s)?;
+        let mut live = self.live.borrow_mut();
+        if let Some(plan) = live[s].upgrade() {
+            return Some(plan);
+        }
+        let plan = Rc::new((self.compute)(self.csr, root));
+        live[s] = Rc::downgrade(&plan);
+        Some(plan)
+    }
+}
+
+/// One thread's place in the source sequence, and the plan it holds
+/// while there.
+struct OnSource<'w, P> {
+    plans: Rc<Plans<'w, P>>,
+    index: usize,
+    plan: Option<Rc<P>>,
+}
+
+impl<'w, P> OnSource<'w, P> {
+    fn new(plans: &Rc<Plans<'w, P>>) -> Self {
+        Self {
+            plans: Rc::clone(plans),
+            index: 0,
+            plan: None,
+        }
+    }
+
+    /// The current source's plan; `None` once every source is done.
+    fn plan(&mut self) -> Option<Rc<P>> {
+        if self.plan.is_none() {
+            self.plan = self.plans.get(self.index);
+        }
+        self.plan.clone()
+    }
+
+    /// Lets go of the current source's plan and moves to the next.
+    fn advance(&mut self) {
+        self.plan = None;
+        self.index += 1;
     }
 }
 
 // --- Host-side BFS (shared by BFS and BC) -----------------------------
 
-/// The result of one source's BFS, computed on the host: per-level
-/// vertex lists, depths, the designated discoverer of each vertex, and
-/// shortest-path counts for BC.
+/// The result of one source's BFS, computed on the host: the reached
+/// vertices level by level, depths, and the designated discoverer of
+/// each vertex.
 #[derive(Debug)]
 struct HostBfs {
-    levels: Vec<Vec<u32>>,
+    /// Reached vertices in level order, root first, exact-size.
+    order: Vec<u32>,
+    /// `order[level_starts[l]..level_starts[l + 1]]` is level `l`.
+    level_starts: Vec<u32>,
     depth: Vec<i32>,
     /// `discoverer[u] == v` iff `v`'s visit first reached `u`.
     discoverer: Vec<u32>,
@@ -291,51 +371,64 @@ impl HostBfs {
         let mut depth = vec![-1i32; n];
         let mut discoverer = vec![u32::MAX; n];
         depth[root as usize] = 0;
-        let mut levels = vec![vec![root]];
+        // The order is its own queue: level `d` is the stretch that
+        // level `d - 1`'s visits appended.
+        let mut order = Vec::with_capacity(n);
+        order.push(root);
+        let mut level_starts = vec![0u32];
+        let mut d = 0i32;
         loop {
-            let mut next = Vec::new();
-            #[expect(
-                clippy::expect_used,
-                reason = "levels starts with the root level and only grows, so last() always exists"
-            )]
-            let cur = levels.last().expect("at least the root level");
-            let d = levels.len() as i32 - 1;
-            for &v in cur {
+            let (start, end) = (level_starts[d as usize] as usize, order.len());
+            for i in start..end {
+                let v = order[i];
                 for &u in csr.neighbors(v) {
                     if depth[u as usize] < 0 {
                         depth[u as usize] = d + 1;
                         discoverer[u as usize] = v;
-                        next.push(u);
+                        order.push(u);
                     }
                 }
             }
-            if next.is_empty() {
+            level_starts.push(end as u32);
+            if order.len() == end {
                 break;
             }
-            levels.push(next);
+            d += 1;
         }
+        order.shrink_to_fit();
         Self {
-            levels,
+            order,
+            level_starts,
             depth,
             discoverer,
         }
+    }
+
+    fn levels(&self) -> usize {
+        self.level_starts.len() - 1
+    }
+
+    fn level(&self, l: usize) -> &[u32] {
+        &self.order[self.level_starts[l] as usize..self.level_starts[l + 1] as usize]
     }
 }
 
 #[derive(Debug, Default, Clone, Copy)]
 struct TraversalCursor {
-    source: usize,
     /// Phase within a source: forward levels, then (BC only) backward.
     backward: bool,
     level: usize,
+    /// The thread's vertex within the level's slice.
     pos: usize,
+    /// Where the vertex's next adjacency line starts.
+    nbr: u64,
 }
 
 /// Emits the parallel traversal (BFS or BC) for one thread: the
 /// thread's slice of every level, forward and — for BC — backward.
 struct TraversalGen<'w> {
     wl: &'w GraphWorkload,
-    plan: Rc<Vec<HostBfs>>,
+    source: OnSource<'w, HostBfs>,
     is_bc: bool,
     thread: usize,
     threads: usize,
@@ -343,11 +436,17 @@ struct TraversalGen<'w> {
 }
 
 impl TraversalGen<'_> {
-    fn emit_forward(&self, bfs: &HostBfs, v: u32, out: &mut VecDeque<Access>) {
+    fn emit_forward(
+        &self,
+        bfs: &HostBfs,
+        v: u32,
+        nbr: u64,
+        out: &mut VecDeque<Access>,
+    ) -> Option<u64> {
         let d = bfs.depth[v as usize];
         let wl = self.wl;
         let is_bc = self.is_bc;
-        walk_vertex(out, wl, v, |out, u, _pos, dep| {
+        walk_line(out, wl, v, nbr, |out, u, _pos, dep| {
             load_elem4(out, wl.depth_base, u, dep, 2);
             let ui = u as usize;
             if bfs.depth[ui] == d + 1 {
@@ -360,13 +459,19 @@ impl TraversalGen<'_> {
                     store_elem8(out, wl.sigma_base, u);
                 }
             }
-        });
+        })
     }
 
-    fn emit_backward(&self, bfs: &HostBfs, w: u32, out: &mut VecDeque<Access>) {
+    fn emit_backward(
+        &self,
+        bfs: &HostBfs,
+        w: u32,
+        nbr: u64,
+        out: &mut VecDeque<Access>,
+    ) -> Option<u64> {
         let dw = bfs.depth[w as usize];
         let wl = self.wl;
-        walk_vertex(out, wl, w, |out, u, _pos, dep| {
+        walk_line(out, wl, w, nbr, |out, u, _pos, dep| {
             load_elem4(out, wl.depth_base, u, dep, 2);
             if bfs.depth[u as usize] == dw - 1 {
                 // Predecessor: delta[u] += sigma[u]/sigma[w] (1+delta[w]).
@@ -374,50 +479,51 @@ impl TraversalGen<'_> {
                 load_elem8(out, wl.delta_base, u, false, 3);
                 store_elem8(out, wl.delta_base, u);
             }
-        });
+        })
     }
 }
 
 impl Generator for TraversalGen<'_> {
     fn refill(&mut self, out: &mut VecDeque<Access>) -> bool {
         loop {
-            let c = self.cursor;
-            let Some(bfs) = self.plan.get(c.source) else {
+            let Some(bfs) = self.source.plan() else {
                 return false;
             };
+            let c = self.cursor;
             // Backward pass walks levels deepest-first. The cursor's
             // level index is always in bounds: it resets on advance.
             let level_idx = if c.backward {
-                bfs.levels.len() - 1 - c.level
+                bfs.levels() - 1 - c.level
             } else {
                 c.level
             };
-            let level = &bfs.levels[level_idx];
             // This thread's slice of the level.
             let idx = c.pos * self.threads + self.thread;
-            if idx < level.len() {
-                let v = level[idx];
-                if c.backward {
-                    self.emit_backward(bfs, v, out);
+            if let Some(&v) = bfs.level(level_idx).get(idx) {
+                let next = if c.backward {
+                    self.emit_backward(&bfs, v, c.nbr, out)
                 } else {
-                    self.emit_forward(bfs, v, out);
+                    self.emit_forward(&bfs, v, c.nbr, out)
+                };
+                match next {
+                    Some(nbr) => self.cursor.nbr = nbr,
+                    None => {
+                        self.cursor.nbr = 0;
+                        self.cursor.pos += 1;
+                    }
                 }
-                self.cursor.pos += 1;
-                if !out.is_empty() {
-                    return true;
-                }
-                continue; // zero-degree vertex: keep going
+                return true;
             }
             // Advance level / phase / source.
             self.cursor.pos = 0;
             self.cursor.level += 1;
-            if self.cursor.level >= bfs.levels.len() {
+            if self.cursor.level >= bfs.levels() {
                 self.cursor.level = 0;
                 if self.is_bc && !c.backward {
                     self.cursor.backward = true;
                 } else {
                     self.cursor.backward = false;
-                    self.cursor.source += 1;
+                    self.source.advance();
                 }
             }
         }
@@ -463,14 +569,21 @@ pub fn count_triangles(csr: &Csr) -> u64 {
     triangles
 }
 
-/// One source's Bellman-Ford schedule: per round, the active vertices
-/// and, per active vertex, which neighbors it successfully relaxed.
+/// One source's Bellman-Ford schedule, round by round.
 #[derive(Debug)]
 struct HostSssp {
-    rounds: Vec<Vec<(u32, Vec<u32>)>>,
-    /// Final distances (kept for validation tests).
-    #[allow(dead_code, reason = "read only by the validation tests")]
-    dist: Vec<u64>,
+    rounds: Vec<Round>,
+}
+
+/// One Bellman-Ford round: the active vertices in order, and the
+/// neighbors each successfully relaxed, in adjacency order —
+/// `relaxed[starts[i]..starts[i + 1]]` for `vertices[i]`. Each array is
+/// exact-size.
+#[derive(Debug)]
+struct Round {
+    vertices: Vec<u32>,
+    starts: Vec<u32>,
+    relaxed: Vec<u32>,
 }
 
 impl HostSssp {
@@ -484,78 +597,97 @@ impl HostSssp {
             if active.is_empty() {
                 break;
             }
-            let mut round = Vec::with_capacity(active.len());
-            let mut next = Vec::new();
+            let mut starts = Vec::with_capacity(active.len() + 1);
+            let mut relaxed = Vec::new();
             for &v in &active {
+                starts.push(relaxed.len() as u32);
                 let dv = dist[v as usize];
                 let off = csr.offset(v);
-                let mut relaxed = Vec::new();
                 for (pos, &u) in csr.neighbors(v).iter().enumerate() {
                     let w = edge_weight(off + pos as u64);
                     if dv.saturating_add(w) < dist[u as usize] {
                         dist[u as usize] = dv + w;
                         relaxed.push(u);
-                        next.push(u);
                     }
                 }
-                round.push((v, relaxed));
             }
-            rounds.push(round);
+            starts.push(relaxed.len() as u32);
+            let mut next = relaxed.clone();
             next.sort_unstable();
             next.dedup();
+            next.shrink_to_fit();
+            relaxed.shrink_to_fit();
+            rounds.push(Round {
+                vertices: active,
+                starts,
+                relaxed,
+            });
             active = next;
         }
-        Self { rounds, dist }
+        Self { rounds }
     }
 }
 
 struct SsspGen<'w> {
     wl: &'w GraphWorkload,
-    plan: Rc<Vec<HostSssp>>,
+    source: OnSource<'w, HostSssp>,
     thread: usize,
     threads: usize,
-    source: usize,
     round: usize,
+    /// The thread's active vertex: an index into the round's vertices.
     pos: usize,
+    /// Where the vertex's next adjacency line starts.
+    nbr: u64,
+    /// The vertex's next relaxed neighbor: an index into the round's
+    /// relaxed ids.
+    relaxed: usize,
 }
 
 impl Generator for SsspGen<'_> {
     fn refill(&mut self, out: &mut VecDeque<Access>) -> bool {
         loop {
-            let Some(sssp) = self.plan.get(self.source) else {
+            let Some(sssp) = self.source.plan() else {
                 return false;
             };
             let Some(round) = sssp.rounds.get(self.round) else {
-                self.source += 1;
+                self.source.advance();
                 self.round = 0;
                 self.pos = self.thread;
                 continue;
             };
-            if self.pos >= round.len() {
+            let Some(&v) = round.vertices.get(self.pos) else {
                 self.round += 1;
                 self.pos = self.thread;
                 continue;
+            };
+            if self.nbr == 0 {
+                self.relaxed = round.starts[self.pos] as usize;
             }
-            let (v, relaxed) = &round[self.pos];
-            self.pos += self.threads;
+            let relaxed = &round.relaxed[..round.starts[self.pos + 1] as usize];
             let wl = self.wl;
-            let mut r = 0usize;
-            walk_vertex(out, wl, *v, |out, u, pos, dep| {
+            let mut r = self.relaxed;
+            let next = walk_line(out, wl, v, self.nbr, |out, u, pos, dep| {
                 // Weight array scanned in lockstep with the adjacency
                 // list: one line load per IDS_PER_LINE neighbors.
                 if pos % IDS_PER_LINE == 0 {
-                    let off = wl.csr.offset(*v);
+                    let off = wl.csr.offset(v);
                     out.push_back(Access::load(wl.weights_base + (off + pos) * 4).with_work(1));
                 }
                 load_elem4(out, wl.dist_base, u, dep, 3);
-                if r < relaxed.len() && relaxed[r] as u64 == u {
+                if relaxed.get(r).is_some_and(|&x| x as u64 == u) {
                     store_elem4(out, wl.dist_base, u);
                     r += 1;
                 }
             });
-            if !out.is_empty() {
-                return true;
+            self.relaxed = r;
+            match next {
+                Some(nbr) => self.nbr = nbr,
+                None => {
+                    self.nbr = 0;
+                    self.pos += self.threads;
+                }
             }
+            return true;
         }
     }
 }
@@ -567,6 +699,8 @@ struct PrGen<'w> {
     lo: u32,
     hi: u32,
     v: u32,
+    /// Where `v`'s next adjacency line starts.
+    nbr: u64,
     iters_left: u32,
 }
 
@@ -580,6 +714,7 @@ impl<'w> PrGen<'w> {
             lo,
             hi,
             v: lo,
+            nbr: 0,
             iters_left: iterations,
         }
     }
@@ -590,7 +725,7 @@ impl Generator for PrGen<'_> {
         if self.iters_left == 0 {
             return false;
         }
-        if self.v >= self.hi {
+        if self.nbr == 0 && self.v >= self.hi {
             self.v = self.lo;
             self.iters_left -= 1;
             if self.iters_left == 0 {
@@ -598,12 +733,18 @@ impl Generator for PrGen<'_> {
             }
         }
         let v = self.v;
-        self.v += 1;
         let score_base = self.wl.pr_score;
-        walk_vertex(out, self.wl, v, |out, u, _pos, dep| {
+        let next = walk_line(out, self.wl, v, self.nbr, |out, u, _pos, dep| {
             load_elem8(out, score_base, u, dep, 3);
         });
-        store_elem8(out, self.wl.pr_next, v as u64);
+        match next {
+            Some(nbr) => self.nbr = nbr,
+            None => {
+                store_elem8(out, self.wl.pr_next, v as u64);
+                self.nbr = 0;
+                self.v += 1;
+            }
+        }
         true
     }
 }
@@ -911,6 +1052,90 @@ mod tests {
         }
     }
 
+    /// The most accesses one refill appends: the offset lookup, the
+    /// line load, a weight line (SSSP) and up to four state accesses per
+    /// neighbor (BC's forward visit).
+    const LINE_ACCESSES: usize = 3 + 4 * IDS_PER_LINE as usize;
+
+    /// The largest number of accesses one `refill` of `g` appends.
+    fn largest_refill(mut g: impl Generator) -> usize {
+        let mut out = VecDeque::new();
+        let mut largest = 0;
+        while g.refill(&mut out) {
+            largest = largest.max(out.len());
+            out.clear();
+        }
+        largest
+    }
+
+    #[test]
+    fn refills_emit_at_most_one_adjacency_line() {
+        let wl = GraphWorkload::new(
+            "g",
+            small_graph(),
+            Kernel::Bfs {
+                sources: 2,
+                threads: 3,
+            },
+            1,
+        );
+        // A hub's whole walk would be dozens of lines.
+        let hub = wl.csr.degree(wl.csr.max_degree_vertex());
+        assert!(hub > 20 * IDS_PER_LINE, "hub degree {hub}");
+        let bfs = Plans::new(&wl.csr, 2, HostBfs::run);
+        let sssp = Plans::new(&wl.csr, 2, HostSssp::run);
+        for thread in 0..3 {
+            let traversal = |is_bc| TraversalGen {
+                wl: &wl,
+                source: OnSource::new(&bfs),
+                is_bc,
+                thread,
+                threads: 3,
+                cursor: TraversalCursor::default(),
+            };
+            let sssp = SsspGen {
+                wl: &wl,
+                source: OnSource::new(&sssp),
+                thread,
+                threads: 3,
+                round: 0,
+                pos: thread,
+                nbr: 0,
+                relaxed: 0,
+            };
+            let largest = [
+                largest_refill(traversal(false)),
+                largest_refill(traversal(true)),
+                largest_refill(sssp),
+                largest_refill(PrGen::new(&wl, thread, 3, 1)),
+            ];
+            assert!(
+                largest.iter().all(|&l| l <= LINE_ACCESSES),
+                "thread {thread}: largest refills {largest:?} exceed one line"
+            );
+        }
+    }
+
+    #[test]
+    fn plans_are_shared_while_held_and_freed_after() {
+        let g = small_graph();
+        let plans = Plans::new(&g, 2, HostBfs::run);
+        let (mut a, mut b) = (OnSource::new(&plans), OnSource::new(&plans));
+        let first = a.plan().unwrap();
+        assert!(Rc::ptr_eq(&first, &b.plan().unwrap()), "one computation");
+        drop(first);
+        a.advance();
+        assert!(
+            plans.live.borrow()[0].upgrade().is_some(),
+            "b still holds it"
+        );
+        b.advance();
+        assert!(plans.live.borrow()[0].upgrade().is_none(), "freed");
+        assert!(Rc::ptr_eq(&a.plan().unwrap(), &b.plan().unwrap()));
+        a.advance();
+        assert!(a.plan().is_none(), "past the last source");
+    }
+
     #[test]
     fn deterministic_replay() {
         let wl = GraphWorkload::new(
@@ -944,8 +1169,11 @@ mod tests {
         let root = g.max_degree_vertex();
         let b = HostBfs::run(&g, root);
         assert_eq!(b.depth[root as usize], 0);
-        for (d, level) in b.levels.iter().enumerate() {
-            for &v in level {
+        assert_eq!(b.order.capacity(), b.order.len(), "exact-size order");
+        let reached = b.depth.iter().filter(|&&d| d >= 0).count();
+        assert_eq!(b.order.len(), reached, "every reached vertex once");
+        for d in 0..b.levels() {
+            for &v in b.level(d) {
                 assert_eq!(b.depth[v as usize], d as i32);
                 if d > 0 {
                     let disc = b.discoverer[v as usize];
@@ -977,6 +1205,30 @@ mod tests {
         assert_eq!(count_triangles(&g), brute);
     }
 
+    /// The distances `plan` leaves behind: its relaxations replayed in
+    /// order, each setting the neighbor's distance through the edge it
+    /// relaxed (adjacency lists hold each neighbor once).
+    fn replay_distances(g: &Csr, root: u32, plan: &HostSssp) -> Vec<u64> {
+        let mut dist = vec![u64::MAX; g.num_vertices() as usize];
+        dist[root as usize] = 0;
+        for round in &plan.rounds {
+            for (i, &v) in round.vertices.iter().enumerate() {
+                let relaxed =
+                    &round.relaxed[round.starts[i] as usize..round.starts[i + 1] as usize];
+                let dv = dist[v as usize];
+                let mut r = 0;
+                for (pos, &u) in g.neighbors(v).iter().enumerate() {
+                    if relaxed.get(r) == Some(&u) {
+                        dist[u as usize] = dv + edge_weight(g.offset(v) + pos as u64);
+                        r += 1;
+                    }
+                }
+                assert_eq!(r, relaxed.len(), "relaxed ids follow adjacency order");
+            }
+        }
+        dist
+    }
+
     #[test]
     fn host_sssp_distances_match_dijkstra() {
         let g = Csr::from_edges(uniform(256, 2_000, 9), true);
@@ -1001,7 +1253,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(host.dist, dist);
+        assert_eq!(replay_distances(&g, root, &host), dist);
     }
 
     #[test]
@@ -1012,11 +1264,11 @@ mod tests {
         assert!(!s.rounds.is_empty());
         // Every relaxed target appears among some later round's actives
         // or is terminal; at minimum the schedule is non-trivial.
-        let relaxations: usize = s
-            .rounds
-            .iter()
-            .flat_map(|r| r.iter().map(|(_, rel)| rel.len()))
-            .sum();
+        for r in &s.rounds {
+            assert_eq!(r.starts.len(), r.vertices.len() + 1);
+            assert_eq!(r.starts.last().map(|&e| e as usize), Some(r.relaxed.len()));
+        }
+        let relaxations: usize = s.rounds.iter().map(|r| r.relaxed.len()).sum();
         assert!(relaxations >= 511, "graph should be mostly reachable");
     }
 }

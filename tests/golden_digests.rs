@@ -9,13 +9,16 @@
 //! the per-process lanes a single-workload report leaves out. The
 //! figure digests hash the report `tierctl repro --fig NAME --scale
 //! smoke` prints at seed 42. The CSR digests hash the graphs the GAPBS
-//! workloads run on, array for array. A host-side optimisation must
-//! leave every digest unchanged.
+//! workloads run on, array for array, and the stream digests hash every
+//! access their kernels emit. A host-side optimisation must leave every
+//! digest unchanged.
 //! A deliberate change to simulated behaviour updates the values here
 //! in the same change, and says why in CHANGES.md.
 
 use pact_bench::{experiment_machine, figures, make_policy, Lab, TierRatio};
-use pact_tiersim::{fnv1a, Admission, AdmissionControl, AdmissionLane, Machine, RunSpec, Workload};
+use pact_tiersim::{
+    fnv1a, AccessKind, Admission, AdmissionControl, AdmissionLane, Machine, RunSpec, Workload,
+};
 use pact_workloads::graph::{
     count_triangles, kronecker, power_law, uniform, Csr, GraphWorkload, Kernel,
 };
@@ -72,6 +75,21 @@ const GOLDEN_CSRS: [(&str, u64); 5] = [
     ("plaw-16k-131k-tc", 0x0c4f_25f9_9c91_7cad),
 ];
 
+/// `(workload, digest)`: FNV-1a over every access a workload emits,
+/// each as `vaddr` (little-endian `u64`), `kind` (0 load, 1 store),
+/// `dep` (0 or 1) and `work` (little-endian `u16`), draining the
+/// prologue and then each stream in thread order. Suite workloads at
+/// `Scale::Smoke`, seed 42; `bfs-kron-11-8` is a 4-source, 3-thread BFS
+/// over the symmetric `kronecker(11, 8)` graph, seed 42.
+const GOLDEN_STREAMS: [(&str, u64); 6] = [
+    ("bc-kron", 0x78a0_b6d8_2549_644a),
+    ("bc-urand", 0xe4eb_b579_65aa_cb5f),
+    ("sssp-kron", 0x1ee0_76a4_949c_0814),
+    ("pr-twitter", 0x9c9f_fdb1_bfc7_ab2d),
+    ("tc-twitter", 0x00eb_d325_aba0_0d28),
+    ("bfs-kron-11-8", 0x7095_651d_56e1_6319),
+];
+
 /// Triangles in the symmetric `plaw-16k-131k` graph.
 const GOLDEN_TRIANGLES: u64 = 39_086;
 
@@ -87,6 +105,26 @@ fn csr_digest(g: &Csr) -> u64 {
         }
     }
     fnv1a(&bytes)
+}
+
+/// FNV-1a folded over the accesses of `wl`, in the order
+/// [`GOLDEN_STREAMS`] describes.
+fn stream_digest(wl: &dyn Workload) -> u64 {
+    let mut h = fnv1a(&[]);
+    let mut feed = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for mut stream in wl.prologue().into_iter().chain(wl.streams()) {
+        while let Some(a) = stream.next_access() {
+            feed(&a.vaddr.to_le_bytes());
+            feed(&[u8::from(a.kind == AccessKind::Store), u8::from(a.dep)]);
+            feed(&a.work.to_le_bytes());
+        }
+    }
+    h
 }
 
 fn digest(workload: &str, policy: &str) -> u64 {
@@ -214,4 +252,30 @@ fn graph_csrs_match_golden_digests() {
         "CSR digests (left) differ from the golden values"
     );
     assert_eq!(count_triangles(&plaw()), GOLDEN_TRIANGLES, "triangles");
+}
+
+#[test]
+fn graph_streams_match_golden_digests() {
+    let got: Vec<(&str, u64)> = GOLDEN_STREAMS
+        .iter()
+        .map(|&(name, _)| {
+            let wl: Box<dyn Workload> = match name {
+                "bfs-kron-11-8" => Box::new(GraphWorkload::new(
+                    name,
+                    Csr::from_edges(kronecker(11, 8, 42), true),
+                    Kernel::Bfs {
+                        sources: 4,
+                        threads: 3,
+                    },
+                    42,
+                )),
+                suite => build(suite, Scale::Smoke, 42),
+            };
+            (name, stream_digest(wl.as_ref()))
+        })
+        .collect();
+    assert_eq!(
+        got, GOLDEN_STREAMS,
+        "stream digests (left) differ from the golden values"
+    );
 }
