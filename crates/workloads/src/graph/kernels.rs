@@ -194,14 +194,9 @@ impl Workload for GraphWorkload {
                 let plans = Plans::new(&self.csr, sources, HostBfs::run);
                 (0..threads)
                     .map(|t| {
-                        Box::new(BufferedStream::new(TraversalGen {
-                            wl: self,
-                            source: OnSource::new(&plans),
-                            is_bc,
-                            thread: t,
-                            threads,
-                            cursor: TraversalCursor::default(),
-                        })) as Box<dyn AccessStream + '_>
+                        Box::new(BufferedStream::new(TraversalGen::new(
+                            self, &plans, is_bc, t, threads,
+                        ))) as Box<dyn AccessStream + '_>
                     })
                     .collect()
             }
@@ -209,16 +204,8 @@ impl Workload for GraphWorkload {
                 let plans = Plans::new(&self.csr, sources, HostSssp::run);
                 (0..threads)
                     .map(|t| {
-                        Box::new(BufferedStream::new(SsspGen {
-                            wl: self,
-                            source: OnSource::new(&plans),
-                            thread: t,
-                            threads,
-                            round: 0,
-                            pos: t,
-                            nbr: 0,
-                            relaxed: 0,
-                        })) as Box<dyn AccessStream + '_>
+                        Box::new(BufferedStream::new(SsspGen::new(self, &plans, t, threads)))
+                            as Box<dyn AccessStream + '_>
                     })
                     .collect()
             }
@@ -261,15 +248,15 @@ fn walk_line<F: FnMut(&mut VecDeque<Access>, u64, u64, bool)>(
     }
     let adj = wl.csr.neighbors(v);
     let end = (pos + IDS_PER_LINE).min(adj.len() as u64);
+    if pos < end {
+        // The line's address is known once the offset (first line) or
+        // the running pointer (later lines) is ready.
+        let mut a = Access::load(wl.neighbors_base + (wl.csr.offset(v) + pos) * 4).with_work(2);
+        a.dep = pos == 0;
+        out.push_back(a);
+    }
     for (p, &u) in (pos..end).zip(&adj[pos as usize..end as usize]) {
-        if starts_line(p) {
-            // New adjacency line: its address is known once the offset
-            // (first line) or the running pointer (later lines) is ready.
-            let mut a = Access::load(wl.neighbors_base + (wl.csr.offset(v) + p) * 4).with_work(2);
-            a.dep = p == 0;
-            out.push_back(a);
-        }
-        visit(out, u as u64, p, starts_line(p));
+        visit(out, u as u64, p, p == pos);
     }
     (end < adj.len() as u64).then_some(end)
 }
@@ -435,7 +422,24 @@ struct TraversalGen<'w> {
     cursor: TraversalCursor,
 }
 
-impl TraversalGen<'_> {
+impl<'w> TraversalGen<'w> {
+    fn new(
+        wl: &'w GraphWorkload,
+        plans: &Rc<Plans<'w, HostBfs>>,
+        is_bc: bool,
+        thread: usize,
+        threads: usize,
+    ) -> Self {
+        Self {
+            wl,
+            source: OnSource::new(plans),
+            is_bc,
+            thread,
+            threads,
+            cursor: TraversalCursor::default(),
+        }
+    }
+
     fn emit_forward(
         &self,
         bfs: &HostBfs,
@@ -641,6 +645,26 @@ struct SsspGen<'w> {
     /// The vertex's next relaxed neighbor: an index into the round's
     /// relaxed ids.
     relaxed: usize,
+}
+
+impl<'w> SsspGen<'w> {
+    fn new(
+        wl: &'w GraphWorkload,
+        plans: &Rc<Plans<'w, HostSssp>>,
+        thread: usize,
+        threads: usize,
+    ) -> Self {
+        Self {
+            wl,
+            source: OnSource::new(plans),
+            thread,
+            threads,
+            round: 0,
+            pos: thread,
+            nbr: 0,
+            relaxed: 0,
+        }
+    }
 }
 
 impl Generator for SsspGen<'_> {
@@ -1085,28 +1109,10 @@ mod tests {
         let bfs = Plans::new(&wl.csr, 2, HostBfs::run);
         let sssp = Plans::new(&wl.csr, 2, HostSssp::run);
         for thread in 0..3 {
-            let traversal = |is_bc| TraversalGen {
-                wl: &wl,
-                source: OnSource::new(&bfs),
-                is_bc,
-                thread,
-                threads: 3,
-                cursor: TraversalCursor::default(),
-            };
-            let sssp = SsspGen {
-                wl: &wl,
-                source: OnSource::new(&sssp),
-                thread,
-                threads: 3,
-                round: 0,
-                pos: thread,
-                nbr: 0,
-                relaxed: 0,
-            };
             let largest = [
-                largest_refill(traversal(false)),
-                largest_refill(traversal(true)),
-                largest_refill(sssp),
+                largest_refill(TraversalGen::new(&wl, &bfs, false, thread, 3)),
+                largest_refill(TraversalGen::new(&wl, &bfs, true, thread, 3)),
+                largest_refill(SsspGen::new(&wl, &sssp, thread, 3)),
                 largest_refill(PrGen::new(&wl, thread, 3, 1)),
             ];
             assert!(

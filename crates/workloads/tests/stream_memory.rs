@@ -1,5 +1,5 @@
 //! Memory shape of the graph kernels' streams, measured with the
-//! counting allocator of `csr_memory.rs`.
+//! counting allocator that `csr_memory.rs` uses too.
 //!
 //! A BC or SSSP thread computes a source's plan when it reaches the
 //! source, unless another thread still holds it, and refills one
@@ -18,73 +18,14 @@
 //!
 //! Holding every source's plan from the start, as a stream that plans
 //! up front would, exceeds the bound several times over.
-//!
-//! The counts are per thread: the drain runs on the calling thread, and
-//! other tests in this binary may run on parallel test threads.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod counting;
+
 use std::collections::BTreeSet;
 
+use counting::{live, peak, reset_peak};
 use pact_tiersim::{AccessKind, Region, Workload};
 use pact_workloads::graph::{kronecker, Csr, GraphWorkload, Kernel};
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Live bytes allocated by this thread, and their high-water mark.
-    static LIVE: Cell<i64> = const { Cell::new(0) };
-    static PEAK: Cell<i64> = const { Cell::new(0) };
-}
-
-/// Moves this thread's live count by `delta` bytes. `try_with` because
-/// the allocator also runs while a thread's locals are being torn down.
-fn account(delta: i64) {
-    let _ = LIVE.try_with(|live| {
-        let now = live.get() + delta;
-        live.set(now);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        account(layout.size() as i64);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        account(layout.size() as i64);
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        account(-(layout.size() as i64));
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        account(new_size as i64 - layout.size() as i64);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn live() -> i64 {
-    LIVE.with(Cell::get)
-}
-
-/// Restarts the high-water mark from the current live count.
-fn reset_peak() {
-    let now = live();
-    PEAK.with(|peak| peak.set(now));
-}
-
-fn peak() -> i64 {
-    PEAK.with(Cell::get)
-}
 
 const SOURCES: usize = 6;
 const THREADS: usize = 4;
